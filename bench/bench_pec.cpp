@@ -276,8 +276,9 @@ struct ShardedRow {
   int rounds = 0;
   double global_ms = 0.0;
   double sharded_ms = 0.0;
-  // Distributed section: the same sharded solve farmed over pec_worker
-  // processes (src/pec/wire.h jobs over pipes). Workers = 0 when the worker
+  // Distributed section: the same sharded solve farmed over spawned
+  // pec_worker daemons (src/pec/wire.h jobs over loopback TCP). Workers = 0
+  // when the worker
   // binary was not found next to this bench. The doses must be
   // bitwise-identical to the in-process sharded solve — that flag is the
   // acceptance gate, the speedup is what N processes buy at this host's
@@ -296,13 +297,13 @@ struct ShardedRow {
   int fault_reassigned = 0;
   bool fault_degraded = false;
   bool fault_bitwise = false;
-  // PEC-as-a-service case: the identical solve again, but over the TCP
-  // transport — pec_worker daemons on loopback instead of forked pipe
-  // workers. The overhead ratio against the pipe run prices the sockets,
-  // session handshake, and heartbeats; bitwise identity stays the gate.
-  int tcp_workers = 0;
-  double tcp_ms = -1.0;
-  bool tcp_bitwise = false;
+  // PEC-as-a-service case: the identical solve again, but on pre-started
+  // daemons (worker_hosts) instead of daemons the solve spawns itself. The
+  // ratio against the spawned run prices daemon startup and teardown;
+  // bitwise identity stays the gate.
+  int prestarted_workers = 0;
+  double prestarted_ms = -1.0;
+  bool prestarted_bitwise = false;
   double global_err = 0.0;       // global doses, global evaluator
   double sharded_err = 0.0;      // sharded doses, same global evaluator
   double max_rel_dose_delta = 0.0;
@@ -313,35 +314,6 @@ struct ShardedRow {
   BlurPerf global_blur;          // refresh split of the two solves
   BlurPerf sharded_blur;
 };
-
-// A pec_worker TCP daemon on an ephemeral loopback port; the real port is
-// parsed from the "pec_worker: listening on N" line it prints to stdout.
-// Spawned with --fault "" so an ambient EBL_FAULT_PLAN cannot leak in.
-struct TcpDaemon {
-  Subprocess proc;
-  std::uint16_t port = 0;
-};
-
-TcpDaemon spawn_tcp_daemon() {
-  TcpDaemon d;
-  d.proc = Subprocess::spawn(
-      {default_pec_worker_path(), "--listen", "127.0.0.1:0", "--fault", ""});
-  std::string line;
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  for (;;) {
-    char c = 0;
-    if (!read_exact(d.proc.stdout_fd(), &c, 1, deadline))
-      throw DataError("pec_worker daemon exited before announcing a port");
-    if (c == '\n') break;
-    line.push_back(c);
-  }
-  const std::size_t at = line.find_last_of(' ');
-  const int port = at == std::string::npos ? 0 : std::atoi(line.c_str() + at + 1);
-  if (port <= 0 || port > 65535)
-    throw DataError("pec_worker daemon announced a bad port: " + line);
-  d.port = static_cast<std::uint16_t>(port);
-  return d;
-}
 
 ShotList pad_island_shots(std::size_t target_shots) {
   // 24 µm tile: a 20 µm pad plus an isolated 1 µm island in the gap. At the
@@ -429,31 +401,35 @@ ShardedRow run_sharded(const Psf& psf, bool quick) {
               << (row.fault_bitwise ? "bitwise-identical" : "DOSE MISMATCH")
               << "\n";
 
-    // PEC as a service: two loopback daemons instead of two forked pipe
-    // workers, same jobs. A daemon failure only skips this case — the rest
-    // of the bench (and its committed baselines) must not depend on TCP.
+    // PEC as a service: two daemons started before the solve (spawned with
+    // --fault "" so an ambient EBL_FAULT_PLAN cannot leak in), same jobs. A
+    // daemon failure only skips this case — the rest of the bench (and its
+    // committed baselines) must not depend on it.
     try {
-      TcpDaemon da = spawn_tcp_daemon();
-      TcpDaemon db = spawn_tcp_daemon();
+      const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      const std::vector<std::string> argv = {default_pec_worker_path(), "--listen",
+                                             "127.0.0.1:0", "--fault", ""};
+      ListeningChild da = spawn_listening(argv, deadline);
+      ListeningChild db = spawn_listening(argv, deadline);
       PecOptions topt = sopt;
       topt.worker_hosts = "127.0.0.1:" + std::to_string(da.port) +
                           ",127.0.0.1:" + std::to_string(db.port);
       t0 = std::chrono::steady_clock::now();
-      const PecResult tcp = correct_proximity(shots, psf, topt);
-      row.tcp_ms = ms_since(t0);
-      row.tcp_workers = tcp.workers;
-      row.tcp_bitwise = tcp.shots.size() == sharded.shots.size();
-      for (std::size_t i = 0; row.tcp_bitwise && i < shots.size(); ++i)
-        row.tcp_bitwise = tcp.shots[i].dose == sharded.shots[i].dose;
+      const PecResult pre = correct_proximity(shots, psf, topt);
+      row.prestarted_ms = ms_since(t0);
+      row.prestarted_workers = pre.workers;
+      row.prestarted_bitwise = pre.shots.size() == sharded.shots.size();
+      for (std::size_t i = 0; row.prestarted_bitwise && i < shots.size(); ++i)
+        row.prestarted_bitwise = pre.shots[i].dose == sharded.shots[i].dose;
       ::kill(da.proc.pid(), SIGTERM);
       ::kill(db.proc.pid(), SIGTERM);
       da.proc.wait();
       db.proc.wait();
-      std::cerr << "sharded section: " << tcp.workers << "-daemon TCP solve "
-                << (row.tcp_bitwise ? "bitwise-identical" : "DOSE MISMATCH")
+      std::cerr << "sharded section: " << pre.workers << "-daemon pre-started solve "
+                << (row.prestarted_bitwise ? "bitwise-identical" : "DOSE MISMATCH")
                 << "\n";
     } catch (const std::exception& e) {
-      std::cerr << "sharded section: TCP daemon case skipped (" << e.what()
+      std::cerr << "sharded section: pre-started daemon case skipped (" << e.what()
                 << ")\n";
     }
   } else {
@@ -593,18 +569,19 @@ void write_bench_json(const std::vector<ScalingRow>& rows,
         << ", \"bitwise_identical\": "
         << (sharded.fault_bitwise ? "true" : "false") << "}";
   }
-  // Guard-neutral on purpose: wall clocks are machine-bound and the
-  // overhead ratio mixes transport stacks, so none of these names contain
+  // Guard-neutral on purpose: wall clocks are machine-bound and the ratio
+  // mostly prices process startup, so none of these names contain
   // "speedup"/"improvement" — the regression guard ignores them while the
-  // trajectory still records what the TCP hop costs over pipes.
-  if (sharded.tcp_ms >= 0.0) {
-    out << ",\n       \"distributed_tcp\": {\"workers\": " << sharded.tcp_workers
-        << ", \"tcp_total_ms\": " << sharded.tcp_ms
-        << ", \"pipe_total_ms\": " << sharded.dist_ms
-        << ", \"tcp_overhead_ratio\": "
-        << (sharded.dist_ms > 0 ? sharded.tcp_ms / sharded.dist_ms : 0.0)
+  // trajectory still records what spawning the daemons costs per solve.
+  if (sharded.prestarted_ms >= 0.0) {
+    out << ",\n       \"prestarted_daemons\": {\"workers\": "
+        << sharded.prestarted_workers
+        << ", \"prestarted_total_ms\": " << sharded.prestarted_ms
+        << ", \"spawned_total_ms\": " << sharded.dist_ms
+        << ", \"prestarted_to_spawned_ratio\": "
+        << (sharded.dist_ms > 0 ? sharded.prestarted_ms / sharded.dist_ms : 0.0)
         << ", \"bitwise_identical\": "
-        << (sharded.tcp_bitwise ? "true" : "false") << "}";
+        << (sharded.prestarted_bitwise ? "true" : "false") << "}";
   }
   out << ",\n       \"global_refresh_perf\": ";
   write_blur_perf(out, sharded.global_blur);
@@ -626,7 +603,7 @@ void print_sharded(const ShardedRow& sharded) {
   sh.print();
 
   if (sharded.dist_workers > 0) {
-    Table ds("Distributed sharded PEC: pec_worker processes vs in-process");
+    Table ds("Distributed sharded PEC: spawned pec_worker daemons vs in-process");
     ds.columns({"workers", "in-process ms", "distributed ms", "speedup",
                 "doses bitwise-identical"});
     ds.row(sharded.dist_workers, fixed(sharded.sharded_ms, 1),
@@ -636,14 +613,15 @@ void print_sharded(const ShardedRow& sharded) {
     ds.print();
   }
 
-  if (sharded.tcp_ms >= 0) {
-    Table tt("PEC as a service: TCP worker daemons vs forked pipe workers");
-    tt.columns({"workers", "pipe ms", "tcp ms", "tcp overhead",
+  if (sharded.prestarted_ms >= 0) {
+    Table tt("PEC as a service: pre-started daemons vs spawned daemons");
+    tt.columns({"workers", "spawned ms", "pre-started ms", "difference",
                 "doses bitwise-identical"});
-    tt.row(sharded.tcp_workers, fixed(sharded.dist_ms, 1),
-           fixed(sharded.tcp_ms, 1),
-           fixed(100.0 * (sharded.tcp_ms - sharded.dist_ms) / sharded.dist_ms, 1) + "%",
-           sharded.tcp_bitwise ? "yes" : "NO");
+    tt.row(sharded.prestarted_workers, fixed(sharded.dist_ms, 1),
+           fixed(sharded.prestarted_ms, 1),
+           fixed(100.0 * (sharded.prestarted_ms - sharded.dist_ms) / sharded.dist_ms, 1) +
+               "%",
+           sharded.prestarted_bitwise ? "yes" : "NO");
     tt.print();
   }
 

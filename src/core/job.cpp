@@ -45,9 +45,12 @@ PrepResult run_pipeline(const PrepOptions& options, const char* front_name,
   const Stage stages[] = {
       {front_name, true, [&] { front(result); }},
       // Uncorrected-error measurement. Needs a whole-pattern evaluator, so
-      // it only runs for the global solve; sharded jobs exist precisely to
-      // avoid that O(pattern) footprint.
-      {"pec_baseline", options.pec_psf.has_value() && options.pec.shard_size == 0,
+      // it only runs for the global solve; sharded jobs (including every
+      // distributed one, which shards even at shard_size 0) exist precisely
+      // to avoid that O(pattern) footprint.
+      {"pec_baseline",
+       options.pec_psf.has_value() && options.pec.shard_size == 0 &&
+           options.pec.worker_count == 0 && options.pec.worker_hosts.empty(),
        [&] {
          ExposureEvaluator eval(result.shots, *options.pec_psf, pec_opt.exposure);
          double uncorrected = 0.0;

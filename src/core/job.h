@@ -90,13 +90,13 @@ struct PrepResult {
   /// PEC summary (present when pec_psf was set). pec_uncorrected_error is
   /// measured by the optional pec_baseline stage, which needs a whole-
   /// pattern evaluator and therefore only runs for the global solve
-  /// (pec.shard_size == 0) — sharded jobs skip it, that O(pattern) footprint
-  /// being exactly what sharding avoids.
+  /// (pec.shard_size == 0 and no workers) — sharded and distributed jobs
+  /// skip it, that O(pattern) footprint being exactly what sharding avoids.
   std::optional<double> pec_final_error;
   std::optional<double> pec_uncorrected_error;
   int pec_iterations = 0;
   int pec_shards = 0;   ///< shard count of the sharded solve (0 = global)
-  int pec_workers = 0;  ///< worker processes of the distributed solve
+  int pec_workers = 0;  ///< worker slots of the distributed solve
                         ///< (pec.worker_count > 0); 0 = in-process
 
   /// Distributed-solve fault accounting (all zero/false on a fault-free or

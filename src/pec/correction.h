@@ -92,8 +92,9 @@ struct PecOptions {
   int resident_shard_budget = 64;
 
   /// When > 0, shard jobs of every halo-exchange round are farmed over this
-  /// many out-of-process workers (tools/pec_worker, spawned from
-  /// worker_path) instead of the in-process thread pool. Implies sharding:
+  /// many spawned loopback daemons (`worker_path --listen 127.0.0.1:0`,
+  /// reached over TCP like worker_hosts daemons, and stopped and reaped when
+  /// the solve ends) instead of the in-process thread pool. Implies sharding:
   /// with shard_size still 0, correct_proximity routes through
   /// correct_proximity_distributed, which fills in default_shard_size. Jobs
   /// and results cross in the versioned binary wire format (src/pec/wire.h,
@@ -110,9 +111,9 @@ struct PecOptions {
   std::string worker_path;
 
   /// PEC-as-a-service: comma-separated "host:port" addresses of already
-  /// running `pec_worker --listen` daemons. Non-empty switches the
-  /// distributed solve from fork/exec pipe workers to the TCP transport —
-  /// one supervisor slot per address (a daemon serves sessions
+  /// running `pec_worker --listen` daemons. Non-empty connects to these
+  /// instead of spawning daemons — one supervisor slot per address (a
+  /// daemon serves sessions
   /// sequentially, so never point two slots at the same daemon;
   /// worker_count is ignored in this mode). Each connection re-handshakes
   /// the driver session (wire::Hello), so a daemon keeps its evaluator pool
@@ -120,7 +121,7 @@ struct PecOptions {
   /// idempotent. Connect/heartbeat deadlines come from
   /// $EBL_CONNECT_TIMEOUT_MS (default 5000) and $EBL_HEARTBEAT_MS (default
   /// 2000); a refused or dropped connection consumes the slot's
-  /// worker_max_restarts budget exactly like a crashed pipe worker, after
+  /// worker_max_restarts budget exactly like a crashed spawned daemon, after
   /// which jobs reassign to live slots or degrade to in-process — and every
   /// path stays bitwise-identical to the in-process engine.
   std::string worker_hosts;
@@ -131,11 +132,12 @@ struct PecOptions {
   /// unfinished jobs are reassigned — the supervisor's only defense against a
   /// worker that wedges without exiting. 0 (the default) resolves to
   /// $EBL_WORKER_TIMEOUT_MS, else 60000; < 0 disables deadlines entirely
-  /// (crashed workers are still detected via EOF on their result pipe).
+  /// (crashed workers are still detected via EOF on their session).
   double worker_timeout_ms = 0.0;
 
   /// Distributed solves only: how many times each worker slot may be
-  /// respawned after a crash, hang, or corrupt result frame before the slot
+  /// respawned (a spawned daemon) or reconnected (a worker_hosts daemon)
+  /// after a crash, hang, or corrupt result frame before the slot
   /// is abandoned. When every slot is dead and out of budget, the round
   /// degrades to solving the remaining jobs in-process (bitwise-identical,
   /// just slower) instead of failing the solve.
@@ -163,12 +165,12 @@ struct PecResult {
   double measure_ms = -1.0;
   int resident_shards = 0;  ///< evaluators resident when the solve finished
   int shard_evictions = 0;  ///< resident evaluators dropped to fit the budget
-  /// Worker processes the distributed solve ran on (0 = in-process). The
+  /// Worker slots the distributed solve ran on (0 = in-process). The
   /// resident/eviction counters above then aggregate the workers' own pools.
   int workers = 0;
 
-  /// Distributed: worker processes respawned after a crash, hang, or corrupt
-  /// result frame. 0 on a fault-free run.
+  /// Distributed: worker slots respawned or reconnected after a crash, hang,
+  /// or corrupt result frame. 0 on a fault-free run.
   int worker_restarts = 0;
   /// Distributed: shard jobs that had to be re-enqueued (to a respawned or
   /// surviving worker, or solved in-process) because their worker failed.

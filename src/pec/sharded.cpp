@@ -21,7 +21,6 @@
 #include "util/fft.h"
 #include "util/gridkeys.h"
 #include "util/parallel.h"
-#include "util/subprocess.h"
 
 namespace ebl {
 namespace {
@@ -421,18 +420,17 @@ class InProcessRunner : public ShardRunner {
   int evictions_ = 0;
 };
 
-// The multi-process execution path: a supervised pool of worker channels
-// (pec/supervisor.h + pec/transport.h) — fork/exec pec_worker children
-// framed over stdin/stdout, or, with options.worker_hosts set, TCP sessions
-// on already-running `pec_worker --listen` daemons (PEC as a service).
-// Shards stick to workers (slot mod W) so each worker's resident evaluator
-// pool keeps hitting across halo-exchange rounds — the
-// set_background_doses refresh protocol, spoken over the wire. The
-// supervisor owns liveness: per-job deadlines, crash/disconnect detection,
-// bounded restart/reconnect, reassignment of a failed worker's jobs within
-// the round, and — when every slot is gone — finishing the round
-// in-process. Recovery never changes a bit: every path replays the
-// identical pure job (TCP replays deduplicated daemon-side by job seq), and
+// The multi-process execution path: a supervised pool of pec_worker daemon
+// sessions (pec/supervisor.h + pec/transport.h) — worker_count daemons
+// spawned on loopback, or, with options.worker_hosts set, daemons already
+// running elsewhere (PEC as a service). Shards stick to workers (slot mod W)
+// so each worker's resident evaluator pool keeps hitting across
+// halo-exchange rounds — the set_background_doses refresh protocol, spoken
+// over the wire. The supervisor owns liveness: per-job deadlines,
+// crash/disconnect detection, bounded restart/reconnect, reassignment of a
+// failed worker's jobs within the round, and — when every slot is gone —
+// finishing the round in-process. Recovery never changes a bit: every path
+// replays the identical pure job (deduplicated daemon-side by job seq), and
 // results land in disjoint per-slot cells regardless of which worker (or no
 // worker) produced them.
 class DistributedRunner : public ShardRunner {
@@ -440,58 +438,50 @@ class DistributedRunner : public ShardRunner {
   DistributedRunner(const ShotList& shots, const Psf& psf, const PecOptions& options,
                     const ShardLayout& L)
       : shots_(shots), psf_(psf), options_(options), L_(L) {
-    const bool tcp = !options.worker_hosts.empty();
+    // One supervisor slot per worker_hosts address (a daemon serves sessions
+    // sequentially, so more slots than daemons would serialize, and
+    // worker_count is ignored), else worker_count spawned daemons; clamped
+    // to the shard count either way.
     std::vector<net::HostPort> hosts;
+    for (std::size_t start = 0; start < options.worker_hosts.size();) {
+      std::size_t end = options.worker_hosts.find(',', start);
+      if (end == std::string::npos) end = options.worker_hosts.size();
+      if (end > start)
+        hosts.push_back(
+            net::parse_host_port(options.worker_hosts.substr(start, end - start)));
+      start = end + 1;
+    }
     std::string path;
-    if (tcp) {
-      // One supervisor slot per daemon address (a daemon serves sessions
-      // sequentially, so more slots than daemons would serialize, and
-      // worker_count is ignored); clamped to the shard count like the pipe
-      // pool is.
-      for (std::size_t start = 0; start <= options.worker_hosts.size();) {
-        const std::size_t comma = options.worker_hosts.find(',', start);
-        const std::size_t end =
-            comma == std::string::npos ? options.worker_hosts.size() : comma;
-        if (end > start)
-          hosts.push_back(
-              net::parse_host_port(options.worker_hosts.substr(start, end - start)));
-        if (comma == std::string::npos) break;
-        start = comma + 1;
-      }
+    if (!options.worker_hosts.empty()) {
       if (hosts.empty())
         throw DataError("sharded PEC: worker_hosts lists no addresses");
-      workers_n_ = std::max(
-          1, std::min<int>(static_cast<int>(hosts.size()), static_cast<int>(L.count)));
-      hosts.resize(static_cast<std::size_t>(workers_n_));
     } else {
-      workers_n_ = std::max(1, std::min<int>(options.worker_count,
-                                             static_cast<int>(L.count)));
       path = options.worker_path.empty() ? default_pec_worker_path()
                                          : options.worker_path;
       if (::access(path.c_str(), X_OK) != 0)
         throw DataError("sharded PEC: pec_worker binary not executable: " + path);
     }
+    const int wanted = hosts.empty() ? options.worker_count
+                                     : static_cast<int>(hosts.size());
+    workers_n_ = std::max(1, std::min<int>(wanted, static_cast<int>(L.count)));
+    if (!hosts.empty()) hosts.resize(static_cast<std::size_t>(workers_n_));
 
     // One driver process + N workers share the machine: each worker gets an
     // equal slice of the resolved thread budget (>= 1). Thread count never
-    // changes results, only scheduling. (TCP daemons size their own threads;
-    // this slice only governs the degraded in-process fallback's share.)
+    // changes results, only scheduling.
     wopt_ = options;
     wopt_.exposure.threads =
         std::max(1, resolve_threads(options.exposure.threads) / workers_n_);
 
     // Session tag: workers drop stale resident evaluators if a long-lived
-    // worker ever sees jobs from two solves — which is exactly what a TCP
-    // daemon is for, so the tag must be unique across driver processes. A
-    // reconnecting transport re-sends the SAME tag, keeping the daemon's
-    // pool warm across connection faults.
+    // daemon ever sees jobs from two solves, so the tag must be unique
+    // across driver processes. A reconnecting session re-sends the SAME tag,
+    // keeping a remote daemon's pool warm across connection faults.
     static std::atomic<std::uint64_t> counter{0};
     session_ = (static_cast<std::uint64_t>(::getpid()) << 32) | ++counter;
 
     SupervisorConfig cfg;
-    cfg.factory = tcp ? make_tcp_transport_factory(std::move(hosts), session_)
-                      : make_pipe_transport_factory({path});
-    cfg.sequence_jobs = tcp;
+    cfg.factory = make_session_factory(std::move(hosts), std::move(path), session_);
     cfg.workers = workers_n_;
     cfg.timeout_ms = options.worker_timeout_ms;
     cfg.max_restarts = options.worker_max_restarts;

@@ -67,15 +67,14 @@ WorkerSupervisor::WorkerSupervisor(SupervisorConfig config)
     : factory_(std::move(config.factory)),
       timeout_ms_(resolve_worker_timeout_ms(config.timeout_ms)),
       max_restarts_(std::max(0, config.max_restarts)),
-      fallback_threads_(config.fallback_threads),
-      sequence_jobs_(config.sequence_jobs) {
-  expects(static_cast<bool>(factory_), "WorkerSupervisor: no transport factory");
+      fallback_threads_(config.fallback_threads) {
+  expects(static_cast<bool>(factory_), "WorkerSupervisor: no session factory");
   expects(config.workers > 0, "WorkerSupervisor: need at least one worker");
-  transports_.reserve(static_cast<std::size_t>(config.workers));
+  sessions_.reserve(static_cast<std::size_t>(config.workers));
   for (int i = 0; i < config.workers; ++i)
-    transports_.push_back(factory_(static_cast<std::size_t>(i)));
-  alive_.assign(transports_.size(), 1);
-  restarts_used_.assign(transports_.size(), 0);
+    sessions_.push_back(factory_(static_cast<std::size_t>(i)));
+  alive_.assign(sessions_.size(), 1);
+  restarts_used_.assign(sessions_.size(), 0);
 }
 
 WorkerSupervisor::~WorkerSupervisor() { terminate_all(); }
@@ -92,10 +91,10 @@ std::size_t WorkerSupervisor::live_count() const {
 }
 
 void WorkerSupervisor::probe_liveness() {
-  for (std::size_t w = 0; w < transports_.size(); ++w) {
+  for (std::size_t w = 0; w < sessions_.size(); ++w) {
     if (!alive_[w]) continue;
     std::string why;
-    if (transports_[w]->poll_fault(&why)) {
+    if (sessions_[w]->poll_fault(&why)) {
       ++stats_.failures;
       handle_failure(w, why);
     }
@@ -106,11 +105,11 @@ void WorkerSupervisor::handle_failure(std::size_t w, const std::string& error) {
   std::fprintf(stderr,
                "sharded PEC: worker slot %zu [%s] failed (%s); restarts used "
                "%d/%d\n",
-               w, transports_[w]->describe().c_str(), error.c_str(),
+               w, sessions_[w]->describe().c_str(), error.c_str(),
                restarts_used_[w], max_restarts_);
-  // Tear the channel down completely (reap the process / close the socket).
-  // hard_stop is a no-op on whatever part already died.
-  transports_[w]->hard_stop();
+  // Tear the channel down completely (close the socket, kill and reap a
+  // spawned daemon). hard_stop is a no-op on whatever part already died.
+  sessions_[w]->hard_stop();
   // Rebuild the channel, charging every attempt against the slot's budget —
   // including attempts where the factory itself throws: a refused reconnect
   // to a restarting daemon is a transient fault to retry with backoff, not
@@ -132,7 +131,7 @@ void WorkerSupervisor::handle_failure(std::size_t w, const std::string& error) {
         std::min<long>(10L << shift, backoff_cap_ms)));
     ++restarts_used_[w];
     try {
-      transports_[w] = factory_(w);
+      sessions_[w] = factory_(w);
       ++stats_.restarts;
       return;
     } catch (const std::exception& e) {
@@ -147,7 +146,7 @@ void WorkerSupervisor::handle_failure(std::size_t w, const std::string& error) {
 
 void WorkerSupervisor::run_batch(std::size_t n, const Prefer& prefer,
                                  const MakeJob& make_job, const Apply& apply) {
-  const std::size_t nw = transports_.size();
+  const std::size_t nw = sessions_.size();
   std::vector<std::uint8_t> done(n, 0);
   std::vector<std::size_t> remaining;
   remaining.reserve(n);
@@ -156,9 +155,8 @@ void WorkerSupervisor::run_batch(std::size_t n, const Prefer& prefer,
   // a fault carries the SAME seq on every delivery attempt, which is what
   // lets a daemon recognize a replay. (The solver never reads seq, so the
   // stamp cannot change a bit of any result.)
-  std::vector<std::uint64_t> seqs(n, 0);
-  if (sequence_jobs_)
-    for (std::size_t i = 0; i < n; ++i) seqs[i] = ++next_seq_;
+  std::vector<std::uint64_t> seqs(n);
+  for (std::uint64_t& seq : seqs) seq = ++next_seq_;
 
   while (!remaining.empty()) {
     if (!degraded_) probe_liveness();
@@ -211,9 +209,9 @@ void WorkerSupervisor::run_batch(std::size_t n, const Prefer& prefer,
       if (batch[w].empty()) continue;
       attempts[w] = std::make_unique<Attempt>(std::move(batch[w]));
       Attempt& at = *attempts[w];
-      Transport& tr = *transports_[w];
+      WorkerSession& session = *sessions_[w];
 
-      threads.emplace_back([&at, &tr, &make_job, &seqs, this] {
+      threads.emplace_back([&at, &session, &make_job, &seqs, this] {
         try {
           for (std::size_t k = 0; k < at.jobs.size(); ++k) {
             if (at.failed.load(std::memory_order_acquire)) break;
@@ -222,18 +220,18 @@ void WorkerSupervisor::run_batch(std::size_t n, const Prefer& prefer,
             at.timeout_ms[k] =
                 timeout_for_ms(job.active.size() + job.ghosts.size());
             at.sent_at[k] = clock_t_::now();
-            tr.send_job(job, deadline_after(at.sent_at[k], at.timeout_ms[k]));
+            session.send_job(job, deadline_after(at.sent_at[k], at.timeout_ms[k]));
             at.sent.store(k + 1, std::memory_order_release);
           }
         } catch (const std::exception& e) {
           at.fail(std::string("sending a job: ") + e.what());
           // Unblock the paired reader: half-closing the job stream makes a
           // healthy worker finish its queue and end the result stream.
-          tr.finish_jobs();
+          session.finish_jobs();
         }
       });
 
-      threads.emplace_back([&at, &tr, &apply, &done, w, this] {
+      threads.emplace_back([&at, &session, &apply, &done, w, this] {
         try {
           // `progress` is when this worker last gave evidence of life: the
           // attempt start, then each result. Job k's processing cannot begin
@@ -252,7 +250,7 @@ void WorkerSupervisor::run_batch(std::size_t n, const Prefer& prefer,
             const auto deadline = deadline_after(
                 std::max(progress, at.sent_at[k]), at.timeout_ms[k]);
             wire::Frame frame;
-            if (!tr.read_result(&frame, deadline))
+            if (!session.read_result(&frame, deadline))
               throw DataError("worker ended the result stream mid-round");
             if (frame.type != wire::MsgType::kShardResult)
               throw DataError("expected a shard result frame");
@@ -263,11 +261,10 @@ void WorkerSupervisor::run_batch(std::size_t n, const Prefer& prefer,
           }
         } catch (const std::exception& e) {
           at.fail(std::string("reading a result: ") + e.what());
-          // Break the paired writer out of a blocked send (pipe: SIGKILL the
-          // worker so the pipe EPIPEs; TCP: shut the socket down both ways).
-          // Channel teardown stays with the post-join failure path (no
-          // cross-thread teardown races).
-          tr.unblock_writer();
+          // Break the paired writer out of a blocked send by shutting the
+          // socket down both ways. Channel teardown stays with the post-join
+          // failure path (no cross-thread teardown races).
+          session.unblock_writer();
         }
       });
     }
@@ -290,30 +287,30 @@ void WorkerSupervisor::run_batch(std::size_t n, const Prefer& prefer,
 }
 
 void WorkerSupervisor::shutdown() {
-  // Two phases: half-close every slot first (so all workers wind down
-  // concurrently), then drain each with a shared deadline. A worker that
-  // ignores the close must not stall the solve's epilogue — all results were
-  // already delivered and CRC-checked, so a dirty end here is diagnostic,
-  // not a correctness problem: log it and move on.
-  for (std::size_t w = 0; w < transports_.size(); ++w)
-    if (alive_[w]) transports_[w]->finish_jobs();
+  // Two phases: end every session first (half-close, stop a spawned daemon)
+  // so all workers wind down concurrently, then drain each with a shared
+  // deadline. A worker that ignores the stop must not stall the solve's
+  // epilogue — all results were already delivered and CRC-checked, so a
+  // dirty end here is diagnostic, not a correctness problem: log it and
+  // move on.
+  for (std::size_t w = 0; w < sessions_.size(); ++w)
+    if (alive_[w]) sessions_[w]->end_session();
   const auto deadline = deadline_after(clock_t_::now(), 5000.0);
-  for (std::size_t w = 0; w < transports_.size(); ++w) {
+  for (std::size_t w = 0; w < sessions_.size(); ++w) {
     if (!alive_[w]) continue;
-    const std::string dirty = transports_[w]->drain(deadline);
+    const std::string dirty = sessions_[w]->drain(deadline);
     if (!dirty.empty())
       std::fprintf(stderr, "sharded PEC: worker slot %zu at shutdown: %s\n", w,
                    dirty.c_str());
     alive_[w] = 0;
   }
-  transports_.clear();
+  sessions_.clear();
   alive_.clear();
 }
 
 void WorkerSupervisor::terminate_all() {
-  for (std::unique_ptr<Transport>& t : transports_)
-    if (t) t->hard_stop();
-  transports_.clear();
+  for (std::unique_ptr<WorkerSession>& s : sessions_) s->hard_stop();
+  sessions_.clear();
   alive_.clear();
 }
 

@@ -13,7 +13,7 @@
 //
 //   - per-job deadlines (wall-clock, scaled by shard size) catch workers that
 //     wedge without exiting — the one failure EOF detection cannot see;
-//   - WNOHANG liveness probes and EOF-on-result-pipe catch crashes;
+//   - heartbeat probes and EOF on the result stream catch crashes;
 //   - CRC/decode failures on a result frame are treated as a worker fault
 //     (kill + restart), not a solve abort — a flaky worker must not take the
 //     whole solve down;
@@ -27,21 +27,20 @@
 //     (degraded_to_inprocess), so restart exhaustion slows the solve down
 //     instead of failing it.
 //
-// The supervisor is transport-blind (src/pec/transport.h): a worker slot is
-// whatever its TransportFactory builds — a fork/exec pipe worker or a TCP
-// session on a pec_worker daemon. "Restart" means "discard the transport and
-// ask the factory again", which is a respawn for pipes and a reconnect (with
-// exponential backoff; a refused connection consumes restart budget and is
-// retried) for TCP. In sequencing mode every job carries a session-unique
-// seq, stable across delivery attempts, so a daemon reached over a flaky
-// network deduplicates replayed jobs.
+// A worker slot is whatever its SessionFactory builds (src/pec/transport.h):
+// a TCP session on a pec_worker daemon, spawned on loopback or reached at a
+// remote address. "Restart" means "discard the session and ask the factory
+// again", which respawns a spawned daemon and reconnects to a remote one
+// (with exponential backoff; a refused connection consumes restart budget
+// and is retried). Every job carries a session-unique seq, stable across
+// delivery attempts, so a daemon reached over a flaky network deduplicates
+// replayed jobs.
 //
-// The per-sweep writer/reader thread pair of the pre-supervisor driver is
-// preserved (results stream back while later jobs serialize; no pipe-buffer
-// deadlock), with the reads made deadline-aware. Thread teardown is
-// exception-safe: every attempt joins its threads before the supervisor
-// decides anything, so no code path can unwind with a detached writer still
-// holding a pipe.
+// Each sweep runs one writer/reader thread pair per busy worker (results
+// stream back while later jobs serialize; no socket-buffer deadlock), with
+// every read and write deadline-aware. Thread teardown is exception-safe:
+// every attempt joins its threads before the supervisor decides anything,
+// so no code path can unwind with a detached writer still holding a socket.
 #pragma once
 
 #include <cstddef>
@@ -68,29 +67,24 @@ double resolve_worker_timeout_ms(double option_value);
 /// What fault handling did during one solve — folded into PecResult by the
 /// distributed runner.
 struct SupervisorStats {
-  int restarts = 0;         ///< worker processes respawned into their slot
+  int restarts = 0;         ///< worker slots respawned / reconnected
   int failures = 0;         ///< worker faults observed (crash/hang/bad frame)
   int reassigned_jobs = 0;  ///< jobs re-enqueued after their worker failed
   bool degraded_to_inprocess = false;  ///< ran out of workers; solved locally
 };
 
 struct SupervisorConfig {
-  /// Builds (and rebuilds, after a fault) the channel for each worker slot.
-  TransportFactory factory;
+  /// Builds (and rebuilds, after a fault) the session for each worker slot.
+  SessionFactory factory;
   int workers = 1;  ///< pool width (slot count)
   /// Raw PecOptions::worker_timeout_ms — resolved internally via
   /// resolve_worker_timeout_ms.
   double timeout_ms = 0.0;
   int max_restarts = 2;      ///< per-slot restart/reconnect budget
   int fallback_threads = 0;  ///< thread budget for degraded in-process solves
-  /// Stamp every job with a session-unique seq, stable across delivery
-  /// attempts (TCP daemons deduplicate replays by it). Off for stdio pipe
-  /// workers — their transport cannot replay, and jobs stay byte-identical
-  /// to the pre-service wire traffic (seq = 0).
-  bool sequence_jobs = false;
 };
 
-/// A supervised pool of pec_worker processes. run_batch is the whole
+/// A supervised pool of pec_worker daemon sessions. run_batch is the whole
 /// interface: hand it the round's jobs and it guarantees every one of them is
 /// applied exactly once, surviving worker crashes, hangs, and corrupt result
 /// frames along the way.
@@ -122,7 +116,7 @@ class WorkerSupervisor {
   WorkerSupervisor(const WorkerSupervisor&) = delete;
   WorkerSupervisor& operator=(const WorkerSupervisor&) = delete;
 
-  int workers() const { return static_cast<int>(transports_.size()); }
+  int workers() const { return static_cast<int>(sessions_.size()); }
   const SupervisorStats& stats() const { return stats_; }
 
   /// Runs jobs 0..n-1 to completion (every job applied exactly once),
@@ -133,14 +127,15 @@ class WorkerSupervisor {
   void run_batch(std::size_t n, const Prefer& prefer, const MakeJob& make_job,
                  const Apply& apply);
 
-  /// Orderly shutdown: finish_jobs every live slot (pipe: EOF the worker's
-  /// stdin; TCP: half-close the session), give the pool a few seconds to
-  /// drain, hard-stop stragglers. A dirty end after all results were
+  /// Orderly shutdown: end every live session (half-close, stop a spawned
+  /// daemon), give the pool a few seconds to drain and exit, hard-stop
+  /// stragglers. A dirty end after all results were
   /// delivered (and CRC-checked) is logged, not thrown — by then it cannot
   /// have corrupted the solve.
   void shutdown();
 
-  /// Error-path teardown: SIGKILL + reap everything still running.
+  /// Error-path teardown: close every session, SIGKILL + reap every spawned
+  /// daemon.
   void terminate_all();
 
  private:
@@ -151,10 +146,9 @@ class WorkerSupervisor {
   /// more wall-clock before being declared hung.
   double timeout_for_ms(std::size_t job_shots) const;
 
-  /// poll_fault probe of every live slot (pipe: WNOHANG; TCP: heartbeat
-  /// ping/pong); a slot whose channel already died (e.g. crashed or dropped
-  /// between rounds) goes through the failure path before any job is dealt
-  /// to it.
+  /// poll_fault (heartbeat ping/pong) probe of every live slot; a slot whose
+  /// channel already died (e.g. crashed or dropped between rounds) goes
+  /// through the failure path before any job is dealt to it.
   void probe_liveness();
 
   /// Post-attempt accounting for a faulty slot: tear the channel down, then
@@ -166,14 +160,13 @@ class WorkerSupervisor {
 
   std::size_t live_count() const;
 
-  TransportFactory factory_;
-  std::vector<std::unique_ptr<Transport>> transports_;
+  SessionFactory factory_;
+  std::vector<std::unique_ptr<WorkerSession>> sessions_;
   std::vector<std::uint8_t> alive_;
   std::vector<int> restarts_used_;
   double timeout_ms_ = 0.0;  ///< resolved base; <= 0 means deadlines disabled
   int max_restarts_ = 0;
   int fallback_threads_ = 0;
-  bool sequence_jobs_ = false;
   std::uint64_t next_seq_ = 0;  ///< last seq handed out (session-unique)
   bool degraded_ = false;  ///< latches: once out of workers, stay in-process
   SupervisorStats stats_;

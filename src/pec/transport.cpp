@@ -1,7 +1,7 @@
 #include "pec/transport.h"
 
-#include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <thread>
 
 #include <signal.h>
@@ -28,171 +28,6 @@ clock_t_::time_point after_ms(double ms) {
                                std::chrono::duration<double, std::milli>(ms));
 }
 
-// The original fork/exec channel, verbatim semantics: frames over the
-// child's stdin/stdout, liveness via WNOHANG, unblock via SIGKILL.
-class PipeTransport final : public Transport {
- public:
-  explicit PipeTransport(const std::vector<std::string>& argv)
-      : proc_(Subprocess::spawn(argv)) {}
-
-  void send_job(const wire::ShardJob& job,
-                clock_t_::time_point /*deadline*/) override {
-    // No send deadline on purpose: a pipe write stalls only when the worker
-    // stops reading, and then the paired reader's deadline SIGKILLs it,
-    // which surfaces here as EPIPE (see unblock_writer).
-    wire::write_frame(proc_.stdin_fd(), wire::MsgType::kShardJob,
-                      wire::encode(job));
-  }
-
-  bool read_result(wire::Frame* out, clock_t_::time_point deadline) override {
-    return wire::read_frame(proc_.stdout_fd(), out, deadline);
-  }
-
-  void finish_jobs() override { proc_.close_stdin(); }
-
-  void unblock_writer() override {
-    // Killing the worker closes its end of the stdin pipe, so a writer
-    // blocked on a full pipe gets EPIPE. Reap + fd teardown stay with the
-    // post-join failure path (no cross-thread fd races).
-    if (proc_.pid() > 0) ::kill(proc_.pid(), SIGKILL);
-  }
-
-  bool poll_fault(std::string* why) override {
-    if (const std::optional<int> status = proc_.try_wait()) {
-      *why = "worker exited between batches (status " +
-             std::to_string(*status) + ")";
-      return true;
-    }
-    return false;
-  }
-
-  std::string drain(clock_t_::time_point deadline) override {
-    proc_.close_stdin();
-    std::optional<int> status;
-    while (!(status = proc_.try_wait()) && clock_t_::now() < deadline)
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    if (!status) {
-      proc_.terminate();
-      return "ignored shutdown; killed";
-    }
-    if (*status != 0)
-      return "exited with status " + std::to_string(*status) + " at shutdown";
-    return {};
-  }
-
-  void hard_stop() override { proc_.terminate(); }
-
-  std::string describe() const override {
-    return "worker process (pid " + std::to_string(proc_.pid()) + ")";
-  }
-
- private:
-  Subprocess proc_;
-};
-
-// PEC-as-a-service channel: one connected session on a pec_worker daemon.
-// The constructor IS the handshake — a transport that exists is a session
-// the daemon acknowledged at our protocol version.
-class TcpTransport final : public Transport {
- public:
-  TcpTransport(const net::HostPort& addr, std::uint64_t session_id,
-               double connect_timeout_ms, double heartbeat_ms)
-      : addr_(addr.host + ":" + std::to_string(addr.port)),
-        heartbeat_ms_(heartbeat_ms) {
-    sock_ = net::TcpSocket::connect(addr.host, addr.port,
-                                    after_ms(connect_timeout_ms));
-    // Re-handshake the session. The daemon answers with the highest job seq
-    // it served for it — after a reconnect that tells the supervisor the
-    // truth about the dropped connection, though correctness never depends
-    // on it (re-sent jobs are deduplicated daemon-side by seq, and a replay
-    // cache miss re-solves the pure job to identical doses anyway).
-    const auto deadline = after_ms(heartbeat_ms);
-    wire::Hello hello;
-    hello.session_id = session_id;
-    hello.protocol = wire::kVersion;
-    wire::write_frame(sock_.fd(), wire::MsgType::kHello, wire::encode(hello),
-                      deadline);
-    wire::Frame frame;
-    if (!wire::read_frame(sock_.fd(), &frame, deadline))
-      throw DataError(addr_ + ": connection closed during handshake");
-    if (frame.type != wire::MsgType::kHelloAck)
-      throw DataError(addr_ + ": expected a hello ack frame");
-    const wire::HelloAck ack = wire::decode_hello_ack(frame.payload);
-    if (ack.session_id != session_id)
-      throw DataError(addr_ + ": hello ack for the wrong session");
-    last_acked_seq_ = ack.last_seq;
-  }
-
-  void send_job(const wire::ShardJob& job,
-                clock_t_::time_point deadline) override {
-    wire::write_frame(sock_.fd(), wire::MsgType::kShardJob, wire::encode(job),
-                      deadline);
-  }
-
-  bool read_result(wire::Frame* out, clock_t_::time_point deadline) override {
-    return wire::read_frame(sock_.fd(), out, deadline);
-  }
-
-  void finish_jobs() override { sock_.shutdown_write(); }
-
-  void unblock_writer() override { sock_.shutdown_both(); }
-
-  bool poll_fault(std::string* why) override {
-    // Strict request/response on a quiet stream: the echoed token proves the
-    // pong answers THIS ping, not a stale frame from a confused peer.
-    try {
-      const std::uint64_t token = ++ping_token_;
-      const auto deadline = after_ms(heartbeat_ms_);
-      wire::write_frame(sock_.fd(), wire::MsgType::kPing,
-                        wire::encode_token(token), deadline);
-      wire::Frame frame;
-      if (!wire::read_frame(sock_.fd(), &frame, deadline)) {
-        *why = addr_ + ": daemon closed the connection";
-        return true;
-      }
-      if (frame.type != wire::MsgType::kPong ||
-          wire::decode_token(frame.payload) != token) {
-        *why = addr_ + ": bad pong";
-        return true;
-      }
-      return false;
-    } catch (const std::exception& e) {
-      *why = addr_ + ": heartbeat failed: " + e.what();
-      return true;
-    }
-  }
-
-  std::string drain(clock_t_::time_point deadline) override {
-    // finish_jobs (SHUT_WR) told the daemon the session is over; a healthy
-    // daemon ends its side, which reads as clean EOF here. Stray frames are
-    // discarded — all results were delivered before drain is called.
-    try {
-      sock_.shutdown_write();
-      wire::Frame frame;
-      while (wire::read_frame(sock_.fd(), &frame, deadline)) {
-      }
-      sock_.close();
-      return {};
-    } catch (const std::exception& e) {
-      sock_.close();
-      return std::string("dirty session close: ") + e.what();
-    }
-  }
-
-  void hard_stop() override { sock_.close(); }
-
-  std::string describe() const override { return "daemon at " + addr_; }
-
-  std::uint64_t last_acked_seq() const { return last_acked_seq_; }
-
- private:
-  net::TcpSocket sock_;
-  std::string addr_;
-  double heartbeat_ms_ = 0.0;
-  std::uint64_t ping_token_ = 0;
-  std::uint64_t last_acked_seq_ = 0;
-};
-
 }  // namespace
 
 double resolve_heartbeat_ms() { return env_ms("EBL_HEARTBEAT_MS", 2000.0); }
@@ -201,22 +36,135 @@ double resolve_connect_timeout_ms() {
   return env_ms("EBL_CONNECT_TIMEOUT_MS", 5000.0);
 }
 
-TransportFactory make_pipe_transport_factory(std::vector<std::string> argv) {
-  expects(!argv.empty(), "pipe transport factory: empty worker argv");
-  return [argv = std::move(argv)](std::size_t /*slot*/) {
-    return std::unique_ptr<Transport>(new PipeTransport(argv));
-  };
+WorkerSession::WorkerSession(const net::HostPort& addr, std::uint64_t session_id,
+                             double connect_timeout_ms, double heartbeat_ms,
+                             Subprocess child)
+    : child_(std::move(child)),
+      addr_(addr.host + ":" + std::to_string(addr.port)),
+      heartbeat_ms_(heartbeat_ms) {
+  sock_ = net::TcpSocket::connect(addr.host, addr.port,
+                                  after_ms(connect_timeout_ms));
+  // Re-handshake the session. The daemon answers with the highest job seq
+  // it served for it; correctness never depends on that (re-sent jobs are
+  // deduplicated daemon-side by seq, and a replay cache miss re-solves the
+  // pure job to identical doses anyway).
+  const auto deadline = after_ms(heartbeat_ms);
+  wire::Hello hello;
+  hello.session_id = session_id;
+  hello.protocol = wire::kVersion;
+  wire::write_frame(sock_.fd(), wire::MsgType::kHello, wire::encode(hello),
+                    deadline);
+  wire::Frame frame;
+  if (!wire::read_frame(sock_.fd(), &frame, deadline))
+    throw DataError(addr_ + ": connection closed during handshake");
+  if (frame.type != wire::MsgType::kHelloAck)
+    throw DataError(addr_ + ": expected a hello ack frame");
+  if (wire::decode_hello_ack(frame.payload).session_id != session_id)
+    throw DataError(addr_ + ": hello ack for the wrong session");
 }
 
-TransportFactory make_tcp_transport_factory(std::vector<net::HostPort> hosts,
-                                            std::uint64_t session_id) {
-  expects(!hosts.empty(), "tcp transport factory: empty daemon address list");
+void WorkerSession::send_job(const wire::ShardJob& job,
+                             clock_t_::time_point deadline) {
+  wire::write_frame(sock_.fd(), wire::MsgType::kShardJob, wire::encode(job),
+                    deadline);
+}
+
+bool WorkerSession::read_result(wire::Frame* out, clock_t_::time_point deadline) {
+  return wire::read_frame(sock_.fd(), out, deadline);
+}
+
+void WorkerSession::finish_jobs() { sock_.shutdown_write(); }
+
+void WorkerSession::unblock_writer() { sock_.shutdown_both(); }
+
+bool WorkerSession::poll_fault(std::string* why) {
+  // Strict request/response on a quiet stream: the echoed token proves the
+  // pong answers THIS ping, not a stale frame from a confused peer.
+  try {
+    const std::uint64_t token = ++ping_token_;
+    const auto deadline = after_ms(heartbeat_ms_);
+    wire::write_frame(sock_.fd(), wire::MsgType::kPing,
+                      wire::encode_token(token), deadline);
+    wire::Frame frame;
+    if (!wire::read_frame(sock_.fd(), &frame, deadline)) {
+      *why = addr_ + ": daemon closed the connection";
+      return true;
+    }
+    if (frame.type != wire::MsgType::kPong ||
+        wire::decode_token(frame.payload) != token) {
+      *why = addr_ + ": bad pong";
+      return true;
+    }
+    return false;
+  } catch (const std::exception& e) {
+    *why = addr_ + ": heartbeat failed: " + e.what();
+    return true;
+  }
+}
+
+void WorkerSession::end_session() {
+  sock_.shutdown_write();
+  // An owned daemon outlives its session by design; stop it the graceful
+  // way so no worker survives the solve.
+  if (child_.pid() > 0) ::kill(child_.pid(), SIGTERM);
+}
+
+std::string WorkerSession::drain(clock_t_::time_point deadline) {
+  // A healthy daemon ends its side of the session, which reads as clean EOF
+  // here. Stray frames are discarded — all results were delivered before
+  // the session was ended.
+  std::string dirty;
+  try {
+    wire::Frame frame;
+    while (wire::read_frame(sock_.fd(), &frame, deadline)) {
+    }
+  } catch (const std::exception& e) {
+    dirty = std::string("dirty session close: ") + e.what();
+  }
+  sock_.close();
+  if (child_.pid() <= 0) return dirty;
+  std::optional<int> status;
+  while (!(status = child_.try_wait()) && clock_t_::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  std::string stop;
+  if (!status) {
+    child_.terminate();
+    stop = "ignored shutdown; killed";
+  } else if (*status != 0) {
+    stop = "exited with status " + std::to_string(*status) + " at shutdown";
+  }
+  if (dirty.empty() || stop.empty()) return dirty + stop;
+  return dirty + "; " + stop;
+}
+
+void WorkerSession::hard_stop() {
+  sock_.close();
+  child_.terminate();
+}
+
+std::string WorkerSession::describe() const {
+  std::string d = "daemon at " + addr_;
+  if (child_.pid() > 0) d += " (pid " + std::to_string(child_.pid()) + ")";
+  return d;
+}
+
+SessionFactory make_session_factory(std::vector<net::HostPort> hosts,
+                                    std::string worker_path,
+                                    std::uint64_t session_id) {
+  expects(!hosts.empty() || !worker_path.empty(),
+          "session factory: no daemon addresses and no worker to spawn");
   const double connect_ms = resolve_connect_timeout_ms();
   const double heartbeat_ms = resolve_heartbeat_ms();
-  return [hosts = std::move(hosts), session_id, connect_ms,
-          heartbeat_ms](std::size_t slot) {
-    return std::unique_ptr<Transport>(new TcpTransport(
-        hosts[slot % hosts.size()], session_id, connect_ms, heartbeat_ms));
+  return [hosts = std::move(hosts), worker_path = std::move(worker_path),
+          session_id, connect_ms, heartbeat_ms](std::size_t slot) {
+    if (!hosts.empty())
+      return std::make_unique<WorkerSession>(hosts[slot % hosts.size()],
+                                             session_id, connect_ms, heartbeat_ms);
+    ListeningChild child = spawn_listening(
+        {worker_path, "--listen", "127.0.0.1:0"}, after_ms(connect_ms));
+    return std::make_unique<WorkerSession>(net::HostPort{"127.0.0.1", child.port},
+                                           session_id, connect_ms, heartbeat_ms,
+                                           std::move(child.proc));
   };
 }
 

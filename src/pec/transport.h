@@ -1,25 +1,26 @@
-// The transport seam of the distributed sharded-PEC driver: one interface
-// over "a channel that carries shard jobs out and shard results back", with
-// two implementations —
+// The worker channel of the distributed sharded-PEC driver: one TCP session
+// on a `pec_worker --listen` daemon, carrying shard jobs out and shard
+// results back. There is one transport and one worker loop, whoever started
+// the daemon:
 //
-//   - PipeTransport: fork/exec a pec_worker child and frame over its
-//     stdin/stdout pipes (the original, PR-6 shape; bitwise-untouched);
-//   - TcpTransport: connect to an already-running `pec_worker --listen`
-//     daemon, re-handshake the driver session (wire::Hello/kHelloAck), and
-//     frame over the socket — PEC as a service.
+//   - PecOptions::worker_count > 0: the factory spawns each slot's daemon
+//     as a child on 127.0.0.1 (ephemeral port, read back from the daemon's
+//     "listening on N" line) and the session owns that child;
+//   - PecOptions::worker_hosts: the factory connects to daemons somebody
+//     else started — PEC as a service.
 //
-// The supervisor (src/pec/supervisor.h) is transport-blind: it deals jobs,
-// enforces deadlines, and on any fault discards the Transport and asks its
-// factory for a fresh one. For pipes that is a respawn; for TCP it is a
-// reconnect — and because a reconnecting client re-sends the same session
-// tag and the same per-job sequence numbers, a daemon that already solved a
-// re-sent job replays the cached result frame instead of solving twice
-// (and a cache miss just re-solves the pure job to bitwise-identical doses).
+// The supervisor (src/pec/supervisor.h) deals jobs, enforces deadlines, and
+// on any fault discards the session and asks its factory for a fresh one.
+// For a spawned daemon that is kill + respawn + reconnect (a fresh
+// incarnation, cold pool); for a remote daemon it is a reconnect — and
+// because a reconnecting client re-sends the same session tag and the same
+// per-job sequence numbers, a daemon that already solved a re-sent job
+// replays the cached result frame instead of solving twice (and a cache
+// miss just re-solves the pure job to bitwise-identical doses).
 //
-// The failure surface is normalized to the pipe transport's: every method
-// throws DataError for a broken/corrupt channel and TimeoutError for a
-// deadline, so the supervisor's crash/hang/corruption handling needs no
-// transport-specific cases.
+// Every method throws DataError for a broken/corrupt channel and
+// TimeoutError for a deadline, so the supervisor's crash/hang/corruption
+// handling needs no case analysis.
 #pragma once
 
 #include <chrono>
@@ -44,83 +45,105 @@ struct Frame;
 /// 2000 ms.
 double resolve_heartbeat_ms();
 /// $EBL_CONNECT_TIMEOUT_MS: deadline for establishing a TCP connection to a
-/// worker daemon. Default 5000 ms.
+/// worker daemon (and, for a spawned one, for its port announcement).
+/// Default 5000 ms.
 double resolve_connect_timeout_ms();
 
-/// One supervised worker channel. Thread contract (mirrors the supervisor's
-/// writer/reader pair): send_job and finish_jobs belong to the writer
-/// thread; read_result to the reader thread; unblock_writer may be called
-/// from the reader thread while the writer is mid-send (that is its job);
-/// poll_fault / drain / hard_stop only with no attempt threads running.
-class Transport {
+/// One supervised worker channel: a connected, handshaken session on a
+/// daemon, optionally owning the daemon process. Neither copyable nor
+/// movable — the supervisor's attempt threads hold it by reference. Thread
+/// contract
+/// (mirrors the supervisor's writer/reader pair): send_job and finish_jobs
+/// belong to the writer thread; read_result to the reader thread;
+/// unblock_writer may be called from the reader thread while the writer is
+/// mid-send (that is its job); poll_fault / end_session / drain /
+/// hard_stop only with no attempt threads running.
+class WorkerSession {
  public:
-  virtual ~Transport() = default;
+  /// Connects to @p addr and re-handshakes @p session_id (wire v4 Hello) —
+  /// a session that exists is one the daemon acknowledged at our protocol
+  /// version. @p child, when given, is the daemon process behind @p addr:
+  /// the session owns it, and a throw here kills and reaps it.
+  WorkerSession(const net::HostPort& addr, std::uint64_t session_id,
+                double connect_timeout_ms, double heartbeat_ms,
+                Subprocess child = {});
+  WorkerSession(const WorkerSession&) = delete;
+  WorkerSession& operator=(const WorkerSession&) = delete;
 
-  /// Serializes and sends one job. @p deadline bounds the send on
-  /// deadline-capable channels (TCP: a daemon that stops draining its
-  /// receive window is a hung peer); the pipe transport ignores it — a
-  /// stalled pipe write is broken by the paired reader's deadline killing
-  /// the worker (EPIPE), exactly as before the seam.
-  virtual void send_job(const wire::ShardJob& job,
-                        std::chrono::steady_clock::time_point deadline) = 0;
+  /// Serializes and sends one job. @p deadline bounds the send: a daemon
+  /// that stops draining its receive window is a hung peer.
+  void send_job(const wire::ShardJob& job,
+                std::chrono::steady_clock::time_point deadline);
 
   /// Reads the next frame off the result stream. Returns false on clean EOF
   /// at a frame boundary; throws TimeoutError past @p deadline, DataError on
-  /// corruption. The caller checks the frame type (a daemon's stream may
-  /// legitimately carry kPong frames only via poll_fault, never here).
-  virtual bool read_result(wire::Frame* out,
-                           std::chrono::steady_clock::time_point deadline) = 0;
+  /// corruption. The caller checks the frame type.
+  bool read_result(wire::Frame* out,
+                   std::chrono::steady_clock::time_point deadline);
 
-  /// Writer-side half-close: no more jobs will be sent. A healthy worker
-  /// finishes its queue and ends the stream (pipe: EOF on stdin -> worker
-  /// exits; TCP: shutdown(SHUT_WR) -> daemon ends the session). Also the
-  /// writer thread's own failure epilogue — it unblocks the paired reader.
-  virtual void finish_jobs() = 0;
+  /// Writer-side half-close (SHUT_WR): no more jobs will be sent. A healthy
+  /// daemon finishes its queue and ends the session. Also the writer
+  /// thread's own failure epilogue — it unblocks the paired reader.
+  void finish_jobs();
 
-  /// Reader-side failure epilogue: break a writer blocked mid-send (pipe:
-  /// SIGKILL the worker so the pipe EPIPEs; TCP: shutdown both directions).
-  /// Safe from the reader thread while the writer is inside send_job.
-  virtual void unblock_writer() = 0;
+  /// Reader-side failure epilogue: shut the socket down both ways, which
+  /// breaks a writer blocked mid-send. Safe from the reader thread while
+  /// the writer is inside send_job.
+  void unblock_writer();
 
-  /// Between-batches liveness probe (the stream must be quiet). Returns true
-  /// and fills @p why when the channel is dead: a pipe worker that exited,
-  /// a daemon that fails a kPing -> kPong round trip within the heartbeat
-  /// deadline. Never throws — a probe failure IS the answer.
-  virtual bool poll_fault(std::string* why) = 0;
+  /// Between-batches liveness probe (the stream must be quiet): a kPing ->
+  /// kPong round trip within the heartbeat deadline. Returns true and fills
+  /// @p why when the channel is dead. Never throws — a probe failure IS the
+  /// answer.
+  bool poll_fault(std::string* why);
 
-  /// Orderly shutdown after finish_jobs: give the worker until @p deadline
-  /// to end the stream cleanly. Returns an empty string for a clean end, a
-  /// diagnostic otherwise (logged, never thrown — all results were already
-  /// delivered and CRC-checked by then). The channel is dead afterwards.
-  virtual std::string drain(std::chrono::steady_clock::time_point deadline) = 0;
+  /// Orderly shutdown, first half, once every result is in: half-close, and
+  /// ask an owned daemon to stop (SIGTERM) — it ends the session and exits
+  /// at its next frame boundary. Call on every slot before draining any, so
+  /// all daemons wind down concurrently.
+  void end_session();
 
-  /// Error-path teardown: kill/close everything immediately.
-  virtual void hard_stop() = 0;
+  /// Orderly shutdown, second half: read the session to its end and reap an
+  /// owned daemon, both by @p deadline (a daemon that ignores the stop is
+  /// SIGKILLed). Returns an empty string for a clean end, a diagnostic
+  /// otherwise (logged, never thrown — all results were already delivered
+  /// and CRC-checked by then). The channel is dead afterwards.
+  std::string drain(std::chrono::steady_clock::time_point deadline);
 
-  /// Human-readable channel identity for fault logs ("pid 1234",
-  /// "daemon at host:9000").
-  virtual std::string describe() const = 0;
+  /// Error-path teardown: close the socket, SIGKILL and reap an owned
+  /// daemon.
+  void hard_stop();
+
+  /// Human-readable channel identity for fault logs ("daemon at
+  /// host:9000", plus the pid of an owned daemon).
+  std::string describe() const;
+
+ private:
+  Subprocess child_;  ///< the owned daemon; empty for a remote one
+  net::TcpSocket sock_;
+  std::string addr_;
+  double heartbeat_ms_ = 0.0;
+  std::uint64_t ping_token_ = 0;
 };
 
-/// Builds the Transport for worker slot @p slot. Called by the supervisor at
-/// construction (one per slot) and again on every restart/reconnect; must
-/// throw (DataError/TimeoutError) when the channel cannot be established —
-/// the supervisor charges the failure against the slot's restart budget and
+/// Builds the session for worker slot @p slot. Called by the supervisor at
+/// construction (one per slot) and again on every restart/reconnect; throws
+/// (DataError/TimeoutError) when the channel cannot be established — the
+/// supervisor charges the failure against the slot's restart budget and
 /// retries with backoff, so a daemon that is briefly unreachable costs
 /// budget but not the solve.
-using TransportFactory = std::function<std::unique_ptr<Transport>(std::size_t slot)>;
+using SessionFactory =
+    std::function<std::unique_ptr<WorkerSession>(std::size_t slot)>;
 
-/// Fork/exec transport: every call spawns a fresh @p argv child (cold
-/// resident pool — a cold solve_shard_job entry rebuilds everything from the
-/// job, which is exact).
-TransportFactory make_pipe_transport_factory(std::vector<std::string> argv);
-
-/// PEC-as-a-service transport: slot i connects to hosts[i % hosts.size()]
-/// and re-handshakes @p session_id (wire v4 Hello). Point each slot at a
-/// distinct daemon — a daemon serves sessions sequentially, so two slots on
-/// one address would serialize. Connect/handshake deadlines come from
+/// With @p hosts non-empty, slot i connects to hosts[i % hosts.size()]
+/// (point each slot at a distinct daemon — a daemon serves sessions
+/// sequentially, so two slots on one address would serialize). With @p hosts
+/// empty, every call spawns a fresh `worker_path --listen 127.0.0.1:0` child
+/// and connects to the port it announces. Either way the session
+/// re-handshakes @p session_id. Connect/handshake deadlines come from
 /// resolve_connect_timeout_ms / resolve_heartbeat_ms, read once here.
-TransportFactory make_tcp_transport_factory(std::vector<net::HostPort> hosts,
-                                            std::uint64_t session_id);
+SessionFactory make_session_factory(std::vector<net::HostPort> hosts,
+                                    std::string worker_path,
+                                    std::uint64_t session_id);
 
 }  // namespace ebl

@@ -25,8 +25,8 @@
 // Framing: [magic u32]["EBLW" version u32][endian tag u32][type u32]
 // [payload length u64][payload][payload CRC-32 u32]. Encoders produce
 // payloads; read_frame / write_frame add and verify the header and trailer.
-// A stream is a plain concatenation of frames — a file of jobs is a batch, a
-// pipe of jobs is a session.
+// A stream is a plain concatenation of frames — a connection's worth of
+// frames is a session.
 #pragma once
 
 #include <chrono>
@@ -90,8 +90,8 @@ struct ShardJob {
   /// carries the SAME seq, so a daemon that already solved it detects the
   /// duplicate and replays the cached result frame byte-for-byte instead of
   /// solving twice (jobs are pure, so a cache miss re-solves to identical
-  /// doses anyway — the cache only saves the work). 0 = unsequenced (stdio
-  /// pipe workers, where the transport cannot replay).
+  /// doses anyway — the cache only saves the work). The supervisor stamps
+  /// every job; 0 = unsequenced (a hand-driven client), never cached.
   std::uint64_t seq = 0;
 
   bool correct = true;           ///< false: measurement-only pass

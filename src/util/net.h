@@ -1,5 +1,5 @@
-// Minimal POSIX TCP sockets: the substrate under the PEC-as-a-service
-// transport (src/pec/transport.h drives tools/pec_worker daemons over these,
+// Minimal POSIX TCP sockets: the substrate under the distributed PEC worker
+// sessions (src/pec/transport.h drives tools/pec_worker daemons over these,
 // and tools/flaky_proxy relays through them).
 //
 // Scope mirrors util/subprocess.h deliberately: blocking-style whole-buffer
@@ -8,14 +8,13 @@
 // (util/subprocess.h) absorb EAGAIN by polling for readiness, so callers
 // still see blocking semantics, but a deadline overload can bound any read
 // *or write*: a peer that stops draining its receive window cannot block the
-// caller forever (the socket analog of the pipe path's hung-worker
-// detection). TCP_NODELAY is set everywhere — the wire protocol is
-// request/response frames, and Nagle would serialize every round trip
-// against the peer's delayed ACK.
+// caller forever (the send half of hung-worker detection). TCP_NODELAY is
+// set everywhere — the wire protocol is request/response frames, and Nagle
+// would serialize every round trip against the peer's delayed ACK.
 //
 // Errors are DataError (util/contracts.h); deadline expiry is TimeoutError
-// (util/subprocess.h), the same types the pipe transport produces, so the
-// supervisor's fault handling is transport-blind.
+// (util/subprocess.h), the same types every read_exact / write_all raises,
+// so the supervisor's fault handling needs no socket-specific cases.
 #pragma once
 
 #include <chrono>
@@ -65,8 +64,8 @@ class TcpSocket {
   int fd() const { return fd_; }
 
   /// Half-close: signals EOF to the peer's reads while this side can still
-  /// read — the socket analog of Subprocess::close_stdin (a well-behaved
-  /// worker finishes its queue and closes the session on it).
+  /// read — the end of a job stream (a well-behaved worker finishes its
+  /// queue and closes the session on it).
   void shutdown_write();
 
   /// Full shutdown without closing the fd: wakes any thread blocked in

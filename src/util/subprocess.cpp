@@ -3,11 +3,14 @@
 #include <algorithm>
 #include <cerrno>
 #include <csignal>
+#include <cstdlib>
 #include <cstring>
 #include <mutex>
+#include <string_view>
 
 #include <fcntl.h>
 #include <poll.h>
+#include <sys/prctl.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -132,32 +135,29 @@ Subprocess Subprocess::spawn(const std::vector<std::string>& argv) {
   expects(!argv.empty(), "Subprocess::spawn: empty argv");
   ignore_sigpipe_once();
 
-  // in_pipe: parent writes [1] -> child reads [0] (child stdin).
   // out_pipe: child writes [1] -> parent reads [0] (child stdout).
-  int in_pipe[2];
   int out_pipe[2];
-  if (::pipe(in_pipe) != 0) throw_errno("subprocess: pipe failed");
-  if (::pipe(out_pipe) != 0) {
-    ::close(in_pipe[0]);
-    ::close(in_pipe[1]);
-    throw_errno("subprocess: pipe failed");
-  }
+  if (::pipe(out_pipe) != 0) throw_errno("subprocess: pipe failed");
 
   std::vector<char*> cargv;
   cargv.reserve(argv.size() + 1);
   for (const std::string& a : argv) cargv.push_back(const_cast<char*>(a.c_str()));
   cargv.push_back(nullptr);
 
+  const pid_t parent = ::getpid();
   const pid_t pid = ::fork();
   if (pid < 0) {
-    for (int fd : {in_pipe[0], in_pipe[1], out_pipe[0], out_pipe[1]}) ::close(fd);
+    for (int fd : out_pipe) ::close(fd);
     throw_errno("subprocess: fork failed");
   }
   if (pid == 0) {
-    // Child: wire the pipes to stdin/stdout, drop everything else we opened.
-    ::dup2(in_pipe[0], STDIN_FILENO);
+    // Child: die with the spawning thread. The getppid check closes the
+    // race where the parent already exited before the prctl took effect.
+    ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+    if (::getppid() != parent) ::_exit(127);
+    // Wire the pipe to stdout, drop everything else we opened.
     ::dup2(out_pipe[1], STDOUT_FILENO);
-    for (int fd : {in_pipe[0], in_pipe[1], out_pipe[0], out_pipe[1]}) ::close(fd);
+    for (int fd : out_pipe) ::close(fd);
     ::signal(SIGPIPE, SIG_DFL);  // children get the default disposition back
     ::execvp(cargv[0], cargv.data());
     // exec failed: nothing sane to do in a forked child but report and exit.
@@ -168,19 +168,15 @@ Subprocess Subprocess::spawn(const std::vector<std::string>& argv) {
     ::_exit(127);
   }
 
-  ::close(in_pipe[0]);
   ::close(out_pipe[1]);
   Subprocess s;
   s.pid_ = pid;
-  s.in_ = in_pipe[1];
   s.out_ = out_pipe[0];
   return s;
 }
 
-Subprocess::Subprocess(Subprocess&& o) noexcept
-    : pid_(o.pid_), in_(o.in_), out_(o.out_) {
+Subprocess::Subprocess(Subprocess&& o) noexcept : pid_(o.pid_), out_(o.out_) {
   o.pid_ = -1;
-  o.in_ = -1;
   o.out_ = -1;
 }
 
@@ -188,10 +184,8 @@ Subprocess& Subprocess::operator=(Subprocess&& o) noexcept {
   if (this != &o) {
     terminate();
     pid_ = o.pid_;
-    in_ = o.in_;
     out_ = o.out_;
     o.pid_ = -1;
-    o.in_ = -1;
     o.out_ = -1;
   }
   return *this;
@@ -199,10 +193,11 @@ Subprocess& Subprocess::operator=(Subprocess&& o) noexcept {
 
 Subprocess::~Subprocess() { terminate(); }
 
-void Subprocess::close_stdin() {
-  if (in_ >= 0) {
-    ::close(in_);
-    in_ = -1;
+void Subprocess::release() {
+  pid_ = -1;
+  if (out_ >= 0) {
+    ::close(out_);
+    out_ = -1;
   }
 }
 
@@ -213,12 +208,7 @@ int Subprocess::wait() {
   do {
     r = ::waitpid(pid_, &status, 0);
   } while (r < 0 && errno == EINTR);
-  pid_ = -1;
-  close_stdin();
-  if (out_ >= 0) {
-    ::close(out_);
-    out_ = -1;
-  }
+  release();
   if (r < 0) throw_errno("subprocess: waitpid failed");
   if (WIFEXITED(status)) return WEXITSTATUS(status);
   if (WIFSIGNALED(status)) return -WTERMSIG(status);
@@ -233,12 +223,7 @@ std::optional<int> Subprocess::try_wait() {
     r = ::waitpid(pid_, &status, WNOHANG);
   } while (r < 0 && errno == EINTR);
   if (r == 0) return std::nullopt;  // still running
-  pid_ = -1;
-  close_stdin();
-  if (out_ >= 0) {
-    ::close(out_);
-    out_ = -1;
-  }
+  release();
   if (r < 0) throw_errno("subprocess: waitpid failed");
   if (WIFEXITED(status)) return WEXITSTATUS(status);
   if (WIFSIGNALED(status)) return -WTERMSIG(status);
@@ -247,37 +232,37 @@ std::optional<int> Subprocess::try_wait() {
 
 void Subprocess::terminate() {
   if (pid_ <= 0) {
-    close_stdin();
-    if (out_ >= 0) {
-      ::close(out_);
-      out_ = -1;
-    }
+    release();
     return;
   }
   ::kill(pid_, SIGKILL);
   wait();
 }
 
-ProcessPool::ProcessPool(const std::vector<std::string>& argv, int count) {
-  expects(count > 0, "ProcessPool: need at least one worker");
-  workers_.reserve(static_cast<std::size_t>(count));
-  // Subprocess destructors reap already-spawned workers if a later spawn
-  // throws mid-loop.
-  for (int i = 0; i < count; ++i) workers_.push_back(Subprocess::spawn(argv));
-}
-
-std::vector<int> ProcessPool::shutdown() {
-  std::vector<int> statuses;
-  statuses.reserve(workers_.size());
-  for (Subprocess& w : workers_) w.close_stdin();
-  for (Subprocess& w : workers_) statuses.push_back(w.running() ? w.wait() : 0);
-  workers_.clear();
-  return statuses;
-}
-
-void ProcessPool::terminate_all() {
-  for (Subprocess& w : workers_) w.terminate();
-  workers_.clear();
+ListeningChild spawn_listening(const std::vector<std::string>& argv,
+                               std::chrono::steady_clock::time_point deadline) {
+  ListeningChild c;
+  c.proc = Subprocess::spawn(argv);
+  // Byte by byte up to the newline, so nothing after the announcement is
+  // consumed from the pipe.
+  std::string line;
+  for (;;) {
+    char ch = 0;
+    if (!read_exact(c.proc.stdout_fd(), &ch, 1, deadline))
+      throw DataError(argv[0] + " exited before announcing a port");
+    if (ch == '\n') break;
+    line.push_back(ch);
+    if (line.size() > 256) throw DataError(argv[0] + " printed garbage: " + line);
+  }
+  static constexpr std::string_view kTag = ": listening on ";
+  const std::size_t at = line.find(kTag);
+  char* end = nullptr;
+  const char* digits = at == std::string::npos ? "" : line.c_str() + at + kTag.size();
+  const unsigned long port = std::strtoul(digits, &end, 10);
+  if (end == digits || *end != '\0' || port == 0 || port > 65535)
+    throw DataError(argv[0] + " announced no valid port: " + line);
+  c.port = static_cast<std::uint16_t>(port);
+  return c;
 }
 
 }  // namespace ebl

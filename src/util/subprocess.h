@@ -1,18 +1,18 @@
-// Minimal POSIX subprocess + process-pool utility: the substrate under the
-// out-of-process sharded PEC driver (src/pec/sharded.cpp farms shard jobs to
-// tools/pec_worker processes over pipes).
+// Minimal POSIX subprocess utility: the substrate under the distributed
+// sharded PEC driver, which spawns tools/pec_worker daemons on loopback
+// (src/pec/transport.h) and talks to them over util/net.h sockets.
 //
-// Scope is deliberately small: spawn a child with piped stdin/stdout (stderr
-// is inherited, so worker diagnostics land on the parent's stderr), blocking
-// whole-buffer reads/writes, orderly shutdown by closing the child's stdin,
-// and a kill switch for error paths. Concurrency is the caller's business —
-// the PEC driver pairs one writer and one reader thread per worker so a
-// worker can stream results while jobs are still being queued, which is what
-// makes pipe-buffer deadlock impossible regardless of job or result size.
+// Scope is deliberately small: spawn a child with a piped stdout (stdin and
+// stderr are inherited, so worker diagnostics land on the parent's stderr),
+// read the port a server child announces there, reap it, and a kill switch
+// for error paths. Children die with the thread that spawned them. The
+// whole-buffer, deadline-aware read/write helpers here serve pipes and
+// sockets alike.
 #pragma once
 
 #include <chrono>
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -65,15 +65,17 @@ bool read_exact(int fd, void* data, std::size_t n);
 bool read_exact(int fd, void* data, std::size_t n,
                 std::chrono::steady_clock::time_point deadline);
 
-/// One spawned child process with pipes on its stdin and stdout.
-/// Move-only; the destructor kills (SIGKILL) and reaps a child that is
-/// still running — orderly shutdown is close_stdin() + wait().
+/// One spawned child process with a pipe on its stdout. Move-only; the
+/// destructor kills (SIGKILL) and reaps a child that is still running.
 class Subprocess {
  public:
-  /// Forks and execs argv[0] with arguments argv[1..]. The child's stdin
-  /// and stdout are pipes owned by this object; stderr is inherited.
-  /// Throws DataError when the pipes or the fork fail, and the child
-  /// exits 127 when the exec itself fails (surfaced by wait()).
+  /// Forks and execs argv[0] with arguments argv[1..]. The child's stdout is
+  /// a pipe owned by this object; stdin and stderr are inherited. The child
+  /// is SIGKILLed when the thread that spawned it exits (PR_SET_PDEATHSIG),
+  /// so a driver that dies hard cannot leave orphans behind — spawn from a
+  /// thread that outlives the child. Throws DataError when the pipe or the
+  /// fork fails; the child exits 127 when the exec itself fails (surfaced
+  /// by wait()).
   static Subprocess spawn(const std::vector<std::string>& argv);
 
   Subprocess() = default;
@@ -83,16 +85,12 @@ class Subprocess {
   Subprocess& operator=(const Subprocess&) = delete;
   ~Subprocess();
 
-  bool running() const { return pid_ > 0; }
+  /// The child's pid; -1 once it was reaped (or for a default-constructed
+  /// object).
   pid_t pid() const { return pid_; }
 
-  /// Write end of the child's stdin; -1 after close_stdin().
-  int stdin_fd() const { return in_; }
   /// Read end of the child's stdout.
   int stdout_fd() const { return out_; }
-
-  /// Closes the child's stdin — the EOF a well-behaved worker exits on.
-  void close_stdin();
 
   /// Blocks until the child exits and reaps it. Returns the exit code for a
   /// normal exit, or -signal when the child was killed by a signal.
@@ -107,33 +105,24 @@ class Subprocess {
   void terminate();
 
  private:
+  void release();  ///< forgets the reaped child and closes the pipe
+
   pid_t pid_ = -1;
-  int in_ = -1;   ///< parent's write end of the child's stdin
   int out_ = -1;  ///< parent's read end of the child's stdout
 };
 
-/// A fixed set of identical worker processes. Thin by design: it owns
-/// spawning and teardown; job routing, framing, and per-worker threads stay
-/// with the caller.
-class ProcessPool {
- public:
-  /// Spawns @p count workers running @p argv. Throws DataError (and reaps
-  /// any already-spawned workers) when a spawn fails.
-  ProcessPool(const std::vector<std::string>& argv, int count);
-
-  std::size_t size() const { return workers_.size(); }
-  Subprocess& worker(std::size_t i) { return workers_[i]; }
-
-  /// Orderly shutdown: close every stdin, wait for every worker, and return
-  /// the list of exit statuses (wait() semantics). Safe to call once;
-  /// workers are gone afterwards.
-  std::vector<int> shutdown();
-
-  /// Error-path teardown: SIGKILL + reap everything still running.
-  void terminate_all();
-
- private:
-  std::vector<Subprocess> workers_;
+/// A spawned server process and the TCP port it announced.
+struct ListeningChild {
+  Subprocess proc;
+  std::uint16_t port = 0;
 };
+
+/// Spawns @p argv — a server that binds a port and announces it as its
+/// first stdout line, "<name>: listening on N" (`pec_worker --listen`,
+/// `flaky_proxy`) — and parses N. Throws TimeoutError when no line arrives
+/// by @p deadline, DataError when the child exits first or prints anything
+/// else; the child is killed and reaped on every throw.
+ListeningChild spawn_listening(const std::vector<std::string>& argv,
+                               std::chrono::steady_clock::time_point deadline);
 
 }  // namespace ebl

@@ -264,6 +264,29 @@ TEST(Pipeline, ShardedPecSkipsGlobalBaseline) {
   for (const StageTime& st : r.stage_times) EXPECT_NE(st.name, "pec_baseline");
 }
 
+TEST(Pipeline, DistributedPecSkipsGlobalBaselineAtShardSizeZero) {
+  // worker_count > 0 shards the solve even with shard_size left at 0, so
+  // the whole-pattern baseline evaluator must not run either.
+  PolygonSet s;
+  s.insert(Box{0, 0, 20000, 20000});
+  s.insert(Box{40000, 9000, 41000, 10000});
+  PrepOptions opt;
+  opt.fracture.max_shot_size = 2000;
+  opt.pec_psf = Psf::double_gaussian(50.0, 3000.0, 0.7);
+  opt.pec.max_iterations = 6;
+  opt.pec.worker_count = 2;
+  PrepResult r;
+  try {
+    r = run_data_prep(s, opt);
+  } catch (const DataError&) {
+    GTEST_SKIP() << "pec_worker binary not built";
+  }
+  ASSERT_TRUE(r.pec_final_error);
+  EXPECT_FALSE(r.pec_uncorrected_error);
+  EXPECT_GE(r.pec_workers, 1);
+  for (const StageTime& st : r.stage_times) EXPECT_NE(st.name, "pec_baseline");
+}
+
 // Property sweep: pipeline invariants across workloads.
 class PipelineProperty : public ::testing::TestWithParam<int> {};
 

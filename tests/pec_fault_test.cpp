@@ -13,10 +13,12 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cerrno>
 #include <cstdint>
 #include <cstdlib>
 #include <string>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "core/job.h"
@@ -231,6 +233,32 @@ TEST(PecFault, TimeoutDisabledStillRecoversCrashViaEof) {
 
   EXPECT_GE(dist.worker_restarts, 1);
   expect_bitwise(dist, local);
+}
+
+// Spawned daemons belong to the solve: a clean solve drains and reaps them,
+// a faulted one kills and reaps every incarnation it replaced. With no other
+// children alive, waitpid(-1) must then find nothing at all.
+void expect_no_children() {
+  errno = 0;
+  EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1);
+  EXPECT_EQ(errno, ECHILD) << "a pec_worker outlived its solve";
+}
+
+TEST(PecFault, NoWorkerOutlivesASolve) {
+  if (!worker_available()) GTEST_SKIP() << "pec_worker binary not built";
+  const ShotList shots = dense_grid_shots(40000);
+  PecOptions dopt = base_options();
+  dopt.worker_count = 2;
+  dopt.worker_max_restarts = 10;
+  dopt.worker_timeout_ms = 750.0;
+
+  const PecResult clean = run_with_fault(shots, dopt, "");
+  EXPECT_EQ(clean.workers, 2);
+  expect_no_children();
+
+  const PecResult hung = run_with_fault(shots, dopt, "hang-after=2");
+  EXPECT_GE(hung.worker_restarts, 1);
+  expect_no_children();
 }
 
 TEST(PecFault, WorkerTimeoutResolution) {

@@ -1,7 +1,8 @@
-// End-to-end tests for PEC-as-a-service: the TCP worker transport
-// (src/pec/transport.h), the pec_worker daemon mode (--listen), and the
-// flaky_proxy network fault injector — the network half of the supervision
-// contract, mirroring what tests/pec_fault_test.cpp pins for pipe workers.
+// End-to-end tests for PEC-as-a-service: worker sessions on daemons the
+// driver did not start (src/pec/transport.h, PecOptions::worker_hosts), the
+// pec_worker daemon itself, and the flaky_proxy network fault injector —
+// the network half of the supervision contract, mirroring what
+// tests/pec_fault_test.cpp pins for spawned workers.
 //
 // The properties under test:
 //   - a solve through real TCP daemons is bitwise-identical to the
@@ -14,10 +15,12 @@
 //   - the wire-v4 session protocol behaves: HelloAck reports the replay
 //     high-water mark, duplicate seqs replay byte-identical cached frames,
 //     a protocol version mismatch is rejected without killing the daemon;
-//   - SIGTERM is graceful (exit 0) in both stdio and daemon mode.
+//   - SIGTERM is graceful (exit 0) and prompt while the daemon listens;
+//   - a spawned daemon dies with the process that spawned it.
 //
 // Daemons and proxies are spawned as real subprocesses; their ephemeral
-// ports are parsed from the "listening on N" line each prints to stdout.
+// ports are parsed from the "listening on N" line each prints to stdout
+// (spawn_listening, the parser the driver's own spawns use).
 // Every spawn passes --fault "" so an ambient EBL_FAULT_PLAN (the chaos CI
 // job exports one) cannot leak worker-process faults into these tests —
 // except ProxyEnvFaultPlan, which deliberately picks up EBL_PROXY_FAULT_PLAN
@@ -27,12 +30,14 @@
 #include <bit>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <signal.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "core/patterns.h"
@@ -79,56 +84,23 @@ bool proxy_available() {
   return ::access(flaky_proxy_path().c_str(), X_OK) == 0;
 }
 
-// A spawned daemon (pec_worker --listen) or proxy, with the ephemeral port
-// parsed from its announcement line. The Subprocess destructor SIGKILLs on
-// teardown, so a test that returns early cannot leak listeners.
-struct Spawned {
-  Subprocess proc;
-  std::uint16_t port = 0;
-};
-
-// Reads the spawned process's stdout byte-by-byte until the first newline
-// and parses the trailing integer of "<name>: listening on N".
-std::uint16_t parse_port_line(int fd, const char* what) {
-  std::string line;
-  const auto deadline = after_ms(10000);
-  for (;;) {
-    char c = 0;
-    if (!read_exact(fd, &c, 1, deadline))
-      throw DataError(std::string(what) + " exited before announcing a port");
-    if (c == '\n') break;
-    line.push_back(c);
-    if (line.size() > 256)
-      throw DataError(std::string(what) + " printed garbage: " + line);
-  }
-  const std::size_t at = line.find_last_of(' ');
-  if (at == std::string::npos)
-    throw DataError(std::string(what) + " port line unparseable: " + line);
-  const int port = std::atoi(line.c_str() + at + 1);
-  if (port <= 0 || port > 65535)
-    throw DataError(std::string(what) + " announced a bad port: " + line);
-  return static_cast<std::uint16_t>(port);
+// A spawned daemon (pec_worker --listen) or proxy. The Subprocess
+// destructor SIGKILLs on teardown, so a test that returns early cannot leak
+// listeners.
+ListeningChild spawn_daemon(const std::string& fault = "") {
+  return spawn_listening({default_pec_worker_path(), "--listen", "127.0.0.1:0",
+                          "--fault", fault},
+                         after_ms(10000));
 }
 
-Spawned spawn_daemon(const std::string& fault = "") {
-  Spawned s;
-  s.proc = Subprocess::spawn({default_pec_worker_path(), "--listen",
-                              "127.0.0.1:0", "--fault", fault});
-  s.port = parse_port_line(s.proc.stdout_fd(), "pec_worker");
-  return s;
-}
-
-Spawned spawn_proxy(std::uint16_t target_port, const std::string& fault) {
-  Spawned s;
+ListeningChild spawn_proxy(std::uint16_t target_port, const std::string& fault) {
   std::vector<std::string> argv = {flaky_proxy_path(), "--target",
                                    "127.0.0.1:" + std::to_string(target_port)};
   if (!fault.empty()) {
     argv.push_back("--fault");
     argv.push_back(fault);
   }
-  s.proc = Subprocess::spawn(argv);
-  s.port = parse_port_line(s.proc.stdout_fd(), "flaky_proxy");
-  return s;
+  return spawn_listening(argv, after_ms(10000));
 }
 
 std::string host(std::uint16_t port) {
@@ -193,8 +165,8 @@ TEST(PecNet, TcpDaemonsBitwiseIdenticalToInProcess) {
   const PecResult local = correct_proximity(shots, test_psf(), opt);
   ASSERT_GE(local.shards, 4);
 
-  Spawned a = spawn_daemon();
-  Spawned b = spawn_daemon();
+  ListeningChild a = spawn_daemon();
+  ListeningChild b = spawn_daemon();
   PecOptions dopt = opt;
   dopt.worker_hosts = host(a.port) + "," + host(b.port);
   const PecResult dist = correct_proximity(shots, test_psf(), dopt);
@@ -215,7 +187,7 @@ TEST(PecNet, DaemonServesSuccessiveSolvesWithWarmPool) {
   // connection re-handshakes and must come out bitwise-identical too (the
   // session tag differs, so the pool resets rather than poisoning shard
   // state across solves).
-  Spawned d = spawn_daemon();
+  ListeningChild d = spawn_daemon();
   PecOptions dopt = opt;
   dopt.worker_hosts = host(d.port);
   const PecResult first = correct_proximity(shots, test_psf(), dopt);
@@ -241,8 +213,8 @@ TEST_P(PecNetProxyFault, SolveCompletesBitwise) {
   const PecOptions opt = base_options();
   const PecResult local = correct_proximity(shots, test_psf(), opt);
 
-  Spawned daemon = spawn_daemon();
-  Spawned proxy = spawn_proxy(daemon.port, GetParam());
+  ListeningChild daemon = spawn_daemon();
+  ListeningChild proxy = spawn_proxy(daemon.port, GetParam());
   EnvGuard backoff("EBL_RECONNECT_BACKOFF_MS", "25");
   PecOptions dopt = opt;
   dopt.worker_hosts = host(proxy.port);
@@ -286,8 +258,8 @@ TEST(PecNet, ProxyEnvFaultPlan) {
   const PecOptions opt = base_options();
   const PecResult local = correct_proximity(shots, test_psf(), opt);
 
-  Spawned daemon = spawn_daemon();
-  Spawned proxy = spawn_proxy(daemon.port, /*fault=*/"");
+  ListeningChild daemon = spawn_daemon();
+  ListeningChild proxy = spawn_proxy(daemon.port, /*fault=*/"");
   EnvGuard backoff("EBL_RECONNECT_BACKOFF_MS", "25");
   PecOptions dopt = opt;
   dopt.worker_hosts = host(proxy.port);
@@ -309,7 +281,7 @@ TEST(PecNet, DeadDaemonExhaustsBudgetAndDegradesBitwise) {
   // crash-after=2 kills the whole daemon process, so every reconnect after
   // the crash is refused — each refusal must consume restart budget (not
   // spin forever), and exhaustion must degrade to in-process, bitwise.
-  Spawned daemon = spawn_daemon("crash-after=2");
+  ListeningChild daemon = spawn_daemon("crash-after=2");
   PecOptions dopt = opt;
   dopt.worker_hosts = host(daemon.port);
   dopt.worker_max_restarts = 3;
@@ -371,7 +343,7 @@ std::string read_raw_frame(int fd) {
 
 TEST(PecNet, ReplayCacheAnswersDuplicateSeqByteForByte) {
   if (!worker_available()) GTEST_SKIP() << "pec_worker binary not built";
-  Spawned daemon = spawn_daemon();
+  ListeningChild daemon = spawn_daemon();
   const std::uint64_t session = 42;
 
   // First connection: fresh session, two sequenced jobs.
@@ -424,7 +396,7 @@ TEST(PecNet, ReplayCacheAnswersDuplicateSeqByteForByte) {
 
 TEST(PecNet, ProtocolMismatchRejectedWithoutKillingDaemon) {
   if (!worker_available()) GTEST_SKIP() << "pec_worker binary not built";
-  Spawned daemon = spawn_daemon();
+  ListeningChild daemon = spawn_daemon();
 
   // A client announcing the wrong protocol version gets its session ended
   // (EOF or error on this connection)…
@@ -452,30 +424,72 @@ TEST(PecNet, ProtocolMismatchRejectedWithoutKillingDaemon) {
   EXPECT_EQ(ack.session_id, 10u);
 }
 
-// ---- Satellite: graceful shutdown on SIGTERM, both modes ----
-
-TEST(PecNet, StdioWorkerExitsZeroOnSigterm) {
-  if (!worker_available()) GTEST_SKIP() << "pec_worker binary not built";
-  Subprocess w =
-      Subprocess::spawn({default_pec_worker_path(), "--fault", ""});
-  // Give it a beat to install handlers and park in the stop-aware wait.
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  ASSERT_EQ(::kill(w.pid(), SIGTERM), 0);
-  EXPECT_EQ(w.wait(), 0) << "SIGTERM while idle must exit 0, not die hard";
-}
+// ---- Graceful shutdown, and no orphans ----
 
 TEST(PecNet, DaemonExitsZeroOnSigtermWhileListening) {
   if (!worker_available()) GTEST_SKIP() << "pec_worker binary not built";
-  Spawned daemon = spawn_daemon();
+  ListeningChild daemon = spawn_daemon();
+  // The stop must not wait out any accept slice: a spawned worker is
+  // stopped this way at the end of every distributed solve.
+  const auto t0 = clock_t_::now();
   ASSERT_EQ(::kill(daemon.proc.pid(), SIGTERM), 0);
   EXPECT_EQ(daemon.proc.wait(), 0);
+  EXPECT_LT(clock_t_::now() - t0, std::chrono::milliseconds(100));
+}
+
+// True once @p pid has exited: gone, or a zombie nobody reaped yet (an
+// orphan's new parent may be slow to reap, or never reap, in a container).
+bool exited(pid_t pid) {
+  std::FILE* f = std::fopen(("/proc/" + std::to_string(pid) + "/stat").c_str(), "r");
+  if (!f) return true;
+  char state = '?';
+  const int got = std::fscanf(f, "%*d (%*[^)]) %c", &state);
+  std::fclose(f);
+  return got == 1 && (state == 'Z' || state == 'X');
+}
+
+TEST(PecNet, SpawnedDaemonDiesWithItsOwner) {
+  if (!worker_available()) GTEST_SKIP() << "pec_worker binary not built";
+  // The owner is a forked copy of this test that spawns a daemon the way
+  // the driver does, reports the daemon's pid, and waits to be SIGKILLed —
+  // no destructor, no drain, nothing but the kernel to stop the daemon.
+  const std::vector<std::string> argv = {default_pec_worker_path(), "--listen",
+                                         "127.0.0.1:0", "--fault", ""};
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  const pid_t owner = ::fork();
+  ASSERT_GE(owner, 0);
+  if (owner == 0) {
+    ::close(fds[0]);
+    try {
+      ListeningChild daemon = spawn_listening(argv, after_ms(10000));
+      const pid_t pid = daemon.proc.pid();
+      write_all(fds[1], &pid, sizeof pid);
+      for (;;) ::pause();
+    } catch (...) {
+    }
+    ::_exit(1);
+  }
+  ::close(fds[1]);
+  pid_t daemon = -1;
+  const bool reported = read_exact(fds[0], &daemon, sizeof daemon, after_ms(10000));
+  ::close(fds[0]);
+  ::kill(owner, SIGKILL);
+  ::waitpid(owner, nullptr, 0);
+  ASSERT_TRUE(reported) << "owner failed to spawn a daemon";
+
+  const auto deadline = after_ms(5000);
+  while (!exited(daemon) && clock_t_::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_TRUE(exited(daemon)) << "daemon " << daemon << " outlived its owner";
+  if (!exited(daemon)) ::kill(daemon, SIGKILL);
 }
 
 TEST(PecNet, ProxyExitsZeroOnSigterm) {
   if (!worker_available()) GTEST_SKIP() << "pec_worker binary not built";
   if (!proxy_available()) GTEST_SKIP() << "flaky_proxy binary not built";
-  Spawned daemon = spawn_daemon();
-  Spawned proxy = spawn_proxy(daemon.port, /*fault=*/"");
+  ListeningChild daemon = spawn_daemon();
+  ListeningChild proxy = spawn_proxy(daemon.port, /*fault=*/"");
   ASSERT_EQ(::kill(proxy.proc.pid(), SIGTERM), 0);
   EXPECT_EQ(proxy.proc.wait(), 0);
 }

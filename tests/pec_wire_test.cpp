@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -16,6 +17,7 @@
 #include "fracture/fracture.h"
 #include "pec/correction.h"
 #include "pec/sharded.h"
+#include "pec/transport.h"
 #include "pec/wire.h"
 #include "util/contracts.h"
 #include "util/subprocess.h"
@@ -320,8 +322,9 @@ TEST(Wire, CorruptedPayloadByteRejectedByFrameChecksum) {
   ::close(fds[0]);
 }
 
-// Speaks the wire protocol to a real pec_worker process by hand: one tiny
-// job in, one result out, clean exit on EOF — and the result matches the
+// Speaks the wire protocol to a real pec_worker daemon through one session:
+// Hello/HelloAck, one tiny job in, one result out, a clean drain (session
+// end, then a graceful stop with exit 0) — and the result matches the
 // in-process solver bit for bit.
 TEST(Wire, WorkerCliSolvesAJobBitExactly) {
   if (!worker_available()) GTEST_SKIP() << "pec_worker binary not built";
@@ -339,14 +342,19 @@ TEST(Wire, WorkerCliSolvesAJobBitExactly) {
 
   const wire::ShardResult expected = solve_shard_job(job, nullptr);
 
-  Subprocess worker = Subprocess::spawn({default_pec_worker_path()});
-  wire::write_frame(worker.stdin_fd(), wire::MsgType::kShardJob, wire::encode(job));
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  ListeningChild daemon = spawn_listening(
+      {default_pec_worker_path(), "--listen", "127.0.0.1:0", "--fault", ""},
+      deadline);
+  WorkerSession session({"127.0.0.1", daemon.port}, job.session_id, 5000.0,
+                        5000.0, std::move(daemon.proc));
+  session.send_job(job, deadline);
   wire::Frame frame;
-  ASSERT_TRUE(wire::read_frame(worker.stdout_fd(), &frame));
+  ASSERT_TRUE(session.read_result(&frame, deadline));
   EXPECT_EQ(frame.type, wire::MsgType::kShardResult);
   const wire::ShardResult got = wire::decode_shard_result(frame.payload);
-  worker.close_stdin();
-  EXPECT_EQ(worker.wait(), 0);
+  session.end_session();
+  EXPECT_EQ(session.drain(deadline), "") << "clean session end, daemon exit 0";
 
   ASSERT_EQ(got.doses.size(), expected.doses.size());
   for (std::size_t i = 0; i < expected.doses.size(); ++i)

@@ -1,8 +1,9 @@
-// Tests for the subprocess / process-pool utility under the distributed PEC
-// driver: pipe plumbing, exact-read semantics, exit statuses, and the
-// failure modes (exec failure, broken pipes, mid-record EOF).
+// Tests for the subprocess utility under the distributed PEC driver: stdout
+// plumbing, port announcements, exact-read semantics, exit statuses, and
+// the failure modes (exec failure, broken pipes, mid-record EOF).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
 #include <string>
 
@@ -14,21 +15,18 @@
 namespace ebl {
 namespace {
 
-TEST(Subprocess, PipesThroughCat) {
-  Subprocess cat = Subprocess::spawn({"/bin/cat"});
-  ASSERT_TRUE(cat.running());
+TEST(Subprocess, PipesStdout) {
+  Subprocess echo = Subprocess::spawn({"/bin/echo", "hello across the pipe"});
+  ASSERT_GT(echo.pid(), 0);
   const std::string msg = "hello across the pipe\n";
-  write_all(cat.stdin_fd(), msg.data(), msg.size());
-  cat.close_stdin();
-
   std::string got(msg.size(), '\0');
-  ASSERT_TRUE(read_exact(cat.stdout_fd(), got.data(), got.size()));
+  ASSERT_TRUE(read_exact(echo.stdout_fd(), got.data(), got.size()));
   EXPECT_EQ(got, msg);
-  // cat exits 0 on EOF; its stdout then reports clean EOF too.
+  // echo exits 0; its stdout then reports clean EOF.
   char extra;
-  EXPECT_FALSE(read_exact(cat.stdout_fd(), &extra, 1));
-  EXPECT_EQ(cat.wait(), 0);
-  EXPECT_FALSE(cat.running());
+  EXPECT_FALSE(read_exact(echo.stdout_fd(), &extra, 1));
+  EXPECT_EQ(echo.wait(), 0);
+  EXPECT_EQ(echo.pid(), -1);
 }
 
 TEST(Subprocess, ReportsExitCode) {
@@ -43,9 +41,35 @@ TEST(Subprocess, ExecFailureSurfacesAs127) {
 
 TEST(Subprocess, TerminateKillsARunningChild) {
   Subprocess sleeper = Subprocess::spawn({"/bin/sleep", "60"});
-  ASSERT_TRUE(sleeper.running());
+  ASSERT_GT(sleeper.pid(), 0);
   sleeper.terminate();
-  EXPECT_FALSE(sleeper.running());
+  EXPECT_EQ(sleeper.pid(), -1);
+}
+
+std::chrono::steady_clock::time_point in_5s() {
+  return std::chrono::steady_clock::now() + std::chrono::seconds(5);
+}
+
+TEST(Subprocess, SpawnListeningParsesTheAnnouncedPort) {
+  ListeningChild c = spawn_listening(
+      {"/bin/sh", "-c", "echo 'server: listening on 4242'; exec sleep 60"},
+      in_5s());
+  EXPECT_EQ(c.port, 4242);
+  ASSERT_GT(c.proc.pid(), 0);
+  c.proc.terminate();
+}
+
+TEST(Subprocess, SpawnListeningRejectsBadAnnouncements) {
+  EXPECT_THROW(spawn_listening({"/bin/sh", "-c", "echo 'server: ready'"}, in_5s()),
+               DataError);
+  EXPECT_THROW(spawn_listening({"/bin/sh", "-c", "echo 'x: listening on 70000'"},
+                               in_5s()),
+               DataError);
+  EXPECT_THROW(spawn_listening({"/bin/sh", "-c", "exit 1"}, in_5s()), DataError);
+  EXPECT_THROW(spawn_listening({"/bin/sleep", "60"},
+                               std::chrono::steady_clock::now() +
+                                   std::chrono::milliseconds(50)),
+               TimeoutError);
 }
 
 TEST(Subprocess, ReadExactDistinguishesEofFromTruncation) {
@@ -76,29 +100,6 @@ TEST(Subprocess, WriteToBrokenPipeThrowsInsteadOfKilling) {
   const std::string data(1024, 'x');
   EXPECT_THROW(write_all(fds[1], data.data(), data.size()), DataError);
   ::close(fds[1]);
-}
-
-TEST(ProcessPool, SpawnsAndShutsDownCleanly) {
-  ProcessPool pool({"/bin/cat"}, 3);
-  ASSERT_EQ(pool.size(), 3u);
-  // Each worker is live and independent.
-  for (std::size_t i = 0; i < pool.size(); ++i) {
-    const std::string msg = "worker " + std::to_string(i);
-    write_all(pool.worker(i).stdin_fd(), msg.data(), msg.size());
-    std::string got(msg.size(), '\0');
-    ASSERT_TRUE(read_exact(pool.worker(i).stdout_fd(), got.data(), got.size()));
-    EXPECT_EQ(got, msg);
-  }
-  const std::vector<int> statuses = pool.shutdown();
-  ASSERT_EQ(statuses.size(), 3u);
-  for (const int s : statuses) EXPECT_EQ(s, 0);
-  EXPECT_EQ(pool.size(), 0u);
-}
-
-TEST(ProcessPool, TerminateAllOnErrorPath) {
-  ProcessPool pool({"/bin/sleep", "60"}, 2);
-  pool.terminate_all();
-  EXPECT_EQ(pool.size(), 0u);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Deterministic fuzz of the wire-format reader (src/pec/wire.h): randomized
-// truncations, bit flips, and garbage prefixes fed to read_frame over BOTH
-// transports the system uses — a pipe and a loopback TCP socket — asserting
+// truncations, bit flips, and garbage prefixes fed to read_frame over both
+// fd kinds it reads — a pipe and a loopback TCP socket — asserting
 // the failure contract: every mutation ends in a clean DataError (or
 // TimeoutError, when a corrupted length field promises bytes that never
 // arrive), never a crash, a hang, or a silently-accepted frame. Seeded

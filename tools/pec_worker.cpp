@@ -1,13 +1,12 @@
 // pec_worker — the out-of-process shard solver of the distributed sharded
-// PEC pipeline (src/pec/sharded.cpp).
+// PEC pipeline (src/pec/sharded.cpp), run as a TCP daemon.
 //
-// Reads shard jobs in the versioned binary wire format (src/pec/wire.h)
-// from a pipe or file, runs each per-shard Jacobi solve through the same
-// solve_shard_job the in-process sweep uses — so a remote solve is
-// bitwise-identical to a local one — and writes results back. Exits 0 on
-// clean EOF at a frame boundary; any protocol violation or solve failure is
-// reported on stderr and exits nonzero, which the driver surfaces as a
-// DataError.
+// Serves shard jobs in the versioned binary wire format (src/pec/wire.h),
+// runs each per-shard Jacobi solve through the same solve_shard_job the
+// in-process sweep uses — so a remote solve is bitwise-identical to a local
+// one — and writes results back. The driver either spawns it on loopback
+// (PecOptions::worker_count) or connects to one started elsewhere
+// (PecOptions::worker_hosts); the daemon cannot tell the difference.
 //
 // The worker is stateless across jobs except for its resident evaluator
 // pool: evaluators are kept per shard key (LRU-evicted over the budget) and
@@ -17,37 +16,33 @@
 // long-lived worker starts seeing a different solve.
 //
 // Usage:
-//   pec_worker [--jobs PATH] [--results PATH] [--listen HOST:PORT]
-//              [--pool-budget N] [--fault PLAN]
+//   pec_worker --listen HOST:PORT [--pool-budget N] [--fault PLAN]
 //
-//   --jobs PATH      read jobs from PATH instead of stdin
-//   --results PATH   write results to PATH instead of stdout
-//   --listen H:P     PEC as a service: run as a TCP daemon instead of a
-//                    stdio worker. Binds H:P (port 0 = ephemeral; the real
-//                    port is printed to stdout as
-//                    "pec_worker: listening on N") and serves one client
-//                    connection at a time. Each connection re-handshakes a
-//                    driver session (wire v4 Hello/HelloAck, exact protocol
-//                    version match); the resident evaluator pool is keyed by
-//                    the jobs' session tag, so a reconnecting driver finds
-//                    its pool still warm. Sequenced jobs (seq != 0) feed a
-//                    bounded replay cache: a job re-sent after a dropped
-//                    connection is answered with the cached result frame,
-//                    byte for byte, instead of being solved twice (jobs are
-//                    pure, so a cache miss re-solves to identical doses —
-//                    the cache is a work saver, never a correctness need).
-//                    A connection-level protocol error ends that session
+//   --listen H:P     binds H:P (port 0 = ephemeral; the real port is
+//                    printed to stdout as "pec_worker: listening on N") and
+//                    serves one client connection at a time. Each
+//                    connection re-handshakes a driver session (wire v4
+//                    Hello/HelloAck, exact protocol version match); the
+//                    resident evaluator pool is keyed by the jobs' session
+//                    tag, so a reconnecting driver finds its pool still
+//                    warm. Sequenced jobs (seq != 0) feed a bounded replay
+//                    cache: a job re-sent after a dropped connection is
+//                    answered with the cached result frame, byte for byte,
+//                    instead of being solved twice (jobs are pure, so a
+//                    cache miss re-solves to identical doses — the cache is
+//                    a work saver, never a correctness need). A
+//                    connection-level protocol error ends that session
 //                    (logged) and the daemon keeps accepting.
 //   --pool-budget N  cap the resident evaluator pool at N evaluators,
 //                    overriding each job's resident_shard_budget (manual /
 //                    debugging use; the driver sizes pools via the job)
 //   --fault PLAN     fault-injection plan (testing the supervisor; see below)
 //
-// Graceful shutdown (both modes): SIGTERM / SIGINT request a stop. The
-// worker finishes and flushes the job in flight, then exits 0 at the next
-// frame boundary — handlers are installed without SA_RESTART and the idle
-// waits are stop-aware poll slices, so a signal is honored promptly even
-// with no traffic at all.
+// Graceful shutdown: SIGTERM / SIGINT request a stop. The daemon finishes
+// and flushes the job in flight, then exits 0 at the next frame boundary.
+// The stop signals are blocked everywhere except inside the idle wait
+// (ppoll), so a stop is honored the moment the daemon is idle — while
+// listening or between frames — and never lost in a race with that wait.
 //
 // Fault injection: the chaos half of the supervision contract is tested by
 // making real workers misbehave on purpose. A plan comes from --fault or the
@@ -63,7 +58,7 @@
 //                     bytes, so the driver sees a checksum mismatch)
 //   slow-start=MS     sleep MS milliseconds before serving the first job
 //
-// Counters are per process lifetime: a respawned worker starts over, which
+// Counters are per process lifetime: a respawned daemon starts over, which
 // is exactly what lets crash-after=N make bounded progress per incarnation.
 // The injected faults sit at the process/wire boundary — they never touch
 // solve arithmetic — so a recovered run stays bitwise-identical to a
@@ -81,47 +76,56 @@
 #include <thread>
 #include <unordered_map>
 
-#include <fcntl.h>
 #include <poll.h>
-#include <unistd.h>
-
-#include "util/subprocess.h"
+#include <signal.h>
 
 #include "pec/exposure.h"
 #include "pec/sharded.h"
 #include "pec/wire.h"
 #include "util/contracts.h"
 #include "util/net.h"
+#include "util/subprocess.h"
 
 using namespace ebl;
 
 namespace {
 
-// Set by SIGTERM/SIGINT; checked at every frame boundary. sig_atomic_t +
-// handlers without SA_RESTART is the whole synchronization story: a signal
-// mid-poll returns EINTR, the wait loop re-checks the flag, and the worker
-// winds down with the in-flight job finished and flushed.
+// Set by SIGTERM/SIGINT; checked at every frame boundary. The signals are
+// blocked except inside wait_readable_or_stop's ppoll, which unblocks them
+// atomically: a stop either arrived before the wait (g_stop is already set)
+// or interrupts it with EINTR — there is no window in which it can land
+// unseen and leave the daemon asleep.
 volatile std::sig_atomic_t g_stop = 0;
+sigset_t g_wait_mask;  ///< the signal mask to wait with: stops deliverable
 
 void on_stop_signal(int) { g_stop = 1; }
 
+// Installs the stop handlers and blocks the stop signals. Call before any
+// thread starts, so every thread inherits the blocked mask.
 void install_stop_handlers() {
   struct sigaction sa = {};
   sa.sa_handler = on_stop_signal;
   sigemptyset(&sa.sa_mask);
-  sa.sa_flags = 0;  // deliberately no SA_RESTART: blocked waits must wake
+  sa.sa_flags = 0;
   ::sigaction(SIGTERM, &sa, nullptr);
   ::sigaction(SIGINT, &sa, nullptr);
+  sigset_t stops;
+  sigemptyset(&stops);
+  sigaddset(&stops, SIGTERM);
+  sigaddset(&stops, SIGINT);
+  ::sigprocmask(SIG_BLOCK, &stops, &g_wait_mask);
+  sigdelset(&g_wait_mask, SIGTERM);
+  sigdelset(&g_wait_mask, SIGINT);
 }
 
-// Stop-aware idle wait: polls @p fd for readability in 100 ms slices,
-// re-checking g_stop before each. Returns false when a stop was requested
-// first — the caller exits cleanly at the frame boundary it is sitting on.
+// Stop-aware idle wait for readability of @p fd. Returns false when a stop
+// was requested first — the caller exits cleanly at the frame boundary it
+// is sitting on.
 bool wait_readable_or_stop(int fd) {
   for (;;) {
     if (g_stop) return false;
     struct pollfd pfd = {fd, POLLIN, 0};
-    const int rv = ::poll(&pfd, 1, 100);
+    const int rv = ::ppoll(&pfd, 1, nullptr, &g_wait_mask);
     if (rv < 0) {
       if (errno == EINTR) continue;  // loop re-checks g_stop
       throw DataError(std::string("pec_worker: poll failed: ") +
@@ -291,11 +295,9 @@ class ReplayCache {
 };
 
 // One job frame, already type-checked by the caller: fault hooks, decode,
-// replay dedup (daemon mode), solve, fault hooks, answer. Shared verbatim
-// by the stdio loop and the daemon session loop so both modes serve the
-// identical solve with the identical fault-injection surface.
+// replay dedup, solve, fault hooks, answer.
 void serve_job(const wire::Frame& frame, int results_fd, EvaluatorPool& pool,
-               ReplayCache* replay, int budget_override, const FaultPlan& fault,
+               ReplayCache& replay, int budget_override, const FaultPlan& fault,
                std::uint64_t& served) {
   if (served == fault.crash_after) {
     std::cerr << "pec_worker: injected crash after " << served << " job(s)\n";
@@ -306,8 +308,8 @@ void serve_job(const wire::Frame& frame, int results_fd, EvaluatorPool& pool,
     for (;;) std::this_thread::sleep_for(std::chrono::hours(1));
   }
   const wire::ShardJob job = wire::decode_shard_job(frame.payload);
-  if (replay && job.seq != 0) {
-    if (const std::string* cached = replay->lookup(job.session_id, job.seq)) {
+  if (job.seq != 0) {
+    if (const std::string* cached = replay.lookup(job.session_id, job.seq)) {
       // Duplicate delivery after a reconnect: answer with the cached frame,
       // byte for byte, and do not solve (or count a fault trigger) twice.
       std::cerr << "pec_worker: replaying cached result for seq " << job.seq
@@ -325,7 +327,7 @@ void serve_job(const wire::Frame& frame, int results_fd, EvaluatorPool& pool,
   result.pool_evictions = pool.evictions();
   const std::string msg =
       wire::encode_framed(wire::MsgType::kShardResult, wire::encode(result));
-  if (replay && job.seq != 0) replay->store(job.session_id, job.seq, msg);
+  if (job.seq != 0) replay.store(job.session_id, job.seq, msg);
   if (served == fault.truncate_after) {
     // Half a result frame, then death: the driver's reader must see a
     // mid-record EOF (or a deadline), never a plausible partial result.
@@ -350,30 +352,6 @@ void serve_job(const wire::Frame& frame, int results_fd, EvaluatorPool& pool,
   }
   write_all(results_fd, msg.data(), msg.size());
   ++served;
-}
-
-int run(int jobs_fd, int results_fd, int budget_override, const FaultPlan& fault) {
-  if (fault.slow_start_ms > 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(fault.slow_start_ms));
-  }
-  EvaluatorPool pool;
-  wire::Frame frame;
-  std::uint64_t served = 0;
-  for (;;) {
-    if (!wait_readable_or_stop(jobs_fd)) {
-      std::cerr << "pec_worker: stop signal; exiting at a frame boundary\n";
-      break;
-    }
-    if (!wire::read_frame(jobs_fd, &frame)) break;
-    if (frame.type != wire::MsgType::kShardJob)
-      throw DataError("pec_worker: expected a shard job frame");
-    serve_job(frame, results_fd, pool, /*replay=*/nullptr, budget_override,
-              fault, served);
-  }
-  std::cerr << "pec_worker: served " << served << " job(s), "
-            << pool.resident() << " evaluator(s) resident, "
-            << pool.evictions() << " eviction(s)\n";
-  return 0;
 }
 
 // One accepted connection = one session: Hello handshake, then jobs and
@@ -411,7 +389,7 @@ void serve_session(net::TcpSocket& sock, EvaluatorPool& pool,
     }
     if (frame.type != wire::MsgType::kShardJob)
       throw DataError("pec_worker: expected a shard job frame");
-    serve_job(frame, fd, pool, &replay, budget_override, fault, served);
+    serve_job(frame, fd, pool, replay, budget_override, fault, served);
   }
 }
 
@@ -435,10 +413,12 @@ int run_daemon(const net::HostPort& addr, int budget_override,
   ReplayCache replay;
   std::uint64_t served = 0;
   std::uint64_t sessions = 0;
-  while (!g_stop) {
+  while (wait_readable_or_stop(listener.fd())) {
+    // Readable means a client is queued; the short deadline only covers a
+    // client that gave up between the wakeup and the accept.
     std::optional<net::TcpSocket> client = listener.accept(
-        std::chrono::steady_clock::now() + std::chrono::milliseconds(200));
-    if (!client) continue;  // slice expired; re-check the stop flag
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(10));
+    if (!client) continue;
     ++sessions;
     try {
       serve_session(*client, pool, replay, budget_override, fault, served);
@@ -449,16 +429,20 @@ int run_daemon(const net::HostPort& addr, int budget_override,
                 << "\n";
     }
   }
-  std::cerr << "pec_worker: stop signal; served " << served << " job(s) over "
-            << sessions << " session(s)\n";
+  // One string, one write: spawned daemons stop together and share stderr.
+  std::cerr << "pec_worker: stop signal; served " + std::to_string(served) +
+                   " job(s) over " + std::to_string(sessions) + " session(s)\n";
   return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string jobs_path;
-  std::string results_path;
+  const auto usage = [] {
+    std::cerr << "usage: pec_worker --listen HOST:PORT [--pool-budget N]"
+                 " [--fault PLAN]\n";
+    return 2;
+  };
   std::string listen_spec;
   int budget_override = -1;
   const char* fault_env = std::getenv("EBL_FAULT_PLAN");
@@ -466,55 +450,22 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const bool has_value = i + 1 < argc;
-    if (arg == "--jobs" && has_value) {
-      jobs_path = argv[++i];
-    } else if (arg == "--results" && has_value) {
-      results_path = argv[++i];
-    } else if (arg == "--listen" && has_value) {
+    if (arg == "--listen" && has_value) {
       listen_spec = argv[++i];
     } else if (arg == "--pool-budget" && has_value) {
       budget_override = std::atoi(argv[++i]);
     } else if (arg == "--fault" && has_value) {
       fault_spec = argv[++i];  // the flag beats the environment
     } else {
-      std::cerr << "usage: pec_worker [--jobs PATH] [--results PATH]"
-                   " [--listen HOST:PORT] [--pool-budget N] [--fault PLAN]\n";
-      return 2;
+      return usage();
     }
   }
+  if (listen_spec.empty()) return usage();
 
   install_stop_handlers();
-
-  if (!listen_spec.empty()) {
-    try {
-      return run_daemon(net::parse_host_port(listen_spec), budget_override,
-                        FaultPlan::parse(fault_spec));
-    } catch (const std::exception& e) {
-      std::cerr << "pec_worker: " << e.what() << "\n";
-      return 1;
-    }
-  }
-
-  int jobs_fd = STDIN_FILENO;
-  int results_fd = STDOUT_FILENO;
-  if (!jobs_path.empty()) {
-    jobs_fd = ::open(jobs_path.c_str(), O_RDONLY);
-    if (jobs_fd < 0) {
-      std::cerr << "pec_worker: cannot open jobs file: " << jobs_path << "\n";
-      return 2;
-    }
-  }
-  if (!results_path.empty()) {
-    results_fd = ::open(results_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    if (results_fd < 0) {
-      std::cerr << "pec_worker: cannot open results file: " << results_path << "\n";
-      return 2;
-    }
-  }
-
   try {
-    return run(jobs_fd, results_fd, budget_override,
-               FaultPlan::parse(fault_spec));
+    return run_daemon(net::parse_host_port(listen_spec), budget_override,
+                      FaultPlan::parse(fault_spec));
   } catch (const std::exception& e) {
     std::cerr << "pec_worker: " << e.what() << "\n";
     return 1;
