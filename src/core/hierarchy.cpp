@@ -38,7 +38,6 @@ Trapezoid transform_trapezoid_noswap(const Trapezoid& t, const Trans& trans) {
 
 HierPrepResult run_hier_prep(const Library& lib, CellId top, LayerKey layer,
                              const FractureOptions& options) {
-  lib.validate();
   HierPrepResult result;
 
   // Cache: (cell id, swapped?) -> fractured local shots.

@@ -143,7 +143,6 @@ PrepResult run_data_prep(const PolygonSet& geometry, const PrepOptions& options)
 
 PrepResult run_data_prep(const Library& lib, CellId top, LayerKey layer,
                          const PrepOptions& options) {
-  lib.validate();
   return run_data_prep(lib.flatten(top, layer), options);
 }
 

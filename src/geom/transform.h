@@ -9,7 +9,10 @@
 
 #include <array>
 #include <cmath>
+#include <limits>
 #include <ostream>
+#include <tuple>
+#include <utility>
 
 #include "geom/box.h"
 #include "geom/point.h"
@@ -111,18 +114,27 @@ class Trans {
 /// General transform with magnification and arbitrary angle (degrees CCW),
 /// mirror about x applied first. Needed for full GDSII SREF semantics.
 /// Application rounds to the database grid.
+///
+/// The displacement is held in 64 bits: composing placements that are each
+/// on the grid can leave it (a cell placed at 2e9 inside a cell placed at
+/// 2e9), and keeps_on_grid() tells a caller whether geometry still lands on
+/// the 32-bit grid before operator() narrows to it.
 class CTrans {
  public:
   CTrans() = default;
   CTrans(Point displacement, double angle_degrees, double magnification, bool mirror)
-      : disp_(displacement), angle_(angle_degrees), mag_(magnification), mirror_(mirror) {
+      : dx_(displacement.x), dy_(displacement.y), angle_(angle_degrees),
+        mag_(magnification), mirror_(mirror) {
     expects(magnification > 0, "CTrans magnification must be positive");
   }
   /// Promotes an exact orthogonal transform.
   explicit CTrans(const Trans& t)
-      : disp_(t.disp()), angle_(90.0 * t.rot90()), mag_(1.0), mirror_(t.mirrored()) {}
+      : dx_(t.disp().x), dy_(t.disp().y), angle_(90.0 * t.rot90()), mag_(1.0),
+        mirror_(t.mirrored()) {}
 
-  Point disp() const { return disp_; }
+  /// The displacement narrowed to the grid (exact for any transform read
+  /// from a file record).
+  Point disp() const { return {static_cast<Coord>(dx_), static_cast<Coord>(dy_)}; }
   double angle() const { return angle_; }
   double mag() const { return mag_; }
   bool mirror() const { return mirror_; }
@@ -139,20 +151,34 @@ class CTrans {
     expects(is_orthogonal(), "CTrans::to_trans on non-orthogonal transform");
     const double a = std::fmod(std::fmod(angle_, 360.0) + 360.0, 360.0);
     const int rot = static_cast<int>(a / 90.0 + 0.5) % 4;
-    return Trans{disp_, static_cast<Orient>((mirror_ ? 4 : 0) + rot)};
+    return Trans{disp(), static_cast<Orient>((mirror_ ? 4 : 0) + rot)};
   }
 
+  /// This transform followed by a shift of (@p dx, @p dy) in the target frame.
+  CTrans translated(Coord64 dx, Coord64 dy) const {
+    CTrans r = *this;
+    r.dx_ += dx;
+    r.dy_ += dy;
+    return r;
+  }
+
+  /// Image of @p p, narrowed to the grid (see keeps_on_grid).
   Point operator()(Point p) const {
-    double x = p.x;
-    double y = p.y;
-    if (mirror_) y = -y;
-    const double rad = angle_ * 0.017453292519943295;
-    const double c = std::cos(rad);
-    const double s = std::sin(rad);
-    const double rx = mag_ * (x * c - y * s);
-    const double ry = mag_ * (x * s + y * c);
-    return {static_cast<Coord>(std::lround(rx)) + disp_.x,
-            static_cast<Coord>(std::lround(ry)) + disp_.y};
+    const auto [x, y] = map64(p.x, p.y);
+    return {static_cast<Coord>(x), static_cast<Coord>(y)};
+  }
+
+  /// True when every corner of @p b maps inside the 32-bit grid. The map is
+  /// affine, so then every point of @p b does.
+  bool keeps_on_grid(const Box& b) const {
+    if (b.empty()) return true;
+    constexpr Coord64 lo = std::numeric_limits<Coord>::min();
+    constexpr Coord64 hi = std::numeric_limits<Coord>::max();
+    for (const Point p : {b.lo, b.hi, Point{b.lo.x, b.hi.y}, Point{b.hi.x, b.lo.y}}) {
+      const auto [x, y] = map64(p.x, p.y);
+      if (x < lo || x > hi || y < lo || y > hi) return false;
+    }
+    return true;
   }
 
   /// Composition: (a * b)(p) == a(b(p)) up to grid rounding.
@@ -161,12 +187,24 @@ class CTrans {
     r.mirror_ = a.mirror_ != b.mirror_;
     r.angle_ = a.mirror_ ? a.angle_ - b.angle_ : a.angle_ + b.angle_;
     r.mag_ = a.mag_ * b.mag_;
-    r.disp_ = a(b.disp_);
+    std::tie(r.dx_, r.dy_) = a.map64(b.dx_, b.dy_);
     return r;
   }
 
  private:
-  Point disp_{0, 0};
+  std::pair<Coord64, Coord64> map64(Coord64 px, Coord64 py) const {
+    const double x = static_cast<double>(px);
+    const double y = mirror_ ? -static_cast<double>(py) : static_cast<double>(py);
+    const double rad = angle_ * 0.017453292519943295;
+    const double c = std::cos(rad);
+    const double s = std::sin(rad);
+    const double rx = mag_ * (x * c - y * s);
+    const double ry = mag_ * (x * s + y * c);
+    return {std::llround(rx) + dx_, std::llround(ry) + dy_};
+  }
+
+  Coord64 dx_ = 0;
+  Coord64 dy_ = 0;
   double angle_ = 0.0;
   double mag_ = 1.0;
   bool mirror_ = false;

@@ -36,6 +36,13 @@ struct Reference {
   std::uint64_t instance_count() const {
     return static_cast<std::uint64_t>(cols) * rows;
   }
+
+  /// Transform of array element (@p col, @p row): @p trans shifted by the
+  /// steps in parent coordinates, in 64 bits so a far element cannot wrap.
+  CTrans placement(std::uint32_t col, std::uint32_t row) const {
+    return trans.translated(Coord64(col_step.x) * col + Coord64(row_step.x) * row,
+                            Coord64(col_step.y) * col + Coord64(row_step.y) * row);
+  }
 };
 
 /// One cell: geometry per layer plus child references.

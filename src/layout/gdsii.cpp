@@ -540,39 +540,8 @@ void write_gds(const Library& lib, const std::string& path) {
 }
 
 Library read_gds(std::istream& is, GdsReadReport* report) {
-  // Whole-library reads are a thin shell over the streaming parser: drain
-  // every structure, then resolve names. Duplicate STRNAME structures merge
-  // into one cell, preserving file order of shapes and references.
   GdsCellStream stream(nullptr, is);
-  std::vector<StreamCell> cells;
-  {
-    StreamCell c;
-    while (stream.next(c, true)) cells.push_back(std::move(c));
-  }
-  Library lib(stream.library_name(), stream.dbu_in_microns());
-  std::vector<CellId> ids(cells.size());
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const auto existing = lib.find_cell(cells[i].name);
-    ids[i] = existing ? *existing : lib.add_cell(cells[i].name);
-  }
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    Cell& cell = lib.cell(ids[i]);
-    for (auto& [layer, polys] : cells[i].shapes)
-      for (Polygon& poly : polys) cell.add_shape(layer, std::move(poly));
-    for (const StreamRef& sr : cells[i].refs) {
-      const auto child = lib.find_cell(sr.child);
-      if (!child) throw DataError("GDS: reference to undefined structure " + sr.child);
-      Reference ref;
-      ref.child = *child;
-      ref.trans = sr.trans;
-      ref.cols = sr.cols;
-      ref.rows = sr.rows;
-      ref.col_step = sr.col_step;
-      ref.row_step = sr.row_step;
-      cell.add_reference(ref);
-    }
-  }
-  lib.validate();
+  Library lib = build_library(stream);
   if (report) *report = stream.report();
   return lib;
 }

@@ -2,11 +2,29 @@
 
 #include <algorithm>
 #include <set>
-#include <unordered_set>
 
 #include "util/contracts.h"
 
 namespace ebl {
+
+namespace {
+
+constexpr int kMaxDepth = 64;  ///< levels below any cell, GDSII-style
+
+/// Thrown by place_on_grid; each_instance rethrows it as a DataError that
+/// names the instance's cell path.
+class OffGrid : public DataError {
+ public:
+  using DataError::DataError;
+};
+
+}  // namespace
+
+Polygon place_on_grid(const Polygon& p, const CTrans& t) {
+  if (!t.keeps_on_grid(p.bbox()))
+    throw OffGrid("placed polygon leaves the 32-bit coordinate grid");
+  return p.transformed(t);
+}
 
 Library::Library(std::string name, double dbu_in_microns)
     : name_(std::move(name)), dbu_um_(dbu_in_microns) {
@@ -15,17 +33,18 @@ Library::Library(std::string name, double dbu_in_microns)
 
 CellId Library::add_cell(const std::string& cell_name) {
   expects(!cell_name.empty(), "Library::add_cell: empty name");
-  if (find_cell(cell_name)) throw DataError("duplicate cell name: " + cell_name);
+  const CellId id{static_cast<std::uint32_t>(cells_.size())};
+  if (!index_.emplace(cell_name, id).second)
+    throw DataError("duplicate cell name: " + cell_name);
   cells_.emplace_back(cell_name);
   bbox_cache_.emplace_back();
-  return CellId{static_cast<std::uint32_t>(cells_.size() - 1)};
+  return id;
 }
 
 std::optional<CellId> Library::find_cell(const std::string& cell_name) const {
-  for (std::size_t i = 0; i < cells_.size(); ++i) {
-    if (cells_[i].name() == cell_name) return CellId{static_cast<std::uint32_t>(i)};
-  }
-  return std::nullopt;
+  const auto it = index_.find(cell_name);
+  if (it == index_.end()) return std::nullopt;
+  return it->second;
 }
 
 void Library::check_id(CellId id) const {
@@ -58,60 +77,66 @@ std::vector<CellId> Library::top_cells() const {
 }
 
 void Library::validate() const {
-  // DFS cycle detection with colors: 0 = new, 1 = on stack, 2 = done.
-  std::vector<int> color(cells_.size(), 0);
-  std::function<void(std::size_t)> dfs = [&](std::size_t i) {
-    color[i] = 1;
+  // Depth-first from every cell in index order, memoizing each cell's
+  // height (levels below it). The recursion never goes deeper than
+  // kMaxDepth, so a chain of any length is rejected without exhausting the
+  // stack.
+  constexpr int kNew = -1;
+  constexpr int kOnStack = -2;
+  std::vector<int> height(cells_.size(), kNew);
+  std::size_t root = 0;
+  const auto too_deep = [&] {
+    return DataError("hierarchy deeper than " + std::to_string(kMaxDepth) +
+                     " levels under cell " + cells_[root].name());
+  };
+  std::function<int(std::size_t, int)> dfs = [&](std::size_t i, int depth) {
+    if (depth > kMaxDepth) throw too_deep();
+    height[i] = kOnStack;
+    int h = 0;
     for (const Reference& r : cells_[i].references()) {
       if (r.child.value >= cells_.size())
         throw DataError("dangling cell reference in " + cells_[i].name());
-      if (color[r.child.value] == 1)
+      const int child = height[r.child.value];
+      if (child == kOnStack)
         throw DataError("reference cycle through cell " + cells_[r.child.value].name());
-      if (color[r.child.value] == 0) dfs(r.child.value);
+      h = std::max(h, 1 + (child == kNew ? dfs(r.child.value, depth + 1) : child));
     }
-    color[i] = 2;
+    if (depth + h > kMaxDepth) throw too_deep();
+    return height[i] = h;
   };
-  for (std::size_t i = 0; i < cells_.size(); ++i) {
-    if (color[i] == 0) dfs(i);
+  for (root = 0; root < cells_.size(); ++root) {
+    if (height[root] == kNew) dfs(root, 0);
   }
 }
 
 void Library::each_instance(
     CellId top, const std::function<void(CellId, const CTrans&)>& visit) const {
   check_id(top);
-  // Depth guard doubles as cheap cycle protection during traversal.
-  constexpr int kMaxDepth = 64;
-  std::function<void(CellId, const CTrans&, int)> walk = [&](CellId id, const CTrans& t,
-                                                             int depth) {
-    if (depth > kMaxDepth)
-      throw DataError("hierarchy deeper than " + std::to_string(kMaxDepth) +
-                      " (cycle?) under " + cells_[top.value].name());
-    visit(id, t);
+  validate();  // bounds the recursion below by kMaxDepth
+  std::vector<CellId> path;
+  std::function<void(CellId, const CTrans&)> walk = [&](CellId id, const CTrans& t) {
+    path.push_back(id);
+    try {
+      visit(id, t);
+    } catch (const OffGrid& e) {
+      std::string names;
+      for (const CellId c : path) names += (names.empty() ? "" : "/") + cells_[c.value].name();
+      throw DataError(std::string(e.what()) + " in cell path " + names);
+    }
     for (const Reference& r : cells_[id.value].references()) {
-      check_id(r.child);
       for (std::uint32_t row = 0; row < r.rows; ++row) {
-        for (std::uint32_t col = 0; col < r.cols; ++col) {
-          // GDSII AREF: steps displace in parent coordinates.
-          const Point shift{
-              static_cast<Coord>(Coord64(r.col_step.x) * col + Coord64(r.row_step.x) * row),
-              static_cast<Coord>(Coord64(r.col_step.y) * col + Coord64(r.row_step.y) * row)};
-          const CTrans placed =
-              CTrans{r.trans.disp() + shift, r.trans.angle(), r.trans.mag(),
-                     r.trans.mirror()};
-          walk(r.child, t * placed, depth + 1);
-        }
+        for (std::uint32_t col = 0; col < r.cols; ++col) walk(r.child, t * r.placement(col, row));
       }
     }
+    path.pop_back();
   };
-  walk(top, CTrans{}, 0);
+  walk(top, CTrans{});
 }
 
 PolygonSet Library::flatten(CellId top, LayerKey layer) const {
   PolygonSet out;
   each_instance(top, [&](CellId id, const CTrans& t) {
-    for (const Polygon& p : cells_[id.value].shapes_on(layer)) {
-      out.insert(p.transformed(t));
-    }
+    for (const Polygon& p : cells_[id.value].shapes_on(layer)) out.insert(place_on_grid(p, t));
   });
   return out;
 }
@@ -134,22 +159,17 @@ Box Library::bbox(CellId top) const {
     if (child_box.empty()) continue;
     // Array steps are linear, so the union over the grid equals the union
     // over the four corner instances.
-    const std::uint32_t corner_cols[2] = {0, r.cols - 1};
-    const std::uint32_t corner_rows[2] = {0, r.rows - 1};
-    for (std::uint32_t row : corner_rows) {
-      for (std::uint32_t col : corner_cols) {
-        const Point shift{
-            static_cast<Coord>(Coord64(r.col_step.x) * col + Coord64(r.row_step.x) * row),
-            static_cast<Coord>(Coord64(r.col_step.y) * col + Coord64(r.row_step.y) * row)};
-        const CTrans placed = CTrans{r.trans.disp() + shift, r.trans.angle(),
-                                     r.trans.mag(), r.trans.mirror()};
+    for (const std::uint32_t row : {0u, r.rows - 1}) {
+      for (const std::uint32_t col : {0u, r.cols - 1}) {
+        const CTrans placed = r.placement(col, row);
+        if (!placed.keeps_on_grid(child_box))
+          throw DataError("bounding box leaves the 32-bit coordinate grid in cell " +
+                          cells_[top.value].name());
         // Transform the child's box corners (conservative for rotations).
-        Box tb;
-        tb += placed(child_box.lo);
-        tb += placed(child_box.hi);
-        tb += placed(Point{child_box.lo.x, child_box.hi.y});
-        tb += placed(Point{child_box.hi.x, child_box.lo.y});
-        b += tb;
+        b += placed(child_box.lo);
+        b += placed(child_box.hi);
+        b += placed(Point{child_box.lo.x, child_box.hi.y});
+        b += placed(Point{child_box.hi.x, child_box.lo.y});
       }
     }
   }

@@ -4,6 +4,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "geom/polygon_set.h"
@@ -23,8 +24,9 @@ struct LibraryStats {
 /// A GDSII-style library: a set of named cells with hierarchy.
 ///
 /// Database units are fixed at 1 dbu = @p dbu_in_microns µm (default 1 nm).
-/// The hierarchy must be acyclic; validate() checks and flattening throws on
-/// cycles.
+/// The hierarchy must be acyclic and at most 64 levels deep; validate()
+/// checks, and every walk (each_instance and what is built on it) validates
+/// first.
 class Library {
  public:
   explicit Library(std::string name, double dbu_in_microns = 0.001);
@@ -32,7 +34,7 @@ class Library {
   const std::string& name() const { return name_; }
   double dbu_in_microns() const { return dbu_um_; }
 
-  /// Creates a new empty cell; names must be unique.
+  /// Creates a new empty cell; names must be unique (DataError otherwise).
   CellId add_cell(const std::string& cell_name);
 
   std::optional<CellId> find_cell(const std::string& cell_name) const;
@@ -44,13 +46,16 @@ class Library {
   /// Cells not referenced by any other cell.
   std::vector<CellId> top_cells() const;
 
-  /// Throws DataError if the hierarchy contains a reference cycle or a
-  /// dangling CellId.
+  /// Throws DataError if the hierarchy contains a reference cycle, a
+  /// dangling CellId, or a cell with more than 64 levels below it.
   void validate() const;
 
-  /// Visits every expanded instance (including array elements) beneath
-  /// @p top depth-first, with the accumulated parent-to-root transform.
-  /// The visitor is called for @p top itself with the identity transform.
+  /// The one hierarchy walker: validates, then visits every expanded
+  /// instance (including array elements, rows outer, columns inner) beneath
+  /// @p top depth-first, with the accumulated parent-to-root transform. The
+  /// visitor is called for @p top itself with the identity transform, before
+  /// the references of each cell. A place_on_grid failure inside the visitor
+  /// becomes a DataError naming the instance's cell path (TOP/MID/LEAF).
   void each_instance(CellId top,
                      const std::function<void(CellId, const CTrans&)>& visit) const;
 
@@ -60,7 +65,8 @@ class Library {
   /// All layers used anywhere beneath @p top.
   std::vector<LayerKey> layers_under(CellId top) const;
 
-  /// Bounding box over all layers beneath @p top (cached per cell).
+  /// Bounding box over all layers beneath @p top (cached per cell). Throws
+  /// DataError when it leaves the 32-bit grid.
   Box bbox(CellId top) const;
 
   LibraryStats stats(CellId top) const;
@@ -71,7 +77,12 @@ class Library {
   std::string name_;
   double dbu_um_;
   std::vector<Cell> cells_;
+  std::unordered_map<std::string, CellId> index_;  ///< name -> id
   mutable std::vector<std::optional<Box>> bbox_cache_;
 };
+
+/// @p p transformed by an each_instance transform @p t. Throws DataError
+/// when the result would leave the 32-bit grid instead of wrapping.
+Polygon place_on_grid(const Polygon& p, const CTrans& t);
 
 }  // namespace ebl

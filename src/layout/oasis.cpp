@@ -1336,11 +1336,12 @@ class OasisParser {
 /// recorded record offset is a safe re-parse point).
 class OasisCellStream final : public LayoutStream {
  public:
-  explicit OasisCellStream(std::unique_ptr<std::istream> is)
-      : owned_(std::move(is)), parser_(*owned_) {}
+  OasisCellStream(std::unique_ptr<std::istream> owned, std::istream& is)
+      : owned_(std::move(owned)), parser_(is) {}
 
   const std::string& library_name() const override { return name_; }
   double dbu_in_microns() const override { return parser_.dbu_in_microns(); }
+  const OasisReadReport& report() const { return parser_.report(); }
 
   bool next(StreamCell& out, bool with_geometry) override {
     if (pass_done_) return false;
@@ -1390,39 +1391,9 @@ class OasisCellStream final : public LayoutStream {
 }  // namespace
 
 Library read_oas(std::istream& is, OasisReadReport* report) {
-  OasisParser p(is);
-  std::vector<StreamCell> cells;
-  {
-    StreamCell c;
-    while (p.next_cell(c, true)) cells.push_back(std::move(c));
-  }
-  Library lib("OASIS", p.dbu_in_microns());
-  std::vector<CellId> ids(cells.size());
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const std::string name = cells[i].name.empty() ? p.name_of(cells[i].refnum) : cells[i].name;
-    const auto existing = lib.find_cell(name);
-    ids[i] = existing ? *existing : lib.add_cell(name);
-  }
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    Cell& cell = lib.cell(ids[i]);
-    for (auto& [lk, polys] : cells[i].shapes)
-      for (Polygon& poly : polys) cell.add_shape(lk, std::move(poly));
-    for (const StreamRef& sr : cells[i].refs) {
-      const std::string child = sr.child.empty() ? p.name_of(sr.child_refnum) : sr.child;
-      const auto cid = lib.find_cell(child);
-      if (!cid) throw DataError("OASIS: placement of undefined cell \"" + child + "\"");
-      Reference r;
-      r.child = *cid;
-      r.trans = sr.trans;
-      r.cols = sr.cols;
-      r.rows = sr.rows;
-      r.col_step = sr.col_step;
-      r.row_step = sr.row_step;
-      cell.add_reference(r);
-    }
-  }
-  lib.validate();
-  if (report) *report = p.report();
+  OasisCellStream stream(nullptr, is);
+  Library lib = build_library(stream);
+  if (report) *report = stream.report();
   return lib;
 }
 
@@ -1434,7 +1405,8 @@ Library read_oas(const std::string& path, OasisReadReport* report) {
 
 std::unique_ptr<LayoutStream> open_oas_stream(std::unique_ptr<std::istream> is) {
   expects(is != nullptr, "open_oas_stream: null stream");
-  return std::make_unique<OasisCellStream>(std::move(is));
+  std::istream& ref = *is;
+  return std::make_unique<OasisCellStream>(std::move(is), ref);
 }
 
 std::unique_ptr<LayoutStream> open_oas_stream(const std::string& path) {

@@ -4,7 +4,7 @@
 #include <cctype>
 #include <functional>
 #include <list>
-#include <map>
+#include <optional>
 
 #include "geom/boolean.h"
 #include "layout/gdsii.h"
@@ -37,20 +37,6 @@ LayoutFormat format_of(const std::string& path) {
   if (ext == "oas" || ext == "oasis") return LayoutFormat::oas;
   throw DataError("unsupported layout extension: " + path);
 }
-
-/// The merged-by-name cell directory built by the skim pass. GDSII permits
-/// duplicate STRNAME structures and read_gds merges them; the streaming
-/// walk reproduces that by treating every file cell with the same name as
-/// one logical cell (shapes emitted piece by piece in file order, reference
-/// lists concatenated in file order — exactly the merged-cell order).
-struct DirEntry {
-  std::string name;
-  std::vector<std::size_t> pieces;      ///< file-cell indices, file order
-  std::vector<StreamRef> refs;          ///< merged references, file order
-  std::vector<std::size_t> ref_child;   ///< directory index per reference
-  std::size_t shape_count = 0;          ///< over all pieces, all layers
-  bool referenced = false;
-};
 
 /// LRU cache of parsed file cells. Holding at most @p window cells is the
 /// whole point of the streaming path: everything else is O(cells) names and
@@ -89,139 +75,78 @@ class CellCache {
 
 }  // namespace
 
+Library build_library(LayoutStream& stream, bool with_geometry, CellPieces* pieces) {
+  std::vector<StreamCell> cells;
+  for (StreamCell c; stream.next(c, with_geometry);) cells.push_back(std::move(c));
+
+  // OASIS name tables may follow the cells that use them; after the pass
+  // they are complete. Cells sharing a name merge into the first one.
+  Library lib(stream.library_name(), stream.dbu_in_microns());
+  std::vector<CellId> ids;
+  ids.reserve(cells.size());
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    StreamCell& c = cells[i];
+    if (c.name.empty()) c.name = stream.name_of(c.refnum);
+    const std::optional<CellId> existing = lib.find_cell(c.name);
+    ids.push_back(existing ? *existing : lib.add_cell(c.name));
+    if (pieces) {
+      pieces->resize(lib.cell_count());
+      (*pieces)[ids.back().value].push_back({i, c.shape_count});
+    }
+  }
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    Cell& cell = lib.cell(ids[i]);
+    for (auto& [layer, polys] : cells[i].shapes) {
+      for (Polygon& p : polys) cell.add_shape(layer, std::move(p));
+    }
+    for (StreamRef& r : cells[i].refs) {
+      if (r.child.empty()) r.child = stream.name_of(r.child_refnum);
+      const std::optional<CellId> child = lib.find_cell(r.child);
+      if (!child) throw DataError("reference to undefined cell " + r.child);
+      cell.add_reference(Reference{*child, r.trans, r.cols, r.rows, r.col_step, r.row_step});
+    }
+  }
+  lib.validate();
+  return lib;
+}
+
+CellId find_top(const Library& lib, const std::string& name) {
+  if (!name.empty()) {
+    const std::optional<CellId> id = lib.find_cell(name);
+    if (!id) throw DataError("top cell not found: " + name);
+    return *id;
+  }
+  const std::vector<CellId> tops = lib.top_cells();
+  if (tops.empty()) throw DataError("no unreferenced cell to use as top");
+  if (tops.size() > 1) throw DataError("several unreferenced cells; pass an explicit top");
+  return tops.front();
+}
+
 IngestStats stream_layer(LayoutStream& stream, const IngestOptions& options,
                          const std::function<void(const Polygon&)>& emit) {
   expects(options.window >= 1, "stream_layer: window must be at least 1");
 
-  // Pass 1 — directory skim. Geometry operands are decoded and validated
-  // but not stored; what survives is the cell table, byte offsets (inside
-  // the stream), and the reference graph.
+  // Pass 1: the directory skim builds a geometry-free, validated skeleton.
   stream.rewind();
-  std::vector<StreamCell> skims;
-  {
-    StreamCell c;
-    while (stream.next(c, false)) skims.push_back(std::move(c));
-  }
+  CellPieces pieces;
+  const Library skeleton = build_library(stream, /*with_geometry=*/false, &pieces);
+  const CellId top = find_top(skeleton, options.top);
 
-  // Resolve refnum-addressed cells and references (OASIS name tables may
-  // follow the cells that use them; after the pass the table is complete).
-  for (StreamCell& c : skims) {
-    if (c.name.empty()) c.name = stream.name_of(c.refnum);
-    for (StreamRef& r : c.refs) {
-      if (r.child.empty()) r.child = stream.name_of(r.child_refnum);
-    }
-  }
-
-  // Merge file cells into the by-name directory.
-  std::vector<DirEntry> dir;
-  std::map<std::string, std::size_t> index_of;
-  for (std::size_t i = 0; i < skims.size(); ++i) {
-    const auto [it, fresh] = index_of.emplace(skims[i].name, dir.size());
-    if (fresh) {
-      dir.emplace_back();
-      dir.back().name = skims[i].name;
-    }
-    DirEntry& e = dir[it->second];
-    e.pieces.push_back(i);
-    e.shape_count += skims[i].shape_count;
-    for (StreamRef& r : skims[i].refs) e.refs.push_back(std::move(r));
-  }
-  for (DirEntry& e : dir) {
-    for (const StreamRef& r : e.refs) {
-      const auto it = index_of.find(r.child);
-      if (it == index_of.end())
-        throw DataError("layout stream: reference to undefined cell " + r.child);
-      e.ref_child.push_back(it->second);
-      dir[it->second].referenced = true;
-    }
-  }
-  if (dir.empty()) throw DataError("layout stream: file has no cells");
-
-  // Validate the hierarchy (cycles, depth) before any geometry is emitted,
-  // mirroring Library::validate + the each_instance depth guard.
-  constexpr int kMaxDepth = 64;
-  {
-    std::vector<int> color(dir.size(), 0);  // 0 new, 1 on stack, 2 done
-    std::function<void(std::size_t, int)> dfs = [&](std::size_t i, int depth) {
-      if (depth > kMaxDepth)
-        throw DataError("layout stream: hierarchy deeper than " +
-                        std::to_string(kMaxDepth) + " under cell " + dir[i].name);
-      color[i] = 1;
-      for (const std::size_t child : dir[i].ref_child) {
-        if (color[child] == 1)
-          throw DataError("layout stream: reference cycle through cell " +
-                          dir[child].name);
-        if (color[child] != 2) dfs(child, depth + 1);
-      }
-      color[i] = 2;
-    };
-    for (std::size_t i = 0; i < dir.size(); ++i) {
-      if (color[i] == 0) dfs(i, 0);
-    }
-  }
-
-  // Pick the top cell.
-  std::size_t top = 0;
-  if (!options.top.empty()) {
-    const auto it = index_of.find(options.top);
-    if (it == index_of.end())
-      throw DataError("layout stream: top cell not found: " + options.top);
-    top = it->second;
-  } else {
-    std::size_t found = 0;
-    for (std::size_t i = 0; i < dir.size(); ++i) {
-      if (!dir[i].referenced) {
-        top = i;
-        ++found;
-      }
-    }
-    if (found == 0)
-      throw DataError("layout stream: no unreferenced cell to use as top");
-    if (found > 1)
-      throw DataError("layout stream: several unreferenced cells; pass an "
-                      "explicit top");
-  }
-
-  // Pass 2 — depth-first flatten through the bounded cell window. The
-  // visit order is exactly Library::each_instance: a cell's own shapes
-  // first (pieces in file order), then its references in order, arrays
-  // rows-outer / cols-inner, child transform composed as t * placed.
+  // Pass 2: walk the skeleton, fetching each instance's pieces (in file
+  // order) through the bounded cell window.
   IngestStats stats;
-  stats.cells = skims.size();
+  stats.cells = stream.cells_seen();
   CellCache cache(stream, options.window, stats);
-  std::function<void(std::size_t, const CTrans&, int)> walk =
-      [&](std::size_t i, const CTrans& t, int depth) {
-        if (depth > kMaxDepth)
-          throw DataError("layout stream: hierarchy deeper than " +
-                          std::to_string(kMaxDepth) + " under cell " + dir[i].name);
-        ++stats.placements;
-        const DirEntry& e = dir[i];
-        if (e.shape_count > 0) {
-          for (const std::size_t fi : e.pieces) {
-            if (skims[fi].shape_count == 0) continue;  // nothing to parse
-            const StreamCell& cell = cache.fetch(fi);
-            for (const Polygon& p : cell.shapes_on(options.layer)) {
-              ++stats.polygons;
-              emit(p.transformed(t));
-            }
-          }
-        }
-        for (std::size_t r = 0; r < e.refs.size(); ++r) {
-          const StreamRef& ref = e.refs[r];
-          for (std::uint32_t row = 0; row < ref.rows; ++row) {
-            for (std::uint32_t col = 0; col < ref.cols; ++col) {
-              const Point shift{static_cast<Coord>(Coord64(ref.col_step.x) * col +
-                                                   Coord64(ref.row_step.x) * row),
-                                static_cast<Coord>(Coord64(ref.col_step.y) * col +
-                                                   Coord64(ref.row_step.y) * row)};
-              const CTrans placed{ref.trans.disp() + shift, ref.trans.angle(),
-                                  ref.trans.mag(), ref.trans.mirror()};
-              walk(e.ref_child[r], t * placed, depth + 1);
-            }
-          }
-        }
-      };
-  walk(top, CTrans{}, 0);
+  skeleton.each_instance(top, [&](CellId id, const CTrans& t) {
+    ++stats.placements;
+    for (const CellPiece& piece : pieces[id.value]) {
+      if (piece.shape_count == 0) continue;  // nothing to parse
+      for (const Polygon& p : cache.fetch(piece.file_index).shapes_on(options.layer)) {
+        ++stats.polygons;
+        emit(place_on_grid(p, t));
+      }
+    }
+  });
   return stats;
 }
 
@@ -265,13 +190,7 @@ std::unique_ptr<LayoutStream> open_layout_stream(const std::string& path) {
 }
 
 Library read_layout(const std::string& path) {
-  switch (format_of(path)) {
-    case LayoutFormat::gds:
-      return read_gds(path);
-    case LayoutFormat::oas:
-      return read_oas(path);
-  }
-  throw DataError("unsupported layout extension: " + path);  // unreachable
+  return build_library(*open_layout_stream(path));
 }
 
 void write_layout(const Library& lib, const std::string& path) {

@@ -1,24 +1,29 @@
 // Streaming layout ingestion: cell-at-a-time parsing with a bounded
 // resident-cell window.
 //
-// The classic path (read_gds / read_oas) materializes a whole Library before
-// anything downstream runs — untenable for multi-GB reticle files. The
-// LayoutStream API parses one cell at a time from a seekable byte source;
-// the ingestor below drives it in two passes:
+// Every reader goes through one builder, build_library(): it drains a
+// LayoutStream, merges file cells that share a name, resolves references
+// by name and validates the hierarchy. read_gds / read_oas / read_layout
+// call it with geometry and hold the whole Library in RAM, which is
+// untenable for multi-GB reticle files. stream_layer() calls it in skim
+// mode instead and runs in two passes:
 //
 //   1. Directory pass: every cell is skimmed (geometry decoded but not
-//      stored) to learn the cell table, the reference graph, and each
-//      cell's byte offset. Memory: O(cells) names + edges, no geometry.
-//   2. Flatten pass: a depth-first walk over the instance tree — the exact
-//      order of Library::each_instance — re-parses cells on demand through
-//      an LRU cache holding at most `window` parsed cells. Each visited
-//      instance emits its transformed polygons immediately, so geometry
-//      flows straight into fracture (or any consumer) without a flat
-//      in-RAM shot list ever existing.
+//      stored) into a geometry-free Library skeleton, with each cell's file
+//      pieces and shape counts on the side (CellPieces). Memory: O(cells)
+//      names + edges, no geometry. Undefined references, cycles and depth
+//      beyond 64 levels are rejected here, before any geometry is emitted.
+//   2. Flatten pass: the skeleton is walked with Library::each_instance,
+//      the same walker Library::flatten uses, and each visited instance
+//      re-parses its cell on demand through an LRU cache holding at most
+//      `window` parsed cells, then emits its transformed polygons
+//      immediately, so geometry flows straight into fracture (or any
+//      consumer) without a flat in-RAM shot list ever existing.
 //
 // Peak resident parsed-cell count is bounded by the window (asserted in
-// tests/layout_stream_test.cpp); emitted polygon order is identical to
-// Library::flatten, which makes streamed fracture bitwise-identical to the
+// tests/layout_stream_test.cpp). Because both paths walk with the one
+// walker, emitted polygon order is identical to Library::flatten by
+// construction, which makes streamed fracture bitwise-identical to the
 // in-RAM path.
 #pragma once
 
@@ -113,8 +118,26 @@ std::unique_ptr<LayoutStream> open_gds_stream(std::unique_ptr<std::istream> is);
 std::unique_ptr<LayoutStream> open_oas_stream(const std::string& path);
 std::unique_ptr<LayoutStream> open_oas_stream(std::unique_ptr<std::istream> is);
 
-/// Reads a whole library through the streaming parser (extension dispatch
-/// as open_layout_stream). Equivalent to read_gds / read_oas.
+/// One file cell merged into a Library cell by build_library.
+struct CellPiece {
+  std::size_t file_index;   ///< LayoutStream::read_cell index
+  std::size_t shape_count;  ///< polygons it carries, all layers
+};
+
+/// Per CellId, the file cells that merged into it, in file order.
+using CellPieces = std::vector<std::vector<CellPiece>>;
+
+/// Drains @p stream from its current position into a Library: file cells
+/// with the same name merge into one cell (GDSII allows duplicate STRNAME
+/// structures; shapes and references concatenate in file order), references
+/// resolve by name, and the hierarchy is validated (Library::validate).
+/// With @p with_geometry false the cells carry references only. @p pieces,
+/// when non-null, receives the file cells behind each CellId.
+Library build_library(LayoutStream& stream, bool with_geometry = true,
+                      CellPieces* pieces = nullptr);
+
+/// Reads a whole library with build_library (extension dispatch as
+/// open_layout_stream). Equivalent to read_gds / read_oas.
 Library read_layout(const std::string& path);
 
 /// Writes @p lib by extension (write_gds / write_oas).
@@ -145,11 +168,16 @@ struct IngestStats {
   std::size_t reloads = 0;        ///< parses beyond the first per cell (evictions paid)
 };
 
+/// The top cell IngestOptions::top selects in @p lib: the cell named
+/// @p name, or for an empty name the unique unreferenced cell. Throws
+/// DataError when there is no such cell, or several.
+CellId find_top(const Library& lib, const std::string& name);
+
 /// Flattens one layer of the streamed layout depth-first, emitting every
 /// polygon transformed to top coordinates — the streaming counterpart of
-/// Library::flatten with identical emission order. The directory pass
-/// validates the hierarchy (undefined references, cycles, depth) before any
-/// geometry is emitted.
+/// Library::flatten, walked by the same Library::each_instance. The
+/// directory pass validates the hierarchy (undefined references, cycles,
+/// depth) before any geometry is emitted.
 IngestStats stream_layer(LayoutStream& stream, const IngestOptions& options,
                          const std::function<void(const Polygon&)>& emit);
 
