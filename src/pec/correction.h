@@ -81,14 +81,15 @@ struct PecOptions {
   bool density_warm_start = true;
 
   /// Sharded solves only: how many per-shard evaluators may stay resident
-  /// across halo-exchange rounds. A resident shard re-enters a round through
-  /// an exact dose refresh (ExposureEvaluator::set_background_doses) that
-  /// reuses its neighbor grid, splat clipping, and FFT plan — the expensive,
-  /// geometry-only construction work — instead of rebuilding them. Over
-  /// budget, the least-recently-run shards fall back to transient mode
-  /// (evict-LRU); because the refresh is exact, residency never changes a
-  /// bit of the result, only the wall clock. 0 disables the pool (every
-  /// shard run rebuilds its evaluator, the pre-pool behavior).
+  /// across halo-exchange rounds, per ShardPool (src/pec/sharded.h) — the
+  /// driver's own pool and, in a distributed solve, each worker's. A
+  /// resident shard re-enters a round through an exact dose refresh
+  /// (ExposureEvaluator::reset_doses) that reuses its neighbor grid, splat
+  /// clipping, and FFT plan — the expensive, geometry-only construction
+  /// work — instead of rebuilding them. Over budget, the least-recently-run
+  /// shards fall back to transient mode (evict-LRU); because the refresh is
+  /// exact, residency never changes a bit of the result, only the wall
+  /// clock. 0 disables the pool (every shard run rebuilds its evaluator).
   int resident_shard_budget = 64;
 
   /// When > 0, shard jobs of every halo-exchange round are farmed over this
@@ -166,7 +167,8 @@ struct PecResult {
   int resident_shards = 0;  ///< evaluators resident when the solve finished
   int shard_evictions = 0;  ///< resident evaluators dropped to fit the budget
   /// Worker slots the distributed solve ran on (0 = in-process). The
-  /// resident/eviction counters above then aggregate the workers' own pools.
+  /// resident/eviction counters above then add the workers' own pools to
+  /// the driver's (which only a degraded solve fills).
   int workers = 0;
 
   /// Distributed: worker slots respawned or reconnected after a crash, hang,

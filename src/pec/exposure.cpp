@@ -412,7 +412,7 @@ void ExposureEvaluator::build_long_range() {
              (opt_.blur_backend == BlurBackend::kAuto &&
               fft_blur_wins(long_base_->width(), long_base_->height(), radii));
 
-  if (opt_.splat_cache) {
+  {
     // Clip every shot against the shared grid once, then transpose the
     // splats to a pixel-major CSR so re-accumulation is a flat weighted
     // gather. The clipping (exact convex clip + shoelace per footprint) is
@@ -421,7 +421,8 @@ void ExposureEvaluator::build_long_range() {
     // index ranges — are concatenated in ascending-range order afterwards.
     // That reproduces the serial emission order exactly for any thread count
     // or chunk decomposition, so the cache (and everything derived from it)
-    // stays bit-identical.
+    // stays bit-identical. The block scope frees the per-chunk buffers
+    // before the first gather and blur below allocate theirs.
     const Raster& r = *long_base_;
     const int nx = r.width();
     const std::size_t npx = static_cast<std::size_t>(nx) * r.height();
@@ -511,30 +512,25 @@ void ExposureEvaluator::accumulate_long_range() {
   std::vector<double> doses(active_);
   for (std::size_t i = 0; i < active_; ++i) doses[i] = shots_[i].dose;
 
+  // Pixel-parallel: each pixel sums its cached splats in ascending cache
+  // order, on top of the frozen background coverage — independent outputs,
+  // so identical for any thread count.
   std::vector<double>& data = long_base_->data();
-  if (opt_.splat_cache) {
-    // Pixel-parallel: each pixel sums its cached splats in ascending cache
-    // order, on top of the frozen background coverage — independent outputs,
-    // so identical for any thread count.
-    const double* bg = ghost_base_ ? ghost_base_->data().data() : nullptr;
-    parallel_for(
-        data.size(),
-        [&](std::size_t p0, std::size_t p1) {
-          for (std::size_t p = p0; p < p1; ++p) {
-            double acc = bg ? bg[p] : 0.0;
-            const std::uint32_t b = px_start_[p];
-            const std::uint32_t e = px_start_[p + 1];
-            for (std::uint32_t k = b; k < e; ++k) {
-              acc += static_cast<double>(px_frac_[k]) * doses[px_shot_[k]];
-            }
-            data[p] = acc;
+  const double* bg = ghost_base_ ? ghost_base_->data().data() : nullptr;
+  parallel_for(
+      data.size(),
+      [&](std::size_t p0, std::size_t p1) {
+        for (std::size_t p = p0; p < p1; ++p) {
+          double acc = bg ? bg[p] : 0.0;
+          const std::uint32_t b = px_start_[p];
+          const std::uint32_t e = px_start_[p + 1];
+          for (std::uint32_t k = b; k < e; ++k) {
+            acc += static_cast<double>(px_frac_[k]) * doses[px_shot_[k]];
           }
-        },
-        opt_.threads);
-  } else {
-    std::fill(data.begin(), data.end(), 0.0);
-    for (const Shot& s : shots_) long_base_->add_coverage(s.shape, s.dose);
-  }
+          data[p] = acc;
+        }
+      },
+      opt_.threads);
   perf_.accumulate_ms += ms_since(t0);
   // A full gather restores the base map to exactly what a fresh evaluator
   // would compute, and the full blur below re-derives every term map from
@@ -795,13 +791,6 @@ void ExposureEvaluator::clear_dirty() {
   dirty_overflow_ = false;
 }
 
-bool ExposureEvaluator::delta_capable() const {
-  // Short-only PSFs delta-update through the centroid cache alone; with
-  // long-range terms the shot-major splat view must exist (splat cache on).
-  if (long_terms_.empty()) return true;
-  return opt_.splat_cache && !shot_start_.empty();
-}
-
 void ExposureEvaluator::apply_full(const double* doses, std::size_t begin,
                                    std::size_t end) {
   // The oracle path: apply every requested dose (deferred remainders
@@ -874,7 +863,7 @@ void ExposureEvaluator::apply_delta(const double* doses, std::size_t begin,
 void ExposureEvaluator::update_doses(const double* doses, std::size_t begin,
                                      std::size_t end, bool include_background) {
   (void)include_background;
-  if (opt_.delta_threshold <= 0 || !delta_capable()) {
+  if (opt_.delta_threshold <= 0) {
     apply_full(doses, begin, end);
     return;
   }
@@ -921,17 +910,20 @@ void ExposureEvaluator::set_active_doses(const std::vector<double>& doses) {
 
 void ExposureEvaluator::reset_doses(const std::vector<double>& doses) {
   expects(doses.size() == shots_.size(), "reset_doses: size mismatch");
-  // Exact by design, like set_background_doses: after this call the
-  // evaluator is bit-identical to one freshly constructed at these doses.
-  // The delta route applies every changed dose verbatim (exact inequality,
-  // no threshold deferral — reset semantics) and restores exactness by
-  // recomputing just the moved footprints plus the delta-scatter dirty set.
-  // This is the resident shard's re-entry after an optimistic exit: near
-  // convergence only a minority of doses survived the last unverified
-  // update, so the full rebuild would mostly recompute unchanged pixels.
-  const bool deltaable = opt_.delta_threshold > 0 && delta_capable() &&
-                         long_base_ != nullptr && ghost_base_ != nullptr &&
-                         !dirty_overflow_;
+  // Exact by design (see the header): after this call the evaluator is
+  // bit-identical to one freshly constructed at these doses. The delta
+  // route gets there without the full rebuild: the only pixels whose state
+  // can deviate from a fresh construction are those delta scatters have
+  // touched since the last full gather (tracked in dirty_px_) plus the
+  // changed shots' footprints, and recomputing exactly those with the
+  // full-gather arithmetic (same ascending-order sums) restores global
+  // exactness at O(touched) cost. Deviations are *exact* inequality, not
+  // delta_threshold — deferring a changed dose would break the bitwise
+  // equivalence the sharded corrector builds on. A resident shard re-enters
+  // here every round: usually only a few ghosts moved; after an optimistic
+  // exit or quantization its own doses moved too.
+  const bool deltaable = opt_.delta_threshold > 0 && long_base_ != nullptr &&
+                         ghost_base_ != nullptr && !dirty_overflow_;
   if (!deltaable) {
     apply_full(doses.data(), 0, shots_.size());
     return;
@@ -956,51 +948,6 @@ void ExposureEvaluator::reset_doses(const std::vector<double>& doses) {
   for (const std::uint32_t k : moved_scratch_)
     shots_[active_ + k].dose = doses[active_ + k];
   exact_delta_refresh(moved_active, moved_scratch_);
-}
-
-void ExposureEvaluator::set_background_doses(const std::vector<double>& doses) {
-  expects(doses.size() == shots_.size() - active_,
-          "set_background_doses: size mismatch");
-  if (doses.empty()) return;
-  // Exact by design (see the header): after this call the evaluator is
-  // bit-identical to one freshly constructed at the same doses. The delta
-  // route below gets there without the full rebuild: the only pixels whose
-  // state can deviate from a fresh construction are those delta scatters
-  // have touched since the last full gather (tracked in dirty_px_) plus the
-  // changed ghosts' footprints, and recomputing exactly those with the
-  // full-gather arithmetic (same ascending-order sums) restores global
-  // exactness at O(touched) cost. Deviations are *exact* inequality, not
-  // delta_threshold — deferring a changed ghost would break the bitwise
-  // equivalence the sharded corrector builds on.
-  const bool deltaable = opt_.delta_threshold > 0 && delta_capable() &&
-                         long_base_ != nullptr && ghost_base_ != nullptr &&
-                         !dirty_overflow_;
-  if (!deltaable) {
-    for (std::size_t i = 0; i < doses.size(); ++i)
-      shots_[active_ + i].dose = doses[i];
-    if (ghost_base_) rebuild_ghost_base();
-    accumulate_long_range();
-    short_cache_valid_ = false;
-    delta_streak_ = 0;
-    return;
-  }
-  moved_scratch_.clear();
-  for (std::size_t k = 0; k < doses.size(); ++k) {
-    if (doses[k] != shots_[active_ + k].dose)
-      moved_scratch_.push_back(static_cast<std::uint32_t>(k));
-  }
-  if (moved_scratch_.empty() && dirty_px_.empty()) {
-    // Nothing changed since the last globally exact state. Only the
-    // incrementally patched short-range cache could deviate from a fresh
-    // recomputation, so drop just that and skip accumulate + blur entirely.
-    short_cache_valid_ = false;
-    delta_streak_ = 0;
-    ++perf_.skipped_refreshes;
-    return;
-  }
-  for (const std::uint32_t k : moved_scratch_)
-    shots_[active_ + k].dose = doses[k];
-  exact_delta_refresh({}, moved_scratch_);
 }
 
 void ExposureEvaluator::exact_delta_refresh(

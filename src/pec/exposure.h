@@ -97,12 +97,6 @@ struct ExposureOptions {
   /// value (see the header comment).
   int threads = 0;
 
-  /// Cache per-shot sparse raster footprints at construction so dose updates
-  /// only re-weight cached splats (memory ~ a few pixels per shot per
-  /// long-range term). Disable to fall back to re-rasterizing the geometry
-  /// on every set_doses — only useful for benchmarking the cache itself.
-  bool splat_cache = true;
-
   /// Long-range blur backend. kAuto compares the flop model of the separable
   /// kernel against the padded-FFT plan and keeps the cheaper one; results
   /// are backend-independent to floating-point rounding either way.
@@ -218,27 +212,18 @@ class ExposureEvaluator {
   /// background doses stay frozen. Refreshes cached maps.
   void set_active_doses(const std::vector<double>& doses);
 
-  /// Replaces every dose (active and background) through the exact
-  /// full-refresh path, regardless of delta_threshold: all requested doses
-  /// are applied, the frozen ghost map and base map are rebuilt, and the
-  /// short-range cache is invalidated — the evaluator afterwards is
-  /// bit-identical to one freshly constructed at these doses. The sharded
-  /// corrector uses this to re-enter a resident shard whose own doses it
-  /// cannot prove current (see set_background_doses for the ghost-only
-  /// variant).
+  /// Replaces every dose (active and background) exactly, regardless of
+  /// delta_threshold: all requested doses are applied, and the evaluator
+  /// afterwards is bit-identical to one freshly constructed at these doses,
+  /// while the expensive geometry caches (neighbor grid, splat clipping,
+  /// kernel taps, FFT plan) are reused. Doses are compared exactly, so the
+  /// refresh costs what moved: the changed shots' footprints plus every
+  /// pixel earlier delta scatters perturbed, or nothing at all when no dose
+  /// changed and no scatter is pending. This is the re-entry of a resident
+  /// shard evaluator, and the equivalence is what lets the sharded corrector
+  /// evict and rebuild pool entries without changing a single bit of the
+  /// result.
   void reset_doses(const std::vector<double>& doses);
-
-  /// Replaces the background (ghost) doses only (size must match
-  /// shots().size() - active_count()); active doses stay as applied. This is
-  /// the halo-exchange entry point for a resident shard evaluator: the
-  /// refresh is *exact* — frozen ghost map re-rasterized, base map fully
-  /// re-gathered, short-range cache invalidated — so the evaluator's state
-  /// afterwards is bit-identical to a freshly constructed evaluator at the
-  /// same doses, while the expensive geometry caches (neighbor grid, splat
-  /// clipping, kernel taps, FFT plan) are reused. That equivalence is what
-  /// lets the sharded corrector evict and rebuild pool entries without
-  /// changing a single bit of the result.
-  void set_background_doses(const std::vector<double>& doses);
 
   /// Switches the long-range blur backend and re-derives the blurred maps
   /// from the current doses (the accumulated base map is reused). Lets
@@ -294,11 +279,9 @@ class ExposureEvaluator {
   bool blur_long_range_windowed(bool allow_fft);
 
   // Delta-path internals (see ExposureOptions::delta_threshold).
-  bool delta_capable() const;
-  // Shared exact-delta core of reset_doses / set_background_doses: with the
-  // moved doses already applied to shots_, restores the evaluator to the
-  // bitwise state of a fresh construction at O(touched + ghost re-raster)
-  // cost. Marks the moved shots' footprints (actives via the splat CSR,
+  // Exact-delta core of reset_doses: with the moved doses already applied
+  // to shots_, restores the evaluator to the bitwise state of a fresh
+  // construction at O(touched + ghost re-raster) cost. Marks the moved shots' footprints (actives via the splat CSR,
   // ghosts via coverage re-visits) plus every pixel earlier delta scatters
   // perturbed as dirty, re-rasters the frozen ghost map when ghosts moved,
   // recomputes the dirty pixels with the full-gather arithmetic, then
@@ -354,8 +337,8 @@ class ExposureEvaluator {
   // Background (frozen-dose) shots are not in the splat cache: their
   // dose-weighted coverage is rasterized once into ghost_base_ and added on
   // top of the active gather, so cache memory and the per-iteration gather
-  // are O(active shots). Rebuilt only by set_doses (which may move
-  // background doses); null when every shot is active.
+  // are O(active shots). Rebuilt only by the dose setters that may move
+  // background doses; null when every shot is active.
   std::unique_ptr<Raster> long_base_;
   std::unique_ptr<Raster> ghost_base_;
   std::vector<std::uint32_t> px_start_;
@@ -387,7 +370,7 @@ class ExposureEvaluator {
   // Dirty-pixel tracking for exact background refreshes: every base-map
   // pixel a delta scatter has touched since the last full gather (the last
   // point where the whole evaluator state was bitwise that of a fresh
-  // construction). set_background_doses re-derives exactly these pixels
+  // construction). reset_doses re-derives exactly these pixels
   // (plus changed-ghost footprints) with full-gather arithmetic, which
   // restores global bitwise freshness at O(touched) cost. Tracked only for
   // split evaluators (ghost_base_ set); overflow past half the map flips

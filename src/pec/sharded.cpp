@@ -180,14 +180,14 @@ constexpr double kOptimisticExitFactor = 20.0;
 constexpr double kShardToleranceSlack = 0.5;
 
 // The wire-format job for one shard of one round — the single description
-// both execution paths consume (in-process via solve_shard_job directly,
-// distributed via a pec_worker process that calls the same function).
-// Active and ghost lists carry the published doses of the round snapshot.
+// every execution path consumes (the local sweep via solve_shard_job
+// directly, a pec_worker daemon via the same function). Active and ghost
+// lists carry the published doses of the round snapshot.
 wire::ShardJob make_job(const ShotList& shots, const Psf& psf,
                         const PecOptions& options, const ShardLayout& L,
                         std::size_t slot, const std::vector<double>& doses,
                         bool correct, double tol, bool allow_optimistic,
-                        bool reset_all, bool pooled, std::uint64_t session_id) {
+                        std::uint64_t session_id) {
   const std::uint32_t* active = L.active_items.data() + L.active_start[slot];
   const std::size_t na = L.active_start[slot + 1] - L.active_start[slot];
   const std::uint32_t* ghosts = L.ghost_items.data() + L.ghost_start[slot];
@@ -198,8 +198,6 @@ wire::ShardJob make_job(const ShotList& shots, const Psf& psf,
   job.shard_key = slot;  // slots are dense and stable for the whole session
   job.correct = correct;
   job.allow_optimistic = allow_optimistic;
-  job.reset_all = reset_all;
-  job.pooled = pooled;
   job.tolerance = tol;
   job.psf_terms.assign(psf.terms().begin(), psf.terms().end());
   job.options = options;
@@ -234,21 +232,6 @@ ShardOutcome apply_result(const ShardLayout& L, std::size_t slot,
     if (changed && r.changed[k]) (*changed)[active[k]] = 1;
   }
   return out;
-}
-
-// One shard's solve for one round, executed in-process: job construction +
-// the shared solver + result application. Kept as a thin composition so the
-// in-process sweep and a remote worker run literally the same arithmetic.
-ShardOutcome run_shard(const ShotList& shots, const Psf& psf,
-                       const PecOptions& options, const ShardLayout& L,
-                       std::size_t slot, const std::vector<double>& doses,
-                       std::vector<double>* next, std::vector<std::uint8_t>* changed,
-                       bool correct, double tol, bool allow_optimistic, bool reset_all,
-                       std::unique_ptr<ExposureEvaluator>* pool_slot, bool pooled) {
-  const wire::ShardJob job = make_job(shots, psf, options, L, slot, doses, correct,
-                                      tol, allow_optimistic, reset_all, pooled, 0);
-  const wire::ShardResult r = solve_shard_job(job, pool_slot);
-  return apply_result(L, slot, r, next, changed);
 }
 
 // Density-formula warm start: every shot's initial dose from the closed-form
@@ -299,242 +282,87 @@ void density_warm_start(const ShotList& shots, const Psf& psf,
       options.exposure.threads);
 }
 
-// One round sweep (or the final measurement pass) over the run set. The two
-// implementations must be result-equivalent; the in-process one is the
-// oracle the distributed one is pinned against (bitwise, see the tests).
+// One round sweep (or the final measurement pass) over a run set of shard
+// slots.
 struct SweepCtx {
   bool correct = true;
   double tol = 0.0;
   bool allow_optimistic = false;
-  bool force_reset = false;  ///< post-quantization measurement: reset every shard
-  int round = 0;             ///< recency stamp for the in-process pool
-  const std::vector<std::uint8_t>* will_run = nullptr;
-  const std::vector<std::uint8_t>* self_dirty = nullptr;
   const std::vector<double>* doses = nullptr;
   std::vector<double>* next = nullptr;            ///< null in measurement pass
   std::vector<std::uint8_t>* changed = nullptr;   ///< null in measurement pass
   std::vector<ShardOutcome>* outcomes = nullptr;  ///< ran slots only
 };
 
-class ShardRunner {
+// Runs each sweep's shards. On the driver's own threads there is one sweep,
+// solve_locally: plan the run set's residency on the driver's ShardPool,
+// then solve the shards concurrently on the thread pool. With workers
+// (worker_count > 0 or worker_hosts) a sweep goes instead to a supervised
+// pool of pec_worker daemon sessions (pec/supervisor.h + pec/transport.h) —
+// worker_count daemons spawned on loopback, or daemons already running
+// elsewhere (PEC as a service) — and the supervisor hands whatever it
+// cannot place once every worker is gone back to solve_locally. Shards
+// stick to workers (slot mod W) so each daemon's own ShardPool keeps hitting
+// across halo-exchange rounds. The supervisor owns liveness: per-job
+// deadlines, crash/disconnect detection, bounded restart/reconnect, and
+// reassignment of a failed worker's jobs within the round. Recovery never
+// changes a bit: every path runs the identical pure job through
+// solve_shard_job, and results land in disjoint per-slot cells regardless
+// of which worker (or no worker) produced them.
+class ShardExecutor {
  public:
-  virtual ~ShardRunner() = default;
-  virtual void sweep(const SweepCtx& ctx) = 0;
-  /// Fills the runner-specific PecResult fields (residency, evictions,
-  /// workers) and performs orderly teardown. Called once, on success.
-  virtual void finish(PecResult* result) = 0;
-};
-
-// The single-process execution path: shards of a sweep run concurrently on
-// the thread pool, sharing a driver-side resident evaluator pool.
-class InProcessRunner : public ShardRunner {
- public:
-  InProcessRunner(const ShotList& shots, const Psf& psf, const PecOptions& options,
-                  const ShardLayout& L)
-      : shots_(shots), psf_(psf), options_(options), L_(L) {
-    pooled_ = options.resident_shard_budget > 0;
-    budget_ = pooled_ ? static_cast<std::size_t>(options.resident_shard_budget) : 0;
-    pool_.resize(pooled_ ? L.count : 0);
-    last_used_.assign(pooled_ ? L.count : 0, -1);
-    grant_.assign(L.count, 0);
+  ShardExecutor(const ShotList& shots, const Psf& psf, const PecOptions& options,
+                const ShardLayout& L)
+      : shots_(shots), psf_(psf), options_(options), L_(L), job_options_(options) {
+    if (options.worker_count > 0 || !options.worker_hosts.empty()) start_workers();
   }
 
-  void sweep(const SweepCtx& ctx) override {
-    const std::vector<std::uint8_t>& will_run = *ctx.will_run;
-    const std::vector<std::uint8_t>& self_dirty = *ctx.self_dirty;
-    plan_residency(will_run);
-    parallel_for(
-        L_.count,
-        [&](std::size_t s0, std::size_t s1) {
-          for (std::size_t s = s0; s < s1; ++s) {
-            if (!will_run[s]) continue;
-            auto* slot = pooled_ && (pool_[s] || grant_[s]) ? &pool_[s] : nullptr;
-            (*ctx.outcomes)[s] = run_shard(
-                shots_, psf_, options_, L_, s, *ctx.doses, ctx.next, ctx.changed,
-                ctx.correct, ctx.tol, ctx.allow_optimistic,
-                /*reset_all=*/self_dirty[s] != 0 || ctx.force_reset, slot, pooled_);
-          }
-        },
-        options_.exposure.threads);
-    // Correction rounds stamp recency for the LRU planner; the measurement
-    // pass does not (nothing re-enters after it).
-    if (ctx.correct && pooled_) {
-      for (std::size_t s = 0; s < L_.count; ++s) {
-        if (will_run[s] && pool_[s]) last_used_[s] = ctx.round;
-      }
-    }
-  }
-
-  void finish(PecResult* result) override {
-    if (pooled_) {
-      for (const auto& p : pool_) result->resident_shards += p != nullptr;
-    }
-    result->shard_evictions = evictions_;
-  }
-
- private:
-  // Resident evaluator pool: one slot per shard, filled up to the budget.
-  // Grants and evictions are planned serially before each sweep from the
-  // sweep's deterministic run set, so the pool contents never depend on
-  // thread scheduling — and since resident re-entry is exact (see
-  // solve_shard_job), they could not change results even if they did.
-  void plan_residency(const std::vector<std::uint8_t>& will_run) {
-    if (!pooled_) return;
-    const std::size_t ns = L_.count;
-    std::fill(grant_.begin(), grant_.end(), 0);
-    std::size_t resident = 0;
-    for (std::size_t s = 0; s < ns; ++s) resident += pool_[s] != nullptr;
-    for (std::size_t s = 0; s < ns; ++s) {
-      if (!will_run[s] || pool_[s]) continue;
-      if (resident < budget_) {
-        grant_[s] = 1;
-        ++resident;
-        continue;
-      }
-      // Evict the least-recently-run resident that is idle this round
-      // (ties: highest slot), then grant its place.
-      std::size_t victim = ns;
-      for (std::size_t v = 0; v < ns; ++v) {
-        if (!pool_[v] || will_run[v]) continue;
-        if (victim == ns || last_used_[v] < last_used_[victim] ||
-            (last_used_[v] == last_used_[victim] && v > victim)) {
-          victim = v;
-        }
-      }
-      if (victim == ns) break;  // every resident runs this round: rest transient
-      pool_[victim].reset();
-      ++evictions_;
-      grant_[s] = 1;
-    }
-  }
-
-  const ShotList& shots_;
-  const Psf& psf_;
-  const PecOptions& options_;
-  const ShardLayout& L_;
-  bool pooled_ = false;
-  std::size_t budget_ = 0;
-  std::vector<std::unique_ptr<ExposureEvaluator>> pool_;
-  std::vector<int> last_used_;
-  std::vector<std::uint8_t> grant_;
-  int evictions_ = 0;
-};
-
-// The multi-process execution path: a supervised pool of pec_worker daemon
-// sessions (pec/supervisor.h + pec/transport.h) — worker_count daemons
-// spawned on loopback, or, with options.worker_hosts set, daemons already
-// running elsewhere (PEC as a service). Shards stick to workers (slot mod W)
-// so each worker's resident evaluator pool keeps hitting across
-// halo-exchange rounds — the set_background_doses refresh protocol, spoken
-// over the wire. The supervisor owns liveness: per-job deadlines,
-// crash/disconnect detection, bounded restart/reconnect, reassignment of a
-// failed worker's jobs within the round, and — when every slot is gone —
-// finishing the round in-process. Recovery never changes a bit: every path
-// replays the identical pure job (deduplicated daemon-side by job seq), and
-// results land in disjoint per-slot cells regardless of which worker (or no
-// worker) produced them.
-class DistributedRunner : public ShardRunner {
- public:
-  DistributedRunner(const ShotList& shots, const Psf& psf, const PecOptions& options,
-                    const ShardLayout& L)
-      : shots_(shots), psf_(psf), options_(options), L_(L) {
-    // One supervisor slot per worker_hosts address (a daemon serves sessions
-    // sequentially, so more slots than daemons would serialize, and
-    // worker_count is ignored), else worker_count spawned daemons; clamped
-    // to the shard count either way.
-    std::vector<net::HostPort> hosts;
-    for (std::size_t start = 0; start < options.worker_hosts.size();) {
-      std::size_t end = options.worker_hosts.find(',', start);
-      if (end == std::string::npos) end = options.worker_hosts.size();
-      if (end > start)
-        hosts.push_back(
-            net::parse_host_port(options.worker_hosts.substr(start, end - start)));
-      start = end + 1;
-    }
-    std::string path;
-    if (!options.worker_hosts.empty()) {
-      if (hosts.empty())
-        throw DataError("sharded PEC: worker_hosts lists no addresses");
-    } else {
-      path = options.worker_path.empty() ? default_pec_worker_path()
-                                         : options.worker_path;
-      if (::access(path.c_str(), X_OK) != 0)
-        throw DataError("sharded PEC: pec_worker binary not executable: " + path);
-    }
-    const int wanted = hosts.empty() ? options.worker_count
-                                     : static_cast<int>(hosts.size());
-    workers_n_ = std::max(1, std::min<int>(wanted, static_cast<int>(L.count)));
-    if (!hosts.empty()) hosts.resize(static_cast<std::size_t>(workers_n_));
-
-    // One driver process + N workers share the machine: each worker gets an
-    // equal slice of the resolved thread budget (>= 1). Thread count never
-    // changes results, only scheduling.
-    wopt_ = options;
-    wopt_.exposure.threads =
-        std::max(1, resolve_threads(options.exposure.threads) / workers_n_);
-
-    // Session tag: workers drop stale resident evaluators if a long-lived
-    // daemon ever sees jobs from two solves, so the tag must be unique
-    // across driver processes. A reconnecting session re-sends the SAME tag,
-    // keeping a remote daemon's pool warm across connection faults.
-    static std::atomic<std::uint64_t> counter{0};
-    session_ = (static_cast<std::uint64_t>(::getpid()) << 32) | ++counter;
-
-    SupervisorConfig cfg;
-    cfg.factory = make_session_factory(std::move(hosts), std::move(path), session_);
-    cfg.workers = workers_n_;
-    cfg.timeout_ms = options.worker_timeout_ms;
-    cfg.max_restarts = options.worker_max_restarts;
-    cfg.fallback_threads = options.exposure.threads;
-    supervisor_ = std::make_unique<WorkerSupervisor>(std::move(cfg));
-    worker_resident_.assign(static_cast<std::size_t>(workers_n_), 0);
-    worker_evictions_.assign(static_cast<std::size_t>(workers_n_), 0);
-  }
-
-  ~DistributedRunner() override {
-    // Error-path teardown; finish() already shut the pool down on success.
+  ~ShardExecutor() {
+    // Error-path teardown; finish() already shut the workers down on success.
     if (supervisor_) supervisor_->terminate_all();
   }
 
-  void sweep(const SweepCtx& ctx) override {
-    const std::vector<std::uint8_t>& will_run = *ctx.will_run;
-    const std::vector<std::uint8_t>& self_dirty = *ctx.self_dirty;
-    std::vector<std::size_t> slots;
-    for (std::size_t s = 0; s < L_.count; ++s)
-      if (will_run[s]) slots.push_back(s);
-    if (slots.empty()) return;
-
+  void sweep(const SweepCtx& ctx, const std::vector<std::size_t>& run) {
+    if (run.empty()) return;
+    if (!supervisor_) {
+      solve_locally(ctx, run);
+      return;
+    }
     supervisor_->run_batch(
-        slots.size(),
+        run.size(),
         // Sticky deterministic assignment: shard slot -> worker slot % W
         // (the supervisor redeals jobs of dead slots).
-        [&](std::size_t i) { return slots[i]; },
+        [&](std::size_t i) { return run[i]; },
         // Jobs are pure functions of the round-start snapshot, so a retry
         // rebuilds the identical bytes — which is why recovery is bitwise
         // invisible.
-        [&](std::size_t i) {
-          const std::size_t s = slots[i];
-          return make_job(shots_, psf_, wopt_, L_, s, *ctx.doses, ctx.correct,
-                          ctx.tol, ctx.allow_optimistic,
-                          /*reset_all=*/self_dirty[s] != 0 || ctx.force_reset,
-                          wopt_.resident_shard_budget > 0, session_);
-        },
+        [&](std::size_t i) { return job(ctx, run[i]); },
         // Results apply into per-slot cells (disjoint across concurrent
         // readers, so no synchronization). A wrong-shard result throws,
         // which the supervisor treats as a worker fault.
         [&](std::size_t i, int w, const wire::ShardResult& r) {
-          const std::size_t s = slots[i];
+          const std::size_t s = run[i];
           if (r.shard_key != s)
             throw DataError("sharded PEC: result for the wrong shard");
           (*ctx.outcomes)[s] = apply_result(L_, s, r, ctx.next, ctx.changed);
-          if (w >= 0) {
-            worker_resident_[static_cast<std::size_t>(w)] = r.pool_resident;
-            worker_evictions_[static_cast<std::size_t>(w)] = r.pool_evictions;
-          }
+          worker_resident_[static_cast<std::size_t>(w)] = r.pool_resident;
+          worker_evictions_[static_cast<std::size_t>(w)] = r.pool_evictions;
+        },
+        // Out of workers: the rest of the round runs here.
+        [&](const std::vector<std::size_t>& jobs) {
+          std::vector<std::size_t> slots;
+          slots.reserve(jobs.size());
+          for (const std::size_t i : jobs) slots.push_back(run[i]);
+          solve_locally(ctx, slots);
         });
   }
 
-  void finish(PecResult* result) override {
+  // Fills the execution-specific PecResult fields (residency, evictions,
+  // workers) and shuts the workers down. Called once, on success.
+  void finish(PecResult* result) {
+    result->resident_shards = static_cast<int>(pool_.resident());
+    result->shard_evictions = static_cast<int>(pool_.evictions());
+    if (!supervisor_) return;
     result->workers = workers_n_;
     for (const std::uint32_t r : worker_resident_)
       result->resident_shards += static_cast<int>(r);
@@ -552,14 +380,96 @@ class DistributedRunner : public ShardRunner {
   }
 
  private:
+  wire::ShardJob job(const SweepCtx& ctx, std::size_t slot) const {
+    return make_job(shots_, psf_, job_options_, L_, slot, *ctx.doses, ctx.correct,
+                    ctx.tol, ctx.allow_optimistic, session_);
+  }
+
+  // The one local sweep: residency for the whole run set is planned before
+  // any shard runs, then each shard solves into its own slot.
+  void solve_locally(const SweepCtx& ctx, const std::vector<std::size_t>& slots) {
+    std::vector<ShardPool::Request> batch;
+    batch.reserve(slots.size());
+    for (const std::size_t s : slots) {
+      batch.push_back({s, L_.active_start[s + 1] - L_.active_start[s],
+                       L_.ghost_start[s + 1] - L_.ghost_start[s]});
+    }
+    const std::vector<ShardPool::Slot*> resident =
+        pool_.plan(batch, options_.resident_shard_budget);
+    parallel_for(
+        slots.size(),
+        [&](std::size_t i0, std::size_t i1) {
+          for (std::size_t i = i0; i < i1; ++i) {
+            const std::size_t s = slots[i];
+            (*ctx.outcomes)[s] = apply_result(
+                L_, s, solve_shard_job(job(ctx, s), resident[i]), ctx.next,
+                ctx.changed);
+          }
+        },
+        options_.exposure.threads);
+  }
+
+  void start_workers() {
+    // One supervisor slot per worker_hosts address (a daemon serves sessions
+    // sequentially, so more slots than daemons would serialize, and
+    // worker_count is ignored), else worker_count spawned daemons; clamped
+    // to the shard count either way.
+    std::vector<net::HostPort> hosts;
+    const std::string& list = options_.worker_hosts;
+    for (std::size_t start = 0; start < list.size();) {
+      std::size_t end = list.find(',', start);
+      if (end == std::string::npos) end = list.size();
+      if (end > start)
+        hosts.push_back(net::parse_host_port(list.substr(start, end - start)));
+      start = end + 1;
+    }
+    std::string path;
+    if (!list.empty()) {
+      if (hosts.empty())
+        throw DataError("sharded PEC: worker_hosts lists no addresses");
+    } else {
+      path = options_.worker_path.empty() ? default_pec_worker_path()
+                                          : options_.worker_path;
+      if (::access(path.c_str(), X_OK) != 0)
+        throw DataError("sharded PEC: pec_worker binary not executable: " + path);
+    }
+    const int wanted = hosts.empty() ? options_.worker_count
+                                     : static_cast<int>(hosts.size());
+    workers_n_ = std::max(1, std::min<int>(wanted, static_cast<int>(L_.count)));
+    if (!hosts.empty()) hosts.resize(static_cast<std::size_t>(workers_n_));
+
+    // One driver process + N workers share the machine: each worker gets an
+    // equal slice of the resolved thread budget (>= 1). Thread count never
+    // changes results, only scheduling.
+    job_options_.exposure.threads =
+        std::max(1, resolve_threads(options_.exposure.threads) / workers_n_);
+
+    // Session tag: workers drop stale resident evaluators if a long-lived
+    // daemon ever sees jobs from two solves, so the tag must be unique
+    // across driver processes. A reconnecting session re-sends the SAME tag,
+    // keeping a remote daemon's pool warm across connection faults.
+    static std::atomic<std::uint64_t> counter{0};
+    session_ = (static_cast<std::uint64_t>(::getpid()) << 32) | ++counter;
+
+    SupervisorConfig cfg;
+    cfg.factory = make_session_factory(std::move(hosts), std::move(path), session_);
+    cfg.workers = workers_n_;
+    cfg.timeout_ms = options_.worker_timeout_ms;
+    cfg.max_restarts = options_.worker_max_restarts;
+    supervisor_ = std::make_unique<WorkerSupervisor>(std::move(cfg));
+    worker_resident_.assign(static_cast<std::size_t>(workers_n_), 0);
+    worker_evictions_.assign(static_cast<std::size_t>(workers_n_), 0);
+  }
+
   const ShotList& shots_;
   const Psf& psf_;
   const PecOptions& options_;
   const ShardLayout& L_;
-  PecOptions wopt_;  ///< options as sent to workers (per-worker threads)
-  int workers_n_ = 0;
+  PecOptions job_options_;  ///< options as put in jobs (per-worker threads)
+  ShardPool pool_;          ///< the driver's own resident evaluators
   std::uint64_t session_ = 0;
-  std::unique_ptr<WorkerSupervisor> supervisor_;
+  int workers_n_ = 0;
+  std::unique_ptr<WorkerSupervisor> supervisor_;  ///< null: local only
   std::vector<std::uint32_t> worker_resident_;
   std::vector<std::uint32_t> worker_evictions_;
 };
@@ -592,22 +502,18 @@ wire::ShardResult solve_shard_job(const wire::ShardJob& job,
   std::unique_ptr<ExposureEvaluator> transient;
   BlurPerf perf0;
   if (pool_slot && *pool_slot) {
-    // Resident re-entry: reuse the geometry caches, reset the dose state
-    // exactly. Ghost doses always come in fresh; the shard's own doses are
-    // re-applied too when they are not known to match the evaluator
-    // (optimistic exit last round, or post-quantization measurement).
+    // Resident re-entry: reuse the geometry caches and reset every dose to
+    // the job's. reset_doses compares each dose exactly, so the usual entry
+    // (own doses as published last round, a few ghosts moved) refreshes only
+    // what moved — and an entry the evaluator's state does not match (an
+    // optimistic exit, quantized doses, the same job solved again) still
+    // lands bit-identical to a fresh evaluator.
     eval = pool_slot->get();
     perf0 = eval->blur_perf();
-    if (job.reset_all) {
-      std::vector<double> all(na + ng);
-      for (std::size_t k = 0; k < na; ++k) all[k] = job.active[k].dose;
-      for (std::size_t k = 0; k < ng; ++k) all[na + k] = job.ghosts[k].dose;
-      eval->reset_doses(all);
-    } else {
-      std::vector<double> bg(ng);
-      for (std::size_t k = 0; k < ng; ++k) bg[k] = job.ghosts[k].dose;
-      eval->set_background_doses(bg);
-    }
+    std::vector<double> all(na + ng);
+    for (std::size_t k = 0; k < na; ++k) all[k] = job.active[k].dose;
+    for (std::size_t k = 0; k < ng; ++k) all[na + k] = job.ghosts[k].dose;
+    eval->reset_doses(all);
   } else {
     ShotList local;
     local.reserve(na + ng);
@@ -615,14 +521,9 @@ wire::ShardResult solve_shard_job(const wire::ShardJob& job,
     local.insert(local.end(), job.ghosts.begin(), job.ghosts.end());
     // Centroid queries never leave the shard bbox, so the local long-range
     // map drops its off-pattern sampling margin — on small shards the dead
-    // border would otherwise rival the shard itself. Without the resident
-    // pool, measurement-only runs also skip the splat cache (one direct
-    // rasterization instead of a cache that would never be re-weighted);
-    // with it they keep the cache so a pooled and an unpooled measurement
-    // run the same arithmetic.
+    // border would otherwise rival the shard itself.
     ExposureOptions eopt = options.exposure;
     eopt.map_margin_sigmas = 0.0;
-    if (!job.correct && !job.pooled) eopt.splat_cache = false;
     transient = std::make_unique<ExposureEvaluator>(std::move(local), na, psf, eopt);
     eval = transient.get();
     if (pool_slot) *pool_slot = std::move(transient);  // granted residency
@@ -658,8 +559,7 @@ wire::ShardResult solve_shard_job(const wire::ShardJob& job,
   // Exact per-shot change flags: a clamped dose can survive an update step
   // unchanged, and only real changes should dirty the neighbors. Published
   // doses are the evaluator's applied ones (see the function comment) so a
-  // resident evaluator re-entering through set_background_doses is exactly
-  // at the published state.
+  // resident evaluator re-entering next round finds its own doses unmoved.
   out.doses.resize(na);
   out.changed.assign(na, 0);
   for (std::size_t k = 0; k < na; ++k) {
@@ -673,6 +573,66 @@ wire::ShardResult solve_shard_job(const wire::ShardJob& job,
   out.perf = perf_since(eval->blur_perf(), perf0);
   out.solve_ms = ms_since(t0);
   return out;
+}
+
+ShardPool::ShardPool() = default;
+ShardPool::~ShardPool() = default;
+
+std::vector<ShardPool::Slot*> ShardPool::plan(const std::vector<Request>& batch,
+                                              int budget) {
+  std::vector<Slot*> slots(batch.size(), nullptr);
+  if (budget <= 0) return slots;
+  ++tick_;
+  std::vector<std::uint64_t> in_batch;
+  in_batch.reserve(batch.size());
+  for (const Request& r : batch) in_batch.push_back(r.key);
+  std::sort(in_batch.begin(), in_batch.end());
+
+  std::size_t resident = this->resident();
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const Request& r = batch[i];
+    Entry& e = entries_[r.key];
+    if (e.eval && (e.active != r.active || e.ghosts != r.ghosts)) {
+      e.eval.reset();  // different geometry under this key: rebuild
+      --resident;
+    }
+    if (!e.eval) {
+      while (resident >= static_cast<std::size_t>(budget)) {
+        // Evict the least-recently-run resident outside the batch (ties:
+        // highest key).
+        Entry* victim = nullptr;
+        std::uint64_t victim_key = 0;
+        for (auto& [key, v] : entries_) {
+          if (!v.eval || std::binary_search(in_batch.begin(), in_batch.end(), key))
+            continue;
+          if (!victim || v.last_used < victim->last_used ||
+              (v.last_used == victim->last_used && key > victim_key)) {
+            victim = &v;
+            victim_key = key;
+          }
+        }
+        if (!victim) break;
+        victim->eval.reset();
+        ++evictions_;
+        --resident;
+      }
+      if (resident >= static_cast<std::size_t>(budget)) continue;  // transient
+      ++resident;  // granted
+    }
+    e.active = r.active;
+    e.ghosts = r.ghosts;
+    e.last_used = tick_;
+    slots[i] = &e.eval;
+  }
+  return slots;
+}
+
+void ShardPool::clear() { entries_.clear(); }
+
+std::uint32_t ShardPool::resident() const {
+  std::uint32_t n = 0;
+  for (const auto& [key, e] : entries_) n += e.eval != nullptr;
+  return n;
 }
 
 std::string default_pec_worker_path() {
@@ -764,14 +724,9 @@ PecResult correct_proximity_sharded(const ShotList& shots, const Psf& psf,
   result.shards = static_cast<int>(ns);
 
   // Execution backend: the thread pool, or (worker_count > 0) a pool of
-  // pec_worker processes speaking the wire format. Both run solve_shard_job
+  // pec_worker daemons speaking the wire format. Both run solve_shard_job
   // on identical jobs, so the choice cannot change a bit of the result.
-  std::unique_ptr<ShardRunner> runner;
-  if (options.worker_count > 0 || !options.worker_hosts.empty()) {
-    runner = std::make_unique<DistributedRunner>(shots, psf, options, L);
-  } else {
-    runner = std::make_unique<InProcessRunner>(shots, psf, options, L);
-  }
+  ShardExecutor exec(shots, psf, options, L);
 
   // Correction rounds: every shard solves against the round-start snapshot
   // (Jacobi across shards, so the outcome is independent of execution
@@ -785,8 +740,8 @@ PecResult correct_proximity_sharded(const ShotList& shots, const Psf& psf,
   std::vector<double> exit_err(ns, 0.0);
   std::vector<std::uint8_t> changed_prev(shots.size(), 1);
   std::vector<std::uint8_t> changed_cur(shots.size(), 0);
-  std::vector<std::uint8_t> will_run(ns, 0);
   std::vector<std::uint8_t> self_dirty(ns, 0);
+  std::vector<std::size_t> run;  // the sweep's run set, ascending slots
   const double shard_tol =
       ns > 1 ? kShardToleranceSlack * options.tolerance : options.tolerance;
   const int max_rounds = 1 + std::max(0, options.exchange_rounds);
@@ -796,11 +751,13 @@ PecResult correct_proximity_sharded(const ShotList& shots, const Psf& psf,
     const auto round_t0 = std::chrono::steady_clock::now();
     next = doses;  // skipped shards keep their slots verbatim
     std::fill(changed_cur.begin(), changed_cur.end(), 0);
+    run.clear();
     for (std::size_t s = 0; s < ns; ++s) {
-      will_run[s] =
-          round == 0 || self_dirty[s] || ghosts_dirty(L, s, changed_prev);
-      if (!will_run[s])
+      if (round == 0 || self_dirty[s] || ghosts_dirty(L, s, changed_prev)) {
+        run.push_back(s);
+      } else {
         outcomes[s] = ShardOutcome{exit_err[s], exit_err[s], 0, false, false, {}};
+      }
     }
     SweepCtx ctx;
     ctx.correct = true;
@@ -808,30 +765,26 @@ PecResult correct_proximity_sharded(const ShotList& shots, const Psf& psf,
     // Optimistic exits are only worth taking while a later round (or the
     // measurement pass) is there to verify them.
     ctx.allow_optimistic = ns > 1;
-    ctx.round = round;
-    ctx.will_run = &will_run;
-    ctx.self_dirty = &self_dirty;
     ctx.doses = &doses;
     ctx.next = &next;
     ctx.changed = &changed_cur;
     ctx.outcomes = &outcomes;
-    runner->sweep(ctx);
+    exec.sweep(ctx, run);
     std::swap(doses, next);  // publish: halos see fresh doses next round
     std::swap(changed_prev, changed_cur);
     result.rounds = round + 1;
 
+    for (const std::size_t s : run) {
+      exit_err[s] = outcomes[s].exit_error;
+      self_dirty[s] = outcomes[s].optimistic ? 1 : 0;
+    }
     double round_err = 0.0;
     int round_iters = 0;
     bool any_update = false;
-    for (std::size_t s = 0; s < ns; ++s) {
-      const ShardOutcome& o = outcomes[s];
+    for (const ShardOutcome& o : outcomes) {
       round_err = std::max(round_err, o.entry_error);
       round_iters = std::max(round_iters, o.iterations);
       any_update |= o.updated;
-      if (will_run[s]) {
-        exit_err[s] = o.exit_error;
-        self_dirty[s] = o.optimistic ? 1 : 0;
-      }
       result.blur.merge(o.perf);
     }
     result.max_error_history.push_back(round_err);
@@ -868,24 +821,21 @@ PecResult correct_proximity_sharded(const ShotList& shots, const Psf& psf,
     // last (verified) evaluation reuse that still-exact error; quantization
     // moves doses globally and forces a full re-measure.
     const auto measure_t0 = std::chrono::steady_clock::now();
+    run.clear();
     for (std::size_t s = 0; s < ns; ++s) {
-      will_run[s] = doses_moved || self_dirty[s] || ghosts_dirty(L, s, changed_prev);
-      if (!will_run[s])
+      if (doses_moved || self_dirty[s] || ghosts_dirty(L, s, changed_prev)) {
+        run.push_back(s);
+      } else {
         outcomes[s] = ShardOutcome{exit_err[s], exit_err[s], 0, false, false, {}};
+      }
     }
     SweepCtx ctx;
     ctx.correct = false;
     ctx.tol = shard_tol;
     ctx.allow_optimistic = false;
-    ctx.force_reset = doses_moved;
-    ctx.round = result.rounds;
-    ctx.will_run = &will_run;
-    ctx.self_dirty = &self_dirty;
     ctx.doses = &doses;
-    ctx.next = nullptr;
-    ctx.changed = nullptr;
     ctx.outcomes = &outcomes;
-    runner->sweep(ctx);
+    exec.sweep(ctx, run);
     double final_err = 0.0;
     for (std::size_t s = 0; s < ns; ++s) {
       final_err = std::max(final_err, outcomes[s].entry_error);
@@ -895,7 +845,7 @@ PecResult correct_proximity_sharded(const ShotList& shots, const Psf& psf,
     result.max_error_history.push_back(final_err);
     result.measure_ms = ms_since(measure_t0);
   }
-  runner->finish(&result);
+  exec.finish(&result);
   return result;
 }
 

@@ -30,19 +30,27 @@
 // loop stops early. Results are bit-identical for any thread count: each
 // shard writes only its own shots' doses, and all shards of a round read the
 // same published snapshot.
+//
+// Resident evaluators live in a ShardPool. The in-process solve and a
+// distributed driver that ran out of workers run the same pooled local
+// sweep; each pec_worker daemon admits its jobs through a ShardPool of its
+// own. A resident evaluator re-enters a round through the exact reset_doses
+// refresh, so residency changes the wall clock, never a bit.
+//
 // Out-of-process execution (PecOptions::worker_count > 0): shard solves are
 // identical, self-contained jobs, so the driver can farm each round's run
 // set over a pool of worker *processes* instead of pool threads. Jobs and
 // results cross process boundaries in the versioned binary wire format of
-// src/pec/wire.h (bit-exact doses), workers (tools/pec_worker.cpp) keep
-// their own resident evaluator pools and re-enter shards through the exact
-// set_background_doses / reset_doses refresh protocol, and the driver
-// certifies convergence exactly as in-process — so the distributed solve is
-// bitwise-identical to the single-process sharded solve, and worker_count
-// = 0 keeps today's in-process engine as the oracle.
+// src/pec/wire.h (bit-exact doses), and the driver certifies convergence
+// exactly as in-process — so the distributed solve is bitwise-identical to
+// the single-process sharded solve, and worker_count = 0 keeps the
+// in-process engine as the oracle.
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <unordered_map>
+#include <vector>
 
 #include "pec/correction.h"
 
@@ -89,18 +97,71 @@ PecResult correct_proximity_distributed(const ShotList& shots, const Psf& psf,
                                         const PecOptions& options);
 
 /// One shard solve from its wire-format job description — THE per-shard
-/// solver: the in-process round sweep, the distributed driver (via a
-/// worker), and tools/pec_worker.cpp all execute shard work through this
-/// single function, which is what makes remote execution bitwise-identical
-/// to in-process execution by construction.
+/// solver: the local sweep and tools/pec_worker.cpp both execute shard work
+/// through this single function, which is what makes remote execution
+/// bitwise-identical to in-process execution by construction.
 ///
 /// @p pool_slot: null for a transient solve. Non-null with an evaluator
 /// inside = resident re-entry — the evaluator must hold this shard's
-/// geometry, and is refreshed through reset_doses (job.reset_all) or
-/// set_background_doses, both exact. Non-null and empty = residency grant:
-/// the freshly built evaluator is parked there for the next entry.
+/// geometry, and every dose is reset to the job's through the exact
+/// reset_doses, so the result is the transient solve's bit for bit, however
+/// the evaluator was left. Non-null and empty = residency grant: the freshly
+/// built evaluator is parked there for the next entry.
 wire::ShardResult solve_shard_job(const wire::ShardJob& job,
                                   std::unique_ptr<ExposureEvaluator>* pool_slot);
+
+/// Resident shard evaluators, keyed by shard key, up to a budget of
+/// evaluators. The in-process sweep plans each round's run set with one;
+/// pec_worker admits every job through one as a batch of one.
+///
+/// Residency for a batch is planned serially, before the batch runs, so the
+/// pool never depends on thread scheduling: a resident shard is kept; a
+/// missing one is granted a slot while the pool is under budget, else the
+/// least-recently-run resident outside the batch is evicted for it (ties:
+/// highest key); when every resident is in the batch, the rest run
+/// transient. Since solve_shard_job re-enters exactly, none of this can
+/// change a result.
+class ShardPool {
+ public:
+  using Slot = std::unique_ptr<ExposureEvaluator>;
+
+  /// One shard of a batch: its key and the geometry counts a resident
+  /// evaluator must match. A resident whose counts differ is dropped (not
+  /// counted as an eviction) and planned like a missing one.
+  struct Request {
+    std::uint64_t key = 0;
+    std::size_t active = 0;
+    std::size_t ghosts = 0;
+  };
+
+  ShardPool();
+  ~ShardPool();
+  ShardPool(const ShardPool&) = delete;
+  ShardPool& operator=(const ShardPool&) = delete;
+
+  /// Plans residency for @p batch (distinct keys) under @p budget resident
+  /// evaluators and returns, per request, its solve_shard_job pool slot —
+  /// null for a transient run. Budget <= 0 grants nothing. Slots stay valid
+  /// until the next plan or clear; distinct slots may be filled concurrently.
+  std::vector<Slot*> plan(const std::vector<Request>& batch, int budget);
+
+  /// Drops every evaluator (a daemon's driver-session change).
+  void clear();
+
+  std::uint32_t resident() const;  ///< evaluators currently held
+  std::uint32_t evictions() const { return evictions_; }  ///< lifetime count
+
+ private:
+  struct Entry {
+    Slot eval;
+    std::size_t active = 0;
+    std::size_t ghosts = 0;
+    std::uint64_t last_used = 0;  ///< plan tick of the last run while resident
+  };
+  std::unordered_map<std::uint64_t, Entry> entries_;
+  std::uint64_t tick_ = 0;
+  std::uint32_t evictions_ = 0;
+};
 
 /// The pec_worker binary the distributed driver spawns when
 /// PecOptions::worker_path is empty: $EBL_PEC_WORKER when set, else

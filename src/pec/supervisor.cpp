@@ -8,10 +8,8 @@
 #include <mutex>
 #include <thread>
 
-#include "pec/sharded.h"
 #include "pec/wire.h"
 #include "util/contracts.h"
-#include "util/parallel.h"
 
 namespace ebl {
 namespace {
@@ -66,8 +64,7 @@ struct WorkerSupervisor::Attempt {
 WorkerSupervisor::WorkerSupervisor(SupervisorConfig config)
     : factory_(std::move(config.factory)),
       timeout_ms_(resolve_worker_timeout_ms(config.timeout_ms)),
-      max_restarts_(std::max(0, config.max_restarts)),
-      fallback_threads_(config.fallback_threads) {
+      max_restarts_(std::max(0, config.max_restarts)) {
   expects(static_cast<bool>(factory_), "WorkerSupervisor: no session factory");
   expects(config.workers > 0, "WorkerSupervisor: need at least one worker");
   sessions_.reserve(static_cast<std::size_t>(config.workers));
@@ -145,7 +142,8 @@ void WorkerSupervisor::handle_failure(std::size_t w, const std::string& error) {
 }
 
 void WorkerSupervisor::run_batch(std::size_t n, const Prefer& prefer,
-                                 const MakeJob& make_job, const Apply& apply) {
+                                 const MakeJob& make_job, const Apply& apply,
+                                 const SolveLocally& solve_locally) {
   const std::size_t nw = sessions_.size();
   std::vector<std::uint8_t> done(n, 0);
   std::vector<std::size_t> remaining;
@@ -171,17 +169,7 @@ void WorkerSupervisor::run_batch(std::size_t n, const Prefer& prefer,
                      "job(s) to in-process solves\n",
                      remaining.size());
       }
-      parallel_for(
-          remaining.size(),
-          [&](std::size_t i0, std::size_t i1) {
-            for (std::size_t k = i0; k < i1; ++k) {
-              const std::size_t i = remaining[k];
-              const wire::ShardJob job = make_job(i);
-              apply(i, -1, solve_shard_job(job, nullptr));
-              done[i] = 1;
-            }
-          },
-          fallback_threads_);
+      solve_locally(remaining);
       return;
     }
 

@@ -23,9 +23,9 @@
 //     everything from the job, which is exact);
 //   - unfinished jobs of a failed worker are re-enqueued in the same round:
 //     first to the respawned worker or the surviving ones, and — once every
-//     slot is dead and out of restart budget — to the driver's own threads
-//     (degraded_to_inprocess), so restart exhaustion slows the solve down
-//     instead of failing it.
+//     slot is dead and out of restart budget — to the driver's own threads,
+//     through the caller's local sweep (degraded_to_inprocess), so restart
+//     exhaustion slows the solve down instead of failing it.
 //
 // A worker slot is whatever its SessionFactory builds (src/pec/transport.h):
 // a TCP session on a pec_worker daemon, spawned on loopback or reached at a
@@ -80,8 +80,7 @@ struct SupervisorConfig {
   /// Raw PecOptions::worker_timeout_ms — resolved internally via
   /// resolve_worker_timeout_ms.
   double timeout_ms = 0.0;
-  int max_restarts = 2;      ///< per-slot restart/reconnect budget
-  int fallback_threads = 0;  ///< thread budget for degraded in-process solves
+  int max_restarts = 2;  ///< per-slot restart/reconnect budget
 };
 
 /// A supervised pool of pec_worker daemon sessions. run_batch is the whole
@@ -95,10 +94,10 @@ class WorkerSupervisor {
   /// Must be callable from worker writer threads and, for distinct jobs,
   /// concurrently.
   using MakeJob = std::function<wire::ShardJob(std::size_t)>;
-  /// Consumes job @p i's result. @p worker_slot is the slot that solved it,
-  /// or -1 for a degraded in-process solve. Called exactly once per job on
-  /// success; may be called concurrently for distinct jobs (results land in
-  /// disjoint state). Throwing marks the delivering worker faulty.
+  /// Consumes job @p i's result from the worker in @p worker_slot. Called
+  /// at most once per job, only for results a worker delivered; may be
+  /// called concurrently for distinct jobs (results land in disjoint state).
+  /// Throwing marks the delivering worker faulty.
   using Apply =
       std::function<void(std::size_t, int worker_slot, const wire::ShardResult&)>;
   /// Preferred (sticky) slot for job @p i, any size_t — taken mod the pool
@@ -106,6 +105,10 @@ class WorkerSupervisor {
   /// hit across rounds; a job whose preferred slot is dead is dealt
   /// round-robin to the live ones.
   using Prefer = std::function<std::size_t(std::size_t)>;
+  /// Solves and applies the given jobs on the driver's own threads — the
+  /// degraded path once no worker is left. Receives the jobs no worker
+  /// finished, and must finish every one of them.
+  using SolveLocally = std::function<void(const std::vector<std::size_t>&)>;
 
   /// Builds the pool (factory once per slot). Throws when an initial build
   /// fails — a pool that never existed is a configuration error, not a fault
@@ -119,13 +122,14 @@ class WorkerSupervisor {
   int workers() const { return static_cast<int>(sessions_.size()); }
   const SupervisorStats& stats() const { return stats_; }
 
-  /// Runs jobs 0..n-1 to completion (every job applied exactly once),
-  /// restarting / reassigning / degrading as needed. Exceptions thrown by
-  /// worker I/O or a worker's Apply are absorbed as worker faults; only
-  /// driver-side failures (make_job, a degraded in-process solve, restart
-  /// bookkeeping) propagate — and never with an attempt thread still running.
+  /// Runs jobs 0..n-1 to completion (every job applied exactly once, by
+  /// Apply or by solve_locally), restarting / reassigning / degrading as
+  /// needed. Exceptions thrown by worker I/O or a worker's Apply are absorbed
+  /// as worker faults; only driver-side failures (make_job, solve_locally,
+  /// restart bookkeeping) propagate — and never with an attempt thread still
+  /// running.
   void run_batch(std::size_t n, const Prefer& prefer, const MakeJob& make_job,
-                 const Apply& apply);
+                 const Apply& apply, const SolveLocally& solve_locally);
 
   /// Orderly shutdown: end every live session (half-close, stop a spawned
   /// daemon), give the pool a few seconds to drain and exit, hard-stop
@@ -166,7 +170,6 @@ class WorkerSupervisor {
   std::vector<int> restarts_used_;
   double timeout_ms_ = 0.0;  ///< resolved base; <= 0 means deadlines disabled
   int max_restarts_ = 0;
-  int fallback_threads_ = 0;
   std::uint64_t next_seq_ = 0;  ///< last seq handed out (session-unique)
   bool degraded_ = false;  ///< latches: once out of workers, stay in-process
   SupervisorStats stats_;

@@ -131,7 +131,6 @@ void put_options(Writer& w, const PecOptions& o) {
   w.f64(e.cutoff_sigmas);
   w.f64(e.map_margin_sigmas);
   w.i32(e.threads);
-  w.u8(e.splat_cache ? 1 : 0);
   w.u8(static_cast<std::uint8_t>(e.blur_backend));
   w.f64(e.delta_threshold);
   w.u8(e.fast_erf ? 1 : 0);
@@ -162,7 +161,6 @@ PecOptions get_options(Reader& r) {
   e.cutoff_sigmas = r.f64();
   e.map_margin_sigmas = r.f64();
   e.threads = r.i32();
-  e.splat_cache = r.boolean();
   const std::uint8_t backend = r.u8();
   if (backend > static_cast<std::uint8_t>(BlurBackend::kFft))
     throw DataError("wire: unknown blur backend");
@@ -236,8 +234,6 @@ std::string encode(const ShardJob& job) {
   w.u64(job.seq);
   w.u8(job.correct ? 1 : 0);
   w.u8(job.allow_optimistic ? 1 : 0);
-  w.u8(job.reset_all ? 1 : 0);
-  w.u8(job.pooled ? 1 : 0);
   w.f64(job.tolerance);
   w.u32(static_cast<std::uint32_t>(job.psf_terms.size()));
   for (const PsfTerm& t : job.psf_terms) {
@@ -258,8 +254,6 @@ ShardJob decode_shard_job(std::string_view payload) {
   job.seq = r.u64();
   job.correct = r.boolean();
   job.allow_optimistic = r.boolean();
-  job.reset_all = r.boolean();
-  job.pooled = r.boolean();
   job.tolerance = r.f64();
   const std::uint32_t nterms = r.u32();
   if (nterms == 0 || nterms > 64) throw DataError("wire: bad PSF term count");

@@ -51,7 +51,10 @@ inline constexpr std::uint32_t kMagic = 0x574C4245;  // "EBLW" little-endian
 /// and the session frames arrived: kHello / kHelloAck (per-connection
 /// re-handshake of a TCP worker daemon) and kPing / kPong (client-side
 /// liveness probes). Exact-match skew rule as ever.
-inline constexpr std::uint32_t kVersion = 4;
+/// v5: ShardJob lost its reset_all and pooled flags (resident re-entry
+/// always resets every dose exactly) and ExposureOptions lost splat_cache
+/// (always on), so a job is three bytes shorter. Exact-match skew rule.
+inline constexpr std::uint32_t kVersion = 5;
 /// Written as-is by every encoder; a reader that sees its bytes reversed is
 /// looking at a stream produced by a writer that did not follow the
 /// little-endian convention (or at garbage) and must reject it.
@@ -74,9 +77,9 @@ enum class MsgType : std::uint32_t {
 };
 
 /// One shard solve, fully specified. The driver builds one per shard per
-/// halo-exchange round; the flags mirror the in-process run_shard arguments
-/// exactly (see src/pec/sharded.cpp) so a worker executes the identical
-/// arithmetic.
+/// halo-exchange round, and the same job runs through solve_shard_job
+/// wherever it lands (see src/pec/sharded.cpp) — the driver's own threads
+/// or a worker — so every path executes the identical arithmetic.
 struct ShardJob {
   /// Driver-session tag: a worker drops its resident evaluator pool when it
   /// changes, so one long-lived worker can serve successive solves (whose
@@ -89,15 +92,14 @@ struct ShardJob {
   /// across delivery attempts: a job re-sent after a dropped connection
   /// carries the SAME seq, so a daemon that already solved it detects the
   /// duplicate and replays the cached result frame byte-for-byte instead of
-  /// solving twice (jobs are pure, so a cache miss re-solves to identical
-  /// doses anyway — the cache only saves the work). The supervisor stamps
-  /// every job; 0 = unsequenced (a hand-driven client), never cached.
+  /// solving twice. A cache miss re-solves to identical doses anyway — a
+  /// resident evaluator re-enters by resetting every dose to the job's — so
+  /// the cache only saves the work. The supervisor stamps every job; 0 =
+  /// unsequenced (a hand-driven client), never cached.
   std::uint64_t seq = 0;
 
   bool correct = true;           ///< false: measurement-only pass
   bool allow_optimistic = false; ///< may publish a final unverified update
-  bool reset_all = false;        ///< resident re-entry must re-apply own doses
-  bool pooled = true;            ///< driver pools evaluators (splat-cache rule)
 
   /// Per-shard stopping tolerance (the driver applies its cross-shard slack
   /// before filling this in).

@@ -286,26 +286,6 @@ TEST(Pec, CorrectionIsBitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(corrected[0][i].dose, corrected[1][i].dose) << "shot " << i;
 }
 
-TEST(ExposureEvaluator, SplatCacheMatchesRerasterization) {
-  const ShotList shots = pad_and_island();
-  const Psf psf = test_psf();
-  ExposureOptions cached;
-  ExposureOptions direct;
-  direct.splat_cache = false;
-  ExposureEvaluator eval_cached(shots, psf, cached);
-  ExposureEvaluator eval_direct(shots, psf, direct);
-  std::vector<double> doses(shots.size(), 1.25);
-  eval_cached.set_doses(doses);
-  eval_direct.set_doses(doses);
-  const auto a = eval_cached.exposures_at_centroids();
-  const auto b = eval_direct.exposures_at_centroids();
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    // The cache stores coverage fractions as float: agreement is to float
-    // precision of the long-range contribution, far below raster error.
-    EXPECT_NEAR(a[i], b[i], 1e-5) << "shot " << i;
-  }
-}
-
 TEST(GaussianBlur, PreservesMassInInterior) {
   Raster r(Box{0, 0, 10000, 10000}, 100);
   // Uniform field: blur must be identity in the interior.

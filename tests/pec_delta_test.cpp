@@ -273,7 +273,17 @@ TEST(DeltaPath, WindowedBlurBitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(DosePaths, SetBackgroundDosesIsBitwiseTheFreshEvaluator) {
+// The doses a resident shard re-enters with: its own (active) doses as the
+// evaluator already holds them, followed by new ghost doses.
+std::vector<double> with_ghosts(const ExposureEvaluator& eval,
+                                const std::vector<double>& bg) {
+  std::vector<double> all(eval.active_count());
+  for (std::size_t i = 0; i < all.size(); ++i) all[i] = eval.shots()[i].dose;
+  all.insert(all.end(), bg.begin(), bg.end());
+  return all;
+}
+
+TEST(DosePaths, GhostOnlyResetIsBitwiseTheFreshEvaluator) {
   const ShotList shots = pad_and_island();
   const Psf psf = test_psf();
   const std::size_t na = shots.size() / 2;
@@ -282,7 +292,7 @@ TEST(DosePaths, SetBackgroundDosesIsBitwiseTheFreshEvaluator) {
   std::vector<double> bg(shots.size() - na);
   for (std::size_t k = 0; k < bg.size(); ++k)
     bg[k] = 1.0 + 0.02 * static_cast<double>(k % 11);
-  split.set_background_doses(bg);
+  split.reset_doses(with_ghosts(split, bg));
   // Active doses untouched, background doses applied.
   for (std::size_t i = 0; i < na; ++i)
     EXPECT_EQ(split.shots()[i].dose, shots[i].dose);
@@ -298,11 +308,11 @@ TEST(DosePaths, SetBackgroundDosesIsBitwiseTheFreshEvaluator) {
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]) << "shot " << i;
 }
 
-TEST(DosePaths, BackgroundRefreshTakesTheDeltaRouteAndStaysBitwise) {
+TEST(DosePaths, GhostOnlyResetTakesTheDeltaRouteAndStaysBitwise) {
   // The resident-shard entry point: when only a few ghost doses moved,
-  // set_background_doses must re-rasterize just those ghosts' footprints
-  // (counted as a delta refresh) and still land bit-identical to a fresh
-  // evaluator — the sharded pipeline's residency contract depends on it.
+  // reset_doses must re-rasterize just those ghosts' footprints (counted as
+  // a delta refresh) and still land bit-identical to a fresh evaluator —
+  // the sharded pipeline's residency contract depends on it.
   const ShotList shots = pad_and_island();
   const Psf psf = test_psf();
   const std::size_t na = shots.size() / 2;
@@ -315,7 +325,7 @@ TEST(DosePaths, BackgroundRefreshTakesTheDeltaRouteAndStaysBitwise) {
          k += bg.size() / 3 + 1) {
       bg[k] *= 1.0 + 0.01 * (step + 1);
     }
-    split.set_background_doses(bg);
+    split.reset_doses(with_ghosts(split, bg));
   }
   EXPECT_GT(split.blur_perf().delta_refreshes, 0);
   EXPECT_EQ(split.blur_perf().refreshes, 1);  // only the constructor's
@@ -328,9 +338,9 @@ TEST(DosePaths, BackgroundRefreshTakesTheDeltaRouteAndStaysBitwise) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]) << "shot " << i;
 
-  // Re-sending identical background doses skips the refresh outright.
+  // Re-sending identical doses skips the refresh outright.
   const int skipped0 = split.blur_perf().skipped_refreshes;
-  split.set_background_doses(bg);
+  split.reset_doses(with_ghosts(split, bg));
   EXPECT_EQ(split.blur_perf().skipped_refreshes, skipped0 + 1);
   const std::vector<double> c = split.exposures_at_centroids();
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(c[i], a[i]) << "shot " << i;

@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <map>
+#include <memory>
 #include <vector>
 
 #include "core/patterns.h"
@@ -11,6 +15,7 @@
 #include "pec/correction.h"
 #include "pec/exposure.h"
 #include "pec/sharded.h"
+#include "pec/wire.h"
 
 namespace ebl {
 namespace {
@@ -148,8 +153,8 @@ TEST(ShardedPec, SingleShardMatchesGlobalBitwise) {
   for (std::size_t i = 0; i < global.shots.size(); ++i)
     EXPECT_EQ(sharded.shots[i].dose, global.shots[i].dose) << "shot " << i;
   // Doses are bitwise-equal (same Jacobi sequence on the same evaluator
-  // state); the final error differs only by the measurement pass's direct
-  // double-precision rasterization vs the oracle's float-frac splat cache.
+  // state); the final error may differ in the last bits because the shard's
+  // long-range map drops the off-pattern sampling margin.
   EXPECT_NEAR(sharded.final_max_error, global.final_max_error, 1e-5);
 }
 
@@ -180,41 +185,243 @@ TEST(ShardedPec, FftSnugShardSizeNeverShrinksTheDefault) {
 
 TEST(ShardedPec, ResidentPoolBudgetNeverChangesTheResult) {
   // Resident re-entry is an exact dose reset, so every budget — including
-  // one small enough to force evictions and transient re-runs — must produce
-  // bit-identical doses. (Budget 0, the fully transient pre-pool mode, is
-  // also bitwise for the solve; its final error may differ at float-cache
-  // precision because the measurement pass skips the splat cache there.)
+  // one small enough to force evictions and transient re-runs, and 0, the
+  // fully transient mode — must produce bit-identical doses and final
+  // error. Quantized doses force the full measurement pass, where pooled
+  // shards re-enter and transient ones rebuild.
   const ShotList shots = dense_grid_shots(60000);
   const Psf psf = test_psf();
-  std::vector<PecResult> results;
-  std::vector<int> budgets = {1, 2, 1000};
-  for (const int budget : budgets) {
-    PecOptions opt;
-    opt.shard_size = 30000;
-    opt.resident_shard_budget = budget;
-    results.push_back(correct_proximity(shots, psf, opt));
-  }
-  EXPECT_GE(results[0].shards, 4);
-  // The tiny budget had to run most shards transient.
-  EXPECT_LE(results[0].resident_shards, 1);
-  EXPECT_GE(results[2].resident_shards, results[0].resident_shards);
-  for (std::size_t v = 1; v < results.size(); ++v) {
-    ASSERT_EQ(results[v].shots.size(), results[0].shots.size());
-    for (std::size_t i = 0; i < results[0].shots.size(); ++i) {
-      EXPECT_EQ(results[v].shots[i].dose, results[0].shots[i].dose)
-          << "budget " << budgets[v] << " shot " << i;
+  const std::vector<int> budgets = {1, 2, 1000, 0};
+  for (const int classes : {0, 16}) {
+    std::vector<PecResult> results;
+    for (const int budget : budgets) {
+      PecOptions opt;
+      opt.shard_size = 30000;
+      opt.dose_classes = classes;
+      opt.resident_shard_budget = budget;
+      results.push_back(correct_proximity(shots, psf, opt));
     }
-    EXPECT_EQ(results[v].final_max_error, results[0].final_max_error)
-        << "budget " << budgets[v];
+    EXPECT_GE(results[0].shards, 4);
+    // The tiny budget had to run most shards transient.
+    EXPECT_LE(results[0].resident_shards, 1);
+    EXPECT_GE(results[2].resident_shards, results[0].resident_shards);
+    EXPECT_EQ(results[3].resident_shards, 0);
+    for (std::size_t v = 1; v < results.size(); ++v) {
+      ASSERT_EQ(results[v].shots.size(), results[0].shots.size());
+      for (std::size_t i = 0; i < results[0].shots.size(); ++i) {
+        EXPECT_EQ(results[v].shots[i].dose, results[0].shots[i].dose)
+            << "classes " << classes << " budget " << budgets[v] << " shot " << i;
+      }
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(results[v].final_max_error),
+                std::bit_cast<std::uint64_t>(results[0].final_max_error))
+          << "classes " << classes << " budget " << budgets[v];
+    }
   }
-  // The fully transient mode agrees bitwise in dose space too.
-  PecOptions transient;
-  transient.shard_size = 30000;
-  transient.resident_shard_budget = 0;
-  const PecResult t = correct_proximity(shots, psf, transient);
-  EXPECT_EQ(t.resident_shards, 0);
-  for (std::size_t i = 0; i < t.shots.size(); ++i) {
-    EXPECT_EQ(t.shots[i].dose, results[0].shots[i].dose) << "shot " << i;
+}
+
+// One shard of the 60 µm board as a wire job: the shots centered in the
+// lower-left 30 µm, with every other shot within the 12 µm halo as a ghost.
+wire::ShardJob board_shard_job(int max_iterations, double tolerance,
+                               bool allow_optimistic) {
+  const ShotList shots = dense_grid_shots(60000);
+  const Psf psf = test_psf();
+  wire::ShardJob job;
+  job.shard_key = 0;
+  job.correct = true;
+  job.allow_optimistic = allow_optimistic;
+  job.tolerance = tolerance;
+  job.psf_terms.assign(psf.terms().begin(), psf.terms().end());
+  job.options.max_iterations = max_iterations;
+  const Box frame{0, 0, 30000, 30000};
+  const Box halo = frame.bloated(12000);
+  for (const Shot& s : shots) {
+    const Box b = s.shape.bbox();
+    const Coord cx = (b.lo.x + b.hi.x) / 2;
+    const Coord cy = (b.lo.y + b.hi.y) / 2;
+    if (cx < frame.hi.x && cy < frame.hi.y) {
+      job.active.push_back(s);
+    } else if (b.lo.x < halo.hi.x && b.lo.y < halo.hi.y) {
+      job.ghosts.push_back(s);
+    }
+  }
+  return job;
+}
+
+void expect_same_result(const wire::ShardResult& got,
+                        const wire::ShardResult& want) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  ASSERT_EQ(got.doses.size(), want.doses.size());
+  for (std::size_t k = 0; k < want.doses.size(); ++k)
+    EXPECT_EQ(bits(got.doses[k]), bits(want.doses[k])) << "dose " << k;
+  EXPECT_EQ(got.changed, want.changed);
+  EXPECT_EQ(bits(got.entry_error), bits(want.entry_error));
+  EXPECT_EQ(bits(got.exit_error), bits(want.exit_error));
+  EXPECT_EQ(got.iterations, want.iterations);
+  EXPECT_EQ(got.updated, want.updated);
+  EXPECT_EQ(got.optimistic, want.optimistic);
+}
+
+TEST(ShardedPec, WarmResolveOfTheSameJobIsBitwiseTheColdSolve) {
+  // A resident evaluator left at a job's *solved* doses must not leak them
+  // into a second solve of the same job — the daemon's path for a replay
+  // cache miss. Cut short, optimistic exit, and converged.
+  struct Case {
+    int max_iterations;
+    double tolerance;
+    bool allow_optimistic;
+  };
+  for (const Case c :
+       {Case{1, 1e-3, false}, Case{30, 5e-3, true}, Case{30, 1e-3, false}}) {
+    const wire::ShardJob job =
+        board_shard_job(c.max_iterations, c.tolerance, c.allow_optimistic);
+    ASSERT_GT(job.active.size(), 0u);
+    ASSERT_GT(job.ghosts.size(), 0u);
+    const wire::ShardResult cold = solve_shard_job(job, nullptr);
+    std::unique_ptr<ExposureEvaluator> slot;
+    const wire::ShardResult first = solve_shard_job(job, &slot);
+    ASSERT_NE(slot, nullptr);
+    const wire::ShardResult warm = solve_shard_job(job, &slot);
+    SCOPED_TRACE("max_iterations " + std::to_string(c.max_iterations) +
+                 " tolerance " + std::to_string(c.tolerance));
+    EXPECT_EQ(cold.optimistic, c.allow_optimistic);
+    EXPECT_TRUE(cold.updated);
+    if (c.max_iterations > 1 && !c.allow_optimistic)
+      EXPECT_LT(cold.exit_error, c.tolerance) << "the converged case";
+    expect_same_result(first, cold);
+    expect_same_result(warm, cold);
+  }
+}
+
+// ---- ShardPool: residency planning -------------------------------------
+
+void fill(ShardPool::Slot* slot) {
+  ASSERT_NE(slot, nullptr);
+  ASSERT_EQ(*slot, nullptr) << "a granted slot starts empty";
+  *slot = std::make_unique<ExposureEvaluator>(
+      ShotList{Shot{{0, 100, 0, 100, 0, 100}, 1.0}}, Psf::single_gaussian(50.0));
+}
+
+std::vector<ShardPool::Request> keys(std::initializer_list<std::uint64_t> ks) {
+  std::vector<ShardPool::Request> batch;
+  for (const std::uint64_t k : ks) batch.push_back({k, 1, 0});
+  return batch;
+}
+
+bool is_resident(ShardPool::Slot* slot) { return slot && *slot; }
+
+TEST(ShardPool, EvictsLeastRecentlyRunWithHighestKeyTieBreak) {
+  ShardPool pool;
+  auto slots = pool.plan(keys({1, 2}), 2);
+  fill(slots[0]);
+  fill(slots[1]);
+  EXPECT_EQ(pool.resident(), 2u);
+
+  // 1 and 2 ran in the same batch: the tie goes against the higher key.
+  slots = pool.plan(keys({3}), 2);
+  fill(slots[0]);
+  EXPECT_EQ(pool.evictions(), 1u);
+  EXPECT_TRUE(is_resident(pool.plan(keys({1}), 2)[0]));
+
+  // Now 3 is the least recently run.
+  fill(pool.plan(keys({4}), 2)[0]);
+  EXPECT_EQ(pool.evictions(), 2u);
+  EXPECT_TRUE(is_resident(pool.plan(keys({1}), 2)[0]));
+  EXPECT_TRUE(is_resident(pool.plan(keys({4}), 2)[0]));
+  EXPECT_EQ(pool.resident(), 2u);
+}
+
+TEST(ShardPool, BudgetZeroGrantsNoSlots) {
+  ShardPool pool;
+  for (ShardPool::Slot* slot : pool.plan(keys({1, 2, 3}), 0))
+    EXPECT_EQ(slot, nullptr);
+  EXPECT_EQ(pool.resident(), 0u);
+  EXPECT_EQ(pool.evictions(), 0u);
+}
+
+TEST(ShardPool, BatchLargerThanBudgetRunsTheRestTransient) {
+  ShardPool pool;
+  auto slots = pool.plan(keys({1, 2}), 2);
+  fill(slots[0]);
+  fill(slots[1]);
+  // Every resident runs in this batch, so none can make room.
+  slots = pool.plan(keys({1, 2, 3, 4}), 2);
+  EXPECT_TRUE(is_resident(slots[0]));
+  EXPECT_TRUE(is_resident(slots[1]));
+  EXPECT_EQ(slots[2], nullptr);
+  EXPECT_EQ(slots[3], nullptr);
+  EXPECT_EQ(pool.evictions(), 0u);
+
+  // A cold pool grants in batch order up to the budget.
+  ShardPool cold;
+  slots = cold.plan(keys({7, 5, 6}), 2);
+  EXPECT_NE(slots[0], nullptr);
+  EXPECT_NE(slots[1], nullptr);
+  EXPECT_EQ(slots[2], nullptr);
+}
+
+TEST(ShardPool, GeometryCountChangeDropsTheEntry) {
+  ShardPool pool;
+  fill(pool.plan({{1, 10, 5}}, 4)[0]);
+  EXPECT_TRUE(is_resident(pool.plan({{1, 10, 5}}, 4)[0]));
+  for (const ShardPool::Request changed :
+       {ShardPool::Request{1, 11, 5}, ShardPool::Request{1, 11, 6}}) {
+    ShardPool::Slot* slot = pool.plan({changed}, 4)[0];
+    ASSERT_NE(slot, nullptr);
+    EXPECT_EQ(*slot, nullptr) << "a stale evaluator must be rebuilt";
+    EXPECT_EQ(pool.resident(), 0u);
+    fill(slot);
+  }
+  EXPECT_EQ(pool.evictions(), 0u);  // a drop is not an eviction
+}
+
+TEST(ShardPool, ClearDropsEveryEvaluator) {
+  ShardPool pool;
+  auto slots = pool.plan(keys({1, 2}), 4);
+  fill(slots[0]);
+  fill(slots[1]);
+  pool.clear();
+  EXPECT_EQ(pool.resident(), 0u);
+  EXPECT_FALSE(is_resident(pool.plan(keys({1}), 4)[0]));
+}
+
+TEST(ShardPool, BatchOfOneAdmissionMatchesPostJobSettle) {
+  // The daemon's former pool: solve into the key's slot, then evict the
+  // least recently used residents other than that key (ties: highest key)
+  // until the pool fits the budget.
+  struct SettleModel {
+    std::map<std::uint64_t, std::uint64_t> last_used;  // resident keys
+    std::uint64_t tick = 0;
+    std::uint32_t evictions = 0;
+    void admit(std::uint64_t key, std::size_t budget) {
+      last_used[key] = ++tick;
+      while (last_used.size() > budget) {
+        auto victim = last_used.end();
+        for (auto it = last_used.begin(); it != last_used.end(); ++it) {
+          if (it->first == key) continue;
+          if (victim == last_used.end() || it->second <= victim->second)
+            victim = it;  // ascending keys: <= keeps the highest on ties
+        }
+        last_used.erase(victim);
+        ++evictions;
+      }
+    }
+  };
+  for (const std::size_t budget : {1u, 3u, 5u}) {
+    ShardPool pool;
+    SettleModel model;
+    std::uint64_t x = 12345;
+    for (int job = 0; job < 300; ++job) {
+      x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+      const std::uint64_t key = (x >> 33) % 8;
+      ShardPool::Slot* slot = pool.plan(keys({key}), static_cast<int>(budget))[0];
+      ASSERT_NE(slot, nullptr);
+      if (!*slot) fill(slot);
+      model.admit(key, budget);
+      ASSERT_EQ(pool.resident(), model.last_used.size())
+          << "budget " << budget << " job " << job;
+      ASSERT_EQ(pool.evictions(), model.evictions)
+          << "budget " << budget << " job " << job;
+    }
   }
 }
 

@@ -46,8 +46,6 @@ wire::ShardJob sample_job() {
   job.seq = 0xdeadbeefcafe0042ULL;
   job.correct = true;
   job.allow_optimistic = true;
-  job.reset_all = false;
-  job.pooled = true;
   job.tolerance = 1.0 / 3.0;
   job.psf_terms = {{1.0 / 1.7, 50.0}, {0.7 / 1.7, 3000.0}};
   job.options.max_iterations = 17;
@@ -88,8 +86,6 @@ TEST(Wire, JobRoundTripIsBitExact) {
   EXPECT_EQ(back.seq, job.seq);
   EXPECT_EQ(back.correct, job.correct);
   EXPECT_EQ(back.allow_optimistic, job.allow_optimistic);
-  EXPECT_EQ(back.reset_all, job.reset_all);
-  EXPECT_EQ(back.pooled, job.pooled);
   EXPECT_EQ(bits(back.tolerance), bits(job.tolerance));
   ASSERT_EQ(back.psf_terms.size(), job.psf_terms.size());
   for (std::size_t i = 0; i < job.psf_terms.size(); ++i) {
@@ -202,6 +198,12 @@ TEST(Wire, FrameHeaderRoundTripAndRejections) {
   // it would misframe everything after the first payload.
   bad = h;
   bad[4] = static_cast<char>(wire::kVersion + 1);
+  EXPECT_THROW(wire::parse_frame_header(bad), DataError);
+  bad = h;
+  bad[4] = 4;  // v4: jobs with the reset_all / pooled / splat_cache flags
+  EXPECT_THROW(wire::parse_frame_header(bad), DataError);
+  bad = h;
+  bad[4] = 3;  // v3: jobs without the replay seq
   EXPECT_THROW(wire::parse_frame_header(bad), DataError);
   bad = h;
   bad[4] = 2;  // v2: BlurPerf without the windowed delta-blur counters
@@ -363,6 +365,57 @@ TEST(Wire, WorkerCliSolvesAJobBitExactly) {
   EXPECT_EQ(bits(got.exit_error), bits(expected.exit_error));
   EXPECT_EQ(got.iterations, expected.iterations);
   EXPECT_EQ(got.changed, expected.changed);
+}
+
+// An unsequenced job is never cached, so a daemon that receives it twice
+// solves it twice — the second time on the evaluator the first solve left
+// resident at its solved doses. Both answers must be the cold solve's.
+TEST(Wire, WorkerResolvesADuplicateJobBitExactly) {
+  if (!worker_available()) GTEST_SKIP() << "pec_worker binary not built";
+
+  wire::ShardJob job;
+  job.session_id = 11;
+  job.shard_key = 0;
+  job.tolerance = 1e-3;
+  const Psf psf = test_psf();
+  job.psf_terms.assign(psf.terms().begin(), psf.terms().end());
+  job.options.max_iterations = 1;  // stops short: the doses depend on entry
+  for (const Shot& s : dense_grid_shots(20000)) {
+    const Box b = s.shape.bbox();
+    const bool own = (b.lo.x + b.hi.x) / 2 < 10000 && (b.lo.y + b.hi.y) / 2 < 10000;
+    (own ? job.active : job.ghosts).push_back(s);
+  }
+  ASSERT_EQ(job.seq, 0u);
+  ASSERT_GT(job.options.resident_shard_budget, 0);
+
+  const wire::ShardResult expected = solve_shard_job(job, nullptr);
+  ASSERT_TRUE(expected.updated);
+
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  ListeningChild daemon = spawn_listening(
+      {default_pec_worker_path(), "--listen", "127.0.0.1:0", "--fault", ""},
+      deadline);
+  WorkerSession session({"127.0.0.1", daemon.port}, job.session_id, 5000.0,
+                        5000.0, std::move(daemon.proc));
+  for (int delivery = 0; delivery < 2; ++delivery) {
+    session.send_job(job, deadline);
+    wire::Frame frame;
+    ASSERT_TRUE(session.read_result(&frame, deadline));
+    const wire::ShardResult got = wire::decode_shard_result(frame.payload);
+    EXPECT_EQ(got.pool_resident, 1u);
+    ASSERT_EQ(got.doses.size(), expected.doses.size());
+    for (std::size_t i = 0; i < expected.doses.size(); ++i)
+      EXPECT_EQ(bits(got.doses[i]), bits(expected.doses[i]))
+          << "delivery " << delivery << " dose " << i;
+    EXPECT_EQ(got.changed, expected.changed) << "delivery " << delivery;
+    EXPECT_EQ(bits(got.entry_error), bits(expected.entry_error))
+        << "delivery " << delivery;
+    EXPECT_EQ(bits(got.exit_error), bits(expected.exit_error))
+        << "delivery " << delivery;
+    EXPECT_EQ(got.iterations, expected.iterations) << "delivery " << delivery;
+  }
+  session.end_session();
+  EXPECT_EQ(session.drain(deadline), "") << "clean session end, daemon exit 0";
 }
 
 // The headline acceptance criterion: the multi-process solve at the same

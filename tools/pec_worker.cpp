@@ -8,34 +8,34 @@
 // (PecOptions::worker_count) or connects to one started elsewhere
 // (PecOptions::worker_hosts); the daemon cannot tell the difference.
 //
-// The worker is stateless across jobs except for its resident evaluator
-// pool: evaluators are kept per shard key (LRU-evicted over the budget) and
-// re-entered through the exact set_background_doses / reset_doses refresh
-// protocol the job's flags select, so residency changes wall clock but
-// never a bit of the doses. A session tag in each job drops the pool when a
-// long-lived worker starts seeing a different solve.
+// The worker is stateless across jobs except for its resident evaluators:
+// every job is admitted through a ShardPool (src/pec/sharded.h) — the same
+// pool the in-process sweep plans with — as a batch of one, sized by the
+// job's resident_shard_budget (LRU eviction over it). A resident evaluator
+// re-enters through the exact reset_doses refresh to the job's doses, so
+// residency changes wall clock but never a bit of the doses. A session tag
+// in each job drops the pool when a long-lived worker starts seeing a
+// different solve.
 //
 // Usage:
-//   pec_worker --listen HOST:PORT [--pool-budget N] [--fault PLAN]
+//   pec_worker --listen HOST:PORT [--fault PLAN]
 //
 //   --listen H:P     binds H:P (port 0 = ephemeral; the real port is
 //                    printed to stdout as "pec_worker: listening on N") and
 //                    serves one client connection at a time. Each
-//                    connection re-handshakes a driver session (wire v4
+//                    connection re-handshakes a driver session (wire
 //                    Hello/HelloAck, exact protocol version match); the
 //                    resident evaluator pool is keyed by the jobs' session
 //                    tag, so a reconnecting driver finds its pool still
 //                    warm. Sequenced jobs (seq != 0) feed a bounded replay
 //                    cache: a job re-sent after a dropped connection is
 //                    answered with the cached result frame, byte for byte,
-//                    instead of being solved twice (jobs are pure, so a
-//                    cache miss re-solves to identical doses — the cache is
-//                    a work saver, never a correctness need). A
-//                    connection-level protocol error ends that session
-//                    (logged) and the daemon keeps accepting.
-//   --pool-budget N  cap the resident evaluator pool at N evaluators,
-//                    overriding each job's resident_shard_budget (manual /
-//                    debugging use; the driver sizes pools via the job)
+//                    instead of being solved twice. A cache miss re-solves
+//                    to identical doses — jobs are pure and resident
+//                    re-entry resets every dose — so the cache is a work
+//                    saver, never a correctness need. A connection-level
+//                    protocol error ends that session (logged) and the
+//                    daemon keeps accepting.
 //   --fault PLAN     fault-injection plan (testing the supervisor; see below)
 //
 // Graceful shutdown: SIGTERM / SIGINT request a stop. The daemon finishes
@@ -74,12 +74,10 @@
 #include <memory>
 #include <string>
 #include <thread>
-#include <unordered_map>
 
 #include <poll.h>
 #include <signal.h>
 
-#include "pec/exposure.h"
 #include "pec/sharded.h"
 #include "pec/wire.h"
 #include "util/contracts.h"
@@ -134,78 +132,6 @@ bool wait_readable_or_stop(int fd) {
     if (rv > 0) return true;  // readable (or HUP/ERR: read_frame surfaces it)
   }
 }
-
-struct PoolEntry {
-  std::unique_ptr<ExposureEvaluator> eval;
-  std::size_t active_count = 0;
-  std::size_t ghost_count = 0;
-  std::uint64_t last_used = 0;
-};
-
-// Resident evaluators keyed by shard key. Exact-refresh re-entry requires
-// identical geometry; within a session the driver guarantees it, and the
-// count check below catches a mismatched stream defensively (rebuilding is
-// always correct, just slower).
-class EvaluatorPool {
- public:
-  /// The slot for this job's shard, or null when pooling is off. An entry
-  /// whose recorded geometry does not match the job is dropped first.
-  std::unique_ptr<ExposureEvaluator>* slot_for(const wire::ShardJob& job,
-                                               int budget) {
-    if (budget <= 0) return nullptr;
-    if (job.session_id != session_) {
-      entries_.clear();
-      session_ = job.session_id;
-    }
-    PoolEntry& e = entries_[job.shard_key];
-    if (e.eval && (e.active_count != job.active.size() ||
-                   e.ghost_count != job.ghosts.size())) {
-      e.eval.reset();
-    }
-    e.active_count = job.active.size();
-    e.ghost_count = job.ghosts.size();
-    return &e.eval;
-  }
-
-  /// Post-job bookkeeping: stamp recency and evict LRU residents (never the
-  /// just-used shard) until the pool fits the budget.
-  void settle(std::uint64_t shard_key, int budget) {
-    entries_[shard_key].last_used = ++tick_;
-    for (;;) {
-      std::size_t resident = 0;
-      std::uint64_t victim = 0;
-      std::uint64_t victim_used = 0;
-      bool have_victim = false;
-      for (const auto& [key, e] : entries_) {
-        if (!e.eval) continue;
-        ++resident;
-        if (key == shard_key) continue;
-        if (!have_victim || e.last_used < victim_used ||
-            (e.last_used == victim_used && key > victim)) {
-          have_victim = true;
-          victim = key;
-          victim_used = e.last_used;
-        }
-      }
-      if (resident <= static_cast<std::size_t>(budget) || !have_victim) return;
-      entries_[victim].eval.reset();
-      ++evictions_;
-    }
-  }
-
-  std::uint32_t resident() const {
-    std::uint32_t n = 0;
-    for (const auto& [key, e] : entries_) n += e.eval != nullptr;
-    return n;
-  }
-  std::uint32_t evictions() const { return evictions_; }
-
- private:
-  std::unordered_map<std::uint64_t, PoolEntry> entries_;
-  std::uint64_t session_ = 0;
-  std::uint64_t tick_ = 0;
-  std::uint32_t evictions_ = 0;
-};
 
 // Parsed fault-injection plan (see the file comment). A count of UINT64_MAX
 // means "never".
@@ -294,11 +220,21 @@ class ReplayCache {
   std::map<std::uint64_t, std::string> entries_;  ///< seq -> framed result
 };
 
+// What the daemon keeps across sessions: the resident evaluators of the
+// current driver session, the replay cache, and the jobs served so far (the
+// fault plan's counter).
+struct DaemonState {
+  ShardPool pool;
+  std::uint64_t pool_session = 0;
+  ReplayCache replay;
+  std::uint64_t served = 0;
+};
+
 // One job frame, already type-checked by the caller: fault hooks, decode,
 // replay dedup, solve, fault hooks, answer.
-void serve_job(const wire::Frame& frame, int results_fd, EvaluatorPool& pool,
-               ReplayCache& replay, int budget_override, const FaultPlan& fault,
-               std::uint64_t& served) {
+void serve_job(const wire::Frame& frame, int results_fd, DaemonState& st,
+               const FaultPlan& fault) {
+  std::uint64_t& served = st.served;
   if (served == fault.crash_after) {
     std::cerr << "pec_worker: injected crash after " << served << " job(s)\n";
     std::_Exit(3);
@@ -309,7 +245,7 @@ void serve_job(const wire::Frame& frame, int results_fd, EvaluatorPool& pool,
   }
   const wire::ShardJob job = wire::decode_shard_job(frame.payload);
   if (job.seq != 0) {
-    if (const std::string* cached = replay.lookup(job.session_id, job.seq)) {
+    if (const std::string* cached = st.replay.lookup(job.session_id, job.seq)) {
       // Duplicate delivery after a reconnect: answer with the cached frame,
       // byte for byte, and do not solve (or count a fault trigger) twice.
       std::cerr << "pec_worker: replaying cached result for seq " << job.seq
@@ -318,16 +254,19 @@ void serve_job(const wire::Frame& frame, int results_fd, EvaluatorPool& pool,
       return;
     }
   }
-  const int budget =
-      budget_override >= 0 ? budget_override : job.options.resident_shard_budget;
-
-  wire::ShardResult result = solve_shard_job(job, pool.slot_for(job, budget));
-  if (budget > 0) pool.settle(job.shard_key, budget);
-  result.pool_resident = pool.resident();
-  result.pool_evictions = pool.evictions();
+  if (job.session_id != st.pool_session) {
+    st.pool.clear();  // another solve: its shard keys name other geometry
+    st.pool_session = job.session_id;
+  }
+  ShardPool::Slot* slot =
+      st.pool.plan({{job.shard_key, job.active.size(), job.ghosts.size()}},
+                   job.options.resident_shard_budget)[0];
+  wire::ShardResult result = solve_shard_job(job, slot);
+  result.pool_resident = st.pool.resident();
+  result.pool_evictions = st.pool.evictions();
   const std::string msg =
       wire::encode_framed(wire::MsgType::kShardResult, wire::encode(result));
-  if (job.seq != 0) replay.store(job.session_id, job.seq, msg);
+  if (job.seq != 0) st.replay.store(job.session_id, job.seq, msg);
   if (served == fault.truncate_after) {
     // Half a result frame, then death: the driver's reader must see a
     // mid-record EOF (or a deadline), never a plausible partial result.
@@ -357,9 +296,8 @@ void serve_job(const wire::Frame& frame, int results_fd, EvaluatorPool& pool,
 // One accepted connection = one session: Hello handshake, then jobs and
 // pings until the client half-closes (clean end) or a stop is requested.
 // Throws on protocol violations — the caller logs and keeps accepting.
-void serve_session(net::TcpSocket& sock, EvaluatorPool& pool,
-                   ReplayCache& replay, int budget_override,
-                   const FaultPlan& fault, std::uint64_t& served) {
+void serve_session(net::TcpSocket& sock, DaemonState& st,
+                   const FaultPlan& fault) {
   const int fd = sock.fd();
   wire::Frame frame;
   // The client speaks first; bound the handshake so a connect-and-stall
@@ -377,7 +315,7 @@ void serve_session(net::TcpSocket& sock, EvaluatorPool& pool,
                     std::to_string(wire::kVersion) + ")");
   wire::HelloAck ack;
   ack.session_id = hello.session_id;
-  ack.last_seq = replay.last_seq(hello.session_id);
+  ack.last_seq = st.replay.last_seq(hello.session_id);
   wire::write_frame(fd, wire::MsgType::kHelloAck, wire::encode(ack),
                     handshake_deadline);
   for (;;) {
@@ -389,12 +327,11 @@ void serve_session(net::TcpSocket& sock, EvaluatorPool& pool,
     }
     if (frame.type != wire::MsgType::kShardJob)
       throw DataError("pec_worker: expected a shard job frame");
-    serve_job(frame, fd, pool, replay, budget_override, fault, served);
+    serve_job(frame, fd, st, fault);
   }
 }
 
-int run_daemon(const net::HostPort& addr, int budget_override,
-               const FaultPlan& fault) {
+int run_daemon(const net::HostPort& addr, const FaultPlan& fault) {
   net::TcpListener listener = net::TcpListener::bind(addr.host, addr.port);
   // The one line a spawning test/driver parses — flushed so it arrives even
   // through a pipe.
@@ -409,9 +346,7 @@ int run_daemon(const net::HostPort& addr, int budget_override,
   // ACROSS them — that is the whole point of the daemon: a driver that
   // reconnects (same session tag) finds its evaluators warm and its served
   // jobs replayable.
-  EvaluatorPool pool;
-  ReplayCache replay;
-  std::uint64_t served = 0;
+  DaemonState st;
   std::uint64_t sessions = 0;
   while (wait_readable_or_stop(listener.fd())) {
     // Readable means a client is queued; the short deadline only covers a
@@ -421,7 +356,7 @@ int run_daemon(const net::HostPort& addr, int budget_override,
     if (!client) continue;
     ++sessions;
     try {
-      serve_session(*client, pool, replay, budget_override, fault, served);
+      serve_session(*client, st, fault);
     } catch (const std::exception& e) {
       // A broken client (or a fault-injection proxy doing its job) costs
       // that session only; the daemon keeps accepting.
@@ -430,7 +365,7 @@ int run_daemon(const net::HostPort& addr, int budget_override,
     }
   }
   // One string, one write: spawned daemons stop together and share stderr.
-  std::cerr << "pec_worker: stop signal; served " + std::to_string(served) +
+  std::cerr << "pec_worker: stop signal; served " + std::to_string(st.served) +
                    " job(s) over " + std::to_string(sessions) + " session(s)\n";
   return 0;
 }
@@ -439,12 +374,10 @@ int run_daemon(const net::HostPort& addr, int budget_override,
 
 int main(int argc, char** argv) {
   const auto usage = [] {
-    std::cerr << "usage: pec_worker --listen HOST:PORT [--pool-budget N]"
-                 " [--fault PLAN]\n";
+    std::cerr << "usage: pec_worker --listen HOST:PORT [--fault PLAN]\n";
     return 2;
   };
   std::string listen_spec;
-  int budget_override = -1;
   const char* fault_env = std::getenv("EBL_FAULT_PLAN");
   std::string fault_spec = fault_env ? fault_env : "";
   for (int i = 1; i < argc; ++i) {
@@ -452,8 +385,6 @@ int main(int argc, char** argv) {
     const bool has_value = i + 1 < argc;
     if (arg == "--listen" && has_value) {
       listen_spec = argv[++i];
-    } else if (arg == "--pool-budget" && has_value) {
-      budget_override = std::atoi(argv[++i]);
     } else if (arg == "--fault" && has_value) {
       fault_spec = argv[++i];  // the flag beats the environment
     } else {
@@ -464,7 +395,7 @@ int main(int argc, char** argv) {
 
   install_stop_handlers();
   try {
-    return run_daemon(net::parse_host_port(listen_spec), budget_override,
+    return run_daemon(net::parse_host_port(listen_spec),
                       FaultPlan::parse(fault_spec));
   } catch (const std::exception& e) {
     std::cerr << "pec_worker: " << e.what() << "\n";
