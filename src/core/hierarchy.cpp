@@ -64,14 +64,22 @@ HierPrepResult run_hier_prep(const Library& lib, CellId top, LayerKey layer,
 
   lib.each_instance(top, [&](CellId id, const CTrans& ctrans) {
     ++result.stats.instances;
-    if (lib.cell(id).shapes_on(layer).empty()) return;
+    const std::vector<Polygon>& shapes = lib.cell(id).shapes_on(layer);
+    if (shapes.empty()) return;
+    // Same check as flatten: an off-grid placement is a DataError naming the
+    // cell path, never wrapped geometry.
+    Box box;
+    for (const Polygon& p : shapes) box += p.bbox();
+    check_on_grid(box, ctrans);
 
-    if (!ctrans.is_orthogonal()) {
+    // A displacement off the grid cannot narrow to a Trans even when the
+    // placed shapes land on it; such an instance takes the fallback too.
+    const Box origin{0, 0, 0, 0};
+    if (!ctrans.is_orthogonal() || !ctrans.keeps_on_grid(origin)) {
       // Fallback: flatten this instance alone.
       ++result.stats.fallback_instances;
       PolygonSet inst;
-      for (const Polygon& p : lib.cell(id).shapes_on(layer))
-        inst.insert(p.transformed(ctrans));
+      for (const Polygon& p : shapes) inst.insert(p.transformed(ctrans));
       for (Shot& s : fracture(inst, options).shots)
         result.shots.push_back(std::move(s));
       return;

@@ -84,8 +84,9 @@ struct PecOptions {
   /// across halo-exchange rounds, per ShardPool (src/pec/sharded.h) — the
   /// driver's own pool and, in a distributed solve, each worker's. A
   /// resident shard re-enters a round through an exact dose refresh
-  /// (ExposureEvaluator::reset_doses) that reuses its neighbor grid, splat
-  /// clipping, and FFT plan — the expensive, geometry-only construction
+  /// (ExposureEvaluator::reset_doses: a full gather and blur, or nothing
+  /// when no dose moved) that reuses its neighbor grid, splat clipping,
+  /// kernel taps and FFT plan — the expensive, geometry-only construction
   /// work — instead of rebuilding them. Over budget, the least-recently-run
   /// shards fall back to transient mode (evict-LRU); because the refresh is
   /// exact, residency never changes a bit of the result, only the wall

@@ -532,11 +532,6 @@ void ExposureEvaluator::accumulate_long_range() {
       },
       opt_.threads);
   perf_.accumulate_ms += ms_since(t0);
-  // A full gather restores the base map to exactly what a fresh evaluator
-  // would compute, and the full blur below re-derives every term map from
-  // it — the evaluator is globally exact again, so the delta-scatter dirty
-  // set restarts empty.
-  clear_dirty();
 
   blur_long_range();
   ++perf_.refreshes;
@@ -576,7 +571,7 @@ void ExposureEvaluator::blur_long_range() {
   perf_.blur_ms += ms_since(t0);
 }
 
-bool ExposureEvaluator::blur_long_range_windowed(bool allow_fft) {
+bool ExposureEvaluator::blur_long_range_windowed() {
   if (!long_base_ || term_maps_.empty() || tiles_marked_ == 0) return false;
   const int nx = long_base_->width();
   const int ny = long_base_->height();
@@ -587,7 +582,7 @@ bool ExposureEvaluator::blur_long_range_windowed(bool allow_fft) {
   // Merge the marked tiles into patch rectangles P: horizontal runs of
   // adjacent tiles per tile row, coalesced with the rectangle directly
   // above when the column span matches. The marks already carry the
-  // kernel-support dilation (see mark_blur_tiles_region), so each
+  // kernel-support dilation (see mark_blur_tiles), so each
   // rectangle covers every output pixel its touched region can change —
   // padded out to tile granularity, which only over-patches (over-patched
   // pixels recompute to their existing full-blur values).
@@ -661,7 +656,7 @@ bool ExposureEvaluator::blur_long_range_windowed(bool allow_fft) {
     const double win_fft =
         kFftWinFactor * ((1.0 + nt) * FftConvolver::transform_cost(wx, wy, r) +
                          10.0 * static_cast<double>(wpx) * nt);
-    rc.use_fft = allow_fft && win_fft < win_direct;
+    rc.use_fft = win_fft < win_direct;
     win_time +=
         (rc.use_fft ? win_fft : win_direct) + 6.0 * static_cast<double>(wpx);
     if (win_time >= full_time) return false;
@@ -730,7 +725,9 @@ bool ExposureEvaluator::blur_long_range_windowed(bool allow_fft) {
   return true;
 }
 
-void ExposureEvaluator::mark_blur_tiles_region(int ax, int ay, int bx, int by) {
+void ExposureEvaluator::mark_blur_tiles(const Box& bb) {
+  const auto [ax, ay] = long_base_->index_of(bb.lo);
+  const auto [bx, by] = long_base_->index_of(bb.hi);
   const int nx = long_base_->width();
   const int ny = long_base_->height();
   const int tnx = (nx + kBlurTilePx - 1) / kBlurTilePx;
@@ -758,87 +755,36 @@ void ExposureEvaluator::mark_blur_tiles_region(int ax, int ay, int bx, int by) {
   }
 }
 
-void ExposureEvaluator::mark_blur_tiles(const Box& bb) {
-  const auto [ax, ay] = long_base_->index_of(bb.lo);
-  const auto [bx, by] = long_base_->index_of(bb.hi);
-  mark_blur_tiles_region(ax, ay, bx, by);
-}
-
 void ExposureEvaluator::clear_blur_tiles() {
   if (tiles_marked_ == 0) return;
   std::fill(blur_tiles_.begin(), blur_tiles_.end(), 0);
   tiles_marked_ = 0;
 }
 
-void ExposureEvaluator::mark_dirty(std::uint32_t p) {
-  if (dirty_overflow_) return;
-  if (dirty_mask_.empty()) dirty_mask_.assign(long_base_->data().size(), 0);
-  if (dirty_mask_[p]) return;
-  dirty_mask_[p] = 1;
-  dirty_px_.push_back(p);
-  // Past half the map the exact background refresh cannot beat the full
-  // rebuild anyway; stop recording and let it take the full path.
-  if (dirty_px_.size() * 2 > dirty_mask_.size()) dirty_overflow_ = true;
-}
-
-void ExposureEvaluator::clear_dirty() {
-  if (dirty_overflow_) {
-    std::fill(dirty_mask_.begin(), dirty_mask_.end(), 0);
-  } else {
-    for (const std::uint32_t p : dirty_px_) dirty_mask_[p] = 0;
-  }
-  dirty_px_.clear();
-  dirty_overflow_ = false;
-}
-
-void ExposureEvaluator::apply_full(const double* doses, std::size_t begin,
-                                   std::size_t end) {
+void ExposureEvaluator::apply_full(const double* doses, std::size_t end) {
   // The oracle path: apply every requested dose (deferred remainders
   // included) and re-derive all cached state from scratch — bit-identical to
   // a fresh evaluator at these doses, and to the pre-delta engine.
-  for (std::size_t i = begin; i < end; ++i) shots_[i].dose = doses[i - begin];
+  for (std::size_t i = 0; i < end; ++i) shots_[i].dose = doses[i];
   if (ghost_base_ && end > active_) rebuild_ghost_base();
   accumulate_long_range();
   short_cache_valid_ = false;
   delta_streak_ = 0;
 }
 
-void ExposureEvaluator::apply_delta(const double* doses, std::size_t begin,
-                                    std::size_t end) {
-  (void)end;
+void ExposureEvaluator::apply_delta(const double* doses) {
   const auto t0 = std::chrono::steady_clock::now();
   const bool have_maps = long_base_ != nullptr;
   double* base = have_maps ? long_base_->data().data() : nullptr;
-  double* bg = ghost_base_ ? ghost_base_->data().data() : nullptr;
   const bool shorts = short_cache_valid_ && !short_terms_.empty();
-  // Dirty-pixel tracking (split evaluators only): every base pixel a scatter
-  // perturbs is recorded so the next exact background refresh can restore
-  // global bitwise freshness by recomputing just those pixels.
-  const bool track = have_maps && ghost_base_ != nullptr;
   for (const std::uint32_t j : moved_scratch_) {
-    const double d_new = doses[j - begin];
-    const double delta = d_new - shots_[j].dose;
-    shots_[j].dose = d_new;
+    const double delta = doses[j] - shots_[j].dose;
+    shots_[j].dose = doses[j];
     if (have_maps) {
-      if (j < active_) {
-        // Cached splats re-weighted by the dose delta, straight into the
-        // shared base map.
-        for (std::uint32_t k = shot_start_[j]; k < shot_start_[j + 1]; ++k) {
-          base[shot_px_[k]] += delta * static_cast<double>(shot_frac_[k]);
-          if (track) mark_dirty(shot_px_[k]);
-        }
-      } else {
-        // Moved ghost: its coverage is not cached (background memory stays
-        // O(active)), so delta-rasterize it into both the frozen ghost map
-        // and the base map.
-        long_base_->visit_coverage(shots_[j].shape, [&](int ix, int iy, double frac) {
-          const std::uint32_t p =
-              static_cast<std::uint32_t>(iy) * long_base_->width() + ix;
-          bg[p] += delta * frac;
-          base[p] += delta * frac;
-          if (track) mark_dirty(p);
-        });
-      }
+      // Cached splats re-weighted by the dose delta, straight into the
+      // shared base map.
+      for (std::uint32_t k = shot_start_[j]; k < shot_start_[j + 1]; ++k)
+        base[shot_px_[k]] += delta * static_cast<double>(shot_frac_[k]);
       // The shape bbox covers the splat footprint by construction; its
       // tiles feed the windowed blur below.
       mark_blur_tiles(shots_[j].shape.bbox());
@@ -852,19 +798,17 @@ void ExposureEvaluator::apply_delta(const double* doses, std::size_t begin,
   // Windowed delta-blur: when the touched tiles (plus kernel support) merge
   // into rectangles small against the map, re-derive the term maps only
   // there and patch in place; the flop model falls back to the full blur
-  // otherwise. The FFT sub-plans agree with the full blur to rounding,
-  // which the delta path's <= 1e-12 contract (re-anchored every
-  // kDeltaReanchor refreshes) absorbs.
-  if (have_maps && !blur_long_range_windowed(/*allow_fft=*/true)) {
-    blur_long_range();
-  }
+  // otherwise. The windows agree with the full blur to rounding, which the
+  // delta path's <= 1e-12 contract (re-anchored every kDeltaReanchor
+  // refreshes) absorbs.
+  if (have_maps && !blur_long_range_windowed()) blur_long_range();
 }
 
-void ExposureEvaluator::update_doses(const double* doses, std::size_t begin,
-                                     std::size_t end, bool include_background) {
-  (void)include_background;
-  if (opt_.delta_threshold <= 0) {
-    apply_full(doses, begin, end);
+void ExposureEvaluator::update_doses(const double* doses, std::size_t end) {
+  // Moving background doses invalidates the frozen ghost map, which only the
+  // full gather rebuilds.
+  if (opt_.delta_threshold <= 0 || end > active_) {
+    apply_full(doses, end);
     return;
   }
   // Moved set: shots whose requested dose drifted beyond the threshold from
@@ -874,8 +818,8 @@ void ExposureEvaluator::update_doses(const double* doses, std::size_t begin,
   // from the requests by more than delta_threshold relative.
   moved_scratch_.clear();
   const double theta = opt_.delta_threshold;
-  for (std::size_t i = begin; i < end; ++i) {
-    const double d_new = doses[i - begin];
+  for (std::size_t i = 0; i < end; ++i) {
+    const double d_new = doses[i];
     const double d_old = shots_[i].dose;
     if (d_new == d_old) continue;
     if (std::abs(d_new - d_old) > theta * std::max(std::abs(d_old), 1e-12))
@@ -889,165 +833,37 @@ void ExposureEvaluator::update_doses(const double* doses, std::size_t begin,
   }
   // The delta path wins while the movers are a minority; past half the range
   // (or the re-anchor cadence) the full gather is both cheaper and exact.
-  const bool engage = moved_scratch_.size() * 2 <= (end - begin) &&
-                      delta_streak_ < kDeltaReanchor;
-  if (engage) {
-    apply_delta(doses, begin, end);
+  if (moved_scratch_.size() * 2 <= end && delta_streak_ < kDeltaReanchor) {
+    apply_delta(doses);
   } else {
-    apply_full(doses, begin, end);
+    apply_full(doses, end);
   }
 }
 
 void ExposureEvaluator::set_doses(const std::vector<double>& doses) {
   expects(doses.size() == shots_.size(), "set_doses: size mismatch");
-  update_doses(doses.data(), 0, shots_.size(), active_ < shots_.size());
+  update_doses(doses.data(), shots_.size());
 }
 
 void ExposureEvaluator::set_active_doses(const std::vector<double>& doses) {
   expects(doses.size() == active_, "set_active_doses: size mismatch");
-  update_doses(doses.data(), 0, active_, false);
+  update_doses(doses.data(), active_);
 }
 
 void ExposureEvaluator::reset_doses(const std::vector<double>& doses) {
   expects(doses.size() == shots_.size(), "reset_doses: size mismatch");
-  // Exact by design (see the header): after this call the evaluator is
-  // bit-identical to one freshly constructed at these doses. The delta
-  // route gets there without the full rebuild: the only pixels whose state
-  // can deviate from a fresh construction are those delta scatters have
-  // touched since the last full gather (tracked in dirty_px_) plus the
-  // changed shots' footprints, and recomputing exactly those with the
-  // full-gather arithmetic (same ascending-order sums) restores global
-  // exactness at O(touched) cost. Deviations are *exact* inequality, not
-  // delta_threshold — deferring a changed dose would break the bitwise
-  // equivalence the sharded corrector builds on. A resident shard re-enters
-  // here every round: usually only a few ghosts moved; after an optimistic
-  // exit or quantization its own doses moved too.
-  const bool deltaable = opt_.delta_threshold > 0 && long_base_ != nullptr &&
-                         ghost_base_ != nullptr && !dirty_overflow_;
-  if (!deltaable) {
-    apply_full(doses.data(), 0, shots_.size());
-    return;
-  }
-  moved_scratch_.clear();  // ghost-relative indices
-  std::vector<std::uint32_t> moved_active;
-  for (std::size_t i = 0; i < active_; ++i) {
-    if (doses[i] != shots_[i].dose)
-      moved_active.push_back(static_cast<std::uint32_t>(i));
-  }
-  for (std::size_t k = active_; k < shots_.size(); ++k) {
-    if (doses[k] != shots_[k].dose)
-      moved_scratch_.push_back(static_cast<std::uint32_t>(k - active_));
-  }
-  if (moved_active.empty() && moved_scratch_.empty() && dirty_px_.empty()) {
-    short_cache_valid_ = false;
-    delta_streak_ = 0;
+  // Exact by design (see the header). Doses are compared by exact
+  // inequality, not delta_threshold — deferring a changed dose would break
+  // the bitwise equivalence the sharded corrector builds on. The state is
+  // already fresh only when no dose changed and no delta scatter has run
+  // since the last full gather; anything else rebuilds in full.
+  if (delta_streak_ == 0 &&
+      std::equal(doses.begin(), doses.end(), shots_.begin(),
+                 [](double d, const Shot& s) { return d == s.dose; })) {
     ++perf_.skipped_refreshes;
     return;
   }
-  for (const std::uint32_t i : moved_active) shots_[i].dose = doses[i];
-  for (const std::uint32_t k : moved_scratch_)
-    shots_[active_ + k].dose = doses[active_ + k];
-  exact_delta_refresh(moved_active, moved_scratch_);
-}
-
-void ExposureEvaluator::exact_delta_refresh(
-    const std::vector<std::uint32_t>& moved_active,
-    const std::vector<std::uint32_t>& moved_ghost) {
-  const auto t0 = std::chrono::steady_clock::now();
-  const int nx = long_base_->width();
-  const std::size_t npx = long_base_->data().size();
-  // Cheap touched-size bound before any footprint walk: active footprints
-  // are known from the splat CSR, moved-ghost footprints bounded by their
-  // clipped bbox pixel areas. Past half the map the dirty recompute cannot
-  // beat the full rebuild — bail without marking a single pixel (the round
-  // after a warm-start correction moves nearly every halo ghost, and the
-  // wasted walk used to cost real, uncounted time there).
-  std::size_t touched_bound = dirty_px_.size();
-  for (const std::uint32_t i : moved_active)
-    touched_bound += shot_start_[i + 1] - shot_start_[i];
-  for (const std::uint32_t k : moved_ghost) {
-    const Box bb = shots_[active_ + k].shape.bbox();
-    const auto [ax, ay] = long_base_->index_of(bb.lo);
-    const auto [bx, by] = long_base_->index_of(bb.hi);
-    touched_bound += static_cast<std::size_t>(bx - ax + 1) * (by - ay + 1);
-  }
-  bool full = touched_bound * 2 > npx;
-  if (!full) {
-    // Mark the moved shots' footprints dirty (their coverage contribution
-    // moved) on top of whatever earlier delta scatters already recorded.
-    for (const std::uint32_t i : moved_active) {
-      if (dirty_overflow_) break;
-      for (std::uint32_t k = shot_start_[i]; k < shot_start_[i + 1]; ++k)
-        mark_dirty(shot_px_[k]);
-    }
-    for (const std::uint32_t k : moved_ghost) {
-      if (dirty_overflow_) break;
-      long_base_->visit_coverage(
-          shots_[active_ + k].shape, [&](int ix, int iy, double) {
-            mark_dirty(static_cast<std::uint32_t>(iy) * nx + ix);
-          });
-    }
-    full = dirty_overflow_;
-  }
-  // Changed-ghost coverage: re-raster the frozen map from scratch — the
-  // identical serial accumulation a fresh construction runs, so it is
-  // bitwise fresh, and the full path below needs it just the same. Moved
-  // actives never touch the frozen ghost map.
-  if (!moved_ghost.empty()) rebuild_ghost_base();
-  if (full) {
-    // The touched set is (or grew) past half the map: finish through the
-    // full rebuild (doses are already applied; accumulate clears the dirty
-    // set).
-    accumulate_long_range();
-    short_cache_valid_ = false;
-    delta_streak_ = 0;
-    return;
-  }
-  const double* bg = ghost_base_->data().data();
-  // Base recompute on every dirty pixel with the exact gather arithmetic
-  // (independent outputs: deterministic for any thread count).
-  std::vector<double> adose(active_);
-  for (std::size_t i = 0; i < active_; ++i) adose[i] = shots_[i].dose;
-  double* base = long_base_->data().data();
-  parallel_for(
-      dirty_px_.size(),
-      [&](std::size_t b, std::size_t e) {
-        for (std::size_t i = b; i < e; ++i) {
-          const std::uint32_t p = dirty_px_[i];
-          double acc = bg[p];
-          for (std::uint32_t k = px_start_[p]; k < px_start_[p + 1]; ++k)
-            acc += static_cast<double>(px_frac_[k]) * adose[px_shot_[k]];
-          base[p] = acc;
-        }
-      },
-      opt_.threads);
-  perf_.delta_accumulate_ms += ms_since(t0);
-  perf_.shots_updated +=
-      static_cast<long long>(moved_active.size() + moved_ghost.size());
-  ++perf_.delta_refreshes;
-  // Blur. Under FFT the full-map blur of the now bitwise-fresh base is
-  // itself bitwise what a fresh evaluator computes. Under direct, a
-  // windowed blur over the dirty tiles is bit-exact (see
-  // blur_long_range_windowed; allow_fft=false keeps it that way) — pixels
-  // outside them already hold full-blur values because their entire kernel
-  // support is clean. The base changed at exactly the dirty pixels (the
-  // recompute may shift low bits even where a prior windowed patch ran),
-  // so the tiles to patch derive from the dirty set, not just this call's
-  // movers.
-  if (use_fft_) {
-    blur_long_range();
-  } else {
-    const int nx = long_base_->width();
-    for (const std::uint32_t p : dirty_px_) {
-      const int x = static_cast<int>(p) % nx;
-      const int y = static_cast<int>(p) / nx;
-      mark_blur_tiles_region(x, y, x, y);
-    }
-    if (!blur_long_range_windowed(/*allow_fft=*/false)) blur_long_range();
-  }
-  clear_dirty();
-  short_cache_valid_ = false;
-  delta_streak_ = 0;
+  apply_full(doses.data(), shots_.size());
 }
 
 void ExposureEvaluator::set_blur_backend(BlurBackend backend) {

@@ -106,8 +106,9 @@ struct ExposureOptions {
   /// move by far less than the correction tolerance; re-gathering every splat
   /// (and re-summing every analytic neighbor term) for updates that moved
   /// almost nothing is where the iterative corrector used to spend its tail.
-  /// When > 0, set_doses / set_active_doses compare each requested dose with
-  /// the one currently applied:
+  /// When > 0, set_active_doses (and set_doses on an evaluator without
+  /// background shots) compares each requested dose with the one currently
+  /// applied:
   ///   - a shot whose relative change is at most delta_threshold is
   ///     *deferred*: its applied dose keeps its old value until the
   ///     accumulated request drifts past the threshold (or the next full
@@ -205,7 +206,8 @@ class ExposureEvaluator {
   std::size_t active_count() const { return active_; }
 
   /// Replaces all doses — active and background (size must match
-  /// shots().size()) — and refreshes cached maps.
+  /// shots().size()) — and refreshes cached maps. On a split evaluator the
+  /// background may move, so the refresh is always the full gather.
   void set_doses(const std::vector<double>& doses);
 
   /// Replaces the active doses only (size must match active_count());
@@ -213,16 +215,15 @@ class ExposureEvaluator {
   void set_active_doses(const std::vector<double>& doses);
 
   /// Replaces every dose (active and background) exactly, regardless of
-  /// delta_threshold: all requested doses are applied, and the evaluator
-  /// afterwards is bit-identical to one freshly constructed at these doses,
-  /// while the expensive geometry caches (neighbor grid, splat clipping,
-  /// kernel taps, FFT plan) are reused. Doses are compared exactly, so the
-  /// refresh costs what moved: the changed shots' footprints plus every
-  /// pixel earlier delta scatters perturbed, or nothing at all when no dose
-  /// changed and no scatter is pending. This is the re-entry of a resident
-  /// shard evaluator, and the equivalence is what lets the sharded corrector
-  /// evict and rebuild pool entries without changing a single bit of the
-  /// result.
+  /// delta_threshold: all requested doses are applied through the full
+  /// gather, so the evaluator afterwards is bit-identical to one freshly
+  /// constructed at these doses, while the expensive geometry caches
+  /// (neighbor grid, splat clipping, kernel taps, FFT plan) are reused. When
+  /// every requested dose already equals the applied one and no delta scatter
+  /// has run since the last full gather, nothing can be stale and the refresh
+  /// is skipped. This is the re-entry of a resident shard evaluator, and the
+  /// equivalence is what lets the sharded corrector evict and rebuild pool
+  /// entries without changing a single bit of the result.
   void reset_doses(const std::vector<double>& doses);
 
   /// Switches the long-range blur backend and re-derives the blurred maps
@@ -268,33 +269,19 @@ class ExposureEvaluator {
   // the windows beat one full-map blur. Patching per rectangle instead of
   // one union bbox lets spatially scattered movers (a ring of boundary
   // shots, a handful of islands) window — their union bbox would cover the
-  // whole map. Under the direct backend the patched values are
-  // bit-identical to a full-map separable blur (each window carries its
-  // patch's entire kernel support, and clipped window edges coincide with
-  // map edges); allow_fft additionally permits a snug FFT sub-plan per
-  // window, which agrees to rounding only — callers that must stay bitwise
-  // pass false. Returns false (and blurs nothing) when the windows would
-  // not win; the caller then runs blur_long_range(), which also clears the
-  // tile marks.
-  bool blur_long_range_windowed(bool allow_fft);
+  // whole map. A window blurs through the separable passes or a snug FFT
+  // sub-plan, whichever the flop model prefers; either agrees with the
+  // full-map blur to rounding, which the delta path's 1e-12 contract
+  // absorbs. Returns false (and blurs nothing) when the windows would not
+  // win; the caller then runs blur_long_range(), which also clears the tile
+  // marks.
+  bool blur_long_range_windowed();
 
   // Delta-path internals (see ExposureOptions::delta_threshold).
-  // Exact-delta core of reset_doses: with the moved doses already applied
-  // to shots_, restores the evaluator to the bitwise state of a fresh
-  // construction at O(touched + ghost re-raster) cost. Marks the moved shots' footprints (actives via the splat CSR,
-  // ghosts via coverage re-visits) plus every pixel earlier delta scatters
-  // perturbed as dirty, re-rasters the frozen ghost map when ghosts moved,
-  // recomputes the dirty pixels with the full-gather arithmetic, then
-  // re-blurs (windowed-direct when bit-exact and cheaper, full otherwise).
-  // Falls back to the full rebuild when the touched set outgrows half the
-  // map — pre-estimated from footprint sizes before any marking.
-  // @p moved_ghost holds ghost-relative indices (0 = shots_[active_]).
-  void exact_delta_refresh(const std::vector<std::uint32_t>& moved_active,
-                           const std::vector<std::uint32_t>& moved_ghost);
-  void update_doses(const double* doses, std::size_t begin, std::size_t end,
-                    bool include_background);
-  void apply_full(const double* doses, std::size_t begin, std::size_t end);
-  void apply_delta(const double* doses, std::size_t begin, std::size_t end);
+  // Both take the doses of shots_[0..end).
+  void update_doses(const double* doses, std::size_t end);
+  void apply_full(const double* doses, std::size_t end);
+  void apply_delta(const double* doses);
   void scatter_short_delta(std::uint32_t shot, double delta);
   void refresh_short_cache() const;
   // Shared neighbor walk of the analytic path: epoch-deduped grid scan
@@ -367,29 +354,14 @@ class ExposureEvaluator {
   std::unique_ptr<FftConvolver> win_conv_;
   std::vector<int> win_ids_;
 
-  // Dirty-pixel tracking for exact background refreshes: every base-map
-  // pixel a delta scatter has touched since the last full gather (the last
-  // point where the whole evaluator state was bitwise that of a fresh
-  // construction). reset_doses re-derives exactly these pixels
-  // (plus changed-ghost footprints) with full-gather arithmetic, which
-  // restores global bitwise freshness at O(touched) cost. Tracked only for
-  // split evaluators (ghost_base_ set); overflow past half the map flips
-  // dirty_overflow_ and routes the next refresh through the full path.
-  std::vector<std::uint8_t> dirty_mask_;
-  std::vector<std::uint32_t> dirty_px_;
-  bool dirty_overflow_ = false;
-  void mark_dirty(std::uint32_t p);
-  void clear_dirty();
-
   // Tile-granular touch mask feeding the windowed blur: the map is carved
-  // into fixed-size tiles, and the delta paths mark every tile intersecting
+  // into fixed-size tiles, and the delta path marks every tile intersecting
   // a moved footprint's patch region (the footprint dilated by the widest
   // kernel support). blur_long_range_windowed consumes and the next full
   // blur resets the marks.
   int tile_nx_ = 0, tile_ny_ = 0;
   std::vector<std::uint8_t> blur_tiles_;
   int tiles_marked_ = 0;
-  void mark_blur_tiles_region(int ax, int ay, int bx, int by);
   void mark_blur_tiles(const Box& bb);
   void clear_blur_tiles();
 

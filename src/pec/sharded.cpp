@@ -503,11 +503,10 @@ wire::ShardResult solve_shard_job(const wire::ShardJob& job,
   BlurPerf perf0;
   if (pool_slot && *pool_slot) {
     // Resident re-entry: reuse the geometry caches and reset every dose to
-    // the job's. reset_doses compares each dose exactly, so the usual entry
-    // (own doses as published last round, a few ghosts moved) refreshes only
-    // what moved — and an entry the evaluator's state does not match (an
-    // optimistic exit, quantized doses, the same job solved again) still
-    // lands bit-identical to a fresh evaluator.
+    // the job's. reset_doses re-gathers every dose in full unless none moved,
+    // so any entry — a few ghosts moved, an optimistic exit, quantized
+    // doses, the same job solved again — lands bit-identical to a fresh
+    // evaluator.
     eval = pool_slot->get();
     perf0 = eval->blur_perf();
     std::vector<double> all(na + ng);
@@ -559,7 +558,8 @@ wire::ShardResult solve_shard_job(const wire::ShardJob& job,
   // Exact per-shot change flags: a clamped dose can survive an update step
   // unchanged, and only real changes should dirty the neighbors. Published
   // doses are the evaluator's applied ones (see the function comment) so a
-  // resident evaluator re-entering next round finds its own doses unmoved.
+  // resident evaluator whose state is still fresh (no ghost moved, no delta
+  // scatter since its last full gather) skips its re-entry refresh.
   out.doses.resize(na);
   out.changed.assign(na, 0);
   for (std::size_t k = 0; k < na; ++k) {

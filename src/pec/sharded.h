@@ -34,8 +34,9 @@
 // Resident evaluators live in a ShardPool. The in-process solve and a
 // distributed driver that ran out of workers run the same pooled local
 // sweep; each pec_worker daemon admits its jobs through a ShardPool of its
-// own. A resident evaluator re-enters a round through the exact reset_doses
-// refresh, so residency changes the wall clock, never a bit.
+// own. A resident evaluator re-enters a round through reset_doses, a full
+// dose refresh that keeps the geometry caches, so residency changes the wall
+// clock, never a bit.
 //
 // Out-of-process execution (PecOptions::worker_count > 0): shard solves are
 // identical, self-contained jobs, so the driver can farm each round's run

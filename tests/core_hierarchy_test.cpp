@@ -130,5 +130,54 @@ TEST(HierPrep, EmptyLayerGivesNoShots) {
   EXPECT_EQ(hier.stats.cells_fractured, 0u);
 }
 
+/// TOP places MID at x = 2e9 and MID places LEAF (a 10 dbu square at
+/// leaf_x) at x = 2e9, rotated by @p leaf_angle degrees: every record is on
+/// the grid, but the composed displacement is 4e9.
+Library far_placements(Coord leaf_x, double leaf_angle = 0.0) {
+  Library lib("FAR");
+  const CellId leaf = lib.add_cell("LEAF");
+  lib.cell(leaf).add_shape(LayerKey{1, 0}, Box{leaf_x, 0, leaf_x + 10, 10});
+  const CellId mid = lib.add_cell("MID");
+  Reference to_leaf;
+  to_leaf.child = leaf;
+  to_leaf.trans = CTrans{Point{2'000'000'000, 0}, leaf_angle, 1.0, false};
+  lib.cell(mid).add_reference(to_leaf);
+  Reference to_mid;
+  to_mid.child = mid;
+  to_mid.trans = CTrans{Trans{Point{2'000'000'000, 0}, Orient::r0}};
+  lib.cell(lib.add_cell("TOP")).add_reference(to_mid);
+  return lib;
+}
+
+TEST(HierPrep, FarPlacementRejectedNotWrapped) {
+  // The leaf's shapes land past 2^31 on both the orthogonal path and the
+  // non-orthogonal fallback: a DataError naming the cell path, as flatten
+  // reports it, instead of wrapped shots.
+  for (const double angle : {0.0, 45.0}) {
+    const Library lib = far_placements(0, angle);
+    try {
+      const HierPrepResult hier = run_hier_prep(lib, *lib.find_cell("TOP"), LayerKey{1, 0});
+      ADD_FAILURE() << "angle " << angle << ": wrapped to x = "
+                    << (hier.shots.empty() ? 0 : hier.shots[0].shape.bbox().lo.x);
+    } catch (const DataError& e) {
+      EXPECT_STREQ(e.what(),
+                   "placed polygon leaves the 32-bit coordinate grid in cell path "
+                   "TOP/MID/LEAF")
+          << "angle " << angle;
+    }
+  }
+}
+
+TEST(HierPrep, DisplacementBeyondGridStillPlacesExactly) {
+  // The composed displacement (4e9) is off the grid but the placed leaf is
+  // not: the instance must land exactly where flatten puts it.
+  const Library lib = far_placements(-2'000'000'005);
+  const CellId top = *lib.find_cell("TOP");
+  const HierPrepResult hier = run_hier_prep(lib, top, LayerKey{1, 0});
+  ASSERT_EQ(hier.shots.size(), 1u);
+  EXPECT_EQ(hier.shots[0].shape.bbox(), lib.flatten(top, LayerKey{1, 0}).bbox());
+  EXPECT_EQ(hier.shots[0].shape.bbox(), (Box{1'999'999'995, 0, 2'000'000'005, 10}));
+}
+
 }  // namespace
 }  // namespace ebl

@@ -308,11 +308,11 @@ TEST(DosePaths, GhostOnlyResetIsBitwiseTheFreshEvaluator) {
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]) << "shot " << i;
 }
 
-TEST(DosePaths, GhostOnlyResetTakesTheDeltaRouteAndStaysBitwise) {
-  // The resident-shard entry point: when only a few ghost doses moved,
-  // reset_doses must re-rasterize just those ghosts' footprints (counted as
-  // a delta refresh) and still land bit-identical to a fresh evaluator —
-  // the sharded pipeline's residency contract depends on it.
+TEST(DosePaths, GhostResetRefreshesInFullAndSkipsWhenNothingMoved) {
+  // The resident-shard entry point: when a few ghost doses moved,
+  // reset_doses re-gathers in full (one full refresh per re-entry, never a
+  // delta) and lands bit-identical to a fresh evaluator — the sharded
+  // pipeline's residency contract depends on it.
   const ShotList shots = pad_and_island();
   const Psf psf = test_psf();
   const std::size_t na = shots.size() / 2;
@@ -327,8 +327,8 @@ TEST(DosePaths, GhostOnlyResetTakesTheDeltaRouteAndStaysBitwise) {
     }
     split.reset_doses(with_ghosts(split, bg));
   }
-  EXPECT_GT(split.blur_perf().delta_refreshes, 0);
-  EXPECT_EQ(split.blur_perf().refreshes, 1);  // only the constructor's
+  EXPECT_EQ(split.blur_perf().delta_refreshes, 0);
+  EXPECT_EQ(split.blur_perf().refreshes, 1 + 4);  // constructor + each step
 
   ShotList fresh_shots = shots;
   for (std::size_t i = na; i < shots.size(); ++i) fresh_shots[i].dose = bg[i - na];
@@ -369,6 +369,43 @@ TEST(DosePaths, ResetDosesIsBitwiseTheFreshEvaluator) {
   ExposureEvaluator fresh(fresh_shots, na, psf);
   const std::vector<double> a = split.exposures_at_centroids();
   const std::vector<double> b = fresh.exposures_at_centroids();
+  for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]) << "shot " << i;
+}
+
+TEST(DosePaths, SetDosesWithMovedGhostsIsBitwiseTheFreshEvaluator) {
+  // Active-only delta scatters first, then set_doses moving ghost doses as
+  // well: the background can only be refreshed by the full gather, so the
+  // result must equal a fresh evaluator bit for bit.
+  const ShotList shots = pad_and_island();
+  const Psf psf = test_psf();
+  const std::size_t na = shots.size() / 2;
+  ExposureOptions opt;
+  opt.delta_threshold = 1e-15;
+  ExposureEvaluator split(shots, na, psf, opt);
+
+  std::vector<double> act(na, 1.0);
+  for (int step = 0; step < 3; ++step) {
+    act = perturb(act, step, 2, 10);
+    split.set_active_doses(act);
+    (void)split.exposures_at_centroids();  // keep the short cache in play
+  }
+  ASSERT_GT(split.blur_perf().delta_refreshes, 0);
+
+  std::vector<double> all = act;
+  for (std::size_t k = na; k < shots.size(); ++k)
+    all.push_back(k % 3 == 0 ? 1.0 + 0.01 * static_cast<double>(k % 7) : 1.0);
+  const int delta0 = split.blur_perf().delta_refreshes;
+  split.set_doses(all);
+  EXPECT_EQ(split.blur_perf().delta_refreshes, delta0);
+  for (std::size_t i = 0; i < shots.size(); ++i)
+    EXPECT_EQ(split.shots()[i].dose, all[i]) << "shot " << i;
+
+  ShotList fresh_shots = shots;
+  for (std::size_t i = 0; i < shots.size(); ++i) fresh_shots[i].dose = all[i];
+  ExposureEvaluator fresh(fresh_shots, na, psf, opt);
+  const std::vector<double> a = split.exposures_at_centroids();
+  const std::vector<double> b = fresh.exposures_at_centroids();
+  ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]) << "shot " << i;
 }
 

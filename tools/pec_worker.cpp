@@ -12,8 +12,9 @@
 // every job is admitted through a ShardPool (src/pec/sharded.h) — the same
 // pool the in-process sweep plans with — as a batch of one, sized by the
 // job's resident_shard_budget (LRU eviction over it). A resident evaluator
-// re-enters through the exact reset_doses refresh to the job's doses, so
-// residency changes wall clock but never a bit of the doses. A session tag
+// re-enters through reset_doses, a full refresh to the job's doses that
+// keeps the geometry caches, so residency changes wall clock but never a
+// bit of the doses. A session tag
 // in each job drops the pool when a long-lived worker starts seeing a
 // different solve.
 //
