@@ -102,91 +102,10 @@ std::vector<ScalingRow> run_scaling(const Psf& psf, bool quick) {
   return rows;
 }
 
-// --- Blur-backend section: separable vs FFT long-range refresh. ---
-//
-// The triple-Gaussian PSF puts two terms (gamma, beta) on the shared
-// long-range map, so the iterative corrector re-blurs the accumulated splat
-// map with two kernels every iteration — the workload the FFT backend
-// exists for: one forward transform of the map, one spectral multiply +
-// inverse per term. Each case times set_doses refreshes on one evaluator
-// under both backends (the splat cache and map are shared, so the timed
-// difference is purely the convolution engine), checks the backends agree
-// to 1e-6 at every shot centroid, and records which backend kAuto picks.
-struct BlurRow {
-  std::size_t shots = 0;
-  double pixels_per_sigma = 0.0;
-  Coord map_pixel = 0;
-  double accumulate_ms = 0.0;  // splat gather per refresh (backend-independent)
-  double direct_ms = 0.0;      // per-refresh blur, separable backend
-  double fft_ms = 0.0;         // per-refresh blur, FFT backend
-  double max_dev = 0.0;        // max |direct - fft| over all centroids
-  bool auto_picks_fft = false;
-};
-
-std::vector<BlurRow> run_blur_backends(const Psf& psf, bool quick) {
-  const std::size_t target = quick ? 10000 : 100000;
-  const ShotList shots = checkerboard_shots(target);
-  const std::vector<double> pps_values =
-      quick ? std::vector<double>{4.0} : std::vector<double>{4.0, 5.0};
-
-  double min_long_sigma = 0.0;
-  for (const PsfTerm& t : psf.terms()) {
-    if (t.sigma >= ExposureOptions{}.long_range_threshold &&
-        (min_long_sigma == 0.0 || t.sigma < min_long_sigma)) {
-      min_long_sigma = t.sigma;
-    }
-  }
-
-  std::vector<BlurRow> rows;
-  for (const double pps : pps_values) {
-    ExposureOptions opt;
-    opt.pixels_per_sigma = pps;
-    opt.blur_backend = BlurBackend::kDirect;
-    ExposureEvaluator eval(shots, psf, opt);
-
-    BlurRow row;
-    row.shots = shots.size();
-    row.pixels_per_sigma = pps;
-    row.map_pixel = std::max<Coord>(1, static_cast<Coord>(min_long_sigma / pps));
-
-    // Doses perturbed per refresh so every set_doses does real work.
-    const int refreshes = 2;
-    auto doses_for = [&](int it) {
-      std::vector<double> d(shots.size());
-      for (std::size_t i = 0; i < d.size(); ++i)
-        d[i] = 1.0 + 0.02 * static_cast<double>((i * 131 + std::size_t(it) * 17) % 101);
-      return d;
-    };
-
-    BlurPerf mark = eval.blur_perf();
-    for (int it = 0; it < refreshes; ++it) eval.set_doses(doses_for(it));
-    row.direct_ms = (eval.blur_perf().blur_ms - mark.blur_ms) / refreshes;
-    row.accumulate_ms =
-        (eval.blur_perf().accumulate_ms - mark.accumulate_ms) / refreshes;
-    const std::vector<double> direct_e = eval.exposures_at_centroids();
-
-    // Same evaluator, same doses, same accumulated map — only the
-    // convolution engine changes.
-    eval.set_blur_backend(BlurBackend::kFft);
-    const std::vector<double> fft_e = eval.exposures_at_centroids();
-    for (std::size_t i = 0; i < fft_e.size(); ++i)
-      row.max_dev = std::max(row.max_dev, std::abs(fft_e[i] - direct_e[i]));
-
-    mark = eval.blur_perf();
-    for (int it = 0; it < refreshes; ++it) eval.set_doses(doses_for(it));
-    row.fft_ms = (eval.blur_perf().blur_ms - mark.blur_ms) / refreshes;
-
-    eval.set_blur_backend(BlurBackend::kAuto);
-    row.auto_picks_fft = eval.blur_backend() == BlurBackend::kFft;
-    rows.push_back(row);
-    std::cerr << "blur backends: pps " << pps << " done\n";
-  }
-  return rows;
-}
-
 // --- Padded-size sweep: power-of-two vs mixed-radix FFT plans. ---
 //
-// The FFT convolver pads the map to the next 5-smooth size (2^a 3^b 5^c)
+// The FFT convolver behind simulate_exposure's wide-kernel blurs pads the
+// map to the next 5-smooth size (2^a 3^b 5^c)
 // instead of the next power of two. This sweep times one registered
 // convolve (load + spectral multiply + inverse) of the same kernel on both
 // plans for representative long-range map shapes: the mixed-radix plan at
@@ -263,9 +182,8 @@ std::vector<PadRow> run_pad_sweep(bool quick) {
 // same grid — so the recorded errors are directly comparable; the dose
 // delta is the sharding cost in dose space. The speedup column is what the
 // sharded pipeline buys at the recorded thread count: even single-threaded
-// it now beats the global solve — FFT-snug shards waste no transform
-// padding, the density warm start turns round 1 into one verified Jacobi
-// step per shard, resident evaluators carry the geometry caches across
+// it now beats the global solve — the density warm start turns round 1
+// into one verified Jacobi step per shard, resident evaluators carry the geometry caches across
 // exchange rounds, and deferred verification lets a round publish its
 // update and have the next round certify it — with concurrency across
 // shards stacking on top on multicore hosts.
@@ -348,9 +266,7 @@ ShardedRow run_sharded(const Psf& psf, bool quick) {
   std::cerr << "sharded section: global solve done\n";
 
   PecOptions sopt = popt;
-  // FFT-snug sizing: shards grown from the 64-sigma default until their
-  // long-range maps fill the power-of-two FFT grid they would pad to anyway.
-  sopt.shard_size = default_shard_size(psf, sopt);
+  sopt.shard_size = default_shard_size(psf);
   row.shard_size = sopt.shard_size;
   t0 = std::chrono::steady_clock::now();
   const PecResult sharded = correct_proximity(shots, psf, sopt);
@@ -466,9 +382,8 @@ void write_blur_perf(std::ofstream& out, const BlurPerf& p) {
 }
 
 void write_bench_json(const std::vector<ScalingRow>& rows,
-                      const std::vector<BlurRow>& blur,
                       const std::vector<PadRow>& pads, const ShardedRow& sharded,
-                      const Psf& psf, const Psf& blur_psf) {
+                      const Psf& psf) {
   std::ofstream out("BENCH_pec.json");
   out << "{\n  \"bench\": \"pec_scaling\",\n";
   out << "  \"workload\": \"checkerboard, 2um cells, 50% density\",\n";
@@ -494,40 +409,20 @@ void write_bench_json(const std::vector<ScalingRow>& rows,
     out << "}";
   }
   out << "\n  ],\n";
-  out << "  \"blur_backends\": {\n";
-  out << "    \"workload\": \"triple-Gaussian long-range refresh (gamma + beta on"
-         " one shared map)\",\n";
-  out << "    \"psf\": {\"alpha\": " << blur_psf.min_sigma()
-      << ", \"beta\": " << blur_psf.max_sigma() << ", \"terms\": "
-      << blur_psf.terms().size() << "},\n";
-  out << "    \"cases\": [";
-  for (std::size_t i = 0; i < blur.size(); ++i) {
-    const BlurRow& r = blur[i];
-    out << (i ? "," : "") << "\n      {\"shots\": " << r.shots
-        << ", \"pixels_per_sigma\": " << r.pixels_per_sigma
-        << ", \"map_pixel_dbu\": " << r.map_pixel
-        << ", \"accumulate_ms_per_iteration\": " << r.accumulate_ms
-        << ", \"blur_ms_per_iteration_direct\": " << r.direct_ms
-        << ", \"blur_ms_per_iteration_fft\": " << r.fft_ms
-        << ", \"fft_blur_speedup\": " << r.direct_ms / r.fft_ms
-        << ", \"auto_picks\": \"" << (r.auto_picks_fft ? "fft" : "direct")
-        << "\", \"max_abs_deviation\": " << r.max_dev << "}";
-  }
-  out << "\n    ],\n";
-  out << "    \"padded_size_sweep\": [";
+  out << "  \"padded_size_sweep\": [";
   for (std::size_t i = 0; i < pads.size(); ++i) {
     const PadRow& r = pads[i];
-    out << (i ? "," : "") << "\n      {\"map\": [" << r.nx << ", " << r.ny
+    out << (i ? "," : "") << "\n    {\"map\": [" << r.nx << ", " << r.ny
         << "], \"kernel_radius_px\": " << r.radius << ", \"mixed_radix_plan\": ["
         << r.fast_px << ", " << r.fast_py << "], \"pow2_plan\": [" << r.pow2_px
         << ", " << r.pow2_py << "], \"mixed_radix_ms\": " << r.fast_ms
         << ", \"pow2_ms\": " << r.pow2_ms
         << ", \"mixed_radix_speedup\": " << r.pow2_ms / r.fast_ms << "}";
   }
-  out << "\n    ]\n  },\n";
+  out << "\n  ],\n";
   out << "  \"sharded\": {\n";
   out << "    \"workload\": \"pad+island grid (20um pads, isolated 1um islands),"
-         " triple-Gaussian full correction, sharded (FFT-snug shards, density"
+         " triple-Gaussian full correction, sharded (64-sigma shards, density"
          " warm start, resident evaluator pool) vs global oracle (errors"
          " measured on one shared global evaluator)\",\n";
   out << "    \"cases\": [\n";
@@ -649,8 +544,8 @@ int main(int argc, char** argv) {
   // longest and the most sensitive to machine load, so an A/B of a sharding
   // change wants a probe that skips the unrelated half of the suite.
   if (argc > 1 && std::strcmp(argv[1], "--sharded-only") == 0) {
-    const Psf blur_psf = Psf::triple_gaussian(50.0, 3000.0, 600.0, 0.7, 0.3);
-    print_sharded(run_sharded(blur_psf, false));
+    const Psf sharded_psf = Psf::triple_gaussian(50.0, 3000.0, 600.0, 0.7, 0.3);
+    print_sharded(run_sharded(sharded_psf, false));
     return 0;
   }
 
@@ -666,19 +561,6 @@ int main(int argc, char** argv) {
   }
   sc.print();
 
-  const Psf blur_psf = Psf::triple_gaussian(50.0, 3000.0, 600.0, 0.7, 0.3);
-  const std::vector<BlurRow> blur_rows = run_blur_backends(blur_psf, quick);
-  Table bb("Blur backends: per-iteration long-range refresh (triple Gaussian)");
-  bb.columns({"shots", "px/sigma", "accumulate ms", "direct ms", "fft ms",
-              "fft speedup", "auto picks", "max deviation"});
-  for (const BlurRow& r : blur_rows) {
-    bb.row(r.shots, fixed(r.pixels_per_sigma, 0), fixed(r.accumulate_ms, 1),
-           fixed(r.direct_ms, 1), fixed(r.fft_ms, 1),
-           fixed(r.direct_ms / r.fft_ms, 2), r.auto_picks_fft ? "fft" : "direct",
-           r.max_dev);
-  }
-  bb.print();
-
   const std::vector<PadRow> pad_rows = run_pad_sweep(quick);
   Table ps("Padded FFT plans: mixed-radix (5-smooth) vs power-of-two");
   ps.columns({"map", "radius", "mixed-radix plan", "pow2 plan", "mixed ms",
@@ -692,10 +574,11 @@ int main(int argc, char** argv) {
   }
   ps.print();
 
-  const ShardedRow sharded = run_sharded(blur_psf, quick);
+  const Psf sharded_psf = Psf::triple_gaussian(50.0, 3000.0, 600.0, 0.7, 0.3);
+  const ShardedRow sharded = run_sharded(sharded_psf, quick);
   print_sharded(sharded);
 
-  write_bench_json(scaling, blur_rows, pad_rows, sharded, scaling_psf, blur_psf);
+  write_bench_json(scaling, pad_rows, sharded, scaling_psf);
   std::cout << "wrote BENCH_pec.json\n";
   if (quick) return 0;
   const Coord w = 500;

@@ -1,10 +1,9 @@
 #include "core/job.h"
 
-#include <algorithm>
 #include <chrono>
 #include <functional>
+#include <utility>
 
-#include "pec/exposure.h"
 #include "util/contracts.h"
 
 namespace ebl {
@@ -44,25 +43,16 @@ PrepResult run_pipeline(const PrepOptions& options, const char* front_name,
   };
   const Stage stages[] = {
       {front_name, true, [&] { front(result); }},
-      // Uncorrected-error measurement. Needs a whole-pattern evaluator, so
-      // it only runs for the global solve; sharded jobs (including every
-      // distributed one, which shards even at shard_size 0) exist precisely
-      // to avoid that O(pattern) footprint.
-      {"pec_baseline",
-       options.pec_psf.has_value() && options.pec.shard_size == 0 &&
-           options.pec.worker_count == 0 && options.pec.worker_hosts.empty(),
-       [&] {
-         ExposureEvaluator eval(result.shots, *options.pec_psf, pec_opt.exposure);
-         double uncorrected = 0.0;
-         for (double e : eval.exposures_at_centroids())
-           uncorrected = std::max(uncorrected, std::abs(e / pec_opt.target - 1.0));
-         result.pec_uncorrected_error = uncorrected;
-       }},
       {"pec", options.pec_psf.has_value(),
        [&] {
          PecResult pec = correct_proximity(result.shots, *options.pec_psf, pec_opt);
          result.shots = std::move(pec.shots);
          result.pec_final_error = pec.final_max_error;
+         // The global corrector's first sweep measures the input doses on
+         // its one whole-pattern evaluator. A sharded solve's first entry is
+         // the density-warmed error instead, so it reports none.
+         if (pec.shards == 0)
+           result.pec_uncorrected_error = pec.max_error_history.front();
          result.pec_iterations = pec.iterations;
          result.pec_shards = pec.shards;
          result.pec_workers = pec.workers;

@@ -88,10 +88,11 @@ struct PrepResult {
   std::size_t boundary_straddlers = 0;
 
   /// PEC summary (present when pec_psf was set). pec_uncorrected_error is
-  /// measured by the optional pec_baseline stage, which needs a whole-
-  /// pattern evaluator and therefore only runs for the global solve
-  /// (pec.shard_size == 0 and no workers) — sharded and distributed jobs
-  /// skip it, that O(pattern) footprint being exactly what sharding avoids.
+  /// the global solve's first-sweep error (PecResult::max_error_history
+  /// front, measured at the input doses), so it is set only when
+  /// pec.shard_size == 0 and no workers are used. Sharded and distributed
+  /// jobs leave it unset: their first sweep already runs on density-warmed
+  /// doses, and a whole-pattern evaluator is exactly what sharding avoids.
   std::optional<double> pec_final_error;
   std::optional<double> pec_uncorrected_error;
   int pec_iterations = 0;
@@ -119,10 +120,10 @@ struct PrepResult {
   std::optional<IngestStats> ingest;
 
   /// Wall-clock per executed stage, in execution order. Stage names:
-  /// "fracture", "pec_baseline" (global PEC only), "pec", "field_partition",
-  /// "write_time", "epe" (when PrepOptions::epe is set); disabled stages are
-  /// absent. File-input jobs replace "fracture" with "ingest", which covers
-  /// the fused stream-and-fracture front end. Sharded PEC jobs additionally
+  /// "fracture", "pec", "field_partition", "write_time", "epe" (when
+  /// PrepOptions::epe is set); disabled stages are absent. File-input jobs
+  /// replace "fracture" with "ingest", which covers the fused
+  /// stream-and-fracture front end. Sharded PEC jobs additionally
   /// record one "pec_round_N" entry per halo-exchange round plus
   /// "pec_measure" when a final measurement pass ran — sub-stages of "pec",
   /// listed just before it — so the exchange cost is visible in profiles.

@@ -98,11 +98,8 @@ PecResult density_pec(const ShotList& shots, const Psf& psf, const PecOptions& o
   const Coord pixel = std::max<Coord>(1, static_cast<Coord>(max_sigma / 4.0));
   Raster density(frame.bloated(margin), pixel);
   for (const Shot& s : shots) density.add_coverage(s.shape, 1.0);
-  // Backend-dispatched: the density map is one blur at sigma/4 pixels, so
-  // kAuto stays on the separable passes unless the caller picked finer
-  // pixels (via exposure.blur_backend = kFft the spectral path is forced).
-  gaussian_blur(density, max_sigma, options.exposure.blur_backend,
-                options.exposure.threads);
+  // One blur at sigma/4 pixels: a 16-pixel kernel radius.
+  gaussian_blur(density, max_sigma, options.exposure.threads);
 
   PecResult result;
   result.shots = shots;

@@ -86,7 +86,7 @@ struct PecOptions {
   /// resident shard re-enters a round through an exact dose refresh
   /// (ExposureEvaluator::reset_doses: a full gather and blur, or nothing
   /// when no dose moved) that reuses its neighbor grid, splat clipping,
-  /// kernel taps and FFT plan — the expensive, geometry-only construction
+  /// term maps and kernel taps — the expensive, geometry-only construction
   /// work — instead of rebuilding them. Over budget, the least-recently-run
   /// shards fall back to transient mode (evict-LRU); because the refresh is
   /// exact, residency never changes a bit of the result, only the wall

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <mutex>
 
 #include "util/contracts.h"
@@ -101,24 +102,50 @@ double ms_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-// Flop models for the backend choice. The direct separable blur's contiguous
-// mul-adds vectorize a little better than the strided FFT passes, so FFT
-// must be modestly cheaper in flops before it wins on the clock; the factor
-// below absorbs that measured steady-state throughput gap (calibrated on
-// 2k..8k-pixel maps with 16..100-pixel kernel radii, where it reproduces the
-// measured crossover on every probed case — e.g. flop ratio 1.27 ran at
-// 0.96x, ratio 2.1 at 1.9x).
-constexpr double kFftWinFactor = 1.4;
-
-// Tile side of the windowed-blur touch mask (pixels). Small enough that a
-// ring of boundary movers resolves into thin edge rectangles instead of one
-// map-sized blob, large enough that the mask and the per-rectangle overhead
-// stay negligible against the blur itself.
+// Tile side of the windowed-blur touch mask (base pixels). Small enough
+// that a ring of boundary movers resolves into thin edge rectangles instead
+// of one map-sized blob, large enough that the mask and the per-rectangle
+// overhead stay negligible against the blur itself.
 constexpr int kBlurTilePx = 32;
 
-double direct_blur_flops(std::size_t npx, std::size_t radius) {
-  // Two passes of a (2 radius + 1)-tap kernel.
-  return static_cast<double>(npx) * (8.0 * static_cast<double>(radius) + 2.0);
+// Box average of a k-times-coarser raster sharing the fine raster's origin:
+// coarse pixels [cx0, cx0 + cw) x [cy0, cy0 + ch) are written to dst (row
+// stride cw) as the mean of their k x k fine blocks, fine pixels past the
+// fine raster's edge counting as zero. Each coarse pixel sums its block rows
+// then columns in ascending order, whatever region it is computed in, so
+// the windowed blur's extracts equal the full map's bit for bit. k == 1 is
+// a plain copy.
+void box_average(const double* fine, int nx, int ny, int k, int cx0, int cy0,
+                 int cw, int ch, double* dst, int threads) {
+  if (k == 1) {
+    for (int y = 0; y < ch; ++y)
+      std::copy_n(fine + static_cast<std::size_t>(cy0 + y) * nx + cx0, cw,
+                  dst + static_cast<std::size_t>(y) * cw);
+    return;
+  }
+  const double inv = 1.0 / (static_cast<double>(k) * k);
+  parallel_for(
+      static_cast<std::size_t>(ch),
+      [&](std::size_t y0, std::size_t y1) {
+        for (std::size_t y = y0; y < y1; ++y) {
+          double* out = dst + y * static_cast<std::size_t>(cw);
+          std::fill_n(out, cw, 0.0);
+          const int fy0 = (cy0 + static_cast<int>(y)) * k;
+          const int fy1 = std::min(ny, fy0 + k);
+          for (int fy = fy0; fy < fy1; ++fy) {
+            const double* row = fine + static_cast<std::size_t>(fy) * nx;
+            for (int x = 0; x < cw; ++x) {
+              const int fx0 = (cx0 + x) * k;
+              const int fx1 = std::min(nx, fx0 + k);
+              double acc = out[x];
+              for (int fx = fx0; fx < fx1; ++fx) acc += row[fx];
+              out[x] = acc;
+            }
+          }
+          for (int x = 0; x < cw; ++x) out[x] *= inv;
+        }
+      },
+      threads);
 }
 
 // Raw-buffer core of separable_blur, so the windowed delta-blur can run the
@@ -189,23 +216,6 @@ void separable_blur_buf(double* src, int nx, int ny, const std::vector<double>& 
 
 }  // namespace
 
-bool fft_blur_wins(int nx, int ny, const std::vector<std::size_t>& radii) {
-  const std::size_t npx = static_cast<std::size_t>(nx) * static_cast<std::size_t>(ny);
-  double direct = 0.0;
-  std::size_t rmax = 1;
-  for (const std::size_t r : radii) {
-    direct += direct_blur_flops(npx, r);
-    rmax = std::max(rmax, r);
-  }
-  // One shared forward transform, one inverse plus spectral multiply per
-  // kernel.
-  const double fft =
-      (1.0 + static_cast<double>(radii.size())) *
-          FftConvolver::transform_cost(nx, ny, static_cast<int>(rmax)) +
-      10.0 * static_cast<double>(npx) * static_cast<double>(radii.size());
-  return direct > kFftWinFactor * fft;
-}
-
 std::vector<double> gaussian_kernel_taps(double sigma_px) {
   expects(sigma_px > 0, "gaussian_kernel_taps: sigma must be positive");
   const int radius = std::max(1, static_cast<int>(std::ceil(4.0 * sigma_px)));
@@ -231,35 +241,6 @@ void gaussian_blur(Raster& raster, double sigma_dbu, int threads) {
   expects(sigma_dbu > 0, "gaussian_blur: sigma must be positive");
   separable_blur(raster, gaussian_kernel_taps(sigma_dbu / raster.pixel_size()),
                  threads);
-}
-
-void fft_gaussian_blur(Raster& raster, double sigma_dbu, int threads) {
-  expects(sigma_dbu > 0, "fft_gaussian_blur: sigma must be positive");
-  const std::vector<double> taps =
-      gaussian_kernel_taps(sigma_dbu / raster.pixel_size());
-  FftConvolver conv(raster.width(), raster.height(),
-                    static_cast<int>(taps.size()) - 1, threads);
-  conv.load(raster.data().data());
-  conv.convolve(taps, raster.data().data());
-}
-
-void gaussian_blur(Raster& raster, double sigma_dbu, BlurBackend backend,
-                   int threads) {
-  expects(sigma_dbu > 0, "gaussian_blur: sigma must be positive");
-  const std::vector<double> taps =
-      gaussian_kernel_taps(sigma_dbu / raster.pixel_size());
-  const bool fft =
-      backend == BlurBackend::kFft ||
-      (backend == BlurBackend::kAuto &&
-       fft_blur_wins(raster.width(), raster.height(), {taps.size() - 1}));
-  if (fft) {
-    FftConvolver conv(raster.width(), raster.height(),
-                      static_cast<int>(taps.size()) - 1, threads);
-    conv.load(raster.data().data());
-    conv.convolve(taps, raster.data().data());
-  } else {
-    separable_blur(raster, taps, threads);
-  }
 }
 
 ExposureEvaluator::ExposureEvaluator(ShotList shots, const Psf& psf,
@@ -368,10 +349,6 @@ void ExposureEvaluator::build_long_range() {
   term_maps_.clear();
   long_base_.reset();
   ghost_base_.reset();
-  convolver_.reset();
-  term_kernel_ids_.clear();
-  win_conv_.reset();
-  win_ids_.clear();
   shot_start_.clear();
   shot_px_.clear();
   shot_frac_.clear();
@@ -380,8 +357,10 @@ void ExposureEvaluator::build_long_range() {
   Box frame;
   for (const Shot& s : shots_) frame += s.shape.bbox();
 
-  // One shared base raster: pixel resolves the finest long-range term, the
-  // frame extends past the pattern by the widest term's kernel support.
+  // The fine base raster: pixel p resolves the finest long-range term. Term
+  // t's map takes pixel k_t * p, the largest multiple of p within its own
+  // sigma_t / pixels_per_sigma, so every kernel spans ~4 * pixels_per_sigma
+  // of its own pixels.
   double sigma_min = long_terms_.front().sigma;
   double sigma_max = sigma_min;
   for (const PsfTerm& t : long_terms_) {
@@ -390,30 +369,44 @@ void ExposureEvaluator::build_long_range() {
   }
   const Coord pixel =
       std::max<Coord>(1, static_cast<Coord>(sigma_min / opt_.pixels_per_sigma));
-  // Margin per map_margin_sigmas, but never below 2 pixels: edge centroids
-  // need one in-grid bilinear neighbor, and the blur needs no margin at all
-  // (zero padding is exact when every source lies on the map).
+  const auto term_k = [&](const PsfTerm& t) {
+    return std::max(1, static_cast<int>(t.sigma / opt_.pixels_per_sigma /
+                                        static_cast<double>(pixel)));
+  };
+  int k_max = 1;
+  for (const PsfTerm& t : long_terms_) k_max = std::max(k_max, term_k(t));
+  // Margin per map_margin_sigmas, but never below 2 pixels of the coarsest
+  // map: edge centroids need one in-grid bilinear neighbor there, and the
+  // blur needs no margin at all (zero padding is exact when every source
+  // lies on the map).
   const Coord margin = std::max<Coord>(
-      2 * pixel,
+      2 * k_max * pixel,
       static_cast<Coord>(std::ceil(opt_.map_margin_sigmas * sigma_max)));
-  const Box padded = frame.bloated(margin);
-  long_base_ = std::make_unique<Raster>(padded, pixel);
+  long_base_ = std::make_unique<Raster>(frame.bloated(margin), pixel);
 
-  std::vector<std::size_t> radii;
-  max_radius_ = 0;
+  support_px_ = 0;
+  const Point lo = long_base_->origin();
   for (const PsfTerm& term : long_terms_) {
-    TermMap tm{term, gaussian_kernel_taps(term.sigma / static_cast<double>(pixel)),
-               std::make_unique<Raster>(padded, pixel)};
-    radii.push_back(tm.taps.size() - 1);
-    max_radius_ = std::max(max_radius_, static_cast<int>(tm.taps.size()) - 1);
+    // Same origin as the base, ceil(nx / k) x ceil(ny / k) pixels. Clamping
+    // the far corner to the coordinate range keeps that count: the base
+    // itself ends within the range.
+    const int k = term_k(term);
+    const Coord tp = k * pixel;
+    const auto far = [&](Coord origin, int n) {
+      return static_cast<Coord>(std::min<Coord64>(
+          Coord64(origin) + Coord64((n + k - 1) / k) * tp,
+          std::numeric_limits<Coord>::max()));
+    };
+    const Box extent{lo.x, lo.y, far(lo.x, long_base_->width()),
+                     far(lo.y, long_base_->height())};
+    TermMap tm{term, k, gaussian_kernel_taps(term.sigma / static_cast<double>(tp)),
+               std::make_unique<Raster>(extent, tp)};
+    support_px_ = std::max(support_px_, k * (static_cast<int>(tm.taps.size()) - 1));
     term_maps_.push_back(std::move(tm));
   }
-  use_fft_ = opt_.blur_backend == BlurBackend::kFft ||
-             (opt_.blur_backend == BlurBackend::kAuto &&
-              fft_blur_wins(long_base_->width(), long_base_->height(), radii));
 
   {
-    // Clip every shot against the shared grid once, then transpose the
+    // Clip every shot against the fine base grid once, then transpose the
     // splats to a pixel-major CSR so re-accumulation is a flat weighted
     // gather. The clipping (exact convex clip + shoelace per footprint) is
     // the expensive part, so it runs on the thread pool: each chunk of shots
@@ -533,6 +526,9 @@ void ExposureEvaluator::accumulate_long_range() {
       opt_.threads);
   perf_.accumulate_ms += ms_since(t0);
 
+  // A full gather re-derives every base pixel, so every term-map pixel is
+  // stale: pending windowed-blur marks are moot.
+  clear_blur_tiles();
   blur_long_range();
   ++perf_.refreshes;
 }
@@ -540,57 +536,40 @@ void ExposureEvaluator::accumulate_long_range() {
 void ExposureEvaluator::blur_long_range() {
   if (!long_base_) return;
   const auto t0 = std::chrono::steady_clock::now();
-  if (use_fft_) {
-    // One forward transform of the accumulated base map serves every term.
-    // The term kernels are fixed for the evaluator's lifetime, so they
-    // register with the plan once — their spectra are cached there — and one
-    // batched call applies all of them to the single cached forward
-    // transform (one load of each transformed column, one fused multiply and
-    // inverse per term).
-    if (!convolver_) {
-      convolver_ = std::make_unique<FftConvolver>(
-          long_base_->width(), long_base_->height(), max_radius_, opt_.threads);
-      term_kernel_ids_.clear();
-      for (const TermMap& tm : term_maps_)
-        term_kernel_ids_.push_back(convolver_->add_kernel(tm.taps));
-    }
-    convolver_->load(long_base_->data().data());
-    std::vector<double*> outs;
-    outs.reserve(term_maps_.size());
-    for (TermMap& tm : term_maps_) outs.push_back(tm.map->data().data());
-    convolver_->convolve_registered(term_kernel_ids_, outs);
-  } else {
-    for (TermMap& tm : term_maps_) {
-      tm.map->data() = long_base_->data();  // same size: no allocation
-      separable_blur(*tm.map, tm.taps, opt_.threads);
+  const std::vector<TileRect> rects = merged_blur_tiles();
+  bool windowed = false;
+  for (TermMap& tm : term_maps_) {
+    if (!rects.empty() && blur_term_windowed(tm, rects)) {
+      windowed = true;
+    } else {
+      blur_term(tm);
     }
   }
-  // A full blur freshens every term-map pixel, so pending windowed-blur
-  // marks are moot.
   clear_blur_tiles();
-  perf_.blur_ms += ms_since(t0);
+  const double dt = ms_since(t0);
+  perf_.blur_ms += dt;
+  if (windowed) {
+    perf_.windowed_blur_ms += dt;
+    ++perf_.windowed_blurs;
+  }
 }
 
-bool ExposureEvaluator::blur_long_range_windowed() {
-  if (!long_base_ || term_maps_.empty() || tiles_marked_ == 0) return false;
-  const int nx = long_base_->width();
-  const int ny = long_base_->height();
-  const int r = max_radius_;
-  const std::size_t npx = static_cast<std::size_t>(nx) * ny;
-  const std::size_t nterm = term_maps_.size();
+void ExposureEvaluator::blur_term(TermMap& tm) {
+  Raster& m = *tm.map;
+  box_average(long_base_->data().data(), long_base_->width(), long_base_->height(),
+              tm.k, 0, 0, m.width(), m.height(), m.data().data(), opt_.threads);
+  separable_blur(m, tm.taps, opt_.threads);
+}
 
-  // Merge the marked tiles into patch rectangles P: horizontal runs of
-  // adjacent tiles per tile row, coalesced with the rectangle directly
-  // above when the column span matches. The marks already carry the
-  // kernel-support dilation (see mark_blur_tiles), so each
-  // rectangle covers every output pixel its touched region can change —
-  // padded out to tile granularity, which only over-patches (over-patched
-  // pixels recompute to their existing full-blur values).
-  struct Rect {
-    int tx0, tx1, ty0, ty1;  // tile coords, inclusive
-    bool use_fft;
-  };
-  std::vector<Rect> rects;
+std::vector<ExposureEvaluator::TileRect> ExposureEvaluator::merged_blur_tiles() const {
+  // Horizontal runs of adjacent marked tiles per tile row, coalesced with
+  // the rectangle directly above when the column span matches. The marks
+  // already carry the widest kernel-support dilation (see mark_blur_tiles),
+  // so each rectangle covers every base pixel its touched region can change
+  // in any term map — padded out to tile granularity, which only
+  // over-patches (over-patched pixels recompute to their full-blur values).
+  std::vector<TileRect> rects;
+  if (tiles_marked_ == 0) return rects;
   std::vector<std::size_t> prev_open, open;
   for (int ty = 0; ty < tile_ny_; ++ty) {
     open.clear();
@@ -613,115 +592,66 @@ bool ExposureEvaluator::blur_long_range_windowed() {
       if (merged < rects.size()) {
         rects[merged].ty1 = ty;
       } else {
-        rects.push_back({tx, te, ty, ty, false});
+        rects.push_back({tx, te, ty, ty});
       }
       open.push_back(merged);
       tx = te + 1;
     }
     std::swap(prev_open, open);
   }
+  return rects;
+}
 
-  // Flop-model crossover in the units of fft_blur_wins (direct-pass flops;
-  // kFftWinFactor folds the measured direct-vs-FFT throughput gap). Each
-  // window W = dilate(P, r) pays extract + patch traffic on top; the
-  // decision is global — either every rectangle patches, or the caller
-  // runs one full blur.
-  const auto rect_window = [&](const Rect& rc, int& wx0, int& wy0, int& wx,
-                               int& wy) {
-    const int px0 = rc.tx0 * kBlurTilePx;
-    const int py0 = rc.ty0 * kBlurTilePx;
-    const int px1 = std::min(nx - 1, (rc.tx1 + 1) * kBlurTilePx - 1);
-    const int py1 = std::min(ny - 1, (rc.ty1 + 1) * kBlurTilePx - 1);
-    wx0 = std::max(0, px0 - r);
-    wy0 = std::max(0, py0 - r);
-    wx = std::min(nx - 1, px1 + r) - wx0 + 1;
-    wy = std::min(ny - 1, py1 + r) - wy0 + 1;
+bool ExposureEvaluator::blur_term_windowed(TermMap& tm,
+                                           const std::vector<TileRect>& rects) {
+  const int nx = long_base_->width();
+  const int ny = long_base_->height();
+  const int k = tm.k;
+  const int cnx = tm.map->width();
+  const int cny = tm.map->height();
+  const int r = static_cast<int>(tm.taps.size()) - 1;
+
+  // Patch P (inclusive, this term's pixels) and window W = dilate(P, r) of
+  // one rectangle. W clips only where the map edge does, so the separable
+  // passes' edge-skip conditions coincide with the full-map blur's.
+  struct Window {
+    int px0, py0, px1, py1;  // P
+    int wx0, wy0, wx, wy;    // W origin and size
   };
-  double full_direct = 0.0;
-  for (const TermMap& tm : term_maps_)
-    full_direct += direct_blur_flops(npx, tm.taps.size() - 1);
-  const double nt = static_cast<double>(nterm);
-  const double full_fft =
-      kFftWinFactor * ((1.0 + nt) * FftConvolver::transform_cost(nx, ny, r) +
-                       10.0 * static_cast<double>(npx) * nt);
-  const double full_time = use_fft_ ? full_fft : full_direct;
-  double win_time = 0.0;
-  for (Rect& rc : rects) {
-    int wx0, wy0, wx, wy;
-    rect_window(rc, wx0, wy0, wx, wy);
-    const std::size_t wpx = static_cast<std::size_t>(wx) * wy;
-    double win_direct = 0.0;
-    for (const TermMap& tm : term_maps_)
-      win_direct += direct_blur_flops(wpx, tm.taps.size() - 1);
-    const double win_fft =
-        kFftWinFactor * ((1.0 + nt) * FftConvolver::transform_cost(wx, wy, r) +
-                         10.0 * static_cast<double>(wpx) * nt);
-    rc.use_fft = win_fft < win_direct;
-    win_time +=
-        (rc.use_fft ? win_fft : win_direct) + 6.0 * static_cast<double>(wpx);
-    if (win_time >= full_time) return false;
+  std::vector<Window> wins;
+  wins.reserve(rects.size());
+  std::size_t win_px = 0;
+  for (const TileRect& rc : rects) {
+    Window w{};
+    w.px0 = std::max(0, rc.tx0 * kBlurTilePx / k - 1);
+    w.py0 = std::max(0, rc.ty0 * kBlurTilePx / k - 1);
+    w.px1 = std::min(cnx - 1, std::min(nx - 1, (rc.tx1 + 1) * kBlurTilePx - 1) / k + 1);
+    w.py1 = std::min(cny - 1, std::min(ny - 1, (rc.ty1 + 1) * kBlurTilePx - 1) / k + 1);
+    w.wx0 = std::max(0, w.px0 - r);
+    w.wy0 = std::max(0, w.py0 - r);
+    w.wx = std::min(cnx - 1, w.px1 + r) - w.wx0 + 1;
+    w.wy = std::min(cny - 1, w.py1 + r) - w.wy0 + 1;
+    win_px += static_cast<std::size_t>(w.wx) * w.wy;
+    wins.push_back(w);
   }
+  // Same kernel either way, so the pixel counts are the cost model.
+  if (win_px >= static_cast<std::size_t>(cnx) * cny) return false;
 
-  const auto t0 = std::chrono::steady_clock::now();
-  const double* base = long_base_->data().data();
-  for (const Rect& rc : rects) {
-    const int px0 = rc.tx0 * kBlurTilePx;
-    const int py0 = rc.ty0 * kBlurTilePx;
-    const int px1 = std::min(nx - 1, (rc.tx1 + 1) * kBlurTilePx - 1);
-    const int py1 = std::min(ny - 1, (rc.ty1 + 1) * kBlurTilePx - 1);
-    int wx0, wy0, wx, wy;
-    rect_window(rc, wx0, wy0, wx, wy);
-    const std::size_t wpx = static_cast<std::size_t>(wx) * wy;
-    // Extract W from the base map. W edges clip only where the map edge
-    // does, so the separable passes' edge-skip conditions coincide with
-    // the full-map blur's and the patched values come out bit-identical.
-    win_src_.resize(wpx);
-    for (int y = 0; y < wy; ++y) {
-      std::copy_n(base + static_cast<std::size_t>(wy0 + y) * nx + wx0, wx,
-                  win_src_.data() + static_cast<std::size_t>(y) * wx);
-    }
-    win_out_.resize(nterm);
-    if (rc.use_fft) {
-      // Snug sub-plan over W with the term kernels registered; rebuilt only
-      // when the window size changes (steady delta trajectories reuse it).
-      if (!win_conv_ || win_conv_->nx() != wx || win_conv_->ny() != wy) {
-        win_conv_ = std::make_unique<FftConvolver>(wx, wy, r, opt_.threads);
-        win_ids_.clear();
-        for (const TermMap& tm : term_maps_)
-          win_ids_.push_back(win_conv_->add_kernel(tm.taps));
-      }
-      win_conv_->load(win_src_.data());
-      std::vector<double*> outs;
-      outs.reserve(nterm);
-      for (std::size_t t = 0; t < nterm; ++t) {
-        win_out_[t].resize(wpx);
-        outs.push_back(win_out_[t].data());
-      }
-      win_conv_->convolve_registered(win_ids_, outs);
-    } else {
-      for (std::size_t t = 0; t < nterm; ++t) {
-        win_out_[t] = win_src_;
-        separable_blur_buf(win_out_[t].data(), wx, wy, term_maps_[t].taps,
-                           opt_.threads);
-      }
-    }
-    // Patch P into each term map in place (rectangles are disjoint by
-    // construction: each marked tile lands in exactly one run).
-    const int cw = px1 - px0 + 1;
-    for (std::size_t t = 0; t < nterm; ++t) {
-      double* dst = term_maps_[t].map->data().data();
-      const double* src = win_out_[t].data();
-      for (int y = py0; y <= py1; ++y) {
-        std::copy_n(src + static_cast<std::size_t>(y - wy0) * wx + (px0 - wx0),
-                    cw, dst + static_cast<std::size_t>(y) * nx + px0);
-      }
+  double* dst = tm.map->data().data();
+  for (const Window& w : wins) {
+    win_src_.resize(static_cast<std::size_t>(w.wx) * w.wy);
+    box_average(long_base_->data().data(), nx, ny, k, w.wx0, w.wy0, w.wx, w.wy,
+                win_src_.data(), opt_.threads);
+    separable_blur_buf(win_src_.data(), w.wx, w.wy, tm.taps, opt_.threads);
+    // Patch P into the term map in place. Rectangles of different tile runs
+    // may overlap after the coarse padding; both write the same values.
+    const int cw = w.px1 - w.px0 + 1;
+    for (int y = w.py0; y <= w.py1; ++y) {
+      std::copy_n(win_src_.data() + static_cast<std::size_t>(y - w.wy0) * w.wx +
+                      (w.px0 - w.wx0),
+                  cw, dst + static_cast<std::size_t>(y) * cnx + w.px0);
     }
   }
-  clear_blur_tiles();
-  const double dt = ms_since(t0);
-  perf_.blur_ms += dt;
-  perf_.windowed_blur_ms += dt;
-  ++perf_.windowed_blurs;
   return true;
 }
 
@@ -738,7 +668,7 @@ void ExposureEvaluator::mark_blur_tiles(const Box& bb) {
     blur_tiles_.assign(static_cast<std::size_t>(tnx) * tny, 0);
     tiles_marked_ = 0;
   }
-  const int r = max_radius_;
+  const int r = support_px_;
   const int tx0 = std::max(0, ax - r) / kBlurTilePx;
   const int ty0 = std::max(0, ay - r) / kBlurTilePx;
   const int tx1 = std::min(nx - 1, bx + r) / kBlurTilePx;
@@ -782,7 +712,7 @@ void ExposureEvaluator::apply_delta(const double* doses) {
     shots_[j].dose = doses[j];
     if (have_maps) {
       // Cached splats re-weighted by the dose delta, straight into the
-      // shared base map.
+      // fine base map.
       for (std::uint32_t k = shot_start_[j]; k < shot_start_[j + 1]; ++k)
         base[shot_px_[k]] += delta * static_cast<double>(shot_frac_[k]);
       // The shape bbox covers the splat footprint by construction; its
@@ -795,13 +725,10 @@ void ExposureEvaluator::apply_delta(const double* doses) {
   perf_.shots_updated += static_cast<long long>(moved_scratch_.size());
   ++perf_.delta_refreshes;
   ++delta_streak_;
-  // Windowed delta-blur: when the touched tiles (plus kernel support) merge
-  // into rectangles small against the map, re-derive the term maps only
-  // there and patch in place; the flop model falls back to the full blur
-  // otherwise. The windows agree with the full blur to rounding, which the
-  // delta path's <= 1e-12 contract (re-anchored every kDeltaReanchor
-  // refreshes) absorbs.
-  if (have_maps && !blur_long_range_windowed()) blur_long_range();
+  // Windowed delta-blur: the marked tiles let each term re-derive only the
+  // patches around the touched region when they are small against its map
+  // (see blur_long_range).
+  if (have_maps) blur_long_range();
 }
 
 void ExposureEvaluator::update_doses(const double* doses, std::size_t end) {
@@ -864,24 +791,6 @@ void ExposureEvaluator::reset_doses(const std::vector<double>& doses) {
     return;
   }
   apply_full(doses.data(), shots_.size());
-}
-
-void ExposureEvaluator::set_blur_backend(BlurBackend backend) {
-  opt_.blur_backend = backend;
-  if (long_terms_.empty()) return;
-  std::vector<std::size_t> radii;
-  for (const TermMap& tm : term_maps_) radii.push_back(tm.taps.size() - 1);
-  const bool fft = backend == BlurBackend::kFft ||
-                   (backend == BlurBackend::kAuto &&
-                    fft_blur_wins(long_base_->width(), long_base_->height(), radii));
-  if (fft == use_fft_) return;
-  use_fft_ = fft;
-  blur_long_range();
-}
-
-BlurBackend ExposureEvaluator::blur_backend() const {
-  if (long_terms_.empty()) return BlurBackend::kDirect;
-  return use_fft_ ? BlurBackend::kFft : BlurBackend::kDirect;
 }
 
 std::pair<double, double> ExposureEvaluator::centroid(std::size_t i) const {

@@ -6,8 +6,8 @@
 //     size) are summed analytically over neighbor shots within a cutoff,
 //     found through a flat CSR spatial grid;
 //   - long-range terms (backscattering, sigma >> feature size) are evaluated
-//     on a coarse raster: dose-weighted coverage, Gaussian convolution,
-//     bilinear interpolation at the query point.
+//     on coarse rasters, one per term: dose-weighted coverage, Gaussian
+//     convolution, bilinear interpolation at the query point.
 // The split keeps evaluation O(neighbors) per point instead of O(shots),
 // with error bounded by the raster pixel (<= sigma/4) and the cutoff_sigmas
 // truncation (< 1e-6 of the term weight at the default 4 sigma).
@@ -17,33 +17,32 @@
 //     (offsets + packed shot indices) and duplicate candidates (a shot's bbox
 //     spans several cells) are rejected with epoch-stamped visited marks in a
 //     thread-local scratch — no per-query vector, sort, or unique.
-//   - All long-range terms share ONE base raster (pixel from the finest long
-//     term, frame padded for the widest). Each shot's sparse footprint on it
-//     (pixel, coverage-fraction) is computed once at construction and cached
-//     in a pixel-major CSR ("splat cache"); set_doses re-accumulates the base
-//     map as a dose-weighted sum of cached splats, then derives every term's
-//     blurred map from that single accumulation.
-//   - The per-term blur runs on one of two backends (BlurBackend): the
-//     separable sliding-window kernel, or spectral multiplication through a
-//     util/fft.h FftConvolver planned once at construction — the base map is
-//     forward-transformed once per iteration and every term's truncated
-//     kernel spectrum is applied to that single spectrum. Both backends
-//     compute the *same* truncated normalized kernel, so they agree to
-//     floating-point rounding; kAuto picks per construction by a flop model.
+//   - Every long-range term gets its own map, all sharing one origin: the
+//     base pixel p resolves the finest long term (sigma_min /
+//     pixels_per_sigma), and term t samples at k_t * p, the largest integer
+//     multiple of p within its own sigma_t / pixels_per_sigma. Each shot's
+//     sparse footprint on the fine base (pixel, coverage-fraction) is
+//     computed once at construction and cached in a pixel-major CSR ("splat
+//     cache"); set_doses re-accumulates the fine base as a dose-weighted sum
+//     of cached splats, then box-averages it onto each term's map (coverage
+//     is additive, so this step is exact) and blurs there. Every kernel is
+//     then about 4 * pixels_per_sigma pixels wide, so one blur suffices: the
+//     separable sliding-window passes.
 //   - Dose updates are incremental (ExposureOptions::delta_threshold): the
 //     evaluator tracks per-shot dose deltas, and when only a minority of
 //     doses moved it re-weights just those shots' cached splats into the
 //     base map and patches the cached per-centroid short-range sums —
 //     O(moved) instead of O(everything) — with sub-threshold updates
-//     deferred entirely. Only the long-range blur still runs at full cost.
+//     deferred entirely. The long-range blur then re-derives only windows
+//     around the moved shots when they are small against a term's map.
 //   - The centroid sweep's erf evaluations are batched through the
 //     vectorized polynomial in util/vecmath.h (4-wide AVX2 + FMA, ~4x libm;
 //     see ExposureOptions::fast_erf).
-//   - exposures_at_centroids, splat re-accumulation, and both blur backends
-//     run on the util/parallel.h thread pool. Results are bit-identical for
-//     any thread count: work is only ever split over disjoint output
-//     elements, each of which is computed in a fixed sequential order, and
-//     delta scatters run serially in shot order.
+//   - exposures_at_centroids, splat re-accumulation, the box averages and
+//     the blur passes run on the util/parallel.h thread pool. Results are
+//     bit-identical for any thread count: work is only ever split over
+//     disjoint output elements, each of which is computed in a fixed
+//     sequential order, and delta scatters run serially in shot order.
 #pragma once
 
 #include <cstdint>
@@ -53,16 +52,8 @@
 #include "fracture/shot.h"
 #include "geom/raster.h"
 #include "pec/psf.h"
-#include "util/fft.h"
 
 namespace ebl {
-
-/// How rasters get convolved with the long-range Gaussians.
-enum class BlurBackend {
-  kAuto,    ///< flop-model choice: FFT when the kernel width makes it a win
-  kDirect,  ///< separable sliding-window passes (fast for narrow kernels)
-  kFft,     ///< padded real FFT + kernel spectra (width-independent cost)
-};
 
 struct ExposureOptions {
   /// Terms with sigma >= this many dbu go to the raster path; others are
@@ -71,10 +62,11 @@ struct ExposureOptions {
   /// speed on mid-range terms.
   double long_range_threshold = 400.0;
 
-  /// Raster pixel = (finest long-range sigma) / this factor (accuracy/speed
-  /// knob). Larger means finer long-range maps: cost scales quadratically,
-  /// error falls roughly quadratically. Wide kernels on fine maps are where
-  /// the FFT backend pays off.
+  /// Long-range map resolution (accuracy/speed knob): each term's map pixel
+  /// is the largest multiple of the base pixel (finest long-range sigma /
+  /// this factor) that stays within the term's own sigma / this factor, so
+  /// every kernel spans about 4x this many pixels. Larger means finer maps:
+  /// cost scales quadratically, error falls roughly quadratically.
   double pixels_per_sigma = 4.0;
 
   /// Analytic neighbor cutoff in sigmas. 4 keeps the truncation error below
@@ -97,11 +89,6 @@ struct ExposureOptions {
   /// value (see the header comment).
   int threads = 0;
 
-  /// Long-range blur backend. kAuto compares the flop model of the separable
-  /// kernel against the padded-FFT plan and keeps the cheaper one; results
-  /// are backend-independent to floating-point rounding either way.
-  BlurBackend blur_backend = BlurBackend::kAuto;
-
   /// Incremental dose-delta updates. After a few Jacobi sweeps most doses
   /// move by far less than the correction tolerance; re-gathering every splat
   /// (and re-summing every analytic neighbor term) for updates that moved
@@ -117,7 +104,7 @@ struct ExposureOptions {
   ///     the correction tolerance at the default;
   ///   - when the moved shots are a minority (at most half of the updated
   ///     range), only *their* contributions are re-applied: cached splats are
-  ///     re-weighted by the dose delta directly into the shared base map
+  ///     re-weighted by the dose delta directly into the fine base map
   ///     (O(moved x footprint) instead of the full O(pixels + splats)
   ///     gather), and the cached per-centroid short-range sums are updated
   ///     the same way. The long-range blur still reruns on the updated map.
@@ -137,11 +124,11 @@ struct ExposureOptions {
   bool fast_erf = true;
 };
 
-/// Wall-clock accounting of the long-range refresh, for benchmarks and the
-/// auto-backend calibration. Times accumulate across set_doses calls.
+/// Wall-clock accounting of the long-range refresh, for benchmarks and
+/// traces. Times accumulate across set_doses calls.
 struct BlurPerf {
   double accumulate_ms = 0.0;  ///< full splat gathers / re-rasterizations
-  double blur_ms = 0.0;        ///< per-term convolutions (either backend)
+  double blur_ms = 0.0;        ///< per-term box averages and convolutions
   int refreshes = 0;           ///< completed *full* long-range refreshes
 
   // Delta-path accounting (see ExposureOptions::delta_threshold).
@@ -150,10 +137,10 @@ struct BlurPerf {
   int skipped_refreshes = 0;  ///< set_* calls where no dose moved at all
   long long shots_updated = 0;  ///< shots re-weighted across delta refreshes
 
-  // Windowed delta-blur accounting: delta refreshes whose long-range blur
-  // ran on a sub-window around the touched region instead of the full map
-  // (see ExposureOptions::delta_threshold and docs/architecture.md). The
-  // time is a subset of blur_ms.
+  // Windowed delta-blur accounting: delta refreshes where at least one
+  // term's blur ran on sub-windows around the touched region instead of its
+  // full map (see ExposureOptions::delta_threshold and
+  // docs/architecture.md). The time is a subset of blur_ms.
   int windowed_blurs = 0;         ///< blurs served by the windowed path
   double windowed_blur_ms = 0.0;  ///< time inside those windowed blurs
 
@@ -218,23 +205,13 @@ class ExposureEvaluator {
   /// delta_threshold: all requested doses are applied through the full
   /// gather, so the evaluator afterwards is bit-identical to one freshly
   /// constructed at these doses, while the expensive geometry caches
-  /// (neighbor grid, splat clipping, kernel taps, FFT plan) are reused. When
-  /// every requested dose already equals the applied one and no delta scatter
-  /// has run since the last full gather, nothing can be stale and the refresh
-  /// is skipped. This is the re-entry of a resident shard evaluator, and the
+  /// (neighbor grid, splat clipping, term maps and kernel taps) are reused.
+  /// When every requested dose already equals the applied one and no delta
+  /// scatter has run since the last full gather, nothing can be stale and
+  /// the refresh is skipped. This is the re-entry of a resident shard evaluator, and the
   /// equivalence is what lets the sharded corrector evict and rebuild pool
   /// entries without changing a single bit of the result.
   void reset_doses(const std::vector<double>& doses);
-
-  /// Switches the long-range blur backend and re-derives the blurred maps
-  /// from the current doses (the accumulated base map is reused). Lets
-  /// benchmarks compare backends on one evaluator instead of paying the
-  /// splat cache twice.
-  void set_blur_backend(BlurBackend backend);
-
-  /// Backend in effect after resolution (never kAuto). kDirect when there
-  /// are no long-range terms.
-  BlurBackend blur_backend() const;
 
   /// Exposure at a point (energy density relative to unit-dose infinite
   /// pattern = 1).
@@ -262,20 +239,29 @@ class ExposureEvaluator {
   void build_long_range();
   void rebuild_ghost_base();
   void accumulate_long_range();
+  // Re-derives every term map from the fine base: box-average onto the
+  // term's raster, then the separable blur. When the delta path has marked
+  // blur tiles (see mark_blur_tiles), each term instead re-derives only its
+  // patch rectangles if their windows hold fewer pixels than its map (see
+  // blur_term_windowed). Clears the tile marks.
   void blur_long_range();
-  // Windowed blur: merges the marked blur tiles (see mark_blur_tiles) into
-  // patch rectangles and re-derives every term map only on those, each from
-  // its own support window W = dilate(P, r), when the summed flop model says
-  // the windows beat one full-map blur. Patching per rectangle instead of
-  // one union bbox lets spatially scattered movers (a ring of boundary
-  // shots, a handful of islands) window — their union bbox would cover the
-  // whole map. A window blurs through the separable passes or a snug FFT
-  // sub-plan, whichever the flop model prefers; either agrees with the
-  // full-map blur to rounding, which the delta path's 1e-12 contract
-  // absorbs. Returns false (and blurs nothing) when the windows would not
-  // win; the caller then runs blur_long_range(), which also clears the tile
-  // marks.
-  bool blur_long_range_windowed();
+
+  // Windowed blur. The marked tiles merge into rectangles (merged_blur_tiles);
+  // patching per rectangle instead of one union bbox lets spatially
+  // scattered movers (a ring of boundary shots, a handful of islands)
+  // window — their union bbox would cover the whole map. Term t's patch P is
+  // a rectangle's fine pixels divided by k_t, padded by one coarse pixel;
+  // its window is W = dilate(P, r_t), box-averaged from the fine base and
+  // blurred by the same separable passes, so P comes out bit-identical to
+  // the full-map blur. Returns false (and blurs nothing) when the windows
+  // hold at least as many pixels as the term's map.
+  struct TileRect {
+    int tx0, tx1, ty0, ty1;  // tile coords, inclusive
+  };
+  std::vector<TileRect> merged_blur_tiles() const;
+  struct TermMap;
+  void blur_term(TermMap& tm);
+  bool blur_term_windowed(TermMap& tm, const std::vector<TileRect>& rects);
 
   // Delta-path internals (see ExposureOptions::delta_threshold).
   // Both take the doses of shots_[0..end).
@@ -311,21 +297,23 @@ class ExposureEvaluator {
   std::vector<std::uint32_t> grid_items_;
   double cutoff_ = 0.0;
 
-  // Long-range state: one shared accumulated (pre-blur) base map plus the
+  // Long-range state: one fine accumulated (pre-blur) base map plus the
   // pixel-major splat cache that rebuilds it — pixel p's value is
   // sum over k in [px_start[p], px_start[p]+1) of px_frac[k] *
   // dose[px_shot[k]], always summed in ascending-k order for determinism —
-  // and one blurred raster per long-range term, derived from the base.
+  // and one blurred raster per long-range term, box-averaged from the base.
   struct TermMap {
     PsfTerm term;
-    std::vector<double> taps;  ///< truncated normalized kernel, both backends
+    int k = 1;                 ///< map pixel in base pixels (same origin)
+    std::vector<double> taps;  ///< truncated normalized kernel at k * pixel
     std::unique_ptr<Raster> map;
   };
   // Background (frozen-dose) shots are not in the splat cache: their
   // dose-weighted coverage is rasterized once into ghost_base_ and added on
   // top of the active gather, so cache memory and the per-iteration gather
   // are O(active shots). Rebuilt only by the dose setters that may move
-  // background doses; null when every shot is active.
+  // background doses; null when every shot is active. Both bases are at the
+  // fine pixel only.
   std::unique_ptr<Raster> long_base_;
   std::unique_ptr<Raster> ghost_base_;
   std::vector<std::uint32_t> px_start_;
@@ -340,25 +328,14 @@ class ExposureEvaluator {
   std::vector<std::uint32_t> shot_px_;
   std::vector<float> shot_frac_;
   std::vector<TermMap> term_maps_;
-  bool use_fft_ = false;
-  int max_radius_ = 0;
-  std::unique_ptr<FftConvolver> convolver_;  // created lazily on first FFT use
-  std::vector<int> term_kernel_ids_;  // registered kernel slot per term map
+  int support_px_ = 0;  ///< widest kernel support in base pixels (k * radius)
   BlurPerf perf_;
+  std::vector<double> win_src_;  ///< windowed-blur scratch
 
-  // Windowed-blur scratch (see blur_long_range_windowed): extracted window,
-  // per-term outputs, and a lazily planned snug FFT sub-plan with the term
-  // kernels registered (rebuilt when the window size changes).
-  std::vector<double> win_src_;
-  std::vector<std::vector<double>> win_out_;
-  std::unique_ptr<FftConvolver> win_conv_;
-  std::vector<int> win_ids_;
-
-  // Tile-granular touch mask feeding the windowed blur: the map is carved
-  // into fixed-size tiles, and the delta path marks every tile intersecting
-  // a moved footprint's patch region (the footprint dilated by the widest
-  // kernel support). blur_long_range_windowed consumes and the next full
-  // blur resets the marks.
+  // Tile-granular touch mask feeding the windowed blur: the base map is
+  // carved into fixed-size tiles, and the delta path marks every tile
+  // intersecting a moved footprint's patch region (the footprint dilated by
+  // support_px_). blur_long_range consumes and resets the marks.
   int tile_nx_ = 0, tile_ny_ = 0;
   std::vector<std::uint8_t> blur_tiles_;
   int tiles_marked_ = 0;
@@ -384,28 +361,10 @@ class ExposureEvaluator {
 /// for any thread count.
 void gaussian_blur(Raster& raster, double sigma_dbu, int threads = 0);
 
-/// The same blur computed by spectral multiplication: a padded real FFT of
-/// the raster times the exact spectrum of the same truncated kernel. Agrees
-/// with gaussian_blur to floating-point rounding (well below 1e-6) for any
-/// sigma and raster size; cost is independent of sigma. Plans ad hoc — hold
-/// an FftConvolver instead when blurring the same-sized raster repeatedly.
-void fft_gaussian_blur(Raster& raster, double sigma_dbu, int threads = 0);
-
-/// Backend-dispatched blur: kDirect and kFft call the functions above;
-/// kAuto picks by the same flop model the evaluator uses.
-void gaussian_blur(Raster& raster, double sigma_dbu, BlurBackend backend,
-                   int threads = 0);
-
-/// The discrete blur kernel both backends share: taps[j] is the normalized
+/// The discrete Gaussian blur kernel: taps[j] is the normalized
 /// weight at +-j pixels, truncated at radius max(1, ceil(4 sigma_px)),
 /// following the PSF convention exp(-x^2 / sigma^2).
 std::vector<double> gaussian_kernel_taps(double sigma_px);
-
-/// The flop-model decision behind BlurBackend::kAuto: true when spectral
-/// convolution of an nx-by-ny raster with one kernel per entry of radii
-/// (sharing a single forward transform) beats running the separable passes
-/// for each, including the measured direct-vs-FFT throughput gap.
-bool fft_blur_wins(int nx, int ny, const std::vector<std::size_t>& radii);
 
 /// Separable symmetric convolution of the raster with explicit taps
 /// (taps[0] center), zero boundaries, in place. The primitive behind

@@ -18,7 +18,6 @@
 #include "pec/wire.h"
 #include "util/contracts.h"
 #include "util/net.h"
-#include "util/fft.h"
 #include "util/gridkeys.h"
 #include "util/parallel.h"
 
@@ -266,8 +265,7 @@ void density_warm_start(const ShotList& shots, const Psf& psf,
             density.add_coverage(shots[active[k]].shape, 1.0);
           for (std::size_t k = 0; k < ng; ++k)
             density.add_coverage(shots[ghosts[k]].shape, 1.0);
-          gaussian_blur(density, max_sigma, options.exposure.blur_backend,
-                        options.exposure.threads);
+          gaussian_blur(density, max_sigma, options.exposure.threads);
           for (std::size_t k = 0; k < na; ++k) {
             const Trapezoid& t = shots[active[k]].shape;
             const double cx = 0.25 * (double(t.xl0) + t.xr0 + t.xl1 + t.xr1);
@@ -654,46 +652,6 @@ Coord default_shard_size(const Psf& psf) {
   return std::max<Coord>(1, static_cast<Coord>(64.0 * psf.max_sigma()));
 }
 
-Coord default_shard_size(const Psf& psf, const PecOptions& options) {
-  const Coord base = default_shard_size(psf);
-  double sigma_min_long = 0.0;
-  for (const PsfTerm& t : psf.terms()) {
-    if (t.sigma >= options.exposure.long_range_threshold &&
-        (sigma_min_long == 0.0 || t.sigma < sigma_min_long)) {
-      sigma_min_long = t.sigma;
-    }
-  }
-  if (sigma_min_long == 0.0) return base;  // all-short PSF: nothing to pad
-
-  // Reproduce the evaluator's map sizing: pixel from the finest long term,
-  // kernel radius from the widest, margin-0 maps (2 px each side), plus
-  // slack for shot bboxes overhanging the shard + halo frame. The FFT pads
-  // to the next power of two past map + radius; size the shard so an
-  // interior shard's map fills that grid instead of wasting up to 4x the
-  // padded area on it.
-  const Coord pixel = std::max<Coord>(
-      1, static_cast<Coord>(sigma_min_long / options.exposure.pixels_per_sigma));
-  const int radius = std::max(
-      1, static_cast<int>(std::ceil(4.0 * psf.max_sigma() / double(pixel))));
-  const Coord64 halo =
-      static_cast<Coord64>(std::ceil(options.halo_factor * psf.max_sigma()));
-  constexpr Coord64 kSlackPx = 48;  // sampling margin + shot-overhang allowance
-  const double base_side =
-      double(base + 2 * halo) / double(pixel) + double(radius) + double(kSlackPx);
-  // Keep the pow2 growth policy even though the mixed-radix planner accepts
-  // any even 5-smooth size: shrinking shards to the nearest fast size yields
-  // more shards, and the extra per-shard refresh/halo overhead costs more
-  // than the snugger transforms save. A power of two is itself 5-smooth, so
-  // the plan stays snug on this grid.
-  std::size_t padded = fft_next_pow2(static_cast<std::size_t>(std::ceil(base_side)));
-  for (;;) {
-    const Coord64 snug =
-        (Coord64(padded) - radius - kSlackPx) * pixel - 2 * halo;
-    if (snug >= base) return static_cast<Coord>(std::min<Coord64>(snug, 2000000000));
-    padded *= 2;
-  }
-}
-
 PecResult correct_proximity_sharded(const ShotList& shots, const Psf& psf,
                                     const PecOptions& options) {
   expects(!shots.empty(), "correct_proximity_sharded: empty shot list");
@@ -855,7 +813,7 @@ PecResult correct_proximity_distributed(const ShotList& shots, const Psf& psf,
           "correct_proximity_distributed: need worker_count > 0 or "
           "worker_hosts");
   PecOptions opt = options;
-  if (opt.shard_size == 0) opt.shard_size = default_shard_size(psf, opt);
+  if (opt.shard_size == 0) opt.shard_size = default_shard_size(psf);
   return correct_proximity_sharded(shots, psf, opt);
 }
 

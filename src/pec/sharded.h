@@ -69,17 +69,6 @@ struct ShardResult;
 /// solve to spread across cores.
 Coord default_shard_size(const Psf& psf);
 
-/// FFT-snug refinement of the default: the per-shard blur pads its map to
-/// the next power of two past map + kernel radius, so a shard sized just
-/// under that boundary blurs no faster than one that fills it — the padding
-/// is pure waste. This overload grows the 64-sigma default until the
-/// resulting long-range map (shard + halos + sampling margin + kernel
-/// support, at the options' pixel) lands just inside its power-of-two grid:
-/// fewer shards, each amortizing the same padded transform, with the halo a
-/// smaller fraction of each. Falls back to the plain default for all-short
-/// PSFs (no long-range map to pad).
-Coord default_shard_size(const Psf& psf, const PecOptions& options);
-
 /// Sharded iterative correction (see the file comment). Requires
 /// options.shard_size > 0; correct_proximity forwards here when it is.
 /// The returned final_max_error is measured with every shard's *final*

@@ -131,7 +131,6 @@ void put_options(Writer& w, const PecOptions& o) {
   w.f64(e.cutoff_sigmas);
   w.f64(e.map_margin_sigmas);
   w.i32(e.threads);
-  w.u8(static_cast<std::uint8_t>(e.blur_backend));
   w.f64(e.delta_threshold);
   w.u8(e.fast_erf ? 1 : 0);
 }
@@ -161,10 +160,6 @@ PecOptions get_options(Reader& r) {
   e.cutoff_sigmas = r.f64();
   e.map_margin_sigmas = r.f64();
   e.threads = r.i32();
-  const std::uint8_t backend = r.u8();
-  if (backend > static_cast<std::uint8_t>(BlurBackend::kFft))
-    throw DataError("wire: unknown blur backend");
-  e.blur_backend = static_cast<BlurBackend>(backend);
   e.delta_threshold = r.f64();
   e.fast_erf = r.boolean();
   return o;

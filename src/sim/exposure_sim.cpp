@@ -5,10 +5,41 @@
 #include <map>
 #include <memory>
 
-#include "pec/exposure.h"  // blur kernels/backends
+#include "pec/exposure.h"  // blur kernels
 #include "util/contracts.h"
+#include "util/fft.h"
 
 namespace ebl {
+
+namespace {
+
+// The direct separable blur's contiguous mul-adds vectorize a little better
+// than the strided FFT passes, so FFT must be modestly cheaper in flops
+// before it wins on the clock; the factor below absorbs that measured
+// steady-state throughput gap (calibrated on 2k..8k-pixel maps with
+// 16..100-pixel kernel radii, where it reproduces the measured crossover on
+// every probed case — e.g. flop ratio 1.27 ran at 0.96x, ratio 2.1 at 1.9x).
+constexpr double kFftWinFactor = 1.4;
+
+}  // namespace
+
+bool fft_blur_wins(int nx, int ny, const std::vector<std::size_t>& radii) {
+  const double npx = static_cast<double>(nx) * static_cast<double>(ny);
+  double direct = 0.0;
+  std::size_t rmax = 1;
+  for (const std::size_t r : radii) {
+    // Two passes of a (2 radius + 1)-tap kernel.
+    direct += npx * (8.0 * static_cast<double>(r) + 2.0);
+    rmax = std::max(rmax, r);
+  }
+  // One shared forward transform, one inverse plus spectral multiply per
+  // kernel.
+  const double fft =
+      (1.0 + static_cast<double>(radii.size())) *
+          FftConvolver::transform_cost(nx, ny, static_cast<int>(rmax)) +
+      10.0 * npx * static_cast<double>(radii.size());
+  return direct > kFftWinFactor * fft;
+}
 
 Raster simulate_exposure(const ShotList& shots, const Psf& psf,
                          const SimOptions& options) {

@@ -6,11 +6,24 @@
 
 #include "fracture/shot.h"
 #include "geom/raster.h"
-#include "pec/exposure.h"  // BlurBackend, blur primitives
+#include "pec/exposure.h"  // blur primitives
 #include "pec/psf.h"
 #include "sim/resist.h"
 
 namespace ebl {
+
+/// How the simulator convolves its raster with each PSF term.
+enum class BlurBackend {
+  kAuto,    ///< flop-model choice: FFT when the kernel width makes it a win
+  kDirect,  ///< separable sliding-window passes (fast for narrow kernels)
+  kFft,     ///< padded real FFT + kernel spectra (width-independent cost)
+};
+
+/// The flop-model decision behind BlurBackend::kAuto: true when spectral
+/// convolution of an nx-by-ny raster with one kernel per entry of radii
+/// (sharing a single forward transform) beats running the separable passes
+/// for each, including the measured direct-vs-FFT throughput gap.
+bool fft_blur_wins(int nx, int ny, const std::vector<std::size_t>& radii);
 
 struct SimOptions {
   /// Simulation pixel in dbu; must resolve the forward range (<= alpha/2

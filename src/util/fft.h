@@ -1,6 +1,6 @@
 // Dependency-free iterative mixed-radix FFT and a 2D real convolution engine.
 //
-// Built for the PEC/simulation blur path: a raster is convolved with several
+// Built for the exposure simulator's blur: a raster is convolved with several
 // wide separable kernels per iteration, which is the textbook case for a
 // padded real-to-complex FFT — transform the map once, multiply by each
 // kernel's spectrum, inverse-transform. Cost is independent of kernel width,
@@ -24,7 +24,7 @@
 //     kernel* to floating-point rounding — not an analytic approximation.
 //     Zero padding to the next fast size past the kernel support makes the
 //     convolution linear (zero boundaries), never circular. Kernels that
-//     recur (the PEC terms, fixed for an evaluator's lifetime) register once
+//     recur (the PSF terms, fixed for a simulation) register once
 //     via add_kernel(), which caches their axis spectra in the plan;
 //     convolve_registered() then applies any set of registered kernels in
 //     one pass over the cached forward transform (N fused multiplies and N
@@ -162,8 +162,8 @@ class FftConvolver {
                            const std::vector<double*>& outs) const;
 
   /// Flop estimate of one padded forward or inverse transform, for
-  /// direct-vs-FFT backend decisions (see fft_blur_wins in pec/exposure.h,
-  /// whose throughput calibration lives beside it in pec/exposure.cpp).
+  /// direct-vs-FFT backend decisions (see fft_blur_wins in sim/exposure_sim.h,
+  /// whose throughput calibration lives beside it in sim/exposure_sim.cpp).
   static double transform_cost(int nx, int ny, int max_radius);
 
  private:

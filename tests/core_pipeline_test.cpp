@@ -1,7 +1,10 @@
 // Integration tests: workload generators and the end-to-end pipeline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "core/ebl.h"
 #include "util/contracts.h"
@@ -79,6 +82,27 @@ TEST(Pipeline, PecReducesError) {
   ASSERT_TRUE(r.pec_final_error && r.pec_uncorrected_error);
   EXPECT_LT(*r.pec_final_error, *r.pec_uncorrected_error / 2.0);
   EXPECT_GT(r.pec_iterations, 0);
+}
+
+TEST(Pipeline, UncorrectedErrorIsTheGlobalCorrectorsFirstSweep) {
+  // The global corrector's first sweep runs at the input doses, so the
+  // reported uncorrected error must equal what a fresh default-options
+  // evaluator measures on the fractured input.
+  PolygonSet s;
+  s.insert(Box{0, 0, 20000, 20000});
+  s.insert(Box{40000, 9000, 41000, 10000});
+  PrepOptions opt;
+  opt.fracture.max_shot_size = 2000;
+  opt.pec_psf = Psf::triple_gaussian(50.0, 3000.0, 600.0, 0.7, 0.3);
+  opt.pec.max_iterations = 3;
+  const PrepResult r = run_data_prep(s, opt);
+  ASSERT_TRUE(r.pec_uncorrected_error);
+
+  const ExposureEvaluator eval(fracture(s, opt.fracture).shots, *opt.pec_psf);
+  double uncorrected = 0.0;
+  for (double e : eval.exposures_at_centroids())
+    uncorrected = std::max(uncorrected, std::abs(e / opt.pec.target - 1.0));
+  EXPECT_NEAR(*r.pec_uncorrected_error, uncorrected, 1e-12);
 }
 
 TEST(Pipeline, EpeStageScoresThePrintedResult) {
@@ -179,19 +203,18 @@ TEST(Pipeline, RecordsStageTimes) {
   EXPECT_EQ(basic.stage_times[1].name, "write_time");
   for (const StageTime& st : basic.stage_times) EXPECT_GE(st.ms, 0.0);
 
-  // Full run: PEC (global, so the baseline stage runs too) and fields.
+  // Full run: global PEC and fields.
   PrepOptions opt;
   opt.fracture.max_shot_size = 4000;
   opt.pec_psf = Psf::double_gaussian(50.0, 3000.0, 0.7);
   opt.pec.max_iterations = 2;
   opt.field_size = 20000;
   const PrepResult full = run_data_prep(s, opt);
-  ASSERT_EQ(full.stage_times.size(), 5u);
+  ASSERT_EQ(full.stage_times.size(), 4u);
   EXPECT_EQ(full.stage_times[0].name, "fracture");
-  EXPECT_EQ(full.stage_times[1].name, "pec_baseline");
-  EXPECT_EQ(full.stage_times[2].name, "pec");
-  EXPECT_EQ(full.stage_times[3].name, "field_partition");
-  EXPECT_EQ(full.stage_times[4].name, "write_time");
+  EXPECT_EQ(full.stage_times[1].name, "pec");
+  EXPECT_EQ(full.stage_times[2].name, "field_partition");
+  EXPECT_EQ(full.stage_times[3].name, "write_time");
 
   // Sharded run: each halo-exchange round surfaces as its own pec_round_N
   // sub-stage (in round order, just before the enclosing "pec" entry).
@@ -245,6 +268,14 @@ TEST(Pipeline, DistributedPecMatchesInProcessThroughThePipeline) {
     EXPECT_EQ(dist.shots[i].dose, local.shots[i].dose) << "shot " << i;
 }
 
+// Stage names without the pec_round_N / pec_measure sub-stages of "pec".
+std::vector<std::string> top_level_stages(const PrepResult& r) {
+  std::vector<std::string> names;
+  for (const StageTime& st : r.stage_times)
+    if (st.name.rfind("pec_", 0) != 0) names.push_back(st.name);
+  return names;
+}
+
 TEST(Pipeline, ShardedPecSkipsGlobalBaseline) {
   PolygonSet s;
   s.insert(Box{0, 0, 20000, 20000});
@@ -256,17 +287,18 @@ TEST(Pipeline, ShardedPecSkipsGlobalBaseline) {
   opt.pec.shard_size = 25000;
   const PrepResult r = run_data_prep(s, opt);
   ASSERT_TRUE(r.pec_final_error);
-  // The uncorrected-error baseline needs a whole-pattern evaluator, which
-  // sharded jobs avoid by design.
+  // A sharded solve's first sweep runs on density-warmed doses, so it
+  // reports no uncorrected error, and no whole-pattern evaluator runs.
   EXPECT_FALSE(r.pec_uncorrected_error);
   EXPECT_GE(r.pec_shards, 2);
   EXPECT_LT(*r.pec_final_error, 0.05);
-  for (const StageTime& st : r.stage_times) EXPECT_NE(st.name, "pec_baseline");
+  EXPECT_EQ(top_level_stages(r),
+            (std::vector<std::string>{"fracture", "pec", "write_time"}));
 }
 
 TEST(Pipeline, DistributedPecSkipsGlobalBaselineAtShardSizeZero) {
   // worker_count > 0 shards the solve even with shard_size left at 0, so
-  // the whole-pattern baseline evaluator must not run either.
+  // it reports no uncorrected error either.
   PolygonSet s;
   s.insert(Box{0, 0, 20000, 20000});
   s.insert(Box{40000, 9000, 41000, 10000});
@@ -284,7 +316,8 @@ TEST(Pipeline, DistributedPecSkipsGlobalBaselineAtShardSizeZero) {
   ASSERT_TRUE(r.pec_final_error);
   EXPECT_FALSE(r.pec_uncorrected_error);
   EXPECT_GE(r.pec_workers, 1);
-  for (const StageTime& st : r.stage_times) EXPECT_NE(st.name, "pec_baseline");
+  EXPECT_EQ(top_level_stages(r),
+            (std::vector<std::string>{"fracture", "pec", "write_time"}));
 }
 
 // Property sweep: pipeline invariants across workloads.

@@ -61,6 +61,38 @@ TEST(ExposureEvaluator, MatchesBruteForceAnalytic) {
   }
 }
 
+TEST(ExposureEvaluator, TripleGaussianMatchesBruteForceAnalytic) {
+  // Two long-range terms on different maps: gamma = 600 on the 150-dbu base,
+  // beta = 3000 on a 5x coarser 750-dbu map box-averaged from it. Both sit at
+  // pixel h = sigma/4. Per axis, collapsing each pixel's coverage to its
+  // center adds h^2/12 of kernel variance (error h^2/24 |E''|), and the
+  // bilinear read-out errs by at most h^2/8 |E''|. Coverage lies in [0, 1],
+  // so |E''| is at most half the L1 norm of the term's second derivative,
+  // 0.968 w / sigma^2. Two axes at h = sigma/4 give
+  // 2 * (1/24 + 1/8) * 0.968 / 16 ~= w / 50 per term (a 250-dbu probe grid
+  // over this pattern peaks at 3.4e-3 against the bound's 1e-2).
+  const ShotList shots = pad_and_island();
+  const Psf psf = Psf::triple_gaussian(50.0, 3000.0, 600.0, 0.7, 0.3);
+  const ExposureEvaluator eval(shots, psf);
+  double long_weight = 0.0;
+  for (const PsfTerm& t : psf.terms())
+    if (t.sigma >= ExposureOptions{}.long_range_threshold) long_weight += t.weight;
+  const double tol = long_weight / 50.0;
+  for (const auto& probe : {std::pair{10000.0, 10000.0},  // pad interior
+                            {3000.0, 17000.0},            // near a pad corner
+                            {20000.0, 10000.0},           // pad edge
+                            {20400.0, 600.0},             // just off a corner
+                            {40500.0, 10000.0},           // island center
+                            {41000.0, 10500.0},           // island corner
+                            {25000.0, 10000.0}}) {        // the gap
+    double brute = 0.0;
+    for (const Shot& s : shots)
+      brute += s.dose * exposure_trapezoid(psf, s.shape, probe.first, probe.second);
+    EXPECT_NEAR(eval.exposure_at(probe.first, probe.second), brute, tol)
+        << "at " << probe.first << "," << probe.second;
+  }
+}
+
 TEST(ExposureEvaluator, SetDosesScalesExposure) {
   PolygonSet s;
   s.insert(Box{0, 0, 2000, 2000});

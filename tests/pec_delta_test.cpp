@@ -25,6 +25,12 @@ ShotList pad_and_island() {
 
 Psf test_psf() { return Psf::double_gaussian(50.0, 3000.0, 0.7); }
 
+// Both long-range map layouts: one long term on the base map (k = 1), and
+// gamma on the base map plus beta on its own 5x coarser map.
+std::vector<Psf> map_layout_psfs() {
+  return {test_psf(), Psf::triple_gaussian(50.0, 3000.0, 600.0, 0.7, 0.3)};
+}
+
 // Deterministic pseudo-random dose trajectories: step k moves a subset of
 // the doses by a few percent. frac_num/frac_den controls the moved subset
 // size so both the delta path (minority moved) and the full fallback
@@ -187,8 +193,8 @@ TEST(DeltaPath, SubThresholdUpdatesAreDeferredThenApplied) {
 }
 
 // Indices of the island shots (the small box far from the pad) — moving
-// only these keeps the touched region tiny so the windowed delta-blur wins
-// its flop model against re-blurring the whole map.
+// only these keeps the touched region tiny so the windowed delta-blur
+// beats re-blurring the whole map.
 std::vector<std::size_t> island_indices(const ShotList& shots) {
   std::vector<std::size_t> out;
   for (std::size_t i = 0; i < shots.size(); ++i) {
@@ -212,64 +218,75 @@ std::vector<double> perturb_subset(const std::vector<double>& doses,
 }
 
 TEST(DeltaPath, WindowedBlurMatchesTheFullBlurOracle) {
-  // Localized updates (island only): the delta path refreshes the blur on a
-  // snug window around the island instead of the whole map. The windowed
-  // result must stay within the delta path's 1e-12 contract of the
+  // Localized updates (island only): the delta path refreshes each term's
+  // blur on snug windows around the island instead of its whole map. The
+  // windowed result must stay within the delta path's 1e-12 contract of the
   // always-full oracle across a random trajectory.
   const ShotList shots = pad_and_island();
-  const Psf psf = test_psf();
   const std::vector<std::size_t> island = island_indices(shots);
   ASSERT_FALSE(island.empty());
+  for (const Psf& psf : map_layout_psfs()) {
+    SCOPED_TRACE(psf.terms().size() == 2 ? "double Gaussian" : "triple Gaussian");
+    ExposureOptions delta_opt;
+    delta_opt.delta_threshold = 1e-15;
+    ExposureOptions full_opt;
+    full_opt.delta_threshold = 0.0;
+    ExposureEvaluator delta_eval(shots, psf, delta_opt);
+    ExposureEvaluator full_eval(shots, psf, full_opt);
 
-  ExposureOptions delta_opt;
-  delta_opt.delta_threshold = 1e-15;
-  ExposureOptions full_opt;
-  full_opt.delta_threshold = 0.0;
-  ExposureEvaluator delta_eval(shots, psf, delta_opt);
-  ExposureEvaluator full_eval(shots, psf, full_opt);
-
-  std::vector<double> doses(shots.size(), 1.0);
-  for (int step = 0; step < 8; ++step) {
-    doses = perturb_subset(doses, island, step);
-    delta_eval.set_doses(doses);
-    full_eval.set_doses(doses);
-    const std::vector<double> a = delta_eval.exposures_at_centroids();
-    const std::vector<double> b = full_eval.exposures_at_centroids();
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_NEAR(a[i], b[i], 1e-12) << "step " << step << " shot " << i;
+    std::vector<double> doses(shots.size(), 1.0);
+    for (int step = 0; step < 8; ++step) {
+      doses = perturb_subset(doses, island, step);
+      delta_eval.set_doses(doses);
+      full_eval.set_doses(doses);
+      const std::vector<double> a = delta_eval.exposures_at_centroids();
+      const std::vector<double> b = full_eval.exposures_at_centroids();
+      ASSERT_EQ(a.size(), b.size());
+      for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_NEAR(a[i], b[i], 1e-12) << "step " << step << " shot " << i;
+      }
+      // Off-centroid probes around the island reach map pixels no shot
+      // samples: a patch that misses part of the kernel's reach shows here.
+      for (double y = -10000.0; y <= 30000.0; y += 1250.0) {
+        for (double x = 22000.0; x <= 60000.0; x += 500.0) {
+          EXPECT_NEAR(delta_eval.exposure_at(x, y), full_eval.exposure_at(x, y), 1e-12)
+              << "step " << step << " at " << x << "," << y;
+        }
+      }
     }
+    EXPECT_GT(delta_eval.blur_perf().windowed_blurs, 0);
+    EXPECT_GT(delta_eval.blur_perf().windowed_blur_ms, 0.0);
+    EXPECT_LE(delta_eval.blur_perf().windowed_blur_ms,
+              delta_eval.blur_perf().blur_ms);
+    EXPECT_EQ(full_eval.blur_perf().windowed_blurs, 0);
   }
-  EXPECT_GT(delta_eval.blur_perf().windowed_blurs, 0);
-  EXPECT_GT(delta_eval.blur_perf().windowed_blur_ms, 0.0);
-  EXPECT_LE(delta_eval.blur_perf().windowed_blur_ms,
-            delta_eval.blur_perf().blur_ms);
-  EXPECT_EQ(full_eval.blur_perf().windowed_blurs, 0);
 }
 
 TEST(DeltaPath, WindowedBlurBitIdenticalAcrossThreadCounts) {
   const ShotList shots = pad_and_island();
-  const Psf psf = test_psf();
   const std::vector<std::size_t> island = island_indices(shots);
-  std::vector<std::vector<double>> sweeps;
-  for (const int threads : {1, 4}) {
-    ExposureOptions opt;
-    opt.delta_threshold = 1e-15;
-    opt.threads = threads;
-    ExposureEvaluator eval(shots, psf, opt);
-    std::vector<double> doses(shots.size(), 1.0);
-    std::vector<double> last;
-    for (int step = 0; step < 6; ++step) {
-      doses = perturb_subset(doses, island, step);
-      eval.set_doses(doses);
-      last = eval.exposures_at_centroids();
+  for (const Psf& psf : map_layout_psfs()) {
+    SCOPED_TRACE(psf.terms().size() == 2 ? "double Gaussian" : "triple Gaussian");
+    std::vector<std::vector<double>> sweeps;
+    for (const int threads : {1, 4}) {
+      ExposureOptions opt;
+      opt.delta_threshold = 1e-15;
+      opt.threads = threads;
+      ExposureEvaluator eval(shots, psf, opt);
+      std::vector<double> doses(shots.size(), 1.0);
+      std::vector<double> last;
+      for (int step = 0; step < 6; ++step) {
+        doses = perturb_subset(doses, island, step);
+        eval.set_doses(doses);
+        last = eval.exposures_at_centroids();
+      }
+      EXPECT_GT(eval.blur_perf().windowed_blurs, 0) << threads << " threads";
+      sweeps.push_back(std::move(last));
     }
-    EXPECT_GT(eval.blur_perf().windowed_blurs, 0) << threads << " threads";
-    sweeps.push_back(std::move(last));
-  }
-  ASSERT_EQ(sweeps[0].size(), sweeps[1].size());
-  for (std::size_t i = 0; i < sweeps[0].size(); ++i) {
-    EXPECT_EQ(sweeps[0][i], sweeps[1][i]) << "shot " << i;
+    ASSERT_EQ(sweeps[0].size(), sweeps[1].size());
+    for (std::size_t i = 0; i < sweeps[0].size(); ++i) {
+      EXPECT_EQ(sweeps[0][i], sweeps[1][i]) << "shot " << i;
+    }
   }
 }
 
@@ -348,28 +365,30 @@ TEST(DosePaths, GhostResetRefreshesInFullAndSkipsWhenNothingMoved) {
 
 TEST(DosePaths, ResetDosesIsBitwiseTheFreshEvaluator) {
   const ShotList shots = pad_and_island();
-  const Psf psf = test_psf();
   const std::size_t na = shots.size() / 2;
-  ExposureEvaluator split(shots, na, psf);
+  for (const Psf& psf : map_layout_psfs()) {
+    SCOPED_TRACE(psf.terms().size() == 2 ? "double Gaussian" : "triple Gaussian");
+    ExposureEvaluator split(shots, na, psf);
 
-  // Drive the evaluator through delta updates first: reset_doses must wipe
-  // every trace of the incremental state.
-  std::vector<double> act(na, 1.0);
-  for (int step = 0; step < 3; ++step) {
-    act = perturb(act, step, 2, 10);
-    split.set_active_doses(act);
+    // Drive the evaluator through delta updates first: reset_doses must wipe
+    // every trace of the incremental state.
+    std::vector<double> act(na, 1.0);
+    for (int step = 0; step < 3; ++step) {
+      act = perturb(act, step, 2, 10);
+      split.set_active_doses(act);
+    }
+    std::vector<double> all(shots.size());
+    for (std::size_t i = 0; i < shots.size(); ++i)
+      all[i] = 1.0 + 0.01 * static_cast<double>(i % 13);
+    split.reset_doses(all);
+
+    ShotList fresh_shots = shots;
+    for (std::size_t i = 0; i < shots.size(); ++i) fresh_shots[i].dose = all[i];
+    ExposureEvaluator fresh(fresh_shots, na, psf);
+    const std::vector<double> a = split.exposures_at_centroids();
+    const std::vector<double> b = fresh.exposures_at_centroids();
+    for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]) << "shot " << i;
   }
-  std::vector<double> all(shots.size());
-  for (std::size_t i = 0; i < shots.size(); ++i)
-    all[i] = 1.0 + 0.01 * static_cast<double>(i % 13);
-  split.reset_doses(all);
-
-  ShotList fresh_shots = shots;
-  for (std::size_t i = 0; i < shots.size(); ++i) fresh_shots[i].dose = all[i];
-  ExposureEvaluator fresh(fresh_shots, na, psf);
-  const std::vector<double> a = split.exposures_at_centroids();
-  const std::vector<double> b = fresh.exposures_at_centroids();
-  for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]) << "shot " << i;
 }
 
 TEST(DosePaths, SetDosesWithMovedGhostsIsBitwiseTheFreshEvaluator) {

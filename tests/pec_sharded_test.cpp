@@ -173,16 +173,6 @@ TEST(ShardedPec, BitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(corrected[0][i].dose, corrected[1][i].dose) << "shot " << i;
 }
 
-TEST(ShardedPec, FftSnugShardSizeNeverShrinksTheDefault) {
-  const Psf psf = test_psf();
-  PecOptions opt;
-  const Coord snug = default_shard_size(psf, opt);
-  EXPECT_GE(snug, default_shard_size(psf));
-  // All-short PSF: no long-range map to pad, the plain default applies.
-  const Psf short_psf = Psf::double_gaussian(40.0, 150.0, 0.5);
-  EXPECT_EQ(default_shard_size(short_psf, opt), default_shard_size(short_psf));
-}
-
 TEST(ShardedPec, ResidentPoolBudgetNeverChangesTheResult) {
   // Resident re-entry is an exact dose reset, so every budget — including
   // one small enough to force evictions and transient re-runs, and 0, the

@@ -66,7 +66,6 @@ wire::ShardJob sample_job() {
   job.options.worker_max_restarts = 7;
   job.options.exposure.pixels_per_sigma = 4.5;
   job.options.exposure.threads = 2;
-  job.options.exposure.blur_backend = BlurBackend::kFft;
   job.options.exposure.delta_threshold = 1e-7;
   job.options.exposure.fast_erf = false;
   job.active = {Shot{{-10, 5, -2000000000, -5, -7, 0}, 0.1},
@@ -101,7 +100,6 @@ TEST(Wire, JobRoundTripIsBitExact) {
   EXPECT_EQ(back.options.worker_hosts, job.options.worker_hosts);
   EXPECT_EQ(bits(back.options.worker_timeout_ms), bits(job.options.worker_timeout_ms));
   EXPECT_EQ(back.options.worker_max_restarts, job.options.worker_max_restarts);
-  EXPECT_EQ(back.options.exposure.blur_backend, job.options.exposure.blur_backend);
   EXPECT_EQ(bits(back.options.exposure.delta_threshold),
             bits(job.options.exposure.delta_threshold));
   EXPECT_EQ(back.options.exposure.fast_erf, job.options.exposure.fast_erf);
@@ -198,6 +196,9 @@ TEST(Wire, FrameHeaderRoundTripAndRejections) {
   // it would misframe everything after the first payload.
   bad = h;
   bad[4] = static_cast<char>(wire::kVersion + 1);
+  EXPECT_THROW(wire::parse_frame_header(bad), DataError);
+  bad = h;
+  bad[4] = 5;  // v5: exposure options with the blur_backend byte
   EXPECT_THROW(wire::parse_frame_header(bad), DataError);
   bad = h;
   bad[4] = 4;  // v4: jobs with the reset_all / pooled / splat_cache flags
@@ -519,7 +520,7 @@ TEST(DistributedPec, ConvenienceEntryDefaultsShardSize) {
 
   PecOptions lopt = opt;
   lopt.worker_count = 0;
-  lopt.shard_size = default_shard_size(psf, lopt);
+  lopt.shard_size = default_shard_size(psf);
   const PecResult local = correct_proximity(shots, psf, lopt);
   ASSERT_EQ(dist.shots.size(), local.shots.size());
   for (std::size_t i = 0; i < local.shots.size(); ++i)

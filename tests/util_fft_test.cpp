@@ -285,6 +285,42 @@ TEST(FftConvolver, KernelWiderThanImageStaysLinear) {
   for (std::size_t i = 0; i < img.size(); ++i) EXPECT_NEAR(got[i], want[i], 1e-12);
 }
 
+TEST(FftConvolver, OnePixelImageKeepsOnlyTheCenterTap) {
+  // Every tap but the center falls off a 1x1 image: the output is the input
+  // times the center tap squared (no renormalization), as in the direct blur.
+  const std::vector<double> taps = {0.4, 0.2, 0.08, 0.02};
+  FftConvolver conv(1, 1, 3);
+  const double img = 2.0;
+  conv.load(&img);
+  double got = 0.0;
+  conv.convolve(taps, &got);
+  EXPECT_NEAR(got, 2.0 * taps[0] * taps[0], 1e-12);
+}
+
+TEST(FftConvolver, SubPixelGaussianIsNearIdentity) {
+  // A Gaussian far narrower than a pixel (sigma_px = 0.2, exp(-x^2/s^2)
+  // taps clamped to radius 1): the spectrum is nearly flat, and the
+  // convolution must still match the direct passes and stay near the input.
+  Rng rng(41);
+  const int nx = 30, ny = 30;
+  std::vector<double> img(std::size_t(nx) * ny);
+  for (double& v : img) v = rng.uniform_real(0.0, 2.0);
+  std::vector<double> taps = {1.0, std::exp(-1.0 / 0.04)};
+  const double norm = taps[0] + 2.0 * taps[1];
+  for (double& t : taps) t /= norm;
+  ASSERT_GT(taps[0], 0.99);
+
+  FftConvolver conv(nx, ny, 1);
+  conv.load(img.data());
+  std::vector<double> got(img.size());
+  conv.convolve(taps, got.data());
+  const std::vector<double> want = direct_conv2(img, nx, ny, taps);
+  for (std::size_t i = 0; i < img.size(); ++i) {
+    EXPECT_NEAR(got[i], want[i], 1e-12);
+    EXPECT_NEAR(got[i], img[i], 0.02);
+  }
+}
+
 TEST(FftConvolver, SharedForwardServesMultipleKernels) {
   Rng rng(31);
   const int nx = 40, ny = 25;
