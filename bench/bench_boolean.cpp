@@ -2,10 +2,19 @@
 //
 // Measures the scanline engine on orthogonal and all-angle polygon soups of
 // growing size, for OR / AND / XOR, plus the trapezoid and polygon output
-// paths. Complexity is expected near O(n log n) in edges for sparse
-// overlap, degrading toward O(n^2) splitting for pathological all-angle
-// crossing storms (documented engine property, DESIGN.md decision 3).
+// paths. Edge splitting pairs segments on a uniform grid, so it stays near
+// linear in edges for sparse overlap and degrades toward O(n^2) only in
+// all-angle crossing storms. The band sweep keeps its active list ordered
+// between bands but still visits every active edge in every band, so on
+// layouts whose y edges never line up (BM_DisjointSquaresDistinctY) the
+// per-figure cost grows like the active count, about sqrt(n).
+//
+// Run with --benchmark_out=<file> --benchmark_out_format=json for a JSON
+// record of every case.
 #include <benchmark/benchmark.h>
+
+#include <cmath>
+#include <vector>
 
 #include "core/patterns.h"
 #include "geom/boolean.h"
@@ -94,6 +103,32 @@ void BM_XorAllAngle(benchmark::State& state) {
 }
 BENCHMARK(BM_XorAllAngle)->Arg(100)->Arg(400)->Arg(1600)
     ->Unit(benchmark::kMillisecond);
+
+// n disjoint 2x2 um squares on a 3 um pitch, each column shifted in y so
+// every square brings its own pair of band events (ROADMAP's worst case for
+// a per-band sweep). Reports the time per square.
+void BM_DisjointSquaresDistinctY(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const int cols = static_cast<int>(std::ceil(std::sqrt(double(n))));
+  std::vector<Box> squares;
+  for (int i = 0; i < n; ++i) {
+    const int col = i % cols;
+    const int row = i / cols;
+    const Coord x = static_cast<Coord>(col * 3000);
+    const Coord y = static_cast<Coord>(row * 3000 + (col * 37) % 1000);
+    squares.push_back(Box{x, y, static_cast<Coord>(x + 2000), static_cast<Coord>(y + 2000)});
+  }
+  for (auto _ : state) {
+    BooleanEngine eng;
+    for (const Box& b : squares) eng.add(b);
+    benchmark::DoNotOptimize(eng.trapezoids(BoolOp::Or));
+  }
+  state.counters["s_per_square"] = benchmark::Counter(
+      static_cast<double>(n),
+      benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_DisjointSquaresDistinctY)->Arg(1000)->Arg(4000)->Arg(8000)->Arg(16000)
+    ->Arg(32000)->Unit(benchmark::kMillisecond);
 
 void BM_PolygonReconstruction(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -9,9 +9,22 @@
 //   2. Segments are split at all mutual crossings and T-junctions with exact
 //      integer predicates; intersection points are rounded to the database
 //      grid and splitting is iterated to a fixpoint (grid snapping).
+//      Candidate pairs come from a uniform grid over the segment bboxes
+//      (cells about one mean segment wide, coarsened until the cover list is
+//      O(segments)); each touching pair is tested once, in the cell holding
+//      the min corner of the bboxes' intersection, as (i, j) with i < j in
+//      (lo.y, lo.x) order, because the rounded cut point depends on the
+//      argument order.
 //   3. A sweep over the y-event bands orders the (now crossing-free) segments
 //      exactly by rational x and accumulates per-group winding numbers.
-//      Maximal inside intervals become horizontal trapezoids.
+//      Maximal inside intervals become horizontal trapezoids. The active
+//      order is kept from band to band: ended segments retire, each
+//      continuing segment's x at the band top becomes its x at the next
+//      bottom, an insertion pass repairs the few inversions that residual
+//      sub-band crossings leave, and new segments are merged in. The key
+//      (x@y0, x@y1, segment id) is a strict total order, so it has exactly
+//      one sorted permutation: the kept order is the one a full sort of
+//      every band would give.
 //
 // The native output is a set of trapezoid bands — the primitive e-beam
 // machine formats want anyway. Polygon reconstruction (boundary stitching)
@@ -121,7 +134,10 @@ class BooleanEngine {
 };
 
 /// Merges vertically adjacent collinear trapezoids in a band list.
-/// Exposed for fracture-strategy experiments.
+/// Exposed for fracture-strategy experiments. Each band's intervals must be
+/// in nondecreasing xl0 order, as bands() produces them. A trapezoid does
+/// not grow into an interval that is inverted at its top (a residual
+/// crossing); that interval is dropped, as band_trapezoids() drops it.
 std::vector<Trapezoid> merge_trapezoids_vertically(const std::vector<Band>& bands);
 
 /// Flat list of per-band trapezoids without vertical merging.

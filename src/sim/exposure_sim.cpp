@@ -178,13 +178,14 @@ std::vector<double> profile_along(const Raster& raster, Point a, Point b, int n)
 
 std::vector<double> crossings_along(const Raster& raster, double level, Point a,
                                     Point b, int samples) {
-  const std::vector<double> prof = profile_along(raster, level == 0 ? a : a, b, samples);
+  const std::vector<double> prof = profile_along(raster, a, b, samples);
   const double len = std::sqrt(static_cast<double>(distance2(a, b)));
   std::vector<double> xs;
-  for (std::size_t i = 0; i + 1 < prof.size(); ++i) {
+  for (std::size_t i = 0; i < prof.size(); ++i) {
     const double v0 = prof[i] - level;
-    const double v1 = prof[i + 1] - level;
     if (v0 == 0.0) xs.push_back(len * static_cast<double>(i) / (samples - 1));
+    if (i + 1 == prof.size()) break;  // the last sample has no interval
+    const double v1 = prof[i + 1] - level;
     if ((v0 < 0 && v1 > 0) || (v0 > 0 && v1 < 0)) {
       const double f = v0 / (v0 - v1);
       xs.push_back(len * (static_cast<double>(i) + f) / (samples - 1));

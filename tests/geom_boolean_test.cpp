@@ -3,7 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string_view>
 
+#include "fracture/fracture.h"
 #include "geom/boolean.h"
 #include "geom/polygon_set.h"
 #include "util/rng.h"
@@ -366,6 +371,298 @@ TEST_P(BooleanRandomPolys, StitchAgreesWithTrapezoidsOnRandomAllAngle) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BooleanRandomPolys, ::testing::Range(0, 8));
+
+// ---------------------------------------------------------------------------
+// Differential tests on degenerate soups: collinear overlaps, shared and
+// touching vertices, zero-area contours, one shape spanning the whole
+// extent, and coordinates next to the ends of the 32-bit grid.
+// ---------------------------------------------------------------------------
+
+Wide doubled_area(const std::vector<Trapezoid>& traps) {
+  Wide a = 0;
+  for (const Trapezoid& t : traps) a += t.doubled_area();
+  return a;
+}
+
+Wide doubled_area(const ShotList& shots) {
+  Wide a = 0;
+  for (const Shot& s : shots) a += s.shape.doubled_area();
+  return a;
+}
+
+// Where a soup sits on the 32-bit grid. The lattice soups span
+// kLattice * kCells dbu from their origin.
+constexpr Coord kLattice = 10;
+constexpr int kCells = 12;
+constexpr Coord kMin = std::numeric_limits<Coord>::min();
+constexpr Coord kMax = std::numeric_limits<Coord>::max();
+constexpr Coord kFar = kLattice * kCells + 1;
+const Point kOrigins[] = {{0, 0}, {kMax - kFar, kMax - kFar}, {kMin, kMin}, {kMin, kMax - kFar}};
+
+struct ManhattanSoup {
+  std::vector<Box> boxes[2];
+};
+
+// Boxes on a coarse lattice (so edges overlap collinearly and corners are
+// shared or touch), a zero-width and a zero-height box, and one box whose
+// bottom edge spans the whole extent; with @p huge that box runs from one
+// end of the grid to the other.
+ManhattanSoup lattice_boxes(Rng& rng, Point origin, bool huge) {
+  ManhattanSoup soup;
+  const auto at = [&](int cx, int cy) {
+    return Point{static_cast<Coord>(origin.x + kLattice * cx),
+                 static_cast<Coord>(origin.y + kLattice * cy)};
+  };
+  for (int i = 0; i < 14; ++i) {
+    const int x = static_cast<int>(rng.uniform(0, kCells - 1));
+    const int y = static_cast<int>(rng.uniform(0, kCells - 1));
+    const int w = static_cast<int>(rng.uniform(1, kCells - x));
+    const int h = static_cast<int>(rng.uniform(1, kCells - y));
+    soup.boxes[rng.uniform(0, 1)].push_back(Box{at(x, y), at(x + w, y + h)});
+  }
+  soup.boxes[0].push_back(Box{at(3, 2), at(3, 9)});  // zero width
+  soup.boxes[1].push_back(Box{at(1, 5), at(8, 5)});  // zero height
+  const Box span = huge ? Box{kMin, at(0, 4).y, kMax, at(0, 5).y} : Box{at(0, 4), at(kCells, 5)};
+  soup.boxes[rng.uniform(0, 1)].push_back(span);
+  return soup;
+}
+
+// Expected result of @p op on one compressed-grid cell.
+bool op_inside(BoolOp op, bool a, bool b) {
+  switch (op) {
+    case BoolOp::Or: return a || b;
+    case BoolOp::And: return a && b;
+    case BoolOp::Sub: return a && !b;
+    case BoolOp::Xor: return a != b;
+  }
+  return false;
+}
+
+class BooleanDegenerateSoups : public ::testing::TestWithParam<int> {};
+
+TEST_P(BooleanDegenerateSoups, ManhattanLatticeIsExact) {
+  Rng rng(4242 + GetParam());
+  const bool huge = GetParam() % 5 == 4;
+  const ManhattanSoup soup = lattice_boxes(rng, kOrigins[GetParam() % 4], huge);
+
+  BooleanEngine eng;
+  BooleanEngine only[2];
+  PolygonSet sets[2];
+  std::vector<Coord> xs, ys;  // the compressed grid of every input edge
+  for (int g = 0; g < 2; ++g) {
+    for (const Box& b : soup.boxes[g]) {
+      eng.add(b, g);
+      only[g].add(b);
+      sets[g].insert(b);
+      xs.insert(xs.end(), {b.lo.x, b.hi.x});
+      ys.insert(ys.end(), {b.lo.y, b.hi.y});
+    }
+  }
+  for (auto* v : {&xs, &ys}) {
+    std::sort(v->begin(), v->end());
+    v->erase(std::unique(v->begin(), v->end()), v->end());
+  }
+  const auto index_of = [](const std::vector<Coord>& v, Coord c) {
+    const auto it = std::lower_bound(v.begin(), v.end(), c);
+    return it != v.end() && *it == c ? static_cast<std::size_t>(it - v.begin()) : v.size();
+  };
+  const auto covered = [&](const std::vector<Box>& boxes, std::size_t i, std::size_t j) {
+    return std::any_of(boxes.begin(), boxes.end(), [&](const Box& b) {
+      return b.lo.x <= xs[i] && xs[i + 1] <= b.hi.x && b.lo.y <= ys[j] && ys[j + 1] <= b.hi.y;
+    });
+  };
+
+  // Coverage: every result figure is a rectangle on the compressed grid,
+  // and the figures cover each grid cell exactly as often (0 or 1) as the
+  // op says.
+  for (BoolOp op : {BoolOp::Or, BoolOp::And, BoolOp::Sub, BoolOp::Xor}) {
+    for (bool merge : {true, false}) {
+      std::vector<int> count((xs.size() - 1) * (ys.size() - 1), 0);
+      for (const Trapezoid& t : eng.trapezoids(op, merge)) {
+        ASSERT_TRUE(t.is_rect()) << t;
+        const std::size_t i0 = index_of(xs, t.xl0), i1 = index_of(xs, t.xr0);
+        const std::size_t j0 = index_of(ys, t.y0), j1 = index_of(ys, t.y1);
+        ASSERT_TRUE(i1 < xs.size() && j1 < ys.size()) << "off the input grid: " << t;
+        for (std::size_t j = j0; j < j1; ++j)
+          for (std::size_t i = i0; i < i1; ++i) ++count[j * (xs.size() - 1) + i];
+      }
+      for (std::size_t j = 0; j + 1 < ys.size(); ++j) {
+        for (std::size_t i = 0; i + 1 < xs.size(); ++i) {
+          const bool want = op_inside(op, covered(soup.boxes[0], i, j),
+                                      covered(soup.boxes[1], i, j));
+          ASSERT_EQ(count[j * (xs.size() - 1) + i], want ? 1 : 0)
+              << "op " << int(op) << " merge " << merge << " cell " << i << "," << j;
+        }
+      }
+    }
+  }
+
+  // Exact integer area identities.
+  const Wide area_a = doubled_area(only[0].trapezoids(BoolOp::Or));
+  const Wide area_b = doubled_area(only[1].trapezoids(BoolOp::Or));
+  const Wide uni = doubled_area(eng.trapezoids(BoolOp::Or));
+  const Wide inter = doubled_area(eng.trapezoids(BoolOp::And));
+  EXPECT_TRUE(uni + inter == area_a + area_b);
+  EXPECT_TRUE(doubled_area(eng.trapezoids(BoolOp::Sub)) + inter == area_a);
+  EXPECT_TRUE(doubled_area(eng.trapezoids(BoolOp::Xor)) + 2 * inter == area_a + area_b);
+
+  // Fracture conserves the doubled area exactly, also when it splits figures
+  // to a maximum shot size (rectangles split on the grid without rounding).
+  for (int g = 0; g < 2; ++g) {
+    const Wide area = doubled_area(only[g].trapezoids(BoolOp::Or));
+    EXPECT_TRUE(doubled_area(fracture(sets[g]).shots) == area);
+    FractureOptions small;
+    small.max_shot_size = 3 * kLattice + 7;
+    // (A box across the whole grid would split into ~1e8 shots.)
+    if (!huge) EXPECT_TRUE(doubled_area(fracture(sets[g], small).shots) == area);
+  }
+}
+
+TEST_P(BooleanDegenerateSoups, AllAngleFractureConservesArea) {
+  Rng rng(9090 + GetParam());
+  const Point origin = kOrigins[GetParam() % 4];
+  const auto at = [&](std::int64_t cx, std::int64_t cy) {
+    return Point{static_cast<Coord>(origin.x + kLattice * cx),
+                 static_cast<Coord>(origin.y + kLattice * cy)};
+  };
+  const auto lattice_point = [&] {
+    return at(rng.uniform(0, kCells), rng.uniform(0, kCells));
+  };
+  PolygonSet sets[2];
+  BooleanEngine eng;
+  for (int i = 0; i < 16; ++i) {
+    // Lattice triangles share vertices and overlap collinearly; collinear
+    // draws are zero-area contours and are kept.
+    const SimplePolygon tri{{lattice_point(), lattice_point(), lattice_point()}};
+    const int g = static_cast<int>(rng.uniform(0, 1));
+    sets[g].insert(tri);
+    eng.add(tri, g);
+  }
+  // One edge across the whole extent (the full grid on every fifth seed).
+  const SimplePolygon wide = GetParam() % 5 == 4
+                                 ? SimplePolygon{{{kMin, kMin}, {kMax, kMin + 7}, at(6, 8)}}
+                                 : SimplePolygon{{at(0, 0), at(kCells, 3), at(5, 7)}};
+  sets[1].insert(wide);
+  eng.add(wide, 1);
+
+  for (int g = 0; g < 2; ++g) {
+    for (FractureStrategy strategy : {FractureStrategy::merged_traps, FractureStrategy::bands}) {
+      FractureOptions opt;
+      opt.strategy = strategy;
+      const bool merge = strategy == FractureStrategy::merged_traps;
+      EXPECT_TRUE(doubled_area(fracture(sets[g], opt).shots) ==
+                  doubled_area(sets[g].trapezoids(merge)));
+    }
+  }
+  // No figure of any op is inverted (a side crossing inside it), so
+  // fracturing the figures keeps their doubled area. Figures of zero width
+  // at both ends may remain; they carry no area.
+  for (BoolOp op : {BoolOp::Or, BoolOp::And, BoolOp::Sub, BoolOp::Xor}) {
+    for (bool merge : {true, false}) {
+      const auto traps = eng.trapezoids(op, merge);
+      for (const Trapezoid& t : traps) EXPECT_TRUE(t.xl0 <= t.xr0 && t.xl1 <= t.xr1) << t;
+      EXPECT_TRUE(doubled_area(fracture(traps).shots) == doubled_area(traps));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, BooleanDegenerateSoups, ::testing::Range(0, 20));
+
+// ---------------------------------------------------------------------------
+// Bitwise pin of the engine's outputs on seeded soups: any change to the
+// split order, the band order or the vertical merge that moves a cut point,
+// a rounded x, a supporting-segment id or a figure shows up here.
+// ---------------------------------------------------------------------------
+
+struct Fnv {
+  std::uint64_t h = 14695981039346656037ull;
+  void add(std::int64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= static_cast<std::uint64_t>(v >> (8 * i)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  }
+};
+
+// Same generators as bench/bench_boolean.cpp, on a smaller scale.
+void add_manhattan_soup(BooleanEngine& eng, int n, std::uint64_t seed, int group) {
+  Rng rng(seed);
+  const Coord span = static_cast<Coord>(400.0 * std::sqrt(double(n)));
+  for (int i = 0; i < n; ++i) {
+    const Coord w = static_cast<Coord>(rng.uniform(50, 600));
+    const Coord h = static_cast<Coord>(rng.uniform(50, 600));
+    const Coord x = static_cast<Coord>(rng.uniform(0, span));
+    const Coord y = static_cast<Coord>(rng.uniform(0, span));
+    eng.add(Box{x, y, static_cast<Coord>(x + w), static_cast<Coord>(y + h)}, group);
+  }
+}
+
+void add_triangle_soup(BooleanEngine& eng, int n, std::uint64_t seed, int group) {
+  Rng rng(seed);
+  const Coord span = static_cast<Coord>(400.0 * std::sqrt(double(n)));
+  for (int i = 0; i < n; ++i) {
+    const Point a{static_cast<Coord>(rng.uniform(0, span)),
+                  static_cast<Coord>(rng.uniform(0, span))};
+    const Point b = a + Point{static_cast<Coord>(rng.uniform(-400, 400)),
+                              static_cast<Coord>(rng.uniform(-400, 400))};
+    const Point c = a + Point{static_cast<Coord>(rng.uniform(-400, 400)),
+                              static_cast<Coord>(rng.uniform(-400, 400))};
+    if (cross(a, b, c) == 0) continue;
+    eng.add(SimplePolygon{{a, b, c}}, group);
+  }
+}
+
+std::uint64_t engine_digest(const BooleanEngine& eng) {
+  Fnv f;
+  const auto add_stats = [&] {
+    const BooleanStats& s = eng.stats();
+    for (std::size_t v : {s.input_edges, s.split_edges, s.split_rounds, s.bands, s.intervals})
+      f.add(static_cast<std::int64_t>(v));
+  };
+  const auto add_traps = [&](const std::vector<Trapezoid>& traps) {
+    f.add(static_cast<std::int64_t>(traps.size()));
+    for (const Trapezoid& t : traps)
+      for (Coord v : {t.y0, t.y1, t.xl0, t.xr0, t.xl1, t.xr1}) f.add(v);
+    add_stats();
+  };
+  const auto add_contour = [&](const SimplePolygon& c) {
+    f.add(static_cast<std::int64_t>(c.size()));
+    for (std::size_t i = 0; i < c.size(); ++i) {
+      f.add(c[i].x);
+      f.add(c[i].y);
+    }
+  };
+  for (BoolOp op : {BoolOp::Or, BoolOp::And, BoolOp::Sub, BoolOp::Xor}) {
+    add_traps(eng.trapezoids(op, true));
+    add_traps(eng.trapezoids(op, false));
+    // Stitching can reject the rounded band geometry of an all-angle soup;
+    // the rejection is part of the pinned behavior.
+    try {
+      const auto polys = eng.polygons(op);
+      f.add(static_cast<std::int64_t>(polys.size()));
+      for (const Polygon& p : polys) {
+        add_contour(p.outer());
+        f.add(static_cast<std::int64_t>(p.holes().size()));
+        for (const SimplePolygon& h : p.holes()) add_contour(h);
+      }
+    } catch (const std::exception& e) {
+      for (char c : std::string_view(e.what())) f.add(c);
+    }
+    add_stats();
+  }
+  return f.h;
+}
+
+TEST(Boolean, SeededSoupsMatchParentDigests) {
+  BooleanEngine manhattan;
+  add_manhattan_soup(manhattan, 400, 1, 0);
+  add_manhattan_soup(manhattan, 400, 2, 1);
+  BooleanEngine all_angle;
+  add_triangle_soup(all_angle, 200, 5, 0);
+  add_triangle_soup(all_angle, 200, 6, 1);
+  EXPECT_EQ(engine_digest(manhattan), 0x57bbe19e286f8122ull);
+  EXPECT_EQ(engine_digest(all_angle), 0x9f9fa145cec76135ull);
+}
 
 }  // namespace
 }  // namespace ebl

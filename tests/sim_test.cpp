@@ -113,6 +113,25 @@ TEST(ProfileAndCd, NoFeatureNoCd) {
   EXPECT_FALSE(measure_cd(e, 0.3, Point{-12000, -12000}, Point{-9000, -12000}).has_value());
 }
 
+TEST(ProfileAndCd, CrossingOnTheLastSampleIsCounted) {
+  // Nine 10-dbu pixels sampled at their centres (x = 5, 15, ..., 85), so
+  // every profile value is exactly a pixel value.
+  Raster r(Box{0, 0, 90, 10}, 10);
+  const Point a{5, 5};
+  const Point b{85, 5};
+  // A ramp 0..8 whose endpoint sits exactly on the level.
+  for (int i = 0; i < 9; ++i) r.at(i, 0) = i;
+  EXPECT_EQ(crossings_along(r, 8.0, a, b, 9), (std::vector<double>{80.0}));
+  // A line from sample 2 to the last sample, both edges exactly on the level:
+  // without the last crossing the CD is not measured at all.
+  const double line[9] = {0, 0, 2, 4, 4, 4, 4, 4, 2};
+  for (int i = 0; i < 9; ++i) r.at(i, 0) = line[i];
+  EXPECT_EQ(crossings_along(r, 2.0, a, b, 9), (std::vector<double>{20.0, 80.0}));
+  const auto cd = measure_cd(r, 2.0, a, b, 9);
+  ASSERT_TRUE(cd.has_value());
+  EXPECT_EQ(*cd, 60.0);
+}
+
 TEST(ProfileAndCd, HigherDoseWiderLine) {
   PolygonSet s;
   s.insert(Box{0, 0, 500, 20000});
