@@ -11,6 +11,12 @@
 //                 top: a tight window must evict and re-parse (reload cost).
 //   flat_cells  — many sibling cells each placed once: a pure sweep, the
 //                 worst case for directory overhead per cell.
+//   layered     — deep_reuse with off-layer geometry on both sides of the
+//                 target layer in file order: every leaf carries layer-0
+//                 shapes before kMetal, and LEAF_A layer-2 shapes after it.
+//                 A re-read decodes and drops the off-layer records before
+//                 its first target shape, stops after its last one in
+//                 LEAF_A, and reads LEAF_B to the end (no early stop).
 //
 // Every case asserts the streamed shots are bitwise-identical to the in-RAM
 // reference (the whole point of the emission-order contract); the bench
@@ -41,20 +47,22 @@ double ms_since(std::chrono::steady_clock::time_point t0) {
 }
 
 constexpr LayerKey kMetal{1, 0};
+constexpr LayerKey kBelow{0, 0};  // written before kMetal
+constexpr LayerKey kAbove{2, 0};  // written after kMetal
 
-void fill_macro(Cell& c, Rng& rng, int rects, int triangles) {
+void fill_macro(Cell& c, Rng& rng, int rects, int triangles, LayerKey layer = kMetal) {
   for (int i = 0; i < rects; ++i) {
     const Coord x = static_cast<Coord>(rng.uniform(0, 18000));
     const Coord y = static_cast<Coord>(rng.uniform(0, 18000));
     const Coord w = static_cast<Coord>(rng.uniform(100, 1500));
     const Coord h = static_cast<Coord>(rng.uniform(100, 1500));
-    c.add_shape(kMetal, Box{x, y, static_cast<Coord>(x + w), static_cast<Coord>(y + h)});
+    c.add_shape(layer, Box{x, y, static_cast<Coord>(x + w), static_cast<Coord>(y + h)});
   }
   for (int i = 0; i < triangles; ++i) {
     const Coord x = static_cast<Coord>(rng.uniform(0, 18000));
     const Coord y = static_cast<Coord>(rng.uniform(0, 18000));
     const Coord s = static_cast<Coord>(rng.uniform(300, 1200));
-    c.add_shape(kMetal, SimplePolygon{{{x, y},
+    c.add_shape(layer, SimplePolygon{{{x, y},
                                        {static_cast<Coord>(x + s), y},
                                        {x, static_cast<Coord>(y + s)}}});
   }
@@ -123,6 +131,17 @@ Library flat_cells(std::uint32_t count) {
                      0.0, 1.0, false};
     lib.cell(top).add_reference(r);
   }
+  return lib;
+}
+
+Library layered(std::uint32_t n) {
+  Library lib = deep_reuse(n);
+  Rng rng(53);
+  Cell& leaf_a = lib.cell(*lib.find_cell("LEAF_A"));
+  Cell& leaf_b = lib.cell(*lib.find_cell("LEAF_B"));
+  fill_macro(leaf_a, rng, 300, 100, kBelow);
+  fill_macro(leaf_b, rng, 300, 100, kBelow);
+  fill_macro(leaf_a, rng, 300, 100, kAbove);
   return lib;
 }
 
@@ -221,6 +240,7 @@ int main(int argc, char** argv) {
   cases.push_back(run_case("macro_array", macro_array(quick ? 6 : 16), 4));
   cases.push_back(run_case("deep_reuse", deep_reuse(quick ? 3 : 8), 1));
   cases.push_back(run_case("flat_cells", flat_cells(quick ? 24 : 128), 1));
+  cases.push_back(run_case("layered", layered(quick ? 3 : 8), 1));
 
   Table t("I1: streamed OASIS ingestion vs in-RAM prep");
   t.columns({"scenario", "cells", "shots", "window", "peak", "reloads",

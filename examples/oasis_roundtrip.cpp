@@ -55,7 +55,7 @@ int main() {
   std::cout << "streaming " << oas_path << " (dbu = "
             << stream->dbu_in_microns() << " um):\n";
   while (stream->next(cell)) {
-    std::cout << "  cell " << cell.name << ": " << cell.shape_count
+    std::cout << "  cell " << cell.name << ": " << cell.shape_count()
               << " shapes, " << cell.refs.size() << " refs\n";
   }
 

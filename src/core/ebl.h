@@ -13,7 +13,6 @@
 //   core     — workload generators and the end-to-end data-prep pipeline
 #pragma once
 
-#include "core/hierarchy.h"
 #include "core/job.h"
 #include "core/patterns.h"
 #include "fracture/ebf.h"

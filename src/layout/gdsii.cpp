@@ -16,6 +16,8 @@
 namespace ebl {
 namespace {
 
+using stream_detail::ShapeSink;
+
 // Record types (record_type << 8 | data_type).
 enum : std::uint16_t {
   kHeader = 0x0002,
@@ -133,21 +135,21 @@ class RecordReader {
   const std::vector<std::uint8_t>& payload() const { return payload_; }
 
   std::uint16_t u16(std::size_t offset) const {
-    expects(offset + 2 <= payload_.size(), "GDS: u16 out of record");
+    need(offset + 2);
     return static_cast<std::uint16_t>((payload_[offset] << 8) | payload_[offset + 1]);
   }
   std::int16_t i16(std::size_t offset) const {
     return static_cast<std::int16_t>(u16(offset));
   }
   std::int32_t i32(std::size_t offset) const {
-    expects(offset + 4 <= payload_.size(), "GDS: i32 out of record");
+    need(offset + 4);
     return static_cast<std::int32_t>((std::uint32_t(payload_[offset]) << 24) |
                                      (std::uint32_t(payload_[offset + 1]) << 16) |
                                      (std::uint32_t(payload_[offset + 2]) << 8) |
                                      std::uint32_t(payload_[offset + 3]));
   }
   std::uint64_t u64(std::size_t offset) const {
-    expects(offset + 8 <= payload_.size(), "GDS: u64 out of record");
+    need(offset + 8);
     std::uint64_t x = 0;
     for (int i = 0; i < 8; ++i) x = (x << 8) | payload_[offset + static_cast<std::size_t>(i)];
     return x;
@@ -159,6 +161,12 @@ class RecordReader {
   }
 
  private:
+  /// A record shorter than its type's operands is malformed input.
+  void need(std::size_t bytes) const {
+    if (payload_.size() < bytes)
+      throw DataError("GDS: record payload too short at byte " + std::to_string(record_off_));
+  }
+
   std::istream& is_;
   std::uint16_t type_ = 0;
   std::vector<std::uint8_t> payload_;
@@ -259,10 +267,13 @@ class GdsCellStream final : public LayoutStream {
         case kEndLib:
           pass_done_ = true;
           return false;
-        case kBgnStr:
+        case kBgnStr: {
           offsets_.push_back(r_.record_offset());
-          parse_structure(out, with_geometry);
+          out = StreamCell{};
+          ShapeSink sink(out, with_geometry);
+          parse_structure(out, sink);
           return true;
+        }
         case kBoundary:
         case kSref:
         case kAref:
@@ -282,23 +293,24 @@ class GdsCellStream final : public LayoutStream {
 
   std::size_t cells_seen() const override { return offsets_.size(); }
 
-  StreamCell read_cell(std::size_t index, bool with_geometry) override {
+  StreamCell read_cell(std::size_t index, const std::optional<LayerFilter>& filter) override {
     expects(index < offsets_.size(), "LayoutStream::read_cell index out of range");
     r_.seek(offsets_[index]);
     have_record_ = false;
     ensures(r_.next() && r_.type() == kBgnStr, "GDS: structure vanished on re-read");
     StreamCell out;
-    parse_structure(out, with_geometry);  // report counters re-count on re-parse
+    ShapeSink sink(out, filter);
+    parse_structure(out, sink);  // report counters re-count on re-parse
     return out;
   }
 
  private:
   std::string offset_str() const { return std::to_string(r_.record_offset()); }
 
-  void parse_structure(StreamCell& out, bool with_geometry) {
-    out = StreamCell{};
+  void parse_structure(StreamCell& out, ShapeSink& sink) {
     bool named = false;
     for (;;) {
+      if (named && sink.done()) return;  // a filtered re-read has its last shape
       if (!r_.next()) throw DataError("GDS: missing ENDSTR at byte " + offset_str());
       switch (r_.type()) {
         case kStrName:
@@ -313,13 +325,13 @@ class GdsCellStream final : public LayoutStream {
         case kBoundary:
           if (!named)
             throw DataError("GDS: BOUNDARY outside structure at byte " + offset_str());
-          parse_boundary(out, with_geometry);
+          parse_boundary(sink);
           break;
         case kSref:
         case kAref:
           if (!named)
             throw DataError("GDS: reference outside structure at byte " + offset_str());
-          parse_reference(out, r_.type() == kAref);
+          parse_reference(sink, r_.type() == kAref);
           break;
         case kPath:
         case kText:
@@ -338,29 +350,28 @@ class GdsCellStream final : public LayoutStream {
     }
   }
 
-  void parse_boundary(StreamCell& out, bool with_geometry) {
+  void parse_boundary(ShapeSink& sink) {
     LayerKey layer{};
-    std::vector<Point> pts;
+    pts_.clear();
     while (r_.next() && r_.type() != kEndEl) {
       if (r_.type() == kLayer) layer.layer = r_.i16(0);
       else if (r_.type() == kDatatype) layer.datatype = r_.i16(0);
       else if (r_.type() == kXy) {
         const std::size_t n = r_.payload().size() / 8;
         for (std::size_t i = 0; i < n; ++i) {
-          pts.push_back({static_cast<Coord>(r_.i32(i * 8)),
-                         static_cast<Coord>(r_.i32(i * 8 + 4))});
+          pts_.push_back({static_cast<Coord>(r_.i32(i * 8)),
+                          static_cast<Coord>(r_.i32(i * 8 + 4))});
         }
       }
     }
-    if (pts.size() >= 4 && pts.front() == pts.back()) pts.pop_back();
-    if (pts.size() >= 3) {
+    if (pts_.size() >= 4 && pts_.front() == pts_.back()) pts_.pop_back();
+    if (pts_.size() >= 3) {
       ++rep_.boundaries;
-      ++out.shape_count;
-      if (with_geometry) out.shapes[layer].emplace_back(SimplePolygon{std::move(pts)});
+      sink.shape(layer, [&] { return Polygon(SimplePolygon{pts_}); });
     }
   }
 
-  void parse_reference(StreamCell& out, bool is_aref) {
+  void parse_reference(ShapeSink& sink, bool is_aref) {
     const std::uint64_t ref_off = r_.record_offset();
     std::string child;
     bool mirror = false;
@@ -403,7 +414,7 @@ class GdsCellStream final : public LayoutStream {
     } else {
       ++rep_.srefs;
     }
-    out.refs.push_back(std::move(ref));
+    sink.ref(std::move(ref));
   }
 
   std::unique_ptr<std::istream> owned_;
@@ -414,6 +425,7 @@ class GdsCellStream final : public LayoutStream {
   bool have_record_ = false;
   bool pass_done_ = false;
   std::vector<std::uint64_t> offsets_;
+  std::vector<Point> pts_;  // parse_boundary's reused vertex buffer
   GdsReadReport rep_;
 };
 

@@ -11,7 +11,7 @@ namespace {
 
 constexpr int kMaxDepth = 64;  ///< levels below any cell, GDSII-style
 
-/// Thrown by check_on_grid; each_instance rethrows it as a DataError that
+/// Thrown by place_on_grid; each_instance rethrows it as a DataError that
 /// names the instance's cell path.
 class OffGrid : public DataError {
  public:
@@ -20,12 +20,9 @@ class OffGrid : public DataError {
 
 }  // namespace
 
-void check_on_grid(const Box& b, const CTrans& t) {
-  if (!t.keeps_on_grid(b)) throw OffGrid("placed polygon leaves the 32-bit coordinate grid");
-}
-
 Polygon place_on_grid(const Polygon& p, const CTrans& t) {
-  check_on_grid(p.bbox(), t);
+  if (!t.keeps_on_grid(p.bbox()))
+    throw OffGrid("placed polygon leaves the 32-bit coordinate grid");
   return p.transformed(t);
 }
 

@@ -54,7 +54,7 @@ class Library {
   /// instance (including array elements, rows outer, columns inner) beneath
   /// @p top depth-first, with the accumulated parent-to-root transform. The
   /// visitor is called for @p top itself with the identity transform, before
-  /// the references of each cell. A check_on_grid failure inside the visitor
+  /// the references of each cell. A place_on_grid failure inside the visitor
   /// becomes a DataError naming the instance's cell path (TOP/MID/LEAF).
   void each_instance(CellId top,
                      const std::function<void(CellId, const CTrans&)>& visit) const;
@@ -81,14 +81,9 @@ class Library {
   mutable std::vector<std::optional<Box>> bbox_cache_;
 };
 
-/// Throws DataError when @p b placed by an each_instance transform @p t
-/// would leave the 32-bit grid; inside an each_instance visitor the error
-/// names the instance's cell path.
-void check_on_grid(const Box& b, const CTrans& t);
-
 /// @p p transformed by an each_instance transform @p t. Throws DataError
-/// (see check_on_grid) when the result would leave the 32-bit grid instead
-/// of wrapping.
+/// when the result would leave the 32-bit grid instead of wrapping; inside
+/// an each_instance visitor the error names the instance's cell path.
 Polygon place_on_grid(const Polygon& p, const CTrans& t);
 
 }  // namespace ebl

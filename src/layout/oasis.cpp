@@ -1,5 +1,7 @@
 #include "layout/oasis.h"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <fstream>
@@ -81,21 +83,26 @@ constexpr std::uint64_t kMaxRepetitionCount = 1ull << 24;
 
 namespace oasis_detail {
 
-Cursor::Cursor(std::istream& is, std::uint64_t offset) : is_(is), off_(offset) {}
+Cursor::Cursor(std::istream& is, std::uint64_t offset) : is_(is), buf_off_(offset) {}
 
-void Cursor::fail(const std::string& what) const {
-  throw DataError("OASIS: " + what + " at byte " + std::to_string(off_));
+void Cursor::fail_at(std::uint64_t offset, const std::string& what) {
+  throw DataError("OASIS: " + what + " at byte " + std::to_string(offset));
 }
 
-bool Cursor::at_eof() {
-  return is_.peek() == std::char_traits<char>::eof();
+bool Cursor::refill() {
+  buf_off_ = offset();
+  is_.read(buf_, static_cast<std::streamsize>(kBlock));
+  pos_ = buf_;
+  end_ = buf_ + is_.gcount();
+  return pos_ != end_;
 }
 
-std::uint8_t Cursor::byte() {
-  const int c = is_.get();
-  if (c == std::char_traits<char>::eof()) fail("unexpected end of file");
-  ++off_;
-  return static_cast<std::uint8_t>(c);
+void Cursor::seek(std::uint64_t offset) {
+  is_.clear();
+  is_.seekg(static_cast<std::streamoff>(offset));
+  if (!is_) throw DataError("OASIS: seek to byte " + std::to_string(offset) + " failed");
+  buf_off_ = offset;
+  pos_ = end_ = buf_;
 }
 
 std::uint64_t Cursor::read_uint() {
@@ -172,11 +179,14 @@ std::string Cursor::read_string(bool printable) {
   const std::uint64_t len = read_uint();
   if (len > kMaxStringLen) fail("string length " + std::to_string(len) + " exceeds sanity bound");
   if (printable && len == 0) fail("empty n-string");
-  std::string s(static_cast<std::size_t>(len), '\0');
-  if (len) {
-    is_.read(s.data(), static_cast<std::streamsize>(len));
-    if (static_cast<std::uint64_t>(is_.gcount()) != len) fail("truncated string");
-    off_ += len;
+  const std::uint64_t start = offset();
+  std::string s;
+  while (s.size() < len) {
+    if (pos_ == end_ && !refill()) fail_at(start, "truncated string");
+    const auto take = static_cast<std::size_t>(
+        std::min<std::uint64_t>(len - s.size(), static_cast<std::uint64_t>(end_ - pos_)));
+    s.append(pos_, take);
+    pos_ += take;
   }
   if (printable) {
     for (const char c : s) {
@@ -514,6 +524,7 @@ void write_oas(const Library& lib, const std::string& path) {
 namespace {
 
 using oasis_detail::Cursor;
+using stream_detail::ShapeSink;
 
 /// A parsed repetition: either a regular cols x rows grid or an explicit
 /// offset list (always starting at {0,0}).
@@ -552,7 +563,7 @@ struct Modal {
 
 class OasisParser {
  public:
-  explicit OasisParser(std::istream& is) : is_(is), cur_(is) {
+  explicit OasisParser(std::istream& is) : cur_(is) {
     parse_header();
     data_start_ = cur_.offset();
   }
@@ -572,10 +583,7 @@ class OasisParser {
   /// Repositions to a previously recorded record offset (CELL records are
   /// safe re-parse points: all modal state resets there).
   void seek(std::uint64_t offset) {
-    is_.clear();
-    is_.seekg(static_cast<std::streamoff>(offset));
-    if (!is_) throw DataError("OASIS: seek to byte " + std::to_string(offset) + " failed");
-    cur_.set_offset(offset);
+    cur_.seek(offset);
     pending_.reset();
   }
 
@@ -587,10 +595,10 @@ class OasisParser {
     rep_ = {};
   }
 
-  /// Parses up to and including the next CELL's contents; false once END has
-  /// been consumed and validated.
-  bool next_cell(StreamCell& out, bool with_geometry) {
-    out = StreamCell{};
+  /// Parses up to and including the next CELL's contents (or, once @p sink
+  /// is done, up to its last kept shape); false once END has been consumed
+  /// and validated.
+  bool next_cell(StreamCell& out, ShapeSink& sink) {
     for (;;) {
       std::uint64_t id_off;
       std::uint64_t id;
@@ -612,7 +620,7 @@ class OasisParser {
         case kCellRefnum:
         case kCellName:
           last_cell_offset_ = id_off;
-          parse_cell(id, out, with_geometry);
+          parse_cell(id, out, sink);
           return true;
         default:
           top_level(id, id_off);
@@ -625,12 +633,10 @@ class OasisParser {
   enum class NameMode { kUnknown, kImplicit, kExplicit };
 
   void parse_header() {
-    char magic[kMagicLen];
-    is_.read(magic, static_cast<std::streamsize>(kMagicLen));
-    if (static_cast<std::size_t>(is_.gcount()) != kMagicLen ||
-        std::memcmp(magic, kMagic, kMagicLen) != 0)
-      throw DataError("OASIS: bad magic bytes (not an OASIS file)");
-    cur_.set_offset(kMagicLen);
+    for (std::size_t i = 0; i < kMagicLen; ++i) {
+      if (cur_.at_eof() || cur_.byte() != static_cast<std::uint8_t>(kMagic[i]))
+        throw DataError("OASIS: bad magic bytes (not an OASIS file)");
+    }
     if (cur_.read_uint() != kStart) cur_.fail("expected START record after magic");
     const std::string version = cur_.read_string();
     if (version != "1.0") cur_.fail("unsupported OASIS version \"" + version + "\"");
@@ -720,7 +726,7 @@ class OasisParser {
     }
   }
 
-  void parse_cell(std::uint64_t id, StreamCell& out, bool with_geometry) {
+  void parse_cell(std::uint64_t id, StreamCell& out, ShapeSink& sink) {
     modal_ = Modal{};
     if (id == kCellRefnum) {
       out.refnum = cur_.read_uint();
@@ -731,6 +737,7 @@ class OasisParser {
     }
     ++rep_.cells;
     for (;;) {
+      if (sink.done()) return;  // a filtered re-read has its last shape
       if (cur_.at_eof()) cur_.fail("end of file inside a cell (missing END record)");
       const std::uint64_t off = cur_.offset();
       const std::uint64_t rid = cur_.read_uint();
@@ -745,19 +752,19 @@ class OasisParser {
           break;
         case kPlacement:
         case kPlacementTransform:
-          parse_placement(rid, out);
+          parse_placement(rid, sink);
           break;
         case kText:
           parse_text();
           break;
         case kRectangle:
-          parse_rectangle(out, with_geometry);
+          parse_rectangle(sink);
           break;
         case kPolygon:
-          parse_polygon(out, with_geometry);
+          parse_polygon(sink);
           break;
         case kPath:
-          parse_path(out, with_geometry);
+          parse_path(sink);
           break;
         case kTrapezoidAB:
         case kTrapezoidA:
@@ -938,7 +945,8 @@ class OasisParser {
     if (n > kMaxRepetitionCount) cur_.fail("point list too long");
     if (n == 0) cur_.fail("empty point list");
     std::vector<Point> pts;
-    pts.reserve(static_cast<std::size_t>(n) + 2);
+    // n is not yet backed by bytes: a truncated list must not reserve 2^24.
+    pts.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(n, 4096)) + 2);
     pts.push_back({0, 0});
     Coord64 cx = 0, cy = 0;
     const auto push = [&] { pts.push_back({checked_coord(cx), checked_coord(cy)}); };
@@ -1036,7 +1044,7 @@ class OasisParser {
 
   // -- element records ------------------------------------------------------
 
-  void parse_placement(std::uint64_t id, StreamCell& out) {
+  void parse_placement(std::uint64_t id, ShapeSink& sink) {
     const std::uint8_t info = cur_.byte();
     const bool has_cell = info & 0x80, by_refnum = info & 0x40;
     const bool has_x = info & 0x20, has_y = info & 0x10, has_rep = info & 0x08;
@@ -1078,7 +1086,7 @@ class OasisParser {
       r.trans = CTrans{{checked_coord(modal_.placement_x + off.x),
                         checked_coord(modal_.placement_y + off.y)},
                        angle, mag, mirror};
-      out.refs.push_back(std::move(r));
+      sink.ref(std::move(r));
     };
     if (rep && rep->regular) {
       ref.cols = rep->cols;
@@ -1113,7 +1121,7 @@ class OasisParser {
     ++rep_.skipped;
   }
 
-  void parse_rectangle(StreamCell& out, bool with_geometry) {
+  void parse_rectangle(ShapeSink& sink) {
     const std::uint8_t info = cur_.byte();
     const bool square = info & 0x80;
     if (square && (info & 0x20)) cur_.fail("RECTANGLE with both S and H bits set");
@@ -1142,12 +1150,11 @@ class OasisParser {
       const Coord y0 = checked_coord(modal_.geometry_y + off.y);
       const Coord x1 = checked_coord(Coord64(x0) + w);
       const Coord y1 = checked_coord(Coord64(y0) + h);
-      ++out.shape_count;
-      if (with_geometry) out.shapes[lk].push_back(Polygon::rect(Box{x0, y0, x1, y1}));
+      sink.shape(lk, [&] { return Polygon::rect(Box{x0, y0, x1, y1}); });
     });
   }
 
-  void parse_polygon(StreamCell& out, bool with_geometry) {
+  void parse_polygon(ShapeSink& sink) {
     const std::uint8_t info = cur_.byte();
     if (info & 0xC0) cur_.fail("invalid POLYGON info byte");
     if (info & 0x01) modal_.layer = read_layer_operand("layer");
@@ -1164,18 +1171,17 @@ class OasisParser {
     const LayerKey lk{*modal_.layer, *modal_.datatype};
     const std::vector<Point>& rel = *modal_.polygon_points;
     for_each_offset(rep, [&](Point off) {
-      ++out.shape_count;
-      if (!with_geometry) return;
-      std::vector<Point> pts;
-      pts.reserve(rel.size());
+      // Placed and checked whether or not the shape is kept: the skim runs
+      // every check the geometry parse runs.
+      placed_.clear();
       for (const Point v : rel)
-        pts.push_back({checked_coord(modal_.geometry_x + off.x + v.x),
-                       checked_coord(modal_.geometry_y + off.y + v.y)});
-      out.shapes[lk].emplace_back(SimplePolygon{std::move(pts)});
+        placed_.push_back({checked_coord(modal_.geometry_x + off.x + v.x),
+                           checked_coord(modal_.geometry_y + off.y + v.y)});
+      sink.shape(lk, [&] { return Polygon(SimplePolygon{placed_}); });
     });
   }
 
-  void parse_path(StreamCell& out, bool with_geometry) {
+  void parse_path(ShapeSink& sink) {
     const std::uint8_t info = cur_.byte();
     if (info & 0x01) modal_.layer = read_layer_operand("layer");
     if (info & 0x02) modal_.datatype = read_layer_operand("datatype");
@@ -1229,14 +1235,15 @@ class OasisParser {
         const double nx = -uy, ny = ux;              // left normal
         const double s0 = s == 0 ? es : 0.0;
         const double e0 = s + 2 == rel.size() ? ee : 0.0;
-        ++out.shape_count;
-        if (!with_geometry) continue;
-        std::vector<Point> quad{
+        // Rounded and checked whether or not the quad is kept.
+        const std::array<Point, 4> quad{{
             {checked_round(ax - ux * s0 - nx * hw), checked_round(ay - uy * s0 - ny * hw)},
             {checked_round(bx + ux * e0 - nx * hw), checked_round(by + uy * e0 - ny * hw)},
             {checked_round(bx + ux * e0 + nx * hw), checked_round(by + uy * e0 + ny * hw)},
-            {checked_round(ax - ux * s0 + nx * hw), checked_round(ay - uy * s0 + ny * hw)}};
-        out.shapes[lk].emplace_back(SimplePolygon{std::move(quad)});
+            {checked_round(ax - ux * s0 + nx * hw), checked_round(ay - uy * s0 + ny * hw)}}};
+        sink.shape(lk, [&] {
+          return Polygon(SimplePolygon{std::vector<Point>(quad.begin(), quad.end())});
+        });
       }
     });
   }
@@ -1317,8 +1324,8 @@ class OasisParser {
     }
   }
 
-  std::istream& is_;
   Cursor cur_;
+  std::vector<Point> placed_;  // parse_polygon's reused vertex buffer
   double dbu_um_ = 0.001;
   bool table_offsets_in_end_ = false;
   std::uint64_t data_start_ = 0;
@@ -1345,7 +1352,9 @@ class OasisCellStream final : public LayoutStream {
 
   bool next(StreamCell& out, bool with_geometry) override {
     if (pass_done_) return false;
-    if (!parser_.next_cell(out, with_geometry)) {
+    out = StreamCell{};
+    ShapeSink sink(out, with_geometry);
+    if (!parser_.next_cell(out, sink)) {
       pass_done_ = true;
       names_complete_ = true;
       return false;
@@ -1366,11 +1375,12 @@ class OasisCellStream final : public LayoutStream {
 
   std::size_t cells_seen() const override { return offsets_.size(); }
 
-  StreamCell read_cell(std::size_t index, bool with_geometry) override {
+  StreamCell read_cell(std::size_t index, const std::optional<LayerFilter>& filter) override {
     expects(index < offsets_.size(), "LayoutStream::read_cell index out of range");
     parser_.seek(offsets_[index]);
     StreamCell c;
-    const bool ok = parser_.next_cell(c, with_geometry);
+    ShapeSink sink(c, filter);
+    const bool ok = parser_.next_cell(c, sink);
     ensures(ok, "LayoutStream::read_cell: cell vanished on re-read");
     if (c.name.empty() && c.refnum != kNoRefnum && names_complete_)
       c.name = parser_.name_of(c.refnum);

@@ -17,6 +17,7 @@
 // structure all throw DataError carrying the absolute byte offset.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -55,21 +56,34 @@ Library read_oas(std::istream& is, OasisReadReport* report = nullptr);
 
 namespace oasis_detail {
 
-/// Byte cursor over an istream tracking the absolute offset for error
-/// messages. All read_* methods throw DataError("OASIS: ... at byte N") on
-/// truncation or malformed operands. Exposed for unit testing the operand
-/// codecs against hand-built byte sequences.
+/// Buffered byte cursor over an istream tracking the absolute offset for
+/// error messages. It reads the stream in blocks, so byte() is a pointer
+/// bump; the stream position runs ahead of offset() by the buffered bytes.
+/// All read_* methods throw DataError("OASIS: ... at byte N") on truncation
+/// or malformed operands. Exposed for unit testing the operand codecs
+/// against hand-built byte sequences.
 class Cursor {
  public:
+  /// Bytes read from the stream per refill.
+  static constexpr std::size_t kBlock = 8192;
+
+  /// @p offset is the absolute offset of the stream's current position.
   explicit Cursor(std::istream& is, std::uint64_t offset = 0);
+  Cursor(const Cursor&) = delete;
+  Cursor& operator=(const Cursor&) = delete;
 
-  std::uint64_t offset() const { return off_; }
-  void set_offset(std::uint64_t off) { off_ = off; }
+  std::uint64_t offset() const { return buf_off_ + static_cast<std::uint64_t>(pos_ - buf_); }
 
-  /// True when the stream is positioned at end-of-file (peeks).
-  bool at_eof();
+  /// Repositions the stream to absolute @p offset and drops the buffer.
+  void seek(std::uint64_t offset);
 
-  std::uint8_t byte();
+  /// True when no byte is left (reads ahead).
+  bool at_eof() { return pos_ == end_ && !refill(); }
+
+  std::uint8_t byte() {
+    if (pos_ == end_ && !refill()) fail("unexpected end of file");
+    return static_cast<std::uint8_t>(*pos_++);
+  }
   /// Unsigned-integer: base-128 little-endian varint, at most 64 bits.
   std::uint64_t read_uint();
   /// Signed-integer: varint with the sign in the low bit of the encoding.
@@ -84,11 +98,18 @@ class Cursor {
   /// Unsigned operand that must fit a positive 32-bit coordinate.
   Coord read_ucoord();
 
-  [[noreturn]] void fail(const std::string& what) const;
+  [[noreturn]] void fail(const std::string& what) const { fail_at(offset(), what); }
 
  private:
+  [[noreturn]] static void fail_at(std::uint64_t offset, const std::string& what);
+  /// Reads the next block; false at end of stream.
+  bool refill();
+
   std::istream& is_;
-  std::uint64_t off_;
+  char buf_[kBlock];
+  const char* pos_ = buf_;
+  const char* end_ = buf_;
+  std::uint64_t buf_off_;  ///< absolute offset of buf_[0]
 };
 
 void write_uint(std::ostream& os, std::uint64_t v);

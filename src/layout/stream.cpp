@@ -19,6 +19,12 @@ const std::vector<Polygon>& StreamCell::shapes_on(LayerKey layer) const {
   return it == shapes.end() ? kEmpty : it->second;
 }
 
+std::size_t StreamCell::shape_count() const {
+  std::size_t n = 0;
+  for (const auto& [layer, count] : shape_counts) n += count;
+  return n;
+}
+
 std::string LayoutStream::name_of(std::uint64_t) const {
   throw DataError("layout stream has no refnum name table");
 }
@@ -38,15 +44,16 @@ LayoutFormat format_of(const std::string& path) {
   throw DataError("unsupported layout extension: " + path);
 }
 
-/// LRU cache of parsed file cells. Holding at most @p window cells is the
-/// whole point of the streaming path: everything else is O(cells) names and
-/// edges, never geometry.
+/// LRU cache of parsed file cells, each holding one layer's polygons (the
+/// filtered re-read). Holding at most @p window cells is the whole point of
+/// the streaming path: everything else is O(cells) names and edges, never
+/// geometry.
 class CellCache {
  public:
   CellCache(LayoutStream& stream, std::size_t window, IngestStats& stats)
       : stream_(stream), window_(window), stats_(stats) {}
 
-  const StreamCell& fetch(std::size_t file_index) {
+  const StreamCell& fetch(std::size_t file_index, const LayerFilter& filter) {
     for (auto it = lru_.begin(); it != lru_.end(); ++it) {
       if (it->first == file_index) {
         lru_.splice(lru_.begin(), lru_, it);  // touch
@@ -60,7 +67,7 @@ class CellCache {
     if (file_index >= parsed_.size()) parsed_.resize(file_index + 1, false);
     parsed_[file_index] = true;
     ++stats_.cell_parses;
-    lru_.emplace_front(file_index, stream_.read_cell(file_index, true));
+    lru_.emplace_front(file_index, stream_.read_cell(file_index, filter));
     stats_.peak_resident = std::max(stats_.peak_resident, lru_.size());
     return lru_.front().second;
   }
@@ -91,7 +98,7 @@ Library build_library(LayoutStream& stream, bool with_geometry, CellPieces* piec
     ids.push_back(existing ? *existing : lib.add_cell(c.name));
     if (pieces) {
       pieces->resize(lib.cell_count());
-      (*pieces)[ids.back().value].push_back({i, c.shape_count});
+      (*pieces)[ids.back().value].push_back({i, std::move(c.shape_counts)});
     }
   }
   for (std::size_t i = 0; i < cells.size(); ++i) {
@@ -133,15 +140,18 @@ IngestStats stream_layer(LayoutStream& stream, const IngestOptions& options,
   const CellId top = find_top(skeleton, options.top);
 
   // Pass 2: walk the skeleton, fetching each instance's pieces (in file
-  // order) through the bounded cell window.
+  // order) through the bounded cell window. A piece with no shape on the
+  // layer is never re-read.
   IngestStats stats;
   stats.cells = stream.cells_seen();
   CellCache cache(stream, options.window, stats);
   skeleton.each_instance(top, [&](CellId id, const CTrans& t) {
     ++stats.placements;
     for (const CellPiece& piece : pieces[id.value]) {
-      if (piece.shape_count == 0) continue;  // nothing to parse
-      for (const Polygon& p : cache.fetch(piece.file_index).shapes_on(options.layer)) {
+      const auto count = piece.shape_counts.find(options.layer);
+      if (count == piece.shape_counts.end()) continue;
+      const LayerFilter filter{options.layer, count->second};
+      for (const Polygon& p : cache.fetch(piece.file_index, filter).shapes_on(options.layer)) {
         ++stats.polygons;
         emit(place_on_grid(p, t));
       }

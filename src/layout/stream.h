@@ -8,17 +8,24 @@
 // untenable for multi-GB reticle files. stream_layer() calls it in skim
 // mode instead and runs in two passes:
 //
-//   1. Directory pass: every cell is skimmed (geometry decoded but not
-//      stored) into a geometry-free Library skeleton, with each cell's file
-//      pieces and shape counts on the side (CellPieces). Memory: O(cells)
-//      names + edges, no geometry. Undefined references, cycles and depth
-//      beyond 64 levels are rejected here, before any geometry is emitted.
+//   1. Directory pass: every cell is skimmed (geometry decoded and checked
+//      but not stored) into a geometry-free Library skeleton, with each
+//      cell's file pieces and per-layer shape counts on the side
+//      (CellPieces). Memory: O(cells) names + edges, no geometry. Undefined
+//      references, cycles and depth beyond 64 levels are rejected here,
+//      before any geometry is emitted. The skim runs every check the
+//      geometry parse runs, so whatever pass 2 skips is already validated.
 //   2. Flatten pass: the skeleton is walked with Library::each_instance,
 //      the same walker Library::flatten uses, and each visited instance
-//      re-parses its cell on demand through an LRU cache holding at most
-//      `window` parsed cells, then emits its transformed polygons
-//      immediately, so geometry flows straight into fracture (or any
-//      consumer) without a flat in-RAM shot list ever existing.
+//      fetches its pieces that hold target-layer shapes through an LRU
+//      cache holding at most `window` parsed cells, then emits its
+//      transformed polygons immediately, so geometry flows straight into
+//      fracture (or any consumer) without a flat in-RAM shot list ever
+//      existing. A fetch is a filtered re-read (read_cell with a
+//      LayerFilter): off-layer records are decoded for their modal state
+//      but build no polygon, the read stops after the piece's last
+//      target-layer shape, and pieces with no target-layer shape are never
+//      re-read. The window therefore holds target-layer polygons only.
 //
 // Peak resident parsed-cell count is bounded by the window (asserted in
 // tests/layout_stream_test.cpp). Because both paths walk with the one
@@ -32,7 +39,9 @@
 #include <iosfwd>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fracture/fracture.h"
@@ -60,17 +69,30 @@ struct StreamRef {
   bool is_array() const { return cols > 1 || rows > 1; }
 };
 
+/// Shape counts of one file cell, per layer.
+using ShapeCounts = std::map<LayerKey, std::size_t>;
+
 /// One parsed cell. In skim mode (next(..., with_geometry=false)) shapes
-/// stays empty but shape_count still reports how many polygons the cell
-/// carries; refs are always populated.
+/// stays empty but shape_counts still reports how many polygons the cell
+/// carries on each layer; refs are always populated. A filtered re-read
+/// (read_cell with a LayerFilter) fills shapes only.
 struct StreamCell {
   std::string name;                     ///< empty while only refnum is known
   std::uint64_t refnum = kNoRefnum;
   std::map<LayerKey, std::vector<Polygon>> shapes;
   std::vector<StreamRef> refs;
-  std::size_t shape_count = 0;
+  ShapeCounts shape_counts;
 
   const std::vector<Polygon>& shapes_on(LayerKey layer) const;
+  /// Polygons on every layer.
+  std::size_t shape_count() const;
+};
+
+/// What a filtered re-read keeps: the shapes of @p layer, of which the cell
+/// holds @p count (its skim count). The read stops once it has them all.
+struct LayerFilter {
+  LayerKey layer;
+  std::size_t count = 0;
 };
 
 /// Forward cell reader with random re-read access over a seekable stream.
@@ -95,10 +117,14 @@ class LayoutStream {
   /// Cells encountered so far (file order indices 0..cells_seen()-1).
   virtual std::size_t cells_seen() const = 0;
 
-  /// Re-parses cell @p index (must have been seen). Seeks; does not disturb
-  /// the next() position of a *finished* pass, but interleaving read_cell
-  /// with an unfinished next() pass is a contract violation.
-  virtual StreamCell read_cell(std::size_t index, bool with_geometry = true) = 0;
+  /// Re-parses cell @p index (must have been seen) with geometry. Seeks;
+  /// does not disturb the next() position of a *finished* pass, but
+  /// interleaving read_cell with an unfinished next() pass is a contract
+  /// violation. With @p filter, every record up to the filter's last shape
+  /// is still decoded and checked, but only that layer's polygons are built
+  /// and only shapes is filled; the rest of the cell is not read.
+  virtual StreamCell read_cell(std::size_t index,
+                               const std::optional<LayerFilter>& filter = std::nullopt) = 0;
 
   /// Resolves an OASIS cellname reference number. Valid once a full pass
   /// has consumed the END record. GDSII streams never produce refnums.
@@ -118,10 +144,55 @@ std::unique_ptr<LayoutStream> open_gds_stream(std::unique_ptr<std::istream> is);
 std::unique_ptr<LayoutStream> open_oas_stream(const std::string& path);
 std::unique_ptr<LayoutStream> open_oas_stream(std::unique_ptr<std::istream> is);
 
+namespace stream_detail {
+
+/// The store policy both parsers apply to a cell parse. The parsers decode
+/// and check every record the same way whatever is kept; the sink decides
+/// which polygons get built. next() keeps every layer (or, skimming, none)
+/// and counts shapes per layer; a filtered read_cell keeps the filter's
+/// layer only and is done() once it has the filter's count.
+class ShapeSink {
+ public:
+  /// next(): every layer, or (skimming) none.
+  ShapeSink(StreamCell& out, bool with_geometry) : out_(out), geometry_(with_geometry) {}
+  /// read_cell(): every layer, or the filter's only.
+  ShapeSink(StreamCell& out, const std::optional<LayerFilter>& filter)
+      : out_(out), filter_(filter) {}
+
+  /// One decoded shape on @p layer; @p build makes its Polygon if it is kept.
+  template <class Build>
+  void shape(LayerKey layer, Build&& build) {
+    if (filter_) {
+      if (layer != filter_->layer) return;
+      ++found_;
+    } else {
+      ++out_.shape_counts[layer];
+      if (!geometry_) return;
+    }
+    out_.shapes[layer].push_back(build());
+  }
+
+  void ref(StreamRef&& r) {
+    if (!filter_) out_.refs.push_back(std::move(r));
+  }
+
+  /// True once a filtered read holds every shape of its layer: the rest of
+  /// the cell is not read.
+  bool done() const { return filter_ && found_ >= filter_->count; }
+
+ private:
+  StreamCell& out_;
+  bool geometry_ = true;
+  std::optional<LayerFilter> filter_;
+  std::size_t found_ = 0;
+};
+
+}  // namespace stream_detail
+
 /// One file cell merged into a Library cell by build_library.
 struct CellPiece {
-  std::size_t file_index;   ///< LayoutStream::read_cell index
-  std::size_t shape_count;  ///< polygons it carries, all layers
+  std::size_t file_index;    ///< LayoutStream::read_cell index
+  ShapeCounts shape_counts;  ///< polygons it carries, per layer
 };
 
 /// Per CellId, the file cells that merged into it, in file order.

@@ -1,7 +1,9 @@
 // GDSII round-trip and format tests.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
+#include <string>
 
 #include "layout/gdsii.h"
 #include "layout_fixtures.h"
@@ -109,6 +111,31 @@ TEST(Gdsii, RejectsTruncatedStream) {
   const std::string full = buf.str();
   std::stringstream cut(full.substr(0, full.size() / 2));
   EXPECT_THROW(read_gds(cut), DataError);
+}
+
+// A record shorter than its operands (here a LAYER with no payload) is
+// malformed input: a DataError naming the record, not a contract violation.
+TEST(Gdsii, RejectsRecordShorterThanItsOperands) {
+  std::stringstream buf;
+  write_gds(sample_library(), buf);
+  std::string bytes = buf.str();
+  std::size_t at = 0;
+  while (at + 4 <= bytes.size()) {
+    const std::size_t len = (std::uint8_t(bytes[at]) << 8) | std::uint8_t(bytes[at + 1]);
+    if (bytes[at + 2] == 0x0D && bytes[at + 3] == 0x02) break;  // LAYER
+    at += len;
+  }
+  ASSERT_LT(at + 6, bytes.size());
+  bytes[at + 1] = 4;        // length 6 -> 4: the i16 operand is gone
+  bytes.erase(at + 4, 2);
+  std::stringstream in(bytes);
+  try {
+    read_gds(in);
+    FAIL() << "a LAYER record without its operand must throw";
+  } catch (const DataError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "GDS: record payload too short at byte " + std::to_string(at));
+  }
 }
 
 TEST(Gdsii, RejectsUndefinedReference) {

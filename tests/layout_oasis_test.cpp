@@ -6,7 +6,9 @@
 
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <limits>
+#include <memory>
 #include <sstream>
 
 #include "layout/gdsii.h"
@@ -179,6 +181,103 @@ TEST(OasisCodec, CoordRejectsGridOverflow) {
   write_sint(ss, std::int64_t{1} << 33);
   Cursor c(ss);
   EXPECT_THROW(c.read_coord(), DataError);
+}
+
+// ------------------------------------------------- buffered cursor refills ---
+//
+// The cursor reads kBlock bytes per refill. Operands that straddle a refill
+// boundary must decode to the same values, and errors must name the same
+// byte offsets, as an operand inside one block.
+
+constexpr std::size_t kBlock = Cursor::kBlock;
+
+std::string message_of(const std::function<void()>& fn) {
+  try {
+    fn();
+  } catch (const DataError& e) {
+    return e.what();
+  }
+  return "no error";
+}
+
+// @p n zero bytes: n varint zeros, consumed with read_uint.
+void skip_zeros(Cursor& c, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(c.read_uint(), 0u);
+}
+
+TEST(OasisCursor, VarintStraddlingARefillDecodes) {
+  const std::uint64_t v = (std::uint64_t{1} << 62) + 12345;  // a 9-byte varint
+  for (std::size_t shift = 0; shift <= 10; ++shift) {
+    std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
+    ss << std::string(kBlock - shift, '\0');
+    write_uint(ss, v);
+    write_sint(ss, -77);
+    Cursor c(ss);
+    skip_zeros(c, kBlock - shift);
+    EXPECT_EQ(c.read_uint(), v) << "shift " << shift;
+    EXPECT_EQ(c.read_sint(), -77) << "shift " << shift;
+    EXPECT_EQ(c.offset(), kBlock - shift + 9 + 2);
+    EXPECT_TRUE(c.at_eof());
+  }
+}
+
+TEST(OasisCursor, NStringStraddlingARefillDecodes) {
+  const std::string name = "CELL_NAME_ACROSS_A_REFILL";
+  const std::string long_name(3 * kBlock + 5, 'Q');  // spans four blocks
+  for (std::size_t shift = 0; shift <= name.size() + 2; ++shift) {
+    std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
+    ss << std::string(kBlock - shift, '\0');
+    write_string(ss, name);
+    write_string(ss, long_name);
+    Cursor c(ss);
+    skip_zeros(c, kBlock - shift);
+    EXPECT_EQ(c.read_string(true), name) << "shift " << shift;
+    EXPECT_EQ(c.read_string(true), long_name) << "shift " << shift;
+    EXPECT_TRUE(c.at_eof());
+  }
+}
+
+TEST(OasisCursor, ErrorsAtARefillNameTheSameOffsets) {
+  // Truncated mid-varint exactly at the boundary, and one byte past it.
+  for (const std::size_t cut : {kBlock, kBlock + 1}) {
+    std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
+    ss << std::string(cut - 2, '\0') << '\x80' << '\x80';
+    Cursor c(ss);
+    skip_zeros(c, cut - 2);
+    EXPECT_EQ(message_of([&] { c.read_uint(); }),
+              "OASIS: unexpected end of file at byte " + std::to_string(cut));
+  }
+  // A 65-bit varint whose last byte lies in the next block.
+  {
+    std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
+    ss << std::string(kBlock - 5, '\0') << std::string(9, '\xFF') << '\x03';
+    Cursor c(ss);
+    skip_zeros(c, kBlock - 5);
+    EXPECT_EQ(message_of([&] { c.read_uint(); }),
+              "OASIS: unsigned integer overflows 64 bits at byte " + std::to_string(kBlock + 5));
+  }
+  // A string truncated in the next block reports where its bytes start.
+  {
+    std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
+    ss << std::string(kBlock - 20, '\0');
+    write_uint(ss, 100);
+    ss << std::string(50, 'A');
+    Cursor c(ss);
+    skip_zeros(c, kBlock - 20);
+    EXPECT_EQ(message_of([&] { c.read_string(); }),
+              "OASIS: truncated string at byte " + std::to_string(kBlock - 19));
+  }
+  // A non-printable byte in the next block: reported after the whole string.
+  {
+    std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
+    ss << std::string(kBlock - 4, '\0');
+    write_string(ss, "ABCDEF G");
+    Cursor c(ss);
+    skip_zeros(c, kBlock - 4);
+    EXPECT_EQ(message_of([&] { c.read_string(true); }),
+              "OASIS: non-printable character in n-string at byte " +
+                  std::to_string(kBlock - 4 + 1 + 8));
+  }
 }
 
 // ------------------------------------------------------------ round trip ---
@@ -397,6 +496,117 @@ TEST(OasisHandBuilt, PathBecomesSegmentQuads) {
   const Cell& a = lib.cell(*lib.find_cell("A"));
   ASSERT_EQ(a.shapes_on(LayerKey{3, 1}).size(), 1u);
   EXPECT_EQ(a.shapes_on(LayerKey{3, 1})[0], Polygon::rect(Box{0, -5, 20, 5}));
+}
+
+// Form 2 g-delta: explicit x with sign, then y.
+void put_gdelta(std::ostream& os, Point d) {
+  const bool neg = d.x < 0;
+  const auto mag = static_cast<std::uint64_t>(neg ? -Coord64(d.x) : Coord64(d.x));
+  write_uint(os, (mag << 2) | (neg ? 2u : 0u) | 1u);
+  write_sint(os, d.y);
+}
+
+// One cell "A" holding a g-delta POLYGON on 1/0, behind @p pads top-level
+// PAD records; *list_at receives the offset of the point list.
+std::string padded_polygon_file(std::size_t pads, std::size_t* list_at = nullptr) {
+  std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
+  put_header(ss);
+  ss << std::string(pads, '\0');
+  put_cell(ss, "A");
+  ss.put(21);    // POLYGON
+  ss.put(0x3B);  // P X Y D L
+  write_uint(ss, 1);
+  write_uint(ss, 0);
+  if (list_at) *list_at = static_cast<std::size_t>(ss.tellp());
+  write_uint(ss, 4);  // g-delta point list
+  write_uint(ss, 3);
+  for (const Point d : {Point{300000, 0}, Point{0, 200000}, Point{-150000, 100000}})
+    put_gdelta(ss, d);
+  write_sint(ss, -5000);
+  write_sint(ss, 7000);
+  put_end(ss);
+  return ss.str();
+}
+
+TEST(OasisHandBuilt, PointListStraddlingARefillParses) {
+  std::size_t list_at = 0;
+  const std::size_t list_len = padded_polygon_file(0, &list_at).size() - 256 - 4 - list_at;
+  const Polygon expected(SimplePolygon{
+      {{-5000, 7000}, {295000, 7000}, {295000, 207000}, {145000, 307000}}});
+  for (std::size_t k = 0; k <= list_len; ++k) {
+    const std::size_t pads = kBlock - list_at - k;  // the boundary k bytes into the list
+    std::stringstream ss(padded_polygon_file(pads), std::ios::in | std::ios::binary);
+    const Library lib = read_oas(ss);
+    const auto& shapes = lib.cell(*lib.find_cell("A")).shapes_on(LayerKey{1, 0});
+    ASSERT_EQ(shapes.size(), 1u) << "split " << k;
+    EXPECT_EQ(shapes[0], expected) << "split " << k;
+  }
+}
+
+TEST(OasisHandBuilt, TruncationAroundARefillNamesTheCut) {
+  std::size_t list_at = 0;
+  padded_polygon_file(0, &list_at);
+  const std::string bytes = padded_polygon_file(kBlock - list_at - 3);
+  for (std::size_t cut = kBlock - 8; cut <= kBlock + 8; ++cut) {
+    std::stringstream ss(bytes.substr(0, cut), std::ios::in | std::ios::binary);
+    const std::string what = message_of([&] { read_oas(ss); });
+    const std::string tail = " at byte " + std::to_string(cut);
+    ASSERT_GE(what.size(), tail.size()) << what;
+    EXPECT_EQ(what.substr(what.size() - tail.size()), tail) << what;
+  }
+}
+
+// The skim runs every check the geometry parse runs. ORPHAN is never
+// reached from TOP, but its shape's placed vertices leave the 32-bit grid:
+// read_oas rejects the file, and so must stream_layer with TOP as its top.
+TEST(OasisHandBuilt, SkimChecksPlacedVerticesOfUnreachedCells) {
+  const auto file = [](bool path) {
+    std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
+    put_header(ss);
+    put_cell(ss, "TOP");
+    put_rectangle(ss, 1, 0, 100, 50, 0, 0);
+    put_cell(ss, "ORPHAN");
+    if (path) {
+      ss.put(22);    // PATH
+      ss.put(0xFB);  // E W P X Y - D L
+      write_uint(ss, 1);
+      write_uint(ss, 0);
+      write_uint(ss, 10);             // halfwidth
+      write_uint(ss, (1u << 2) | 1);  // both ends flush
+      write_uint(ss, 0);              // one horizontal delta
+      write_uint(ss, 1);
+      write_sint(ss, 100);
+    } else {
+      ss.put(21);    // POLYGON
+      ss.put(0x3B);  // P X Y D L
+      write_uint(ss, 1);
+      write_uint(ss, 0);
+      write_uint(ss, 0);  // two 1-deltas, horizontal first
+      write_uint(ss, 2);
+      write_sint(ss, 100);
+      write_sint(ss, 100);
+    }
+    write_sint(ss, 2147483600);  // + 100 leaves the grid
+    write_sint(ss, 0);
+    put_end(ss);
+    return ss.str();
+  };
+  for (const bool path : {false, true}) {
+    std::stringstream in_ram(file(path), std::ios::in | std::ios::binary);
+    const std::string read_error = message_of([&] { read_oas(in_ram); });
+    EXPECT_NE(read_error.find("coordinate overflows the 32-bit database grid"),
+              std::string::npos)
+        << read_error;
+
+    const auto stream =
+        open_oas_stream(std::make_unique<std::stringstream>(file(path), std::ios::in | std::ios::binary));
+    IngestOptions opt;
+    opt.top = "TOP";
+    opt.layer = LayerKey{1, 0};
+    const std::string stream_error =
+        message_of([&] { stream_layer(*stream, opt, [](const Polygon&) {}); });
+    EXPECT_EQ(stream_error, read_error) << (path ? "PATH" : "POLYGON");
+  }
 }
 
 TEST(OasisHandBuilt, RejectsCblock) {
