@@ -32,7 +32,6 @@
 #include "sim/exposure_sim.h"
 #include "util/csv.h"
 #include "util/subprocess.h"
-#include "util/fft.h"
 #include "util/parallel.h"
 #include "util/table.h"
 
@@ -98,73 +97,6 @@ std::vector<ScalingRow> run_scaling(const Psf& psf, bool quick) {
     }
     rows.push_back(row);
     std::cerr << "scaling: " << row.shots << " shots done\n";
-  }
-  return rows;
-}
-
-// --- Padded-size sweep: power-of-two vs mixed-radix FFT plans. ---
-//
-// The FFT convolver behind simulate_exposure's wide-kernel blurs pads the
-// map to the next 5-smooth size (2^a 3^b 5^c)
-// instead of the next power of two. This sweep times one registered
-// convolve (load + spectral multiply + inverse) of the same kernel on both
-// plans for representative long-range map shapes: the mixed-radix plan at
-// the map's natural size, and the same engine forced onto the power-of-two
-// grid it used to pad to (a power of two is itself 5-smooth, so growing the
-// logical map until the snug plan lands on the old pow2 size reproduces the
-// old padding exactly).
-struct PadRow {
-  int nx = 0, ny = 0, radius = 0;
-  std::size_t fast_px = 0, fast_py = 0;   // mixed-radix (5-smooth) plan
-  std::size_t pow2_px = 0, pow2_py = 0;   // legacy power-of-two plan
-  double fast_ms = 0.0, pow2_ms = 0.0;    // best-of-3 registered convolve
-};
-
-std::vector<PadRow> run_pad_sweep(bool quick) {
-  // Map shapes chosen to land just past a power of two — the regime the
-  // mixed-radix plan exists for (1030 pads to 1080 instead of 2048).
-  std::vector<std::pair<int, int>> dims = {{1030, 1030}};
-  if (!quick) {
-    dims.push_back({1300, 1100});
-    dims.push_back({2100, 2100});
-  }
-  const std::vector<double> taps = gaussian_kernel_taps(8.0);
-  const int r = static_cast<int>(taps.size()) - 1;
-
-  std::vector<PadRow> rows;
-  for (const auto& [nx, ny] : dims) {
-    PadRow row;
-    row.nx = nx;
-    row.ny = ny;
-    row.radius = r;
-
-    const auto time_plan = [&](int lx, int ly, std::size_t* px, std::size_t* py) {
-      FftConvolver conv(lx, ly, r);
-      const int id = conv.add_kernel(taps);
-      std::vector<double> src(static_cast<std::size_t>(lx) * ly);
-      for (std::size_t i = 0; i < src.size(); ++i)
-        src[i] = static_cast<double>(i % 97) / 97.0;
-      std::vector<double> dst(src.size());
-      double* out = dst.data();
-      double best = 0.0;
-      for (int rep = 0; rep < 3; ++rep) {
-        const auto t0 = std::chrono::steady_clock::now();
-        conv.load(src.data());
-        conv.convolve_registered({id}, {out});
-        const double ms = ms_since(t0);
-        if (rep == 0 || ms < best) best = ms;
-      }
-      *px = conv.padded_x();
-      *py = conv.padded_y();
-      return best;
-    };
-
-    row.fast_ms = time_plan(nx, ny, &row.fast_px, &row.fast_py);
-    // Grow the logical map until the snug plan is the legacy pow2 grid.
-    const int pow2_nx = static_cast<int>(fft_next_pow2(nx + r)) - r;
-    const int pow2_ny = static_cast<int>(fft_next_pow2(ny + r)) - r;
-    row.pow2_ms = time_plan(pow2_nx, pow2_ny, &row.pow2_px, &row.pow2_py);
-    rows.push_back(row);
   }
   return rows;
 }
@@ -381,8 +313,7 @@ void write_blur_perf(std::ofstream& out, const BlurPerf& p) {
       << ", \"windowed_blur_ms\": " << p.windowed_blur_ms << "}";
 }
 
-void write_bench_json(const std::vector<ScalingRow>& rows,
-                      const std::vector<PadRow>& pads, const ShardedRow& sharded,
+void write_bench_json(const std::vector<ScalingRow>& rows, const ShardedRow& sharded,
                       const Psf& psf) {
   std::ofstream out("BENCH_pec.json");
   out << "{\n  \"bench\": \"pec_scaling\",\n";
@@ -407,17 +338,6 @@ void write_bench_json(const std::vector<ScalingRow>& rows,
     out << ", \"refresh_perf\": ";
     write_blur_perf(out, r.blur);
     out << "}";
-  }
-  out << "\n  ],\n";
-  out << "  \"padded_size_sweep\": [";
-  for (std::size_t i = 0; i < pads.size(); ++i) {
-    const PadRow& r = pads[i];
-    out << (i ? "," : "") << "\n    {\"map\": [" << r.nx << ", " << r.ny
-        << "], \"kernel_radius_px\": " << r.radius << ", \"mixed_radix_plan\": ["
-        << r.fast_px << ", " << r.fast_py << "], \"pow2_plan\": [" << r.pow2_px
-        << ", " << r.pow2_py << "], \"mixed_radix_ms\": " << r.fast_ms
-        << ", \"pow2_ms\": " << r.pow2_ms
-        << ", \"mixed_radix_speedup\": " << r.pow2_ms / r.fast_ms << "}";
   }
   out << "\n  ],\n";
   out << "  \"sharded\": {\n";
@@ -561,24 +481,11 @@ int main(int argc, char** argv) {
   }
   sc.print();
 
-  const std::vector<PadRow> pad_rows = run_pad_sweep(quick);
-  Table ps("Padded FFT plans: mixed-radix (5-smooth) vs power-of-two");
-  ps.columns({"map", "radius", "mixed-radix plan", "pow2 plan", "mixed ms",
-              "pow2 ms", "speedup"});
-  for (const PadRow& r : pad_rows) {
-    ps.row(std::to_string(r.nx) + "x" + std::to_string(r.ny), r.radius,
-           std::to_string(r.fast_px) + "x" + std::to_string(r.fast_py),
-           std::to_string(r.pow2_px) + "x" + std::to_string(r.pow2_py),
-           fixed(r.fast_ms, 2), fixed(r.pow2_ms, 2),
-           fixed(r.pow2_ms / r.fast_ms, 2) + "x");
-  }
-  ps.print();
-
   const Psf sharded_psf = Psf::triple_gaussian(50.0, 3000.0, 600.0, 0.7, 0.3);
   const ShardedRow sharded = run_sharded(sharded_psf, quick);
   print_sharded(sharded);
 
-  write_bench_json(scaling, pad_rows, sharded, scaling_psf);
+  write_bench_json(scaling, sharded, scaling_psf);
   std::cout << "wrote BENCH_pec.json\n";
   if (quick) return 0;
   const Coord w = 500;

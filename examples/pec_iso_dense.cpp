@@ -6,10 +6,9 @@
 // resist threshold — the numbers behind the classic proximity-effect
 // figure.
 //
-// The simulate_exposure calls raster at 25 nm (alpha/2), so the 3 um
-// backscatter kernel spans ~480 pixels: SimOptions::blur_backend defaults
-// to kAuto, which routes such wide kernels through the FFT convolution
-// engine (src/util/fft.h) — same result, far less time.
+// The simulate_exposure calls raster at 25 nm (alpha/2), where the 3 um
+// backscatter kernel would span ~480 pixels; simulate_exposure blurs that
+// term on a 30x coarser map and reads it back bilinearly at every pixel.
 #include <iostream>
 
 #include "util/artifacts.h"

@@ -62,8 +62,8 @@ def derive_blur_fractions(node, metrics):
     """Synthesizes blur_ms as a fraction of the case's end-to-end wall clock
     from the nested refresh-perf blocks. The fraction is dimensionless within
     one run, so it transfers across hosts like the speedup ratios — it guards
-    the long-range blur's share of the solve, which the FFT/windowed-blur
-    work exists to shrink."""
+    the long-range blur's share of the solve, which the per-term maps and the
+    windowed blur exist to shrink."""
     for perf_key, total_key, name in (
         ("refresh_perf", "total_ms", "blur_fraction_of_total"),
         ("sharded_refresh_perf", "sharded_total_ms",

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "util/contracts.h"
 
@@ -47,10 +49,20 @@ Raster::Raster(const Box& frame, Coord pixel_size) : pix_(pixel_size) {
   expects(pixel_size > 0, "Raster: pixel size must be positive");
   expects(!frame.empty(), "Raster: frame must be non-empty");
   origin_ = frame.lo;
-  nx_ = static_cast<int>((frame.width() + pixel_size - 1) / pixel_size);
-  ny_ = static_cast<int>((frame.height() + pixel_size - 1) / pixel_size);
-  nx_ = std::max(nx_, 1);
-  ny_ = std::max(ny_, 1);
+  const auto pixels = [&](Coord64 extent) {
+    const Coord64 n = std::max<Coord64>(1, (extent + pixel_size - 1) / pixel_size);
+    if (n > std::numeric_limits<int>::max()) {
+      throw DataError("Raster: frame (" + std::to_string(frame.lo.x) + ", " +
+                      std::to_string(frame.lo.y) + ")-(" +
+                      std::to_string(frame.hi.x) + ", " +
+                      std::to_string(frame.hi.y) + ") spans " + std::to_string(n) +
+                      " pixels of " + std::to_string(pixel_size) +
+                      " dbu on one axis, more than a raster can index");
+    }
+    return static_cast<int>(n);
+  };
+  nx_ = pixels(frame.width());
+  ny_ = pixels(frame.height());
   data_.assign(static_cast<std::size_t>(nx_) * ny_, 0.0);
 }
 

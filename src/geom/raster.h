@@ -17,7 +17,8 @@ namespace ebl {
 class Raster {
  public:
   /// Grid covering @p frame with square pixels of @p pixel_size dbu.
-  /// The frame is expanded to a whole number of pixels.
+  /// The frame is expanded to a whole number of pixels. Throws DataError
+  /// when it spans more than INT_MAX pixels on either axis.
   Raster(const Box& frame, Coord pixel_size);
 
   int width() const { return nx_; }

@@ -108,46 +108,6 @@ double ms_since(std::chrono::steady_clock::time_point t0) {
 // overhead stay negligible against the blur itself.
 constexpr int kBlurTilePx = 32;
 
-// Box average of a k-times-coarser raster sharing the fine raster's origin:
-// coarse pixels [cx0, cx0 + cw) x [cy0, cy0 + ch) are written to dst (row
-// stride cw) as the mean of their k x k fine blocks, fine pixels past the
-// fine raster's edge counting as zero. Each coarse pixel sums its block rows
-// then columns in ascending order, whatever region it is computed in, so
-// the windowed blur's extracts equal the full map's bit for bit. k == 1 is
-// a plain copy.
-void box_average(const double* fine, int nx, int ny, int k, int cx0, int cy0,
-                 int cw, int ch, double* dst, int threads) {
-  if (k == 1) {
-    for (int y = 0; y < ch; ++y)
-      std::copy_n(fine + static_cast<std::size_t>(cy0 + y) * nx + cx0, cw,
-                  dst + static_cast<std::size_t>(y) * cw);
-    return;
-  }
-  const double inv = 1.0 / (static_cast<double>(k) * k);
-  parallel_for(
-      static_cast<std::size_t>(ch),
-      [&](std::size_t y0, std::size_t y1) {
-        for (std::size_t y = y0; y < y1; ++y) {
-          double* out = dst + y * static_cast<std::size_t>(cw);
-          std::fill_n(out, cw, 0.0);
-          const int fy0 = (cy0 + static_cast<int>(y)) * k;
-          const int fy1 = std::min(ny, fy0 + k);
-          for (int fy = fy0; fy < fy1; ++fy) {
-            const double* row = fine + static_cast<std::size_t>(fy) * nx;
-            for (int x = 0; x < cw; ++x) {
-              const int fx0 = (cx0 + x) * k;
-              const int fx1 = std::min(nx, fx0 + k);
-              double acc = out[x];
-              for (int fx = fx0; fx < fx1; ++fx) acc += row[fx];
-              out[x] = acc;
-            }
-          }
-          for (int x = 0; x < cw; ++x) out[x] *= inv;
-        }
-      },
-      threads);
-}
-
 // Raw-buffer core of separable_blur, so the windowed delta-blur can run the
 // identical passes on an extracted sub-window (identical per-pixel tap order
 // and edge-skip conditions are what make the windowed patch bit-exact).
@@ -241,6 +201,48 @@ void gaussian_blur(Raster& raster, double sigma_dbu, int threads) {
   expects(sigma_dbu > 0, "gaussian_blur: sigma must be positive");
   separable_blur(raster, gaussian_kernel_taps(sigma_dbu / raster.pixel_size()),
                  threads);
+}
+
+void box_average(const double* fine, int nx, int ny, int k, int cx0, int cy0,
+                 int cw, int ch, double* dst, int threads) {
+  expects(k >= 1, "box_average: factor must be positive");
+  if (k == 1 && cx0 >= 0 && cy0 >= 0 && cx0 + cw <= nx && cy0 + ch <= ny) {
+    for (int y = 0; y < ch; ++y)
+      std::copy_n(fine + static_cast<std::size_t>(cy0 + y) * nx + cx0, cw,
+                  dst + static_cast<std::size_t>(y) * cw);
+    return;
+  }
+  const double inv = 1.0 / (static_cast<double>(k) * k);
+  // Coarse pixels left of the fine raster have no fine pixels; starting the
+  // column loop past them keeps a clamp out of its inner loop.
+  const int x_first = std::max(0, -cx0);
+  parallel_for(
+      static_cast<std::size_t>(ch),
+      [&](std::size_t y0, std::size_t y1) {
+        for (std::size_t y = y0; y < y1; ++y) {
+          double* out = dst + y * static_cast<std::size_t>(cw);
+          std::fill_n(out, cw, 0.0);
+          const int fy0 = (cy0 + static_cast<int>(y)) * k;
+          const int fy1 = std::min(ny, fy0 + k);
+          for (int fy = std::max(0, fy0); fy < fy1; ++fy) {
+            const double* row = fine + static_cast<std::size_t>(fy) * nx;
+            for (int x = x_first; x < cw; ++x) {
+              const int fx0 = (cx0 + x) * k;
+              const int fx1 = std::min(nx, fx0 + k);
+              double acc = out[x];
+              for (int fx = fx0; fx < fx1; ++fx) acc += row[fx];
+              out[x] = acc;
+            }
+          }
+          for (int x = 0; x < cw; ++x) out[x] *= inv;
+        }
+      },
+      threads);
+}
+
+int term_k(double sigma, double pixels_per_sigma, Coord pixel) {
+  return std::max(1, static_cast<int>(sigma / pixels_per_sigma /
+                                      static_cast<double>(pixel)));
 }
 
 ExposureEvaluator::ExposureEvaluator(ShotList shots, const Psf& psf,
@@ -369,12 +371,9 @@ void ExposureEvaluator::build_long_range() {
   }
   const Coord pixel =
       std::max<Coord>(1, static_cast<Coord>(sigma_min / opt_.pixels_per_sigma));
-  const auto term_k = [&](const PsfTerm& t) {
-    return std::max(1, static_cast<int>(t.sigma / opt_.pixels_per_sigma /
-                                        static_cast<double>(pixel)));
-  };
   int k_max = 1;
-  for (const PsfTerm& t : long_terms_) k_max = std::max(k_max, term_k(t));
+  for (const PsfTerm& t : long_terms_)
+    k_max = std::max(k_max, term_k(t.sigma, opt_.pixels_per_sigma, pixel));
   // Margin per map_margin_sigmas, but never below 2 pixels of the coarsest
   // map: edge centroids need one in-grid bilinear neighbor there, and the
   // blur needs no margin at all (zero padding is exact when every source
@@ -390,7 +389,7 @@ void ExposureEvaluator::build_long_range() {
     // Same origin as the base, ceil(nx / k) x ceil(ny / k) pixels. Clamping
     // the far corner to the coordinate range keeps that count: the base
     // itself ends within the range.
-    const int k = term_k(term);
+    const int k = term_k(term.sigma, opt_.pixels_per_sigma, pixel);
     const Coord tp = k * pixel;
     const auto far = [&](Coord origin, int n) {
       return static_cast<Coord>(std::min<Coord64>(

@@ -372,4 +372,24 @@ std::vector<double> gaussian_kernel_taps(double sigma_px);
 void separable_blur(Raster& raster, const std::vector<double>& taps,
                     int threads = 0);
 
+/// Box average onto a k-times-coarser grid sharing the fine raster's origin
+/// (nx x ny fine pixels, row-major): coarse pixels [cx0, cx0 + cw) x
+/// [cy0, cy0 + ch) are written to dst (row stride cw) as the mean of their
+/// k x k fine blocks, fine pixels outside the fine raster counting as zero
+/// (so the region may start at negative coarse indices or run past the
+/// far edge). Each coarse pixel sums its block rows then columns in
+/// ascending order, whatever region it is computed in, so a windowed
+/// extract equals the full map's bit for bit. Rows run on the thread pool;
+/// output is identical for any thread count. k == 1 inside the fine raster
+/// is a plain copy.
+void box_average(const double* fine, int nx, int ny, int k, int cx0, int cy0,
+                 int cw, int ch, double* dst, int threads = 0);
+
+/// Coarsening factor of a PSF term's blur map over a @p pixel grid: the
+/// largest k >= 1 with k * pixel within sigma / pixels_per_sigma (1 when
+/// sigma is narrower), so a kernel on k * pixel pixels spans about
+/// 4 * pixels_per_sigma of them each way. The PEC evaluator's term maps and
+/// simulate_exposure both size their maps with it.
+int term_k(double sigma, double pixels_per_sigma, Coord pixel);
+
 }  // namespace ebl

@@ -54,8 +54,8 @@ inline constexpr std::uint32_t kMagic = 0x574C4245;  // "EBLW" little-endian
 /// v5: ShardJob lost its reset_all and pooled flags (resident re-entry
 /// always resets every dose exactly) and ExposureOptions lost splat_cache
 /// (always on), so a job is three bytes shorter. Exact-match skew rule.
-/// v6: ExposureOptions lost blur_backend (the evaluator has one blur), so a
-/// job is one byte shorter. Exact-match skew rule.
+/// v6: ExposureOptions lost its blur-backend byte (the evaluator has one
+/// blur), so a job is one byte shorter. Exact-match skew rule.
 inline constexpr std::uint32_t kVersion = 6;
 /// Written as-is by every encoder; a reader that sees its bytes reversed is
 /// looking at a stream produced by a writer that did not follow the

@@ -3,43 +3,50 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <memory>
 
-#include "pec/exposure.h"  // blur kernels
+#include "pec/exposure.h"  // blur primitives
 #include "util/contracts.h"
-#include "util/fft.h"
+#include "util/parallel.h"
 
 namespace ebl {
 
 namespace {
 
-// The direct separable blur's contiguous mul-adds vectorize a little better
-// than the strided FFT passes, so FFT must be modestly cheaper in flops
-// before it wins on the clock; the factor below absorbs that measured
-// steady-state throughput gap (calibrated on 2k..8k-pixel maps with
-// 16..100-pixel kernel radii, where it reproduces the measured crossover on
-// every probed case — e.g. flop ratio 1.27 ran at 0.96x, ratio 2.1 at 1.9x).
-constexpr double kFftWinFactor = 1.4;
+// Adds weight * (term blurred on a k-times-coarser map) to out at every fine
+// pixel centre of base. The map reaches one coarse pixel past base on every
+// side: the blur is exact anywhere on the map, so the read-back at the
+// frame's outer pixel centres interpolates between blurred values instead
+// of toward an off-map zero. The map is laid out in coarse-pixel units
+// (pixel 1, coarse pixel -1 of the fine frame at index 0), so it never
+// leaves the coordinate range, wherever the frame lies.
+void add_coarse_term(const Raster& base, const PsfTerm& term, int k, int threads,
+                     Raster& out) {
+  const int nx = base.width();
+  const int ny = base.height();
+  Raster map(Box{0, 0, (nx - 1) / k + 3, (ny - 1) / k + 3}, 1);
+  box_average(base.data().data(), nx, ny, k, -1, -1, map.width(), map.height(),
+              map.data().data(), threads);
+  const double coarse_pixel = static_cast<double>(k) * base.pixel_size();
+  separable_blur(map, gaussian_kernel_taps(term.sigma / coarse_pixel), threads);
+
+  // Fine pixel x's centre sits at (x + 0.5) / k coarse pixels from the frame
+  // origin, one more from the map's.
+  const double w = term.weight;
+  parallel_for(
+      static_cast<std::size_t>(ny),
+      [&](std::size_t r0, std::size_t r1) {
+        for (std::size_t y = r0; y < r1; ++y) {
+          const double v = (static_cast<double>(y) + 0.5) / k + 1.0;
+          double* row = out.data().data() + y * static_cast<std::size_t>(nx);
+          for (int x = 0; x < nx; ++x) {
+            row[x] += w * map.sample((x + 0.5) / k + 1.0, v);
+          }
+        }
+      },
+      threads);
+}
 
 }  // namespace
-
-bool fft_blur_wins(int nx, int ny, const std::vector<std::size_t>& radii) {
-  const double npx = static_cast<double>(nx) * static_cast<double>(ny);
-  double direct = 0.0;
-  std::size_t rmax = 1;
-  for (const std::size_t r : radii) {
-    // Two passes of a (2 radius + 1)-tap kernel.
-    direct += npx * (8.0 * static_cast<double>(r) + 2.0);
-    rmax = std::max(rmax, r);
-  }
-  // One shared forward transform, one inverse plus spectral multiply per
-  // kernel.
-  const double fft =
-      (1.0 + static_cast<double>(radii.size())) *
-          FftConvolver::transform_cost(nx, ny, static_cast<int>(rmax)) +
-      10.0 * npx * static_cast<double>(radii.size());
-  return direct > kFftWinFactor * fft;
-}
 
 Raster simulate_exposure(const ShotList& shots, const Psf& psf,
                          const SimOptions& options) {
@@ -58,81 +65,23 @@ Raster simulate_exposure(const ShotList& shots, const Psf& psf,
   Raster base(frame.bloated(margin), pixel);
   for (const Shot& s : shots) base.add_coverage(s.shape, s.dose);
 
-  // One truncated kernel per term; every term convolves the same dose map,
-  // so wide terms can share a single forward FFT of it. Both backends use
-  // the same taps — the backend choice never moves results beyond rounding.
-  const auto terms = psf.terms();
-  std::vector<std::vector<double>> taps;
-  taps.reserve(terms.size());
-  for (const PsfTerm& term : terms) {
-    taps.push_back(gaussian_kernel_taps(term.sigma / static_cast<double>(pixel)));
-  }
-
-  // Backend per term: kAuto hands the FFT plan the widest kernels for which
-  // spectral convolution (with its shared forward transform) beats the
-  // separable passes, and keeps the rest direct. Trying the wide-kernel sets
-  // largest-first finds the largest set that pays off.
-  std::vector<bool> use_fft(terms.size(), options.blur_backend == BlurBackend::kFft);
-  if (options.blur_backend == BlurBackend::kAuto && !terms.empty()) {
-    std::vector<std::size_t> order(terms.size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      return taps[a].size() > taps[b].size();
-    });
-    for (std::size_t k = order.size(); k >= 1; --k) {
-      std::vector<std::size_t> radii;
-      for (std::size_t i = 0; i < k; ++i) radii.push_back(taps[order[i]].size() - 1);
-      if (fft_blur_wins(base.width(), base.height(), radii)) {
-        for (std::size_t i = 0; i < k; ++i) use_fft[order[i]] = true;
-        break;
-      }
-    }
-  }
-
-  std::unique_ptr<FftConvolver> conv;
-  std::size_t max_radius = 0;
-  for (std::size_t t = 0; t < terms.size(); ++t) {
-    if (use_fft[t]) max_radius = std::max(max_radius, taps[t].size() - 1);
-  }
-  // All FFT terms go through one registered batch: the shared forward
-  // transform is walked once with every term's cached spectrum applied in
-  // that single pass (see FftConvolver::convolve_registered).
-  std::vector<std::size_t> fft_terms;
-  std::vector<std::vector<double>> fft_blurred;
-  if (max_radius > 0) {
-    conv = std::make_unique<FftConvolver>(base.width(), base.height(),
-                                          static_cast<int>(max_radius),
-                                          options.threads);
-    conv->load(base.data().data());
-    std::vector<int> ids;
-    std::vector<double*> outs;
-    for (std::size_t t = 0; t < terms.size(); ++t) {
-      if (!use_fft[t]) continue;
-      fft_terms.push_back(t);
-      ids.push_back(conv->add_kernel(taps[t]));
-    }
-    fft_blurred.resize(fft_terms.size());
-    for (std::vector<double>& b : fft_blurred) {
-      b.resize(base.data().size());
-      outs.push_back(b.data());
-    }
-    conv->convolve_registered(ids, outs);
-  }
-
+  // Every term convolves the same dose map, each at the evaluator's per-term
+  // map resolution (see the header comment).
+  const double pixels_per_sigma = ExposureOptions{}.pixels_per_sigma;
   Raster result(frame.bloated(margin), pixel);
-  Raster blurred = base;  // reused scratch, same geometry for every term
-  std::size_t next_fft = 0;
-  for (std::size_t t = 0; t < terms.size(); ++t) {
-    const double* in = nullptr;
-    if (use_fft[t]) {
-      in = fft_blurred[next_fft++].data();
-    } else {
-      blurred.data() = base.data();
-      separable_blur(blurred, taps[t], options.threads);
-      in = blurred.data().data();
+  for (const PsfTerm& term : psf.terms()) {
+    const int k = term_k(term.sigma, pixels_per_sigma, pixel);
+    if (k > 1) {
+      add_coarse_term(base, term, k, options.threads, result);
+      continue;
     }
+    Raster blurred = base;
+    separable_blur(blurred,
+                   gaussian_kernel_taps(term.sigma / static_cast<double>(pixel)),
+                   options.threads);
     auto& out = result.data();
-    const double w = terms[t].weight;
+    const auto& in = blurred.data();
+    const double w = term.weight;
     for (std::size_t i = 0; i < out.size(); ++i) out[i] += w * in[i];
   }
   return result;

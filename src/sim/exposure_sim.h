@@ -6,24 +6,10 @@
 
 #include "fracture/shot.h"
 #include "geom/raster.h"
-#include "pec/exposure.h"  // blur primitives
 #include "pec/psf.h"
 #include "sim/resist.h"
 
 namespace ebl {
-
-/// How the simulator convolves its raster with each PSF term.
-enum class BlurBackend {
-  kAuto,    ///< flop-model choice: FFT when the kernel width makes it a win
-  kDirect,  ///< separable sliding-window passes (fast for narrow kernels)
-  kFft,     ///< padded real FFT + kernel spectra (width-independent cost)
-};
-
-/// The flop-model decision behind BlurBackend::kAuto: true when spectral
-/// convolution of an nx-by-ny raster with one kernel per entry of radii
-/// (sharing a single forward transform) beats running the separable passes
-/// for each, including the measured direct-vs-FFT throughput gap.
-bool fft_blur_wins(int nx, int ny, const std::vector<std::size_t>& radii);
 
 struct SimOptions {
   /// Simulation pixel in dbu; must resolve the forward range (<= alpha/2
@@ -37,19 +23,20 @@ struct SimOptions {
   /// Worker threads for the per-term Gaussian blurs (0 = auto: EBL_THREADS
   /// env var, else hardware concurrency). Output is identical for any value.
   int threads = 0;
-
-  /// Convolution backend for the per-term blurs. The simulator rasters at
-  /// the forward-scattering resolution, so backscatter kernels span hundreds
-  /// of pixels — exactly where the FFT engine wins: kAuto transforms the
-  /// dose map once and applies every wide term's spectrum to it, keeping the
-  /// separable passes only for narrow terms. Backend choice moves results by
-  /// no more than floating-point rounding.
-  BlurBackend blur_backend = BlurBackend::kAuto;
 };
 
 /// Energy deposition map of a dosed shot list: coverage rasterization of the
 /// dose followed by one separable Gaussian convolution per PSF term.
 /// Normalization: infinite unit-dose pattern -> exposure 1.0.
+///
+/// Each term is blurred at the coarsening factor k = term_k(sigma,
+/// ExposureOptions{}.pixels_per_sigma, pixel) — the PEC evaluator's per-term
+/// map rule. A term with k == 1 (sigma under 8 pixels) is blurred directly at
+/// the simulation pixel. A wider term's dose map is box-averaged onto a map k
+/// times coarser (one coarse pixel wider than the frame on every side),
+/// blurred there, and read back bilinearly at every pixel centre, so a
+/// backscatter kernel costs a few dozen taps per pass instead of hundreds.
+/// Throws DataError when the frame spans more than INT_MAX pixels on an axis.
 Raster simulate_exposure(const ShotList& shots, const Psf& psf,
                          const SimOptions& options = {});
 

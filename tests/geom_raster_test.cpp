@@ -1,6 +1,8 @@
 // Tests for the area-coverage rasterizer.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "geom/raster.h"
 #include "util/contracts.h"
 
@@ -70,6 +72,18 @@ TEST(Raster, OutsideGeometryIgnored) {
 TEST(Raster, InvalidConstructionRejected) {
   EXPECT_THROW(Raster(Box{0, 0, 10, 10}, 0), ContractViolation);
   EXPECT_THROW(Raster(Box{}, 10), ContractViolation);
+}
+
+TEST(Raster, FrameWiderThanIntMaxPixelsIsRejected) {
+  // 2^32 - 1 pixels on x: the count must not wrap to a 1-pixel raster.
+  constexpr Coord lo = std::numeric_limits<Coord>::min();
+  constexpr Coord hi = std::numeric_limits<Coord>::max();
+  EXPECT_THROW(Raster(Box{lo, 0, hi, 1}, 1), DataError);
+  EXPECT_THROW(Raster(Box{0, lo, 1, hi}, 1), DataError);
+  // The same frame at a pixel that brings the count into range is fine.
+  const Raster r(Box{lo, 0, hi, 1}, 1 << 16);
+  EXPECT_EQ(r.width(), 1 << 16);
+  EXPECT_EQ(r.height(), 1);
 }
 
 TEST(Raster, AtBoundsChecked) {

@@ -1,17 +1,14 @@
 // Long-range blur tests: the PEC evaluator's per-term maps (each long-range
 // term box-averaged onto its own raster and blurred by the separable
-// passes), edge cases of that direct blur, and the simulator's direct/FFT
-// backend agreement — both backends compute the same truncated normalized
-// kernel, so they must agree far below the 1e-6 the accuracy budget asks for.
+// passes) and edge cases of that direct blur. The simulator's use of the
+// same per-term maps is checked against a full-resolution reference in
+// sim_test.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
 #include <vector>
 
 #include "fracture/fracture.h"
 #include "pec/exposure.h"
-#include "sim/exposure_sim.h"
 #include "util/rng.h"
 
 namespace ebl {
@@ -22,12 +19,6 @@ ShotList pad_and_island() {
   s.insert(Box{0, 0, 20000, 20000});
   s.insert(Box{40000, 9500, 41000, 10500});
   return fracture(s, {.max_shot_size = 2000}).shots;
-}
-
-double max_abs_diff(const std::vector<double>& a, const std::vector<double>& b) {
-  double m = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) m = std::max(m, std::abs(a[i] - b[i]));
-  return m;
 }
 
 Raster random_raster(Box frame, Coord pixel, std::uint64_t seed) {
@@ -106,38 +97,6 @@ TEST(ExposureEvaluator, CoarseTermMapMatchesASingleTermEvaluatorOnItsGrid) {
                 near.exposure_at(x, y) + beta.exposure_at(x, y), 1e-6)
         << "at " << x << "," << y;
   }
-}
-
-TEST(BlurBackendDispatch, AutoPrefersDirectForNarrowAndFftForWide) {
-  // The simulator's flop model must keep narrow kernels on the separable
-  // path and hand very wide kernels to the FFT.
-  EXPECT_FALSE(fft_blur_wins(1000, 1000, {16}));
-  EXPECT_TRUE(fft_blur_wins(1000, 1000, {480}));
-  // Several wide kernels amortize the shared forward transform.
-  EXPECT_TRUE(fft_blur_wins(1000, 1000, {200, 200, 200}));
-}
-
-TEST(Sim, SimulateExposureAgreesAcrossBackends) {
-  // At simulation resolution (pixel = alpha/2) the backscatter kernel spans
-  // hundreds of pixels, so kAuto sends it to the FFT — the result must
-  // stay within rounding of the all-direct map.
-  PolygonSet pattern;
-  pattern.insert(Box{0, 0, 8000, 6000});
-  pattern.insert(Box{12000, 0, 13000, 6000});
-  const ShotList shots = fracture(pattern, {.max_shot_size = 2000}).shots;
-  const Psf psf = Psf::double_gaussian(50.0, 3000.0, 0.7);
-  SimOptions direct_opt;
-  direct_opt.pixel = 50;
-  direct_opt.blur_backend = BlurBackend::kDirect;
-  SimOptions auto_opt = direct_opt;
-  auto_opt.blur_backend = BlurBackend::kAuto;
-  SimOptions fft_opt = direct_opt;
-  fft_opt.blur_backend = BlurBackend::kFft;
-  const Raster d = simulate_exposure(shots, psf, direct_opt);
-  const Raster a = simulate_exposure(shots, psf, auto_opt);
-  const Raster f = simulate_exposure(shots, psf, fft_opt);
-  EXPECT_LT(max_abs_diff(d.data(), a.data()), 1e-6);
-  EXPECT_LT(max_abs_diff(d.data(), f.data()), 1e-6);
 }
 
 }  // namespace

@@ -198,7 +198,7 @@ TEST(Wire, FrameHeaderRoundTripAndRejections) {
   bad[4] = static_cast<char>(wire::kVersion + 1);
   EXPECT_THROW(wire::parse_frame_header(bad), DataError);
   bad = h;
-  bad[4] = 5;  // v5: exposure options with the blur_backend byte
+  bad[4] = 5;  // v5: exposure options with the blur-backend byte
   EXPECT_THROW(wire::parse_frame_header(bad), DataError);
   bad = h;
   bad[4] = 4;  // v4: jobs with the reset_all / pooled / splat_cache flags

@@ -3,8 +3,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "core/patterns.h"
+#include "pec/exposure.h"
 #include "fracture/fracture.h"
 #include "sim/epe.h"
 #include "sim/exposure_sim.h"
@@ -74,6 +76,114 @@ TEST(SimulateExposure, DoseScalesLinearly) {
   const Raster e3 = simulate_exposure(shots, test_psf(), {.pixel = 100});
   const auto [ix, iy] = e1.index_of(Point{2500, 2500});
   EXPECT_NEAR(e3.at(ix, iy), 3.0 * e1.at(ix, iy), 1e-9);
+}
+
+// Pad next to a five-line grating: dense, isolated and empty regions, so
+// both the backscatter plateau and its tails are probed.
+ShotList pad_and_grating(Point at = {0, 0}) {
+  PolygonSet s;
+  const auto box = [&](Coord x0, Coord x1) {
+    s.insert(Box{at.x + x0, at.y, at.x + x1, at.y + 6000});
+  };
+  box(0, 6000);
+  for (int i = 0; i < 5; ++i) box(8000 + 1000 * i, 8500 + 1000 * i);
+  return fracture(s, {.max_shot_size = 2000}).shots;
+}
+
+// Full-resolution reference: every term blurred by the separable passes at
+// the simulation pixel itself, on the frame simulate_exposure uses.
+Raster direct_exposure(const ShotList& shots, const Psf& psf, Coord pixel,
+                       Coord margin) {
+  Box frame;
+  for (const Shot& s : shots) frame += s.shape.bbox();
+  const Box extent = frame.bloated(margin);
+  Raster base(extent, pixel);
+  for (const Shot& s : shots) base.add_coverage(s.shape, s.dose);
+  Raster result(extent, pixel);
+  for (const PsfTerm& term : psf.terms()) {
+    Raster blurred = base;
+    separable_blur(blurred,
+                   gaussian_kernel_taps(term.sigma / static_cast<double>(pixel)));
+    for (std::size_t i = 0; i < result.data().size(); ++i)
+      result.data()[i] += term.weight * blurred.data()[i];
+  }
+  return result;
+}
+
+double max_abs_diff(const Raster& a, const Raster& b) {
+  EXPECT_EQ(a.width(), b.width());
+  EXPECT_EQ(a.height(), b.height());
+  double m = 0.0;
+  for (std::size_t i = 0; i < a.data().size(); ++i)
+    m = std::max(m, std::abs(a.data()[i] - b.data()[i]));
+  return m;
+}
+
+Coord default_margin(const Psf& psf) {
+  return static_cast<Coord>(std::ceil(4.0 * psf.max_sigma()));
+}
+
+TEST(SimulateExposure, CoarseTermMapsTrackTheFullResolutionBlur) {
+  // Backscatter terms blur on maps k = sigma / (4 pixel) times coarser and
+  // are read back bilinearly; the map error stays a few 1e-3 of the
+  // unit-dose plateau.
+  const ShotList shots = pad_and_grating();
+  const Psf dbl = Psf::double_gaussian(50.0, 3000.0, 0.7);
+  EXPECT_LE(max_abs_diff(simulate_exposure(shots, dbl, {.pixel = 50}),
+                         direct_exposure(shots, dbl, 50, default_margin(dbl))),
+            5e-3);
+  const Psf tri = Psf::triple_gaussian(50.0, 3000.0, 600.0, 0.7, 0.3);
+  EXPECT_LE(max_abs_diff(simulate_exposure(shots, tri, {.pixel = 25}),
+                         direct_exposure(shots, tri, 25, default_margin(tri))),
+            5e-3);
+}
+
+TEST(SimulateExposure, NarrowTermsBlurDirectlyBitForBit) {
+  // sigma = 2 pixels: k = 1, so the term takes the direct separable blur.
+  const ShotList shots = pad_and_grating();
+  const Psf psf = Psf::single_gaussian(50.0);
+  const Raster e = simulate_exposure(shots, psf, {.pixel = 25});
+  EXPECT_EQ(e.data(), direct_exposure(shots, psf, 25, default_margin(psf)).data());
+}
+
+TEST(SimulateExposure, CoarseMapsReachPastAOnePixelMargin) {
+  // With the pattern one pixel from the frame edge, the outer pixel centres
+  // must interpolate between blurred coarse values on both sides, not
+  // toward an off-map zero.
+  const ShotList shots = pad_and_grating();
+  const Psf psf = Psf::double_gaussian(50.0, 3000.0, 0.7);
+  const Raster e = simulate_exposure(shots, psf, {.pixel = 50, .margin = 50});
+  EXPECT_LE(max_abs_diff(e, direct_exposure(shots, psf, 50, 50)), 5e-3);
+}
+
+TEST(SimulateExposure, CoarseMapsKeepTheirPadAtTheCoordinateRangeEdge) {
+  // The pattern sits 500 dbu inside the far x and the low y edge of the
+  // 32-bit range, so the frame's margin is clamped there; the coarse maps
+  // must still cover the whole frame with their pad.
+  const ShotList shots = pad_and_grating(
+      {std::numeric_limits<Coord>::max() - 13000, std::numeric_limits<Coord>::min() + 500});
+  const Psf psf = Psf::double_gaussian(50.0, 3000.0, 0.7);
+  const Raster e = simulate_exposure(shots, psf, {.pixel = 50});
+  EXPECT_LE(max_abs_diff(e, direct_exposure(shots, psf, 50, default_margin(psf))),
+            5e-3);
+}
+
+TEST(SimulateExposure, IdenticalForAnyThreadCount) {
+  const ShotList shots = pad_and_grating();
+  const Psf psf = Psf::triple_gaussian(50.0, 3000.0, 600.0, 0.7, 0.3);
+  const Raster one = simulate_exposure(shots, psf, {.pixel = 25, .threads = 1});
+  const Raster four = simulate_exposure(shots, psf, {.pixel = 25, .threads = 4});
+  EXPECT_EQ(one.data(), four.data());
+}
+
+TEST(SimulateExposure, FrameWiderThanIntMaxPixelsIsADataError) {
+  // Shots at +-2^30 span 2^31 one-dbu pixels: the raster cannot index them.
+  PolygonSet s;
+  s.insert(Box{-(1 << 30), 0, -(1 << 30) + 100, 100});
+  s.insert(Box{(1 << 30) - 100, 0, 1 << 30, 100});
+  const ShotList shots = fracture(s).shots;
+  EXPECT_THROW(simulate_exposure(shots, Psf::single_gaussian(50.0), {.pixel = 1}),
+               DataError);
 }
 
 TEST(Develop, AppliesResistCurve) {
