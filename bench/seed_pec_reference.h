@@ -68,7 +68,7 @@ class SeedExposureEvaluator {
   SeedExposureEvaluator(ShotList shots, const Psf& psf, ExposureOptions options = {})
       : shots_(std::move(shots)), opt_(options) {
     for (const PsfTerm& t : psf.terms()) {
-      (t.sigma >= opt_.long_range_threshold ? long_terms_ : short_terms_).push_back(t);
+      (t.sigma >= kLongRangeThreshold ? long_terms_ : short_terms_).push_back(t);
     }
     double max_short = 0.0;
     for (const PsfTerm& t : short_terms_) max_short = std::max(max_short, t.sigma);
@@ -183,7 +183,7 @@ class SeedExposureEvaluator {
       const Coord margin = static_cast<Coord>(std::ceil(4.0 * term.sigma));
       const Box padded = frame.bloated(margin);
       const Coord pixel =
-          std::max<Coord>(1, static_cast<Coord>(term.sigma / opt_.pixels_per_sigma));
+          std::max<Coord>(1, static_cast<Coord>(term.sigma / kPixelsPerSigma));
       auto raster = std::make_unique<Raster>(padded, pixel);
       for (const Shot& s : shots_) raster->add_coverage(s.shape, s.dose);
       seed_gaussian_blur(*raster, term.sigma);
@@ -226,7 +226,8 @@ inline PecResult seed_correct_proximity(const ShotList& shots, const Psf& psf,
 
     for (std::size_t i = 0; i < doses.size(); ++i) {
       const double ratio = options.target / std::max(e[i], 1e-9);
-      doses[i] = std::clamp(doses[i] * std::pow(ratio, options.damping),
+      // The seed's Jacobi step at its default damping of 1.
+      doses[i] = std::clamp(doses[i] * std::pow(ratio, 1.0),
                             options.min_dose, options.max_dose);
     }
     eval.set_doses(doses);

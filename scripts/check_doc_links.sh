@@ -1,11 +1,17 @@
 #!/usr/bin/env bash
-# Fails when README.md or docs/ reference repo files that do not exist.
+# Fails when README.md or docs/ reference repo files that do not exist, or
+# code members that are declared nowhere.
 #
-# Two kinds of references are checked, from the repository root:
+# Three kinds of references are checked, from the repository root:
 #   - markdown links with a relative target:          [text](docs/foo.md)
 #   - backticked repo paths under a known top-level:  `src/pec/exposure.h`
+#   - backticked members:                             `PecOptions::tolerance`
 # External links (scheme://...) and anchors are ignored. Backticked paths
-# may carry a trailing ":line" or be a directory.
+# may carry a trailing ":line" or be a directory. A member passes when some
+# file under src/ or tools/ that declares the type (struct, class, enum or
+# namespace of that name) declares the member outside a comment line: the
+# name followed by one of = ; ( { [ , after optional spaces. `std::` names
+# are skipped.
 set -u
 cd "$(dirname "$0")/.."
 
@@ -49,6 +55,28 @@ for doc in $docs; do
     check "$doc" "$ref"
   done < <(grep -oE '`(src|docs|examples|tests|bench|scripts|tools|\.github)/[^`]+`' "$doc" \
            | tr -d '`')
+done
+
+# check_member <doc> <Type::member...>
+check_member() {
+  local doc="$1" type="${2%%::*}" member="${2#*::}"
+  member="${member%%[!A-Za-z0-9_]*}"
+  [ "$type" = std ] && return
+  local files
+  files=$(grep -rlE "\b(struct|class|enum|namespace)[[:space:]]+$type\b" src tools)
+  if [ -z "$files" ] ||
+     ! grep -hvE '^[[:space:]]*//' $files |
+       grep -qE "\b$member\b[[:space:]]*[=;({[,]"; then
+    echo "UNDECLARED: $doc -> $type::$member"
+    fail=1
+  fi
+}
+
+for doc in $docs; do
+  while IFS= read -r ref; do
+    check_member "$doc" "$ref"
+  done < <(grep -oE '`[A-Za-z_][A-Za-z0-9_]*::[A-Za-z_][A-Za-z0-9_]*' "$doc" \
+           | tr -d '`' | sort -u)
 done
 
 if [ "$fail" -ne 0 ]; then

@@ -14,6 +14,8 @@ PecResult correct_proximity(const ShotList& shots, const Psf& psf,
   expects(!shots.empty(), "correct_proximity: empty shot list");
   expects(options.target > 0, "correct_proximity: target must be positive");
   expects(options.max_iterations > 0, "correct_proximity: need >= 1 iteration");
+  expects(options.min_dose <= options.max_dose,
+          "correct_proximity: min_dose must not exceed max_dose");
 
   // shard_size > 0 selects the sharded pipeline: per-shard memory, shards
   // corrected concurrently, cross-shard coupling via halo-exchange rounds.
@@ -55,7 +57,8 @@ PecResult correct_proximity(const ShotList& shots, const Psf& psf,
     const double update_tol =
         jacobi_update_tolerance(delta_mode, options.tolerance, max_err);
     for (std::size_t i = 0; i < doses.size(); ++i) {
-      doses[i] = jacobi_updated_dose(doses[i], e[i], update_tol, options);
+      doses[i] = jacobi_updated_dose(doses[i], e[i], update_tol, options.target,
+                                     options.min_dose, options.max_dose);
     }
     eval.set_doses(doses);
   }
@@ -81,15 +84,12 @@ PecResult correct_proximity(const ShotList& shots, const Psf& psf,
   return result;
 }
 
-PecResult density_pec(const ShotList& shots, const Psf& psf, const PecOptions& options) {
-  expects(!shots.empty(), "density_pec: empty shot list");
-
+std::vector<double> density_doses(const ShotList& shots, std::size_t active,
+                                  const Psf& psf, const PecOptions& options) {
   // eta = backscattered fraction / forward fraction, taking the
-  // longest-range term as "backscatter" (shared with the sharded warm
-  // start — see backscatter_eta).
-  double max_sigma = 0.0;
-  for (const PsfTerm& t : psf.terms()) max_sigma = std::max(max_sigma, t.sigma);
+  // longest-range term as "backscatter" (see backscatter_eta).
   const double eta = backscatter_eta(psf);
+  const double max_sigma = psf.max_sigma();
 
   // Blurred pattern density at the backscatter range.
   Box frame;
@@ -101,10 +101,9 @@ PecResult density_pec(const ShotList& shots, const Psf& psf, const PecOptions& o
   // One blur at sigma/4 pixels: a 16-pixel kernel radius.
   gaussian_blur(density, max_sigma, options.exposure.threads);
 
-  PecResult result;
-  result.shots = shots;
-  for (Shot& s : result.shots) {
-    const Trapezoid& t = s.shape;
+  std::vector<double> doses(active);
+  for (std::size_t i = 0; i < active; ++i) {
+    const Trapezoid& t = shots[i].shape;
     const double cx = 0.25 * (double(t.xl0) + t.xr0 + t.xl1 + t.xr1);
     const double cy = 0.5 * (double(t.y0) + t.y1);
     // Bilinear sample with out-of-grid pixels contributing 0: centroids of
@@ -112,8 +111,17 @@ PecResult density_pec(const ShotList& shots, const Psf& psf, const PecOptions& o
     // pixel indexing would read a clamped (wrong) border value.
     const double u = std::clamp(density.sample(cx, cy), 0.0, 1.0);
     const double dose = (1.0 + 2.0 * eta) / (1.0 + 2.0 * eta * u);
-    s.dose = std::clamp(dose * options.target, options.min_dose, options.max_dose);
+    doses[i] = std::clamp(dose * options.target, options.min_dose, options.max_dose);
   }
+  return doses;
+}
+
+PecResult density_pec(const ShotList& shots, const Psf& psf, const PecOptions& options) {
+  expects(!shots.empty(), "density_pec: empty shot list");
+  const std::vector<double> doses = density_doses(shots, shots.size(), psf, options);
+  PecResult result;
+  result.shots = shots;
+  for (std::size_t i = 0; i < shots.size(); ++i) result.shots[i].dose = doses[i];
   if (options.dose_classes > 0) quantize_doses(result.shots, options.dose_classes);
 
   ExposureEvaluator eval(result.shots, psf, options.exposure);

@@ -32,10 +32,7 @@ struct PecOptions {
   /// Target in-pattern exposure (relative to unit-dose infinite pattern).
   double target = 1.0;
 
-  /// Jacobi damping factor (1 = undamped).
-  double damping = 1.0;
-
-  /// Dose clamp (machines have a finite dose range).
+  /// Dose clamp (machines have a finite dose range); min_dose <= max_dose.
   double min_dose = 0.1;
   double max_dose = 8.0;
 
@@ -52,33 +49,12 @@ struct PecOptions {
   /// widest PSF sigma — default_shard_size(psf) gives a good value.
   Coord shard_size = 0;
 
-  /// Halo width around each shard, in units of the widest PSF sigma: shots
-  /// within halo_factor * max_sigma of a shard's frame join it as frozen-
-  /// dose ghosts. 4 matches the kernel truncation (contributions beyond
-  /// 4 sigma are below ~1e-6 of a term's weight), so the per-shard solve
-  /// sees everything the global solve sees to that accuracy.
-  double halo_factor = 4.0;
-
   /// Extra halo-exchange rounds after the first per-shard correction pass:
   /// each round re-publishes every shard's boundary doses and re-corrects
   /// with the neighbors' fresh values. Rounds after the first start from
   /// near-converged doses and exit in O(1) iterations; a round that changes
   /// no dose certifies cross-shard convergence and stops early.
   int exchange_rounds = 2;
-
-  /// Sharded solves only: initialize every dose from the closed-form
-  /// density-PEC formula (computed per shard on a coarse backscatter-range
-  /// raster, O(shard) memory) before the first correction round. The halo
-  /// scheme freezes ghost doses for a whole round, so its round-1 error is
-  /// exactly how wrong those frozen doses are: warm-starting from the
-  /// density formula puts ghosts within a few percent of their final values
-  /// instead of at the raw input doses, which both shrinks the round-1
-  /// Jacobi work and leaves far less cross-shard residual for the exchange
-  /// rounds. Accuracy is unaffected — the same per-shard tolerance is
-  /// enforced on the same evaluators. Ignored when the layout degenerates to
-  /// a single shard (no halos to stabilize, and the monolithic solve is the
-  /// bitwise reference for that case).
-  bool density_warm_start = true;
 
   /// Sharded solves only: how many per-shard evaluators may stay resident
   /// across halo-exchange rounds, per ShardPool (src/pec/sharded.h) — the
@@ -192,7 +168,7 @@ struct PecResult {
 
 /// Iterative self-consistent dose correction. The exposure at each shot's
 /// centroid is driven to options.target by multiplicative Jacobi updates:
-///   d_i <- d_i * (target / E_i)^damping
+///   d_i <- clamp(d_i * target / E_i, min_dose, max_dose)
 /// With options.shard_size > 0 the solve runs on the sharded pipeline
 /// (src/pec/sharded.h): the pattern is tiled into square shards corrected
 /// concurrently with frozen-dose halo ghosts and a few halo-exchange rounds.
@@ -214,14 +190,13 @@ inline double jacobi_update_tolerance(bool delta_mode, double tolerance,
 /// per-shard solver so the sharded pipeline's single-shard degenerate case
 /// stays bitwise-identical to the monolithic solve by construction.
 inline double jacobi_updated_dose(double dose, double exposure, double update_tol,
-                                  const PecOptions& options) {
-  if (update_tol > 0 &&
-      std::abs(exposure / options.target - 1.0) < update_tol) {
+                                  double target, double min_dose,
+                                  double max_dose) {
+  if (update_tol > 0 && std::abs(exposure / target - 1.0) < update_tol) {
     return dose;  // frozen this iteration (see jacobi_update_tolerance)
   }
-  const double ratio = options.target / std::max(exposure, 1e-9);
-  return std::clamp(dose * std::pow(ratio, options.damping), options.min_dose,
-                    options.max_dose);
+  const double ratio = target / std::max(exposure, 1e-9);
+  return std::clamp(dose * ratio, min_dose, max_dose);
 }
 
 /// Geometry-density PEC: one blurred-coverage raster at the backscatter
@@ -230,6 +205,14 @@ inline double jacobi_updated_dose(double dose, double exposure, double update_to
 /// (weight ratio of the longest-range term to the rest).
 PecResult density_pec(const ShotList& shots, const Psf& psf,
                       const PecOptions& options = {});
+
+/// The density formula behind density_pec and the sharded warm start: every
+/// shot's coverage on one raster at the backscatter range (pixel = widest
+/// sigma / 4, margin 4 sigma), one blur, then d(u) * options.target clamped
+/// to [min_dose, max_dose] at each of the first @p active shots' centroids.
+/// The remaining shots only contribute coverage.
+std::vector<double> density_doses(const ShotList& shots, std::size_t active,
+                                  const Psf& psf, const PecOptions& options);
 
 /// Snaps doses to @p classes equally-spaced discrete values spanning the
 /// observed [min, max] dose range (a machine dose table). Returns the

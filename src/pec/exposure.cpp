@@ -240,8 +240,8 @@ void box_average(const double* fine, int nx, int ny, int k, int cx0, int cy0,
       threads);
 }
 
-int term_k(double sigma, double pixels_per_sigma, Coord pixel) {
-  return std::max(1, static_cast<int>(sigma / pixels_per_sigma /
+int term_k(double sigma, Coord pixel) {
+  return std::max(1, static_cast<int>(sigma / kPixelsPerSigma /
                                       static_cast<double>(pixel)));
 }
 
@@ -257,7 +257,7 @@ ExposureEvaluator::ExposureEvaluator(ShotList shots, std::size_t active_count,
           "ExposureEvaluator: active count exceeds shot count");
   active_ = active_count == 0 ? shots_.size() : active_count;
   for (const PsfTerm& t : psf.terms()) {
-    (t.sigma >= opt_.long_range_threshold ? long_terms_ : short_terms_).push_back(t);
+    (t.sigma >= kLongRangeThreshold ? long_terms_ : short_terms_).push_back(t);
   }
 
   // All-long PSFs (pure raster evaluation) need no neighbor structure at
@@ -361,7 +361,7 @@ void ExposureEvaluator::build_long_range() {
 
   // The fine base raster: pixel p resolves the finest long-range term. Term
   // t's map takes pixel k_t * p, the largest multiple of p within its own
-  // sigma_t / pixels_per_sigma, so every kernel spans ~4 * pixels_per_sigma
+  // sigma_t / kPixelsPerSigma, so every kernel spans ~4 * kPixelsPerSigma
   // of its own pixels.
   double sigma_min = long_terms_.front().sigma;
   double sigma_max = sigma_min;
@@ -370,10 +370,10 @@ void ExposureEvaluator::build_long_range() {
     sigma_max = std::max(sigma_max, t.sigma);
   }
   const Coord pixel =
-      std::max<Coord>(1, static_cast<Coord>(sigma_min / opt_.pixels_per_sigma));
+      std::max<Coord>(1, static_cast<Coord>(sigma_min / kPixelsPerSigma));
   int k_max = 1;
   for (const PsfTerm& t : long_terms_)
-    k_max = std::max(k_max, term_k(t.sigma, opt_.pixels_per_sigma, pixel));
+    k_max = std::max(k_max, term_k(t.sigma, pixel));
   // Margin per map_margin_sigmas, but never below 2 pixels of the coarsest
   // map: edge centroids need one in-grid bilinear neighbor there, and the
   // blur needs no margin at all (zero padding is exact when every source
@@ -389,7 +389,7 @@ void ExposureEvaluator::build_long_range() {
     // Same origin as the base, ceil(nx / k) x ceil(ny / k) pixels. Clamping
     // the far corner to the coordinate range keeps that count: the base
     // itself ends within the range.
-    const int k = term_k(term.sigma, opt_.pixels_per_sigma, pixel);
+    const int k = term_k(term.sigma, pixel);
     const Coord tp = k * pixel;
     const auto far = [&](Coord origin, int n) {
       return static_cast<Coord>(std::min<Coord64>(

@@ -2,15 +2,16 @@
 // shot list under a sum-of-Gaussians PSF.
 //
 // Two-scale strategy (the same split commercial PEC engines use):
-//   - short-range terms (forward scattering, sigma comparable to feature
-//     size) are summed analytically over neighbor shots within a cutoff,
-//     found through a flat CSR spatial grid;
+//   - short-range terms (forward scattering, sigma below
+//     kLongRangeThreshold) are summed analytically over neighbor shots
+//     within a cutoff, found through a flat CSR spatial grid;
 //   - long-range terms (backscattering, sigma >> feature size) are evaluated
 //     on coarse rasters, one per term: dose-weighted coverage, Gaussian
 //     convolution, bilinear interpolation at the query point.
 // The split keeps evaluation O(neighbors) per point instead of O(shots),
-// with error bounded by the raster pixel (<= sigma/4) and the cutoff_sigmas
-// truncation (< 1e-6 of the term weight at the default 4 sigma).
+// with error bounded by the raster pixel (<= sigma / kPixelsPerSigma) and
+// the cutoff_sigmas truncation (< 1e-6 of the term weight at the default 4
+// sigma).
 //
 // Throughput design (the PEC inner loop calls this millions of times):
 //   - Neighbor queries are zero-allocation: the grid is a flat CSR layout
@@ -19,14 +20,14 @@
 //     thread-local scratch — no per-query vector, sort, or unique.
 //   - Every long-range term gets its own map, all sharing one origin: the
 //     base pixel p resolves the finest long term (sigma_min /
-//     pixels_per_sigma), and term t samples at k_t * p, the largest integer
-//     multiple of p within its own sigma_t / pixels_per_sigma. Each shot's
+//     kPixelsPerSigma), and term t samples at k_t * p, the largest integer
+//     multiple of p within its own sigma_t / kPixelsPerSigma. Each shot's
 //     sparse footprint on the fine base (pixel, coverage-fraction) is
 //     computed once at construction and cached in a pixel-major CSR ("splat
 //     cache"); set_doses re-accumulates the fine base as a dose-weighted sum
 //     of cached splats, then box-averages it onto each term's map (coverage
 //     is additive, so this step is exact) and blurs there. Every kernel is
-//     then about 4 * pixels_per_sigma pixels wide, so one blur suffices: the
+//     then about 4 * kPixelsPerSigma pixels wide, so one blur suffices: the
 //     separable sliding-window passes.
 //   - Dose updates are incremental (ExposureOptions::delta_threshold): the
 //     evaluator tracks per-shot dose deltas, and when only a minority of
@@ -55,20 +56,17 @@
 
 namespace ebl {
 
+/// PSF terms with sigma >= this many dbu go to the raster path; narrower
+/// ones are summed analytically over neighbors.
+inline constexpr double kLongRangeThreshold = 400.0;
+
+/// Long-range map resolution: each term's map pixel is the largest multiple
+/// of the base pixel (finest long-range sigma / this factor) within the
+/// term's own sigma / this factor, so every kernel spans about 4x this many
+/// pixels (radius 16).
+inline constexpr double kPixelsPerSigma = 4.0;
+
 struct ExposureOptions {
-  /// Terms with sigma >= this many dbu go to the raster path; others are
-  /// analytic. The default sends everything below 400 dbu to the analytic
-  /// path. Lowering it trades accuracy (raster error ~ pixel/sigma) for
-  /// speed on mid-range terms.
-  double long_range_threshold = 400.0;
-
-  /// Long-range map resolution (accuracy/speed knob): each term's map pixel
-  /// is the largest multiple of the base pixel (finest long-range sigma /
-  /// this factor) that stays within the term's own sigma / this factor, so
-  /// every kernel spans about 4x this many pixels. Larger means finer maps:
-  /// cost scales quadratically, error falls roughly quadratically.
-  double pixels_per_sigma = 4.0;
-
   /// Analytic neighbor cutoff in sigmas. 4 keeps the truncation error below
   /// ~1e-6 of each short term's weight; raise it when validating against
   /// brute-force references at tighter tolerances.
@@ -386,10 +384,10 @@ void box_average(const double* fine, int nx, int ny, int k, int cx0, int cy0,
                  int cw, int ch, double* dst, int threads = 0);
 
 /// Coarsening factor of a PSF term's blur map over a @p pixel grid: the
-/// largest k >= 1 with k * pixel within sigma / pixels_per_sigma (1 when
+/// largest k >= 1 with k * pixel within sigma / kPixelsPerSigma (1 when
 /// sigma is narrower), so a kernel on k * pixel pixels spans about
-/// 4 * pixels_per_sigma of them each way. The PEC evaluator's term maps and
+/// 4 * kPixelsPerSigma of them each way. The PEC evaluator's term maps and
 /// simulate_exposure both size their maps with it.
-int term_k(double sigma, double pixels_per_sigma, Coord pixel);
+int term_k(double sigma, Coord pixel);
 
 }  // namespace ebl

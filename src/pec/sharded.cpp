@@ -34,6 +34,11 @@ double ms_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
+// Halo width in widest-PSF sigmas: the kernel truncation (beyond 4 sigma a
+// term contributes < ~1e-6 of its weight), so a shard solve sees everything
+// the global solve sees to that accuracy.
+constexpr double kHaloSigmas = 4.0;
+
 // Shard indices are relative to the pattern bbox corner — the packed-key /
 // occupied-slot machinery is util/gridkeys.h, shared with the field
 // partitioner. Only occupied shards (>= 1 owned shot) materialize, so
@@ -183,9 +188,10 @@ constexpr double kShardToleranceSlack = 0.5;
 // directly, a pec_worker daemon via the same function). Active and ghost
 // lists carry the published doses of the round snapshot.
 wire::ShardJob make_job(const ShotList& shots, const Psf& psf,
-                        const PecOptions& options, const ShardLayout& L,
-                        std::size_t slot, const std::vector<double>& doses,
-                        bool correct, double tol, bool allow_optimistic,
+                        const PecOptions& options, int threads,
+                        const ShardLayout& L, std::size_t slot,
+                        const std::vector<double>& doses, bool correct,
+                        double tol, bool allow_optimistic,
                         std::uint64_t session_id) {
   const std::uint32_t* active = L.active_items.data() + L.active_start[slot];
   const std::size_t na = L.active_start[slot + 1] - L.active_start[slot];
@@ -199,7 +205,13 @@ wire::ShardJob make_job(const ShotList& shots, const Psf& psf,
   job.allow_optimistic = allow_optimistic;
   job.tolerance = tol;
   job.psf_terms.assign(psf.terms().begin(), psf.terms().end());
-  job.options = options;
+  job.max_iterations = options.max_iterations;
+  job.target = options.target;
+  job.min_dose = options.min_dose;
+  job.max_dose = options.max_dose;
+  job.resident_shard_budget = options.resident_shard_budget;
+  job.exposure = options.exposure;
+  job.exposure.threads = threads;
   job.active.reserve(na);
   for (std::size_t k = 0; k < na; ++k)
     job.active.push_back(Shot{shots[active[k]].shape, doses[active[k]]});
@@ -233,20 +245,15 @@ ShardOutcome apply_result(const ShardLayout& L, std::size_t slot,
   return out;
 }
 
-// Density-formula warm start: every shot's initial dose from the closed-form
-// equalization d(u) = (1 + 2 eta) / (1 + 2 eta u), with u the local
-// backscatter-blurred pattern density computed per shard on a coarse raster
-// over shard + halo (O(shard) memory, halo = kernel truncation, so the local
-// density equals the global one to the same 1e-6 the halo scheme already
-// accepts). Each shard writes only its own shots' doses, so the sweep is
-// deterministic for any thread count.
+// Density-formula warm start: every shot's initial dose from density_doses
+// over its shard + halo (O(shard) memory; the halo is the kernel truncation,
+// so the local density is the global one to 1e-6). Ghosts then enter round 1
+// near their final doses instead of at the raw input ones. Each shard writes
+// only its own shots' doses, so the sweep is deterministic for any thread
+// count.
 void density_warm_start(const ShotList& shots, const Psf& psf,
                         const PecOptions& options, const ShardLayout& L,
                         std::vector<double>* doses) {
-  const double eta = backscatter_eta(psf);
-  const double max_sigma = psf.max_sigma();
-  const Coord pixel = std::max<Coord>(1, static_cast<Coord>(max_sigma / 4.0));
-  const Coord margin = static_cast<Coord>(std::ceil(4.0 * max_sigma));
   parallel_for(
       L.count,
       [&](std::size_t s0, std::size_t s1) {
@@ -255,26 +262,12 @@ void density_warm_start(const ShotList& shots, const Psf& psf,
           const std::size_t na = L.active_start[slot + 1] - L.active_start[slot];
           const std::uint32_t* ghosts = L.ghost_items.data() + L.ghost_start[slot];
           const std::size_t ng = L.ghost_start[slot + 1] - L.ghost_start[slot];
-          Box frame;
-          for (std::size_t k = 0; k < na; ++k)
-            frame += shots[active[k]].shape.bbox();
-          for (std::size_t k = 0; k < ng; ++k)
-            frame += shots[ghosts[k]].shape.bbox();
-          Raster density(frame.bloated(margin), pixel);
-          for (std::size_t k = 0; k < na; ++k)
-            density.add_coverage(shots[active[k]].shape, 1.0);
-          for (std::size_t k = 0; k < ng; ++k)
-            density.add_coverage(shots[ghosts[k]].shape, 1.0);
-          gaussian_blur(density, max_sigma, options.exposure.threads);
-          for (std::size_t k = 0; k < na; ++k) {
-            const Trapezoid& t = shots[active[k]].shape;
-            const double cx = 0.25 * (double(t.xl0) + t.xr0 + t.xl1 + t.xr1);
-            const double cy = 0.5 * (double(t.y0) + t.y1);
-            const double u = std::clamp(density.sample(cx, cy), 0.0, 1.0);
-            const double dose = (1.0 + 2.0 * eta) / (1.0 + 2.0 * eta * u);
-            (*doses)[active[k]] =
-                std::clamp(dose * options.target, options.min_dose, options.max_dose);
-          }
+          ShotList local;
+          local.reserve(na + ng);
+          for (std::size_t k = 0; k < na; ++k) local.push_back(shots[active[k]]);
+          for (std::size_t k = 0; k < ng; ++k) local.push_back(shots[ghosts[k]]);
+          const std::vector<double> d = density_doses(local, na, psf, options);
+          for (std::size_t k = 0; k < na; ++k) (*doses)[active[k]] = d[k];
         }
       },
       options.exposure.threads);
@@ -311,7 +304,8 @@ class ShardExecutor {
  public:
   ShardExecutor(const ShotList& shots, const Psf& psf, const PecOptions& options,
                 const ShardLayout& L)
-      : shots_(shots), psf_(psf), options_(options), L_(L), job_options_(options) {
+      : shots_(shots), psf_(psf), options_(options), L_(L),
+        job_threads_(options.exposure.threads) {
     if (options.worker_count > 0 || !options.worker_hosts.empty()) start_workers();
   }
 
@@ -379,8 +373,8 @@ class ShardExecutor {
 
  private:
   wire::ShardJob job(const SweepCtx& ctx, std::size_t slot) const {
-    return make_job(shots_, psf_, job_options_, L_, slot, *ctx.doses, ctx.correct,
-                    ctx.tol, ctx.allow_optimistic, session_);
+    return make_job(shots_, psf_, options_, job_threads_, L_, slot, *ctx.doses,
+                    ctx.correct, ctx.tol, ctx.allow_optimistic, session_);
   }
 
   // The one local sweep: residency for the whole run set is planned before
@@ -439,7 +433,7 @@ class ShardExecutor {
     // One driver process + N workers share the machine: each worker gets an
     // equal slice of the resolved thread budget (>= 1). Thread count never
     // changes results, only scheduling.
-    job_options_.exposure.threads =
+    job_threads_ =
         std::max(1, resolve_threads(options_.exposure.threads) / workers_n_);
 
     // Session tag: workers drop stale resident evaluators if a long-lived
@@ -463,7 +457,7 @@ class ShardExecutor {
   const Psf& psf_;
   const PecOptions& options_;
   const ShardLayout& L_;
-  PecOptions job_options_;  ///< options as put in jobs (per-worker threads)
+  int job_threads_;         ///< threads as put in jobs (per-worker share)
   ShardPool pool_;          ///< the driver's own resident evaluators
   std::uint64_t session_ = 0;
   int workers_n_ = 0;
@@ -491,7 +485,6 @@ wire::ShardResult solve_shard_job(const wire::ShardJob& job,
                                   std::unique_ptr<ExposureEvaluator>* pool_slot) {
   const auto t0 = std::chrono::steady_clock::now();
   const Psf psf = Psf::from_terms(job.psf_terms);
-  const PecOptions& options = job.options;
   const std::size_t na = job.active.size();
   const std::size_t ng = job.ghosts.size();
   expects(na > 0, "solve_shard_job: shard without active shots");
@@ -519,7 +512,7 @@ wire::ShardResult solve_shard_job(const wire::ShardJob& job,
     // Centroid queries never leave the shard bbox, so the local long-range
     // map drops its off-pattern sampling margin — on small shards the dead
     // border would otherwise rival the shard itself.
-    ExposureOptions eopt = options.exposure;
+    ExposureOptions eopt = job.exposure;
     eopt.map_margin_sigmas = 0.0;
     transient = std::make_unique<ExposureEvaluator>(std::move(local), na, psf, eopt);
     eval = transient.get();
@@ -529,21 +522,22 @@ wire::ShardResult solve_shard_job(const wire::ShardJob& job,
   std::vector<double> d(na);
   for (std::size_t k = 0; k < na; ++k) d[k] = job.active[k].dose;
 
-  const bool delta_mode = options.exposure.delta_threshold > 0;
+  const bool delta_mode = job.exposure.delta_threshold > 0;
   wire::ShardResult out;
   out.shard_key = job.shard_key;
   for (int iter = 0;; ++iter) {
     const std::vector<double> e = eval->exposures_at_centroids();
     double max_err = 0.0;
-    for (double ei : e) max_err = std::max(max_err, std::abs(ei / options.target - 1.0));
+    for (double ei : e) max_err = std::max(max_err, std::abs(ei / job.target - 1.0));
     if (iter == 0) out.entry_error = max_err;
     out.exit_error = max_err;
-    if (max_err < job.tolerance || !job.correct || iter >= options.max_iterations)
+    if (max_err < job.tolerance || !job.correct || iter >= job.max_iterations)
       break;
     const double update_tol =
         jacobi_update_tolerance(delta_mode, job.tolerance, max_err);
     for (std::size_t k = 0; k < na; ++k) {
-      d[k] = jacobi_updated_dose(d[k], e[k], update_tol, options);
+      d[k] = jacobi_updated_dose(d[k], e[k], update_tol, job.target, job.min_dose,
+                                 job.max_dose);
     }
     out.iterations = iter + 1;
     if (job.allow_optimistic && job.tolerance > 0 &&
@@ -659,11 +653,11 @@ PecResult correct_proximity_sharded(const ShotList& shots, const Psf& psf,
   expects(options.target > 0, "correct_proximity_sharded: target must be positive");
   expects(options.max_iterations > 0,
           "correct_proximity_sharded: need >= 1 iteration");
-  expects(options.halo_factor >= 0,
-          "correct_proximity_sharded: halo_factor must be >= 0");
+  expects(options.min_dose <= options.max_dose,
+          "correct_proximity_sharded: min_dose must not exceed max_dose");
 
   const ShardLayout L = build_layout(shots, options.shard_size,
-                                     options.halo_factor * psf.max_sigma(),
+                                     kHaloSigmas * psf.max_sigma(),
                                      options.exposure.threads);
   const std::size_t ns = L.count;
 
@@ -673,9 +667,7 @@ PecResult correct_proximity_sharded(const ShotList& shots, const Psf& psf,
   // Warm start (multi-shard only: the single-shard degenerate case is the
   // bitwise reference against the monolithic solve, and has no frozen halos
   // for the warm start to stabilize).
-  if (options.density_warm_start && ns > 1) {
-    density_warm_start(shots, psf, options, L, &doses);
-  }
+  if (ns > 1) density_warm_start(shots, psf, options, L, &doses);
   std::vector<double> next = doses;
 
   PecResult result;

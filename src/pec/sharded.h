@@ -13,8 +13,8 @@
 // 64-bit shard indices so >2^31-dbu extents are fine). Each shard owns the
 // shots whose bbox center falls inside its frame and additionally sees a
 // *halo* of ghost shots from neighboring shards — every shot within
-// halo_factor * max_sigma of the frame. A shard solve is the ordinary
-// iterative Jacobi correction over its own shots with the ghosts
+// 4 * max_sigma (the kernel truncation) of the frame. A shard solve is the
+// ordinary iterative Jacobi correction over its own shots with the ghosts
 // contributing exposure at frozen doses (the evaluator's active/background
 // split); per-shard memory is O(shard + halo), so patterns far beyond the
 // global evaluator's reach fit.
@@ -73,7 +73,7 @@ Coord default_shard_size(const Psf& psf);
 /// options.shard_size > 0; correct_proximity forwards here when it is.
 /// The returned final_max_error is measured with every shard's *final*
 /// doses in the halos, so it is comparable to the global corrector's figure
-/// up to the halo truncation (< 1e-6 of a term weight at halo_factor = 4).
+/// up to the halo truncation (< 1e-6 of a term weight at the 4-sigma halo).
 PecResult correct_proximity_sharded(const ShotList& shots, const Psf& psf,
                                     const PecOptions& options);
 

@@ -2,8 +2,8 @@
 
 #include <array>
 #include <bit>
+#include <cmath>
 #include <cstring>
-#include <limits>
 
 #include "util/contracts.h"
 #include "util/subprocess.h"
@@ -82,14 +82,6 @@ struct Reader {
     return static_cast<std::size_t>(n);
   }
 
-  /// @p n raw bytes (length already validated via count()).
-  const char* bytes(std::size_t n) {
-    need(n);
-    const char* at = p;
-    p += n;
-    return at;
-  }
-
   void finish() const {
     if (p != end) throw DataError("wire: trailing bytes after payload");
   }
@@ -107,62 +99,56 @@ struct Reader {
 // --- field-group codecs (kept in one place so job and result stay in
 // lock-step with their decoders; any layout change bumps kVersion) ---
 
-void put_options(Writer& w, const PecOptions& o) {
-  w.i32(o.max_iterations);
-  w.f64(o.tolerance);
-  w.f64(o.target);
-  w.f64(o.damping);
-  w.f64(o.min_dose);
-  w.f64(o.max_dose);
-  w.i32(o.dose_classes);
-  w.i32(o.shard_size);
-  w.f64(o.halo_factor);
-  w.i32(o.exchange_rounds);
-  w.u8(o.density_warm_start ? 1 : 0);
-  w.i32(o.resident_shard_budget);
-  w.i32(o.worker_count);
-  w.f64(o.worker_timeout_ms);
-  w.i32(o.worker_max_restarts);
-  w.u64(o.worker_hosts.size());
-  w.buf.append(o.worker_hosts);
-  const ExposureOptions& e = o.exposure;
-  w.f64(e.long_range_threshold);
-  w.f64(e.pixels_per_sigma);
+void put_solve_fields(Writer& w, const ShardJob& job) {
+  w.i32(job.max_iterations);
+  w.f64(job.target);
+  w.f64(job.min_dose);
+  w.f64(job.max_dose);
+  w.i32(job.resident_shard_budget);
+  const ExposureOptions& e = job.exposure;
   w.f64(e.cutoff_sigmas);
-  w.f64(e.map_margin_sigmas);
   w.i32(e.threads);
   w.f64(e.delta_threshold);
   w.u8(e.fast_erf ? 1 : 0);
 }
 
-PecOptions get_options(Reader& r) {
-  PecOptions o;
-  o.max_iterations = r.i32();
-  o.tolerance = r.f64();
-  o.target = r.f64();
-  o.damping = r.f64();
-  o.min_dose = r.f64();
-  o.max_dose = r.f64();
-  o.dose_classes = r.i32();
-  o.shard_size = r.i32();
-  o.halo_factor = r.f64();
-  o.exchange_rounds = r.i32();
-  o.density_warm_start = r.boolean();
-  o.resident_shard_budget = r.i32();
-  o.worker_count = r.i32();
-  o.worker_timeout_ms = r.f64();
-  o.worker_max_restarts = r.i32();
-  const std::size_t hosts_len = r.count(1);
-  o.worker_hosts.assign(r.bytes(hosts_len), hosts_len);
-  ExposureOptions& e = o.exposure;
-  e.long_range_threshold = r.f64();
-  e.pixels_per_sigma = r.f64();
+void get_solve_fields(Reader& r, ShardJob& job) {
+  job.max_iterations = r.i32();
+  job.target = r.f64();
+  job.min_dose = r.f64();
+  job.max_dose = r.f64();
+  job.resident_shard_budget = r.i32();
+  ExposureOptions& e = job.exposure;
   e.cutoff_sigmas = r.f64();
-  e.map_margin_sigmas = r.f64();
   e.threads = r.i32();
   e.delta_threshold = r.f64();
   e.fast_erf = r.boolean();
-  return o;
+}
+
+// A value no solve can run with is a bad frame: DataError, before it reaches
+// the solver's contracts or std::clamp with inverted bounds.
+void require(bool ok, const char* what) {
+  if (!ok) throw DataError(std::string("wire: job ") + what);
+}
+
+bool positive(double v) { return std::isfinite(v) && v > 0; }
+bool non_negative(double v) { return std::isfinite(v) && v >= 0; }
+
+void validate(const ShardJob& job) {
+  require(non_negative(job.tolerance), "tolerance must be finite and >= 0");
+  for (const PsfTerm& t : job.psf_terms)
+    require(positive(t.weight) && positive(t.sigma),
+            "PSF weight and sigma must be finite and > 0");
+  require(job.max_iterations >= 1, "max_iterations must be >= 1");
+  require(positive(job.target), "target must be finite and > 0");
+  require(positive(job.min_dose) && positive(job.max_dose),
+          "dose bounds must be finite and > 0");
+  require(job.min_dose <= job.max_dose, "min_dose exceeds max_dose");
+  require(positive(job.exposure.cutoff_sigmas),
+          "cutoff_sigmas must be finite and > 0");
+  require(job.exposure.threads >= 0, "threads must be >= 0");
+  require(non_negative(job.exposure.delta_threshold),
+          "delta_threshold must be finite and >= 0");
 }
 
 void put_shots(Writer& w, const ShotList& shots) {
@@ -235,7 +221,7 @@ std::string encode(const ShardJob& job) {
     w.f64(t.weight);
     w.f64(t.sigma);
   }
-  put_options(w, job.options);
+  put_solve_fields(w, job);
   put_shots(w, job.active);
   put_shots(w, job.ghosts);
   return std::move(w.buf);
@@ -257,10 +243,11 @@ ShardJob decode_shard_job(std::string_view payload) {
     t.weight = r.f64();
     t.sigma = r.f64();
   }
-  job.options = get_options(r);
+  get_solve_fields(r, job);
   job.active = get_shots(r);
   job.ghosts = get_shots(r);
   r.finish();
+  validate(job);
   return job;
 }
 

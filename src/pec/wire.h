@@ -56,7 +56,10 @@ inline constexpr std::uint32_t kMagic = 0x574C4245;  // "EBLW" little-endian
 /// (always on), so a job is three bytes shorter. Exact-match skew rule.
 /// v6: ExposureOptions lost its blur-backend byte (the evaluator has one
 /// blur), so a job is one byte shorter. Exact-match skew rule.
-inline constexpr std::uint32_t kVersion = 6;
+/// v7: a job no longer carries the driver's PecOptions, only the 9 option
+/// values a shard solve reads (see ShardJob), and decode_shard_job rejects
+/// out-of-range solve fields. Exact-match skew rule.
+inline constexpr std::uint32_t kVersion = 7;
 /// Written as-is by every encoder; a reader that sees its bytes reversed is
 /// looking at a stream produced by a writer that did not follow the
 /// little-endian convention (or at garbage) and must reject it.
@@ -111,11 +114,18 @@ struct ShardJob {
   /// renormalization, so the worker's PSF is bit-identical).
   std::vector<PsfTerm> psf_terms;
 
-  /// Solve knobs. The worker honors target/damping/clamps/max_iterations and
-  /// every ExposureOptions field; resident_shard_budget sizes the worker's
-  /// own evaluator pool. worker_count/worker_path are carried for
-  /// completeness but ignored by workers (no recursive fan-out).
-  PecOptions options;
+  /// The solve knobs, as the driver's PecOptions has them: the Jacobi
+  /// iteration cap, the target exposure and the dose clamp. A worker sizes
+  /// its own evaluator pool by resident_shard_budget, and runs the job on at
+  /// most its own thread count whatever exposure.threads asks.
+  /// exposure.map_margin_sigmas does not cross the wire: the solve forces it
+  /// to 0.
+  std::int32_t max_iterations = PecOptions{}.max_iterations;
+  double target = PecOptions{}.target;
+  double min_dose = PecOptions{}.min_dose;
+  double max_dose = PecOptions{}.max_dose;
+  std::int32_t resident_shard_budget = PecOptions{}.resident_shard_budget;
+  ExposureOptions exposure;
 
   ShotList active;  ///< the shard's own shots at their published doses
   ShotList ghosts;  ///< halo ghosts at frozen doses, in driver (CSR) order
@@ -173,7 +183,11 @@ std::string encode(const HelloAck& ack);
 std::string encode_token(std::uint64_t token);
 
 /// Decode a payload. Throws DataError on truncation, trailing bytes, or
-/// out-of-range enum/count values.
+/// out-of-range enum/count values, and for a job also on any solve field no
+/// solve can run with: a non-finite or non-positive target, dose bound, PSF
+/// weight or sigma, or cutoff_sigmas; min_dose > max_dose; a non-finite or
+/// negative tolerance or delta_threshold; max_iterations < 1; negative
+/// threads.
 ShardJob decode_shard_job(std::string_view payload);
 ShardResult decode_shard_result(std::string_view payload);
 Hello decode_hello(std::string_view payload);

@@ -67,10 +67,9 @@ Raster simulate_exposure(const ShotList& shots, const Psf& psf,
 
   // Every term convolves the same dose map, each at the evaluator's per-term
   // map resolution (see the header comment).
-  const double pixels_per_sigma = ExposureOptions{}.pixels_per_sigma;
   Raster result(frame.bloated(margin), pixel);
   for (const PsfTerm& term : psf.terms()) {
-    const int k = term_k(term.sigma, pixels_per_sigma, pixel);
+    const int k = term_k(term.sigma, pixel);
     if (k > 1) {
       add_coarse_term(base, term, k, options.threads, result);
       continue;

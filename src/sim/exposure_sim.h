@@ -29,13 +29,13 @@ struct SimOptions {
 /// dose followed by one separable Gaussian convolution per PSF term.
 /// Normalization: infinite unit-dose pattern -> exposure 1.0.
 ///
-/// Each term is blurred at the coarsening factor k = term_k(sigma,
-/// ExposureOptions{}.pixels_per_sigma, pixel) — the PEC evaluator's per-term
-/// map rule. A term with k == 1 (sigma under 8 pixels) is blurred directly at
-/// the simulation pixel. A wider term's dose map is box-averaged onto a map k
-/// times coarser (one coarse pixel wider than the frame on every side),
-/// blurred there, and read back bilinearly at every pixel centre, so a
-/// backscatter kernel costs a few dozen taps per pass instead of hundreds.
+/// Each term is blurred at the coarsening factor k = term_k(sigma, pixel) —
+/// the PEC evaluator's per-term map rule. A term with k == 1 (sigma under 8
+/// pixels) is blurred directly at the simulation pixel. A wider term's dose
+/// map is box-averaged onto a map k times coarser (one coarse pixel wider
+/// than the frame on every side), blurred there, and read back bilinearly at
+/// every pixel centre, so a backscatter kernel costs a few dozen taps per
+/// pass instead of hundreds.
 /// Throws DataError when the frame spans more than INT_MAX pixels on an axis.
 Raster simulate_exposure(const ShotList& shots, const Psf& psf,
                          const SimOptions& options = {});

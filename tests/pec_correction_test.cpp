@@ -76,7 +76,7 @@ TEST(ExposureEvaluator, TripleGaussianMatchesBruteForceAnalytic) {
   const ExposureEvaluator eval(shots, psf);
   double long_weight = 0.0;
   for (const PsfTerm& t : psf.terms())
-    if (t.sigma >= ExposureOptions{}.long_range_threshold) long_weight += t.weight;
+    if (t.sigma >= kLongRangeThreshold) long_weight += t.weight;
   const double tol = long_weight / 50.0;
   for (const auto& probe : {std::pair{10000.0, 10000.0},  // pad interior
                             {3000.0, 17000.0},            // near a pad corner

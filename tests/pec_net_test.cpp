@@ -47,6 +47,7 @@
 #include "pec/wire.h"
 #include "util/contracts.h"
 #include "util/net.h"
+#include "util/parallel.h"
 #include "util/subprocess.h"
 
 namespace ebl {
@@ -303,7 +304,7 @@ wire::ShardJob tiny_job(std::uint64_t session, std::uint64_t seq) {
   job.tolerance = 0.01;
   const Psf psf = test_psf();
   job.psf_terms.assign(psf.terms().begin(), psf.terms().end());
-  job.options.max_iterations = 4;
+  job.max_iterations = 4;
   job.active = {Shot{{0, 1000, 0, 1000, 0, 1000}, 1.0},
                 Shot{{1500, 2500, 0, 1000, 0, 1000}, 1.0}};
   return job;
@@ -422,6 +423,53 @@ TEST(PecNet, ProtocolMismatchRejectedWithoutKillingDaemon) {
   wire::HelloAck ack;
   net::TcpSocket good = connect_and_hello(daemon.port, 10, &ack);
   EXPECT_EQ(ack.session_id, 10u);
+}
+
+// The Threads: line of /proc/<pid>/status, or -1 when unreadable.
+int process_threads(pid_t pid) {
+  std::FILE* f = std::fopen(("/proc/" + std::to_string(pid) + "/status").c_str(), "r");
+  if (!f) return -1;
+  char line[256];
+  int threads = -1;
+  while (std::fgets(line, sizeof(line), f))
+    if (std::sscanf(line, "Threads: %d", &threads) == 1) break;
+  std::fclose(f);
+  return threads;
+}
+
+// A job may ask for any thread count; the daemon runs it on at most its own
+// resolve_threads(0), so an absurd request neither changes a bit nor leaves
+// the daemon's pool holding thousands of threads.
+TEST(PecNet, DaemonCapsJobThreadsAtItsOwn) {
+  if (!worker_available()) GTEST_SKIP() << "pec_worker binary not built";
+  ListeningChild daemon = spawn_daemon();
+  const std::uint64_t session = 51;
+  wire::HelloAck ack;
+  net::TcpSocket s = connect_and_hello(daemon.port, session, &ack);
+
+  wire::ShardJob job = tiny_job(session, 0);
+  job.active = dense_grid_shots(40000);  // 200 shots: work for 200 threads
+  // Transient solves: a resident evaluator would keep the first job's
+  // thread count.
+  job.resident_shard_budget = 0;
+  std::vector<wire::ShardResult> got;
+  for (const int threads : {1, 1 << 16}) {
+    job.exposure.threads = threads;
+    wire::write_frame(s.fd(), wire::MsgType::kShardJob, wire::encode(job),
+                      after_ms(5000));
+    const std::string raw = read_raw_frame(s.fd());
+    got.push_back(wire::decode_shard_result(std::string_view(raw).substr(
+        wire::kFrameHeaderSize, raw.size() - wire::kFrameHeaderSize - 4)));
+  }
+  ASSERT_EQ(got[1].doses.size(), got[0].doses.size());
+  for (std::size_t i = 0; i < got[0].doses.size(); ++i)
+    EXPECT_EQ(bits(got[1].doses[i]), bits(got[0].doses[i])) << "dose " << i;
+  EXPECT_EQ(bits(got[1].exit_error), bits(got[0].exit_error));
+  EXPECT_EQ(got[1].iterations, got[0].iterations);
+
+  const int threads = process_threads(daemon.proc.pid());
+  ASSERT_GT(threads, 0);
+  EXPECT_LE(threads, resolve_threads(0));
 }
 
 // ---- Graceful shutdown, and no orphans ----

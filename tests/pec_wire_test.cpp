@@ -48,26 +48,16 @@ wire::ShardJob sample_job() {
   job.allow_optimistic = true;
   job.tolerance = 1.0 / 3.0;
   job.psf_terms = {{1.0 / 1.7, 50.0}, {0.7 / 1.7, 3000.0}};
-  job.options.max_iterations = 17;
-  job.options.tolerance = 0.01;
-  job.options.target = std::nextafter(1.0, 2.0);
-  job.options.damping = 0.9;
-  job.options.min_dose = std::numeric_limits<double>::denorm_min();
-  job.options.max_dose = 8.0;
-  job.options.dose_classes = 64;
-  job.options.shard_size = 30000;
-  job.options.halo_factor = 4.0;
-  job.options.exchange_rounds = 3;
-  job.options.density_warm_start = false;
-  job.options.resident_shard_budget = 5;
-  job.options.worker_count = 3;
-  job.options.worker_hosts = "127.0.0.1:9000,worker-b:9001";
-  job.options.worker_timeout_ms = 1234.5;
-  job.options.worker_max_restarts = 7;
-  job.options.exposure.pixels_per_sigma = 4.5;
-  job.options.exposure.threads = 2;
-  job.options.exposure.delta_threshold = 1e-7;
-  job.options.exposure.fast_erf = false;
+  job.max_iterations = 17;
+  job.target = std::nextafter(1.0, 2.0);
+  job.min_dose = std::numeric_limits<double>::denorm_min();
+  job.max_dose = 8.0;
+  job.resident_shard_budget = 5;
+  job.exposure.cutoff_sigmas = 4.25;
+  job.exposure.map_margin_sigmas = 1.5;  // not on the wire
+  job.exposure.threads = 2;
+  job.exposure.delta_threshold = 1e-7;
+  job.exposure.fast_erf = false;
   job.active = {Shot{{-10, 5, -2000000000, -5, -7, 0}, 0.1},
                 Shot{{0, 1000, 0, 2000000000, 10, 1999999999}, 1e300}};
   job.ghosts = {Shot{{3, 7, 1, 2, 1, 2}, 4.9e-324}};
@@ -91,25 +81,88 @@ TEST(Wire, JobRoundTripIsBitExact) {
     EXPECT_EQ(bits(back.psf_terms[i].weight), bits(job.psf_terms[i].weight));
     EXPECT_EQ(bits(back.psf_terms[i].sigma), bits(job.psf_terms[i].sigma));
   }
-  EXPECT_EQ(back.options.max_iterations, job.options.max_iterations);
-  EXPECT_EQ(bits(back.options.target), bits(job.options.target));
-  EXPECT_EQ(bits(back.options.min_dose), bits(job.options.min_dose));
-  EXPECT_EQ(back.options.dose_classes, job.options.dose_classes);
-  EXPECT_EQ(back.options.density_warm_start, job.options.density_warm_start);
-  EXPECT_EQ(back.options.worker_count, job.options.worker_count);
-  EXPECT_EQ(back.options.worker_hosts, job.options.worker_hosts);
-  EXPECT_EQ(bits(back.options.worker_timeout_ms), bits(job.options.worker_timeout_ms));
-  EXPECT_EQ(back.options.worker_max_restarts, job.options.worker_max_restarts);
-  EXPECT_EQ(bits(back.options.exposure.delta_threshold),
-            bits(job.options.exposure.delta_threshold));
-  EXPECT_EQ(back.options.exposure.fast_erf, job.options.exposure.fast_erf);
+  EXPECT_EQ(back.max_iterations, job.max_iterations);
+  EXPECT_EQ(bits(back.target), bits(job.target));
+  EXPECT_EQ(bits(back.min_dose), bits(job.min_dose));
+  EXPECT_EQ(bits(back.max_dose), bits(job.max_dose));
+  EXPECT_EQ(back.resident_shard_budget, job.resident_shard_budget);
+  EXPECT_EQ(bits(back.exposure.cutoff_sigmas), bits(job.exposure.cutoff_sigmas));
+  EXPECT_EQ(back.exposure.threads, job.exposure.threads);
+  EXPECT_EQ(bits(back.exposure.delta_threshold),
+            bits(job.exposure.delta_threshold));
+  EXPECT_EQ(back.exposure.fast_erf, job.exposure.fast_erf);
+  // The solve forces the map margin to 0, so it stays off the wire.
+  EXPECT_EQ(back.exposure.map_margin_sigmas, ExposureOptions{}.map_margin_sigmas);
   ASSERT_EQ(back.active.size(), job.active.size());
   for (std::size_t i = 0; i < job.active.size(); ++i) {
     EXPECT_EQ(back.active[i].shape, job.active[i].shape);
     EXPECT_EQ(bits(back.active[i].dose), bits(job.active[i].dose));
   }
   ASSERT_EQ(back.ghosts.size(), job.ghosts.size());
+  EXPECT_EQ(back.ghosts[0].shape, job.ghosts[0].shape);
   EXPECT_EQ(bits(back.ghosts[0].dose), bits(job.ghosts[0].dose));
+}
+
+// Every solve field a worker reads is range-checked on decode: a job no
+// solve can run with is a bad frame (DataError), never a contract failure
+// or undefined behaviour in the solver.
+TEST(Wire, DecodeRejectsOutOfRangeSolveFields) {
+  ASSERT_NO_THROW(wire::decode_shard_job(wire::encode(sample_job())));
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto rejects = [](void (*edit)(wire::ShardJob&, double), double v) {
+    wire::ShardJob job = sample_job();
+    edit(job, v);
+    try {
+      wire::decode_shard_job(wire::encode(job));
+    } catch (const DataError&) {
+      return true;
+    }
+    return false;
+  };
+  const struct {
+    const char* field;
+    void (*edit)(wire::ShardJob&, double);
+    std::vector<double> bad;
+  } cases[] = {
+      {"target", [](wire::ShardJob& j, double v) { j.target = v; },
+       {0.0, -1.0, inf, nan}},
+      {"min_dose", [](wire::ShardJob& j, double v) { j.min_dose = v; },
+       {0.0, -0.1, nan, 9.0 /* > max_dose */}},
+      {"max_dose", [](wire::ShardJob& j, double v) { j.max_dose = v; },
+       {0.0, -8.0, inf, nan}},
+      {"tolerance", [](wire::ShardJob& j, double v) { j.tolerance = v; },
+       {-1e-9, inf, nan}},
+      {"max_iterations",
+       [](wire::ShardJob& j, double v) { j.max_iterations = static_cast<int>(v); },
+       {0.0, -3.0}},
+      {"threads",
+       [](wire::ShardJob& j, double v) { j.exposure.threads = static_cast<int>(v); },
+       {-1.0}},
+      {"delta_threshold",
+       [](wire::ShardJob& j, double v) { j.exposure.delta_threshold = v; },
+       {-1e-4, inf, nan}},
+      {"cutoff_sigmas",
+       [](wire::ShardJob& j, double v) { j.exposure.cutoff_sigmas = v; },
+       {0.0, -4.0, inf, nan}},
+      {"psf weight", [](wire::ShardJob& j, double v) { j.psf_terms[1].weight = v; },
+       {0.0, -0.5, inf, nan}},
+      {"psf sigma", [](wire::ShardJob& j, double v) { j.psf_terms[0].sigma = v; },
+       {0.0, -50.0, inf, nan}},
+  };
+  for (const auto& c : cases)
+    for (const double v : c.bad)
+      EXPECT_TRUE(rejects(c.edit, v)) << c.field << " = " << v;
+
+  // The boundaries themselves are legal: a zero tolerance or delta
+  // threshold, equal dose bounds, and a single iteration.
+  wire::ShardJob edge = sample_job();
+  edge.tolerance = 0.0;
+  edge.exposure.delta_threshold = 0.0;
+  edge.min_dose = edge.max_dose = 1.0;
+  edge.max_iterations = 1;
+  edge.exposure.threads = 0;
+  EXPECT_NO_THROW(wire::decode_shard_job(wire::encode(edge)));
 }
 
 TEST(Wire, SessionFramesRoundTripAndValidate) {
@@ -196,6 +249,9 @@ TEST(Wire, FrameHeaderRoundTripAndRejections) {
   // it would misframe everything after the first payload.
   bad = h;
   bad[4] = static_cast<char>(wire::kVersion + 1);
+  EXPECT_THROW(wire::parse_frame_header(bad), DataError);
+  bad = h;
+  bad[4] = 6;  // v6: jobs carrying the driver's whole PecOptions
   EXPECT_THROW(wire::parse_frame_header(bad), DataError);
   bad = h;
   bad[4] = 5;  // v5: exposure options with the blur-backend byte
@@ -338,7 +394,7 @@ TEST(Wire, WorkerCliSolvesAJobBitExactly) {
   job.tolerance = 0.001;
   const Psf psf = Psf::single_gaussian(300.0);
   job.psf_terms.assign(psf.terms().begin(), psf.terms().end());
-  job.options.max_iterations = 8;
+  job.max_iterations = 8;
   job.active = {Shot{{0, 1000, 0, 1000, 0, 1000}, 1.0},
                 Shot{{0, 1000, 1200, 2200, 1200, 2200}, 1.0}};
   job.ghosts = {Shot{{1200, 2200, 0, 1000, 0, 1000}, 1.1}};
@@ -380,14 +436,14 @@ TEST(Wire, WorkerResolvesADuplicateJobBitExactly) {
   job.tolerance = 1e-3;
   const Psf psf = test_psf();
   job.psf_terms.assign(psf.terms().begin(), psf.terms().end());
-  job.options.max_iterations = 1;  // stops short: the doses depend on entry
+  job.max_iterations = 1;  // stops short: the doses depend on entry
   for (const Shot& s : dense_grid_shots(20000)) {
     const Box b = s.shape.bbox();
     const bool own = (b.lo.x + b.hi.x) / 2 < 10000 && (b.lo.y + b.hi.y) / 2 < 10000;
     (own ? job.active : job.ghosts).push_back(s);
   }
   ASSERT_EQ(job.seq, 0u);
-  ASSERT_GT(job.options.resident_shard_budget, 0);
+  ASSERT_GT(job.resident_shard_budget, 0);
 
   const wire::ShardResult expected = solve_shard_job(job, nullptr);
   ASSERT_TRUE(expected.updated);

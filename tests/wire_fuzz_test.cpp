@@ -35,7 +35,7 @@ std::string sample_framed_job() {
   job.seq = 5;
   job.tolerance = 0.01;
   job.psf_terms = {{0.6, 50.0}, {0.4, 2500.0}};
-  job.options.max_iterations = 6;
+  job.max_iterations = 6;
   job.active = {Shot{{0, 1000, 0, 1000, 0, 1000}, 1.0},
                 Shot{{0, 1000, 1500, 2500, 1500, 2500}, 0.5}};
   job.ghosts = {Shot{{2000, 3000, 0, 1000, 0, 1000}, 1.25}};

@@ -11,7 +11,8 @@
 // The worker is stateless across jobs except for its resident evaluators:
 // every job is admitted through a ShardPool (src/pec/sharded.h) — the same
 // pool the in-process sweep plans with — as a batch of one, sized by the
-// job's resident_shard_budget (LRU eviction over it). A resident evaluator
+// job's resident_shard_budget (LRU eviction over it). A job runs on at most
+// the daemon's own resolve_threads(0) threads. A resident evaluator
 // re-enters through reset_doses, a full refresh to the job's doses that
 // keeps the geometry caches, so residency changes wall clock but never a
 // bit of the doses. A session tag
@@ -64,6 +65,7 @@
 // The injected faults sit at the process/wire boundary — they never touch
 // solve arithmetic — so a recovered run stays bitwise-identical to a
 // fault-free one (the property the fault tests pin down).
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
@@ -83,6 +85,7 @@
 #include "pec/wire.h"
 #include "util/contracts.h"
 #include "util/net.h"
+#include "util/parallel.h"
 #include "util/subprocess.h"
 
 using namespace ebl;
@@ -244,7 +247,7 @@ void serve_job(const wire::Frame& frame, int results_fd, DaemonState& st,
     std::cerr << "pec_worker: injected hang after " << served << " job(s)\n";
     for (;;) std::this_thread::sleep_for(std::chrono::hours(1));
   }
-  const wire::ShardJob job = wire::decode_shard_job(frame.payload);
+  wire::ShardJob job = wire::decode_shard_job(frame.payload);
   if (job.seq != 0) {
     if (const std::string* cached = st.replay.lookup(job.session_id, job.seq)) {
       // Duplicate delivery after a reconnect: answer with the cached frame,
@@ -259,9 +262,14 @@ void serve_job(const wire::Frame& frame, int results_fd, DaemonState& st,
     st.pool.clear();  // another solve: its shard keys name other geometry
     st.pool_session = job.session_id;
   }
+  // A job runs on at most the daemon's own thread count, whatever it asks
+  // for: the pool keeps every thread it ever spawns, and thread count never
+  // changes a result.
+  job.exposure.threads =
+      std::min(resolve_threads(job.exposure.threads), resolve_threads(0));
   ShardPool::Slot* slot =
       st.pool.plan({{job.shard_key, job.active.size(), job.ghosts.size()}},
-                   job.options.resident_shard_budget)[0];
+                   job.resident_shard_budget)[0];
   wire::ShardResult result = solve_shard_job(job, slot);
   result.pool_resident = st.pool.resident();
   result.pool_evictions = st.pool.evictions();
