@@ -200,6 +200,9 @@ void Raster::visit_coverage(const Trapezoid& t,
 double Raster::sample(double x, double y) const {
   const double fx = (x - origin_.x) / pix_ - 0.5;
   const double fy = (y - origin_.y) / pix_ - 0.5;
+  // No pixel among the four neighbours: every corner reads 0. Checking in
+  // double first keeps the int casts below defined however far (x, y) lies.
+  if (!(fx >= -1.0 && fx < nx_ && fy >= -1.0 && fy < ny_)) return 0.0;
   const int ix = static_cast<int>(std::floor(fx));
   const int iy = static_cast<int>(std::floor(fy));
   const double tx = fx - ix;

@@ -108,11 +108,11 @@ double ms_since(std::chrono::steady_clock::time_point t0) {
 // overhead stay negligible against the blur itself.
 constexpr int kBlurTilePx = 32;
 
-// Raw-buffer core of separable_blur, so the windowed delta-blur can run the
-// identical passes on an extracted sub-window (identical per-pixel tap order
-// and edge-skip conditions are what make the windowed patch bit-exact).
-void separable_blur_buf(double* src, int nx, int ny, const std::vector<double>& taps,
-                        int threads) {
+}  // namespace
+
+void separable_blur(double* src, int nx, int ny, std::size_t stride,
+                    const std::vector<double>& taps, int threads) {
+  expects(!taps.empty(), "separable_blur: empty kernel");
   const int radius = static_cast<int>(taps.size()) - 1;
 
   // Scratch for the intermediate image, reused across calls (the PEC loop
@@ -136,7 +136,7 @@ void separable_blur_buf(double* src, int nx, int ny, const std::vector<double>& 
       static_cast<std::size_t>(ny),
       [&](std::size_t y0, std::size_t y1) {
         for (std::size_t y = y0; y < y1; ++y) {
-          const double* in = &src[y * nx];
+          const double* in = &src[y * stride];
           double* out = &tmp[y * nx];
           for (int x = 0; x < nx; ++x) out[x] = k0 * in[x];
           for (int k = 1; k <= radius; ++k) {
@@ -156,7 +156,7 @@ void separable_blur_buf(double* src, int nx, int ny, const std::vector<double>& 
       [&](std::size_t y0, std::size_t y1) {
         for (std::size_t y = y0; y < y1; ++y) {
           const double* c = &tmp[y * nx];
-          double* out = &src[y * nx];
+          double* out = &src[y * stride];
           for (int x = 0; x < nx; ++x) out[x] = k0 * c[x];
           for (int k = 1; k <= radius; ++k) {
             const double wk = taps[static_cast<std::size_t>(k)];
@@ -174,8 +174,6 @@ void separable_blur_buf(double* src, int nx, int ny, const std::vector<double>& 
       threads);
 }
 
-}  // namespace
-
 std::vector<double> gaussian_kernel_taps(double sigma_px) {
   expects(sigma_px > 0, "gaussian_kernel_taps: sigma must be positive");
   const int radius = std::max(1, static_cast<int>(std::ceil(4.0 * sigma_px)));
@@ -192,9 +190,8 @@ std::vector<double> gaussian_kernel_taps(double sigma_px) {
 }
 
 void separable_blur(Raster& raster, const std::vector<double>& taps, int threads) {
-  expects(!taps.empty(), "separable_blur: empty kernel");
-  separable_blur_buf(raster.data().data(), raster.width(), raster.height(), taps,
-                     threads);
+  separable_blur(raster.data().data(), raster.width(), raster.height(),
+                 static_cast<std::size_t>(raster.width()), taps, threads);
 }
 
 void gaussian_blur(Raster& raster, double sigma_dbu, int threads) {
@@ -641,7 +638,8 @@ bool ExposureEvaluator::blur_term_windowed(TermMap& tm,
     win_src_.resize(static_cast<std::size_t>(w.wx) * w.wy);
     box_average(long_base_->data().data(), nx, ny, k, w.wx0, w.wy0, w.wx, w.wy,
                 win_src_.data(), opt_.threads);
-    separable_blur_buf(win_src_.data(), w.wx, w.wy, tm.taps, opt_.threads);
+    separable_blur(win_src_.data(), w.wx, w.wy, static_cast<std::size_t>(w.wx), tm.taps,
+                   opt_.threads);
     // Patch P into the term map in place. Rectangles of different tile runs
     // may overlap after the coarse padding; both write the same values.
     const int cw = w.px1 - w.px0 + 1;

@@ -370,6 +370,13 @@ std::vector<double> gaussian_kernel_taps(double sigma_px);
 void separable_blur(Raster& raster, const std::vector<double>& taps,
                     int threads = 0);
 
+/// The same passes on an nx x ny window of a row-major buffer whose rows lie
+/// @p stride doubles apart, in place, so a caller can blur part of a larger
+/// raster. Taps that fall off the window are skipped; where the raster is
+/// zero past the window's edge they would only have added zeros.
+void separable_blur(double* data, int nx, int ny, std::size_t stride,
+                    const std::vector<double>& taps, int threads = 0);
+
 /// Box average onto a k-times-coarser grid sharing the fine raster's origin
 /// (nx x ny fine pixels, row-major): coarse pixels [cx0, cx0 + cw) x
 /// [cy0, cy0 + ch) are written to dst (row stride cw) as the mean of their

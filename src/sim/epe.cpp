@@ -1,6 +1,7 @@
 #include "sim/epe.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <optional>
 
@@ -19,29 +20,89 @@ double percentile(const std::vector<double>& sorted, double q) {
 
 /// Signed distance from the probe point to the nearest print_level crossing
 /// of the exposure along the outward normal, or nullopt when no crossing
-/// lies inside [-window, +window]. Samples the bilinear raster uniformly at
-/// ~pixel/2 resolution and locates crossings by linear interpolation.
+/// lies inside [-window, +window]. The bilinear raster is sampled on the
+/// grid s_i = -window + ds * i, i = 0..steps, at ~pixel/2 spacing, and a
+/// crossing is located in each sign-changing interval by linear
+/// interpolation.
+///
+/// The answer is the first crossing in ascending s with |at| <= ds, else the
+/// smallest |at|, the lower s on a tie: what a scan up from -window that
+/// stops within ds of 0 returns. The search finds it center-out instead: an
+/// interval's end points bound its crossing's |at| from below, so the
+/// intervals are visited in order of that bound, from the probe point
+/// outward, until it passes the best crossing found. Each sample is taken
+/// at most once.
 std::optional<double> probe_crossing(const Raster& exposure, double level,
                                      double px, double py, double nx, double ny,
                                      double window) {
   const double pix = static_cast<double>(exposure.pixel_size());
-  int steps = static_cast<int>(std::ceil(4.0 * window / pix));
-  steps = std::clamp(steps, 16, 512);
+  // Clamped in double: 4 * window / pix can pass INT_MAX.
+  constexpr int kMaxSteps = 512;
+  const int steps = static_cast<int>(
+      std::clamp(std::ceil(4.0 * window / pix), 16.0, double(kMaxSteps)));
   const double ds = 2.0 * window / steps;
 
-  std::optional<double> best;
-  double prev = exposure.sample(px - nx * window, py - ny * window) - level;
-  for (int i = 1; i <= steps; ++i) {
-    const double s = -window + ds * i;
-    const double cur = exposure.sample(px + nx * s, py + ny * s) - level;
-    if ((prev <= 0.0 && cur > 0.0) || (prev > 0.0 && cur <= 0.0)) {
-      // Crossing in (s - ds, s]: linear interpolation between the samples.
-      const double frac = prev / (prev - cur);
-      const double at = s - ds + frac * ds;
-      if (!best || std::abs(at) < std::abs(*best)) best = at;
-      if (best && std::abs(*best) <= ds) break;  // cannot get closer to 0
+  const auto s_at = [&](int i) { return -window + ds * i; };
+  std::array<double, kMaxSteps + 1> f;
+  std::array<bool, kMaxSteps + 1> have{};
+  const auto sample = [&](int i) {
+    if (!have[static_cast<std::size_t>(i)]) {
+      const double s = s_at(i);
+      f[static_cast<std::size_t>(i)] = exposure.sample(px + nx * s, py + ny * s) - level;
+      have[static_cast<std::size_t>(i)] = true;
     }
-    prev = cur;
+    return f[static_cast<std::size_t>(i)];
+  };
+  // Interval i spans samples i - 1 and i; its crossing, if any, is
+  // lo(i) + frac * ds with frac in [0, 1], so it lies in [lo(i), hi(i)].
+  const auto lo = [&](int i) { return s_at(i) - ds; };
+  const auto hi = [&](int i) { return lo(i) + ds; };
+  const auto crossing = [&](int i) -> std::optional<double> {
+    const double prev = sample(i - 1);
+    const double cur = sample(i);
+    if ((prev <= 0.0 && cur > 0.0) || (prev > 0.0 && cur <= 0.0)) {
+      const double frac = prev / (prev - cur);
+      return lo(i) + frac * ds;
+    }
+    return std::nullopt;
+  };
+  // lo and hi rise with i. The first interval reaching up to -ds and the
+  // last reaching down to ds bound the only ones whose crossing can lie
+  // within ds of 0.
+  const auto first = [&](int a, int b, auto&& pred) {  // first i in [a, b) with pred
+    while (a < b) {
+      const int m = a + (b - a) / 2;
+      if (pred(m)) b = m; else a = m + 1;
+    }
+    return a;
+  };
+  const int near_lo = first(1, steps + 1, [&](int i) { return hi(i) >= -ds; });
+  const int near_hi = first(1, steps + 1, [&](int i) { return lo(i) > ds; }) - 1;
+
+  std::optional<double> best;
+  int best_i = 0;
+  const auto consider = [&](int i) {
+    const auto at = crossing(i);
+    if (at && (!best || std::abs(*at) < std::abs(*best) ||
+               (std::abs(*at) == std::abs(*best) && i < best_i))) {
+      best = at;
+      best_i = i;
+    }
+  };
+  for (int i = near_lo; i <= near_hi; ++i) {
+    consider(i);
+    if (best && std::abs(*best) <= ds) return best;  // cannot get closer to 0
+  }
+  // Outside [near_lo, near_hi] every crossing is farther than ds from 0:
+  // walk both ways, nearer bound first, until the bound passes the best.
+  int left = near_lo - 1;
+  int right = near_hi + 1;
+  while (left >= 1 || right <= steps) {
+    const double bound_left = left >= 1 ? -hi(left) : HUGE_VAL;
+    const double bound_right = right <= steps ? lo(right) : HUGE_VAL;
+    const bool go_left = bound_left <= bound_right;
+    if (best && (go_left ? bound_left : bound_right) > std::abs(*best)) break;
+    consider(go_left ? left-- : right++);
   }
   return best;
 }

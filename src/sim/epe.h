@@ -82,8 +82,14 @@ class EpeAccumulator {
 std::vector<EpeEdge> epe_edges(const PolygonSet& target);
 
 /// Scores an already-simulated exposure map against explicit target edges
-/// at the given print level. Deterministic and single-threaded (the
-/// simulation dominates; scoring is a cheap raster walk).
+/// at the given print level. Deterministic and single-threaded. A probe
+/// samples the exposure on the grid s_i = -window + ds * i (ds ~ pixel/2,
+/// 16..512 steps) and reports the first crossing in ascending s within ds
+/// of the probe point, else the nearest one (the lower s on a tie). It
+/// finds that crossing center-out: intervals are visited in order of the
+/// least |s| they can hold, starting at the probe point, until none can beat
+/// the best found, so a probe whose edge prints near its target takes a
+/// handful of samples rather than the whole window.
 EpeStats score_epe(const Raster& exposure, double print_level,
                    const std::vector<EpeEdge>& edges,
                    const EpeOptions& options = {});

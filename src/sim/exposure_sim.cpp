@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
+#include <optional>
+#include <vector>
 
 #include "pec/exposure.h"  // blur primitives
 #include "util/contracts.h"
@@ -12,38 +15,83 @@ namespace ebl {
 
 namespace {
 
-// Adds weight * (term blurred on a k-times-coarser map) to out at every fine
-// pixel centre of base. The map reaches one coarse pixel past base on every
-// side: the blur is exact anywhere on the map, so the read-back at the
-// frame's outer pixel centres interpolates between blurred values instead
-// of toward an off-map zero. The map is laid out in coarse-pixel units
-// (pixel 1, coarse pixel -1 of the fine frame at index 0), so it never
-// leaves the coordinate range, wherever the frame lies.
-void add_coarse_term(const Raster& base, const PsfTerm& term, int k, int threads,
-                     Raster& out) {
-  const int nx = base.width();
-  const int ny = base.height();
-  Raster map(Box{0, 0, (nx - 1) / k + 3, (ny - 1) / k + 3}, 1);
-  box_average(base.data().data(), nx, ny, k, -1, -1, map.width(), map.height(),
-              map.data().data(), threads);
-  const double coarse_pixel = static_cast<double>(k) * base.pixel_size();
-  separable_blur(map, gaussian_kernel_taps(term.sigma / coarse_pixel), threads);
+// Bilinear read-back weights of one fine pixel centre on a coarse map: the
+// lower map index and the weights 1 - t and t of it and of the next one.
+struct Lerp {
+  int i;
+  double lo, hi;
+};
 
-  // Fine pixel x's centre sits at (x + 0.5) / k coarse pixels from the frame
-  // origin, one more from the map's.
-  const double w = term.weight;
-  parallel_for(
-      static_cast<std::size_t>(ny),
-      [&](std::size_t r0, std::size_t r1) {
-        for (std::size_t y = r0; y < r1; ++y) {
-          const double v = (static_cast<double>(y) + 0.5) / k + 1.0;
-          double* row = out.data().data() + y * static_cast<std::size_t>(nx);
-          for (int x = 0; x < nx; ++x) {
-            row[x] += w * map.sample((x + 0.5) / k + 1.0, v);
-          }
-        }
-      },
-      threads);
+// Fine pixel j's centre sits at (j + 0.5) / k coarse pixels from the frame
+// origin, one more from the map's. The map has origin 0 and pixel 1, so
+// these are the operations Raster::sample performs on that coordinate.
+std::vector<Lerp> readback_axis(int n, int k) {
+  std::vector<Lerp> axis(static_cast<std::size_t>(n));
+  for (int j = 0; j < n; ++j) {
+    const double f = ((j + 0.5) / k + 1.0) - 0.5;
+    const int i = static_cast<int>(std::floor(f));
+    const double t = f - i;
+    axis[static_cast<std::size_t>(j)] = {i, 1 - t, t};
+  }
+  return axis;
+}
+
+// A wide term's dose map, box-averaged k times coarser and blurred there.
+// The map reaches one coarse pixel past the frame on every side: the blur is
+// exact anywhere on the map, so the read-back at the frame's outer pixel
+// centres interpolates between blurred values instead of toward an off-map
+// zero. It is laid out in coarse-pixel units (pixel 1, coarse pixel -1 of
+// the fine frame at index 0), so it never leaves the coordinate range,
+// wherever the frame lies.
+struct CoarseTerm {
+  Raster map;
+  std::vector<Lerp> cols, rows;
+
+  CoarseTerm(const Raster& base, const PsfTerm& term, int k, int threads)
+      : map(Box{0, 0, (base.width() - 1) / k + 3, (base.height() - 1) / k + 3}, 1),
+        cols(readback_axis(base.width(), k)),
+        rows(readback_axis(base.height(), k)) {
+    // The indices rise along each table, so its ends bound them all: the pad
+    // keeps every corner sample would read on the map, and none reads the
+    // off-map zero.
+    expects(cols.front().i >= 0 && cols.back().i + 1 < map.width() &&
+                rows.front().i >= 0 && rows.back().i + 1 < map.height(),
+            "simulate_exposure: read-back leaves the coarse map");
+    box_average(base.data().data(), base.width(), base.height(), k, -1, -1,
+                map.width(), map.height(), map.data().data(), threads);
+    const double coarse_pixel = static_cast<double>(k) * base.pixel_size();
+    separable_blur(map, gaussian_kernel_taps(term.sigma / coarse_pixel), threads);
+  }
+
+  // out[x] += weight * map.sample(...) at fine row y's pixel centres: sample's
+  // four products in sample's order.
+  void add_row(int y, double weight, double* out) const {
+    const Lerp& ry = rows[static_cast<std::size_t>(y)];
+    const std::size_t w = static_cast<std::size_t>(map.width());
+    const double* m0 = map.data().data() + static_cast<std::size_t>(ry.i) * w;
+    const double* m1 = m0 + w;
+    for (std::size_t x = 0; x < cols.size(); ++x) {
+      const Lerp& cx = cols[x];
+      out[x] += weight * (cx.lo * ry.lo * m0[cx.i] + cx.hi * ry.lo * m0[cx.i + 1] +
+                          cx.lo * ry.hi * m1[cx.i] + cx.hi * ry.hi * m1[cx.i + 1]);
+    }
+  }
+};
+
+// Blurs r in place on the window where the blur can be non-zero: the pixels
+// [x0, x1] x [y0, y1] that hold dose, widened by the kernel radius. Outside
+// it the whole-raster blur would leave 0.0, and inside it the taps the
+// window skips would only add zeros, so the result is that blur bit for bit.
+void blur_dose_window(Raster& r, const std::vector<double>& taps, int x0, int y0,
+                      int x1, int y1, int threads) {
+  const Coord64 rad = static_cast<Coord64>(taps.size()) - 1;
+  const int wx0 = static_cast<int>(std::max<Coord64>(0, x0 - rad));
+  const int wy0 = static_cast<int>(std::max<Coord64>(0, y0 - rad));
+  const int wx1 = static_cast<int>(std::min<Coord64>(r.width() - 1, x1 + rad));
+  const int wy1 = static_cast<int>(std::min<Coord64>(r.height() - 1, y1 + rad));
+  const std::size_t stride = static_cast<std::size_t>(r.width());
+  separable_blur(r.data().data() + static_cast<std::size_t>(wy0) * stride + wx0,
+                 wx1 - wx0 + 1, wy1 - wy0 + 1, stride, taps, threads);
 }
 
 }  // namespace
@@ -64,26 +112,59 @@ Raster simulate_exposure(const ShotList& shots, const Psf& psf,
 
   Raster base(frame.bloated(margin), pixel);
   for (const Shot& s : shots) base.add_coverage(s.shape, s.dose);
+  const auto [x0, y0] = base.index_of(frame.lo);
+  const auto [x1, y1] = base.index_of(frame.hi);
 
   // Every term convolves the same dose map, each at the evaluator's per-term
-  // map resolution (see the header comment).
-  Raster result(frame.bloated(margin), pixel);
-  for (const PsfTerm& term : psf.terms()) {
-    const int k = term_k(term.sigma, pixel);
+  // map resolution (see the header comment). The wide terms read base before
+  // anything blurs it; the last narrow term then blurs base itself, and any
+  // other narrow term (all come before it) blurs a copy.
+  const auto& terms = psf.terms();
+  std::vector<std::optional<CoarseTerm>> coarse(terms.size());
+  std::size_t in_place = terms.size();
+  for (std::size_t t = 0; t < terms.size(); ++t) {
+    const int k = term_k(terms[t].sigma, pixel);
     if (k > 1) {
-      add_coarse_term(base, term, k, options.threads, result);
-      continue;
+      coarse[t].emplace(base, terms[t], k, options.threads);
+    } else {
+      in_place = t;
     }
-    Raster blurred = base;
-    separable_blur(blurred,
-                   gaussian_kernel_taps(term.sigma / static_cast<double>(pixel)),
-                   options.threads);
-    auto& out = result.data();
-    const auto& in = blurred.data();
-    const double w = term.weight;
-    for (std::size_t i = 0; i < out.size(); ++i) out[i] += w * in[i];
   }
-  return result;
+  std::vector<Raster> copies;
+  copies.reserve(terms.size());  // fine[] points into them
+  std::vector<const double*> fine(terms.size(), nullptr);
+  for (std::size_t t = 0; t < terms.size(); ++t) {
+    if (coarse[t]) continue;
+    Raster& target = t == in_place ? base : copies.emplace_back(base);
+    blur_dose_window(target,
+                     gaussian_kernel_taps(terms[t].sigma / static_cast<double>(pixel)),
+                     x0, y0, x1, y1, options.threads);
+    fine[t] = target.data().data();
+  }
+
+  // One pass sums the terms into base: each pixel is 0.0 + w_t * v_t over
+  // the terms in PSF order, the order a zeroed accumulator would see them.
+  const std::size_t nx = static_cast<std::size_t>(base.width());
+  parallel_for(
+      static_cast<std::size_t>(base.height()),
+      [&](std::size_t r0, std::size_t r1) {
+        std::vector<double> acc(nx);
+        for (std::size_t y = r0; y < r1; ++y) {
+          std::fill(acc.begin(), acc.end(), 0.0);
+          for (std::size_t t = 0; t < terms.size(); ++t) {
+            const double w = terms[t].weight;
+            if (coarse[t]) {
+              coarse[t]->add_row(static_cast<int>(y), w, acc.data());
+              continue;
+            }
+            const double* in = fine[t] + y * nx;
+            for (std::size_t x = 0; x < nx; ++x) acc[x] += w * in[x];
+          }
+          std::copy(acc.begin(), acc.end(), base.data().data() + y * nx);
+        }
+      },
+      options.threads);
+  return base;
 }
 
 Raster develop(const Raster& exposure, const ResistModel& resist) {
@@ -95,8 +176,14 @@ Raster develop(const Raster& exposure, const ResistModel& resist) {
 namespace {
 
 double bilinear(const Raster& r, double px, double py) {
-  const double fx = (px - r.origin().x) / r.pixel_size() - 0.5;
-  const double fy = (py - r.origin().y) / r.pixel_size() - 0.5;
+  // Every corner past the grid clamps to its edge pixel. Clamping the
+  // coordinate to [INT_MIN, INT_MAX - 1] first keeps the casts below (and
+  // ix + 1) defined however far the point lies; inside that range nothing
+  // changes.
+  constexpr double kLo = std::numeric_limits<int>::min();
+  constexpr double kHi = std::numeric_limits<int>::max() - 1;
+  const double fx = std::clamp((px - r.origin().x) / r.pixel_size() - 0.5, kLo, kHi);
+  const double fy = std::clamp((py - r.origin().y) / r.pixel_size() - 0.5, kLo, kHi);
   const int ix = static_cast<int>(std::floor(fx));
   const int iy = static_cast<int>(std::floor(fy));
   const double tx = fx - ix;

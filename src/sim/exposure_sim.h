@@ -31,11 +31,14 @@ struct SimOptions {
 ///
 /// Each term is blurred at the coarsening factor k = term_k(sigma, pixel) —
 /// the PEC evaluator's per-term map rule. A term with k == 1 (sigma under 8
-/// pixels) is blurred directly at the simulation pixel. A wider term's dose
-/// map is box-averaged onto a map k times coarser (one coarse pixel wider
-/// than the frame on every side), blurred there, and read back bilinearly at
-/// every pixel centre, so a backscatter kernel costs a few dozen taps per
-/// pass instead of hundreds.
+/// pixels) is blurred directly at the simulation pixel, on the window the
+/// shots cover plus the kernel radius (the rest of the frame stays 0). A
+/// wider term's dose map is box-averaged onto a map k times coarser (one
+/// coarse pixel wider than the frame on every side), blurred there, and read
+/// back bilinearly at every pixel centre through per-row and per-column
+/// tables, so a backscatter kernel costs a few dozen taps per pass instead of
+/// hundreds. The result is built in the dose raster itself: one pass sums
+/// the terms per pixel as 0.0 + w_0 v_0 + w_1 v_1 + ... in PSF term order.
 /// Throws DataError when the frame spans more than INT_MAX pixels on an axis.
 Raster simulate_exposure(const ShotList& shots, const Psf& psf,
                          const SimOptions& options = {});

@@ -86,6 +86,22 @@ TEST(Raster, FrameWiderThanIntMaxPixelsIsRejected) {
   EXPECT_EQ(r.height(), 1);
 }
 
+TEST(Raster, SampleFarOutsideTheGridIsZero) {
+  // Points billions of pixels away have no pixel among their neighbours:
+  // they read 0 instead of casting an out-of-range floor to int.
+  Raster r(Box{0, 0, 100, 100}, 1);
+  for (double& v : r.data()) v = 1.0;
+  EXPECT_EQ(r.sample(50.0, 50.0), 1.0);
+  EXPECT_EQ(r.sample(4e9, 50.0), 0.0);
+  EXPECT_EQ(r.sample(-4e9, 50.0), 0.0);
+  EXPECT_EQ(r.sample(50.0, 4e9), 0.0);
+  EXPECT_EQ(r.sample(50.0, -4e9), 0.0);
+  // One pixel past the edge, half a corner still lies on the grid.
+  EXPECT_EQ(r.sample(100.0, 50.0), 0.5);
+  EXPECT_EQ(r.sample(0.0, 50.0), 0.5);
+  EXPECT_EQ(r.sample(-0.5, 50.0), 0.0);
+}
+
 TEST(Raster, AtBoundsChecked) {
   Raster r(Box{0, 0, 100, 100}, 100);
   EXPECT_THROW(r.at(1, 0), ContractViolation);

@@ -4,6 +4,10 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
+#include <random>
+#include <utility>
+#include <vector>
 
 #include "core/patterns.h"
 #include "pec/exposure.h"
@@ -176,6 +180,94 @@ TEST(SimulateExposure, IdenticalForAnyThreadCount) {
   EXPECT_EQ(one.data(), four.data());
 }
 
+// The three-raster simulator the single-raster one replaced, kept as the
+// bit-for-bit reference (its read-back runs serially here; each pixel sums
+// in the same order): a zeroed result raster, a full-frame blur of a fresh
+// copy per narrow term, and Raster::sample at every fine pixel centre per
+// wide term.
+Raster three_raster_exposure(const ShotList& shots, const Psf& psf,
+                             const SimOptions& options) {
+  Box frame;
+  for (const Shot& s : shots) frame += s.shape.bbox();
+  const Coord margin = options.margin > 0
+                           ? options.margin
+                           : static_cast<Coord>(std::ceil(4.0 * psf.max_sigma()));
+  const Coord pixel =
+      options.pixel > 0
+          ? options.pixel
+          : std::max<Coord>(1, static_cast<Coord>(psf.min_sigma() / 2.0));
+  Raster base(frame.bloated(margin), pixel);
+  for (const Shot& s : shots) base.add_coverage(s.shape, s.dose);
+  Raster result(frame.bloated(margin), pixel);
+  for (const PsfTerm& term : psf.terms()) {
+    const int k = term_k(term.sigma, pixel);
+    if (k > 1) {
+      const int nx = base.width();
+      const int ny = base.height();
+      Raster map(Box{0, 0, (nx - 1) / k + 3, (ny - 1) / k + 3}, 1);
+      box_average(base.data().data(), nx, ny, k, -1, -1, map.width(), map.height(),
+                  map.data().data(), options.threads);
+      const double coarse_pixel = static_cast<double>(k) * base.pixel_size();
+      separable_blur(map, gaussian_kernel_taps(term.sigma / coarse_pixel),
+                     options.threads);
+      for (int y = 0; y < ny; ++y) {
+        const double v = (static_cast<double>(y) + 0.5) / k + 1.0;
+        double* row = result.data().data() + y * static_cast<std::size_t>(nx);
+        for (int x = 0; x < nx; ++x) {
+          row[x] += term.weight * map.sample((x + 0.5) / k + 1.0, v);
+        }
+      }
+      continue;
+    }
+    Raster blurred = base;
+    separable_blur(blurred,
+                   gaussian_kernel_taps(term.sigma / static_cast<double>(pixel)),
+                   options.threads);
+    auto& out = result.data();
+    const auto& in = blurred.data();
+    for (std::size_t i = 0; i < out.size(); ++i) out[i] += term.weight * in[i];
+  }
+  return result;
+}
+
+TEST(SimulateExposure, MatchesTheThreeRasterSimulatorBitForBit) {
+  // One raster, a table-driven read-back and a window-bounded forward blur
+  // skip only work that cannot change a bit of the result.
+  const ShotList shots = pad_and_grating();
+  const ShotList at_range_edge = pad_and_grating(
+      {std::numeric_limits<Coord>::max() - 13000, std::numeric_limits<Coord>::min() + 500});
+  const Psf tri = Psf::triple_gaussian(50.0, 3000.0, 600.0, 0.7, 0.3);
+  const Psf dbl = Psf::double_gaussian(50.0, 3000.0, 0.7);
+  const Psf narrow = Psf::single_gaussian(50.0);
+  const Psf two_narrow = Psf::from_terms({{0.3, 50.0}, {0.3, 120.0}, {0.4, 3000.0}});
+  const Psf wide_first = Psf::from_terms({{0.4, 3000.0}, {0.6, 50.0}});
+  struct Case {
+    const char* name;
+    const ShotList& shots;
+    const Psf& psf;
+    SimOptions options;
+  };
+  const Case cases[] = {
+      {"triple@25", shots, tri, {.pixel = 25}},
+      {"double@50", shots, dbl, {.pixel = 50}},
+      {"single narrow", shots, narrow, {.pixel = 25}},
+      {"two narrow + wide", shots, two_narrow, {.pixel = 25}},
+      {"wide first", shots, wide_first, {.pixel = 25}},
+      {"one-pixel margin", shots, dbl, {.pixel = 50, .margin = 50}},
+      {"coordinate-range edge", at_range_edge, dbl, {.pixel = 50}},
+      {"threads 1", shots, tri, {.pixel = 25, .threads = 1}},
+      {"threads 4", shots, tri, {.pixel = 25, .threads = 4}},
+  };
+  for (const Case& c : cases) {
+    const Raster got = simulate_exposure(c.shots, c.psf, c.options);
+    const Raster want = three_raster_exposure(c.shots, c.psf, c.options);
+    ASSERT_EQ(got.width(), want.width()) << c.name;
+    ASSERT_EQ(got.height(), want.height()) << c.name;
+    EXPECT_EQ(got.origin(), want.origin()) << c.name;
+    EXPECT_EQ(got.data(), want.data()) << c.name;
+  }
+}
+
 TEST(SimulateExposure, FrameWiderThanIntMaxPixelsIsADataError) {
   // Shots at +-2^30 span 2^31 one-dbu pixels: the raster cannot index them.
   PolygonSet s;
@@ -240,6 +332,19 @@ TEST(ProfileAndCd, CrossingOnTheLastSampleIsCounted) {
   const auto cd = measure_cd(r, 2.0, a, b, 9);
   ASSERT_TRUE(cd.has_value());
   EXPECT_EQ(*cd, 60.0);
+}
+
+TEST(ProfileAndCd, FarEndpointsClampToTheEdgePixel) {
+  // An endpoint at the far end of the coordinate range lies more than
+  // INT_MAX pixels from the grid: it reads the edge pixel like any other
+  // point past the edge.
+  Raster r(Box{0, 0, 100, 100}, 1);
+  for (double& v : r.data()) v = 0.25;
+  const auto prof =
+      profile_along(r, Point{std::numeric_limits<Coord>::min(), 50},
+                    Point{std::numeric_limits<Coord>::max(), 50}, 3);
+  ASSERT_EQ(prof.size(), 3u);
+  for (double v : prof) EXPECT_EQ(v, 0.25);
 }
 
 TEST(ProfileAndCd, HigherDoseWiderLine) {
@@ -412,6 +517,231 @@ TEST(Epe, OverdosePrintsOversize) {
   const EpeStats s = measure_epe(shots, Psf::single_gaussian(50.0), target, 0.5, opts);
   EXPECT_EQ(s.missing, 0u);
   EXPECT_GT(s.mean_signed, 5.0);  // every edge lands outside the target
+}
+
+TEST(Epe, HugeSearchWindowClampsItsStepCount) {
+  // 4 * window / pixel passes INT_MAX; the step count clamps to 512 before
+  // it is cast. Only the sample at the probe point lands on the 1.0 pad, so
+  // the nearest crossings sit half a step either side and the lower wins.
+  Raster e(Box{0, 0, 100, 100}, 1);
+  for (double& v : e.data()) v = 1.0;
+  EpeOptions opts;
+  opts.search_window = std::numeric_limits<Coord>::max();
+  const std::vector<EpeEdge> edge{{Point{50, 0}, Point{50, 100}}};
+  const EpeStats s = score_epe(e, 0.5, edge, opts);
+  const double ds = 2.0 * opts.search_window / 512;
+  EXPECT_EQ(s.samples, 1u);
+  EXPECT_EQ(s.missing, 0u);
+  EXPECT_EQ(s.mean_signed, -0.5 * ds);
+}
+
+// The forward scan the center-out probe search replaced, verbatim: it
+// samples from -window upward and stops at the first crossing within ds.
+std::optional<double> forward_scan(const Raster& exposure, double level, double px,
+                                   double py, double nx, double ny, double window) {
+  const double pix = static_cast<double>(exposure.pixel_size());
+  int steps = static_cast<int>(std::ceil(4.0 * window / pix));
+  steps = std::clamp(steps, 16, 512);
+  const double ds = 2.0 * window / steps;
+
+  std::optional<double> best;
+  double prev = exposure.sample(px - nx * window, py - ny * window) - level;
+  for (int i = 1; i <= steps; ++i) {
+    const double s = -window + ds * i;
+    const double cur = exposure.sample(px + nx * s, py + ny * s) - level;
+    if ((prev <= 0.0 && cur > 0.0) || (prev > 0.0 && cur <= 0.0)) {
+      const double frac = prev / (prev - cur);
+      const double at = s - ds + frac * ds;
+      if (!best || std::abs(at) < std::abs(*best)) best = at;
+      if (best && std::abs(*best) <= ds) break;
+    }
+    prev = cur;
+  }
+  return best;
+}
+
+// score_epe's probes, each scored by forward_scan: (signed EPE, missing) in
+// score_epe's order.
+std::vector<std::pair<double, bool>> forward_probes(const Raster& exposure,
+                                                    double level,
+                                                    const std::vector<EpeEdge>& edges,
+                                                    const EpeOptions& options) {
+  const double pix = static_cast<double>(exposure.pixel_size());
+  const double step = options.sample_step > 0
+                          ? static_cast<double>(options.sample_step)
+                          : 2.0 * pix;
+  const double excl = options.corner_exclusion > 0
+                          ? static_cast<double>(options.corner_exclusion)
+                          : std::max(4.0 * pix, 100.0);
+  const double window = static_cast<double>(options.search_window);
+  std::vector<std::pair<double, bool>> out;
+  for (const EpeEdge& e : edges) {
+    const double ex = static_cast<double>(e.b.x) - e.a.x;
+    const double ey = static_cast<double>(e.b.y) - e.a.y;
+    const double len = std::hypot(ex, ey);
+    if (len <= 0.0) continue;
+    const double dx = ex / len, dy = ey / len;
+    std::vector<double> offsets;
+    if (len <= 2.0 * excl + step) {
+      offsets.push_back(0.5 * len);
+    } else {
+      for (double t = excl; t <= len - excl; t += step) offsets.push_back(t);
+    }
+    for (double t : offsets) {
+      const double px = e.a.x + dx * t;
+      const double py = e.a.y + dy * t;
+      const auto c = forward_scan(exposure, level, px, py, dy, -dx, window);
+      if (c) {
+        out.emplace_back(*c, false);
+      } else {
+        out.emplace_back(exposure.sample(px, py) >= level ? window : -window, true);
+      }
+    }
+  }
+  return out;
+}
+
+// A seeded random raster. Quantized values (multiples of 1/4 against a
+// level of 1/2) put samples exactly on the level, make plateaus at it and
+// crossings exactly on the sample grid; continuous ones make crossings
+// everywhere else.
+Raster random_raster(std::mt19937_64& rng, Coord pixel, bool quantized) {
+  Raster r(Box{-7 * pixel, 3 * pixel, 41 * pixel, 37 * pixel}, pixel);
+  std::uniform_real_distribution<double> u(0.0, 1.0);
+  std::uniform_int_distribution<int> q(0, 4);
+  for (double& v : r.data()) v = quantized ? 0.25 * q(rng) : u(rng);
+  return r;
+}
+
+// Random edges around the raster, each short enough for a single midpoint
+// probe under a large corner exclusion.
+std::vector<EpeEdge> random_edges(std::mt19937_64& rng, const Raster& r, int n) {
+  const Coord pix = r.pixel_size();
+  std::uniform_int_distribution<Coord> x(r.origin().x - 4 * pix,
+                                         r.origin().x + (r.width() + 4) * pix);
+  std::uniform_int_distribution<Coord> y(r.origin().y - 4 * pix,
+                                         r.origin().y + (r.height() + 4) * pix);
+  std::uniform_int_distribution<Coord> d(-8 * pix, 8 * pix);
+  std::uniform_int_distribution<int> axis(0, 2);
+  std::vector<EpeEdge> edges;
+  while (static_cast<int>(edges.size()) < n) {
+    const Point a{x(rng), y(rng)};
+    Point b{a.x + d(rng), a.y + d(rng)};
+    // A third of the edges run along an axis: their probes sample pixel
+    // centres and boundaries exactly.
+    const int pick = axis(rng);
+    if (pick == 1) b.y = a.y;
+    if (pick == 2) b.x = a.x;
+    if (a.x != b.x || a.y != b.y) edges.push_back({a, b});
+  }
+  return edges;
+}
+
+TEST(Epe, CenterOutSearchMatchesTheForwardScanProbeByProbe) {
+  std::mt19937_64 rng(20261017);
+  const Coord pixel = 8;
+  // Windows whose step count clamps at 16, lands in between, and clamps at
+  // 512 (window 256 pixels: ds is exactly one pixel).
+  const Coord windows[] = {pixel, 3 * pixel, 40, 96, 256 * pixel, 300 * pixel};
+  std::size_t probes = 0, missing = 0, near = 0;
+  for (int round = 0; round < 4; ++round) {
+    const bool quantized = round % 2 == 0;
+    const Raster e = random_raster(rng, pixel, quantized);
+    const double level = quantized ? 0.5 : 0.3 + 0.1 * round;
+    for (const Coord window : windows) {
+      EpeOptions opts;
+      opts.search_window = window;
+      opts.corner_exclusion = 1 << 20;
+      for (const EpeEdge& edge : random_edges(rng, e, 150)) {
+        const std::vector<EpeEdge> one{edge};
+        const auto want = forward_probes(e, level, one, opts);
+        ASSERT_EQ(want.size(), 1u);
+        const EpeStats got = score_epe(e, level, one, opts);
+        ASSERT_EQ(got.samples, 1u);
+        EXPECT_EQ(got.mean_signed, want[0].first)
+            << "round " << round << " window " << window << " edge (" << edge.a.x
+            << "," << edge.a.y << ")-(" << edge.b.x << "," << edge.b.y << ")";
+        EXPECT_EQ(got.missing, want[0].second ? 1u : 0u);
+        ++probes;
+        missing += want[0].second;
+        const double steps = std::clamp(std::ceil(4.0 * window / pixel), 16.0, 512.0);
+        near += !want[0].second && std::abs(want[0].first) <= 2.0 * window / steps;
+      }
+    }
+  }
+  // The mix covers missing probes, found ones, and ones found within ds.
+  EXPECT_GT(missing, probes / 20);
+  EXPECT_GT(probes - missing, probes / 2);
+  EXPECT_GT(near, 0u);
+}
+
+TEST(Epe, CenterOutSearchMatchesTheForwardScanOnExactProfiles) {
+  // One row of 4-dbu pixels probed from pixel 10's centre along +x; with
+  // window 64 the samples sit every ds = 2 dbu, alternately on pixel
+  // centres and pixel boundaries, so every sample and crossing is exact.
+  const auto probe = [](std::vector<double> row, double level) {
+    Raster e(Box{0, 0, 4 * static_cast<Coord>(row.size()), 4}, 4);
+    e.data() = std::move(row);
+    EpeOptions opts;
+    opts.search_window = 64;
+    opts.corner_exclusion = 1000;
+    const std::vector<EpeEdge> edge{{Point{42, -2}, Point{42, 6}}};  // normal +x
+    const auto want = forward_probes(e, level, edge, opts);
+    const EpeStats got = score_epe(e, level, edge, opts);
+    EXPECT_EQ(got.mean_signed, want[0].first);
+    EXPECT_EQ(got.missing, want[0].second ? 1u : 0u);
+    return got.mean_signed;
+  };
+  std::vector<double> row(24, 0.0);
+  // Crossing exactly at +ds: the boundary sample at +2 reads the level.
+  row[10] = 0.25;
+  row[11] = 0.75;
+  row[12] = 0.75;
+  EXPECT_EQ(probe(row, 0.5), 2.0);
+  // ... and at -ds, ahead of a nearer one at +4/3 that it must win over.
+  row.assign(24, 0.0);
+  row[9] = 0.75;
+  row[10] = 0.25;
+  row[11] = 1.0;
+  EXPECT_EQ(probe(row, 0.5), -2.0);
+  // Two crossings at equal distance, farther than ds: the lower one wins.
+  row.assign(24, 0.0);
+  row[9] = row[10] = row[11] = 1.0;
+  EXPECT_EQ(probe(row, 0.25), -7.0);
+  // A plateau exactly at the level around the probe point.
+  row.assign(24, 0.75);
+  row[8] = row[9] = row[10] = row[11] = row[12] = 0.5;
+  probe(row, 0.5);
+  // No crossing anywhere in the window: everything stays under the level.
+  row.assign(24, 0.75);
+  EXPECT_EQ(probe(row, 0.9), -64.0);
+}
+
+TEST(Epe, MultiLevelAccumulatorMatchesTheForwardScan) {
+  // multipass_grayscale scores each dose level's edges at its own level
+  // into one accumulator; the reduced statistics must not move a bit.
+  std::mt19937_64 rng(7);
+  const Raster e = random_raster(rng, 10, false);
+  const double levels[] = {0.35, 0.5, 0.65};
+  EpeOptions opts;
+  opts.search_window = 120;
+  opts.corner_exclusion = 20;
+  EpeAccumulator got, want;
+  for (const double level : levels) {
+    const auto edges = random_edges(rng, e, 40);
+    score_epe(e, level, edges, opts, got);
+    for (const auto& [v, miss] : forward_probes(e, level, edges, opts)) want.add(v, miss);
+  }
+  const EpeStats g = got.finalize();
+  const EpeStats w = want.finalize();
+  EXPECT_GT(w.samples, 120u);
+  EXPECT_EQ(g.samples, w.samples);
+  EXPECT_EQ(g.missing, w.missing);
+  EXPECT_EQ(g.p50, w.p50);
+  EXPECT_EQ(g.p99, w.p99);
+  EXPECT_EQ(g.max, w.max);
+  EXPECT_EQ(g.mean_abs, w.mean_abs);
+  EXPECT_EQ(g.mean_signed, w.mean_signed);
 }
 
 TEST(Epe, AccumulatorReducesNearestRank) {
