@@ -295,7 +295,7 @@ ShardedRow run_sharded(const Psf& psf, bool quick) {
                  std::abs(sharded.shots[i].dose - global.shots[i].dose) /
                      global.shots[i].dose);
   }
-  eval.set_doses(sharded_doses);
+  eval.set_active_doses(sharded_doses);
   for (double e : eval.exposures_at_centroids())
     row.sharded_err = std::max(row.sharded_err, std::abs(e / popt.target - 1.0));
   return row;
@@ -308,9 +308,7 @@ void write_blur_perf(std::ofstream& out, const BlurPerf& p) {
       << ", \"shots_delta_updated\": " << p.shots_updated
       << ", \"accumulate_ms\": " << p.accumulate_ms
       << ", \"delta_accumulate_ms\": " << p.delta_accumulate_ms
-      << ", \"blur_ms\": " << p.blur_ms
-      << ", \"windowed_blurs\": " << p.windowed_blurs
-      << ", \"windowed_blur_ms\": " << p.windowed_blur_ms << "}";
+      << ", \"blur_ms\": " << p.blur_ms << "}";
 }
 
 void write_bench_json(const std::vector<ScalingRow>& rows, const ShardedRow& sharded,

@@ -34,15 +34,14 @@ PecResult correct_proximity(const ShotList& shots, const Psf& psf,
   std::vector<double> doses(shots.size());
   for (std::size_t i = 0; i < shots.size(); ++i) doses[i] = shots[i].dose;
 
-  // Iteration-aware update schedule (delta mode only): shots already within
-  // update_tol of target are left untouched this iteration. The bar is loose
-  // while the sweep error is large — shots that start on target (uniform
-  // interiors) freeze immediately — and tightens to the convergence
-  // tolerance as the solve approaches it, so the final iterations touch only
-  // the shots still moving and the evaluator's delta path does the rest.
+  // Iteration-aware update schedule: shots already within update_tol of
+  // target are left untouched this iteration. The bar is loose while the
+  // sweep error is large — shots that start on target (uniform interiors)
+  // freeze immediately — and tightens to the convergence tolerance as the
+  // solve approaches it, so the final iterations touch only the shots still
+  // moving and the evaluator's delta path does the rest.
   // The stopping criterion is measured over every shot regardless, so
   // converged accuracy is exactly the non-scheduled corrector's.
-  const bool delta_mode = eopt.delta_threshold > 0;
   PecResult result;
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     const std::vector<double> e = eval.exposures_at_centroids();
@@ -54,13 +53,12 @@ PecResult correct_proximity(const ShotList& shots, const Psf& psf,
 
     // Floor well below the stopping tolerance so frozen shots cannot pile up
     // just under it and dominate the converged error.
-    const double update_tol =
-        jacobi_update_tolerance(delta_mode, options.tolerance, max_err);
+    const double update_tol = jacobi_update_tolerance(options.tolerance, max_err);
     for (std::size_t i = 0; i < doses.size(); ++i) {
       doses[i] = jacobi_updated_dose(doses[i], e[i], update_tol, options.target,
                                      options.min_dose, options.max_dose);
     }
-    eval.set_doses(doses);
+    eval.set_active_doses(doses);
   }
 
   result.shots = eval.shots();
@@ -75,7 +73,7 @@ PecResult correct_proximity(const ShotList& shots, const Psf& psf,
     final_doses[i] = result.shots[i].dose;
     doses_changed |= final_doses[i] != eval.shots()[i].dose;
   }
-  if (doses_changed) eval.set_doses(final_doses);
+  if (doses_changed) eval.set_active_doses(final_doses);
   double max_err = 0.0;
   for (double ei : eval.exposures_at_centroids())
     max_err = std::max(max_err, std::abs(ei / options.target - 1.0));

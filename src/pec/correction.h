@@ -175,15 +175,13 @@ struct PecResult {
 PecResult correct_proximity(const ShotList& shots, const Psf& psf,
                             const PecOptions& options = {});
 
-/// The per-iteration freeze bar of the delta-mode update schedule: shots
-/// whose relative error is below it are left untouched this iteration —
-/// loose while the sweep error is large, tightening to a quarter of the
-/// stopping tolerance at convergence (so frozen shots cannot pile up just
-/// under the tolerance and dominate the converged error). 0 in oracle mode:
-/// every shot updates every iteration.
-inline double jacobi_update_tolerance(bool delta_mode, double tolerance,
-                                      double max_err) {
-  return delta_mode ? std::max(0.25 * tolerance, 0.1 * max_err) : 0.0;
+/// The per-iteration freeze bar of the update schedule: shots whose
+/// relative error is below it are left untouched this iteration — loose
+/// while the sweep error is large, tightening to a quarter of the stopping
+/// tolerance at convergence (so frozen shots cannot pile up just under the
+/// tolerance and dominate the converged error).
+inline double jacobi_update_tolerance(double tolerance, double max_err) {
+  return std::max(0.25 * tolerance, 0.1 * max_err);
 }
 
 /// One Jacobi dose update step, shared by the monolithic corrector and the

@@ -102,12 +102,6 @@ double ms_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-// Tile side of the windowed-blur touch mask (base pixels). Small enough
-// that a ring of boundary movers resolves into thin edge rectangles instead
-// of one map-sized blob, large enough that the mask and the per-rectangle
-// overhead stay negligible against the blur itself.
-constexpr int kBlurTilePx = 32;
-
 }  // namespace
 
 void separable_blur(double* src, int nx, int ny, std::size_t stride,
@@ -380,7 +374,6 @@ void ExposureEvaluator::build_long_range() {
       static_cast<Coord>(std::ceil(opt_.map_margin_sigmas * sigma_max)));
   long_base_ = std::make_unique<Raster>(frame.bloated(margin), pixel);
 
-  support_px_ = 0;
   const Point lo = long_base_->origin();
   for (const PsfTerm& term : long_terms_) {
     // Same origin as the base, ceil(nx / k) x ceil(ny / k) pixels. Clamping
@@ -397,7 +390,6 @@ void ExposureEvaluator::build_long_range() {
                      far(lo.y, long_base_->height())};
     TermMap tm{term, k, gaussian_kernel_taps(term.sigma / static_cast<double>(tp)),
                std::make_unique<Raster>(extent, tp)};
-    support_px_ = std::max(support_px_, k * (static_cast<int>(tm.taps.size()) - 1));
     term_maps_.push_back(std::move(tm));
   }
 
@@ -521,10 +513,6 @@ void ExposureEvaluator::accumulate_long_range() {
       },
       opt_.threads);
   perf_.accumulate_ms += ms_since(t0);
-
-  // A full gather re-derives every base pixel, so every term-map pixel is
-  // stale: pending windowed-blur marks are moot.
-  clear_blur_tiles();
   blur_long_range();
   ++perf_.refreshes;
 }
@@ -532,164 +520,17 @@ void ExposureEvaluator::accumulate_long_range() {
 void ExposureEvaluator::blur_long_range() {
   if (!long_base_) return;
   const auto t0 = std::chrono::steady_clock::now();
-  const std::vector<TileRect> rects = merged_blur_tiles();
-  bool windowed = false;
   for (TermMap& tm : term_maps_) {
-    if (!rects.empty() && blur_term_windowed(tm, rects)) {
-      windowed = true;
-    } else {
-      blur_term(tm);
-    }
+    Raster& m = *tm.map;
+    box_average(long_base_->data().data(), long_base_->width(), long_base_->height(),
+                tm.k, 0, 0, m.width(), m.height(), m.data().data(), opt_.threads);
+    separable_blur(m, tm.taps, opt_.threads);
   }
-  clear_blur_tiles();
-  const double dt = ms_since(t0);
-  perf_.blur_ms += dt;
-  if (windowed) {
-    perf_.windowed_blur_ms += dt;
-    ++perf_.windowed_blurs;
-  }
-}
-
-void ExposureEvaluator::blur_term(TermMap& tm) {
-  Raster& m = *tm.map;
-  box_average(long_base_->data().data(), long_base_->width(), long_base_->height(),
-              tm.k, 0, 0, m.width(), m.height(), m.data().data(), opt_.threads);
-  separable_blur(m, tm.taps, opt_.threads);
-}
-
-std::vector<ExposureEvaluator::TileRect> ExposureEvaluator::merged_blur_tiles() const {
-  // Horizontal runs of adjacent marked tiles per tile row, coalesced with
-  // the rectangle directly above when the column span matches. The marks
-  // already carry the widest kernel-support dilation (see mark_blur_tiles),
-  // so each rectangle covers every base pixel its touched region can change
-  // in any term map — padded out to tile granularity, which only
-  // over-patches (over-patched pixels recompute to their full-blur values).
-  std::vector<TileRect> rects;
-  if (tiles_marked_ == 0) return rects;
-  std::vector<std::size_t> prev_open, open;
-  for (int ty = 0; ty < tile_ny_; ++ty) {
-    open.clear();
-    const std::uint8_t* row =
-        blur_tiles_.data() + static_cast<std::size_t>(ty) * tile_nx_;
-    for (int tx = 0; tx < tile_nx_;) {
-      if (!row[tx]) {
-        ++tx;
-        continue;
-      }
-      int te = tx;
-      while (te + 1 < tile_nx_ && row[te + 1]) ++te;
-      std::size_t merged = rects.size();
-      for (const std::size_t idx : prev_open) {
-        if (rects[idx].tx0 == tx && rects[idx].tx1 == te) {
-          merged = idx;
-          break;
-        }
-      }
-      if (merged < rects.size()) {
-        rects[merged].ty1 = ty;
-      } else {
-        rects.push_back({tx, te, ty, ty});
-      }
-      open.push_back(merged);
-      tx = te + 1;
-    }
-    std::swap(prev_open, open);
-  }
-  return rects;
-}
-
-bool ExposureEvaluator::blur_term_windowed(TermMap& tm,
-                                           const std::vector<TileRect>& rects) {
-  const int nx = long_base_->width();
-  const int ny = long_base_->height();
-  const int k = tm.k;
-  const int cnx = tm.map->width();
-  const int cny = tm.map->height();
-  const int r = static_cast<int>(tm.taps.size()) - 1;
-
-  // Patch P (inclusive, this term's pixels) and window W = dilate(P, r) of
-  // one rectangle. W clips only where the map edge does, so the separable
-  // passes' edge-skip conditions coincide with the full-map blur's.
-  struct Window {
-    int px0, py0, px1, py1;  // P
-    int wx0, wy0, wx, wy;    // W origin and size
-  };
-  std::vector<Window> wins;
-  wins.reserve(rects.size());
-  std::size_t win_px = 0;
-  for (const TileRect& rc : rects) {
-    Window w{};
-    w.px0 = std::max(0, rc.tx0 * kBlurTilePx / k - 1);
-    w.py0 = std::max(0, rc.ty0 * kBlurTilePx / k - 1);
-    w.px1 = std::min(cnx - 1, std::min(nx - 1, (rc.tx1 + 1) * kBlurTilePx - 1) / k + 1);
-    w.py1 = std::min(cny - 1, std::min(ny - 1, (rc.ty1 + 1) * kBlurTilePx - 1) / k + 1);
-    w.wx0 = std::max(0, w.px0 - r);
-    w.wy0 = std::max(0, w.py0 - r);
-    w.wx = std::min(cnx - 1, w.px1 + r) - w.wx0 + 1;
-    w.wy = std::min(cny - 1, w.py1 + r) - w.wy0 + 1;
-    win_px += static_cast<std::size_t>(w.wx) * w.wy;
-    wins.push_back(w);
-  }
-  // Same kernel either way, so the pixel counts are the cost model.
-  if (win_px >= static_cast<std::size_t>(cnx) * cny) return false;
-
-  double* dst = tm.map->data().data();
-  for (const Window& w : wins) {
-    win_src_.resize(static_cast<std::size_t>(w.wx) * w.wy);
-    box_average(long_base_->data().data(), nx, ny, k, w.wx0, w.wy0, w.wx, w.wy,
-                win_src_.data(), opt_.threads);
-    separable_blur(win_src_.data(), w.wx, w.wy, static_cast<std::size_t>(w.wx), tm.taps,
-                   opt_.threads);
-    // Patch P into the term map in place. Rectangles of different tile runs
-    // may overlap after the coarse padding; both write the same values.
-    const int cw = w.px1 - w.px0 + 1;
-    for (int y = w.py0; y <= w.py1; ++y) {
-      std::copy_n(win_src_.data() + static_cast<std::size_t>(y - w.wy0) * w.wx +
-                      (w.px0 - w.wx0),
-                  cw, dst + static_cast<std::size_t>(y) * cnx + w.px0);
-    }
-  }
-  return true;
-}
-
-void ExposureEvaluator::mark_blur_tiles(const Box& bb) {
-  const auto [ax, ay] = long_base_->index_of(bb.lo);
-  const auto [bx, by] = long_base_->index_of(bb.hi);
-  const int nx = long_base_->width();
-  const int ny = long_base_->height();
-  const int tnx = (nx + kBlurTilePx - 1) / kBlurTilePx;
-  const int tny = (ny + kBlurTilePx - 1) / kBlurTilePx;
-  if (tile_nx_ != tnx || tile_ny_ != tny) {
-    tile_nx_ = tnx;
-    tile_ny_ = tny;
-    blur_tiles_.assign(static_cast<std::size_t>(tnx) * tny, 0);
-    tiles_marked_ = 0;
-  }
-  const int r = support_px_;
-  const int tx0 = std::max(0, ax - r) / kBlurTilePx;
-  const int ty0 = std::max(0, ay - r) / kBlurTilePx;
-  const int tx1 = std::min(nx - 1, bx + r) / kBlurTilePx;
-  const int ty1 = std::min(ny - 1, by + r) / kBlurTilePx;
-  for (int ty = ty0; ty <= ty1; ++ty) {
-    std::uint8_t* row =
-        blur_tiles_.data() + static_cast<std::size_t>(ty) * tile_nx_;
-    for (int tx = tx0; tx <= tx1; ++tx) {
-      if (!row[tx]) {
-        row[tx] = 1;
-        ++tiles_marked_;
-      }
-    }
-  }
-}
-
-void ExposureEvaluator::clear_blur_tiles() {
-  if (tiles_marked_ == 0) return;
-  std::fill(blur_tiles_.begin(), blur_tiles_.end(), 0);
-  tiles_marked_ = 0;
+  perf_.blur_ms += ms_since(t0);
 }
 
 void ExposureEvaluator::apply_full(const double* doses, std::size_t end) {
-  // The oracle path: apply every requested dose (deferred remainders
+  // The exact path: apply every requested dose (deferred remainders
   // included) and re-derive all cached state from scratch — bit-identical to
   // a fresh evaluator at these doses, and to the pre-delta engine.
   for (std::size_t i = 0; i < end; ++i) shots_[i].dose = doses[i];
@@ -712,9 +553,6 @@ void ExposureEvaluator::apply_delta(const double* doses) {
       // fine base map.
       for (std::uint32_t k = shot_start_[j]; k < shot_start_[j + 1]; ++k)
         base[shot_px_[k]] += delta * static_cast<double>(shot_frac_[k]);
-      // The shape bbox covers the splat footprint by construction; its
-      // tiles feed the windowed blur below.
-      mark_blur_tiles(shots_[j].shape.bbox());
     }
     if (shorts) scatter_short_delta(j, delta);
   }
@@ -722,31 +560,21 @@ void ExposureEvaluator::apply_delta(const double* doses) {
   perf_.shots_updated += static_cast<long long>(moved_scratch_.size());
   ++perf_.delta_refreshes;
   ++delta_streak_;
-  // Windowed delta-blur: the marked tiles let each term re-derive only the
-  // patches around the touched region when they are small against its map
-  // (see blur_long_range).
-  if (have_maps) blur_long_range();
+  blur_long_range();
 }
 
-void ExposureEvaluator::update_doses(const double* doses, std::size_t end) {
-  // Moving background doses invalidates the frozen ghost map, which only the
-  // full gather rebuilds.
-  if (opt_.delta_threshold <= 0 || end > active_) {
-    apply_full(doses, end);
-    return;
-  }
+void ExposureEvaluator::update_doses(const double* doses) {
   // Moved set: shots whose requested dose drifted beyond the threshold from
   // the applied one. Sub-threshold requests are deferred (the applied dose
   // keeps its value), so a slowly creeping dose is applied once its
   // accumulated drift crosses the threshold — the evaluator never deviates
-  // from the requests by more than delta_threshold relative.
+  // from the requests by more than kDeltaThreshold relative.
   moved_scratch_.clear();
-  const double theta = opt_.delta_threshold;
-  for (std::size_t i = 0; i < end; ++i) {
+  for (std::size_t i = 0; i < active_; ++i) {
     const double d_new = doses[i];
     const double d_old = shots_[i].dose;
     if (d_new == d_old) continue;
-    if (std::abs(d_new - d_old) > theta * std::max(std::abs(d_old), 1e-12))
+    if (std::abs(d_new - d_old) > kDeltaThreshold * std::max(std::abs(d_old), 1e-12))
       moved_scratch_.push_back(static_cast<std::uint32_t>(i));
   }
   if (moved_scratch_.empty()) {
@@ -757,27 +585,22 @@ void ExposureEvaluator::update_doses(const double* doses, std::size_t end) {
   }
   // The delta path wins while the movers are a minority; past half the range
   // (or the re-anchor cadence) the full gather is both cheaper and exact.
-  if (moved_scratch_.size() * 2 <= end && delta_streak_ < kDeltaReanchor) {
+  if (moved_scratch_.size() * 2 <= active_ && delta_streak_ < kDeltaReanchor) {
     apply_delta(doses);
   } else {
-    apply_full(doses, end);
+    apply_full(doses, active_);
   }
-}
-
-void ExposureEvaluator::set_doses(const std::vector<double>& doses) {
-  expects(doses.size() == shots_.size(), "set_doses: size mismatch");
-  update_doses(doses.data(), shots_.size());
 }
 
 void ExposureEvaluator::set_active_doses(const std::vector<double>& doses) {
   expects(doses.size() == active_, "set_active_doses: size mismatch");
-  update_doses(doses.data(), active_);
+  update_doses(doses.data());
 }
 
 void ExposureEvaluator::reset_doses(const std::vector<double>& doses) {
   expects(doses.size() == shots_.size(), "reset_doses: size mismatch");
   // Exact by design (see the header). Doses are compared by exact
-  // inequality, not delta_threshold — deferring a changed dose would break
+  // inequality, not kDeltaThreshold — deferring a changed dose would break
   // the bitwise equivalence the sharded corrector builds on. The state is
   // already fresh only when no dose changed and no delta scatter has run
   // since the last full gather; anything else rebuilds in full.
@@ -810,9 +633,16 @@ template <typename Fn>
 void ExposureEvaluator::visit_short_neighbors(double px, double py, Fn&& fn) const {
   const std::uint32_t epoch = begin_visit_epoch(shots_.size());
   VisitScratch& vs = t_visit;
-  const int cx = static_cast<int>(std::floor((px - grid_origin_.x) / cell_));
-  const int cy = static_cast<int>(std::floor((py - grid_origin_.y) / cell_));
   const int reach = static_cast<int>(std::ceil(cutoff_ / cell_)) + 1;
+  // The query's cell, clamped in double before the cast so a point however
+  // far from the pattern (or NaN) stays defined: one cell past the reach
+  // beyond either grid edge already visits no cell.
+  const auto cell_of = [&](double v, Coord origin, int n) {
+    const double c = std::floor((v - origin) / static_cast<double>(cell_));
+    return static_cast<int>(std::fmin(std::fmax(c, -1.0 - reach), double(n + reach)));
+  };
+  const int cx = cell_of(px, grid_origin_.x, gx_);
+  const int cy = cell_of(py, grid_origin_.y, gy_);
   const double cut2 = cutoff_ * cutoff_;
   for (int y = std::max(0, cy - reach); y <= std::min(gy_ - 1, cy + reach); ++y) {
     for (int x = std::max(0, cx - reach); x <= std::min(gx_ - 1, cx + reach); ++x) {

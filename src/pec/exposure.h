@@ -24,18 +24,17 @@
 //     multiple of p within its own sigma_t / kPixelsPerSigma. Each shot's
 //     sparse footprint on the fine base (pixel, coverage-fraction) is
 //     computed once at construction and cached in a pixel-major CSR ("splat
-//     cache"); set_doses re-accumulates the fine base as a dose-weighted sum
-//     of cached splats, then box-averages it onto each term's map (coverage
-//     is additive, so this step is exact) and blurs there. Every kernel is
-//     then about 4 * kPixelsPerSigma pixels wide, so one blur suffices: the
-//     separable sliding-window passes.
-//   - Dose updates are incremental (ExposureOptions::delta_threshold): the
-//     evaluator tracks per-shot dose deltas, and when only a minority of
-//     doses moved it re-weights just those shots' cached splats into the
-//     base map and patches the cached per-centroid short-range sums —
-//     O(moved) instead of O(everything) — with sub-threshold updates
-//     deferred entirely. The long-range blur then re-derives only windows
-//     around the moved shots when they are small against a term's map.
+//     cache"); a dose refresh re-accumulates the fine base as a
+//     dose-weighted sum of cached splats, then box-averages it onto each
+//     term's map (coverage is additive, so this step is exact) and blurs
+//     there. Every kernel is then about 4 * kPixelsPerSigma pixels wide, so
+//     one blur suffices: the separable sliding-window passes, over every
+//     term's whole map at every refresh.
+//   - Dose updates are incremental (see kDeltaThreshold): the evaluator
+//     tracks per-shot dose deltas, and when only a minority of doses moved
+//     it re-weights just those shots' cached splats into the base map and
+//     patches the cached per-centroid short-range sums — O(moved) instead
+//     of O(everything) — with sub-threshold updates deferred entirely.
 //   - The centroid sweep's erf evaluations are batched through the
 //     vectorized polynomial in util/vecmath.h (4-wide AVX2 + FMA, ~4x libm;
 //     see ExposureOptions::fast_erf).
@@ -66,6 +65,29 @@ inline constexpr double kLongRangeThreshold = 400.0;
 /// pixels (radius 16).
 inline constexpr double kPixelsPerSigma = 4.0;
 
+/// Incremental dose-delta updates. After a few Jacobi sweeps most doses move
+/// by far less than the correction tolerance; re-gathering every splat (and
+/// re-summing every analytic neighbor term) for updates that moved almost
+/// nothing is where the iterative corrector used to spend its tail.
+/// set_active_doses compares each requested dose with the one currently
+/// applied:
+///   - a shot whose relative change is at most kDeltaThreshold is
+///     *deferred*: its applied dose keeps its old value until the
+///     accumulated request drifts past the threshold (or the next full
+///     refresh applies everything), so the evaluator's state deviates from
+///     the requested doses by at most kDeltaThreshold relative — far below
+///     any correction tolerance in use;
+///   - when the moved shots are a minority (at most half of the active
+///     shots), only *their* contributions are re-applied: cached splats are
+///     re-weighted by the dose delta directly into the fine base map
+///     (O(moved x footprint) instead of the full O(pixels + splats) gather),
+///     and the cached per-centroid short-range sums are updated the same
+///     way. The long-range blur still reruns on every term's full map.
+/// Every kDeltaReanchor-th delta refresh re-gathers in full to keep the
+/// ~1e-16-per-update rounding drift bounded (well under 1e-12 in practice).
+/// reset_doses is the exact entry point: it never defers and never scatters.
+inline constexpr double kDeltaThreshold = 1e-4;
+
 struct ExposureOptions {
   /// Analytic neighbor cutoff in sigmas. 4 keeps the truncation error below
   /// ~1e-6 of each short term's weight; raise it when validating against
@@ -87,32 +109,6 @@ struct ExposureOptions {
   /// value (see the header comment).
   int threads = 0;
 
-  /// Incremental dose-delta updates. After a few Jacobi sweeps most doses
-  /// move by far less than the correction tolerance; re-gathering every splat
-  /// (and re-summing every analytic neighbor term) for updates that moved
-  /// almost nothing is where the iterative corrector used to spend its tail.
-  /// When > 0, set_active_doses (and set_doses on an evaluator without
-  /// background shots) compares each requested dose with the one currently
-  /// applied:
-  ///   - a shot whose relative change is at most delta_threshold is
-  ///     *deferred*: its applied dose keeps its old value until the
-  ///     accumulated request drifts past the threshold (or the next full
-  ///     refresh applies everything), so the evaluator's state deviates from
-  ///     the requested doses by at most delta_threshold relative — far below
-  ///     the correction tolerance at the default;
-  ///   - when the moved shots are a minority (at most half of the updated
-  ///     range), only *their* contributions are re-applied: cached splats are
-  ///     re-weighted by the dose delta directly into the fine base map
-  ///     (O(moved x footprint) instead of the full O(pixels + splats)
-  ///     gather), and the cached per-centroid short-range sums are updated
-  ///     the same way. The long-range blur still reruns on the updated map.
-  /// Every kDeltaReanchor-th delta refresh re-gathers in full to keep the
-  /// ~1e-16-per-update rounding drift bounded (well under 1e-12 in
-  /// practice). 0 disables the path entirely: every update re-applies every
-  /// dose through the full gather, bit-identical to the pre-delta engine —
-  /// that is the oracle the equivalence tests compare against.
-  double delta_threshold = 1e-4;
-
   /// Evaluate the centroid sweep's error functions with the vectorized
   /// polynomial in util/vecmath.h (|error| <= 2e-7, ~4x libm throughput on
   /// AVX2) instead of libm's erf. The analytic path already truncates at
@@ -123,24 +119,22 @@ struct ExposureOptions {
 };
 
 /// Wall-clock accounting of the long-range refresh, for benchmarks and
-/// traces. Times accumulate across set_doses calls.
+/// traces. Times accumulate across dose refreshes.
 struct BlurPerf {
   double accumulate_ms = 0.0;  ///< full splat gathers / re-rasterizations
   double blur_ms = 0.0;        ///< per-term box averages and convolutions
   int refreshes = 0;           ///< completed *full* long-range refreshes
 
-  // Delta-path accounting (see ExposureOptions::delta_threshold).
+  // Delta-path accounting (see kDeltaThreshold).
   double delta_accumulate_ms = 0.0;  ///< delta scatters (splats + short sums)
   int delta_refreshes = 0;           ///< refreshes served by the delta path
   int skipped_refreshes = 0;  ///< set_* calls where no dose moved at all
   long long shots_updated = 0;  ///< shots re-weighted across delta refreshes
 
-  // Windowed delta-blur accounting: delta refreshes where at least one
-  // term's blur ran on sub-windows around the touched region instead of its
-  // full map (see ExposureOptions::delta_threshold and
-  // docs/architecture.md). The time is a subset of blur_ms.
-  int windowed_blurs = 0;         ///< blurs served by the windowed path
-  double windowed_blur_ms = 0.0;  ///< time inside those windowed blurs
+  // Always 0: the evaluator has no windowed blur. Kept only because the
+  // end-to-end benchmark still reads them; merge and the wire skip them.
+  int windowed_blurs = 0;
+  double windowed_blur_ms = 0.0;
 
   /// Fold another evaluator's counters into this one (sharded solves
   /// aggregate their per-shard evaluators; summation order is the caller's).
@@ -152,8 +146,6 @@ struct BlurPerf {
     delta_refreshes += o.delta_refreshes;
     skipped_refreshes += o.skipped_refreshes;
     shots_updated += o.shots_updated;
-    windowed_blurs += o.windowed_blurs;
-    windowed_blur_ms += o.windowed_blur_ms;
   }
 };
 
@@ -190,17 +182,14 @@ class ExposureEvaluator {
   /// the split constructor was used.
   std::size_t active_count() const { return active_; }
 
-  /// Replaces all doses — active and background (size must match
-  /// shots().size()) — and refreshes cached maps. On a split evaluator the
-  /// background may move, so the refresh is always the full gather.
-  void set_doses(const std::vector<double>& doses);
-
   /// Replaces the active doses only (size must match active_count());
-  /// background doses stay frozen. Refreshes cached maps.
+  /// background doses stay frozen. Refreshes cached maps incrementally:
+  /// sub-threshold moves are deferred and a minority of movers takes the
+  /// delta path (see kDeltaThreshold).
   void set_active_doses(const std::vector<double>& doses);
 
   /// Replaces every dose (active and background) exactly, regardless of
-  /// delta_threshold: all requested doses are applied through the full
+  /// kDeltaThreshold: all requested doses are applied through the full
   /// gather, so the evaluator afterwards is bit-identical to one freshly
   /// constructed at these doses, while the expensive geometry caches
   /// (neighbor grid, splat clipping, term maps and kernel taps) are reused.
@@ -238,32 +227,12 @@ class ExposureEvaluator {
   void rebuild_ghost_base();
   void accumulate_long_range();
   // Re-derives every term map from the fine base: box-average onto the
-  // term's raster, then the separable blur. When the delta path has marked
-  // blur tiles (see mark_blur_tiles), each term instead re-derives only its
-  // patch rectangles if their windows hold fewer pixels than its map (see
-  // blur_term_windowed). Clears the tile marks.
+  // term's raster, then the separable blur.
   void blur_long_range();
 
-  // Windowed blur. The marked tiles merge into rectangles (merged_blur_tiles);
-  // patching per rectangle instead of one union bbox lets spatially
-  // scattered movers (a ring of boundary shots, a handful of islands)
-  // window — their union bbox would cover the whole map. Term t's patch P is
-  // a rectangle's fine pixels divided by k_t, padded by one coarse pixel;
-  // its window is W = dilate(P, r_t), box-averaged from the fine base and
-  // blurred by the same separable passes, so P comes out bit-identical to
-  // the full-map blur. Returns false (and blurs nothing) when the windows
-  // hold at least as many pixels as the term's map.
-  struct TileRect {
-    int tx0, tx1, ty0, ty1;  // tile coords, inclusive
-  };
-  std::vector<TileRect> merged_blur_tiles() const;
-  struct TermMap;
-  void blur_term(TermMap& tm);
-  bool blur_term_windowed(TermMap& tm, const std::vector<TileRect>& rects);
-
-  // Delta-path internals (see ExposureOptions::delta_threshold).
-  // Both take the doses of shots_[0..end).
-  void update_doses(const double* doses, std::size_t end);
+  // Delta-path internals (see kDeltaThreshold). update_doses takes the
+  // active doses, apply_full the doses of shots_[0..end).
+  void update_doses(const double* doses);
   void apply_full(const double* doses, std::size_t end);
   void apply_delta(const double* doses);
   void scatter_short_delta(std::uint32_t shot, double delta);
@@ -309,9 +278,9 @@ class ExposureEvaluator {
   // Background (frozen-dose) shots are not in the splat cache: their
   // dose-weighted coverage is rasterized once into ghost_base_ and added on
   // top of the active gather, so cache memory and the per-iteration gather
-  // are O(active shots). Rebuilt only by the dose setters that may move
-  // background doses; null when every shot is active. Both bases are at the
-  // fine pixel only.
+  // are O(active shots). Rebuilt only by reset_doses, the one dose setter
+  // that may move background doses; null when every shot is active. Both
+  // bases are at the fine pixel only.
   std::unique_ptr<Raster> long_base_;
   std::unique_ptr<Raster> ghost_base_;
   std::vector<std::uint32_t> px_start_;
@@ -326,19 +295,7 @@ class ExposureEvaluator {
   std::vector<std::uint32_t> shot_px_;
   std::vector<float> shot_frac_;
   std::vector<TermMap> term_maps_;
-  int support_px_ = 0;  ///< widest kernel support in base pixels (k * radius)
   BlurPerf perf_;
-  std::vector<double> win_src_;  ///< windowed-blur scratch
-
-  // Tile-granular touch mask feeding the windowed blur: the base map is
-  // carved into fixed-size tiles, and the delta path marks every tile
-  // intersecting a moved footprint's patch region (the footprint dilated by
-  // support_px_). blur_long_range consumes and resets the marks.
-  int tile_nx_ = 0, tile_ny_ = 0;
-  std::vector<std::uint8_t> blur_tiles_;
-  int tiles_marked_ = 0;
-  void mark_blur_tiles(const Box& bb);
-  void clear_blur_tiles();
 
   // Active-centroid cache (query points of the sweep) and the cached
   // short-range analytic sums at them. The cache is rebuilt on the next
@@ -383,7 +340,7 @@ void separable_blur(double* data, int nx, int ny, std::size_t stride,
 /// k x k fine blocks, fine pixels outside the fine raster counting as zero
 /// (so the region may start at negative coarse indices or run past the
 /// far edge). Each coarse pixel sums its block rows then columns in
-/// ascending order, whatever region it is computed in, so a windowed
+/// ascending order, whatever region it is computed in, so a partial
 /// extract equals the full map's bit for bit. Rows run on the thread pool;
 /// output is identical for any thread count. k == 1 inside the fine raster
 /// is a plain copy.

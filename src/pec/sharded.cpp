@@ -161,8 +161,6 @@ BlurPerf perf_since(const BlurPerf& now, const BlurPerf& then) {
   d.delta_refreshes -= then.delta_refreshes;
   d.skipped_refreshes -= then.skipped_refreshes;
   d.shots_updated -= then.shots_updated;
-  d.windowed_blurs -= then.windowed_blurs;
-  d.windowed_blur_ms -= then.windowed_blur_ms;
   return d;
 }
 
@@ -522,7 +520,6 @@ wire::ShardResult solve_shard_job(const wire::ShardJob& job,
   std::vector<double> d(na);
   for (std::size_t k = 0; k < na; ++k) d[k] = job.active[k].dose;
 
-  const bool delta_mode = job.exposure.delta_threshold > 0;
   wire::ShardResult out;
   out.shard_key = job.shard_key;
   for (int iter = 0;; ++iter) {
@@ -533,8 +530,7 @@ wire::ShardResult solve_shard_job(const wire::ShardJob& job,
     out.exit_error = max_err;
     if (max_err < job.tolerance || !job.correct || iter >= job.max_iterations)
       break;
-    const double update_tol =
-        jacobi_update_tolerance(delta_mode, job.tolerance, max_err);
+    const double update_tol = jacobi_update_tolerance(job.tolerance, max_err);
     for (std::size_t k = 0; k < na; ++k) {
       d[k] = jacobi_updated_dose(d[k], e[k], update_tol, job.target, job.min_dose,
                                  job.max_dose);

@@ -108,7 +108,6 @@ void put_solve_fields(Writer& w, const ShardJob& job) {
   const ExposureOptions& e = job.exposure;
   w.f64(e.cutoff_sigmas);
   w.i32(e.threads);
-  w.f64(e.delta_threshold);
   w.u8(e.fast_erf ? 1 : 0);
 }
 
@@ -121,7 +120,6 @@ void get_solve_fields(Reader& r, ShardJob& job) {
   ExposureOptions& e = job.exposure;
   e.cutoff_sigmas = r.f64();
   e.threads = r.i32();
-  e.delta_threshold = r.f64();
   e.fast_erf = r.boolean();
 }
 
@@ -129,6 +127,14 @@ void get_solve_fields(Reader& r, ShardJob& job) {
 // the solver's contracts or std::clamp with inverted bounds.
 void require(bool ok, const char* what) {
   if (!ok) throw DataError(std::string("wire: job ") + what);
+}
+
+// A result the driver would publish wrong is a bad frame too: a non-finite
+// dose, a NaN or negative error, a negative iteration count or a non-finite
+// solve time. Doses are checked for finiteness only — a measurement pass
+// returns its input doses, which may lie outside the job's clamp.
+void require_result(bool ok, const char* what) {
+  if (!ok) throw DataError(std::string("wire: result ") + what);
 }
 
 bool positive(double v) { return std::isfinite(v) && v > 0; }
@@ -147,8 +153,6 @@ void validate(const ShardJob& job) {
   require(positive(job.exposure.cutoff_sigmas),
           "cutoff_sigmas must be finite and > 0");
   require(job.exposure.threads >= 0, "threads must be >= 0");
-  require(non_negative(job.exposure.delta_threshold),
-          "delta_threshold must be finite and >= 0");
 }
 
 void put_shots(Writer& w, const ShotList& shots) {
@@ -188,8 +192,6 @@ void put_perf(Writer& w, const BlurPerf& p) {
   w.i32(p.delta_refreshes);
   w.i32(p.skipped_refreshes);
   w.i64(p.shots_updated);
-  w.i32(p.windowed_blurs);
-  w.f64(p.windowed_blur_ms);
 }
 
 BlurPerf get_perf(Reader& r) {
@@ -201,8 +203,6 @@ BlurPerf get_perf(Reader& r) {
   p.delta_refreshes = r.i32();
   p.skipped_refreshes = r.i32();
   p.shots_updated = r.i64();
-  p.windowed_blurs = r.i32();
-  p.windowed_blur_ms = r.f64();
   return p;
 }
 
@@ -290,6 +290,12 @@ ShardResult decode_shard_result(std::string_view payload) {
   result.pool_evictions = r.u32();
   result.solve_ms = r.f64();
   r.finish();
+  require_result(non_negative(result.entry_error) && non_negative(result.exit_error),
+                 "errors must be finite and >= 0");
+  require_result(result.iterations >= 0, "iterations must be >= 0");
+  for (const double d : result.doses)
+    require_result(std::isfinite(d), "doses must be finite");
+  require_result(std::isfinite(result.solve_ms), "solve_ms must be finite");
   return result;
 }
 

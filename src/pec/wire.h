@@ -59,7 +59,12 @@ inline constexpr std::uint32_t kMagic = 0x574C4245;  // "EBLW" little-endian
 /// v7: a job no longer carries the driver's PecOptions, only the 9 option
 /// values a shard solve reads (see ShardJob), and decode_shard_job rejects
 /// out-of-range solve fields. Exact-match skew rule.
-inline constexpr std::uint32_t kVersion = 7;
+/// v8: ExposureOptions lost delta_threshold (now the constant
+/// kDeltaThreshold) and BlurPerf's windowed-blur counters left the result,
+/// so a job is 8 bytes and a result 12 bytes shorter; decode_shard_result
+/// rejects non-finite doses and out-of-range errors, iteration counts and
+/// solve times. Exact-match skew rule.
+inline constexpr std::uint32_t kVersion = 8;
 /// Written as-is by every encoder; a reader that sees its bytes reversed is
 /// looking at a stream produced by a writer that did not follow the
 /// little-endian convention (or at garbage) and must reject it.
@@ -186,8 +191,9 @@ std::string encode_token(std::uint64_t token);
 /// out-of-range enum/count values, and for a job also on any solve field no
 /// solve can run with: a non-finite or non-positive target, dose bound, PSF
 /// weight or sigma, or cutoff_sigmas; min_dose > max_dose; a non-finite or
-/// negative tolerance or delta_threshold; max_iterations < 1; negative
-/// threads.
+/// negative tolerance; max_iterations < 1; negative threads. A result is
+/// rejected for a non-finite dose, a non-finite or negative entry or exit
+/// error, a negative iteration count, or a non-finite solve_ms.
 ShardJob decode_shard_job(std::string_view payload);
 ShardResult decode_shard_result(std::string_view payload);
 Hello decode_hello(std::string_view payload);

@@ -182,7 +182,7 @@ ScenarioResult scenario_multipass_grayscale(const ScenarioOptions& options) {
     if (err < 0.01) break;
     for (std::size_t i = 0; i < doses.size(); ++i)
       doses[i] = std::clamp(doses[i] * targets[i] / exposures[i], 0.05, 8.0);
-    eval.set_doses(doses);
+    eval.set_active_doses(doses);
   }
   r.pec_iterations = iters;
   ShotList corrected = shots;

@@ -66,7 +66,7 @@ TEST(ExposureEvaluator, BlurPerfCountsRefreshes) {
   ExposureEvaluator eval(shots, psf);
   const int before = eval.blur_perf().refreshes;
   EXPECT_GE(before, 1);  // construction accumulates once
-  eval.set_doses(std::vector<double>(shots.size(), 1.1));
+  eval.set_active_doses(std::vector<double>(shots.size(), 1.1));
   EXPECT_EQ(eval.blur_perf().refreshes, before + 1);
   EXPECT_GE(eval.blur_perf().blur_ms, 0.0);
   EXPECT_GE(eval.blur_perf().accumulate_ms, 0.0);

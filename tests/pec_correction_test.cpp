@@ -93,15 +93,29 @@ TEST(ExposureEvaluator, TripleGaussianMatchesBruteForceAnalytic) {
   }
 }
 
-TEST(ExposureEvaluator, SetDosesScalesExposure) {
+TEST(ExposureEvaluator, SetActiveDosesScalesExposure) {
   PolygonSet s;
   s.insert(Box{0, 0, 2000, 2000});
   const ShotList shots = fracture(s).shots;
   ExposureEvaluator eval(shots, test_psf());
   const double base = eval.exposure_at(1000.0, 1000.0);
   std::vector<double> doses(shots.size(), 2.0);
-  eval.set_doses(doses);
+  eval.set_active_doses(doses);
   EXPECT_NEAR(eval.exposure_at(1000.0, 1000.0), 2.0 * base, 1e-6);
+}
+
+TEST(ExposureEvaluator, QueryFarFromThePatternIsZero) {
+  // "Query points may be anywhere": a point 1e14 dbu away lies past every
+  // neighbor cell and every map pixel, and must read exactly 0 without an
+  // out-of-range cast on the way.
+  PolygonSet s;
+  s.insert(Box{0, 0, 2000, 2000});
+  const ExposureEvaluator eval(fracture(s).shots, test_psf());
+  for (const double far : {1e14, -1e14}) {
+    EXPECT_EQ(eval.exposure_at(far, 0.0), 0.0) << far;
+    EXPECT_EQ(eval.exposure_at(0.0, far), 0.0) << far;
+    EXPECT_EQ(eval.exposure_at(far, -far), 0.0) << far;
+  }
 }
 
 TEST(Pec, UncorrectedPatternHasLargeIsoDenseGap) {
@@ -294,7 +308,7 @@ TEST(ExposureEvaluator, CentroidSweepIsBitIdenticalAcrossThreadCounts) {
     std::vector<double> doses(shots.size());
     for (std::size_t i = 0; i < doses.size(); ++i)
       doses[i] = 1.0 + 0.001 * static_cast<double>(i % 97);
-    eval.set_doses(doses);
+    eval.set_active_doses(doses);
     results.push_back(eval.exposures_at_centroids());
   }
   ASSERT_EQ(results[0].size(), shots.size());

@@ -1,6 +1,6 @@
 // Tests for the incremental dose-delta path of the exposure evaluator
-// (ExposureOptions::delta_threshold) and the exact dose-reset entry points
-// the resident sharded pipeline is built on.
+// (set_active_doses, see kDeltaThreshold) and the exact dose-reset entry
+// point (reset_doses) the resident sharded pipeline is built on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -50,23 +50,28 @@ std::vector<double> perturb(const std::vector<double>& doses, int step,
   return out;
 }
 
+// The exact oracle of an incremental evaluator: a second evaluator reset
+// (full gather, no deferral) to the doses the first one has applied. The
+// delta path promises to match it within 1e-12 whatever it deferred.
+std::vector<double> applied_doses(const ExposureEvaluator& eval) {
+  std::vector<double> out(eval.shots().size());
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = eval.shots()[i].dose;
+  return out;
+}
+
 TEST(DeltaPath, MatchesFullReaccumulationAcrossRandomTrajectories) {
   const ShotList shots = pad_and_island();
   const Psf psf = test_psf();
-  ExposureOptions delta_opt;
-  delta_opt.delta_threshold = 1e-15;  // apply every change, via deltas
-  ExposureOptions full_opt;
-  full_opt.delta_threshold = 0.0;  // the always-full oracle
-  ExposureEvaluator delta_eval(shots, psf, delta_opt);
-  ExposureEvaluator full_eval(shots, psf, full_opt);
+  ExposureEvaluator delta_eval(shots, psf);
+  ExposureEvaluator full_eval(shots, psf);
 
   std::vector<double> doses(shots.size(), 1.0);
   for (int step = 0; step < 12; ++step) {
     // Mostly minority updates (delta path), every fourth step a majority
     // update (full fallback) — the paths must agree wherever they hand over.
     doses = perturb(doses, step, step % 4 == 3 ? 9 : 2, 10);
-    delta_eval.set_doses(doses);
-    full_eval.set_doses(doses);
+    delta_eval.set_active_doses(doses);
+    full_eval.reset_doses(applied_doses(delta_eval));
     const std::vector<double> a = delta_eval.exposures_at_centroids();
     const std::vector<double> b = full_eval.exposures_at_centroids();
     ASSERT_EQ(a.size(), b.size());
@@ -84,19 +89,15 @@ TEST(DeltaPath, ShortOnlyPsfDeltasThroughTheCentroidCache) {
   // the cached analytic sums.
   const ShotList shots = pad_and_island();
   const Psf psf = Psf::double_gaussian(40.0, 150.0, 0.5);
-  ExposureOptions delta_opt;
-  delta_opt.delta_threshold = 1e-15;
-  ExposureOptions full_opt;
-  full_opt.delta_threshold = 0.0;
-  ExposureEvaluator delta_eval(shots, psf, delta_opt);
-  ExposureEvaluator full_eval(shots, psf, full_opt);
+  ExposureEvaluator delta_eval(shots, psf);
+  ExposureEvaluator full_eval(shots, psf);
   std::vector<double> doses(shots.size(), 1.0);
-  // Prime both caches, then run delta steps.
+  // Prime the centroid cache, then run delta steps.
   (void)delta_eval.exposures_at_centroids();
   for (int step = 0; step < 6; ++step) {
     doses = perturb(doses, step, 1, 10);
-    delta_eval.set_doses(doses);
-    full_eval.set_doses(doses);
+    delta_eval.set_active_doses(doses);
+    full_eval.reset_doses(applied_doses(delta_eval));
     const std::vector<double> a = delta_eval.exposures_at_centroids();
     const std::vector<double> b = full_eval.exposures_at_centroids();
     for (std::size_t i = 0; i < a.size(); ++i) {
@@ -106,23 +107,21 @@ TEST(DeltaPath, ShortOnlyPsfDeltasThroughTheCentroidCache) {
   EXPECT_GT(delta_eval.blur_perf().delta_refreshes, 0);
 }
 
-TEST(DeltaPath, ThresholdZeroIsBitwiseTheFreshEvaluator) {
-  // The opt-out contract: with delta_threshold = 0 a trajectory of full
-  // re-accumulations leaves the evaluator bit-identical to one freshly
-  // constructed at the final doses.
+TEST(DeltaPath, ResetChainIsBitwiseTheFreshEvaluator) {
+  // A trajectory of exact resets leaves the evaluator bit-identical to one
+  // freshly constructed at the final doses.
   const ShotList shots = pad_and_island();
   const Psf psf = test_psf();
-  ExposureOptions opt;
-  opt.delta_threshold = 0.0;
-  ExposureEvaluator eval(shots, psf, opt);
+  ExposureEvaluator eval(shots, psf);
   std::vector<double> doses(shots.size(), 1.0);
   for (int step = 0; step < 5; ++step) {
     doses = perturb(doses, step, 3, 10);
-    eval.set_doses(doses);
+    eval.reset_doses(doses);
   }
+  EXPECT_EQ(eval.blur_perf().delta_refreshes, 0);
   ShotList fresh_shots = shots;
   for (std::size_t i = 0; i < doses.size(); ++i) fresh_shots[i].dose = doses[i];
-  ExposureEvaluator fresh(fresh_shots, psf, opt);
+  ExposureEvaluator fresh(fresh_shots, psf);
   const std::vector<double> a = eval.exposures_at_centroids();
   const std::vector<double> b = fresh.exposures_at_centroids();
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]) << "shot " << i;
@@ -134,14 +133,13 @@ TEST(DeltaPath, BitIdenticalAcrossThreadCounts) {
   std::vector<std::vector<double>> sweeps;
   for (const int threads : {1, 4}) {
     ExposureOptions opt;
-    opt.delta_threshold = 1e-15;
     opt.threads = threads;
     ExposureEvaluator eval(shots, psf, opt);
     std::vector<double> doses(shots.size(), 1.0);
     std::vector<double> last;
     for (int step = 0; step < 6; ++step) {
       doses = perturb(doses, step, 2, 10);
-      eval.set_doses(doses);
+      eval.set_active_doses(doses);
       last = eval.exposures_at_centroids();
     }
     EXPECT_GT(eval.blur_perf().delta_refreshes, 0) << threads << " threads";
@@ -156,16 +154,15 @@ TEST(DeltaPath, BitIdenticalAcrossThreadCounts) {
 TEST(DeltaPath, SubThresholdUpdatesAreDeferredThenApplied) {
   const ShotList shots = pad_and_island();
   const Psf psf = test_psf();
-  ExposureOptions opt;
-  opt.delta_threshold = 1e-3;
-  ExposureEvaluator eval(shots, psf, opt);
+  ExposureEvaluator eval(shots, psf);
   const std::vector<double> before = eval.exposures_at_centroids();
   const int skipped0 = eval.blur_perf().skipped_refreshes;
 
   // One sub-threshold nudge: nothing is applied, the refresh is skipped
   // outright and the sweep is bitwise unchanged.
-  std::vector<double> doses(shots.size(), 1.0 + 2e-4);
-  eval.set_doses(doses);
+  const double nudge = 0.2 * kDeltaThreshold;
+  std::vector<double> doses(shots.size(), 1.0 + nudge);
+  eval.set_active_doses(doses);
   EXPECT_EQ(eval.blur_perf().skipped_refreshes, skipped0 + 1);
   const std::vector<double> after_nudge = eval.exposures_at_centroids();
   for (std::size_t i = 0; i < before.size(); ++i)
@@ -175,26 +172,25 @@ TEST(DeltaPath, SubThresholdUpdatesAreDeferredThenApplied) {
   // applied in full — no drift is ever lost, and the evaluator never lags
   // the requests by more than the threshold.
   for (int step = 2; step <= 10; ++step) {
-    for (double& d : doses) d = 1.0 + 2e-4 * step;
-    eval.set_doses(doses);
+    for (double& d : doses) d = 1.0 + nudge * step;
+    eval.set_active_doses(doses);
   }
-  ExposureOptions exact_opt;
-  exact_opt.delta_threshold = 0.0;
+  EXPECT_GT(eval.blur_perf().refreshes, 1);
   ShotList exact_shots = shots;
   for (Shot& s : exact_shots) s.dose = doses[0];
-  ExposureEvaluator exact(exact_shots, psf, exact_opt);
+  ExposureEvaluator exact(exact_shots, psf);
   const std::vector<double> a = eval.exposures_at_centroids();
   const std::vector<double> b = exact.exposures_at_centroids();
   for (std::size_t i = 0; i < a.size(); ++i) {
     // Residual deferral is bounded by the threshold (relative, and exposure
     // is 1-homogeneous in dose).
-    EXPECT_NEAR(a[i], b[i], 2.5 * opt.delta_threshold) << "shot " << i;
+    EXPECT_NEAR(a[i], b[i], 2.5 * kDeltaThreshold) << "shot " << i;
   }
 }
 
 // Indices of the island shots (the small box far from the pad) — moving
-// only these keeps the touched region tiny so the windowed delta-blur
-// beats re-blurring the whole map.
+// only these keeps every delta refresh's touched region tiny against the
+// long-range maps.
 std::vector<std::size_t> island_indices(const ShotList& shots) {
   std::vector<std::size_t> out;
   for (std::size_t i = 0; i < shots.size(); ++i) {
@@ -217,28 +213,23 @@ std::vector<double> perturb_subset(const std::vector<double>& doses,
   return out;
 }
 
-TEST(DeltaPath, WindowedBlurMatchesTheFullBlurOracle) {
-  // Localized updates (island only): the delta path refreshes each term's
-  // blur on snug windows around the island instead of its whole map. The
-  // windowed result must stay within the delta path's 1e-12 contract of the
-  // always-full oracle across a random trajectory.
+TEST(DeltaPath, LocalizedUpdatesMatchTheResetOracle) {
+  // Localized updates (island only) take the delta path on every step. The
+  // result must stay within the delta path's 1e-12 contract of the exact
+  // reset oracle across a random trajectory, at the centroids and off them.
   const ShotList shots = pad_and_island();
   const std::vector<std::size_t> island = island_indices(shots);
   ASSERT_FALSE(island.empty());
   for (const Psf& psf : map_layout_psfs()) {
     SCOPED_TRACE(psf.terms().size() == 2 ? "double Gaussian" : "triple Gaussian");
-    ExposureOptions delta_opt;
-    delta_opt.delta_threshold = 1e-15;
-    ExposureOptions full_opt;
-    full_opt.delta_threshold = 0.0;
-    ExposureEvaluator delta_eval(shots, psf, delta_opt);
-    ExposureEvaluator full_eval(shots, psf, full_opt);
+    ExposureEvaluator delta_eval(shots, psf);
+    ExposureEvaluator full_eval(shots, psf);
 
     std::vector<double> doses(shots.size(), 1.0);
     for (int step = 0; step < 8; ++step) {
       doses = perturb_subset(doses, island, step);
-      delta_eval.set_doses(doses);
-      full_eval.set_doses(doses);
+      delta_eval.set_active_doses(doses);
+      full_eval.reset_doses(applied_doses(delta_eval));
       const std::vector<double> a = delta_eval.exposures_at_centroids();
       const std::vector<double> b = full_eval.exposures_at_centroids();
       ASSERT_EQ(a.size(), b.size());
@@ -246,7 +237,7 @@ TEST(DeltaPath, WindowedBlurMatchesTheFullBlurOracle) {
         EXPECT_NEAR(a[i], b[i], 1e-12) << "step " << step << " shot " << i;
       }
       // Off-centroid probes around the island reach map pixels no shot
-      // samples: a patch that misses part of the kernel's reach shows here.
+      // samples: a stale map pixel within the kernels' reach shows here.
       for (double y = -10000.0; y <= 30000.0; y += 1250.0) {
         for (double x = 22000.0; x <= 60000.0; x += 500.0) {
           EXPECT_NEAR(delta_eval.exposure_at(x, y), full_eval.exposure_at(x, y), 1e-12)
@@ -254,15 +245,11 @@ TEST(DeltaPath, WindowedBlurMatchesTheFullBlurOracle) {
         }
       }
     }
-    EXPECT_GT(delta_eval.blur_perf().windowed_blurs, 0);
-    EXPECT_GT(delta_eval.blur_perf().windowed_blur_ms, 0.0);
-    EXPECT_LE(delta_eval.blur_perf().windowed_blur_ms,
-              delta_eval.blur_perf().blur_ms);
-    EXPECT_EQ(full_eval.blur_perf().windowed_blurs, 0);
+    EXPECT_GT(delta_eval.blur_perf().delta_refreshes, 0);
   }
 }
 
-TEST(DeltaPath, WindowedBlurBitIdenticalAcrossThreadCounts) {
+TEST(DeltaPath, LocalizedUpdatesBitIdenticalAcrossThreadCounts) {
   const ShotList shots = pad_and_island();
   const std::vector<std::size_t> island = island_indices(shots);
   for (const Psf& psf : map_layout_psfs()) {
@@ -270,17 +257,16 @@ TEST(DeltaPath, WindowedBlurBitIdenticalAcrossThreadCounts) {
     std::vector<std::vector<double>> sweeps;
     for (const int threads : {1, 4}) {
       ExposureOptions opt;
-      opt.delta_threshold = 1e-15;
       opt.threads = threads;
       ExposureEvaluator eval(shots, psf, opt);
       std::vector<double> doses(shots.size(), 1.0);
       std::vector<double> last;
       for (int step = 0; step < 6; ++step) {
         doses = perturb_subset(doses, island, step);
-        eval.set_doses(doses);
+        eval.set_active_doses(doses);
         last = eval.exposures_at_centroids();
       }
-      EXPECT_GT(eval.blur_perf().windowed_blurs, 0) << threads << " threads";
+      EXPECT_GT(eval.blur_perf().delta_refreshes, 0) << threads << " threads";
       sweeps.push_back(std::move(last));
     }
     ASSERT_EQ(sweeps[0].size(), sweeps[1].size());
@@ -391,43 +377,6 @@ TEST(DosePaths, ResetDosesIsBitwiseTheFreshEvaluator) {
   }
 }
 
-TEST(DosePaths, SetDosesWithMovedGhostsIsBitwiseTheFreshEvaluator) {
-  // Active-only delta scatters first, then set_doses moving ghost doses as
-  // well: the background can only be refreshed by the full gather, so the
-  // result must equal a fresh evaluator bit for bit.
-  const ShotList shots = pad_and_island();
-  const Psf psf = test_psf();
-  const std::size_t na = shots.size() / 2;
-  ExposureOptions opt;
-  opt.delta_threshold = 1e-15;
-  ExposureEvaluator split(shots, na, psf, opt);
-
-  std::vector<double> act(na, 1.0);
-  for (int step = 0; step < 3; ++step) {
-    act = perturb(act, step, 2, 10);
-    split.set_active_doses(act);
-    (void)split.exposures_at_centroids();  // keep the short cache in play
-  }
-  ASSERT_GT(split.blur_perf().delta_refreshes, 0);
-
-  std::vector<double> all = act;
-  for (std::size_t k = na; k < shots.size(); ++k)
-    all.push_back(k % 3 == 0 ? 1.0 + 0.01 * static_cast<double>(k % 7) : 1.0);
-  const int delta0 = split.blur_perf().delta_refreshes;
-  split.set_doses(all);
-  EXPECT_EQ(split.blur_perf().delta_refreshes, delta0);
-  for (std::size_t i = 0; i < shots.size(); ++i)
-    EXPECT_EQ(split.shots()[i].dose, all[i]) << "shot " << i;
-
-  ShotList fresh_shots = shots;
-  for (std::size_t i = 0; i < shots.size(); ++i) fresh_shots[i].dose = all[i];
-  ExposureEvaluator fresh(fresh_shots, na, psf, opt);
-  const std::vector<double> a = split.exposures_at_centroids();
-  const std::vector<double> b = fresh.exposures_at_centroids();
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]) << "shot " << i;
-}
-
 TEST(Sweep, ExactErfSweepMatchesPointQueries) {
   // With fast_erf off the batched sweep and the scalar point query compute
   // the same sums with the same libm erf — they differ only in summation
@@ -466,17 +415,33 @@ TEST(Corrector, DeltaModeConvergesToTheSameToleranceContract) {
   opt.max_iterations = 10;
   opt.tolerance = 0.005;
   const PecResult with_delta = correct_proximity(shots, psf, opt);
-  PecOptions oracle_opt = opt;
-  oracle_opt.exposure.delta_threshold = 0.0;
-  oracle_opt.exposure.fast_erf = false;
-  const PecResult oracle = correct_proximity(shots, psf, oracle_opt);
   EXPECT_LT(with_delta.final_max_error, opt.tolerance);
-  EXPECT_LT(oracle.final_max_error, opt.tolerance);
+
+  // The reference: plain Jacobi with no freeze schedule and no deferral —
+  // every shot updates every iteration, and every update is an exact
+  // reset_doses — evaluated with libm's erf.
+  ExposureOptions eopt;
+  eopt.map_margin_sigmas = 0.0;
+  eopt.fast_erf = false;
+  ExposureEvaluator oracle(shots, psf, eopt);
+  std::vector<double> doses = applied_doses(oracle);
+  double oracle_err = 0.0;
+  for (int iter = 0; iter <= opt.max_iterations; ++iter) {
+    const std::vector<double> e = oracle.exposures_at_centroids();
+    oracle_err = 0.0;
+    for (double ei : e) oracle_err = std::max(oracle_err, std::abs(ei / opt.target - 1.0));
+    if (oracle_err < opt.tolerance || iter == opt.max_iterations) break;
+    for (std::size_t i = 0; i < doses.size(); ++i)
+      doses[i] = jacobi_updated_dose(doses[i], e[i], 0.0, opt.target, opt.min_dose,
+                                     opt.max_dose);
+    oracle.reset_doses(doses);
+  }
+  EXPECT_EQ(oracle.blur_perf().delta_refreshes, 0);
+  EXPECT_LT(oracle_err, opt.tolerance);
   // Same contract, nearly the same doses: deviations bounded by the update
   // schedule's freeze threshold, far below the tolerance.
   for (std::size_t i = 0; i < shots.size(); ++i) {
-    EXPECT_NEAR(with_delta.shots[i].dose, oracle.shots[i].dose,
-                2.0 * opt.tolerance * oracle.shots[i].dose)
+    EXPECT_NEAR(with_delta.shots[i].dose, doses[i], 2.0 * opt.tolerance * doses[i])
         << "shot " << i;
   }
 }

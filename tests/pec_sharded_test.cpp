@@ -71,7 +71,7 @@ TEST(ActiveSplit, SetActiveDosesFreezesBackground) {
   std::vector<double> all(shots.size());
   for (std::size_t i = 0; i < shots.size(); ++i)
     all[i] = i < na ? active[i] : shots[i].dose;
-  full.set_doses(all);
+  full.set_active_doses(all);
   const std::vector<double> ef = full.exposures_at_centroids();
   const std::vector<double> es = split.exposures_at_centroids();
   for (std::size_t i = 0; i < na; ++i) EXPECT_NEAR(es[i], ef[i], 1e-5) << "shot " << i;

@@ -56,7 +56,6 @@ wire::ShardJob sample_job() {
   job.exposure.cutoff_sigmas = 4.25;
   job.exposure.map_margin_sigmas = 1.5;  // not on the wire
   job.exposure.threads = 2;
-  job.exposure.delta_threshold = 1e-7;
   job.exposure.fast_erf = false;
   job.active = {Shot{{-10, 5, -2000000000, -5, -7, 0}, 0.1},
                 Shot{{0, 1000, 0, 2000000000, 10, 1999999999}, 1e300}};
@@ -88,8 +87,6 @@ TEST(Wire, JobRoundTripIsBitExact) {
   EXPECT_EQ(back.resident_shard_budget, job.resident_shard_budget);
   EXPECT_EQ(bits(back.exposure.cutoff_sigmas), bits(job.exposure.cutoff_sigmas));
   EXPECT_EQ(back.exposure.threads, job.exposure.threads);
-  EXPECT_EQ(bits(back.exposure.delta_threshold),
-            bits(job.exposure.delta_threshold));
   EXPECT_EQ(back.exposure.fast_erf, job.exposure.fast_erf);
   // The solve forces the map margin to 0, so it stays off the wire.
   EXPECT_EQ(back.exposure.map_margin_sigmas, ExposureOptions{}.map_margin_sigmas);
@@ -139,9 +136,6 @@ TEST(Wire, DecodeRejectsOutOfRangeSolveFields) {
       {"threads",
        [](wire::ShardJob& j, double v) { j.exposure.threads = static_cast<int>(v); },
        {-1.0}},
-      {"delta_threshold",
-       [](wire::ShardJob& j, double v) { j.exposure.delta_threshold = v; },
-       {-1e-4, inf, nan}},
       {"cutoff_sigmas",
        [](wire::ShardJob& j, double v) { j.exposure.cutoff_sigmas = v; },
        {0.0, -4.0, inf, nan}},
@@ -154,11 +148,10 @@ TEST(Wire, DecodeRejectsOutOfRangeSolveFields) {
     for (const double v : c.bad)
       EXPECT_TRUE(rejects(c.edit, v)) << c.field << " = " << v;
 
-  // The boundaries themselves are legal: a zero tolerance or delta
-  // threshold, equal dose bounds, and a single iteration.
+  // The boundaries themselves are legal: a zero tolerance, equal dose
+  // bounds, and a single iteration.
   wire::ShardJob edge = sample_job();
   edge.tolerance = 0.0;
-  edge.exposure.delta_threshold = 0.0;
   edge.min_dose = edge.max_dose = 1.0;
   edge.max_iterations = 1;
   edge.exposure.threads = 0;
@@ -189,7 +182,7 @@ TEST(Wire, SessionFramesRoundTripAndValidate) {
   EXPECT_THROW(wire::decode_token(""), DataError);
 }
 
-TEST(Wire, ResultRoundTripIsBitExact) {
+wire::ShardResult sample_result() {
   wire::ShardResult r;
   r.shard_key = 42;
   r.entry_error = 0.123456789012345678;
@@ -204,14 +197,16 @@ TEST(Wire, ResultRoundTripIsBitExact) {
   r.perf.delta_refreshes = 4;
   r.perf.skipped_refreshes = 5;
   r.perf.shots_updated = 1234567890123LL;
-  r.perf.windowed_blurs = 6;
-  r.perf.windowed_blur_ms = 0.125;
   r.doses = {0.1, 2.0 / 3.0, std::nextafter(1.0, 0.0)};
   r.changed = {1, 0, 1};
   r.pool_resident = 7;
   r.pool_evictions = 11;
   r.solve_ms = 98.5;
+  return r;
+}
 
+TEST(Wire, ResultRoundTripIsBitExact) {
+  const wire::ShardResult r = sample_result();
   const wire::ShardResult back = wire::decode_shard_result(wire::encode(r));
   EXPECT_EQ(back.shard_key, r.shard_key);
   EXPECT_EQ(bits(back.entry_error), bits(r.entry_error));
@@ -221,8 +216,6 @@ TEST(Wire, ResultRoundTripIsBitExact) {
   EXPECT_EQ(back.optimistic, r.optimistic);
   EXPECT_EQ(back.perf.refreshes, r.perf.refreshes);
   EXPECT_EQ(back.perf.shots_updated, r.perf.shots_updated);
-  EXPECT_EQ(back.perf.windowed_blurs, r.perf.windowed_blurs);
-  EXPECT_EQ(bits(back.perf.windowed_blur_ms), bits(r.perf.windowed_blur_ms));
   ASSERT_EQ(back.doses.size(), r.doses.size());
   for (std::size_t i = 0; i < r.doses.size(); ++i)
     EXPECT_EQ(bits(back.doses[i]), bits(r.doses[i]));
@@ -230,6 +223,55 @@ TEST(Wire, ResultRoundTripIsBitExact) {
   EXPECT_EQ(back.pool_resident, r.pool_resident);
   EXPECT_EQ(back.pool_evictions, r.pool_evictions);
   EXPECT_EQ(bits(back.solve_ms), bits(r.solve_ms));
+}
+
+// A worker's result is checked like a job: a value the driver would publish
+// as a wrong dose or a bogus statistic is a bad frame (DataError). Doses are
+// checked for finiteness only, since a measurement pass returns its input
+// doses unclamped.
+TEST(Wire, DecodeRejectsOutOfRangeResultFields) {
+  ASSERT_NO_THROW(wire::decode_shard_result(wire::encode(sample_result())));
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto rejects = [](void (*edit)(wire::ShardResult&, double), double v) {
+    wire::ShardResult r = sample_result();
+    edit(r, v);
+    try {
+      wire::decode_shard_result(wire::encode(r));
+    } catch (const DataError&) {
+      return true;
+    }
+    return false;
+  };
+  const struct {
+    const char* field;
+    void (*edit)(wire::ShardResult&, double);
+    std::vector<double> bad;
+  } cases[] = {
+      {"dose", [](wire::ShardResult& r, double v) { r.doses[1] = v; },
+       {nan, inf, -inf}},
+      {"entry_error", [](wire::ShardResult& r, double v) { r.entry_error = v; },
+       {nan, -1e-9, inf}},
+      {"exit_error", [](wire::ShardResult& r, double v) { r.exit_error = v; },
+       {nan, -0.5, inf}},
+      {"iterations",
+       [](wire::ShardResult& r, double v) { r.iterations = static_cast<int>(v); },
+       {-1.0}},
+      {"solve_ms", [](wire::ShardResult& r, double v) { r.solve_ms = v; },
+       {nan, inf, -inf}},
+  };
+  for (const auto& c : cases)
+    for (const double v : c.bad)
+      EXPECT_TRUE(rejects(c.edit, v)) << c.field << " = " << v;
+
+  // Legal edges: doses outside any clamp (a measurement pass), zero errors,
+  // zero iterations and a zero solve time.
+  wire::ShardResult edge = sample_result();
+  edge.doses = {0.0, -2.0, 1e300};
+  edge.entry_error = edge.exit_error = 0.0;
+  edge.iterations = 0;
+  edge.solve_ms = 0.0;
+  EXPECT_NO_THROW(wire::decode_shard_result(wire::encode(edge)));
 }
 
 TEST(Wire, FrameHeaderRoundTripAndRejections) {
@@ -249,6 +291,9 @@ TEST(Wire, FrameHeaderRoundTripAndRejections) {
   // it would misframe everything after the first payload.
   bad = h;
   bad[4] = static_cast<char>(wire::kVersion + 1);
+  EXPECT_THROW(wire::parse_frame_header(bad), DataError);
+  bad = h;
+  bad[4] = 7;  // v7: jobs with delta_threshold, results with windowed counters
   EXPECT_THROW(wire::parse_frame_header(bad), DataError);
   bad = h;
   bad[4] = 6;  // v6: jobs carrying the driver's whole PecOptions
