@@ -53,7 +53,7 @@ void write_bench_json(const std::vector<ScenarioResult>& results) {
         << ", \"epe_missing_before\": " << r.epe_before.missing
         << ", \"epe_missing_after\": " << r.epe_after.missing
         << ", \"prep_ms\": " << r.prep_ms << ", \"score_ms\": " << r.score_ms;
-    if (r.pec_shards > 0) out << ",\n     \"pec_shards\": " << r.pec_shards;
+    if (r.pec_shards > 1) out << ",\n     \"pec_shards\": " << r.pec_shards;
     if (r.dose_classes_used > 0)
       out << ",\n     \"dose_classes_used\": " << r.dose_classes_used;
     if (r.travel_ordered >= 0.0) {

@@ -48,10 +48,10 @@ PrepResult run_pipeline(const PrepOptions& options, const char* front_name,
          PecResult pec = correct_proximity(result.shots, *options.pec_psf, pec_opt);
          result.shots = std::move(pec.shots);
          result.pec_final_error = pec.final_max_error;
-         // The global corrector's first sweep measures the input doses on
-         // its one whole-pattern evaluator. A sharded solve's first entry is
-         // the density-warmed error instead, so it reports none.
-         if (pec.shards == 0)
+         // A one-shard solve's first sweep measures the input doses on its
+         // whole-pattern evaluator. A multi-shard solve's first entry is the
+         // density-warmed error instead, so it reports none.
+         if (pec.shards == 1)
            result.pec_uncorrected_error = pec.max_error_history.front();
          result.pec_iterations = pec.iterations;
          result.pec_shards = pec.shards;
@@ -59,10 +59,10 @@ PrepResult run_pipeline(const PrepOptions& options, const char* front_name,
          result.pec_worker_restarts = pec.worker_restarts;
          result.pec_reassigned_jobs = pec.reassigned_jobs;
          result.pec_degraded_to_inprocess = pec.degraded_to_inprocess;
-         // Sharded solves report per-round wall clock; surface each round
-         // (and the final measurement pass, when one ran) as its own stage
-         // so the halo-exchange cost is visible in profiles. These land
-         // before the enclosing "pec" stage's own entry, in execution order.
+         // Surface each correction round (and the final measurement pass,
+         // when one ran) as its own stage so the halo-exchange cost is
+         // visible in profiles. These land before the enclosing "pec"
+         // stage's own entry, in execution order.
          for (std::size_t r = 0; r < pec.round_ms.size(); ++r) {
            result.stage_times.push_back(
                {"pec_round_" + std::to_string(r + 1), pec.round_ms[r]});

@@ -88,15 +88,15 @@ struct PrepResult {
   std::size_t boundary_straddlers = 0;
 
   /// PEC summary (present when pec_psf was set). pec_uncorrected_error is
-  /// the global solve's first-sweep error (PecResult::max_error_history
-  /// front, measured at the input doses), so it is set only when
-  /// pec.shard_size == 0 and no workers are used. Sharded and distributed
-  /// jobs leave it unset: their first sweep already runs on density-warmed
-  /// doses, and a whole-pattern evaluator is exactly what sharding avoids.
+  /// a one-shard solve's first-sweep error (PecResult::max_error_history
+  /// front, measured at the input doses on the whole-pattern evaluator).
+  /// Multi-shard jobs leave it unset: their first sweep already runs on
+  /// density-warmed doses, and a whole-pattern evaluator is exactly what
+  /// sharding avoids.
   std::optional<double> pec_final_error;
   std::optional<double> pec_uncorrected_error;
   int pec_iterations = 0;
-  int pec_shards = 0;   ///< shard count of the sharded solve (0 = global)
+  int pec_shards = 0;   ///< shard count of the solve (1 = whole pattern)
   int pec_workers = 0;  ///< worker slots of the distributed solve
                         ///< (pec.worker_count > 0); 0 = in-process
 

@@ -4,83 +4,9 @@
 #include <cmath>
 
 #include "geom/raster.h"
-#include "pec/sharded.h"
 #include "util/contracts.h"
 
 namespace ebl {
-
-PecResult correct_proximity(const ShotList& shots, const Psf& psf,
-                            const PecOptions& options) {
-  expects(!shots.empty(), "correct_proximity: empty shot list");
-  expects(options.target > 0, "correct_proximity: target must be positive");
-  expects(options.max_iterations > 0, "correct_proximity: need >= 1 iteration");
-  expects(options.min_dose <= options.max_dose,
-          "correct_proximity: min_dose must not exceed max_dose");
-
-  // shard_size > 0 selects the sharded pipeline: per-shard memory, shards
-  // corrected concurrently, cross-shard coupling via halo-exchange rounds.
-  // worker_count > 0 implies sharding (the distributed entry fills in the
-  // default shard size) — silently running monolithic in-process despite a
-  // requested worker pool would be a footgun.
-  if (options.worker_count > 0 || !options.worker_hosts.empty())
-    return correct_proximity_distributed(shots, psf, options);
-  if (options.shard_size > 0) return correct_proximity_sharded(shots, psf, options);
-
-  // The corrector only ever samples shot centroids, so the long-range maps
-  // can drop their off-pattern sampling margin (see map_margin_sigmas).
-  ExposureOptions eopt = options.exposure;
-  eopt.map_margin_sigmas = 0.0;
-  ExposureEvaluator eval(shots, psf, eopt);
-  std::vector<double> doses(shots.size());
-  for (std::size_t i = 0; i < shots.size(); ++i) doses[i] = shots[i].dose;
-
-  // Iteration-aware update schedule: shots already within update_tol of
-  // target are left untouched this iteration. The bar is loose while the
-  // sweep error is large — shots that start on target (uniform interiors)
-  // freeze immediately — and tightens to the convergence tolerance as the
-  // solve approaches it, so the final iterations touch only the shots still
-  // moving and the evaluator's delta path does the rest.
-  // The stopping criterion is measured over every shot regardless, so
-  // converged accuracy is exactly the non-scheduled corrector's.
-  PecResult result;
-  for (int iter = 0; iter < options.max_iterations; ++iter) {
-    const std::vector<double> e = eval.exposures_at_centroids();
-    double max_err = 0.0;
-    for (double ei : e) max_err = std::max(max_err, std::abs(ei / options.target - 1.0));
-    result.max_error_history.push_back(max_err);
-    result.iterations = iter;
-    if (max_err < options.tolerance) break;
-
-    // Floor well below the stopping tolerance so frozen shots cannot pile up
-    // just under it and dominate the converged error.
-    const double update_tol = jacobi_update_tolerance(options.tolerance, max_err);
-    for (std::size_t i = 0; i < doses.size(); ++i) {
-      doses[i] = jacobi_updated_dose(doses[i], e[i], update_tol, options.target,
-                                     options.min_dose, options.max_dose);
-    }
-    eval.set_active_doses(doses);
-  }
-
-  result.shots = eval.shots();
-  if (options.dose_classes > 0) quantize_doses(result.shots, options.dose_classes);
-
-  // Final error with the delivered (possibly quantized) doses, reusing the
-  // evaluator's cached neighbor grid and splat footprints (geometry is
-  // unchanged; only doses may have moved under quantization).
-  std::vector<double> final_doses(result.shots.size());
-  bool doses_changed = false;
-  for (std::size_t i = 0; i < result.shots.size(); ++i) {
-    final_doses[i] = result.shots[i].dose;
-    doses_changed |= final_doses[i] != eval.shots()[i].dose;
-  }
-  if (doses_changed) eval.set_active_doses(final_doses);
-  double max_err = 0.0;
-  for (double ei : eval.exposures_at_centroids())
-    max_err = std::max(max_err, std::abs(ei / options.target - 1.0));
-  result.final_max_error = max_err;
-  result.blur = eval.blur_perf();
-  return result;
-}
 
 std::vector<double> density_doses(const ShotList& shots, std::size_t active,
                                   const Psf& psf, const PecOptions& options) {

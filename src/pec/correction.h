@@ -3,7 +3,10 @@
 // Two correctors:
 //  - correct_proximity: the self-consistent iterative scheme (per-shot dose,
 //    Jacobi iteration on representative points). This is the accurate,
-//    shape-based method.
+//    shape-based method. It has one solve path, the shard driver of
+//    src/pec/sharded.h: by default one shard covers the whole pattern;
+//    PecOptions::shard_size tiles it, and worker_count / worker_hosts run
+//    the shards out of process.
 //  - density_pec: the cheap geometry-density method: dose from the local
 //    backscatter-blurred pattern density via the closed-form equalization
 //    formula d(u) = (1 + 2 eta) / (1 + 2 eta u). One raster, no iteration.
@@ -40,30 +43,24 @@ struct PecOptions {
   /// [min observed, max observed] (machine dose-class granularity).
   int dose_classes = 0;
 
-  /// Side of the square PEC shards in dbu. 0 (the default) keeps the
-  /// monolithic global solve — the oracle the sharded pipeline is validated
-  /// against. When > 0, correct_proximity dispatches to the sharded pipeline
-  /// (src/pec/sharded.h): per-shard memory is O(shard), shards run
-  /// concurrently, and patterns beyond the global evaluator's reach (10M+
-  /// shots, >2^31-dbu extents) become correctable. Pick a multiple of the
-  /// widest PSF sigma — default_shard_size(psf) gives a good value.
+  /// Side of the square PEC shards in dbu (src/pec/sharded.h). 0 (the
+  /// default) lays out one shard over the whole pattern: one evaluator, one
+  /// Jacobi loop, no halos and no exchange rounds — unless workers are
+  /// asked for (worker_count / worker_hosts), where 0 means
+  /// default_shard_size. When > 0, per-shard memory is O(shard), shards run
+  /// concurrently, and patterns beyond one evaluator's reach (10M+ shots,
+  /// >2^31-dbu extents) become correctable. Pick a multiple of the widest
+  /// PSF sigma — default_shard_size(psf) gives a good value.
   Coord shard_size = 0;
 
-  /// Extra halo-exchange rounds after the first per-shard correction pass:
-  /// each round re-publishes every shard's boundary doses and re-corrects
-  /// with the neighbors' fresh values. Rounds after the first start from
-  /// near-converged doses and exit in O(1) iterations; a round that changes
-  /// no dose certifies cross-shard convergence and stops early.
-  int exchange_rounds = 2;
-
-  /// Sharded solves only: how many per-shard evaluators may stay resident
-  /// across halo-exchange rounds, per ShardPool (src/pec/sharded.h) — the
-  /// driver's own pool and, in a distributed solve, each worker's. A
-  /// resident shard re-enters a round through an exact dose refresh
-  /// (ExposureEvaluator::reset_doses: a full gather and blur, or nothing
-  /// when no dose moved) that reuses its neighbor grid, splat clipping,
-  /// term maps and kernel taps — the expensive, geometry-only construction
-  /// work — instead of rebuilding them. Over budget, the least-recently-run
+  /// How many per-shard evaluators may stay resident across halo-exchange
+  /// rounds, per ShardPool (src/pec/sharded.h) — the driver's own pool and,
+  /// in a distributed solve, each worker's. A resident shard re-enters a
+  /// round through an exact dose refresh (ExposureEvaluator::reset_doses: a
+  /// full gather and blur, or nothing when no dose moved) that reuses its
+  /// neighbor grid, splat clipping, term maps and kernel taps — the
+  /// expensive, geometry-only construction work — instead of rebuilding
+  /// them. Over budget, the least-recently-run
   /// shards fall back to transient mode (evict-LRU); because the refresh is
   /// exact, residency never changes a bit of the result, only the wall
   /// clock. 0 disables the pool (every shard run rebuilds its evaluator).
@@ -72,15 +69,13 @@ struct PecOptions {
   /// When > 0, shard jobs of every halo-exchange round are farmed over this
   /// many spawned loopback daemons (`worker_path --listen 127.0.0.1:0`,
   /// reached over TCP like worker_hosts daemons, and stopped and reaped when
-  /// the solve ends) instead of the in-process thread pool. Implies sharding:
-  /// with shard_size still 0, correct_proximity routes through
-  /// correct_proximity_distributed, which fills in default_shard_size. Jobs
-  /// and results cross in the versioned binary wire format (src/pec/wire.h,
-  /// bit-exact doses), shards stick to workers so the workers' resident
-  /// evaluator pools keep hitting, and results are bitwise-identical to the
-  /// in-process sharded solve — worker_count = 0 (the default) IS that
-  /// in-process engine, the oracle the distributed path is validated
-  /// against. More workers than shards is clamped to the shard count.
+  /// the solve ends) instead of the in-process thread pool. With shard_size
+  /// still 0 the solve tiles at default_shard_size. Jobs and results cross
+  /// in the versioned binary wire format (src/pec/wire.h, bit-exact doses),
+  /// shards stick to workers so the workers' resident evaluator pools keep
+  /// hitting, and results are bitwise-identical to the in-process solve at
+  /// the same shard layout. More workers than shards is clamped to the
+  /// shard count.
   int worker_count = 0;
 
   /// Worker binary for worker_count > 0. Empty (the default) resolves via
@@ -126,20 +121,24 @@ struct PecOptions {
 
 struct PecResult {
   ShotList shots;                        ///< same geometry, corrected doses
-  /// Global solve: max |E/target - 1| per Jacobi iteration. Sharded solve:
-  /// the cross-shard error entering each exchange round, then the final
-  /// measured error.
+  /// One shard: max |E/target - 1| per Jacobi iteration, front() at the
+  /// input doses. Several shards: the cross-shard error entering each
+  /// exchange round. Either way, when the last sweep did not measure the
+  /// delivered doses (quantized doses, or shards left unsettled) the error
+  /// at those doses is appended, so back() == final_max_error.
   std::vector<double> max_error_history;
+  /// Jacobi update steps run: summed over rounds, each round counting its
+  /// busiest shard.
   int iterations = 0;
   double final_max_error = 0.0;
-  int shards = 0;  ///< sharded pipeline shard count (0 = monolithic solve)
-  int rounds = 0;  ///< sharded: correction rounds run (incl. the first pass)
+  int shards = 0;  ///< shard count (1 = one shard over the whole pattern)
+  int rounds = 0;  ///< correction rounds run (incl. the first pass)
 
-  /// Sharded: wall-clock of each correction round, in round order (the
-  /// pipeline surfaces these as pec_round_N stage times).
+  /// Wall-clock of each correction round, in round order (the pipeline
+  /// surfaces these as pec_round_N stage times).
   std::vector<double> round_ms;
-  /// Sharded: wall-clock of the final measurement-only pass; < 0 when the
-  /// last round certified convergence and no extra pass was needed.
+  /// Wall-clock of the final measurement-only pass; < 0 when none ran
+  /// (every shard's last sweep already measured the delivered doses).
   double measure_ms = -1.0;
   int resident_shards = 0;  ///< evaluators resident when the solve finished
   int shard_evictions = 0;  ///< resident evaluators dropped to fit the budget
@@ -161,17 +160,18 @@ struct PecResult {
   bool degraded_to_inprocess = false;
 
   /// Aggregated long-range refresh accounting across every evaluator the
-  /// solve used (the one global evaluator, or all shard evaluators summed in
-  /// slot order) — how much work the delta path absorbed.
+  /// solve used (all shard evaluators summed in slot order) — how much work
+  /// the delta path absorbed.
   BlurPerf blur;
 };
 
 /// Iterative self-consistent dose correction. The exposure at each shot's
 /// centroid is driven to options.target by multiplicative Jacobi updates:
 ///   d_i <- clamp(d_i * target / E_i, min_dose, max_dose)
-/// With options.shard_size > 0 the solve runs on the sharded pipeline
-/// (src/pec/sharded.h): the pattern is tiled into square shards corrected
-/// concurrently with frozen-dose halo ghosts and a few halo-exchange rounds.
+/// The solve runs on the shard driver (src/pec/sharded.h): one shard over
+/// the whole pattern by default; with options.shard_size > 0 the pattern is
+/// tiled into square shards corrected concurrently with frozen-dose halo
+/// ghosts and a few halo-exchange rounds.
 PecResult correct_proximity(const ShotList& shots, const Psf& psf,
                             const PecOptions& options = {});
 
@@ -184,9 +184,7 @@ inline double jacobi_update_tolerance(double tolerance, double max_err) {
   return std::max(0.25 * tolerance, 0.1 * max_err);
 }
 
-/// One Jacobi dose update step, shared by the monolithic corrector and the
-/// per-shard solver so the sharded pipeline's single-shard degenerate case
-/// stays bitwise-identical to the monolithic solve by construction.
+/// One Jacobi dose update step of the shard solver (solve_shard_job).
 inline double jacobi_updated_dose(double dose, double exposure, double update_tol,
                                   double target, double min_dose,
                                   double max_dose) {

@@ -36,8 +36,15 @@ double ms_since(std::chrono::steady_clock::time_point t0) {
 
 // Halo width in widest-PSF sigmas: the kernel truncation (beyond 4 sigma a
 // term contributes < ~1e-6 of its weight), so a shard solve sees everything
-// the global solve sees to that accuracy.
+// a whole-pattern solve sees to that accuracy.
 constexpr double kHaloSigmas = 4.0;
+
+// Halo-exchange rounds after the first correction pass: each re-publishes
+// every shard's boundary doses and re-corrects the shards whose ghosts moved.
+// Rounds after the first start from near-converged doses and exit in O(1)
+// iterations; a round that changes no dose certifies cross-shard convergence
+// and stops early.
+constexpr int kExchangeRounds = 2;
 
 // Shard indices are relative to the pattern bbox corner — the packed-key /
 // occupied-slot machinery is util/gridkeys.h, shared with the field
@@ -45,7 +52,6 @@ constexpr double kHaloSigmas = 4.0;
 // sparse giant extents never allocate a dense shard grid.
 struct ShardLayout {
   Box bbox;
-  Coord shard = 0;
   Coord64 halo = 0;
   std::size_t count = 0;  ///< occupied shards
   // CSR shard -> owned shot indices (ascending within a shard) and
@@ -55,12 +61,13 @@ struct ShardLayout {
   std::vector<std::uint32_t> ghost_start, ghost_items;
 };
 
-ShardLayout build_layout(const ShotList& shots, Coord shard, double halo_dbu,
+// @p shard == 0 lays out one shard that covers the whole pattern.
+ShardLayout build_layout(const ShotList& shots, Coord64 shard, double halo_dbu,
                          int threads) {
   ShardLayout L;
-  L.shard = shard;
   L.halo = static_cast<Coord64>(std::ceil(halo_dbu));
   for (const Shot& s : shots) L.bbox += s.shape.bbox();
+  if (shard == 0) shard = std::max(L.bbox.width(), L.bbox.height()) + 1;
   const Coord64 nsx = L.bbox.width() / shard + 1;
   const Coord64 nsy = L.bbox.height() / shard + 1;
 
@@ -144,8 +151,7 @@ ShardLayout build_layout(const ShotList& shots, Coord shard, double halo_dbu,
 }
 
 struct ShardOutcome {
-  double entry_error = 0.0;  ///< max error at round entry (fresh ghost doses)
-  double exit_error = 0.0;   ///< max error at the last evaluation of the run
+  std::vector<double> errors;  ///< max error of every sweep (wire::ShardResult)
   int iterations = 0;        ///< Jacobi update steps run this round
   bool updated = false;      ///< any dose actually changed this round
   bool optimistic = false;   ///< exited after an update it did not re-verify
@@ -176,9 +182,8 @@ constexpr double kOptimisticExitFactor = 20.0;
 // Shards solve past the caller's tolerance so that cross-shard residuals
 // (the halo doses a shard could not see moving) do not push the globally
 // measured error back over it, and so the sharded dose field stays within
-// the tolerance of the monolithic solve's in dose space. A single-shard
-// layout has no such residual and keeps the exact tolerance — that
-// degenerate case must stay bitwise-identical to the monolithic solve.
+// the tolerance of a whole-pattern solve in dose space. A single-shard
+// layout has no such residual and keeps the exact tolerance.
 constexpr double kShardToleranceSlack = 0.5;
 
 // The wire-format job for one shard of one round — the single description
@@ -230,8 +235,7 @@ ShardOutcome apply_result(const ShardLayout& L, std::size_t slot,
   ensures(r.doses.size() == na && r.changed.size() == na,
           "sharded: shard result size mismatch");
   ShardOutcome out;
-  out.entry_error = r.entry_error;
-  out.exit_error = r.exit_error;
+  out.errors = r.errors;
   out.iterations = r.iterations;
   out.updated = r.updated;
   out.optimistic = r.optimistic;
@@ -526,8 +530,7 @@ wire::ShardResult solve_shard_job(const wire::ShardJob& job,
     const std::vector<double> e = eval->exposures_at_centroids();
     double max_err = 0.0;
     for (double ei : e) max_err = std::max(max_err, std::abs(ei / job.target - 1.0));
-    if (iter == 0) out.entry_error = max_err;
-    out.exit_error = max_err;
+    out.errors.push_back(max_err);
     if (max_err < job.tolerance || !job.correct || iter >= job.max_iterations)
       break;
     const double update_tol = jacobi_update_tolerance(job.tolerance, max_err);
@@ -642,27 +645,31 @@ Coord default_shard_size(const Psf& psf) {
   return std::max<Coord>(1, static_cast<Coord>(64.0 * psf.max_sigma()));
 }
 
-PecResult correct_proximity_sharded(const ShotList& shots, const Psf& psf,
-                                    const PecOptions& options) {
-  expects(!shots.empty(), "correct_proximity_sharded: empty shot list");
-  expects(options.shard_size > 0, "correct_proximity_sharded: shard_size must be > 0");
-  expects(options.target > 0, "correct_proximity_sharded: target must be positive");
-  expects(options.max_iterations > 0,
-          "correct_proximity_sharded: need >= 1 iteration");
+PecResult correct_proximity(const ShotList& shots, const Psf& psf,
+                            const PecOptions& options) {
+  expects(!shots.empty(), "correct_proximity: empty shot list");
+  expects(options.shard_size >= 0, "correct_proximity: shard_size must be >= 0");
+  expects(options.target > 0, "correct_proximity: target must be positive");
+  expects(options.max_iterations > 0, "correct_proximity: need >= 1 iteration");
   expects(options.min_dose <= options.max_dose,
-          "correct_proximity_sharded: min_dose must not exceed max_dose");
+          "correct_proximity: min_dose must not exceed max_dose");
 
-  const ShardLayout L = build_layout(shots, options.shard_size,
-                                     kHaloSigmas * psf.max_sigma(),
+  // shard_size 0 is one shard over the whole pattern, unless workers are
+  // asked for: then it means default_shard_size, so there are shards to
+  // spread over them.
+  const bool workers = options.worker_count > 0 || !options.worker_hosts.empty();
+  const Coord shard =
+      options.shard_size > 0 ? options.shard_size : workers ? default_shard_size(psf) : 0;
+  const ShardLayout L = build_layout(shots, shard, kHaloSigmas * psf.max_sigma(),
                                      options.exposure.threads);
   const std::size_t ns = L.count;
 
   std::vector<double> doses(shots.size());
   for (std::size_t i = 0; i < shots.size(); ++i) doses[i] = shots[i].dose;
 
-  // Warm start (multi-shard only: the single-shard degenerate case is the
-  // bitwise reference against the monolithic solve, and has no frozen halos
-  // for the warm start to stabilize).
+  // Warm start (multi-shard only: a single shard has no frozen halos for the
+  // warm start to stabilize, and its first sweep then measures the input
+  // doses).
   if (ns > 1) density_warm_start(shots, psf, options, L, &doses);
   std::vector<double> next = doses;
 
@@ -690,10 +697,9 @@ PecResult correct_proximity_sharded(const ShotList& shots, const Psf& psf,
   std::vector<std::size_t> run;  // the sweep's run set, ascending slots
   const double shard_tol =
       ns > 1 ? kShardToleranceSlack * options.tolerance : options.tolerance;
-  const int max_rounds = 1 + std::max(0, options.exchange_rounds);
   bool settled = false;  // a round ran and changed nothing
   int total_iterations = 0;
-  for (int round = 0; round < max_rounds; ++round) {
+  for (int round = 0; round <= kExchangeRounds; ++round) {
     const auto round_t0 = std::chrono::steady_clock::now();
     next = doses;  // skipped shards keep their slots verbatim
     std::fill(changed_cur.begin(), changed_cur.end(), 0);
@@ -702,7 +708,7 @@ PecResult correct_proximity_sharded(const ShotList& shots, const Psf& psf,
       if (round == 0 || self_dirty[s] || ghosts_dirty(L, s, changed_prev)) {
         run.push_back(s);
       } else {
-        outcomes[s] = ShardOutcome{exit_err[s], exit_err[s], 0, false, false, {}};
+        outcomes[s] = ShardOutcome{{exit_err[s]}, 0, false, false, {}};
       }
     }
     SweepCtx ctx;
@@ -721,19 +727,24 @@ PecResult correct_proximity_sharded(const ShotList& shots, const Psf& psf,
     result.rounds = round + 1;
 
     for (const std::size_t s : run) {
-      exit_err[s] = outcomes[s].exit_error;
+      exit_err[s] = outcomes[s].errors.back();
       self_dirty[s] = outcomes[s].optimistic ? 1 : 0;
     }
     double round_err = 0.0;
     int round_iters = 0;
     bool any_update = false;
     for (const ShardOutcome& o : outcomes) {
-      round_err = std::max(round_err, o.entry_error);
+      round_err = std::max(round_err, o.errors.front());
       round_iters = std::max(round_iters, o.iterations);
       any_update |= o.updated;
       result.blur.merge(o.perf);
     }
-    result.max_error_history.push_back(round_err);
+    // One shard exchanges no halo, so its history is every Jacobi sweep.
+    if (ns == 1) {
+      result.max_error_history = outcomes[0].errors;
+    } else {
+      result.max_error_history.push_back(round_err);
+    }
     total_iterations += round_iters;
     result.round_ms.push_back(ms_since(round_t0));
     if (!any_update) {
@@ -757,52 +768,42 @@ PecResult correct_proximity_sharded(const ShotList& shots, const Psf& psf,
     }
   }
 
-  if (settled && !doses_moved) {
-    // The last round measured every shard at the final doses already.
-    result.final_max_error = result.max_error_history.back();
-  } else {
-    // Measurement-only pass with the delivered doses everywhere, halos
-    // included — comparable to the global corrector's final error up to the
-    // halo truncation. Shards whose visible doses did not change since their
-    // last (verified) evaluation reuse that still-exact error; quantization
-    // moves doses globally and forces a full re-measure.
-    const auto measure_t0 = std::chrono::steady_clock::now();
+  // A settled round measured every shard at the final doses, and so did a
+  // single shard's last sweep; otherwise the error at the delivered doses,
+  // halos included, is appended to the history. Shards whose visible doses
+  // did not change since their last (verified) evaluation reuse that
+  // still-exact error, and only the rest run a measurement-only pass;
+  // quantization moves doses globally and forces a full re-measure.
+  if (doses_moved || !(settled || ns == 1)) {
     run.clear();
     for (std::size_t s = 0; s < ns; ++s) {
       if (doses_moved || self_dirty[s] || ghosts_dirty(L, s, changed_prev)) {
         run.push_back(s);
       } else {
-        outcomes[s] = ShardOutcome{exit_err[s], exit_err[s], 0, false, false, {}};
+        outcomes[s] = ShardOutcome{{exit_err[s]}, 0, false, false, {}};
       }
     }
-    SweepCtx ctx;
-    ctx.correct = false;
-    ctx.tol = shard_tol;
-    ctx.allow_optimistic = false;
-    ctx.doses = &doses;
-    ctx.outcomes = &outcomes;
-    exec.sweep(ctx, run);
+    if (!run.empty()) {
+      const auto measure_t0 = std::chrono::steady_clock::now();
+      SweepCtx ctx;
+      ctx.correct = false;
+      ctx.tol = shard_tol;
+      ctx.allow_optimistic = false;
+      ctx.doses = &doses;
+      ctx.outcomes = &outcomes;
+      exec.sweep(ctx, run);
+      result.measure_ms = ms_since(measure_t0);
+    }
     double final_err = 0.0;
     for (std::size_t s = 0; s < ns; ++s) {
-      final_err = std::max(final_err, outcomes[s].entry_error);
+      final_err = std::max(final_err, outcomes[s].errors.back());
       result.blur.merge(outcomes[s].perf);
     }
-    result.final_max_error = final_err;
     result.max_error_history.push_back(final_err);
-    result.measure_ms = ms_since(measure_t0);
   }
+  result.final_max_error = result.max_error_history.back();
   exec.finish(&result);
   return result;
-}
-
-PecResult correct_proximity_distributed(const ShotList& shots, const Psf& psf,
-                                        const PecOptions& options) {
-  expects(options.worker_count > 0 || !options.worker_hosts.empty(),
-          "correct_proximity_distributed: need worker_count > 0 or "
-          "worker_hosts");
-  PecOptions opt = options;
-  if (opt.shard_size == 0) opt.shard_size = default_shard_size(psf);
-  return correct_proximity_sharded(shots, psf, opt);
 }
 
 }  // namespace ebl

@@ -1,14 +1,13 @@
 // Sharded proximity-effect correction: tile the pattern, correct per shard,
-// exchange halos.
+// exchange halos. This is correct_proximity's one solve path.
 //
-// The monolithic corrector (correct_proximity with shard_size == 0) holds
-// the whole pattern in one evaluator — one neighbor grid, one splat cache,
-// one long-range map — so memory and wall-clock are O(whole pattern). The
+// One evaluator over a whole pattern — one neighbor grid, one splat cache,
+// one long-range map — costs memory and wall-clock O(whole pattern). The
 // 1979 machines never worked that way: large patterns are written as a grid
 // of deflection fields with stage moves between them, and correction can be
 // tiled the same way.
 //
-// The sharded pipeline partitions shots into square shards (side =
+// The driver partitions shots into square shards (side =
 // PecOptions::shard_size, anchored at the pattern bbox corner, keyed by
 // 64-bit shard indices so >2^31-dbu extents are fine). Each shard owns the
 // shots whose bbox center falls inside its frame and additionally sees a
@@ -16,8 +15,10 @@
 // 4 * max_sigma (the kernel truncation) of the frame. A shard solve is the
 // ordinary iterative Jacobi correction over its own shots with the ghosts
 // contributing exposure at frozen doses (the evaluator's active/background
-// split); per-shard memory is O(shard + halo), so patterns far beyond the
-// global evaluator's reach fit.
+// split); per-shard memory is O(shard + halo), so patterns far beyond one
+// evaluator's reach fit. shard_size 0 without workers lays out one shard
+// over the whole pattern: no ghosts, no density warm start, one round, and
+// the shard's per-iteration errors are the solve's history.
 //
 // Shards run concurrently on the thread pool. Cross-shard coupling — a
 // shard's correction changes the backscatter its neighbors see — is driven
@@ -38,14 +39,13 @@
 // dose refresh that keeps the geometry caches, so residency changes the wall
 // clock, never a bit.
 //
-// Out-of-process execution (PecOptions::worker_count > 0): shard solves are
-// identical, self-contained jobs, so the driver can farm each round's run
-// set over a pool of worker *processes* instead of pool threads. Jobs and
-// results cross process boundaries in the versioned binary wire format of
-// src/pec/wire.h (bit-exact doses), and the driver certifies convergence
-// exactly as in-process — so the distributed solve is bitwise-identical to
-// the single-process sharded solve, and worker_count = 0 keeps the
-// in-process engine as the oracle.
+// Out-of-process execution (PecOptions::worker_count > 0 or worker_hosts):
+// shard solves are identical, self-contained jobs, so the driver can farm
+// each round's run set over a pool of worker *processes* instead of pool
+// threads. Jobs and results cross process boundaries in the versioned
+// binary wire format of src/pec/wire.h (bit-exact doses), and the driver
+// certifies convergence exactly as in-process — so the distributed solve is
+// bitwise-identical to the in-process solve at the same shard layout.
 #pragma once
 
 #include <cstdint>
@@ -68,23 +68,6 @@ struct ShardResult;
 /// enough that tens of shards exist on mm-scale patterns for the concurrent
 /// solve to spread across cores.
 Coord default_shard_size(const Psf& psf);
-
-/// Sharded iterative correction (see the file comment). Requires
-/// options.shard_size > 0; correct_proximity forwards here when it is.
-/// The returned final_max_error is measured with every shard's *final*
-/// doses in the halos, so it is comparable to the global corrector's figure
-/// up to the halo truncation (< 1e-6 of a term weight at the 4-sigma halo).
-PecResult correct_proximity_sharded(const ShotList& shots, const Psf& psf,
-                                    const PecOptions& options);
-
-/// Multi-process sharded correction: requires options.worker_count > 0 and
-/// fills in default_shard_size when shard_size is 0. Spawns the worker pool,
-/// farms each halo-exchange round's shard jobs over it, and produces doses
-/// bitwise-identical to the in-process sharded solve at the same shard
-/// layout. correct_proximity_sharded forwards here implicitly whenever
-/// worker_count > 0.
-PecResult correct_proximity_distributed(const ShotList& shots, const Psf& psf,
-                                        const PecOptions& options);
 
 /// One shard solve from its wire-format job description — THE per-shard
 /// solver: the local sweep and tools/pec_worker.cpp both execute shard work

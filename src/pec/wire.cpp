@@ -256,8 +256,8 @@ std::string encode(const ShardResult& result) {
           "wire: result changed/doses size mismatch");
   Writer w;
   w.u64(result.shard_key);
-  w.f64(result.entry_error);
-  w.f64(result.exit_error);
+  w.u64(result.errors.size());
+  for (const double e : result.errors) w.f64(e);
   w.i32(result.iterations);
   w.u8(result.updated ? 1 : 0);
   w.u8(result.optimistic ? 1 : 0);
@@ -275,8 +275,8 @@ ShardResult decode_shard_result(std::string_view payload) {
   Reader r(payload);
   ShardResult result;
   result.shard_key = r.u64();
-  result.entry_error = r.f64();
-  result.exit_error = r.f64();
+  result.errors.resize(r.count(8));
+  for (double& e : result.errors) e = r.f64();
   result.iterations = r.i32();
   result.updated = r.boolean();
   result.optimistic = r.boolean();
@@ -290,8 +290,9 @@ ShardResult decode_shard_result(std::string_view payload) {
   result.pool_evictions = r.u32();
   result.solve_ms = r.f64();
   r.finish();
-  require_result(non_negative(result.entry_error) && non_negative(result.exit_error),
-                 "errors must be finite and >= 0");
+  require_result(!result.errors.empty(), "errors must not be empty");
+  for (const double e : result.errors)
+    require_result(non_negative(e), "errors must be finite and >= 0");
   require_result(result.iterations >= 0, "iterations must be >= 0");
   for (const double d : result.doses)
     require_result(std::isfinite(d), "doses must be finite");

@@ -64,7 +64,11 @@ inline constexpr std::uint32_t kMagic = 0x574C4245;  // "EBLW" little-endian
 /// so a job is 8 bytes and a result 12 bytes shorter; decode_shard_result
 /// rejects non-finite doses and out-of-range errors, iteration counts and
 /// solve times. Exact-match skew rule.
-inline constexpr std::uint32_t kVersion = 8;
+/// v9: ShardResult's entry_error/exit_error became errors, every sweep's max
+/// error in order, so a one-shard solve can report its per-iteration
+/// history; decode_shard_result rejects an empty list and non-finite or
+/// negative entries. Exact-match skew rule.
+inline constexpr std::uint32_t kVersion = 9;
 /// Written as-is by every encoder; a reader that sees its bytes reversed is
 /// looking at a stream produced by a writer that did not follow the
 /// little-endian convention (or at garbage) and must reject it.
@@ -143,8 +147,9 @@ struct ShardJob {
 struct ShardResult {
   std::uint64_t shard_key = 0;
 
-  double entry_error = 0.0;  ///< max error at entry (fresh ghost doses)
-  double exit_error = 0.0;   ///< max error at the last evaluation
+  /// Max error of every sweep, in order: front() at entry (fresh ghost
+  /// doses), back() at the last evaluation. Never empty.
+  std::vector<double> errors;
   std::int32_t iterations = 0;
   bool updated = false;     ///< any dose actually changed
   bool optimistic = false;  ///< exited after an update it did not re-verify

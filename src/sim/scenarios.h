@@ -38,7 +38,7 @@ struct ScenarioResult {
   double score_ms = 0.0;       ///< simulation + EPE scoring wall clock
 
   int pec_iterations = 0;
-  int pec_shards = 0;          ///< sharded scenarios; 0 = global solve
+  int pec_shards = 0;          ///< PEC shard count; 1 = whole-pattern solve
   int dose_classes_used = 0;   ///< quantized scenarios; 0 = continuous
 
   /// Ordering scenario: deflection travel (dbu) and settle time (s) of the

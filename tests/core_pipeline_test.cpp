@@ -84,10 +84,12 @@ TEST(Pipeline, PecReducesError) {
   EXPECT_GT(r.pec_iterations, 0);
 }
 
-TEST(Pipeline, UncorrectedErrorIsTheGlobalCorrectorsFirstSweep) {
-  // The global corrector's first sweep runs at the input doses, so the
-  // reported uncorrected error must equal what a fresh default-options
-  // evaluator measures on the fractured input.
+TEST(Pipeline, UncorrectedErrorIsTheOneShardSolvesFirstSweep) {
+  // A one-shard solve's first sweep runs at the input doses, so the reported
+  // uncorrected error must equal what a fresh default-options evaluator
+  // measures on the fractured input — for shard_size 0 and for a shard
+  // larger than the pattern alike. The solve measured the delivered doses
+  // on its last sweep, so no pec_measure stage appears.
   PolygonSet s;
   s.insert(Box{0, 0, 20000, 20000});
   s.insert(Box{40000, 9000, 41000, 10000});
@@ -95,14 +97,21 @@ TEST(Pipeline, UncorrectedErrorIsTheGlobalCorrectorsFirstSweep) {
   opt.fracture.max_shot_size = 2000;
   opt.pec_psf = Psf::triple_gaussian(50.0, 3000.0, 600.0, 0.7, 0.3);
   opt.pec.max_iterations = 3;
-  const PrepResult r = run_data_prep(s, opt);
-  ASSERT_TRUE(r.pec_uncorrected_error);
 
   const ExposureEvaluator eval(fracture(s, opt.fracture).shots, *opt.pec_psf);
   double uncorrected = 0.0;
   for (double e : eval.exposures_at_centroids())
     uncorrected = std::max(uncorrected, std::abs(e / opt.pec.target - 1.0));
-  EXPECT_NEAR(*r.pec_uncorrected_error, uncorrected, 1e-12);
+
+  for (const Coord shard_size : {0, 1000000}) {
+    SCOPED_TRACE("shard_size " + std::to_string(shard_size));
+    opt.pec.shard_size = shard_size;
+    const PrepResult r = run_data_prep(s, opt);
+    EXPECT_EQ(r.pec_shards, 1);
+    ASSERT_TRUE(r.pec_uncorrected_error);
+    EXPECT_NEAR(*r.pec_uncorrected_error, uncorrected, 1e-12);
+    for (const StageTime& st : r.stage_times) EXPECT_NE(st.name, "pec_measure");
+  }
 }
 
 TEST(Pipeline, EpeStageScoresThePrintedResult) {
@@ -203,18 +212,20 @@ TEST(Pipeline, RecordsStageTimes) {
   EXPECT_EQ(basic.stage_times[1].name, "write_time");
   for (const StageTime& st : basic.stage_times) EXPECT_GE(st.ms, 0.0);
 
-  // Full run: global PEC and fields.
+  // Full run: whole-pattern PEC and fields. The one-shard solve's single
+  // correction round surfaces as pec_round_1, just before "pec".
   PrepOptions opt;
   opt.fracture.max_shot_size = 4000;
   opt.pec_psf = Psf::double_gaussian(50.0, 3000.0, 0.7);
   opt.pec.max_iterations = 2;
   opt.field_size = 20000;
   const PrepResult full = run_data_prep(s, opt);
-  ASSERT_EQ(full.stage_times.size(), 4u);
+  ASSERT_EQ(full.stage_times.size(), 5u);
   EXPECT_EQ(full.stage_times[0].name, "fracture");
-  EXPECT_EQ(full.stage_times[1].name, "pec");
-  EXPECT_EQ(full.stage_times[2].name, "field_partition");
-  EXPECT_EQ(full.stage_times[3].name, "write_time");
+  EXPECT_EQ(full.stage_times[1].name, "pec_round_1");
+  EXPECT_EQ(full.stage_times[2].name, "pec");
+  EXPECT_EQ(full.stage_times[3].name, "field_partition");
+  EXPECT_EQ(full.stage_times[4].name, "write_time");
 
   // Sharded run: each halo-exchange round surfaces as its own pec_round_N
   // sub-stage (in round order, just before the enclosing "pec" entry).
@@ -296,9 +307,10 @@ TEST(Pipeline, ShardedPecSkipsGlobalBaseline) {
             (std::vector<std::string>{"fracture", "pec", "write_time"}));
 }
 
-TEST(Pipeline, DistributedPecSkipsGlobalBaselineAtShardSizeZero) {
-  // worker_count > 0 shards the solve even with shard_size left at 0, so
-  // it reports no uncorrected error either.
+TEST(Pipeline, DistributedPecAtShardSizeZeroUsesTheDefaultShard) {
+  // worker_count > 0 tiles at default_shard_size with shard_size left at 0.
+  // This pattern fits in one default shard, so the distributed solve is the
+  // in-process one-shard solve, uncorrected error included.
   PolygonSet s;
   s.insert(Box{0, 0, 20000, 20000});
   s.insert(Box{40000, 9000, 41000, 10000});
@@ -314,10 +326,20 @@ TEST(Pipeline, DistributedPecSkipsGlobalBaselineAtShardSizeZero) {
     GTEST_SKIP() << "pec_worker binary not built";
   }
   ASSERT_TRUE(r.pec_final_error);
-  EXPECT_FALSE(r.pec_uncorrected_error);
-  EXPECT_GE(r.pec_workers, 1);
+  EXPECT_EQ(r.pec_shards, 1);
+  EXPECT_EQ(r.pec_workers, 1);
   EXPECT_EQ(top_level_stages(r),
             (std::vector<std::string>{"fracture", "pec", "write_time"}));
+
+  PrepOptions lopt = opt;
+  lopt.pec.worker_count = 0;
+  const PrepResult local = run_data_prep(s, lopt);
+  ASSERT_TRUE(local.pec_uncorrected_error && r.pec_uncorrected_error);
+  EXPECT_EQ(*r.pec_uncorrected_error, *local.pec_uncorrected_error);
+  EXPECT_EQ(*r.pec_final_error, *local.pec_final_error);
+  ASSERT_EQ(r.shots.size(), local.shots.size());
+  for (std::size_t i = 0; i < local.shots.size(); ++i)
+    EXPECT_EQ(r.shots[i].dose, local.shots[i].dose) << "shot " << i;
 }
 
 // Property sweep: pipeline invariants across workloads.

@@ -150,6 +150,22 @@ TEST(Pec, IterativeCorrectionEqualizesExposure) {
   EXPECT_GT(island_dose, pad_dose * 1.2);
 }
 
+TEST(Pec, IterationCountIncludesTheLastUpdateAtTheCap) {
+  // A tolerance no sweep meets stops the solve at max_iterations: every
+  // allowed update ran, and the history holds one sweep more (the one that
+  // measured the delivered doses).
+  const ShotList shots = pad_and_island();
+  for (const int cap : {1, 3}) {
+    PecOptions opt;
+    opt.max_iterations = cap;
+    opt.tolerance = 1e-9;
+    const PecResult r = correct_proximity(shots, test_psf(), opt);
+    EXPECT_EQ(r.iterations, cap);
+    ASSERT_EQ(r.max_error_history.size(), static_cast<std::size_t>(cap) + 1);
+    EXPECT_EQ(r.max_error_history.back(), r.final_max_error);
+  }
+}
+
 TEST(Pec, CorrectionReducesErrorVsUncorrected) {
   const ShotList shots = pad_and_island();
   const Psf psf = test_psf();

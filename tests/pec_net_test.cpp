@@ -464,7 +464,7 @@ TEST(PecNet, DaemonCapsJobThreadsAtItsOwn) {
   ASSERT_EQ(got[1].doses.size(), got[0].doses.size());
   for (std::size_t i = 0; i < got[0].doses.size(); ++i)
     EXPECT_EQ(bits(got[1].doses[i]), bits(got[0].doses[i])) << "dose " << i;
-  EXPECT_EQ(bits(got[1].exit_error), bits(got[0].exit_error));
+  EXPECT_EQ(bits(got[1].errors.back()), bits(got[0].errors.back()));
   EXPECT_EQ(got[1].iterations, got[0].iterations);
 
   const int threads = process_threads(daemon.proc.pid());

@@ -8,6 +8,8 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/patterns.h"
@@ -95,7 +97,6 @@ TEST(ShardedPec, MatchesGlobalOnShardSpanningPattern) {
 
   PecOptions sopt = opt;
   sopt.shard_size = 30000;
-  sopt.exchange_rounds = 3;
   const PecResult sharded = correct_proximity(shots, psf, sopt);
   EXPECT_GE(sharded.shards, 4);
   EXPECT_GE(sharded.rounds, 1);
@@ -136,26 +137,70 @@ TEST(ShardedPec, MeetsToleranceAtEveryRepresentativePoint) {
   EXPECT_NEAR(sharded.final_max_error, max_err, 1e-3);
 }
 
-TEST(ShardedPec, SingleShardMatchesGlobalBitwise) {
-  // Shard larger than the pattern: the sharded pipeline degenerates to one
-  // shard with no ghosts and must reproduce the monolithic solve exactly.
+// The whole-pattern Jacobi loop, written out: one evaluator over every shot,
+// the freeze schedule, and one more sweep after the last update so the
+// history ends at the delivered doses.
+struct JacobiReference {
+  std::vector<double> doses;
+  std::vector<double> history;
+};
+
+JacobiReference whole_pattern_jacobi(const ShotList& shots, const Psf& psf,
+                                     const PecOptions& opt) {
+  ExposureOptions eopt = opt.exposure;
+  eopt.map_margin_sigmas = 0.0;
+  ExposureEvaluator eval(shots, psf, eopt);
+  std::vector<double> doses(shots.size());
+  for (std::size_t i = 0; i < shots.size(); ++i) doses[i] = shots[i].dose;
+  JacobiReference ref;
+  for (int iter = 0;; ++iter) {
+    const std::vector<double> e = eval.exposures_at_centroids();
+    double max_err = 0.0;
+    for (double ei : e) max_err = std::max(max_err, std::abs(ei / opt.target - 1.0));
+    ref.history.push_back(max_err);
+    if (max_err < opt.tolerance || iter == opt.max_iterations) break;
+    const double update_tol = jacobi_update_tolerance(opt.tolerance, max_err);
+    for (std::size_t i = 0; i < doses.size(); ++i)
+      doses[i] = jacobi_updated_dose(doses[i], e[i], update_tol, opt.target,
+                                     opt.min_dose, opt.max_dose);
+    eval.set_active_doses(doses);
+  }
+  for (const Shot& s : eval.shots()) ref.doses.push_back(s.dose);
+  return ref;
+}
+
+TEST(ShardedPec, OneShardIsTheWholePatternJacobiLoopBitForBit) {
+  // shard_size 0 and a shard larger than the pattern both lay out one shard
+  // with no ghosts: the solve is the whole-pattern Jacobi loop, doses and
+  // per-iteration history alike, converged or stopped at the cap. Its last
+  // sweep measured the delivered doses, so no measurement pass runs.
   const ShotList shots = dense_grid_shots(20000);
   const Psf psf = test_psf();
-  PecOptions opt;
-  opt.max_iterations = 6;
-  opt.tolerance = 0.005;
-  const PecResult global = correct_proximity(shots, psf, opt);
-  PecOptions sopt = opt;
-  sopt.shard_size = 1000000;
-  const PecResult sharded = correct_proximity(shots, psf, sopt);
-  EXPECT_EQ(sharded.shards, 1);
-  ASSERT_EQ(sharded.shots.size(), global.shots.size());
-  for (std::size_t i = 0; i < global.shots.size(); ++i)
-    EXPECT_EQ(sharded.shots[i].dose, global.shots[i].dose) << "shot " << i;
-  // Doses are bitwise-equal (same Jacobi sequence on the same evaluator
-  // state); the final error may differ in the last bits because the shard's
-  // long-range map drops the off-pattern sampling margin.
-  EXPECT_NEAR(sharded.final_max_error, global.final_max_error, 1e-5);
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (const auto& [max_iterations, tolerance] :
+       {std::pair{6, 0.005}, std::pair{3, 1e-9}}) {
+    PecOptions opt;
+    opt.max_iterations = max_iterations;
+    opt.tolerance = tolerance;
+    const JacobiReference ref = whole_pattern_jacobi(shots, psf, opt);
+    for (const Coord shard_size : {0, 1000000}) {
+      SCOPED_TRACE("max_iterations " + std::to_string(max_iterations) +
+                   " shard_size " + std::to_string(shard_size));
+      opt.shard_size = shard_size;
+      const PecResult r = correct_proximity(shots, psf, opt);
+      EXPECT_EQ(r.shards, 1);
+      EXPECT_EQ(r.rounds, 1);
+      ASSERT_EQ(r.shots.size(), ref.doses.size());
+      for (std::size_t i = 0; i < ref.doses.size(); ++i)
+        EXPECT_EQ(bits(r.shots[i].dose), bits(ref.doses[i])) << "shot " << i;
+      ASSERT_EQ(r.max_error_history.size(), ref.history.size());
+      for (std::size_t i = 0; i < ref.history.size(); ++i)
+        EXPECT_EQ(bits(r.max_error_history[i]), bits(ref.history[i])) << "sweep " << i;
+      EXPECT_EQ(r.iterations, static_cast<int>(ref.history.size()) - 1);
+      EXPECT_EQ(bits(r.final_max_error), bits(ref.history.back()));
+      EXPECT_LT(r.measure_ms, 0.0);
+    }
+  }
 }
 
 TEST(ShardedPec, BitIdenticalAcrossThreadCounts) {
@@ -244,8 +289,9 @@ void expect_same_result(const wire::ShardResult& got,
   for (std::size_t k = 0; k < want.doses.size(); ++k)
     EXPECT_EQ(bits(got.doses[k]), bits(want.doses[k])) << "dose " << k;
   EXPECT_EQ(got.changed, want.changed);
-  EXPECT_EQ(bits(got.entry_error), bits(want.entry_error));
-  EXPECT_EQ(bits(got.exit_error), bits(want.exit_error));
+  ASSERT_EQ(got.errors.size(), want.errors.size());
+  for (std::size_t k = 0; k < want.errors.size(); ++k)
+    EXPECT_EQ(bits(got.errors[k]), bits(want.errors[k])) << "sweep " << k;
   EXPECT_EQ(got.iterations, want.iterations);
   EXPECT_EQ(got.updated, want.updated);
   EXPECT_EQ(got.optimistic, want.optimistic);
@@ -276,7 +322,7 @@ TEST(ShardedPec, WarmResolveOfTheSameJobIsBitwiseTheColdSolve) {
     EXPECT_EQ(cold.optimistic, c.allow_optimistic);
     EXPECT_TRUE(cold.updated);
     if (c.max_iterations > 1 && !c.allow_optimistic)
-      EXPECT_LT(cold.exit_error, c.tolerance) << "the converged case";
+      EXPECT_LT(cold.errors.back(), c.tolerance) << "the converged case";
     expect_same_result(first, cold);
     expect_same_result(warm, cold);
   }

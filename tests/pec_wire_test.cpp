@@ -185,8 +185,7 @@ TEST(Wire, SessionFramesRoundTripAndValidate) {
 wire::ShardResult sample_result() {
   wire::ShardResult r;
   r.shard_key = 42;
-  r.entry_error = 0.123456789012345678;
-  r.exit_error = 1e-17;
+  r.errors = {0.123456789012345678, 0.0625, 1e-17};
   r.iterations = 9;
   r.updated = true;
   r.optimistic = true;
@@ -209,8 +208,9 @@ TEST(Wire, ResultRoundTripIsBitExact) {
   const wire::ShardResult r = sample_result();
   const wire::ShardResult back = wire::decode_shard_result(wire::encode(r));
   EXPECT_EQ(back.shard_key, r.shard_key);
-  EXPECT_EQ(bits(back.entry_error), bits(r.entry_error));
-  EXPECT_EQ(bits(back.exit_error), bits(r.exit_error));
+  ASSERT_EQ(back.errors.size(), r.errors.size());
+  for (std::size_t i = 0; i < r.errors.size(); ++i)
+    EXPECT_EQ(bits(back.errors[i]), bits(r.errors[i]));
   EXPECT_EQ(back.iterations, r.iterations);
   EXPECT_EQ(back.updated, r.updated);
   EXPECT_EQ(back.optimistic, r.optimistic);
@@ -250,9 +250,11 @@ TEST(Wire, DecodeRejectsOutOfRangeResultFields) {
   } cases[] = {
       {"dose", [](wire::ShardResult& r, double v) { r.doses[1] = v; },
        {nan, inf, -inf}},
-      {"entry_error", [](wire::ShardResult& r, double v) { r.entry_error = v; },
+      {"first error", [](wire::ShardResult& r, double v) { r.errors.front() = v; },
        {nan, -1e-9, inf}},
-      {"exit_error", [](wire::ShardResult& r, double v) { r.exit_error = v; },
+      {"middle error", [](wire::ShardResult& r, double v) { r.errors[1] = v; },
+       {nan, -0.25, inf}},
+      {"last error", [](wire::ShardResult& r, double v) { r.errors.back() = v; },
        {nan, -0.5, inf}},
       {"iterations",
        [](wire::ShardResult& r, double v) { r.iterations = static_cast<int>(v); },
@@ -264,11 +266,16 @@ TEST(Wire, DecodeRejectsOutOfRangeResultFields) {
     for (const double v : c.bad)
       EXPECT_TRUE(rejects(c.edit, v)) << c.field << " = " << v;
 
-  // Legal edges: doses outside any clamp (a measurement pass), zero errors,
-  // zero iterations and a zero solve time.
+  // Every result carries at least its entry sweep's error.
+  wire::ShardResult no_errors = sample_result();
+  no_errors.errors.clear();
+  EXPECT_THROW(wire::decode_shard_result(wire::encode(no_errors)), DataError);
+
+  // Legal edges: doses outside any clamp (a measurement pass), a single
+  // zero error, zero iterations and a zero solve time.
   wire::ShardResult edge = sample_result();
   edge.doses = {0.0, -2.0, 1e300};
-  edge.entry_error = edge.exit_error = 0.0;
+  edge.errors = {0.0};
   edge.iterations = 0;
   edge.solve_ms = 0.0;
   EXPECT_NO_THROW(wire::decode_shard_result(wire::encode(edge)));
@@ -291,6 +298,9 @@ TEST(Wire, FrameHeaderRoundTripAndRejections) {
   // it would misframe everything after the first payload.
   bad = h;
   bad[4] = static_cast<char>(wire::kVersion + 1);
+  EXPECT_THROW(wire::parse_frame_header(bad), DataError);
+  bad = h;
+  bad[4] = 8;  // v8: results with a fixed entry_error/exit_error pair
   EXPECT_THROW(wire::parse_frame_header(bad), DataError);
   bad = h;
   bad[4] = 7;  // v7: jobs with delta_threshold, results with windowed counters
@@ -463,8 +473,9 @@ TEST(Wire, WorkerCliSolvesAJobBitExactly) {
   ASSERT_EQ(got.doses.size(), expected.doses.size());
   for (std::size_t i = 0; i < expected.doses.size(); ++i)
     EXPECT_EQ(bits(got.doses[i]), bits(expected.doses[i])) << "dose " << i;
-  EXPECT_EQ(bits(got.entry_error), bits(expected.entry_error));
-  EXPECT_EQ(bits(got.exit_error), bits(expected.exit_error));
+  ASSERT_EQ(got.errors.size(), expected.errors.size());
+  for (std::size_t i = 0; i < expected.errors.size(); ++i)
+    EXPECT_EQ(bits(got.errors[i]), bits(expected.errors[i])) << "sweep " << i;
   EXPECT_EQ(got.iterations, expected.iterations);
   EXPECT_EQ(got.changed, expected.changed);
 }
@@ -510,10 +521,10 @@ TEST(Wire, WorkerResolvesADuplicateJobBitExactly) {
       EXPECT_EQ(bits(got.doses[i]), bits(expected.doses[i]))
           << "delivery " << delivery << " dose " << i;
     EXPECT_EQ(got.changed, expected.changed) << "delivery " << delivery;
-    EXPECT_EQ(bits(got.entry_error), bits(expected.entry_error))
-        << "delivery " << delivery;
-    EXPECT_EQ(bits(got.exit_error), bits(expected.exit_error))
-        << "delivery " << delivery;
+    ASSERT_EQ(got.errors.size(), expected.errors.size()) << "delivery " << delivery;
+    for (std::size_t i = 0; i < expected.errors.size(); ++i)
+      EXPECT_EQ(bits(got.errors[i]), bits(expected.errors[i]))
+          << "delivery " << delivery << " sweep " << i;
     EXPECT_EQ(got.iterations, expected.iterations) << "delivery " << delivery;
   }
   session.end_session();
@@ -521,8 +532,7 @@ TEST(Wire, WorkerResolvesADuplicateJobBitExactly) {
 }
 
 // The headline acceptance criterion: the multi-process solve at the same
-// shard layout produces bitwise-identical doses to the in-process sharded
-// engine (which is itself pinned against the monolithic oracle elsewhere).
+// shard layout produces bitwise-identical doses to the in-process engine.
 TEST(DistributedPec, BitwiseIdenticalToInProcessSharded) {
   if (!worker_available()) GTEST_SKIP() << "pec_worker binary not built";
   const ShotList shots = dense_grid_shots(60000);
@@ -599,7 +609,7 @@ TEST(DistributedPec, WorkerCountClampedToShardCountAndBudgetInvariant) {
   }
 }
 
-TEST(DistributedPec, ConvenienceEntryDefaultsShardSize) {
+TEST(DistributedPec, WorkersDefaultTheShardSize) {
   if (!worker_available()) GTEST_SKIP() << "pec_worker binary not built";
   const ShotList shots = dense_grid_shots(20000);
   const Psf psf = test_psf();
@@ -607,17 +617,11 @@ TEST(DistributedPec, ConvenienceEntryDefaultsShardSize) {
   opt.max_iterations = 4;
   opt.worker_count = 2;
   ASSERT_EQ(opt.shard_size, 0);
-  const PecResult dist = correct_proximity_distributed(shots, psf, opt);
+  // Workers must be honored with shard_size left at 0 — the solve runs at
+  // default_shard_size on them, not in-process.
+  const PecResult dist = correct_proximity(shots, psf, opt);
   EXPECT_GE(dist.shards, 1);
   EXPECT_GE(dist.workers, 1);
-
-  // correct_proximity must honor worker_count the same way, not silently
-  // fall back to the monolithic in-process solve because shard_size is 0.
-  const PecResult via_dispatch = correct_proximity(shots, psf, opt);
-  EXPECT_GE(via_dispatch.workers, 1);
-  ASSERT_EQ(via_dispatch.shots.size(), dist.shots.size());
-  for (std::size_t i = 0; i < dist.shots.size(); ++i)
-    EXPECT_EQ(bits(via_dispatch.shots[i].dose), bits(dist.shots[i].dose));
 
   PecOptions lopt = opt;
   lopt.worker_count = 0;

@@ -45,8 +45,7 @@ std::string sample_framed_job() {
 std::string sample_framed_result() {
   wire::ShardResult res;
   res.shard_key = 3;
-  res.entry_error = 0.25;
-  res.exit_error = 0.0025;
+  res.errors = {0.25, 0.0025};
   res.iterations = 4;
   res.updated = true;
   res.doses = {1.25, 0.75};
