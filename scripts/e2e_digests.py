@@ -17,6 +17,8 @@ with size `full` or `quick`. A digest is a hash of every output shot's
 geometry and dose bits, so two commits that print the same lines produce the
 same shots. The exit code is nonzero when a job reports a failure or the
 build or a run fails; the digests themselves are only printed, never judged.
+scripts/e2e_digests_quick.txt holds the `--quick --seeds 101,2027` lines of
+the current tree; CI diffs the gcc build's output against it.
 """
 import argparse
 import sys

@@ -7,12 +7,6 @@
 
 namespace ebl {
 
-PolygonSet PolygonSet::from_simple(const std::vector<SimplePolygon>& contours) {
-  PolygonSet s;
-  for (const auto& c : contours) s.insert(c);
-  return s;
-}
-
 void PolygonSet::insert(const PolygonSet& other) {
   polys_.insert(polys_.end(), other.polys_.begin(), other.polys_.end());
 }

@@ -20,7 +20,6 @@ class PolygonSet {
   PolygonSet() = default;
   explicit PolygonSet(std::vector<Polygon> polys) : polys_(std::move(polys)) {}
   PolygonSet(std::initializer_list<Polygon> polys) : polys_(polys) {}
-  static PolygonSet from_simple(const std::vector<SimplePolygon>& contours);
 
   void insert(Polygon p) { polys_.push_back(std::move(p)); }
   void insert(const SimplePolygon& p) { polys_.emplace_back(p); }

@@ -90,111 +90,49 @@ std::pair<int, int> Raster::index_of(Point p) const {
   return {clamp(ix, nx_), clamp(iy, ny_)};
 }
 
-namespace {
+double Raster::clipped_area(const Trapezoid& t, double px0, double py0, Coord pix) {
+  const double px1 = px0 + pix;
+  const double py1 = py0 + pix;
+  thread_local std::vector<DPt> poly;
+  thread_local std::vector<DPt> scratch;
+  poly.clear();
+  poly.push_back({double(t.xl0), double(t.y0)});
+  if (t.xr0 != t.xl0) poly.push_back({double(t.xr0), double(t.y0)});
+  poly.push_back({double(t.xr1), double(t.y1)});
+  if (t.xl1 != t.xr1) poly.push_back({double(t.xl1), double(t.y1)});
 
-// Shared clip core of add_coverage/visit_coverage: emit(ix, iy, fraction) for
-// every overlapped pixel. Templated on the sink so the hot accumulation path
-// keeps a direct call.
-template <typename Emit>
-void visit_coverage_impl(const Trapezoid& t, Point origin, Coord pix, int nx, int ny,
-                         Emit&& emit) {
-  if (!t.valid()) return;
-  const Box bb = t.bbox();
-  const double inv_area = 1.0 / (static_cast<double>(pix) * pix);
-
-  const Coord64 gx0 = std::max<Coord64>((Coord64(bb.lo.x) - origin.x) / pix, 0);
-  const Coord64 gy0 = std::max<Coord64>((Coord64(bb.lo.y) - origin.y) / pix, 0);
-  const Coord64 gx1 = std::min<Coord64>((Coord64(bb.hi.x) - origin.x) / pix, nx - 1);
-  const Coord64 gy1 = std::min<Coord64>((Coord64(bb.hi.y) - origin.y) / pix, ny - 1);
-  if (gx0 > gx1 || gy0 > gy1) return;
-
-  if (t.is_rect()) {
-    // Axis-aligned fast path: coverage separates into a column overlap times
-    // a row overlap, so each pixel costs two subtractions and a multiply
-    // instead of a four-halfplane clip plus shoelace. The overlap widths are
-    // differences of exactly-representable coordinates clamped to one pixel,
-    // so the fraction is the exact covered area. This is the hot path of the
-    // PEC splat-cache build (shots are overwhelmingly rectangles).
-    static thread_local std::vector<double> colw_storage;
-    std::vector<double>& colw = colw_storage;
-    colw.resize(static_cast<std::size_t>(gx1 - gx0 + 1));
-    for (Coord64 ix = gx0; ix <= gx1; ++ix) {
-      const double px0 = static_cast<double>(origin.x) + static_cast<double>(ix) * pix;
-      colw[static_cast<std::size_t>(ix - gx0)] =
-          std::min(px0 + pix, double(t.xr0)) - std::max(px0, double(t.xl0));
-    }
-    for (Coord64 iy = gy0; iy <= gy1; ++iy) {
-      const double py0 = static_cast<double>(origin.y) + static_cast<double>(iy) * pix;
-      const double wy = std::min(py0 + pix, double(t.y1)) - std::max(py0, double(t.y0));
-      if (wy <= 0.0) continue;
-      for (Coord64 ix = gx0; ix <= gx1; ++ix) {
-        const double wx = colw[static_cast<std::size_t>(ix - gx0)];
-        if (wx <= 0.0) continue;
-        emit(static_cast<int>(ix), static_cast<int>(iy), wx * wy * inv_area);
-      }
-    }
-    return;
-  }
-
-  std::vector<DPt> poly;
-  std::vector<DPt> scratch;
-  for (Coord64 iy = gy0; iy <= gy1; ++iy) {
-    const double py0 = static_cast<double>(origin.y) + static_cast<double>(iy) * pix;
-    const double py1 = py0 + pix;
-    for (Coord64 ix = gx0; ix <= gx1; ++ix) {
-      const double px0 = static_cast<double>(origin.x) + static_cast<double>(ix) * pix;
-      const double px1 = px0 + pix;
-
-      poly.clear();
-      poly.push_back({double(t.xl0), double(t.y0)});
-      if (t.xr0 != t.xl0) poly.push_back({double(t.xr0), double(t.y0)});
-      poly.push_back({double(t.xr1), double(t.y1)});
-      if (t.xl1 != t.xr1) poly.push_back({double(t.xl1), double(t.y1)});
-
-      clip_halfplane(poly, scratch, [&](DPt p) { return p.x >= px0; },
-                     [&](DPt a, DPt b) {
-                       const double s = (px0 - a.x) / (b.x - a.x);
-                       return DPt{px0, a.y + s * (b.y - a.y)};
-                     });
-      if (poly.empty()) continue;
-      clip_halfplane(poly, scratch, [&](DPt p) { return p.x <= px1; },
-                     [&](DPt a, DPt b) {
-                       const double s = (px1 - a.x) / (b.x - a.x);
-                       return DPt{px1, a.y + s * (b.y - a.y)};
-                     });
-      if (poly.empty()) continue;
-      clip_halfplane(poly, scratch, [&](DPt p) { return p.y >= py0; },
-                     [&](DPt a, DPt b) {
-                       const double s = (py0 - a.y) / (b.y - a.y);
-                       return DPt{a.x + s * (b.x - a.x), py0};
-                     });
-      if (poly.empty()) continue;
-      clip_halfplane(poly, scratch, [&](DPt p) { return p.y <= py1; },
-                     [&](DPt a, DPt b) {
-                       const double s = (py1 - a.y) / (b.y - a.y);
-                       return DPt{a.x + s * (b.x - a.x), py1};
-                     });
-      if (poly.size() < 3) continue;
-
-      const double covered = std::abs(shoelace(poly));
-      if (covered <= 0.0) continue;
-      emit(static_cast<int>(ix), static_cast<int>(iy), covered * inv_area);
-    }
-  }
+  clip_halfplane(poly, scratch, [&](DPt p) { return p.x >= px0; },
+                 [&](DPt a, DPt b) {
+                   const double s = (px0 - a.x) / (b.x - a.x);
+                   return DPt{px0, a.y + s * (b.y - a.y)};
+                 });
+  if (poly.empty()) return 0.0;
+  clip_halfplane(poly, scratch, [&](DPt p) { return p.x <= px1; },
+                 [&](DPt a, DPt b) {
+                   const double s = (px1 - a.x) / (b.x - a.x);
+                   return DPt{px1, a.y + s * (b.y - a.y)};
+                 });
+  if (poly.empty()) return 0.0;
+  clip_halfplane(poly, scratch, [&](DPt p) { return p.y >= py0; },
+                 [&](DPt a, DPt b) {
+                   const double s = (py0 - a.y) / (b.y - a.y);
+                   return DPt{a.x + s * (b.x - a.x), py0};
+                 });
+  if (poly.empty()) return 0.0;
+  clip_halfplane(poly, scratch, [&](DPt p) { return p.y <= py1; },
+                 [&](DPt a, DPt b) {
+                   const double s = (py1 - a.y) / (b.y - a.y);
+                   return DPt{a.x + s * (b.x - a.x), py1};
+                 });
+  if (poly.size() < 3) return 0.0;
+  return std::abs(shoelace(poly));
 }
 
-}  // namespace
-
 void Raster::add_coverage(const Trapezoid& t, double weight) {
-  visit_coverage_impl(t, origin_, pix_, nx_, ny_, [&](int ix, int iy, double frac) {
+  visit_coverage(t, 0, ny_, [&](int ix, int iy, double frac) {
     data_[static_cast<std::size_t>(iy) * nx_ + static_cast<std::size_t>(ix)] +=
         weight * frac;
   });
-}
-
-void Raster::visit_coverage(const Trapezoid& t,
-                            const std::function<void(int, int, double)>& emit) const {
-  visit_coverage_impl(t, origin_, pix_, nx_, ny_, emit);
 }
 
 double Raster::sample(double x, double y) const {

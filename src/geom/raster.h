@@ -1,11 +1,11 @@
 // Area-coverage rasterization of trapezoids onto a pixel grid.
 //
-// Used by the grid-based PEC style and the exposure simulator: each pixel
+// Used by the PEC long-range gather and the exposure simulator: each pixel
 // accumulates the exact covered-area fraction of the geometry (anti-aliased
 // coverage, not point sampling), so downstream dose integrals conserve area.
 #pragma once
 
-#include <functional>
+#include <algorithm>
 #include <vector>
 
 #include "geom/box.h"
@@ -47,12 +47,14 @@ class Raster {
   /// Adds coverage for a whole list.
   void add_coverage(const std::vector<Trapezoid>& traps, double weight = 1.0);
 
-  /// Invokes emit(ix, iy, covered_area_fraction) for every pixel the
-  /// trapezoid overlaps, without mutating the raster — the primitive behind
-  /// add_coverage, exposed so callers can cache a shape's sparse footprint
-  /// (e.g. the PEC splat cache) instead of re-clipping every accumulation.
-  void visit_coverage(const Trapezoid& t,
-                      const std::function<void(int, int, double)>& emit) const;
+  /// Invokes emit(ix, iy, covered_area_fraction) for every pixel of rows
+  /// [row0, row1) the trapezoid overlaps, row by row and left to right,
+  /// without mutating the raster — the primitive behind add_coverage. A
+  /// pixel's fraction does not depend on the rows asked for, so visiting a
+  /// shape band by band emits exactly the values of one whole visit (the PEC
+  /// long-range gather writes row bands in parallel this way).
+  template <typename Emit>
+  void visit_coverage(const Trapezoid& t, int row0, int row1, Emit&& emit) const;
 
   /// Sum of all pixel values.
   double sum() const;
@@ -64,10 +66,67 @@ class Raster {
   const std::vector<double>& data() const { return data_; }
 
  private:
+  // Area (dbu^2) of the pixel [px0, px0 + pix) x [py0, py0 + pix) that a
+  // trapezoid covers: convex clip + shoelace, the general visit path.
+  static double clipped_area(const Trapezoid& t, double px0, double py0, Coord pix);
+
   Point origin_;  // dbu coordinate of the lower-left corner of pixel (0,0)
   Coord pix_;
   int nx_, ny_;
   std::vector<double> data_;
 };
+
+template <typename Emit>
+void Raster::visit_coverage(const Trapezoid& t, int row0, int row1, Emit&& emit) const {
+  if (!t.valid()) return;
+  const Box bb = t.bbox();
+  const double inv_area = 1.0 / (static_cast<double>(pix_) * pix_);
+
+  const Coord64 gx0 = std::max<Coord64>((Coord64(bb.lo.x) - origin_.x) / pix_, 0);
+  const Coord64 gy0 =
+      std::max<Coord64>((Coord64(bb.lo.y) - origin_.y) / pix_, std::max(row0, 0));
+  const Coord64 gx1 = std::min<Coord64>((Coord64(bb.hi.x) - origin_.x) / pix_, nx_ - 1);
+  const Coord64 gy1 =
+      std::min<Coord64>((Coord64(bb.hi.y) - origin_.y) / pix_, std::min(row1, ny_) - 1);
+  if (gx0 > gx1 || gy0 > gy1) return;
+
+  if (t.is_rect()) {
+    // Axis-aligned fast path: coverage separates into a column overlap times
+    // a row overlap, so each pixel costs two subtractions and a multiply
+    // instead of a four-halfplane clip plus shoelace. The overlap widths are
+    // differences of exactly-representable coordinates clamped to one pixel,
+    // so the fraction is the exact covered area. This is the hot path of the
+    // PEC long-range gather (shots are overwhelmingly rectangles).
+    static thread_local std::vector<double> colw_storage;
+    std::vector<double>& colw = colw_storage;
+    colw.resize(static_cast<std::size_t>(gx1 - gx0 + 1));
+    for (Coord64 ix = gx0; ix <= gx1; ++ix) {
+      const double px0 = static_cast<double>(origin_.x) + static_cast<double>(ix) * pix_;
+      colw[static_cast<std::size_t>(ix - gx0)] =
+          std::min(px0 + pix_, double(t.xr0)) - std::max(px0, double(t.xl0));
+    }
+    for (Coord64 iy = gy0; iy <= gy1; ++iy) {
+      const double py0 = static_cast<double>(origin_.y) + static_cast<double>(iy) * pix_;
+      const double wy = std::min(py0 + pix_, double(t.y1)) - std::max(py0, double(t.y0));
+      if (wy <= 0.0) continue;
+      for (Coord64 ix = gx0; ix <= gx1; ++ix) {
+        const double wx = colw[static_cast<std::size_t>(ix - gx0)];
+        if (wx <= 0.0) continue;
+        emit(static_cast<int>(ix), static_cast<int>(iy), wx * wy * inv_area);
+      }
+    }
+    return;
+  }
+
+  for (Coord64 iy = gy0; iy <= gy1; ++iy) {
+    const double py0 = static_cast<double>(origin_.y) + static_cast<double>(iy) * pix_;
+    for (Coord64 ix = gx0; ix <= gx1; ++ix) {
+      const double px0 = static_cast<double>(origin_.x) + static_cast<double>(ix) * pix_;
+      const double covered = clipped_area(t, px0, py0, pix_);
+      if (covered <= 0.0) continue;
+      emit(static_cast<int>(ix), static_cast<int>(iy), covered * inv_area);
+    }
+  }
+}
 
 }  // namespace ebl

@@ -245,15 +245,6 @@ void write_string(std::ostream& os, const std::string& s) {
   os.write(s.data(), static_cast<std::streamsize>(s.size()));
 }
 
-std::size_t uint_length(std::uint64_t v) {
-  std::size_t n = 0;
-  do {
-    ++n;
-    v >>= 7;
-  } while (v);
-  return n;
-}
-
 }  // namespace oasis_detail
 
 // ---------------------------------------------------------------------------

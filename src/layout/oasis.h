@@ -118,9 +118,6 @@ void write_sint(std::ostream& os, std::int64_t v);
 void write_real(std::ostream& os, double v);
 void write_string(std::ostream& os, const std::string& s);
 
-/// Encoded byte length of write_uint(v) (for END-record padding math).
-std::size_t uint_length(std::uint64_t v);
-
 }  // namespace oasis_detail
 
 }  // namespace ebl

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
-#include <mutex>
 
 #include "util/contracts.h"
 #include "util/parallel.h"
@@ -19,6 +18,23 @@ namespace {
 // rounding drift (each delta scatter perturbs a pixel by ~1e-16 of its
 // value, so even 64 updates stay orders of magnitude below 1e-12).
 constexpr int kDeltaReanchor = 64;
+
+// Rows of the fine base map per gather band: the unit of the parallel
+// long-range gather and of the shot binning that feeds it.
+constexpr int kBandRows = 16;
+
+// Adds weight * coverage of @p shape to rows [row0, row1) of @p base. Each
+// pixel's fraction is rounded to float first, in the full gather and the
+// delta scatter alike, so both add the same terms.
+void add_float_coverage(Raster& base, const Trapezoid& shape, int row0, int row1,
+                        double weight) {
+  double* data = base.data().data();
+  const std::size_t nx = static_cast<std::size_t>(base.width());
+  base.visit_coverage(shape, row0, row1, [&](int ix, int iy, double frac) {
+    data[static_cast<std::size_t>(iy) * nx + static_cast<std::size_t>(ix)] +=
+        static_cast<double>(static_cast<float>(frac)) * weight;
+  });
+}
 
 // Epoch-stamped visited marks for duplicate rejection in neighbor queries
 // (a shot's bbox spans several grid cells, so it appears in several bins).
@@ -355,9 +371,6 @@ void ExposureEvaluator::build_long_range() {
   term_maps_.clear();
   long_base_.reset();
   ghost_base_.reset();
-  shot_start_.clear();
-  shot_px_.clear();
-  shot_frac_.clear();
   if (long_terms_.empty()) return;
 
   Box frame;
@@ -406,84 +419,32 @@ void ExposureEvaluator::build_long_range() {
     term_maps_.push_back(std::move(tm));
   }
 
-  {
-    // Clip every shot against the fine base grid once, then transpose the
-    // splats to a pixel-major CSR so re-accumulation is a flat weighted
-    // gather. The clipping (exact convex clip + shoelace per footprint) is
-    // the expensive part, so it runs on the thread pool: each chunk of shots
-    // emits into its own buffers, and the chunks — contiguous, disjoint
-    // index ranges — are concatenated in ascending-range order afterwards.
-    // That reproduces the serial emission order exactly for any thread count
-    // or chunk decomposition, so the cache (and everything derived from it)
-    // stays bit-identical. The block scope frees the per-chunk buffers
-    // before the first gather and blur below allocate theirs.
-    const Raster& r = *long_base_;
-    const int nx = r.width();
-    const std::size_t npx = static_cast<std::size_t>(nx) * r.height();
-    struct SplatChunk {
-      std::size_t begin = 0;
-      std::vector<std::uint32_t> px;
-      std::vector<std::uint32_t> shot;
-      std::vector<float> frac;
-    };
-    // Only active shots enter the cache: background doses are frozen, so
-    // their contribution is rasterized once (rebuild_ghost_base below) and
-    // cache memory plus the per-iteration gather stay O(active).
-    std::vector<SplatChunk> chunks;
-    std::mutex chunks_mutex;
-    parallel_for(
-        active_,
-        [&](std::size_t b, std::size_t e) {
-          SplatChunk c;
-          c.begin = b;
-          for (std::uint32_t i = static_cast<std::uint32_t>(b); i < e; ++i) {
-            r.visit_coverage(shots_[i].shape, [&](int ix, int iy, double frac) {
-              c.px.push_back(static_cast<std::uint32_t>(iy) * nx + ix);
-              c.shot.push_back(i);
-              c.frac.push_back(static_cast<float>(frac));
-            });
-          }
-          std::lock_guard<std::mutex> lock(chunks_mutex);
-          chunks.push_back(std::move(c));
-        },
-        opt_.threads);
-    std::sort(chunks.begin(), chunks.end(),
-              [](const SplatChunk& a, const SplatChunk& b) { return a.begin < b.begin; });
-    // Transpose straight out of the chunk buffers — walking them in
-    // ascending-range order IS the serial emission order, so no intermediate
-    // concatenated copy is needed and peak memory matches the serial build.
-    std::size_t total = 0;
-    for (const SplatChunk& c : chunks) total += c.px.size();
-    px_start_.assign(npx + 1, 0);
-    for (const SplatChunk& c : chunks)
-      for (const std::uint32_t p : c.px) ++px_start_[p + 1];
-    for (std::size_t p = 1; p <= npx; ++p) px_start_[p] += px_start_[p - 1];
-    px_shot_.resize(total);
-    px_frac_.resize(total);
-    std::vector<std::uint32_t> cursor(px_start_.begin(), px_start_.end() - 1);
-    for (const SplatChunk& c : chunks) {
-      for (std::size_t k = 0; k < c.px.size(); ++k) {
-        const std::uint32_t slot = cursor[c.px[k]]++;
-        px_shot_[slot] = c.shot[k];
-        px_frac_[slot] = c.frac[k];
-      }
-    }
-    // Shot-major view for the delta path: the chunk emission stream already
-    // visits shots in ascending order with each shot's pixels contiguous, so
-    // plain concatenation plus a per-shot offset table IS the shot-major
-    // CSR, sharing the exact same fraction values as the pixel-major one.
-    shot_start_.assign(active_ + 1, 0);
-    for (const SplatChunk& c : chunks)
-      for (const std::uint32_t s : c.shot) ++shot_start_[s + 1];
-    for (std::size_t s = 1; s <= active_; ++s) shot_start_[s] += shot_start_[s - 1];
-    shot_px_.reserve(total);
-    shot_frac_.reserve(total);
-    for (const SplatChunk& c : chunks) {
-      shot_px_.insert(shot_px_.end(), c.px.begin(), c.px.end());
-      shot_frac_.insert(shot_frac_.end(), c.frac.begin(), c.frac.end());
-    }
-    if (active_ < shots_.size()) rebuild_ghost_base();
+  // Bin the active shots by band of the base map: count, exclusive scan,
+  // fill (the build_grid idiom). Shots are visited in index order, so every
+  // band lists its shots ascending. Background shots are not binned: their
+  // doses are frozen, so their coverage is rasterized once into ghost_base_
+  // and the per-refresh gather stays O(active).
+  const Raster& r = *long_base_;
+  const std::size_t nbands = static_cast<std::size_t>(r.height() - 1) / kBandRows + 1;
+  const auto bands_of = [&](std::size_t i) {
+    const Box bb = shots_[i].shape.bbox();
+    return std::pair{r.index_of(bb.lo).second / kBandRows,
+                     r.index_of(bb.hi).second / kBandRows};
+  };
+  band_start_.assign(nbands + 1, 0);
+  for (std::size_t i = 0; i < active_; ++i) {
+    const auto [b0, b1] = bands_of(i);
+    for (int b = b0; b <= b1; ++b) ++band_start_[static_cast<std::size_t>(b) + 1];
   }
+  for (std::size_t b = 1; b <= nbands; ++b) band_start_[b] += band_start_[b - 1];
+  band_shot_.resize(band_start_[nbands]);
+  std::vector<std::uint32_t> cursor(band_start_.begin(), band_start_.end() - 1);
+  for (std::size_t i = 0; i < active_; ++i) {
+    const auto [b0, b1] = bands_of(i);
+    for (int b = b0; b <= b1; ++b)
+      band_shot_[cursor[static_cast<std::size_t>(b)]++] = static_cast<std::uint32_t>(i);
+  }
+  if (active_ < shots_.size()) rebuild_ghost_base();
   accumulate_long_range();
 }
 
@@ -500,28 +461,32 @@ void ExposureEvaluator::accumulate_long_range() {
   if (!long_base_) return;
   const auto t0 = std::chrono::steady_clock::now();
 
-  // Doses copied to a dense array so the per-pixel gather walks 8-byte
-  // strides instead of whole Shot records (the cache only references active
-  // shots, the prefix of the list).
-  std::vector<double> doses(active_);
-  for (std::size_t i = 0; i < active_; ++i) doses[i] = shots_[i].dose;
-
-  // Pixel-parallel: each pixel sums its cached splats in ascending cache
-  // order, on top of the frozen background coverage — independent outputs,
-  // so identical for any thread count.
-  std::vector<double>& data = long_base_->data();
+  // Band-parallel: a band starts from the frozen background coverage and
+  // adds each of its shots in ascending index, clipped to the band's rows.
+  // Bands are disjoint outputs and every pixel sums the same terms in the
+  // same order, so the map is identical for any thread count.
+  Raster& base = *long_base_;
+  const int ny = base.height();
+  const std::size_t nx = static_cast<std::size_t>(base.width());
+  double* data = base.data().data();
   const double* bg = ghost_base_ ? ghost_base_->data().data() : nullptr;
   parallel_for(
-      data.size(),
-      [&](std::size_t p0, std::size_t p1) {
-        for (std::size_t p = p0; p < p1; ++p) {
-          double acc = bg ? bg[p] : 0.0;
-          const std::uint32_t b = px_start_[p];
-          const std::uint32_t e = px_start_[p + 1];
-          for (std::uint32_t k = b; k < e; ++k) {
-            acc += static_cast<double>(px_frac_[k]) * doses[px_shot_[k]];
+      band_start_.size() - 1,
+      [&](std::size_t b0, std::size_t b1) {
+        for (std::size_t b = b0; b < b1; ++b) {
+          const int row0 = static_cast<int>(b) * kBandRows;
+          const int row1 = std::min(ny, row0 + kBandRows);
+          const std::size_t p0 = static_cast<std::size_t>(row0) * nx;
+          const std::size_t p1 = static_cast<std::size_t>(row1) * nx;
+          if (bg) {
+            std::copy(bg + p0, bg + p1, data + p0);
+          } else {
+            std::fill(data + p0, data + p1, 0.0);
           }
-          data[p] = acc;
+          for (std::uint32_t k = band_start_[b]; k < band_start_[b + 1]; ++k) {
+            const Shot& s = shots_[band_shot_[k]];
+            add_float_coverage(base, s.shape, row0, row1, s.dose);
+          }
         }
       },
       opt_.threads);
@@ -555,18 +520,14 @@ void ExposureEvaluator::apply_full(const double* doses, std::size_t end) {
 
 void ExposureEvaluator::apply_delta(const double* doses) {
   const auto t0 = std::chrono::steady_clock::now();
-  const bool have_maps = long_base_ != nullptr;
-  double* base = have_maps ? long_base_->data().data() : nullptr;
   const bool shorts = short_cache_valid_ && !short_terms_.empty();
   for (const std::uint32_t j : moved_scratch_) {
     const double delta = doses[j] - shots_[j].dose;
     shots_[j].dose = doses[j];
-    if (have_maps) {
-      // Cached splats re-weighted by the dose delta, straight into the
-      // fine base map.
-      for (std::uint32_t k = shot_start_[j]; k < shot_start_[j + 1]; ++k)
-        base[shot_px_[k]] += delta * static_cast<double>(shot_frac_[k]);
-    }
+    // The moved shot re-clipped and weighted by the dose delta, straight
+    // into the fine base map.
+    if (long_base_)
+      add_float_coverage(*long_base_, shots_[j].shape, 0, long_base_->height(), delta);
     if (shorts) scatter_short_delta(j, delta);
   }
   perf_.delta_accumulate_ms += ms_since(t0);

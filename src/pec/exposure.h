@@ -21,25 +21,26 @@
 //   - Every long-range term gets its own map, all sharing one origin: the
 //     base pixel p resolves the finest long term (sigma_min /
 //     kPixelsPerSigma), and term t samples at k_t * p, the largest integer
-//     multiple of p within its own sigma_t / kPixelsPerSigma. Each shot's
-//     sparse footprint on the fine base (pixel, coverage-fraction) is
-//     computed once at construction and cached in a pixel-major CSR ("splat
-//     cache"); a dose refresh re-accumulates the fine base as a
-//     dose-weighted sum of cached splats, then box-averages it onto each
-//     term's map (coverage is additive, so this step is exact) and blurs
-//     there. Every kernel is then about 4 * kPixelsPerSigma pixels wide, so
-//     one blur suffices: the separable sliding-window passes, over every
-//     term's whole map at every refresh.
+//     multiple of p within its own sigma_t / kPixelsPerSigma. The active
+//     shots are binned once, at construction, by 16-row band of the fine
+//     base; a dose refresh re-gathers the base band by band straight from
+//     the shots (each shot's coverage clipped to the band's rows and
+//     weighted by its dose), then box-averages it onto each term's map
+//     (coverage is additive, so this step is exact) and blurs there. Every
+//     kernel is then about 4 * kPixelsPerSigma pixels wide, so one blur
+//     suffices: the separable sliding-window passes, over every term's
+//     whole map at every refresh.
 //   - Dose updates are incremental (see kDeltaThreshold): the evaluator
 //     tracks per-shot dose deltas, and when only a minority of doses moved
-//     it re-weights just those shots' cached splats into the base map and
-//     patches the cached per-centroid short-range sums — O(moved) instead
-//     of O(everything) — with sub-threshold updates deferred entirely.
+//     it re-clips just those shots into the base map, weighted by their
+//     dose change, and patches the cached per-centroid short-range sums —
+//     O(moved) instead of O(everything) — with sub-threshold updates
+//     deferred entirely.
 //   - The centroid sweep's erf evaluations are batched through the
 //     vectorized polynomial in util/vecmath.h (4-wide AVX2 + FMA, ~4x libm;
 //     see ExposureOptions::fast_erf).
-//   - exposures_at_centroids, splat re-accumulation, the box averages and
-//     the blur passes run on the util/parallel.h thread pool. Results are
+//   - exposures_at_centroids, the banded gather, the box averages and the
+//     blur passes run on the util/parallel.h thread pool. Results are
 //     bit-identical for any thread count: work is only ever split over
 //     disjoint output elements, each of which is computed in a fixed
 //     sequential order, and delta scatters run serially in shot order.
@@ -66,7 +67,7 @@ inline constexpr double kLongRangeThreshold = 400.0;
 inline constexpr double kPixelsPerSigma = 4.0;
 
 /// Incremental dose-delta updates. After a few Jacobi sweeps most doses move
-/// by far less than the correction tolerance; re-gathering every splat (and
+/// by far less than the correction tolerance; re-gathering every shot (and
 /// re-summing every analytic neighbor term) for updates that moved almost
 /// nothing is where the iterative corrector used to spend its tail.
 /// set_active_doses compares each requested dose with the one currently
@@ -78,9 +79,10 @@ inline constexpr double kPixelsPerSigma = 4.0;
 ///     the requested doses by at most kDeltaThreshold relative — far below
 ///     any correction tolerance in use;
 ///   - when the moved shots are a minority (at most half of the active
-///     shots), only *their* contributions are re-applied: cached splats are
-///     re-weighted by the dose delta directly into the fine base map
-///     (O(moved x footprint) instead of the full O(pixels + splats) gather),
+///     shots), only *their* contributions are re-applied: each moved shot is
+///     re-clipped and added, weighted by its dose delta, to the fine base
+///     map (O(moved x footprint) instead of the full O(pixels + footprints)
+///     gather),
 ///     and the cached per-centroid short-range sums are updated the same
 ///     way. The long-range blur still reruns on every term's full map.
 /// Every kDeltaReanchor-th delta refresh re-gathers in full to keep the
@@ -103,7 +105,7 @@ struct ExposureOptions {
   /// sharded solves where the border would otherwise rival the shard.
   double map_margin_sigmas = 4.0;
 
-  /// Worker threads for centroid sweeps, splat re-accumulation, and the blur
+  /// Worker threads for centroid sweeps, the long-range gather, and the blur
   /// passes. 0 = auto: the EBL_THREADS environment variable if set, else
   /// std::thread::hardware_concurrency(). Results are identical for any
   /// value (see the header comment).
@@ -121,12 +123,12 @@ struct ExposureOptions {
 /// Wall-clock accounting of the long-range refresh, for benchmarks and
 /// traces. Times accumulate across dose refreshes.
 struct BlurPerf {
-  double accumulate_ms = 0.0;  ///< full splat gathers / re-rasterizations
+  double accumulate_ms = 0.0;  ///< full long-range gathers
   double blur_ms = 0.0;        ///< per-term box averages and convolutions
   int refreshes = 0;           ///< completed *full* long-range refreshes
 
   // Delta-path accounting (see kDeltaThreshold).
-  double delta_accumulate_ms = 0.0;  ///< delta scatters (splats + short sums)
+  double delta_accumulate_ms = 0.0;  ///< delta scatters (base map + short sums)
   int delta_refreshes = 0;           ///< refreshes served by the delta path
   int skipped_refreshes = 0;  ///< set_* calls where no dose moved at all
   long long shots_updated = 0;  ///< shots re-weighted across delta refreshes
@@ -150,21 +152,22 @@ struct BlurPerf {
 };
 
 /// Evaluates exposure for a fixed shot geometry; per-shot doses can be
-/// updated cheaply (cached splats are re-weighted, the neighbor structure is
-/// reused, only the long-range blur is recomputed). Query points may be
-/// anywhere. Queries are thread-safe and allocation-free after construction.
+/// updated cheaply (the band binning and the neighbor structure are reused;
+/// the base map is re-gathered and the long-range blur recomputed). Query
+/// points may be anywhere. Queries are thread-safe and allocation-free after
+/// construction.
 ///
 /// Active/background split: the shot list may carry a trailing block of
 /// *background* shots (ghosts from neighboring PEC shards). Background shots
 /// contribute exposure like active ones — they live in the neighbor grid and
 /// their dose-weighted coverage lands on the long-range maps — but they take
 /// no dose updates and exposures_at_centroids skips them. Because their
-/// doses are frozen, they stay out of the splat cache: a frozen background
-/// map holds their coverage (at double precision — agreement with an
-/// all-active evaluator is to float-cache precision) and both cache memory
-/// and the per-iteration gather are O(active). This is how the sharded
-/// corrector freezes halo doses without a second evaluator or copied
-/// geometry.
+/// doses are frozen, they stay out of the band binning: a frozen background
+/// map holds their coverage (at double precision, where the gather rounds
+/// each active fraction to float, so agreement with an all-active evaluator
+/// is to float precision) and the per-iteration gather is O(active). This
+/// is how the sharded corrector freezes halo doses without a second
+/// evaluator or copied geometry.
 class ExposureEvaluator {
  public:
   ExposureEvaluator(ShotList shots, const Psf& psf, ExposureOptions options = {});
@@ -191,8 +194,8 @@ class ExposureEvaluator {
   /// Replaces every dose (active and background) exactly, regardless of
   /// kDeltaThreshold: all requested doses are applied through the full
   /// gather, so the evaluator afterwards is bit-identical to one freshly
-  /// constructed at these doses, while the expensive geometry caches
-  /// (neighbor grid, splat clipping, term maps and kernel taps) are reused.
+  /// constructed at these doses, while the geometry state (neighbor grid,
+  /// band binning, term maps and kernel taps) is reused.
   /// When every requested dose already equals the applied one and no delta
   /// scatter has run since the last full gather, nothing can be stale and
   /// the refresh is skipped. This is the re-entry of a resident shard evaluator, and the
@@ -264,36 +267,28 @@ class ExposureEvaluator {
   std::vector<std::uint32_t> grid_items_;
   double cutoff_ = 0.0;
 
-  // Long-range state: one fine accumulated (pre-blur) base map plus the
-  // pixel-major splat cache that rebuilds it — pixel p's value is
-  // sum over k in [px_start[p], px_start[p]+1) of px_frac[k] *
-  // dose[px_shot[k]], always summed in ascending-k order for determinism —
-  // and one blurred raster per long-range term, box-averaged from the base.
+  // Long-range state: one fine accumulated (pre-blur) base map — pixel p
+  // holds the background coverage plus, in ascending shot order, each active
+  // shot's float-rounded coverage fraction times its dose — and one blurred
+  // raster per long-range term, box-averaged from the base.
   struct TermMap {
     PsfTerm term;
     int k = 1;                 ///< map pixel in base pixels (same origin)
     std::vector<double> taps;  ///< truncated normalized kernel at k * pixel
     std::unique_ptr<Raster> map;
   };
-  // Background (frozen-dose) shots are not in the splat cache: their
-  // dose-weighted coverage is rasterized once into ghost_base_ and added on
-  // top of the active gather, so cache memory and the per-iteration gather
-  // are O(active shots). Rebuilt only by reset_doses, the one dose setter
-  // that may move background doses; null when every shot is active. Both
-  // bases are at the fine pixel only.
+  // Background (frozen-dose) shots are not gathered: their dose-weighted
+  // coverage is rasterized once into ghost_base_, where every gather band
+  // starts, so the per-iteration gather is O(active shots). Rebuilt only by
+  // reset_doses, the one dose setter that may move background doses; null
+  // when every shot is active. Both bases are at the fine pixel only.
   std::unique_ptr<Raster> long_base_;
   std::unique_ptr<Raster> ghost_base_;
-  std::vector<std::uint32_t> px_start_;
-  std::vector<std::uint32_t> px_shot_;
-  std::vector<float> px_frac_;
-  // Shot-major view of the same splats (shot j's footprint is
-  // shot_px_/shot_frac_[shot_start_[j] .. shot_start_[j+1])): the delta path
-  // scatters a moved shot's dose change straight into the base map through
-  // it. Built from the same emission stream as the pixel-major CSR, so the
-  // fractions are bit-identical between the two views.
-  std::vector<std::uint32_t> shot_start_;
-  std::vector<std::uint32_t> shot_px_;
-  std::vector<float> shot_frac_;
+  // Active shots by 16-row band of the base map: band b gathers shots
+  // band_shot_[band_start_[b] .. band_start_[b + 1]), in ascending index. A
+  // shot taller than a band is listed in every band it touches.
+  std::vector<std::uint32_t> band_start_;
+  std::vector<std::uint32_t> band_shot_;
   std::vector<TermMap> term_maps_;
   BlurPerf perf_;
 

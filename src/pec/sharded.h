@@ -1,8 +1,8 @@
 // Sharded proximity-effect correction: tile the pattern, correct per shard,
 // exchange halos. This is correct_proximity's one solve path.
 //
-// One evaluator over a whole pattern — one neighbor grid, one splat cache,
-// one long-range map — costs memory and wall-clock O(whole pattern). The
+// One evaluator over a whole pattern — one neighbor grid, one long-range
+// base map and its term maps — costs memory and wall-clock O(whole pattern). The
 // 1979 machines never worked that way: large patterns are written as a grid
 // of deflection fields with stage moves between them, and correction can be
 // tiled the same way.
@@ -36,8 +36,8 @@
 // distributed driver that ran out of workers run the same pooled local
 // sweep; each pec_worker daemon admits its jobs through a ShardPool of its
 // own. A resident evaluator re-enters a round through reset_doses, a full
-// dose refresh that keeps the geometry caches, so residency changes the wall
-// clock, never a bit.
+// dose refresh that keeps the geometry state (neighbor grid, band binning,
+// term maps), so residency changes the wall clock, never a bit.
 //
 // Out-of-process execution (PecOptions::worker_count > 0 or worker_hosts):
 // shard solves are identical, self-contained jobs, so the driver can farm

@@ -91,10 +91,7 @@ void WorkerSupervisor::probe_liveness() {
   for (std::size_t w = 0; w < sessions_.size(); ++w) {
     if (!alive_[w]) continue;
     std::string why;
-    if (sessions_[w]->poll_fault(&why)) {
-      ++stats_.failures;
-      handle_failure(w, why);
-    }
+    if (sessions_[w]->poll_fault(&why)) handle_failure(w, why);
   }
 }
 
@@ -260,7 +257,6 @@ void WorkerSupervisor::run_batch(std::size_t n, const Prefer& prefer,
 
     for (std::size_t w = 0; w < nw; ++w) {
       if (!attempts[w] || !attempts[w]->failed.load()) continue;
-      ++stats_.failures;
       int lost = 0;
       for (const std::size_t i : attempts[w]->jobs) lost += done[i] ? 0 : 1;
       stats_.reassigned_jobs += lost;

@@ -68,7 +68,6 @@ double resolve_worker_timeout_ms(double option_value);
 /// distributed runner.
 struct SupervisorStats {
   int restarts = 0;         ///< worker slots respawned / reconnected
-  int failures = 0;         ///< worker faults observed (crash/hang/bad frame)
   int reassigned_jobs = 0;  ///< jobs re-enqueued after their worker failed
   bool degraded_to_inprocess = false;  ///< ran out of workers; solved locally
 };

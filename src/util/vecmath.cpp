@@ -121,8 +121,6 @@ const bool g_use_avx2 = false;
 
 double fast_erf(double x) { return erf_core(x); }
 
-bool erf_batch_is_vectorized() { return g_use_avx2; }
-
 void erf_batch(const double* x, double* y, std::size_t n) {
 #ifdef EBL_ERF_AVX2
   if (g_use_avx2) {

@@ -31,7 +31,4 @@ double fast_erf(double x);
 /// step on AVX2+FMA hardware, scalar otherwise; x and y may alias.
 void erf_batch(const double* x, double* y, std::size_t n);
 
-/// True when the 4-wide AVX2 kernel is in use (for tests and bench logs).
-bool erf_batch_is_vectorized();
-
 }  // namespace ebl

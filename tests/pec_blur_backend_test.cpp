@@ -78,7 +78,7 @@ TEST(ExposureEvaluator, CoarseTermMapMatchesASingleTermEvaluatorOnItsGrid) {
   // evaluator rasterizes straight onto 750-dbu pixels, and an alpha + gamma
   // evaluator keeps the 150-dbu base; with the default 4-sigma margins all
   // three grids share pixel boundaries, so the two parts must sum to the
-  // triple evaluator up to the float precision of the cached splat
+  // triple evaluator up to the float precision of the gathered coverage
   // fractions.
   const ShotList shots = pad_and_island();
   const Psf psf = Psf::triple_gaussian(50.0, 3000.0, 600.0, 0.7, 0.3);

@@ -312,15 +312,15 @@ TEST(ExposureEvaluator, OptimizedQueryMatchesBruteForceReference) {
 
 TEST(ExposureEvaluator, CentroidSweepIsBitIdenticalAcrossThreadCounts) {
   const ShotList shots = pad_and_island();
-  const Psf psf = test_psf();  // short + long term: exercises grid, splat
-                               // re-accumulation, and both blur passes
+  const Psf psf = test_psf();  // short + long term: exercises grid, banded
+                               // gather, and both blur passes
   std::vector<std::vector<double>> results;
   for (const int threads : {1, 2, 8}) {
     ExposureOptions opt;
     opt.threads = threads;
     ExposureEvaluator eval(shots, psf, opt);
-    // Push the evaluator through a dose update so the parallel splat
-    // re-accumulation path is covered as well.
+    // Push the evaluator through a dose update so the parallel banded
+    // re-gather is covered as well.
     std::vector<double> doses(shots.size());
     for (std::size_t i = 0; i < doses.size(); ++i)
       doses[i] = 1.0 + 0.001 * static_cast<double>(i % 97);

@@ -377,6 +377,112 @@ TEST(DosePaths, ResetDosesIsBitwiseTheFreshEvaluator) {
   }
 }
 
+// Shots for the banded gather: two pads, each one shot taller than many
+// 16-row bands; a field of small squares at a pitch off the pixel grid, so
+// most pixels sum several shots; slanted trapezoids across band edges; and
+// squares on the pattern's bottom and top edges. Ghosts overlap the pads.
+ShotList gather_shots(std::size_t* active_count) {
+  ShotList shots;
+  const auto add = [&](Trapezoid t) { shots.push_back({t, 1.0}); };
+  add(Trapezoid::rect(Box{0, 0, 8000, 30000}));
+  add(Trapezoid::rect(Box{12000, 5037, 20011, 25000}));
+  for (int j = 0; j < 12; ++j)
+    for (int i = 0; i < 12; ++i)
+      add(Trapezoid::rect(Box{22000 + 170 * i, 9000 + 170 * j, 22170 + 170 * i,
+                              9170 + 170 * j}));
+  add(Trapezoid(2300, 9100, 26000, 30000, 27500, 29000));   // both sides in
+  add(Trapezoid(11000, 16200, 27000, 31000, 29000, 29000));  // triangle
+  add(Trapezoid(17000, 23000, 24000, 26000, 27100, 29100));  // parallelogram
+  add(Trapezoid::rect(Box{30000, 0, 31000, 1000}));          // bottom edge
+  add(Trapezoid::rect(Box{30000, 29000, 31000, 30000}));     // top edge
+  *active_count = shots.size();
+  add(Trapezoid::rect(Box{7000, 2000, 13500, 4000}));
+  add(Trapezoid(20000, 28000, 5000, 15000, 6000, 14000));
+  add(Trapezoid::rect(Box{21000, 8000, 24000, 12000}));
+  for (std::size_t i = 0; i < shots.size(); ++i)
+    shots[i].dose = 1.0 + 0.037 * static_cast<double>(i % 7);
+  return shots;
+}
+
+// The long-range exposure at every active centroid, computed serially from
+// the shots: ghosts rasterized at double precision, then every active
+// shot's float-rounded coverage fractions in ascending shot order on one
+// fine base map, then per term a box average onto its k-times-coarser map,
+// the separable blur and a bilinear sample. Pixel and margin follow the
+// evaluator's rules for map_margin_sigmas 0 (pixel sigma_min / 4, margin
+// two pixels of the coarsest map).
+std::vector<double> serial_long_range(const ShotList& shots, std::size_t na,
+                                      const Psf& psf, const ExposureEvaluator& eval) {
+  Box frame;
+  for (const Shot& s : shots) frame += s.shape.bbox();
+  const Coord pixel = static_cast<Coord>(psf.min_sigma() / kPixelsPerSigma);
+  int k_max = 1;
+  for (const PsfTerm& t : psf.terms()) k_max = std::max(k_max, term_k(t.sigma, pixel));
+  Raster base(frame.bloated(2 * k_max * pixel), pixel);
+
+  // The lowest and highest shots lie in the base map's first and last bands.
+  EXPECT_EQ(base.index_of(frame.lo).second / 16, 0);
+  EXPECT_EQ(base.index_of(frame.hi).second / 16, (base.height() - 1) / 16);
+
+  for (std::size_t i = na; i < shots.size(); ++i)
+    base.add_coverage(shots[i].shape, shots[i].dose);
+  std::vector<double>& data = base.data();
+  for (std::size_t i = 0; i < na; ++i) {
+    base.visit_coverage(shots[i].shape, 0, base.height(), [&](int ix, int iy, double f) {
+      data[static_cast<std::size_t>(iy) * base.width() + ix] +=
+          static_cast<double>(static_cast<float>(f)) * shots[i].dose;
+    });
+  }
+
+  std::vector<double> out(na, 0.0);
+  for (const PsfTerm& t : psf.terms()) {
+    const int k = term_k(t.sigma, pixel);
+    const Coord tp = k * pixel;
+    const Point lo = base.origin();
+    Raster map(Box{lo.x, lo.y, lo.x + (base.width() + k - 1) / k * tp,
+                   lo.y + (base.height() + k - 1) / k * tp},
+               tp);
+    box_average(data.data(), base.width(), base.height(), k, 0, 0, map.width(),
+                map.height(), map.data().data());
+    separable_blur(map, gaussian_kernel_taps(t.sigma / static_cast<double>(tp)));
+    for (std::size_t i = 0; i < na; ++i) {
+      const auto [cx, cy] = eval.centroid(i);
+      out[i] += t.weight * map.sample(cx, cy);
+    }
+  }
+  return out;
+}
+
+TEST(ExposureEvaluator, LongRangeGatherMatchesASerialReferenceBitForBit) {
+  std::size_t na = 0;
+  ShotList shots = gather_shots(&na);
+  // Both terms long-range: alpha on the base map (k = 1), beta on a 5x
+  // coarser one.
+  const Psf psf = Psf::double_gaussian(600.0, 3000.0, 0.7);
+  ASSERT_GE(psf.min_sigma(), kLongRangeThreshold);
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    ExposureOptions opt;
+    opt.map_margin_sigmas = 0.0;
+    opt.threads = threads;
+    ExposureEvaluator eval(shots, na, psf, opt);
+    const std::vector<double> built = eval.exposures_at_centroids();
+    const std::vector<double> ref = serial_long_range(shots, na, psf, eval);
+    ASSERT_EQ(built.size(), ref.size());
+    for (std::size_t i = 0; i < na; ++i) EXPECT_EQ(built[i], ref[i]) << "shot " << i;
+
+    // New doses for actives and ghosts alike: a full re-gather.
+    ShotList moved = shots;
+    std::vector<double> doses(shots.size());
+    for (std::size_t i = 0; i < shots.size(); ++i)
+      doses[i] = moved[i].dose = 0.8 + 0.053 * static_cast<double>(i % 11);
+    eval.reset_doses(doses);
+    const std::vector<double> reset = eval.exposures_at_centroids();
+    const std::vector<double> ref2 = serial_long_range(moved, na, psf, eval);
+    for (std::size_t i = 0; i < na; ++i) EXPECT_EQ(reset[i], ref2[i]) << "shot " << i;
+  }
+}
+
 TEST(Sweep, ExactErfSweepMatchesPointQueries) {
   // With fast_erf off the batched sweep and the scalar point query compute
   // the same sums with the same libm erf — they differ only in summation

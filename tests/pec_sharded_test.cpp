@@ -42,9 +42,9 @@ TEST(ActiveSplit, MatchesFullEvaluatorOnActivePrefix) {
   EXPECT_EQ(split.active_count(), na);
 
   // Background shots are accumulated through the frozen double-precision
-  // coverage map while cached active splats store float fractions, so the
-  // two evaluators agree to float precision of the long-range contribution
-  // (same bound as the splat-cache-equivalence test).
+  // coverage map while the gather rounds active coverage fractions to float,
+  // so the two evaluators agree to float precision of the long-range
+  // contribution.
   const std::vector<double> ef = full.exposures_at_centroids();
   const std::vector<double> es = split.exposures_at_centroids();
   ASSERT_EQ(ef.size(), shots.size());
