@@ -18,7 +18,12 @@ geometry and dose bits, so two commits that print the same lines produce the
 same shots. The exit code is nonzero when a job reports a failure or the
 build or a run fails; the digests themselves are only printed, never judged.
 scripts/e2e_digests_quick.txt holds the `--quick --seeds 101,2027` lines of
-the current tree; CI diffs the gcc build's output against it.
+the current tree; CI diffs the gcc build's output against it. The file was
+produced with GCC 12.2.0 and glibc 2.36 (Debian 12, x86-64). Whether CI's
+ubuntu-latest gcc and glibc print the same lines is not yet verified: the
+digests hash dose bits, which may move with libm's exp or the compiler's
+floating-point contraction. If the first CI run's gcc diff differs on every
+PEC line, suspect the toolchain before the code.
 """
 import argparse
 import sys

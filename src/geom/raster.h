@@ -95,8 +95,8 @@ void Raster::visit_coverage(const Trapezoid& t, int row0, int row1, Emit&& emit)
     // a row overlap, so each pixel costs two subtractions and a multiply
     // instead of a four-halfplane clip plus shoelace. The overlap widths are
     // differences of exactly-representable coordinates clamped to one pixel,
-    // so the fraction is the exact covered area. This is the hot path of the
-    // PEC long-range gather (shots are overwhelmingly rectangles).
+    // so the fraction is the exact covered area. The PEC long-range gather
+    // re-clips rectangles through this path on every refresh.
     static thread_local std::vector<double> colw_storage;
     std::vector<double>& colw = colw_storage;
     colw.resize(static_cast<std::size_t>(gx1 - gx0 + 1));

@@ -58,11 +58,12 @@ struct PecOptions {
   /// in a distributed solve, each worker's. A resident shard re-enters a
   /// round through an exact dose refresh (ExposureEvaluator::reset_doses: a
   /// full gather and blur, or nothing when no dose moved) that reuses its
-  /// neighbor grid, band binning, term maps and kernel taps — the
-  /// geometry-only construction work — instead of rebuilding them. Over budget, the least-recently-run
-  /// shards fall back to transient mode (evict-LRU); because the refresh is
-  /// exact, residency never changes a bit of the result, only the wall
-  /// clock. 0 disables the pool (every shard run rebuilds its evaluator).
+  /// neighbor grid, band binning, slanted-shot footprints, term maps and
+  /// kernel taps — the geometry-only construction work — instead of
+  /// rebuilding them. Over budget, the least-recently-run shards fall back
+  /// to transient mode (evict-LRU); because the refresh is exact, residency
+  /// never changes a bit of the result, only the wall clock. 0 disables the
+  /// pool (every shard run rebuilds its evaluator).
   int resident_shard_budget = 64;
 
   /// When > 0, shard jobs of every halo-exchange round are farmed over this

@@ -23,19 +23,6 @@ constexpr int kDeltaReanchor = 64;
 // long-range gather and of the shot binning that feeds it.
 constexpr int kBandRows = 16;
 
-// Adds weight * coverage of @p shape to rows [row0, row1) of @p base. Each
-// pixel's fraction is rounded to float first, in the full gather and the
-// delta scatter alike, so both add the same terms.
-void add_float_coverage(Raster& base, const Trapezoid& shape, int row0, int row1,
-                        double weight) {
-  double* data = base.data().data();
-  const std::size_t nx = static_cast<std::size_t>(base.width());
-  base.visit_coverage(shape, row0, row1, [&](int ix, int iy, double frac) {
-    data[static_cast<std::size_t>(iy) * nx + static_cast<std::size_t>(ix)] +=
-        static_cast<double>(static_cast<float>(frac)) * weight;
-  });
-}
-
 // Epoch-stamped visited marks for duplicate rejection in neighbor queries
 // (a shot's bbox spans several grid cells, so it appears in several bins).
 // Thread-local so concurrent queries share nothing; bumping the epoch
@@ -444,8 +431,67 @@ void ExposureEvaluator::build_long_range() {
     for (int b = b0; b <= b1; ++b)
       band_shot_[cursor[static_cast<std::size_t>(b)]++] = static_cast<std::uint32_t>(i);
   }
+
+  // Clip the slanted active shots once (see slant_start_). Fixed chunks of
+  // shots clip in parallel into their own buffers, concatenated in shot
+  // order, so the footprints are the same for any thread count.
+  slant_start_.clear();
+  slant_.clear();
+  if (std::any_of(shots_.begin(), shots_.begin() + static_cast<std::ptrdiff_t>(active_),
+                  [](const Shot& s) { return !s.shape.is_rect(); })) {
+    constexpr std::size_t kChunk = 256;
+    const std::size_t nx = static_cast<std::size_t>(r.width());
+    std::vector<std::vector<Splat>> parts((active_ + kChunk - 1) / kChunk);
+    slant_start_.assign(active_ + 1, 0);
+    parallel_for(
+        parts.size(),
+        [&](std::size_t c0, std::size_t c1) {
+          for (std::size_t c = c0; c < c1; ++c) {
+            for (std::size_t i = c * kChunk; i < std::min(active_, (c + 1) * kChunk); ++i) {
+              if (shots_[i].shape.is_rect()) continue;
+              r.visit_coverage(shots_[i].shape, 0, r.height(), [&](int ix, int iy, double frac) {
+                parts[c].push_back({static_cast<std::uint32_t>(static_cast<std::size_t>(iy) * nx +
+                                                               static_cast<std::size_t>(ix)),
+                                    static_cast<float>(frac)});
+                ++slant_start_[i + 1];
+              });
+            }
+          }
+        },
+        opt_.threads);
+    for (std::size_t i = 1; i <= active_; ++i) slant_start_[i] += slant_start_[i - 1];
+    slant_.reserve(slant_start_[active_]);
+    for (const std::vector<Splat>& p : parts) slant_.insert(slant_.end(), p.begin(), p.end());
+  }
   if (active_ < shots_.size()) rebuild_ghost_base();
   accumulate_long_range();
+}
+
+void ExposureEvaluator::add_shot_coverage(std::size_t i, int row0, int row1, double weight) {
+  // Each pixel's fraction is rounded to float first, in the full gather and
+  // the delta scatter alike, so both add the same terms.
+  Raster& base = *long_base_;
+  double* data = base.data().data();
+  const std::size_t nx = static_cast<std::size_t>(base.width());
+  const Trapezoid& t = shots_[i].shape;
+  if (t.is_rect()) {
+    base.visit_coverage(t, row0, row1, [&](int ix, int iy, double frac) {
+      data[static_cast<std::size_t>(iy) * nx + static_cast<std::size_t>(ix)] +=
+          static_cast<double>(static_cast<float>(frac)) * weight;
+    });
+    return;
+  }
+  // A cached footprint is row-major, so rows [row0, row1) are one run; most
+  // footprints lie inside one band and skip the searches.
+  const auto before = [](const Splat& s, std::size_t p) { return s.px < p; };
+  const Splat* b = slant_.data() + slant_start_[i];
+  const Splat* e = slant_.data() + slant_start_[i + 1];
+  if (b == e) return;
+  const std::size_t lo = static_cast<std::size_t>(row0) * nx;
+  const std::size_t hi = static_cast<std::size_t>(row1) * nx;
+  if (b->px < lo) b = std::lower_bound(b, e, lo, before);
+  if (e[-1].px >= hi) e = std::lower_bound(b, e, hi, before);
+  for (; b != e; ++b) data[b->px] += static_cast<double>(b->frac) * weight;
 }
 
 void ExposureEvaluator::rebuild_ghost_base() {
@@ -483,10 +529,8 @@ void ExposureEvaluator::accumulate_long_range() {
           } else {
             std::fill(data + p0, data + p1, 0.0);
           }
-          for (std::uint32_t k = band_start_[b]; k < band_start_[b + 1]; ++k) {
-            const Shot& s = shots_[band_shot_[k]];
-            add_float_coverage(base, s.shape, row0, row1, s.dose);
-          }
+          for (std::uint32_t k = band_start_[b]; k < band_start_[b + 1]; ++k)
+            add_shot_coverage(band_shot_[k], row0, row1, shots_[band_shot_[k]].dose);
         }
       },
       opt_.threads);
@@ -524,10 +568,9 @@ void ExposureEvaluator::apply_delta(const double* doses) {
   for (const std::uint32_t j : moved_scratch_) {
     const double delta = doses[j] - shots_[j].dose;
     shots_[j].dose = doses[j];
-    // The moved shot re-clipped and weighted by the dose delta, straight
-    // into the fine base map.
-    if (long_base_)
-      add_float_coverage(*long_base_, shots_[j].shape, 0, long_base_->height(), delta);
+    // The moved shot's coverage weighted by the dose delta, straight into
+    // the fine base map.
+    if (long_base_) add_shot_coverage(j, 0, long_base_->height(), delta);
     if (shorts) scatter_short_delta(j, delta);
   }
   perf_.delta_accumulate_ms += ms_since(t0);

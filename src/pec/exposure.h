@@ -23,16 +23,17 @@
 //     kPixelsPerSigma), and term t samples at k_t * p, the largest integer
 //     multiple of p within its own sigma_t / kPixelsPerSigma. The active
 //     shots are binned once, at construction, by 16-row band of the fine
-//     base; a dose refresh re-gathers the base band by band straight from
-//     the shots (each shot's coverage clipped to the band's rows and
-//     weighted by its dose), then box-averages it onto each term's map
-//     (coverage is additive, so this step is exact) and blurs there. Every
-//     kernel is then about 4 * kPixelsPerSigma pixels wide, so one blur
-//     suffices: the separable sliding-window passes, over every term's
-//     whole map at every refresh.
+//     base, and each slanted active shot's footprint is clipped once; a
+//     dose refresh re-gathers the base band by band straight from the shots
+//     (a rectangle re-clipped to the band's rows, a slanted shot's cached
+//     footprint read back for those rows, each weighted by its dose), then
+//     box-averages it onto each term's map (coverage is additive, so this
+//     step is exact) and blurs there. Every kernel is then about
+//     4 * kPixelsPerSigma pixels wide, so one blur suffices: the separable
+//     sliding-window passes, over every term's whole map at every refresh.
 //   - Dose updates are incremental (see kDeltaThreshold): the evaluator
 //     tracks per-shot dose deltas, and when only a minority of doses moved
-//     it re-clips just those shots into the base map, weighted by their
+//     it adds just those shots' coverage to the base map, weighted by their
 //     dose change, and patches the cached per-centroid short-range sums —
 //     O(moved) instead of O(everything) — with sub-threshold updates
 //     deferred entirely.
@@ -79,12 +80,12 @@ inline constexpr double kPixelsPerSigma = 4.0;
 ///     the requested doses by at most kDeltaThreshold relative — far below
 ///     any correction tolerance in use;
 ///   - when the moved shots are a minority (at most half of the active
-///     shots), only *their* contributions are re-applied: each moved shot is
-///     re-clipped and added, weighted by its dose delta, to the fine base
+///     shots), only *their* contributions are re-applied: each moved shot's
+///     coverage is added, weighted by its dose delta, to the fine base
 ///     map (O(moved x footprint) instead of the full O(pixels + footprints)
-///     gather),
-///     and the cached per-centroid short-range sums are updated the same
-///     way. The long-range blur still reruns on every term's full map.
+///     gather), and the cached per-centroid short-range sums are updated
+///     the same way. The long-range blur still reruns on every term's full
+///     map.
 /// Every kDeltaReanchor-th delta refresh re-gathers in full to keep the
 /// ~1e-16-per-update rounding drift bounded (well under 1e-12 in practice).
 /// reset_doses is the exact entry point: it never defers and never scatters.
@@ -152,10 +153,10 @@ struct BlurPerf {
 };
 
 /// Evaluates exposure for a fixed shot geometry; per-shot doses can be
-/// updated cheaply (the band binning and the neighbor structure are reused;
-/// the base map is re-gathered and the long-range blur recomputed). Query
-/// points may be anywhere. Queries are thread-safe and allocation-free after
-/// construction.
+/// updated cheaply (the band binning, the slanted shots' footprints and the
+/// neighbor structure are reused; the base map is re-gathered and the
+/// long-range blur recomputed). Query points may be anywhere. Queries are
+/// thread-safe and allocation-free after construction.
 ///
 /// Active/background split: the shot list may carry a trailing block of
 /// *background* shots (ghosts from neighboring PEC shards). Background shots
@@ -195,7 +196,8 @@ class ExposureEvaluator {
   /// kDeltaThreshold: all requested doses are applied through the full
   /// gather, so the evaluator afterwards is bit-identical to one freshly
   /// constructed at these doses, while the geometry state (neighbor grid,
-  /// band binning, term maps and kernel taps) is reused.
+  /// band binning, slanted-shot footprints, term maps and kernel taps) is
+  /// reused.
   /// When every requested dose already equals the applied one and no delta
   /// scatter has run since the last full gather, nothing can be stale and
   /// the refresh is skipped. This is the re-entry of a resident shard evaluator, and the
@@ -229,6 +231,9 @@ class ExposureEvaluator {
   void build_long_range();
   void rebuild_ghost_base();
   void accumulate_long_range();
+  // Adds weight * active shot i's float-rounded coverage to rows
+  // [row0, row1) of the fine base map (see slant_start_).
+  void add_shot_coverage(std::size_t i, int row0, int row1, double weight);
   // Re-derives every term map from the fine base: box-average onto the
   // term's raster, then the separable blur.
   void blur_long_range();
@@ -289,6 +294,19 @@ class ExposureEvaluator {
   // shot taller than a band is listed in every band it touches.
   std::vector<std::uint32_t> band_start_;
   std::vector<std::uint32_t> band_shot_;
+  // Footprints of the active non-rectangle shots, clipped once at
+  // construction: shot i's base pixels (row-major) and float-rounded
+  // fractions are slant_[slant_start_[i] .. slant_start_[i + 1]), empty for
+  // a rectangle. A rectangle re-clips in two subtractions and a multiply per
+  // pixel, so every gather re-derives it; a slanted shot's convex clip plus
+  // shoelace costs several times a read-back. Both empty when every active
+  // shot is a rectangle.
+  struct Splat {
+    std::uint32_t px;
+    float frac;
+  };
+  std::vector<std::uint32_t> slant_start_;
+  std::vector<Splat> slant_;
   std::vector<TermMap> term_maps_;
   BlurPerf perf_;
 

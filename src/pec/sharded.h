@@ -37,7 +37,8 @@
 // sweep; each pec_worker daemon admits its jobs through a ShardPool of its
 // own. A resident evaluator re-enters a round through reset_doses, a full
 // dose refresh that keeps the geometry state (neighbor grid, band binning,
-// term maps), so residency changes the wall clock, never a bit.
+// slanted-shot footprints, term maps), so residency changes the wall clock,
+// never a bit.
 //
 // Out-of-process execution (PecOptions::worker_count > 0 or worker_hosts):
 // shard solves are identical, self-contained jobs, so the driver can farm

@@ -483,6 +483,32 @@ TEST(ExposureEvaluator, LongRangeGatherMatchesASerialReferenceBitForBit) {
   }
 }
 
+TEST(DeltaPath, SlantedAndRectangleScattersMatchTheSerialReference) {
+  // A delta refresh adds each moved shot's dose change on top of the old
+  // sums, so it agrees with the serial reference to rounding, not bit for
+  // bit. The movers are a pad, a small square and every slanted shot (whose
+  // footprints are the evaluator's cached ones).
+  std::size_t na = 0;
+  ShotList shots = gather_shots(&na);
+  const Psf psf = Psf::double_gaussian(600.0, 3000.0, 0.7);
+  ExposureOptions opt;
+  opt.map_margin_sigmas = 0.0;
+  ExposureEvaluator eval(shots, na, psf, opt);
+  std::vector<double> doses(na);
+  std::size_t slanted = 0;
+  for (std::size_t i = 0; i < na; ++i) {
+    const bool moves = i == 0 || i == 7 || !shots[i].shape.is_rect();
+    slanted += !shots[i].shape.is_rect();
+    doses[i] = shots[i].dose *= moves ? 1.3 : 1.0;
+  }
+  ASSERT_EQ(slanted, 3u);
+  eval.set_active_doses(doses);
+  EXPECT_EQ(eval.blur_perf().delta_refreshes, 1);
+  const std::vector<double> got = eval.exposures_at_centroids();
+  const std::vector<double> ref = serial_long_range(shots, na, psf, eval);
+  for (std::size_t i = 0; i < na; ++i) EXPECT_NEAR(got[i], ref[i], 1e-12 * ref[i]) << "shot " << i;
+}
+
 TEST(Sweep, ExactErfSweepMatchesPointQueries) {
   // With fast_erf off the batched sweep and the scalar point query compute
   // the same sums with the same libm erf — they differ only in summation
