@@ -166,17 +166,16 @@ FractureResult fracture(const std::vector<Trapezoid>& traps, const FractureOptio
   return result;
 }
 
+void check_fracture_input(const Polygon& p, const FractureOptions& options) {
+  if (options.strategy != FractureStrategy::rectangles) return;
+  bool rectilinear = p.outer().is_rectilinear();
+  for (const auto& h : p.holes()) rectilinear = rectilinear && h.is_rectilinear();
+  if (!rectilinear)
+    throw DataError("fracture: rectangles strategy requires rectilinear input");
+}
+
 FractureResult fracture(const PolygonSet& set, const FractureOptions& options) {
-  if (options.strategy == FractureStrategy::rectangles) {
-    for (const Polygon& p : set.polygons()) {
-      if (!p.outer().is_rectilinear())
-        throw DataError("fracture: rectangles strategy requires rectilinear input");
-      for (const auto& h : p.holes()) {
-        if (!h.is_rectilinear())
-          throw DataError("fracture: rectangles strategy requires rectilinear input");
-      }
-    }
-  }
+  for (const Polygon& p : set.polygons()) check_fracture_input(p, options);
   const bool merge = options.strategy != FractureStrategy::bands;
   return fracture(set.trapezoids(merge), options);
 }

@@ -46,6 +46,11 @@ struct FractureResult {
   FractureStats stats;
 };
 
+/// Throws DataError when @p options asks for the rectangles strategy and
+/// @p p (its outer ring or a hole) is not rectilinear — the input check of
+/// fracture(PolygonSet) and of the streamed path, one polygon at a time.
+void check_fracture_input(const Polygon& p, const FractureOptions& options);
+
 /// Fractures the merged region of @p set into shots.
 /// Throws DataError when strategy == rectangles and the input is not
 /// rectilinear.

@@ -168,17 +168,9 @@ StreamFractureResult stream_fracture(LayoutStream& stream,
   // same add order — so the trapezoids (and therefore the shots) come out
   // bitwise-identical to the in-RAM path.
   BooleanEngine eng;
-  const bool want_rect = fracture_options.strategy == FractureStrategy::rectangles;
   const IngestStats ingest =
       stream_layer(stream, options, [&](const Polygon& p) {
-        if (want_rect) {
-          if (!p.outer().is_rectilinear())
-            throw DataError("fracture: rectangles strategy requires rectilinear input");
-          for (const auto& h : p.holes()) {
-            if (!h.is_rectilinear())
-              throw DataError("fracture: rectangles strategy requires rectilinear input");
-          }
-        }
+        check_fracture_input(p, fracture_options);
         eng.add(p, 0);
         if (collect) collect->insert(p);
       });

@@ -86,12 +86,12 @@ struct PecOptions {
   /// PEC-as-a-service: comma-separated "host:port" addresses of already
   /// running `pec_worker --listen` daemons. Non-empty connects to these
   /// instead of spawning daemons — one supervisor slot per address (a
-  /// daemon serves sessions
-  /// sequentially, so never point two slots at the same daemon;
-  /// worker_count is ignored in this mode). Each connection re-handshakes
-  /// the driver session (wire::Hello), so a daemon keeps its evaluator pool
-  /// warm across reconnects; per-job sequence numbers make reconnect replay
-  /// idempotent. Connect/heartbeat deadlines come from
+  /// daemon serves sessions sequentially, so never point two slots at the
+  /// same daemon; worker_count is ignored in this mode). Each connection
+  /// opens with a ping the daemon must answer; every job carries the driver
+  /// session's tag, so a daemon keeps its evaluator pool warm across
+  /// reconnects, and a job re-sent after a dropped connection is solved
+  /// again to the same bits. Connect/heartbeat deadlines come from
   /// $EBL_CONNECT_TIMEOUT_MS (default 5000) and $EBL_HEARTBEAT_MS (default
   /// 2000); a refused or dropped connection consumes the slot's
   /// worker_max_restarts budget exactly like a crashed spawned daemon, after

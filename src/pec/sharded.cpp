@@ -440,13 +440,13 @@ class ShardExecutor {
 
     // Session tag: workers drop stale resident evaluators if a long-lived
     // daemon ever sees jobs from two solves, so the tag must be unique
-    // across driver processes. A reconnecting session re-sends the SAME tag,
-    // keeping a remote daemon's pool warm across connection faults.
+    // across driver processes. Every job carries it, so jobs re-sent after
+    // a reconnect find a remote daemon's pool still warm.
     static std::atomic<std::uint64_t> counter{0};
     session_ = (static_cast<std::uint64_t>(::getpid()) << 32) | ++counter;
 
     SupervisorConfig cfg;
-    cfg.factory = make_session_factory(std::move(hosts), std::move(path), session_);
+    cfg.factory = make_session_factory(std::move(hosts), std::move(path));
     cfg.workers = workers_n_;
     cfg.timeout_ms = options_.worker_timeout_ms;
     cfg.max_restarts = options_.worker_max_restarts;

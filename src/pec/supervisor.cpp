@@ -146,12 +146,6 @@ void WorkerSupervisor::run_batch(std::size_t n, const Prefer& prefer,
   std::vector<std::size_t> remaining;
   remaining.reserve(n);
   for (std::size_t i = 0; i < n; ++i) remaining.push_back(i);
-  // Sequence numbers are assigned ONCE, at batch entry: a job re-dealt after
-  // a fault carries the SAME seq on every delivery attempt, which is what
-  // lets a daemon recognize a replay. (The solver never reads seq, so the
-  // stamp cannot change a bit of any result.)
-  std::vector<std::uint64_t> seqs(n);
-  for (std::uint64_t& seq : seqs) seq = ++next_seq_;
 
   while (!remaining.empty()) {
     if (!degraded_) probe_liveness();
@@ -196,12 +190,11 @@ void WorkerSupervisor::run_batch(std::size_t n, const Prefer& prefer,
       Attempt& at = *attempts[w];
       WorkerSession& session = *sessions_[w];
 
-      threads.emplace_back([&at, &session, &make_job, &seqs, this] {
+      threads.emplace_back([&at, &session, &make_job, this] {
         try {
           for (std::size_t k = 0; k < at.jobs.size(); ++k) {
             if (at.failed.load(std::memory_order_acquire)) break;
-            wire::ShardJob job = make_job(at.jobs[k]);
-            job.seq = seqs[at.jobs[k]];
+            const wire::ShardJob job = make_job(at.jobs[k]);
             at.timeout_ms[k] =
                 timeout_for_ms(job.active.size() + job.ghosts.size());
             at.sent_at[k] = clock_t_::now();

@@ -32,9 +32,8 @@
 // remote address. "Restart" means "discard the session and ask the factory
 // again", which respawns a spawned daemon and reconnects to a remote one
 // (with exponential backoff; a refused connection consumes restart budget
-// and is retried). Every job carries a session-unique seq, stable across
-// delivery attempts, so a daemon reached over a flaky network deduplicates
-// replayed jobs.
+// and is retried). A re-sent job is the same pure job, so a daemon that
+// already solved it before the fault solves it again to the same bits.
 //
 // Each sweep runs one writer/reader thread pair per busy worker (results
 // stream back while later jobs serialize; no socket-buffer deadlock), with
@@ -169,7 +168,6 @@ class WorkerSupervisor {
   std::vector<int> restarts_used_;
   double timeout_ms_ = 0.0;  ///< resolved base; <= 0 means deadlines disabled
   int max_restarts_ = 0;
-  std::uint64_t next_seq_ = 0;  ///< last seq handed out (session-unique)
   bool degraded_ = false;  ///< latches: once out of workers, stay in-process
   SupervisorStats stats_;
 };

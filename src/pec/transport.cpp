@@ -36,31 +36,17 @@ double resolve_connect_timeout_ms() {
   return env_ms("EBL_CONNECT_TIMEOUT_MS", 5000.0);
 }
 
-WorkerSession::WorkerSession(const net::HostPort& addr, std::uint64_t session_id,
-                             double connect_timeout_ms, double heartbeat_ms,
-                             Subprocess child)
+WorkerSession::WorkerSession(const net::HostPort& addr, double connect_timeout_ms,
+                             double heartbeat_ms, Subprocess child)
     : child_(std::move(child)),
       addr_(addr.host + ":" + std::to_string(addr.port)),
       heartbeat_ms_(heartbeat_ms) {
   sock_ = net::TcpSocket::connect(addr.host, addr.port,
                                   after_ms(connect_timeout_ms));
-  // Re-handshake the session. The daemon answers with the highest job seq
-  // it served for it; correctness never depends on that (re-sent jobs are
-  // deduplicated daemon-side by seq, and a replay cache miss re-solves the
-  // pure job to identical doses anyway).
-  const auto deadline = after_ms(heartbeat_ms);
-  wire::Hello hello;
-  hello.session_id = session_id;
-  hello.protocol = wire::kVersion;
-  wire::write_frame(sock_.fd(), wire::MsgType::kHello, wire::encode(hello),
-                    deadline);
-  wire::Frame frame;
-  if (!wire::read_frame(sock_.fd(), &frame, deadline))
-    throw DataError(addr_ + ": connection closed during handshake");
-  if (frame.type != wire::MsgType::kHelloAck)
-    throw DataError(addr_ + ": expected a hello ack frame");
-  if (wire::decode_hello_ack(frame.payload).session_id != session_id)
-    throw DataError(addr_ + ": hello ack for the wrong session");
+  // The opening ping: a daemon of another wire version fails the frame
+  // header check, and one that cannot serve does not answer in time.
+  std::string why;
+  if (poll_fault(&why)) throw DataError(why);
 }
 
 void WorkerSession::send_job(const wire::ShardJob& job,
@@ -149,21 +135,20 @@ std::string WorkerSession::describe() const {
 }
 
 SessionFactory make_session_factory(std::vector<net::HostPort> hosts,
-                                    std::string worker_path,
-                                    std::uint64_t session_id) {
+                                    std::string worker_path) {
   expects(!hosts.empty() || !worker_path.empty(),
           "session factory: no daemon addresses and no worker to spawn");
   const double connect_ms = resolve_connect_timeout_ms();
   const double heartbeat_ms = resolve_heartbeat_ms();
   return [hosts = std::move(hosts), worker_path = std::move(worker_path),
-          session_id, connect_ms, heartbeat_ms](std::size_t slot) {
+          connect_ms, heartbeat_ms](std::size_t slot) {
     if (!hosts.empty())
       return std::make_unique<WorkerSession>(hosts[slot % hosts.size()],
-                                             session_id, connect_ms, heartbeat_ms);
+                                             connect_ms, heartbeat_ms);
     ListeningChild child = spawn_listening(
         {worker_path, "--listen", "127.0.0.1:0"}, after_ms(connect_ms));
     return std::make_unique<WorkerSession>(net::HostPort{"127.0.0.1", child.port},
-                                           session_id, connect_ms, heartbeat_ms,
+                                           connect_ms, heartbeat_ms,
                                            std::move(child.proc));
   };
 }

@@ -12,11 +12,9 @@
 // The supervisor (src/pec/supervisor.h) deals jobs, enforces deadlines, and
 // on any fault discards the session and asks its factory for a fresh one.
 // For a spawned daemon that is kill + respawn + reconnect (a fresh
-// incarnation, cold pool); for a remote daemon it is a reconnect — and
-// because a reconnecting client re-sends the same session tag and the same
-// per-job sequence numbers, a daemon that already solved a re-sent job
-// replays the cached result frame instead of solving twice (and a cache
-// miss just re-solves the pure job to bitwise-identical doses).
+// incarnation, cold pool); for a remote daemon it is a reconnect, and the
+// re-sent jobs carry the same session tag, so they find the daemon's pool
+// still warm (a re-sent job is pure, so its re-solve is bitwise-identical).
 //
 // Every method throws DataError for a broken/corrupt channel and
 // TimeoutError for a deadline, so the supervisor's crash/hang/corruption
@@ -40,17 +38,17 @@ struct ShardJob;
 struct Frame;
 }  // namespace wire
 
-/// $EBL_HEARTBEAT_MS: deadline for the TCP handshake and for each liveness
-/// ping (kPing -> kPong round trip on an otherwise quiet stream). Default
-/// 2000 ms.
+/// $EBL_HEARTBEAT_MS: deadline for each liveness ping (kPing -> kPong round
+/// trip on an otherwise quiet stream), the one a session opens with
+/// included. Default 2000 ms.
 double resolve_heartbeat_ms();
 /// $EBL_CONNECT_TIMEOUT_MS: deadline for establishing a TCP connection to a
 /// worker daemon (and, for a spawned one, for its port announcement).
 /// Default 5000 ms.
 double resolve_connect_timeout_ms();
 
-/// One supervised worker channel: a connected, handshaken session on a
-/// daemon, optionally owning the daemon process. Neither copyable nor
+/// One supervised worker channel: a connected session on a daemon that has
+/// answered a ping, optionally owning the daemon process. Neither copyable nor
 /// movable — the supervisor's attempt threads hold it by reference. Thread
 /// contract
 /// (mirrors the supervisor's writer/reader pair): send_job and finish_jobs
@@ -60,13 +58,13 @@ double resolve_connect_timeout_ms();
 /// hard_stop only with no attempt threads running.
 class WorkerSession {
  public:
-  /// Connects to @p addr and re-handshakes @p session_id (wire v4 Hello) —
-  /// a session that exists is one the daemon acknowledged at our protocol
-  /// version. @p child, when given, is the daemon process behind @p addr:
-  /// the session owns it, and a throw here kills and reaps it.
-  WorkerSession(const net::HostPort& addr, std::uint64_t session_id,
-                double connect_timeout_ms, double heartbeat_ms,
-                Subprocess child = {});
+  /// Connects to @p addr and does one kPing -> kPong round trip within
+  /// @p heartbeat_ms — a session that exists is one the daemon answered at
+  /// our wire version (the frame header pins it); throws DataError when it
+  /// does not answer. @p child, when given, is the daemon process behind
+  /// @p addr: the session owns it, and a throw here kills and reaps it.
+  WorkerSession(const net::HostPort& addr, double connect_timeout_ms,
+                double heartbeat_ms, Subprocess child = {});
   WorkerSession(const WorkerSession&) = delete;
   WorkerSession& operator=(const WorkerSession&) = delete;
 
@@ -139,11 +137,10 @@ using SessionFactory =
 /// (point each slot at a distinct daemon — a daemon serves sessions
 /// sequentially, so two slots on one address would serialize). With @p hosts
 /// empty, every call spawns a fresh `worker_path --listen 127.0.0.1:0` child
-/// and connects to the port it announces. Either way the session
-/// re-handshakes @p session_id. Connect/handshake deadlines come from
-/// resolve_connect_timeout_ms / resolve_heartbeat_ms, read once here.
+/// and connects to the port it announces. Connect and opening-ping
+/// deadlines come from resolve_connect_timeout_ms / resolve_heartbeat_ms,
+/// read once here.
 SessionFactory make_session_factory(std::vector<net::HostPort> hosts,
-                                    std::string worker_path,
-                                    std::uint64_t session_id);
+                                    std::string worker_path);
 
 }  // namespace ebl

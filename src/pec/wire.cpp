@@ -212,7 +212,6 @@ std::string encode(const ShardJob& job) {
   Writer w;
   w.u64(job.session_id);
   w.u64(job.shard_key);
-  w.u64(job.seq);
   w.u8(job.correct ? 1 : 0);
   w.u8(job.allow_optimistic ? 1 : 0);
   w.f64(job.tolerance);
@@ -232,7 +231,6 @@ ShardJob decode_shard_job(std::string_view payload) {
   ShardJob job;
   job.session_id = r.u64();
   job.shard_key = r.u64();
-  job.seq = r.u64();
   job.correct = r.boolean();
   job.allow_optimistic = r.boolean();
   job.tolerance = r.f64();
@@ -300,38 +298,6 @@ ShardResult decode_shard_result(std::string_view payload) {
   return result;
 }
 
-std::string encode(const Hello& hello) {
-  Writer w;
-  w.u64(hello.session_id);
-  w.u32(hello.protocol);
-  return std::move(w.buf);
-}
-
-Hello decode_hello(std::string_view payload) {
-  Reader r(payload);
-  Hello h;
-  h.session_id = r.u64();
-  h.protocol = r.u32();
-  r.finish();
-  return h;
-}
-
-std::string encode(const HelloAck& ack) {
-  Writer w;
-  w.u64(ack.session_id);
-  w.u64(ack.last_seq);
-  return std::move(w.buf);
-}
-
-HelloAck decode_hello_ack(std::string_view payload) {
-  Reader r(payload);
-  HelloAck a;
-  a.session_id = r.u64();
-  a.last_seq = r.u64();
-  r.finish();
-  return a;
-}
-
 std::string encode_token(std::uint64_t token) {
   Writer w;
   w.u64(token);
@@ -366,10 +332,14 @@ std::pair<MsgType, std::uint64_t> parse_frame_header(std::string_view header) {
   if (r.u32() != kEndianTag)
     throw DataError("wire: endianness mismatch (stream written foreign-endian)");
   const std::uint32_t type = r.u32();
-  if (type < static_cast<std::uint32_t>(MsgType::kShardJob) ||
-      type > static_cast<std::uint32_t>(MsgType::kPong))
-    throw DataError("wire: unknown message type " + std::to_string(type));
-  return {static_cast<MsgType>(type), r.u64()};
+  switch (static_cast<MsgType>(type)) {
+    case MsgType::kShardJob:
+    case MsgType::kShardResult:
+    case MsgType::kPing:
+    case MsgType::kPong:
+      return {static_cast<MsgType>(type), r.u64()};
+  }
+  throw DataError("wire: unknown message type " + std::to_string(type));
 }
 
 std::uint32_t crc32(std::string_view data) {
@@ -398,10 +368,6 @@ std::string encode_framed(MsgType type, std::string_view payload) {
   trailer.u32(crc32(payload));
   msg.append(trailer.buf);
   return msg;
-}
-
-bool read_frame(int fd, Frame* out) {
-  return read_frame(fd, out, std::chrono::steady_clock::time_point::max());
 }
 
 bool read_frame(int fd, Frame* out,
@@ -435,11 +401,6 @@ bool read_frame(int fd, Frame* out,
   if (r.u32() != crc32(out->payload))
     throw DataError("wire: frame checksum mismatch (corrupted payload)");
   return true;
-}
-
-void write_frame(int fd, MsgType type, std::string_view payload) {
-  const std::string msg = encode_framed(type, payload);
-  write_all(fd, msg.data(), msg.size());
 }
 
 void write_frame(int fd, MsgType type, std::string_view payload,

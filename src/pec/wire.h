@@ -46,9 +46,9 @@ inline constexpr std::uint32_t kMagic = 0x574C4245;  // "EBLW" little-endian
 /// windowed_blur_ms), so shard results grew by 12 payload bytes. Same skew
 /// rule: a v2 reader would misparse a v3 result and vice versa, so the
 /// header version must match exactly.
-/// v4: PEC-as-a-service. ShardJob gained the per-job sequence number (seq)
-/// that makes reconnect replay idempotent, PecOptions gained worker_hosts,
-/// and the session frames arrived: kHello / kHelloAck (per-connection
+/// v4: PEC-as-a-service. ShardJob gained a per-job sequence number for
+/// reconnect replay, PecOptions gained worker_hosts, and the session frames
+/// arrived: a hello / ack handshake (types 3 and 4, per-connection
 /// re-handshake of a TCP worker daemon) and kPing / kPong (client-side
 /// liveness probes). Exact-match skew rule as ever.
 /// v5: ShardJob lost its reset_all and pooled flags (resident re-entry
@@ -68,7 +68,13 @@ inline constexpr std::uint32_t kMagic = 0x574C4245;  // "EBLW" little-endian
 /// error in order, so a one-shard solve can report its per-iteration
 /// history; decode_shard_result rejects an empty list and non-finite or
 /// negative entries. Exact-match skew rule.
-inline constexpr std::uint32_t kVersion = 9;
+/// v10: ShardJob lost its sequence number and the daemon its replay cache
+/// (a re-sent job is re-solved, to the same bits); the hello / ack
+/// handshake is gone, and a session opens with a kPing / kPong round trip
+/// (the frame header already pins the version, each job its session tag).
+/// A job is 8 bytes shorter and message types 3 and 4 are unknown.
+/// Exact-match skew rule.
+inline constexpr std::uint32_t kVersion = 10;
 /// Written as-is by every encoder; a reader that sees its bytes reversed is
 /// looking at a stream produced by a writer that did not follow the
 /// little-endian convention (or at garbage) and must reject it.
@@ -77,15 +83,11 @@ inline constexpr std::uint32_t kEndianTag = 0x01020304;
 enum class MsgType : std::uint32_t {
   kShardJob = 1,
   kShardResult = 2,
-  /// Session opener on a TCP connection to a pec_worker daemon: the client
-  /// announces its session tag and protocol version; the daemon answers
-  /// with kHelloAck. A reconnecting client re-sends the same session tag,
-  /// so the daemon keeps its warm evaluator pool and its replay cache.
-  kHello = 3,
-  kHelloAck = 4,
-  /// Liveness probe between job batches: the daemon echoes the ping's token
-  /// back as a kPong. Strictly request/response on an otherwise quiet
-  /// stream, so a pong can never interleave with a result frame.
+  // 3 and 4 were the v4-v9 hello / ack handshake; a v10 reader rejects them.
+  /// Liveness probe, and the opener of every session: the daemon echoes the
+  /// ping's token back as a kPong. Strictly request/response on an
+  /// otherwise quiet stream, so a pong can never interleave with a result
+  /// frame.
   kPing = 5,
   kPong = 6,
 };
@@ -102,15 +104,6 @@ struct ShardJob {
   /// Packed shard grid key (util/gridkeys.h) — the shard's stable identity,
   /// and the worker's resident-pool key.
   std::uint64_t shard_key = 0;
-  /// Per-job sequence number, unique within a driver session and stable
-  /// across delivery attempts: a job re-sent after a dropped connection
-  /// carries the SAME seq, so a daemon that already solved it detects the
-  /// duplicate and replays the cached result frame byte-for-byte instead of
-  /// solving twice. A cache miss re-solves to identical doses anyway — a
-  /// resident evaluator re-enters by resetting every dose to the job's — so
-  /// the cache only saves the work. The supervisor stamps every job; 0 =
-  /// unsequenced (a hand-driven client), never cached.
-  std::uint64_t seq = 0;
 
   bool correct = true;           ///< false: measurement-only pass
   bool allow_optimistic = false; ///< may publish a final unverified update
@@ -166,29 +159,9 @@ struct ShardResult {
   double solve_ms = 0.0;  ///< worker-side wall clock of this job
 };
 
-/// The kHello payload: what a client announces when (re)opening a session
-/// on a pec_worker daemon.
-struct Hello {
-  std::uint64_t session_id = 0;
-  /// Application-level protocol version (kVersion). The frame header pins it
-  /// too, but the handshake states it explicitly so a future proxy that
-  /// rewrites frames cannot smuggle a version through.
-  std::uint32_t protocol = 0;
-};
-
-/// The kHelloAck payload: the daemon's answer, echoing the session and
-/// reporting the highest job seq it has served for it — a reconnecting
-/// client learns how far the previous connection actually got.
-struct HelloAck {
-  std::uint64_t session_id = 0;
-  std::uint64_t last_seq = 0;
-};
-
 /// Encode to a payload (no frame header). Doubles are bit-exact.
 std::string encode(const ShardJob& job);
 std::string encode(const ShardResult& result);
-std::string encode(const Hello& hello);
-std::string encode(const HelloAck& ack);
 /// The kPing / kPong payload: an opaque token the pong must echo.
 std::string encode_token(std::uint64_t token);
 
@@ -201,8 +174,6 @@ std::string encode_token(std::uint64_t token);
 /// error, a negative iteration count, or a non-finite solve_ms.
 ShardJob decode_shard_job(std::string_view payload);
 ShardResult decode_shard_result(std::string_view payload);
-Hello decode_hello(std::string_view payload);
-HelloAck decode_hello_ack(std::string_view payload);
 std::uint64_t decode_token(std::string_view payload);
 
 /// A framed message as read off a stream.
@@ -232,24 +203,22 @@ std::string encode_framed(MsgType type, std::string_view payload);
 /// Reads one frame from @p fd. Returns false on clean EOF at a frame
 /// boundary (no bytes read); throws DataError on a truncated header,
 /// payload, or trailer, a header that fails validation, or a payload whose
-/// CRC-32 does not match the trailer.
-bool read_frame(int fd, Frame* out);
-
-/// Deadline-aware read_frame: identical semantics, but throws TimeoutError
-/// (util/subprocess.h) once @p deadline passes before the full frame —
-/// header, payload, and trailer — has arrived. The worker supervisor's
-/// hung-worker detection reads results through this.
-bool read_frame(int fd, Frame* out, std::chrono::steady_clock::time_point deadline);
+/// CRC-32 does not match the trailer, and TimeoutError (util/subprocess.h)
+/// once @p deadline passes before the full frame has arrived — the worker
+/// supervisor's hung-worker detection reads results through this. The
+/// default deadline waits forever.
+bool read_frame(int fd, Frame* out,
+                std::chrono::steady_clock::time_point deadline =
+                    std::chrono::steady_clock::time_point::max());
 
 /// Writes one framed message to @p fd (header + payload + CRC trailer,
-/// single logical write). Throws DataError on short writes / broken pipes.
-void write_frame(int fd, MsgType type, std::string_view payload);
-
-/// Deadline-aware write_frame: throws TimeoutError once @p deadline passes
-/// before the peer accepts the whole frame — the send-side half of
-/// hung-peer detection on the TCP transport (a daemon that stops draining
-/// its receive window must not block the supervisor's writer forever).
+/// single logical write). Throws DataError on short writes / broken pipes,
+/// and TimeoutError once @p deadline passes before the peer accepts the
+/// whole frame — the send-side half of hung-peer detection (a daemon that
+/// stops draining its receive window must not block the supervisor's
+/// writer forever). The default deadline waits forever.
 void write_frame(int fd, MsgType type, std::string_view payload,
-                 std::chrono::steady_clock::time_point deadline);
+                 std::chrono::steady_clock::time_point deadline =
+                     std::chrono::steady_clock::time_point::max());
 
 }  // namespace ebl::wire

@@ -1,6 +1,5 @@
 #include "util/net.h"
 
-#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
@@ -36,27 +35,6 @@ void set_nodelay(int fd) {
   const int one = 1;
   // Failure (e.g. on a non-TCP fd in tests) costs latency, not correctness.
   (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-}
-
-// Bounded poll toward a deadline: true when an event arrived, false when the
-// deadline passed. Slices the wait like read_exact's deadline path so EINTR
-// and clock re-checks stay cheap.
-bool poll_until(int fd, short events, clock_t_::time_point deadline) {
-  for (;;) {
-    const auto now = clock_t_::now();
-    if (now >= deadline) return false;
-    const auto left =
-        std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now);
-    const int slice = static_cast<int>(
-        std::min<std::chrono::milliseconds::rep>(left.count() + 1, 100));
-    struct pollfd pfd = {fd, events, 0};
-    const int rv = ::poll(&pfd, 1, slice);
-    if (rv < 0) {
-      if (errno == EINTR) continue;
-      throw_errno("net: poll failed");
-    }
-    if (rv > 0) return true;
-  }
 }
 
 struct AddrInfoDeleter {

@@ -6,7 +6,7 @@
 // I/O with optional deadlines, nothing else. Every socket this header hands
 // out is O_NONBLOCK at the fd level — write_all / read_exact
 // (util/subprocess.h) absorb EAGAIN by polling for readiness, so callers
-// still see blocking semantics, but a deadline overload can bound any read
+// still see blocking semantics, but their deadline parameter can bound any read
 // *or write*: a peer that stops draining its receive window cannot block the
 // caller forever (the send half of hung-worker detection). TCP_NODELAY is
 // set everywhere — the wire protocol is request/response frames, and Nagle

@@ -31,20 +31,22 @@ void ignore_sigpipe_once() {
   std::call_once(once, [] { std::signal(SIGPIPE, SIG_IGN); });
 }
 
-// Waits for @p events on @p fd in bounded poll slices, re-checking the
-// clock each slice so a deadline is honored even when no event ever fires.
-// Throws TimeoutError (with @p timeout_what) once the deadline passes; a
-// deadline of time_point::max() waits forever (in 100 ms slices — poll has
-// no "infinite but EINTR-cheap" mode). POLLHUP/POLLERR count as ready: the
-// subsequent read/write surfaces the condition as EOF or an errno.
+// poll_until, throwing TimeoutError (with @p timeout_what) at the deadline.
 void wait_io(int fd, short events, std::chrono::steady_clock::time_point deadline,
              const char* timeout_what) {
+  if (!poll_until(fd, events, deadline)) throw TimeoutError(timeout_what);
+}
+
+}  // namespace
+
+bool poll_until(int fd, short events,
+                std::chrono::steady_clock::time_point deadline) {
   using clock = std::chrono::steady_clock;
   for (;;) {
     int slice = 100;
     if (deadline != clock::time_point::max()) {
       const auto now = clock::now();
-      if (now >= deadline) throw TimeoutError(timeout_what);
+      if (now >= deadline) return false;
       const auto left =
           std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now);
       slice = static_cast<int>(
@@ -54,16 +56,10 @@ void wait_io(int fd, short events, std::chrono::steady_clock::time_point deadlin
     const int rv = ::poll(&pfd, 1, slice);
     if (rv < 0) {
       if (errno == EINTR) continue;
-      throw_errno("subprocess: poll failed");
+      throw_errno("poll failed");
     }
-    if (rv > 0) return;  // ready (or HUP/ERR: the I/O call surfaces it)
+    if (rv > 0) return true;
   }
-}
-
-}  // namespace
-
-void write_all(int fd, const void* data, std::size_t n) {
-  write_all(fd, data, n, std::chrono::steady_clock::time_point::max());
 }
 
 void write_all(int fd, const void* data, std::size_t n,
@@ -91,10 +87,6 @@ void write_all(int fd, const void* data, std::size_t n,
     p += w;
     n -= static_cast<std::size_t>(w);
   }
-}
-
-bool read_exact(int fd, void* data, std::size_t n) {
-  return read_exact(fd, data, n, std::chrono::steady_clock::time_point::max());
 }
 
 bool read_exact(int fd, void* data, std::size_t n,

@@ -32,38 +32,40 @@ class TimeoutError : public DataError {
   using DataError::DataError;
 };
 
+/// Waits until @p fd reports one of @p events (POLLHUP / POLLERR count as
+/// ready: the next read or write surfaces them) or @p deadline passes.
+/// Returns true when ready, false at the deadline; a deadline of
+/// time_point::max() waits forever. Polls in slices of at most 100 ms, so
+/// the clock is re-checked even when no event ever fires, and retries
+/// EINTR. Throws DataError when poll(2) fails.
+bool poll_until(int fd, short events,
+                std::chrono::steady_clock::time_point deadline);
+
 /// Writes exactly @p n bytes to @p fd, retrying short writes and EINTR.
 /// On an O_NONBLOCK fd (every socket util/net.h hands out) EAGAIN waits for
-/// writability via poll(2) instead of failing, so callers keep blocking
+/// writability via poll_until instead of failing, so callers keep blocking
 /// semantics regardless of the fd's mode. Throws DataError on any write
 /// error — including EPIPE: SIGPIPE is set to ignored (process-wide, once)
 /// on the first call, so a dead reader surfaces as an exception instead of
-/// killing the process.
-void write_all(int fd, const void* data, std::size_t n);
-
-/// Deadline-aware write_all: same semantics, but waits for writability in
-/// bounded poll slices and throws TimeoutError once @p deadline passes
-/// before all @p n bytes are accepted — the send-side half of hung-peer
-/// detection (a TCP peer that stops draining its receive window stalls the
-/// writer exactly like a hung reader stalls a pipe). A deadline of
-/// time_point::max() degrades to the plain blocking write.
+/// killing the process — and TimeoutError once @p deadline passes before all
+/// @p n bytes are accepted: the send-side half of hung-peer detection (a TCP
+/// peer that stops draining its receive window stalls the writer exactly
+/// like a hung reader stalls a pipe). The default deadline waits forever.
 void write_all(int fd, const void* data, std::size_t n,
-               std::chrono::steady_clock::time_point deadline);
+               std::chrono::steady_clock::time_point deadline =
+                   std::chrono::steady_clock::time_point::max());
 
 /// Reads exactly @p n bytes from @p fd, retrying short reads, EINTR, and —
-/// on O_NONBLOCK fds — EAGAIN (via poll, like write_all). Returns true when
-/// all @p n bytes arrived; false on clean EOF before the first byte. Throws
-/// DataError on EOF after a partial read, or a read error — a mid-record
-/// EOF is corruption, not a boundary.
-bool read_exact(int fd, void* data, std::size_t n);
-
-/// Deadline-aware read_exact: same semantics, but waits for readability via
-/// poll(2) and throws TimeoutError once @p deadline passes — the primitive
-/// under hung-worker detection (a peer that stops answering, or stalls
-/// mid-record, cannot block the caller forever). A deadline of
-/// time_point::max() degrades to the plain blocking read.
+/// on O_NONBLOCK fds — EAGAIN (via poll_until, like write_all). Returns true
+/// when all @p n bytes arrived; false on clean EOF before the first byte.
+/// Throws DataError on EOF after a partial read, or a read error — a
+/// mid-record EOF is corruption, not a boundary — and TimeoutError once
+/// @p deadline passes: the primitive under hung-worker detection (a peer
+/// that stops answering, or stalls mid-record, cannot block the caller
+/// forever). The default deadline waits forever.
 bool read_exact(int fd, void* data, std::size_t n,
-                std::chrono::steady_clock::time_point deadline);
+                std::chrono::steady_clock::time_point deadline =
+                    std::chrono::steady_clock::time_point::max());
 
 /// One spawned child process with a pipe on its stdout. Move-only; the
 /// destructor kills (SIGKILL) and reaps a child that is still running.

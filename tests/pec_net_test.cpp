@@ -8,13 +8,14 @@
 //   - a solve through real TCP daemons is bitwise-identical to the
 //     in-process sharded solve (same solve_shard_job, different transport);
 //   - every flaky_proxy fault mode (drop, delay, truncate, reset) still ends
-//     in a completed, bitwise-identical solve — reconnect + replay are a
+//     in a completed, bitwise-identical solve — reconnect + re-send are a
 //     liveness story, never a numerics story;
 //   - a daemon that dies for good consumes the restart budget via refused
 //     reconnects and the solve degrades to in-process, bitwise-identical;
-//   - the wire-v4 session protocol behaves: HelloAck reports the replay
-//     high-water mark, duplicate seqs replay byte-identical cached frames,
-//     a protocol version mismatch is rejected without killing the daemon;
+//   - the wire-v10 session protocol behaves: a daemon answers a ping or
+//     serves a job sent as a connection's first frame, a frame of another
+//     wire version is rejected without killing the daemon, and a session
+//     on a daemon of another version fails to open;
 //   - SIGTERM is graceful (exit 0) and prompt while the daemon listens;
 //   - a spawned daemon dies with the process that spawned it.
 //
@@ -32,7 +33,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -44,6 +47,7 @@
 #include "fracture/fracture.h"
 #include "pec/correction.h"
 #include "pec/sharded.h"
+#include "pec/transport.h"
 #include "pec/wire.h"
 #include "util/contracts.h"
 #include "util/net.h"
@@ -229,7 +233,7 @@ TEST_P(PecNetProxyFault, SolveCompletesBitwise) {
 }
 
 // Thresholds are chosen against the round shape: a 4-shard round through
-// one connection costs hello + ack + 4 jobs + 4 results = 10 frames (the
+// one connection costs ping + pong + 4 jobs + 4 results = 10 frames (the
 // writer streams all jobs before results flow back), so a budget >= 11
 // frames guarantees at least one full round of progress per connection
 // while still faulting every connection soon after. A tighter budget (< a
@@ -293,14 +297,13 @@ TEST(PecNet, DeadDaemonExhaustsBudgetAndDegradesBitwise) {
   expect_bitwise(dist, local);
 }
 
-// ---- The wire-v4 session protocol, exercised by hand ----
+// ---- The wire-v10 session protocol, exercised by hand ----
 
 // A small but real job the daemon can actually solve.
-wire::ShardJob tiny_job(std::uint64_t session, std::uint64_t seq) {
+wire::ShardJob tiny_job(std::uint64_t session) {
   wire::ShardJob job;
   job.session_id = session;
   job.shard_key = 7;
-  job.seq = seq;
   job.tolerance = 0.01;
   const Psf psf = test_psf();
   job.psf_terms.assign(psf.terms().begin(), psf.terms().end());
@@ -310,26 +313,26 @@ wire::ShardJob tiny_job(std::uint64_t session, std::uint64_t seq) {
   return job;
 }
 
-net::TcpSocket connect_and_hello(std::uint16_t port, std::uint64_t session,
-                                 wire::HelloAck* ack_out,
-                                 std::uint32_t protocol = wire::kVersion) {
-  net::TcpSocket s = net::TcpSocket::connect("127.0.0.1", port, after_ms(5000));
-  wire::Hello hello;
-  hello.session_id = session;
-  hello.protocol = protocol;
-  wire::write_frame(s.fd(), wire::MsgType::kHello, wire::encode(hello),
+// Sends a ping carrying @p token and returns the token of the pong that
+// answers it; throws when the daemon answers anything else or hangs up.
+std::uint64_t ping(int fd, std::uint64_t token) {
+  wire::write_frame(fd, wire::MsgType::kPing, wire::encode_token(token),
                     after_ms(5000));
   wire::Frame frame;
-  if (!wire::read_frame(s.fd(), &frame, after_ms(5000)))
-    throw DataError("daemon closed during handshake");
-  if (frame.type != wire::MsgType::kHelloAck)
-    throw DataError("expected a HelloAck");
-  *ack_out = wire::decode_hello_ack(frame.payload);
+  if (!wire::read_frame(fd, &frame, after_ms(5000)))
+    throw DataError("daemon closed instead of answering a ping");
+  if (frame.type != wire::MsgType::kPong) throw DataError("expected a pong");
+  return wire::decode_token(frame.payload);
+}
+
+// A connection opened the way WorkerSession opens one: a ping round trip.
+net::TcpSocket connect_and_ping(std::uint16_t port) {
+  net::TcpSocket s = net::TcpSocket::connect("127.0.0.1", port, after_ms(5000));
+  EXPECT_EQ(ping(s.fd(), 1), 1u);
   return s;
 }
 
-// Reads one whole result frame as raw bytes (header + payload + CRC), so
-// replayed frames can be compared byte-for-byte against the originals.
+// Reads one whole result frame as raw bytes (header + payload + CRC).
 std::string read_raw_frame(int fd) {
   std::string header(wire::kFrameHeaderSize, '\0');
   if (!read_exact(fd, header.data(), header.size(), after_ms(10000)))
@@ -342,55 +345,36 @@ std::string read_raw_frame(int fd) {
   return header + rest;
 }
 
-TEST(PecNet, ReplayCacheAnswersDuplicateSeqByteForByte) {
+wire::ShardResult decode_raw_result(const std::string& raw) {
+  return wire::decode_shard_result(std::string_view(raw).substr(
+      wire::kFrameHeaderSize, raw.size() - wire::kFrameHeaderSize - 4));
+}
+
+// A connection's first frame may be a ping (as the driver sends) or a job
+// (as a hand-driven client may send); the daemon answers either.
+TEST(PecNet, DaemonAnswersAPingOrAJobAsTheFirstFrame) {
   if (!worker_available()) GTEST_SKIP() << "pec_worker binary not built";
   ListeningChild daemon = spawn_daemon();
-  const std::uint64_t session = 42;
-
-  // First connection: fresh session, two sequenced jobs.
-  wire::HelloAck ack;
-  std::string result1, result2;
   {
-    net::TcpSocket s = connect_and_hello(daemon.port, session, &ack);
-    EXPECT_EQ(ack.session_id, session);
-    EXPECT_EQ(ack.last_seq, 0u);  // nothing served yet
-
-    wire::write_frame(s.fd(), wire::MsgType::kShardJob,
-                      wire::encode(tiny_job(session, 1)), after_ms(5000));
-    result1 = read_raw_frame(s.fd());
-    wire::write_frame(s.fd(), wire::MsgType::kShardJob,
-                      wire::encode(tiny_job(session, 2)), after_ms(5000));
-    result2 = read_raw_frame(s.fd());
-  }  // socket closed: the "dropped connection"
-
-  // Reconnect as the same session: the ack reports how far we got, and a
-  // re-sent duplicate seq comes back as the cached frame, byte-identical —
-  // the daemon must NOT solve it again and risk a fresh encoding.
-  {
-    net::TcpSocket s = connect_and_hello(daemon.port, session, &ack);
-    EXPECT_EQ(ack.session_id, session);
-    EXPECT_EQ(ack.last_seq, 2u);
-
-    wire::write_frame(s.fd(), wire::MsgType::kShardJob,
-                      wire::encode(tiny_job(session, 2)), after_ms(5000));
-    EXPECT_EQ(read_raw_frame(s.fd()), result2) << "replay must be byte-exact";
-
-    // A new seq still solves normally on the same connection.
-    wire::write_frame(s.fd(), wire::MsgType::kShardJob,
-                      wire::encode(tiny_job(session, 3)), after_ms(5000));
-    const std::string raw3 = read_raw_frame(s.fd());
-    const wire::ShardResult r3 = wire::decode_shard_result(
-        std::string_view(raw3).substr(wire::kFrameHeaderSize,
-                                      raw3.size() - wire::kFrameHeaderSize - 4));
-    EXPECT_EQ(r3.shard_key, 7u);
+    net::TcpSocket s =
+        net::TcpSocket::connect("127.0.0.1", daemon.port, after_ms(5000));
+    EXPECT_EQ(ping(s.fd(), 0xfeedface12345678ULL), 0xfeedface12345678ULL);
+    EXPECT_EQ(ping(s.fd(), 2), 2u) << "pings keep being answered";
   }
-
-  // And the duplicate really was served from cache, not re-solved: the two
-  // fresh solves of seq 1 and 2 (pure jobs) already guarantee identical
-  // doses, so the byte-equality above is only meaningful because the cached
-  // frame includes solve_ms — a re-solve would almost surely differ there.
-  ASSERT_EQ(result1.size(), result2.size());
-
+  {
+    net::TcpSocket s =
+        net::TcpSocket::connect("127.0.0.1", daemon.port, after_ms(5000));
+    const wire::ShardJob job = tiny_job(42);
+    wire::write_frame(s.fd(), wire::MsgType::kShardJob, wire::encode(job),
+                      after_ms(5000));
+    const wire::ShardResult got = decode_raw_result(read_raw_frame(s.fd()));
+    const wire::ShardResult want = solve_shard_job(job, nullptr);
+    EXPECT_EQ(got.shard_key, 7u);
+    ASSERT_EQ(got.doses.size(), want.doses.size());
+    for (std::size_t i = 0; i < want.doses.size(); ++i)
+      EXPECT_EQ(bits(got.doses[i]), bits(want.doses[i])) << "dose " << i;
+    EXPECT_EQ(ping(s.fd(), 3), 3u) << "a ping after a job";
+  }
   ::kill(daemon.proc.pid(), SIGTERM);
   EXPECT_EQ(daemon.proc.wait(), 0);
 }
@@ -399,16 +383,15 @@ TEST(PecNet, ProtocolMismatchRejectedWithoutKillingDaemon) {
   if (!worker_available()) GTEST_SKIP() << "pec_worker binary not built";
   ListeningChild daemon = spawn_daemon();
 
-  // A client announcing the wrong protocol version gets its session ended
-  // (EOF or error on this connection)…
+  // A frame whose header carries another wire version gets its session
+  // ended (EOF or error on this connection)…
   {
     net::TcpSocket s =
         net::TcpSocket::connect("127.0.0.1", daemon.port, after_ms(5000));
-    wire::Hello hello;
-    hello.session_id = 9;
-    hello.protocol = wire::kVersion + 1;
-    wire::write_frame(s.fd(), wire::MsgType::kHello, wire::encode(hello),
-                      after_ms(5000));
+    std::string msg =
+        wire::encode_framed(wire::MsgType::kPing, wire::encode_token(9));
+    msg[4] = static_cast<char>(wire::kVersion + 1);
+    write_all(s.fd(), msg.data(), msg.size(), after_ms(5000));
     wire::Frame frame;
     bool closed = false;
     try {
@@ -416,13 +399,35 @@ TEST(PecNet, ProtocolMismatchRejectedWithoutKillingDaemon) {
     } catch (const DataError&) {
       closed = true;  // a reset instead of a FIN is also a rejection
     }
-    EXPECT_TRUE(closed) << "mismatched protocol must not be acked";
+    EXPECT_TRUE(closed) << "a mismatched version must not be answered";
   }
 
   // …and the daemon survives to serve a well-versioned client.
-  wire::HelloAck ack;
-  net::TcpSocket good = connect_and_hello(daemon.port, 10, &ack);
-  EXPECT_EQ(ack.session_id, 10u);
+  net::TcpSocket good = connect_and_ping(daemon.port);
+}
+
+// The driver's side of a version mismatch: a daemon that answers the
+// opening ping in another wire version fails session construction with
+// DataError (a configuration error, not a fault to retry).
+TEST(PecNet, SessionOnAMismatchedDaemonFailsToOpen) {
+  net::TcpListener listener = net::TcpListener::bind("127.0.0.1", 0);
+  std::thread fake_daemon([&] {
+    try {
+      std::optional<net::TcpSocket> c = listener.accept(after_ms(5000));
+      if (!c) return;
+      wire::Frame frame;
+      if (!wire::read_frame(c->fd(), &frame, after_ms(5000))) return;
+      std::string pong = wire::encode_framed(wire::MsgType::kPong, frame.payload);
+      pong[4] = static_cast<char>(wire::kVersion - 1);
+      write_all(c->fd(), pong.data(), pong.size(), after_ms(5000));
+      char byte;
+      (void)read_exact(c->fd(), &byte, 1, after_ms(5000));  // until the close
+    } catch (const std::exception&) {
+    }
+  });
+  EXPECT_THROW(WorkerSession({"127.0.0.1", listener.port()}, 5000.0, 5000.0),
+               DataError);
+  fake_daemon.join();
 }
 
 // The Threads: line of /proc/<pid>/status, or -1 when unreadable.
@@ -443,11 +448,9 @@ int process_threads(pid_t pid) {
 TEST(PecNet, DaemonCapsJobThreadsAtItsOwn) {
   if (!worker_available()) GTEST_SKIP() << "pec_worker binary not built";
   ListeningChild daemon = spawn_daemon();
-  const std::uint64_t session = 51;
-  wire::HelloAck ack;
-  net::TcpSocket s = connect_and_hello(daemon.port, session, &ack);
+  net::TcpSocket s = connect_and_ping(daemon.port);
 
-  wire::ShardJob job = tiny_job(session, 0);
+  wire::ShardJob job = tiny_job(51);
   job.active = dense_grid_shots(40000);  // 200 shots: work for 200 threads
   // Transient solves: a resident evaluator would keep the first job's
   // thread count.
@@ -457,9 +460,7 @@ TEST(PecNet, DaemonCapsJobThreadsAtItsOwn) {
     job.exposure.threads = threads;
     wire::write_frame(s.fd(), wire::MsgType::kShardJob, wire::encode(job),
                       after_ms(5000));
-    const std::string raw = read_raw_frame(s.fd());
-    got.push_back(wire::decode_shard_result(std::string_view(raw).substr(
-        wire::kFrameHeaderSize, raw.size() - wire::kFrameHeaderSize - 4)));
+    got.push_back(decode_raw_result(read_raw_frame(s.fd())));
   }
   ASSERT_EQ(got[1].doses.size(), got[0].doses.size());
   for (std::size_t i = 0; i < got[0].doses.size(); ++i)

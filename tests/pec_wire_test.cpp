@@ -43,7 +43,6 @@ wire::ShardJob sample_job() {
   wire::ShardJob job;
   job.session_id = 0x0123456789abcdefULL;
   job.shard_key = 0xfedcba9876543210ULL;
-  job.seq = 0xdeadbeefcafe0042ULL;
   job.correct = true;
   job.allow_optimistic = true;
   job.tolerance = 1.0 / 3.0;
@@ -71,7 +70,6 @@ TEST(Wire, JobRoundTripIsBitExact) {
 
   EXPECT_EQ(back.session_id, job.session_id);
   EXPECT_EQ(back.shard_key, job.shard_key);
-  EXPECT_EQ(back.seq, job.seq);
   EXPECT_EQ(back.correct, job.correct);
   EXPECT_EQ(back.allow_optimistic, job.allow_optimistic);
   EXPECT_EQ(bits(back.tolerance), bits(job.tolerance));
@@ -159,27 +157,23 @@ TEST(Wire, DecodeRejectsOutOfRangeSolveFields) {
 }
 
 TEST(Wire, SessionFramesRoundTripAndValidate) {
-  wire::Hello hello;
-  hello.session_id = 0x1122334455667788ULL;
-  hello.protocol = wire::kVersion;
-  const wire::Hello hback = wire::decode_hello(wire::encode(hello));
-  EXPECT_EQ(hback.session_id, hello.session_id);
-  EXPECT_EQ(hback.protocol, hello.protocol);
-
-  wire::HelloAck ack;
-  ack.session_id = hello.session_id;
-  ack.last_seq = 41;
-  const wire::HelloAck aback = wire::decode_hello_ack(wire::encode(ack));
-  EXPECT_EQ(aback.session_id, ack.session_id);
-  EXPECT_EQ(aback.last_seq, ack.last_seq);
-
+  // Besides jobs and results, a session carries only kPing / kPong, whose
+  // payload is one token.
   EXPECT_EQ(wire::decode_token(wire::encode_token(0xfeedface12345678ULL)),
             0xfeedface12345678ULL);
 
   // Truncation and trailing garbage are rejected like every other payload.
-  EXPECT_THROW(wire::decode_hello(wire::encode(hello).substr(0, 5)), DataError);
-  EXPECT_THROW(wire::decode_hello_ack(wire::encode(ack) + "x"), DataError);
+  const std::string token = wire::encode_token(41);
+  EXPECT_THROW(wire::decode_token(token.substr(0, 5)), DataError);
+  EXPECT_THROW(wire::decode_token(token + "x"), DataError);
   EXPECT_THROW(wire::decode_token(""), DataError);
+
+  // Types 3 and 4, the v4-v9 hello / ack handshake, are unknown types now.
+  for (const char type : {3, 4}) {
+    std::string h = wire::encode_frame_header(wire::MsgType::kPing, token.size());
+    h[12] = type;
+    EXPECT_THROW(wire::parse_frame_header(h), DataError) << "type " << int(type);
+  }
 }
 
 wire::ShardResult sample_result() {
@@ -300,6 +294,9 @@ TEST(Wire, FrameHeaderRoundTripAndRejections) {
   bad[4] = static_cast<char>(wire::kVersion + 1);
   EXPECT_THROW(wire::parse_frame_header(bad), DataError);
   bad = h;
+  bad[4] = 9;  // v9: jobs with a sequence number, sessions opening with hello
+  EXPECT_THROW(wire::parse_frame_header(bad), DataError);
+  bad = h;
   bad[4] = 8;  // v8: results with a fixed entry_error/exit_error pair
   EXPECT_THROW(wire::parse_frame_header(bad), DataError);
   bad = h;
@@ -315,7 +312,7 @@ TEST(Wire, FrameHeaderRoundTripAndRejections) {
   bad[4] = 4;  // v4: jobs with the reset_all / pooled / splat_cache flags
   EXPECT_THROW(wire::parse_frame_header(bad), DataError);
   bad = h;
-  bad[4] = 3;  // v3: jobs without the replay seq
+  bad[4] = 3;  // v3: jobs without the replay sequence number
   EXPECT_THROW(wire::parse_frame_header(bad), DataError);
   bad = h;
   bad[4] = 2;  // v2: BlurPerf without the windowed delta-blur counters
@@ -358,10 +355,10 @@ TEST(Wire, TruncatedPayloadThrowsAtEveryCut) {
 
 TEST(Wire, MalformedFieldValuesRejected) {
   std::string payload = wire::encode(sample_job());
-  // Offset 24 (after session_id, shard_key, seq): the 'correct' flag —
-  // booleans must be 0 or 1.
-  ASSERT_GT(payload.size(), 24u);
-  payload[24] = 2;
+  // Offset 16 (after session_id, shard_key): the 'correct' flag — booleans
+  // must be 0 or 1.
+  ASSERT_GT(payload.size(), 16u);
+  payload[16] = 2;
   EXPECT_THROW(wire::decode_shard_job(payload), DataError);
 }
 
@@ -437,7 +434,7 @@ TEST(Wire, CorruptedPayloadByteRejectedByFrameChecksum) {
 }
 
 // Speaks the wire protocol to a real pec_worker daemon through one session:
-// Hello/HelloAck, one tiny job in, one result out, a clean drain (session
+// the opening ping, one tiny job in, one result out, a clean drain (session
 // end, then a graceful stop with exit 0) — and the result matches the
 // in-process solver bit for bit.
 TEST(Wire, WorkerCliSolvesAJobBitExactly) {
@@ -460,8 +457,8 @@ TEST(Wire, WorkerCliSolvesAJobBitExactly) {
   ListeningChild daemon = spawn_listening(
       {default_pec_worker_path(), "--listen", "127.0.0.1:0", "--fault", ""},
       deadline);
-  WorkerSession session({"127.0.0.1", daemon.port}, job.session_id, 5000.0,
-                        5000.0, std::move(daemon.proc));
+  WorkerSession session({"127.0.0.1", daemon.port}, 5000.0, 5000.0,
+                        std::move(daemon.proc));
   session.send_job(job, deadline);
   wire::Frame frame;
   ASSERT_TRUE(session.read_result(&frame, deadline));
@@ -480,9 +477,9 @@ TEST(Wire, WorkerCliSolvesAJobBitExactly) {
   EXPECT_EQ(got.changed, expected.changed);
 }
 
-// An unsequenced job is never cached, so a daemon that receives it twice
-// solves it twice — the second time on the evaluator the first solve left
-// resident at its solved doses. Both answers must be the cold solve's.
+// A daemon that receives a job twice (as after a reconnect) solves it twice
+// — the second time on the evaluator the first solve left resident at its
+// solved doses. Both answers must be the cold solve's.
 TEST(Wire, WorkerResolvesADuplicateJobBitExactly) {
   if (!worker_available()) GTEST_SKIP() << "pec_worker binary not built";
 
@@ -498,7 +495,6 @@ TEST(Wire, WorkerResolvesADuplicateJobBitExactly) {
     const bool own = (b.lo.x + b.hi.x) / 2 < 10000 && (b.lo.y + b.hi.y) / 2 < 10000;
     (own ? job.active : job.ghosts).push_back(s);
   }
-  ASSERT_EQ(job.seq, 0u);
   ASSERT_GT(job.resident_shard_budget, 0);
 
   const wire::ShardResult expected = solve_shard_job(job, nullptr);
@@ -508,8 +504,8 @@ TEST(Wire, WorkerResolvesADuplicateJobBitExactly) {
   ListeningChild daemon = spawn_listening(
       {default_pec_worker_path(), "--listen", "127.0.0.1:0", "--fault", ""},
       deadline);
-  WorkerSession session({"127.0.0.1", daemon.port}, job.session_id, 5000.0,
-                        5000.0, std::move(daemon.proc));
+  WorkerSession session({"127.0.0.1", daemon.port}, 5000.0, 5000.0,
+                        std::move(daemon.proc));
   for (int delivery = 0; delivery < 2; ++delivery) {
     session.send_job(job, deadline);
     wire::Frame frame;

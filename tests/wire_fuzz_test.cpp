@@ -32,7 +32,6 @@ std::string sample_framed_job() {
   wire::ShardJob job;
   job.session_id = 11;
   job.shard_key = 3;
-  job.seq = 5;
   job.tolerance = 0.01;
   job.psf_terms = {{0.6, 50.0}, {0.4, 2500.0}};
   job.max_iterations = 6;
@@ -190,11 +189,9 @@ TEST(WireFuzz, MutatedJobFramesOverTcpSocket) {
 }
 
 TEST(WireFuzz, MutatedSessionFramesOverTcpSocket) {
-  wire::Hello hello;
-  hello.session_id = 9;
-  hello.protocol = wire::kVersion;
-  const std::string framed =
-      wire::encode_framed(wire::MsgType::kHello, wire::encode(hello));
+  // The ping every session opens with.
+  const std::string framed = wire::encode_framed(
+      wire::MsgType::kPing, wire::encode_token(0x0123456789abcdefULL));
   std::mt19937 rng(0xBADF00D);
   run_fuzz_over_socket(framed, rng, 60);
 }

@@ -3,9 +3,10 @@
 //
 // Sits between a distributed-PEC driver and a worker daemon and misbehaves
 // on purpose, at the network layer, so the client-side resilience story —
-// heartbeats, reconnect with backoff, idempotent replay of re-sent jobs —
-// can be exercised against *real* network failure shapes instead of only
-// worker-process faults (which tools/pec_worker injects itself):
+// heartbeats, reconnect with backoff, re-sending the jobs a lost connection
+// did not answer — can be exercised against *real* network failure shapes
+// instead of only worker-process faults (which tools/pec_worker injects
+// itself):
 //
 //   drop-after=N      after relaying N frames on a connection, close both
 //                     sides cleanly (FIN): the mid-conversation disconnect
@@ -17,11 +18,12 @@
 //   reset-after=N     after N frames, SO_LINGER(0) + close: a hard RST —
 //                     the peer that vanishes without a FIN
 //
-// Frame counters are per *connection* (both directions share one), so every
-// reconnect gets a fresh budget of N relayed frames — faulty progress is
-// bounded per connection but the solve always advances, which is exactly
-// the property the chaos tests pin: completion, bitwise-identical, under
-// every fault mode.
+// Frame counters are per *connection* (both directions share one, the
+// session's opening ping and pong included), so every reconnect gets a
+// fresh budget of N relayed frames — faulty progress is bounded per
+// connection but the solve always advances, which is exactly the property
+// the chaos tests pin: completion, bitwise-identical, under every fault
+// mode.
 //
 // Usage:
 //   flaky_proxy --target HOST:PORT [--listen HOST:PORT] [--fault PLAN]
@@ -30,8 +32,9 @@
 // printed to stdout as "flaky_proxy: listening on N" (flushed, so a
 // spawning test can parse it from a pipe). The fault plan comes from
 // --fault or the EBL_PROXY_FAULT_PLAN environment variable (the flag wins)
-// as semicolon-separated key=value directives, same grammar as pec_worker's
-// EBL_FAULT_PLAN. With no plan the proxy is a faithful relay.
+// as semicolon-separated key=value directives, the grammar of pec_worker's
+// EBL_FAULT_PLAN (tools/fault_plan.h). With no plan the proxy is a faithful
+// relay.
 //
 // Connections are served concurrently (a driver may hold several slots
 // through one proxy), one relay thread per direction. SIGTERM/SIGINT stop
@@ -51,6 +54,7 @@
 
 #include <sys/socket.h>
 
+#include "fault_plan.h"
 #include "pec/wire.h"
 #include "util/contracts.h"
 #include "util/net.h"
@@ -72,34 +76,11 @@ struct ProxyFault {
 
   static ProxyFault parse(const std::string& spec) {
     ProxyFault plan;
-    std::size_t pos = 0;
-    while (pos < spec.size()) {
-      std::size_t end = spec.find(';', pos);
-      if (end == std::string::npos) end = spec.size();
-      const std::string item = spec.substr(pos, end - pos);
-      pos = end + 1;
-      if (item.empty()) continue;
-      const std::size_t eq = item.find('=');
-      if (eq == std::string::npos)
-        throw DataError("flaky_proxy: bad fault directive (no '='): " + item);
-      const std::string key = item.substr(0, eq);
-      char* numend = nullptr;
-      const std::uint64_t value =
-          std::strtoull(item.c_str() + eq + 1, &numend, 10);
-      if (numend == item.c_str() + eq + 1 || *numend != '\0')
-        throw DataError("flaky_proxy: bad fault count in: " + item);
-      if (key == "drop-after") {
-        plan.drop_after = value;
-      } else if (key == "truncate-after") {
-        plan.truncate_after = value;
-      } else if (key == "reset-after") {
-        plan.reset_after = value;
-      } else if (key == "delay-ms") {
-        plan.delay_ms = value;
-      } else {
-        throw DataError("flaky_proxy: unknown fault directive: " + key);
-      }
-    }
+    parse_fault_plan(spec, "flaky_proxy",
+                     {{"drop-after", &plan.drop_after},
+                      {"truncate-after", &plan.truncate_after},
+                      {"reset-after", &plan.reset_after},
+                      {"delay-ms", &plan.delay_ms}});
     return plan;
   }
 };

@@ -24,18 +24,16 @@
 //
 //   --listen H:P     binds H:P (port 0 = ephemeral; the real port is
 //                    printed to stdout as "pec_worker: listening on N") and
-//                    serves one client connection at a time. Each
-//                    connection re-handshakes a driver session (wire
-//                    Hello/HelloAck, exact protocol version match); the
-//                    resident evaluator pool is keyed by the jobs' session
-//                    tag, so a reconnecting driver finds its pool still
-//                    warm. Sequenced jobs (seq != 0) feed a bounded replay
-//                    cache: a job re-sent after a dropped connection is
-//                    answered with the cached result frame, byte for byte,
-//                    instead of being solved twice. A cache miss re-solves
-//                    to identical doses — jobs are pure and resident
-//                    re-entry resets every dose — so the cache is a work
-//                    saver, never a correctness need. A connection-level
+//                    serves one client connection at a time. A session is
+//                    jobs, results and pings: the client's first frame (a
+//                    ping, as the driver sends, or a job) must arrive
+//                    within 10 s, and every frame header must carry this
+//                    daemon's exact wire version. The resident evaluator
+//                    pool is keyed by the jobs' session tag, so a
+//                    reconnecting driver finds its pool still warm; a job
+//                    re-sent after a dropped connection is solved again,
+//                    to identical doses (jobs are pure and resident
+//                    re-entry resets every dose). A connection-level
 //                    protocol error ends that session (logged) and the
 //                    daemon keeps accepting.
 //   --fault PLAN     fault-injection plan (testing the supervisor; see below)
@@ -73,14 +71,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
-#include <map>
-#include <memory>
 #include <string>
 #include <thread>
 
 #include <poll.h>
 #include <signal.h>
 
+#include "fault_plan.h"
 #include "pec/sharded.h"
 #include "pec/wire.h"
 #include "util/contracts.h"
@@ -148,94 +145,27 @@ struct FaultPlan {
 
   static FaultPlan parse(const std::string& spec) {
     FaultPlan plan;
-    std::size_t pos = 0;
-    while (pos < spec.size()) {
-      std::size_t end = spec.find(';', pos);
-      if (end == std::string::npos) end = spec.size();
-      const std::string item = spec.substr(pos, end - pos);
-      pos = end + 1;
-      if (item.empty()) continue;
-      const std::size_t eq = item.find('=');
-      if (eq == std::string::npos)
-        throw DataError("pec_worker: bad fault directive (no '='): " + item);
-      const std::string key = item.substr(0, eq);
-      char* numend = nullptr;
-      const std::uint64_t value = std::strtoull(item.c_str() + eq + 1, &numend, 10);
-      if (numend == item.c_str() + eq + 1 || *numend != '\0')
-        throw DataError("pec_worker: bad fault count in: " + item);
-      if (key == "crash-after") {
-        plan.crash_after = value;
-      } else if (key == "hang-after") {
-        plan.hang_after = value;
-      } else if (key == "truncate-after") {
-        plan.truncate_after = value;
-      } else if (key == "corrupt-after") {
-        plan.corrupt_after = value;
-      } else if (key == "slow-start") {
-        plan.slow_start_ms = value;
-      } else {
-        throw DataError("pec_worker: unknown fault directive: " + key);
-      }
-    }
+    parse_fault_plan(spec, "pec_worker",
+                     {{"crash-after", &plan.crash_after},
+                      {"hang-after", &plan.hang_after},
+                      {"truncate-after", &plan.truncate_after},
+                      {"corrupt-after", &plan.corrupt_after},
+                      {"slow-start", &plan.slow_start_ms}});
     return plan;
   }
 };
 
-// Idempotent-replay cache of the daemon mode: the framed result bytes of
-// the most recent sequenced jobs, per driver session. A reconnecting driver
-// re-sends every unacknowledged job with its original seq; a hit answers
-// with the identical bytes, a miss re-solves the pure job to identical
-// doses — so the bound (and the eviction of the lowest seq, the job least
-// likely to be replayed) trades only memory against re-solve work.
-class ReplayCache {
- public:
-  static constexpr std::size_t kMaxEntries = 32;
-
-  const std::string* lookup(std::uint64_t session, std::uint64_t seq) {
-    reset_if_new(session);
-    const auto it = entries_.find(seq);
-    return it == entries_.end() ? nullptr : &it->second;
-  }
-
-  void store(std::uint64_t session, std::uint64_t seq, std::string framed) {
-    reset_if_new(session);
-    last_seq_ = std::max(last_seq_, seq);
-    entries_[seq] = std::move(framed);
-    while (entries_.size() > kMaxEntries) entries_.erase(entries_.begin());
-  }
-
-  /// Highest seq served for @p session — reported in the HelloAck so a
-  /// reconnecting driver learns how far the dropped connection really got.
-  std::uint64_t last_seq(std::uint64_t session) {
-    reset_if_new(session);
-    return last_seq_;
-  }
-
- private:
-  void reset_if_new(std::uint64_t session) {
-    if (session == session_) return;
-    session_ = session;
-    last_seq_ = 0;
-    entries_.clear();
-  }
-
-  std::uint64_t session_ = 0;
-  std::uint64_t last_seq_ = 0;
-  std::map<std::uint64_t, std::string> entries_;  ///< seq -> framed result
-};
-
 // What the daemon keeps across sessions: the resident evaluators of the
-// current driver session, the replay cache, and the jobs served so far (the
-// fault plan's counter).
+// current driver session and the jobs served so far (the fault plan's
+// counter).
 struct DaemonState {
   ShardPool pool;
   std::uint64_t pool_session = 0;
-  ReplayCache replay;
   std::uint64_t served = 0;
 };
 
 // One job frame, already type-checked by the caller: fault hooks, decode,
-// replay dedup, solve, fault hooks, answer.
+// solve, fault hooks, answer.
 void serve_job(const wire::Frame& frame, int results_fd, DaemonState& st,
                const FaultPlan& fault) {
   std::uint64_t& served = st.served;
@@ -248,16 +178,6 @@ void serve_job(const wire::Frame& frame, int results_fd, DaemonState& st,
     for (;;) std::this_thread::sleep_for(std::chrono::hours(1));
   }
   wire::ShardJob job = wire::decode_shard_job(frame.payload);
-  if (job.seq != 0) {
-    if (const std::string* cached = st.replay.lookup(job.session_id, job.seq)) {
-      // Duplicate delivery after a reconnect: answer with the cached frame,
-      // byte for byte, and do not solve (or count a fault trigger) twice.
-      std::cerr << "pec_worker: replaying cached result for seq " << job.seq
-                << "\n";
-      write_all(results_fd, cached->data(), cached->size());
-      return;
-    }
-  }
   if (job.session_id != st.pool_session) {
     st.pool.clear();  // another solve: its shard keys name other geometry
     st.pool_session = job.session_id;
@@ -275,7 +195,6 @@ void serve_job(const wire::Frame& frame, int results_fd, DaemonState& st,
   result.pool_evictions = st.pool.evictions();
   const std::string msg =
       wire::encode_framed(wire::MsgType::kShardResult, wire::encode(result));
-  if (job.seq != 0) st.replay.store(job.session_id, job.seq, msg);
   if (served == fault.truncate_after) {
     // Half a result frame, then death: the driver's reader must see a
     // mid-record EOF (or a deadline), never a plausible partial result.
@@ -286,9 +205,7 @@ void serve_job(const wire::Frame& frame, int results_fd, DaemonState& st,
   }
   if (served == fault.corrupt_after) {
     // One flipped payload byte under an honest CRC trailer: the driver
-    // must reject the frame on checksum, not apply garbage doses. (The
-    // replay cache keeps the honest bytes — the fault models a flaky wire,
-    // not a wrong solve.)
+    // must reject the frame on checksum, not apply garbage doses.
     std::string bad = msg;
     bad[wire::kFrameHeaderSize + (bad.size() - wire::kFrameHeaderSize - 4) / 2] ^=
         0x40;
@@ -302,41 +219,26 @@ void serve_job(const wire::Frame& frame, int results_fd, DaemonState& st,
   ++served;
 }
 
-// One accepted connection = one session: Hello handshake, then jobs and
-// pings until the client half-closes (clean end) or a stop is requested.
-// Throws on protocol violations — the caller logs and keeps accepting.
+// One accepted connection = one session: jobs and pings until the client
+// half-closes (clean end) or a stop is requested. Throws on protocol
+// violations — the caller logs and keeps accepting.
 void serve_session(net::TcpSocket& sock, DaemonState& st,
                    const FaultPlan& fault) {
   const int fd = sock.fd();
+  // The client speaks first; bound its first frame so a connect-and-stall
+  // client cannot wedge the daemon for everyone behind it. A client that
+  // connects and leaves without a word is a clean end, not worth a log line.
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
   wire::Frame frame;
-  // The client speaks first; bound the handshake so a connect-and-stall
-  // client cannot wedge the daemon for everyone behind it.
-  const auto handshake_deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  if (!wire::read_frame(fd, &frame, handshake_deadline))
-    return;  // connected and left without a word; not worth a log line
-  if (frame.type != wire::MsgType::kHello)
-    throw DataError("pec_worker: expected a hello frame");
-  const wire::Hello hello = wire::decode_hello(frame.payload);
-  if (hello.protocol != wire::kVersion)
-    throw DataError("pec_worker: protocol version mismatch (client v" +
-                    std::to_string(hello.protocol) + ", daemon v" +
-                    std::to_string(wire::kVersion) + ")");
-  wire::HelloAck ack;
-  ack.session_id = hello.session_id;
-  ack.last_seq = st.replay.last_seq(hello.session_id);
-  wire::write_frame(fd, wire::MsgType::kHelloAck, wire::encode(ack),
-                    handshake_deadline);
-  for (;;) {
-    if (!wait_readable_or_stop(fd)) return;  // stop requested; session over
-    if (!wire::read_frame(fd, &frame)) return;  // clean session end
-    if (frame.type == wire::MsgType::kPing) {
+  while (wire::read_frame(fd, &frame, deadline)) {
+    if (frame.type == wire::MsgType::kPing)
       wire::write_frame(fd, wire::MsgType::kPong, frame.payload);
-      continue;
-    }
-    if (frame.type != wire::MsgType::kShardJob)
-      throw DataError("pec_worker: expected a shard job frame");
-    serve_job(frame, fd, st, fault);
+    else if (frame.type == wire::MsgType::kShardJob)
+      serve_job(frame, fd, st, fault);
+    else
+      throw DataError("pec_worker: expected a shard job or a ping frame");
+    deadline = std::chrono::steady_clock::time_point::max();
+    if (!wait_readable_or_stop(fd)) return;  // stop requested; session over
   }
 }
 
@@ -351,10 +253,9 @@ int run_daemon(const net::HostPort& addr, const FaultPlan& fault) {
     std::this_thread::sleep_for(std::chrono::milliseconds(fault.slow_start_ms));
   }
 
-  // Sessions are served sequentially, and the pool and replay cache live
-  // ACROSS them — that is the whole point of the daemon: a driver that
-  // reconnects (same session tag) finds its evaluators warm and its served
-  // jobs replayable.
+  // Sessions are served sequentially, and the pool lives ACROSS them — that
+  // is the whole point of the daemon: a driver that reconnects (same session
+  // tag in its jobs) finds its evaluators warm.
   DaemonState st;
   std::uint64_t sessions = 0;
   while (wait_readable_or_stop(listener.fd())) {
