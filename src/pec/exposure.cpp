@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "util/contracts.h"
@@ -105,83 +106,304 @@ double ms_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-// The blur's row kernels hold the hottest loops of every PEC solve. They are
-// separate functions pinned to 64-byte boundaries, so code added or removed
-// elsewhere in the library cannot shift their short vector loops across
-// instruction-fetch boundaries: inlined into the pass lambdas, a 16-byte
-// shift of the code before them moved pec_distributed's job time by 17%.
-// Out-of-range taps are skipped (no edge renormalization), matching the
-// documented truncated-kernel semantics.
+// The long-range blur is one fused sweep. The raster is cut into bands of
+// whole rows, one parallel_for index each. A band row-blurs the rows it
+// needs into a ring of 2r + 1 rows and writes each of its output rows once,
+// from the ring, by the column kernel. The rows within r of a band boundary
+// are needed by the bands on both sides, so one pass row-blurs them into a
+// halo buffer before any band runs: no row is blurred twice, and no band
+// reads a raw row another band may already have overwritten, so the sweep
+// can run in place.
+//
+// The kernels hold the hottest loops of every PEC solve. Each output is
+// accumulated in registers, kBlock vectors at a time, across all of its
+// taps in one fixed order: k0 * c, then w_k * left and w_k * right for
+// k = 1..r, skipping taps that fall off the raster (no edge
+// renormalization). Every pixel is stored once. Each kernel is built twice
+// from one body: with target("avx2") on 4-wide vectors, and for the x86-64
+// baseline on the 2-wide vectors SSE2 holds natively (GCC splits wider
+// ones through the stack). has_avx2_fma (util/vecmath.h) picks one at run
+// time. Neither build may contract to FMA, so both give the same bits. The
+// kernels are separate functions pinned to 64-byte boundaries, so code
+// added or removed elsewhere in the library cannot shift their loops across
+// instruction-fetch boundaries: a 16-byte shift of the code before such
+// loops, inlined, once moved pec_distributed's job time by 17%.
 
-// out <- kernel * in, along one row of nx pixels.
-[[gnu::noinline, gnu::aligned(64)]] void blur_row(const double* in, double* out, int nx,
-                                                const double* taps, int radius) {
-  const double k0 = taps[0];
-  for (int x = 0; x < nx; ++x) out[x] = k0 * in[x];
-  for (int k = 1; k <= radius; ++k) {
-    const double wk = taps[k];
-    for (int x = k; x < nx; ++x) out[x] += wk * in[x - k];
-    const int lim = nx - k;
-    for (int x = 0; x < lim; ++x) out[x] += wk * in[x + k];
-  }
+typedef double v2d __attribute__((vector_size(16)));
+typedef double v4d __attribute__((vector_size(32)));
+
+// Accumulators per register block: eight of the sixteen vector registers
+// either build has, leaving room for a tap weight and the loads.
+constexpr int kBlock = 8;
+
+// Band-parallel sweeps run kBandsPerThread bands per thread, so a thread
+// that falls behind does not hold up the others for a whole share.
+constexpr int kBandsPerThread = 2;
+
+// acc = w * p[0..L), acc += w * p[0..L) and p[0..L) = acc for a lane group
+// V of L doubles: v4d, v2d or double (the loads and stores are unaligned).
+// Vectors pass by reference only: by value they would take a different ABI
+// in the baseline build than in the AVX2 one.
+template <typename V>
+[[gnu::always_inline]] inline void mul(V& acc, double w, const double* p) {
+  V v;
+  std::memcpy(&v, p, sizeof v);
+  acc = w * v;
 }
 
-// out <- kernel * the column neighborhood of row y in rows (ny rows of nx
-// pixels), streamed row by row so every inner loop walks contiguous memory.
-[[gnu::noinline, gnu::aligned(64)]] void blur_column(const double* rows, double* out,
-                                                   int nx, std::size_t y, std::size_t ny,
-                                                   const double* taps, int radius) {
-  const double* c = rows + y * nx;
-  const double k0 = taps[0];
-  for (int x = 0; x < nx; ++x) out[x] = k0 * c[x];
+template <typename V>
+[[gnu::always_inline]] inline void mul_add(V& acc, double w, const double* p) {
+  V v;
+  std::memcpy(&v, p, sizeof v);
+  acc += w * v;
+}
+
+template <typename V>
+[[gnu::always_inline]] inline void store(double* p, const V& acc) {
+  const V v = acc;
+  std::memcpy(p, &v, sizeof v);
+}
+
+template <typename V>
+constexpr int kLanes = static_cast<int>(sizeof(V) / sizeof(double));
+
+// Row kernel, B vectors of V at in/out, every tap on the row.
+template <typename V, int B>
+[[gnu::always_inline]] inline void row_block(const double* in, double* out,
+                                             const double* taps, int radius) {
+  constexpr int L = kLanes<V>;
+  V acc[B];
+  for (int b = 0; b < B; ++b) mul(acc[b], taps[0], in + b * L);
   for (int k = 1; k <= radius; ++k) {
-    const double wk = taps[k];
-    if (static_cast<std::int64_t>(y) - k >= 0) {
-      const double* a = rows + (y - k) * nx;
-      for (int x = 0; x < nx; ++x) out[x] += wk * a[x];
-    }
-    if (y + k < ny) {
-      const double* b = rows + (y + k) * nx;
-      for (int x = 0; x < nx; ++x) out[x] += wk * b[x];
+    const double w = taps[k];
+    for (int b = 0; b < B; ++b) {
+      mul_add(acc[b], w, in + b * L - k);
+      mul_add(acc[b], w, in + b * L + k);
     }
   }
+  for (int b = 0; b < B; ++b) store(out + b * L, acc[b]);
+}
+
+// out <- kernel * in, along one row of nx pixels.
+template <typename V>
+[[gnu::always_inline]] inline void row_body(const double* in, double* out, int nx,
+                                            const double* taps, int radius) {
+  constexpr int L = kLanes<V>;
+  // Pixel x of an edge misses the taps past the row's ends.
+  const auto edge = [&](int x) {
+    double acc = taps[0] * in[x];
+    for (int k = 1; k <= radius; ++k) {
+      if (x - k >= 0) acc += taps[k] * in[x - k];
+      if (x + k < nx) acc += taps[k] * in[x + k];
+    }
+    out[x] = acc;
+  };
+  const int lo = std::min(radius, nx);       // [0, lo): left edge
+  const int hi = std::max(lo, nx - radius);  // [lo, hi): every tap in range
+  for (int x = 0; x < lo; ++x) edge(x);
+  int x = lo;
+  for (; x + L * kBlock <= hi; x += L * kBlock)
+    row_block<V, kBlock>(in + x, out + x, taps, radius);
+  for (; x + L <= hi; x += L) row_block<V, 1>(in + x, out + x, taps, radius);
+  for (; x < hi; ++x) row_block<double, 1>(in + x, out + x, taps, radius);
+  for (x = hi; x < nx; ++x) edge(x);
+}
+
+// Column kernel, B vectors of V at column x: win[0] is the row-blurred row
+// of the output, win[-k] and win[k] the rows k above and below it, of which
+// the first ku and kd lie on the raster.
+template <typename V, int B>
+[[gnu::always_inline]] inline void column_block(const double* const* win, std::size_t x,
+                                                double* out, const double* taps,
+                                                int ku, int kd) {
+  constexpr int L = kLanes<V>;
+  V acc[B];
+  for (int b = 0; b < B; ++b) mul(acc[b], taps[0], win[0] + x + b * L);
+  const int both = std::min(ku, kd);
+  int k = 1;
+  for (; k <= both; ++k) {
+    const double w = taps[k];
+    const double* a = win[-k] + x;
+    const double* c = win[k] + x;
+    for (int b = 0; b < B; ++b) {
+      mul_add(acc[b], w, a + b * L);
+      mul_add(acc[b], w, c + b * L);
+    }
+  }
+  // Past the nearer edge only one side has taps left.
+  for (int j = k; j <= ku; ++j)
+    for (int b = 0; b < B; ++b) mul_add(acc[b], taps[j], win[-j] + x + b * L);
+  for (int j = k; j <= kd; ++j)
+    for (int b = 0; b < B; ++b) mul_add(acc[b], taps[j], win[j] + x + b * L);
+  for (int b = 0; b < B; ++b) store(out + x + b * L, acc[b]);
+}
+
+// out <- kernel * the column neighbourhood in win, across nx pixels.
+template <typename V>
+[[gnu::always_inline]] inline void column_body(const double* const* win, double* out,
+                                               int nx, const double* taps, int ku,
+                                               int kd) {
+  constexpr std::size_t L = kLanes<V>;
+  const std::size_t n = static_cast<std::size_t>(nx);
+  std::size_t x = 0;
+  for (; x + L * kBlock <= n; x += L * kBlock)
+    column_block<V, kBlock>(win, x, out, taps, ku, kd);
+  for (; x + L <= n; x += L) column_block<V, 1>(win, x, out, taps, ku, kd);
+  for (; x < n; ++x) column_block<double, 1>(win, x, out, taps, ku, kd);
+}
+
+[[gnu::noinline, gnu::aligned(64)]] void blur_row_baseline(const double* in, double* out,
+                                                           int nx, const double* taps,
+                                                           int radius) {
+  row_body<v2d>(in, out, nx, taps, radius);
+}
+
+[[gnu::noinline, gnu::aligned(64)]] void blur_column_baseline(const double* const* win,
+                                                              double* out, int nx,
+                                                              const double* taps, int ku,
+                                                              int kd) {
+  column_body<v2d>(win, out, nx, taps, ku, kd);
+}
+
+struct BlurKernels {
+  void (*row)(const double*, double*, int, const double*, int);
+  void (*column)(const double* const*, double*, int, const double*, int, int);
+};
+constexpr BlurKernels kBaselineKernels{blur_row_baseline, blur_column_baseline};
+
+#if defined(__x86_64__) && defined(__GNUC__)
+#define EBL_BLUR_AVX2 1
+
+[[gnu::noinline, gnu::aligned(64), gnu::target("avx2")]] void blur_row_avx2(
+    const double* in, double* out, int nx, const double* taps, int radius) {
+  row_body<v4d>(in, out, nx, taps, radius);
+}
+
+[[gnu::noinline, gnu::aligned(64), gnu::target("avx2")]] void blur_column_avx2(
+    const double* const* win, double* out, int nx, const double* taps, int ku, int kd) {
+  column_body<v4d>(win, out, nx, taps, ku, kd);
+}
+
+constexpr BlurKernels kAvx2Kernels{blur_row_avx2, blur_column_avx2};
+#endif
+
+// Per-thread state of the sweep, reused across calls so steady-state blurs
+// never allocate. The halo belongs to the calling thread: the rows within
+// r of a band boundary, row-blurred (slot[y] is row y's index in it, or
+// -1). The ring belongs to whichever thread runs a band.
+struct BlurHalo {
+  std::vector<int> slot;
+  std::vector<int> rows;
+  std::vector<double> data;
+};
+thread_local BlurHalo t_halo;
+struct BlurRing {
+  std::vector<double> rows;
+  std::vector<const double*> win;
+};
+thread_local BlurRing t_ring;
+
+void fused_blur(const double* src, double* dst, int nx, int ny, std::size_t stride,
+                const std::vector<double>& taps, int threads, int bands,
+                const BlurKernels& kern) {
+  expects(!taps.empty(), "separable_blur: empty kernel");
+  if (nx <= 0 || ny <= 0) return;
+  const int radius = static_cast<int>(taps.size()) - 1;
+  const double* w = taps.data();
+  const std::size_t row = static_cast<std::size_t>(nx);
+  const int nb = std::clamp(bands, 1, ny);
+  const auto band_start = [&](int b) {
+    return static_cast<int>(static_cast<std::int64_t>(ny) * b / nb);
+  };
+
+  // Bound through a local reference: the band lambda runs on pool threads,
+  // where the name t_halo would resolve to their own instances.
+  BlurHalo& halo = t_halo;
+  halo.slot.assign(static_cast<std::size_t>(ny), -1);
+  halo.rows.clear();
+  for (int b = 1; b < nb; ++b) {
+    const int edge = band_start(b);
+    for (int y = std::max(0, edge - radius); y < std::min(ny, edge + radius); ++y) {
+      int& s = halo.slot[static_cast<std::size_t>(y)];
+      if (s >= 0) continue;
+      s = static_cast<int>(halo.rows.size());
+      halo.rows.push_back(y);
+    }
+  }
+  halo.data.resize(halo.rows.size() * row);
+  parallel_for(
+      halo.rows.size(),
+      [&](std::size_t i0, std::size_t i1) {
+        for (std::size_t i = i0; i < i1; ++i)
+          kern.row(src + static_cast<std::size_t>(halo.rows[i]) * stride,
+                   halo.data.data() + i * row, nx, w, radius);
+      },
+      threads);
+
+  parallel_for(
+      static_cast<std::size_t>(nb),
+      [&](std::size_t b0, std::size_t b1) {
+        BlurRing& ring = t_ring;
+        const int span = 2 * radius + 1;
+        ring.rows.resize(static_cast<std::size_t>(span) * row);
+        for (std::size_t b = b0; b < b1; ++b) {
+          const int y0 = band_start(static_cast<int>(b));
+          const int y1 = band_start(static_cast<int>(b) + 1);
+          // win[y - first] points at row y's row-blur for y in
+          // [y0 - r, y1 + r); rows off the raster are never read.
+          const int first = y0 - radius;
+          ring.win.assign(static_cast<std::size_t>(y1 - y0 + 2 * radius), nullptr);
+          int next = std::max(0, first);  // next row to row-blur or fetch
+          for (int y = y0; y < y1; ++y) {
+            for (const int need = std::min(ny, y + radius + 1); next < need; ++next) {
+              const int s = halo.slot[static_cast<std::size_t>(next)];
+              const double* p;
+              if (s >= 0) {
+                p = halo.data.data() + static_cast<std::size_t>(s) * row;
+              } else {
+                // Unstaged rows lie inside this band, and the band writes
+                // row y only after reading every row up to y + r.
+                double* r = ring.rows.data() + static_cast<std::size_t>(next % span) * row;
+                kern.row(src + static_cast<std::size_t>(next) * stride, r, nx, w, radius);
+                p = r;
+              }
+              ring.win[static_cast<std::size_t>(next - first)] = p;
+            }
+            kern.column(ring.win.data() + (y - first),
+                        dst + static_cast<std::size_t>(y) * stride, nx, w,
+                        std::min(radius, y), std::min(radius, ny - 1 - y));
+          }
+        }
+      },
+      threads);
 }
 
 }  // namespace
 
-void separable_blur(double* src, int nx, int ny, std::size_t stride,
+namespace detail {
+
+void separable_blur_forced(const double* src, double* dst, int nx, int ny,
+                           std::size_t stride, const std::vector<double>& taps,
+                           int threads, int bands, bool avx2) {
+#ifdef EBL_BLUR_AVX2
+  if (avx2) {
+    expects(has_avx2_fma(), "separable_blur_forced: the CPU lacks AVX2");
+    fused_blur(src, dst, nx, ny, stride, taps, threads, bands, kAvx2Kernels);
+    return;
+  }
+#else
+  expects(!avx2, "separable_blur_forced: built without the AVX2 kernels");
+#endif
+  fused_blur(src, dst, nx, ny, stride, taps, threads, bands, kBaselineKernels);
+}
+
+}  // namespace detail
+
+void separable_blur(const double* src, double* dst, int nx, int ny, std::size_t stride,
                     const std::vector<double>& taps, int threads) {
-  expects(!taps.empty(), "separable_blur: empty kernel");
-  const int radius = static_cast<int>(taps.size()) - 1;
-
-  // Scratch for the intermediate image, reused across calls (the PEC loop
-  // blurs the same-sized raster every iteration). Bound through a local
-  // reference: the pass lambdas must all use the *caller's* instance, and a
-  // thread_local name inside a lambda would resolve per executing thread.
-  static thread_local std::vector<double> tmp_storage;
-  std::vector<double>& tmp = tmp_storage;
-  // Size-only resize: the horizontal pass overwrites every element before
-  // anything reads it, so no zero-fill is needed.
-  tmp.resize(static_cast<std::size_t>(nx) * ny);
-
-  // Each pass parallelizes over output rows; a row is produced by one chunk
-  // in a fixed sequential tap order, so the result is bit-identical for any
-  // thread count.
-  parallel_for(
-      static_cast<std::size_t>(ny),
-      [&](std::size_t y0, std::size_t y1) {
-        for (std::size_t y = y0; y < y1; ++y)
-          blur_row(&src[y * stride], &tmp[y * nx], nx, taps.data(), radius);
-      },
-      threads);
-  parallel_for(
-      static_cast<std::size_t>(ny),
-      [&](std::size_t y0, std::size_t y1) {
-        for (std::size_t y = y0; y < y1; ++y)
-          blur_column(tmp.data(), &src[y * stride], nx, y, static_cast<std::size_t>(ny),
-                      taps.data(), radius);
-      },
-      threads);
+  detail::separable_blur_forced(src, dst, nx, ny, stride, taps, threads,
+                                resolve_threads(threads) * kBandsPerThread,
+                                has_avx2_fma());
 }
 
 std::vector<double> gaussian_kernel_taps(double sigma_px) {
@@ -200,7 +422,8 @@ std::vector<double> gaussian_kernel_taps(double sigma_px) {
 }
 
 void separable_blur(Raster& raster, const std::vector<double>& taps, int threads) {
-  separable_blur(raster.data().data(), raster.width(), raster.height(),
+  double* data = raster.data().data();
+  separable_blur(data, data, raster.width(), raster.height(),
                  static_cast<std::size_t>(raster.width()), taps, threads);
 }
 
@@ -213,12 +436,6 @@ void gaussian_blur(Raster& raster, double sigma_dbu, int threads) {
 void box_average(const double* fine, int nx, int ny, int k, int cx0, int cy0,
                  int cw, int ch, double* dst, int threads) {
   expects(k >= 1, "box_average: factor must be positive");
-  if (k == 1 && cx0 >= 0 && cy0 >= 0 && cx0 + cw <= nx && cy0 + ch <= ny) {
-    for (int y = 0; y < ch; ++y)
-      std::copy_n(fine + static_cast<std::size_t>(cy0 + y) * nx + cx0, cw,
-                  dst + static_cast<std::size_t>(y) * cw);
-    return;
-  }
   const double inv = 1.0 / (static_cast<double>(k) * k);
   // Coarse pixels left of the fine raster have no fine pixels; starting the
   // column loop past them keeps a clamp out of its inner loop.
@@ -542,10 +759,18 @@ void ExposureEvaluator::accumulate_long_range() {
 void ExposureEvaluator::blur_long_range() {
   if (!long_base_) return;
   const auto t0 = std::chrono::steady_clock::now();
+  const Raster& base = *long_base_;
   for (TermMap& tm : term_maps_) {
     Raster& m = *tm.map;
-    box_average(long_base_->data().data(), long_base_->width(), long_base_->height(),
-                tm.k, 0, 0, m.width(), m.height(), m.data().data(), opt_.threads);
+    if (tm.k == 1) {
+      // The map has the base's pixels: blur straight out of the base, which
+      // the delta path still needs unblurred.
+      separable_blur(base.data().data(), m.data().data(), m.width(), m.height(),
+                     static_cast<std::size_t>(m.width()), tm.taps, opt_.threads);
+      continue;
+    }
+    box_average(base.data().data(), base.width(), base.height(), tm.k, 0, 0, m.width(),
+                m.height(), m.data().data(), opt_.threads);
     separable_blur(m, tm.taps, opt_.threads);
   }
   perf_.blur_ms += ms_since(t0);

@@ -27,10 +27,12 @@
 //     dose refresh re-gathers the base band by band straight from the shots
 //     (a rectangle re-clipped to the band's rows, a slanted shot's cached
 //     footprint read back for those rows, each weighted by its dose), then
-//     box-averages it onto each term's map (coverage is additive, so this
-//     step is exact) and blurs there. Every kernel is then about
-//     4 * kPixelsPerSigma pixels wide, so one blur suffices: the separable
-//     sliding-window passes, over every term's whole map at every refresh.
+//     box-averages it onto each coarser term's map (coverage is additive,
+//     so this step is exact) and blurs there; a term at the base pixel
+//     blurs straight out of the base. Every kernel is then about
+//     4 * kPixelsPerSigma pixels wide, so one blur suffices: separable_blur's
+//     fused, register-blocked row and column passes, over every term's
+//     whole map at every refresh.
 //   - Dose updates are incremental (see kDeltaThreshold): the evaluator
 //     tracks per-shot dose deltas, and when only a minority of doses moved
 //     it adds just those shots' coverage to the base map, weighted by their
@@ -235,7 +237,8 @@ class ExposureEvaluator {
   // [row0, row1) of the fine base map (see slant_start_).
   void add_shot_coverage(std::size_t i, int row0, int row1, double weight);
   // Re-derives every term map from the fine base: box-average onto the
-  // term's raster, then the separable blur.
+  // term's raster, then the separable blur (a k = 1 term blurs the base
+  // straight into its map).
   void blur_long_range();
 
   // Delta-path internals (see kDeltaThreshold). update_doses takes the
@@ -324,9 +327,8 @@ class ExposureEvaluator {
 /// Separable Gaussian blur of a raster (kernel truncated at 4 sigma), with
 /// sigma given in dbu. The raster is interpreted as coverage-per-pixel; the
 /// result is the normalized convolution such that an all-ones raster stays
-/// all-ones in the interior. Row/column passes run on the thread pool
-/// (threads: 0 = auto, see ExposureOptions::threads); output is identical
-/// for any thread count.
+/// all-ones in the interior. Runs on the thread pool (threads: 0 = auto,
+/// see ExposureOptions::threads); output is identical for any thread count.
 void gaussian_blur(Raster& raster, double sigma_dbu, int threads = 0);
 
 /// The discrete Gaussian blur kernel: taps[j] is the normalized
@@ -335,17 +337,39 @@ void gaussian_blur(Raster& raster, double sigma_dbu, int threads = 0);
 std::vector<double> gaussian_kernel_taps(double sigma_px);
 
 /// Separable symmetric convolution of the raster with explicit taps
-/// (taps[0] center), zero boundaries, in place. The primitive behind
-/// gaussian_blur, exposed for tests and custom kernels.
+/// (taps[0] center, radius r = taps.size() - 1), zero boundaries, in place.
+/// The primitive behind gaussian_blur, exposed for tests and custom kernels.
+///
+/// Summation order, the same on every CPU and for any thread count: the row
+/// pass forms each pixel as taps[0] * c, then + taps[k] * left and
+/// + taps[k] * right for k = 1..r; the column pass combines the row-blurred
+/// rows in the same order (above before below). Taps that fall off the
+/// raster are skipped, not renormalized. The passes are fused in bands of
+/// rows: each band keeps a ring of 2r + 1 row-blurred rows, and the rows
+/// within r of a band boundary are row-blurred once into a halo buffer
+/// first. Scratch is those rows plus one ring per thread, kept per thread
+/// across calls; there is no full-raster intermediate.
 void separable_blur(Raster& raster, const std::vector<double>& taps,
                     int threads = 0);
 
-/// The same passes on an nx x ny window of a row-major buffer whose rows lie
-/// @p stride doubles apart, in place, so a caller can blur part of a larger
-/// raster. Taps that fall off the window are skipped; where the raster is
-/// zero past the window's edge they would only have added zeros.
-void separable_blur(double* data, int nx, int ny, std::size_t stride,
+/// The same blur from an nx x ny window of src into one of dst, both
+/// row-major with rows @p stride doubles apart, so a caller can blur part of
+/// a larger raster or keep its input. src == dst blurs in place; otherwise
+/// the two windows must not overlap. Taps that fall off the window are
+/// skipped; where the raster is zero past the window's edge they would only
+/// have added zeros.
+void separable_blur(const double* src, double* dst, int nx, int ny, std::size_t stride,
                     const std::vector<double>& taps, int threads = 0);
+
+namespace detail {
+/// Test entry point of separable_blur: the same sweep with the band count
+/// (clamped to [1, ny]) and the kernels fixed by the caller instead of by
+/// the thread count and the CPU. avx2 requires has_avx2_fma()
+/// (util/vecmath.h). Every choice gives the same bits.
+void separable_blur_forced(const double* src, double* dst, int nx, int ny,
+                           std::size_t stride, const std::vector<double>& taps,
+                           int threads, int bands, bool avx2);
+}  // namespace detail
 
 /// Box average onto a k-times-coarser grid sharing the fine raster's origin
 /// (nx x ny fine pixels, row-major): coarse pixels [cx0, cx0 + cw) x
@@ -355,8 +379,7 @@ void separable_blur(double* data, int nx, int ny, std::size_t stride,
 /// far edge). Each coarse pixel sums its block rows then columns in
 /// ascending order, whatever region it is computed in, so a partial
 /// extract equals the full map's bit for bit. Rows run on the thread pool;
-/// output is identical for any thread count. k == 1 inside the fine raster
-/// is a plain copy.
+/// output is identical for any thread count.
 void box_average(const double* fine, int nx, int ny, int k, int cx0, int cy0,
                  int cw, int ch, double* dst, int threads = 0);
 

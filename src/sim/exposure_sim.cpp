@@ -90,8 +90,8 @@ void blur_dose_window(Raster& r, const std::vector<double>& taps, int x0, int y0
   const int wx1 = static_cast<int>(std::min<Coord64>(r.width() - 1, x1 + rad));
   const int wy1 = static_cast<int>(std::min<Coord64>(r.height() - 1, y1 + rad));
   const std::size_t stride = static_cast<std::size_t>(r.width());
-  separable_blur(r.data().data() + static_cast<std::size_t>(wy0) * stride + wx0,
-                 wx1 - wx0 + 1, wy1 - wy0 + 1, stride, taps, threads);
+  double* window = r.data().data() + static_cast<std::size_t>(wy0) * stride + wx0;
+  separable_blur(window, window, wx1 - wx0 + 1, wy1 - wy0 + 1, stride, taps, threads);
 }
 
 }  // namespace

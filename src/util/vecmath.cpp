@@ -74,7 +74,7 @@ typedef std::int64_t v4i __attribute__((vector_size(32)));
 
 // The same formula, four lanes at a time. target attribute + runtime
 // dispatch keep the baseline build portable: this function is only called
-// after __builtin_cpu_supports confirms AVX2 and FMA.
+// after has_avx2_fma confirms AVX2 and FMA.
 __attribute__((target("avx2,fma"))) void erf4(const double* x, double* y) {
   v4d v;
   std::memcpy(&v, x, sizeof v);
@@ -108,22 +108,27 @@ __attribute__((target("avx2,fma"))) void erf4(const double* x, double* y) {
   std::memcpy(y, &out, sizeof out);
 }
 
-bool detect_avx2() {
-  __builtin_cpu_init();
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-}
-const bool g_use_avx2 = detect_avx2();
-#else
-const bool g_use_avx2 = false;
 #endif
 
 }  // namespace
+
+bool has_avx2_fma() {
+#if defined(__x86_64__) && defined(__GNUC__)
+  static const bool yes = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+  }();
+  return yes;
+#else
+  return false;
+#endif
+}
 
 double fast_erf(double x) { return erf_core(x); }
 
 void erf_batch(const double* x, double* y, std::size_t n) {
 #ifdef EBL_ERF_AVX2
-  if (g_use_avx2) {
+  if (has_avx2_fma()) {
     std::size_t i = 0;
     for (; i + 4 <= n; i += 4) erf4(x + i, y + i);
     if (i < n) {

@@ -16,11 +16,19 @@
 // regardless of its position in the batch (short tails are padded and run
 // through the same vector kernel), so callers that batch deterministically
 // get bit-identical results for any thread count or batch split.
+//
+// has_avx2_fma is the library's one CPU-feature check: erf_batch and the
+// long-range blur's kernels (pec/exposure.cpp) both dispatch on it.
 #pragma once
 
 #include <cstddef>
 
 namespace ebl {
+
+/// True when the running CPU supports AVX2 and FMA (always false off x86-64
+/// GCC/Clang builds). Detected once per process; the code built with
+/// target("avx2") attributes runs only where this holds.
+bool has_avx2_fma();
 
 /// Scalar companion of erf_batch (same polynomial; may differ from the
 /// vector kernel in the last bits where FMA contraction differs). Use for

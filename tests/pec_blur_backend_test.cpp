@@ -1,18 +1,170 @@
-// Long-range blur tests: the PEC evaluator's per-term maps (each long-range
-// term box-averaged onto its own raster and blurred by the separable
-// passes) and edge cases of that direct blur. The simulator's use of the
-// same per-term maps is checked against a full-resolution reference in
-// sim_test.
+// Long-range blur tests: the fused blur against an in-test copy of the
+// two-pass blur it replaced, bit for bit; the PEC evaluator's per-term maps
+// (each long-range term box-averaged onto its own raster and blurred by the
+// separable passes); and edge cases of that direct blur. The simulator's
+// use of the same per-term maps is checked against a full-resolution
+// reference in sim_test.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "fracture/fracture.h"
 #include "pec/exposure.h"
 #include "util/rng.h"
+#include "util/vecmath.h"
 
 namespace ebl {
 namespace {
+
+// The two-pass blur as it stood before the fused sweep: every row into a
+// full-raster scratch, then every column out of it, each output read,
+// modified and stored once per tap.
+void two_pass_row(const double* in, double* out, int nx, const double* taps,
+                  int radius) {
+  const double k0 = taps[0];
+  for (int x = 0; x < nx; ++x) out[x] = k0 * in[x];
+  for (int k = 1; k <= radius; ++k) {
+    const double wk = taps[k];
+    for (int x = k; x < nx; ++x) out[x] += wk * in[x - k];
+    const int lim = nx - k;
+    for (int x = 0; x < lim; ++x) out[x] += wk * in[x + k];
+  }
+}
+
+void two_pass_column(const double* rows, double* out, int nx, std::size_t y,
+                     std::size_t ny, const double* taps, int radius) {
+  const double* c = rows + y * nx;
+  const double k0 = taps[0];
+  for (int x = 0; x < nx; ++x) out[x] = k0 * c[x];
+  for (int k = 1; k <= radius; ++k) {
+    const double wk = taps[k];
+    if (static_cast<std::int64_t>(y) - k >= 0) {
+      const double* a = rows + (y - k) * nx;
+      for (int x = 0; x < nx; ++x) out[x] += wk * a[x];
+    }
+    if (y + k < ny) {
+      const double* b = rows + (y + k) * nx;
+      for (int x = 0; x < nx; ++x) out[x] += wk * b[x];
+    }
+  }
+}
+
+void two_pass_blur(double* src, int nx, int ny, std::size_t stride,
+                   const std::vector<double>& taps) {
+  const int radius = static_cast<int>(taps.size()) - 1;
+  std::vector<double> tmp(static_cast<std::size_t>(nx) * ny);
+  for (std::size_t y = 0; y < static_cast<std::size_t>(ny); ++y)
+    two_pass_row(&src[y * stride], &tmp[y * nx], nx, taps.data(), radius);
+  for (std::size_t y = 0; y < static_cast<std::size_t>(ny); ++y)
+    two_pass_column(tmp.data(), &src[y * stride], nx, y, static_cast<std::size_t>(ny),
+                    taps.data(), radius);
+}
+
+// Random taps and data: any change of the summation order shows in the bits.
+std::vector<double> random_taps(int radius, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> taps(static_cast<std::size_t>(radius) + 1);
+  for (double& t : taps) t = rng.uniform_real(0.01, 1.0);
+  return taps;
+}
+
+std::vector<double> random_data(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> v(n);
+  for (double& d : v) d = rng.uniform_real(-1.0, 2.0);
+  return v;
+}
+
+// The kernel builds the blur can pick on this CPU: the baseline always,
+// AVX2 where the CPU has it.
+std::vector<bool> kernel_paths() {
+  std::vector<bool> paths{false};
+  if (has_avx2_fma()) paths.push_back(true);
+  return paths;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+constexpr int kRadii[] = {1, 2, 3, 8, 16, 24, 40};
+
+TEST(FusedBlur, MatchesTheTwoPassBlurBitForBit) {
+  // Sizes below the radius on either axis, 1 x 1, and sizes with a vector
+  // block interior plus a scalar remainder. Band counts: one band, a few,
+  // and one row per band (every band shorter than the radius past r = 1).
+  for (const int radius : kRadii) {
+    const std::vector<double> taps = random_taps(radius, 100 + radius);
+    const std::pair<int, int> sizes[] = {
+        {1, 1}, {std::max(1, radius - 1), 5}, {37, std::max(1, radius - 1)},
+        {radius / 2 + 1, radius / 2 + 1}, {53, 41}, {2 * radius + 19, 3 * radius + 7}};
+    for (const auto& [nx, ny] : sizes) {
+      const std::size_t n = static_cast<std::size_t>(nx) * ny;
+      const std::vector<double> input = random_data(n, 7 * nx + ny);
+      std::vector<double> want = input;
+      two_pass_blur(want.data(), nx, ny, static_cast<std::size_t>(nx), taps);
+      for (const int threads : {1, 2, 4}) {
+        for (const int bands : {1, 3, ny}) {
+          for (const bool avx2 : kernel_paths()) {
+            SCOPED_TRACE(testing::Message()
+                         << "radius " << radius << ", " << nx << " x " << ny << ", "
+                         << threads << " threads, " << bands << " bands, avx2 " << avx2);
+            std::vector<double> in_place = input;
+            detail::separable_blur_forced(in_place.data(), in_place.data(), nx, ny,
+                                          static_cast<std::size_t>(nx), taps, threads,
+                                          bands, avx2);
+            EXPECT_TRUE(same_bits(in_place, want));
+            std::vector<double> out(n, -7.0);
+            detail::separable_blur_forced(input.data(), out.data(), nx, ny,
+                                          static_cast<std::size_t>(nx), taps, threads,
+                                          bands, avx2);
+            EXPECT_TRUE(same_bits(out, want));
+          }
+        }
+        // The dispatching entry points pick the same bits.
+        Raster r(Box{0, 0, nx, ny}, 1);
+        r.data() = input;
+        separable_blur(r, taps, threads);
+        EXPECT_TRUE(same_bits(r.data(), want)) << "radius " << radius;
+      }
+    }
+  }
+}
+
+TEST(FusedBlur, StridedWindowMatchesAndLeavesTheRestUntouched) {
+  // A window of a larger raster, blurred in place through the strided
+  // overload: the window equals the two-pass blur of that window, and every
+  // pixel outside it keeps its bits.
+  constexpr int kW = 97, kH = 83;
+  constexpr int kX0 = 13, kY0 = 9, kNx = 61, kNy = 47;
+  const std::vector<double> input = random_data(std::size_t{kW} * kH, 99);
+  const std::size_t offset = std::size_t{kY0} * kW + kX0;
+  for (const int radius : kRadii) {
+    const std::vector<double> taps = random_taps(radius, 200 + radius);
+    std::vector<double> want = input;
+    two_pass_blur(want.data() + offset, kNx, kNy, kW, taps);
+    for (const int threads : {1, 2, 4}) {
+      for (const int bands : {1, 4, kNy}) {
+        for (const bool avx2 : kernel_paths()) {
+          SCOPED_TRACE(testing::Message() << "radius " << radius << ", " << threads
+                                          << " threads, " << bands << " bands, avx2 "
+                                          << avx2);
+          std::vector<double> got = input;
+          detail::separable_blur_forced(got.data() + offset, got.data() + offset, kNx,
+                                        kNy, kW, taps, threads, bands, avx2);
+          EXPECT_TRUE(same_bits(got, want));
+        }
+      }
+      std::vector<double> got = input;
+      separable_blur(got.data() + offset, got.data() + offset, kNx, kNy, kW, taps,
+                     threads);
+      EXPECT_TRUE(same_bits(got, want)) << "radius " << radius;
+    }
+  }
+}
 
 ShotList pad_and_island() {
   PolygonSet s;

@@ -42,7 +42,8 @@
 // and flushes the job in flight, then exits 0 at the next frame boundary.
 // The stop signals are blocked everywhere except inside the idle wait
 // (ppoll), so a stop is honored the moment the daemon is idle — while
-// listening or between frames — and never lost in a race with that wait.
+// listening, waiting for a connection's first frame, or between frames —
+// and never lost in a race with that wait.
 //
 // Fault injection: the chaos half of the supervision contract is tested by
 // making real workers misbehave on purpose. A plan comes from --fault or the
@@ -76,6 +77,7 @@
 
 #include <poll.h>
 #include <signal.h>
+#include <time.h>
 
 #include "fault_plan.h"
 #include "pec/sharded.h"
@@ -119,12 +121,24 @@ void install_stop_handlers() {
 
 // Stop-aware idle wait for readability of @p fd. Returns false when a stop
 // was requested first — the caller exits cleanly at the frame boundary it
-// is sitting on.
-bool wait_readable_or_stop(int fd) {
+// is sitting on. Throws TimeoutError once @p deadline passes first (the
+// default waits forever).
+bool wait_readable_or_stop(int fd, std::chrono::steady_clock::time_point deadline =
+                                       std::chrono::steady_clock::time_point::max()) {
+  const bool bounded = deadline != std::chrono::steady_clock::time_point::max();
   for (;;) {
     if (g_stop) return false;
+    struct timespec left = {};
+    if (bounded) {
+      const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                          deadline - std::chrono::steady_clock::now())
+                          .count();
+      if (ns <= 0) throw TimeoutError("pec_worker: no frame before the deadline");
+      left.tv_sec = static_cast<time_t>(ns / 1000000000);
+      left.tv_nsec = static_cast<long>(ns % 1000000000);
+    }
     struct pollfd pfd = {fd, POLLIN, 0};
-    const int rv = ::ppoll(&pfd, 1, nullptr, &g_wait_mask);
+    const int rv = ::ppoll(&pfd, 1, bounded ? &left : nullptr, &g_wait_mask);
     if (rv < 0) {
       if (errno == EINTR) continue;  // loop re-checks g_stop
       throw DataError(std::string("pec_worker: poll failed: ") +
@@ -226,11 +240,15 @@ void serve_session(net::TcpSocket& sock, DaemonState& st,
                    const FaultPlan& fault) {
   const int fd = sock.fd();
   // The client speaks first; bound its first frame so a connect-and-stall
-  // client cannot wedge the daemon for everyone behind it. A client that
-  // connects and leaves without a word is a clean end, not worth a log line.
+  // client cannot wedge the daemon for everyone behind it. The wait for it
+  // is stop-aware like every idle wait, so a stop is not held up by a
+  // silent client. A client that connects and leaves without a word is a
+  // clean end, not worth a log line.
   auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
   wire::Frame frame;
-  while (wire::read_frame(fd, &frame, deadline)) {
+  for (;;) {
+    if (!wait_readable_or_stop(fd, deadline)) return;  // stop requested
+    if (!wire::read_frame(fd, &frame, deadline)) return;  // client closed
     if (frame.type == wire::MsgType::kPing)
       wire::write_frame(fd, wire::MsgType::kPong, frame.payload);
     else if (frame.type == wire::MsgType::kShardJob)
@@ -238,7 +256,6 @@ void serve_session(net::TcpSocket& sock, DaemonState& st,
     else
       throw DataError("pec_worker: expected a shard job or a ping frame");
     deadline = std::chrono::steady_clock::time_point::max();
-    if (!wait_readable_or_stop(fd)) return;  // stop requested; session over
   }
 }
 
