@@ -124,7 +124,7 @@ PrepResult run_data_prep(const PolygonSet& geometry, const PrepOptions& options)
   return run_pipeline(
       options, "fracture",
       [&](PrepResult& result) {
-        FractureResult frac = fracture(geometry, options.fracture);
+        FractureResult frac = fracture(geometry, options.fracture, options.threads);
         result.fracture = frac.stats;
         result.shots = std::move(frac.shots);
       },
@@ -149,7 +149,7 @@ PrepResult run_data_prep(const PrepOptions& options) {
       options, "ingest",
       [&, collect](PrepResult& result) {
         StreamFractureResult r =
-            stream_fracture(*stream, options.ingest, options.fracture, collect);
+            stream_fracture(*stream, options.ingest, options.fracture, collect, options.threads);
         if (r.ingest.polygons == 0)
           throw DataError("run_data_prep: no geometry on the requested layer in " +
                           options.input_path);

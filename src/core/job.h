@@ -36,11 +36,13 @@ struct PrepEpeOptions {
 struct PrepOptions {
   FractureOptions fracture;
 
-  /// Worker threads for every parallel stage the pipeline runs (today: the
-  /// PEC exposure evaluator). Follows the codebase-wide precedence: a
-  /// per-stage knob set explicitly (pec.exposure.threads != 0) wins over
-  /// this value; 0 here defers to the EBL_THREADS environment variable and
-  /// then to hardware concurrency. Results are identical for any value.
+  /// Worker threads for every parallel stage the pipeline runs: the boolean
+  /// merge in front of fracture, the PEC exposure evaluator, the field
+  /// partition and the EPE simulation. Follows the codebase-wide
+  /// precedence: a per-stage knob set explicitly (pec.exposure.threads or
+  /// epe->score.sim.threads != 0) wins over this value; 0 here defers to
+  /// the EBL_THREADS environment variable and then to hardware
+  /// concurrency. Results are identical for any value.
   int threads = 0;
 
   /// Proximity correction: when set, the iterative corrector runs with this

@@ -174,10 +174,10 @@ void check_fracture_input(const Polygon& p, const FractureOptions& options) {
     throw DataError("fracture: rectangles strategy requires rectilinear input");
 }
 
-FractureResult fracture(const PolygonSet& set, const FractureOptions& options) {
+FractureResult fracture(const PolygonSet& set, const FractureOptions& options, int threads) {
   for (const Polygon& p : set.polygons()) check_fracture_input(p, options);
   const bool merge = options.strategy != FractureStrategy::bands;
-  return fracture(set.trapezoids(merge), options);
+  return fracture(set.trapezoids(merge, threads), options);
 }
 
 }  // namespace ebl

@@ -51,10 +51,12 @@ struct FractureResult {
 /// fracture(PolygonSet) and of the streamed path, one polygon at a time.
 void check_fracture_input(const Polygon& p, const FractureOptions& options);
 
-/// Fractures the merged region of @p set into shots.
+/// Fractures the merged region of @p set into shots. The merge runs on
+/// @p threads (0 = auto); the shots are the same bits for any count.
 /// Throws DataError when strategy == rectangles and the input is not
 /// rectilinear.
-FractureResult fracture(const PolygonSet& set, const FractureOptions& options = {});
+FractureResult fracture(const PolygonSet& set, const FractureOptions& options = {},
+                        int threads = 0);
 
 /// Fractures an already-decomposed trapezoid list (splitting + stats only).
 FractureResult fracture(const std::vector<Trapezoid>& traps,

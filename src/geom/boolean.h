@@ -14,7 +14,10 @@
 //      O(segments)); each touching pair is tested once, in the cell holding
 //      the min corner of the bboxes' intersection, as (i, j) with i < j in
 //      (lo.y, lo.x) order, because the rounded cut point depends on the
-//      argument order.
+//      argument order. The grid rows run in parallel parts of about equal
+//      pair work; each part collects (segment, point) cuts, which are
+//      gathered per segment by count -> scan -> fill and sorted and
+//      deduplicated there, so the cut set does not depend on the part count.
 //   3. A sweep over the y-event bands orders the (now crossing-free) segments
 //      exactly by rational x and accumulates per-group winding numbers.
 //      Maximal inside intervals become horizontal trapezoids. The active
@@ -24,7 +27,20 @@
 //      sub-band crossings leave, and new segments are merged in. The key
 //      (x@y0, x@y1, segment id) is a strict total order, so it has exactly
 //      one sorted permutation: the kept order is the one a full sort of
-//      every band would give.
+//      every band would give. That makes the sweep separable in y: the
+//      bands are cut into slabs of about equal active-entry work (count ->
+//      exclusive scan over segment starts and ends), each slab seeds its
+//      first band with a full sort of the segments crossing its bottom, and
+//      the slabs run in parallel, a wave of one slab per thread at a time.
+//      Each slab counts its own bands and intervals; the calling thread
+//      sums them into stats() and takes the waves' bands in order, moving
+//      them into bands() or folding them into trapezoids() as they come, so
+//      trapezoids() never holds the whole band list.
+//
+// Steps 2 and 3 run on the thread count each query is given (0 = auto, as
+// resolve_threads); below a small amount of work they run as one part on
+// the calling thread. Every output and stats() are the same bits for any
+// thread count.
 //
 // The native output is a set of trapezoid bands — the primitive e-beam
 // machine formats want anyway. Polygon reconstruction (boundary stitching)
@@ -36,6 +52,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "geom/polygon.h"
@@ -80,6 +97,21 @@ struct BooleanStats {
   std::size_t intervals = 0;        ///< inside intervals (= raw trapezoids)
 };
 
+class BooleanEngine;
+
+namespace detail {
+/// Test entry points of BooleanEngine::bands and ::trapezoids: the same
+/// engine with the sweep's slab count and the pair tests' part count both
+/// fixed at @p pieces (each clamped to [1, bands] or [1, grid rows])
+/// instead of picked from the thread count and the work. Every choice gives
+/// the same bits, and stats() reads as after the public call.
+std::vector<Band> boolean_bands_forced(const BooleanEngine& eng, BoolOp op, int threads,
+                                       std::size_t pieces);
+std::vector<Trapezoid> boolean_trapezoids_forced(const BooleanEngine& eng, BoolOp op,
+                                                 bool merge_vertical, int threads,
+                                                 std::size_t pieces);
+}  // namespace detail
+
 /// Two-group polygon boolean engine. Add geometry, then query one result.
 /// Querying does not consume the inputs; several ops may be queried.
 class BooleanEngine {
@@ -103,15 +135,18 @@ class BooleanEngine {
   void add_raw(const SimplePolygon& contour, int group = 0);
 
   /// Runs the sweep and returns the band decomposition of the result.
-  std::vector<Band> bands(BoolOp op) const;
+  /// @p threads follows resolve_threads (0 = auto); the result and stats()
+  /// are the same bits for any thread count.
+  std::vector<Band> bands(BoolOp op, int threads = 0) const;
 
   /// Result as trapezoids. With @p merge_vertical, collinear trapezoids in
   /// adjacent bands are fused (fewer figures — the fracture optimization
   /// measured in bench_fracture).
-  std::vector<Trapezoid> trapezoids(BoolOp op, bool merge_vertical = true) const;
+  std::vector<Trapezoid> trapezoids(BoolOp op, bool merge_vertical = true,
+                                    int threads = 0) const;
 
   /// Result as polygons with holes (boundary stitching over the bands).
-  std::vector<Polygon> polygons(BoolOp op) const;
+  std::vector<Polygon> polygons(BoolOp op, int threads = 0) const;
 
   /// Stats of the most recent bands()/trapezoids()/polygons() call.
   const BooleanStats& stats() const { return stats_; }
@@ -125,9 +160,26 @@ class BooleanEngine {
     std::int8_t group;   // 0 = A, 1 = B
   };
 
+  friend std::vector<Band> detail::boolean_bands_forced(const BooleanEngine&, BoolOp, int,
+                                                        std::size_t);
+  friend std::vector<Trapezoid> detail::boolean_trapezoids_forced(const BooleanEngine&, BoolOp,
+                                                                  bool, int, std::size_t);
+
   void add_contour(const SimplePolygon& poly, int group, bool as_given);
 
-  std::vector<Seg> split_segments() const;
+  /// Splits segs_ at their crossings on @p threads (resolved) in @p parts
+  /// pair-test parts (0 = picked from the threads and the work).
+  std::vector<Seg> split_segments(int threads, std::size_t parts, BooleanStats& stats) const;
+
+  /// Splits the segments and sweeps them on @p threads (0 = auto) in
+  /// @p slabs y-slabs, with as many pair-test parts (0 picks both from the
+  /// threads and the work). Hands the bands to @p take on the calling
+  /// thread, bottom to top, a slab's worth per call, and sets stats_.
+  void sweep(BoolOp op, int threads, std::size_t slabs,
+             const std::function<void(std::vector<Band>&)>& take) const;
+  std::vector<Band> sweep_bands(BoolOp op, int threads, std::size_t slabs) const;
+  std::vector<Trapezoid> sweep_trapezoids(BoolOp op, bool merge_vertical, int threads,
+                                          std::size_t slabs) const;
 
   std::vector<Seg> segs_;
   mutable BooleanStats stats_;

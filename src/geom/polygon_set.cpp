@@ -83,10 +83,10 @@ std::vector<Band> PolygonSet::bands() const {
   return eng.bands(BoolOp::Or);
 }
 
-std::vector<Trapezoid> PolygonSet::trapezoids(bool merge_vertical) const {
+std::vector<Trapezoid> PolygonSet::trapezoids(bool merge_vertical, int threads) const {
   BooleanEngine eng;
   for (const auto& p : polys_) eng.add(p, 0);
-  return eng.trapezoids(BoolOp::Or, merge_vertical);
+  return eng.trapezoids(BoolOp::Or, merge_vertical, threads);
 }
 
 PolygonSet PolygonSet::transformed(const Trans& t) const {

@@ -60,8 +60,9 @@ class PolygonSet {
   /// Band decomposition of the merged region.
   std::vector<Band> bands() const;
 
-  /// Trapezoid decomposition (the fracture primitive).
-  std::vector<Trapezoid> trapezoids(bool merge_vertical = true) const;
+  /// Trapezoid decomposition (the fracture primitive), merged on @p threads
+  /// (0 = auto; the same bits for any count).
+  std::vector<Trapezoid> trapezoids(bool merge_vertical = true, int threads = 0) const;
 
   PolygonSet transformed(const Trans& t) const;
 

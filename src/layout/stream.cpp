@@ -163,7 +163,7 @@ IngestStats stream_layer(LayoutStream& stream, const IngestOptions& options,
 StreamFractureResult stream_fracture(LayoutStream& stream,
                                      const IngestOptions& options,
                                      const FractureOptions& fracture_options,
-                                     PolygonSet* collect) {
+                                     PolygonSet* collect, int threads) {
   // Mirror fracture(PolygonSet): same rectilinearity contract, same engine,
   // same add order — so the trapezoids (and therefore the shots) come out
   // bitwise-identical to the in-RAM path.
@@ -176,7 +176,7 @@ StreamFractureResult stream_fracture(LayoutStream& stream,
       });
   const bool merge = fracture_options.strategy != FractureStrategy::bands;
   StreamFractureResult out;
-  out.fracture = fracture(eng.trapezoids(BoolOp::Or, merge), fracture_options);
+  out.fracture = fracture(eng.trapezoids(BoolOp::Or, merge, threads), fracture_options);
   out.ingest = ingest;
   return out;
 }

@@ -263,9 +263,10 @@ struct StreamFractureResult {
 /// fracture(lib.flatten(top, layer), options) on the same file.
 /// @p collect, when non-null, additionally accumulates the flattened
 /// geometry (used by the pipeline's EPE stage, which needs the target).
+/// The merge runs on @p threads (0 = auto), as in fracture(PolygonSet).
 StreamFractureResult stream_fracture(LayoutStream& stream,
                                      const IngestOptions& options,
                                      const FractureOptions& fracture_options,
-                                     PolygonSet* collect = nullptr);
+                                     PolygonSet* collect = nullptr, int threads = 0);
 
 }  // namespace ebl

@@ -1,12 +1,16 @@
 // Tests for the fracturing engine, shot splitting and EBF records.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 
 #include "core/patterns.h"
 #include "fracture/ebf.h"
 #include "fracture/fracture.h"
 #include "geom/curves.h"
+#include "layout/library.h"
+#include "layout/oasis.h"
+#include "layout/stream.h"
 #include "util/contracts.h"
 #include "util/rng.h"
 
@@ -195,6 +199,57 @@ TEST_P(FractureProperty, AreaConservation) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FractureProperty, ::testing::Range(0, 6));
+
+// The merge in front of fracture runs on the pipeline's threads. A layout
+// with enough overlapping boxes and triangles that both the boolean's pair
+// tests and its band sweep split into parallel parts at 4 threads gives the
+// same shots through the streamed and the in-RAM path, at 1 and 4 threads.
+TEST(Fracture, StreamedAndInRamShotsAgreeAtOneAndFourThreads) {
+  constexpr LayerKey kLayer{1, 0};
+  Library lib("SOUP");
+  const CellId leaf = lib.add_cell("LEAF");
+  Rng rng(31);
+  for (int i = 0; i < 600; ++i) {
+    const Point a{static_cast<Coord>(rng.uniform(0, 12000)),
+                  static_cast<Coord>(rng.uniform(0, 12000))};
+    const Point b = a + Point{static_cast<Coord>(rng.uniform(50, 900)),
+                              static_cast<Coord>(rng.uniform(50, 900))};
+    if (i % 3 != 0) {
+      lib.cell(leaf).add_shape(kLayer, Box{a, b});
+    } else {
+      lib.cell(leaf).add_shape(kLayer, SimplePolygon{{a, {b.x, a.y}, {a.x, b.y}}});
+    }
+  }
+  const CellId top = lib.add_cell("TOP");
+  Reference grid;
+  grid.child = leaf;
+  grid.cols = 2;
+  grid.rows = 2;
+  grid.col_step = {9000, 0};
+  grid.row_step = {0, 9000};
+  lib.cell(top).add_reference(grid);
+  Reference turned;
+  turned.child = leaf;
+  turned.trans = CTrans{Point{20000, 4000}, 90.0, 1.0, false};
+  lib.cell(top).add_reference(turned);
+
+  FractureOptions fopt;
+  fopt.max_shot_size = 2000;
+  const PolygonSet flat = lib.flatten(top, kLayer);
+  const FractureResult reference = fracture(flat, fopt, 1);
+  ASSERT_GT(reference.shots.size(), 1000u);
+  IngestOptions iopt;
+  iopt.layer = kLayer;
+  for (const int threads : {1, 4}) {
+    EXPECT_EQ(fracture(flat, fopt, threads).shots, reference.shots) << "threads " << threads;
+    auto oas = std::make_unique<std::stringstream>(std::ios::in | std::ios::out |
+                                                   std::ios::binary);
+    write_oas(lib, *oas);
+    const auto stream = open_oas_stream(std::move(oas));
+    const StreamFractureResult streamed = stream_fracture(*stream, iopt, fopt, nullptr, threads);
+    EXPECT_EQ(streamed.fracture.shots, reference.shots) << "threads " << threads;
+  }
+}
 
 }  // namespace
 }  // namespace ebl

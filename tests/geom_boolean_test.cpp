@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
+#include <string>
 #include <string_view>
 
 #include "fracture/fracture.h"
@@ -518,9 +520,18 @@ TEST_P(BooleanDegenerateSoups, ManhattanLatticeIsExact) {
   }
 }
 
-TEST_P(BooleanDegenerateSoups, AllAngleFractureConservesArea) {
-  Rng rng(9090 + GetParam());
-  const Point origin = kOrigins[GetParam() % 4];
+// Triangles on the lattice (they share vertices and overlap collinearly;
+// collinear draws are zero-area contours and are kept), each in a random
+// group, then one group-1 triangle with an edge across the whole extent (the
+// full grid on every fifth seed). In drawing order, with their groups.
+struct GroupedTriangle {
+  SimplePolygon tri;
+  int group;
+};
+
+std::vector<GroupedTriangle> lattice_triangles(int seed) {
+  Rng rng(9090 + seed);
+  const Point origin = kOrigins[seed % 4];
   const auto at = [&](std::int64_t cx, std::int64_t cy) {
     return Point{static_cast<Coord>(origin.x + kLattice * cx),
                  static_cast<Coord>(origin.y + kLattice * cy)};
@@ -528,22 +539,24 @@ TEST_P(BooleanDegenerateSoups, AllAngleFractureConservesArea) {
   const auto lattice_point = [&] {
     return at(rng.uniform(0, kCells), rng.uniform(0, kCells));
   };
+  std::vector<GroupedTriangle> soup;
+  for (int i = 0; i < 16; ++i) {
+    const SimplePolygon tri{{lattice_point(), lattice_point(), lattice_point()}};
+    soup.push_back({tri, static_cast<int>(rng.uniform(0, 1))});
+  }
+  soup.push_back({seed % 5 == 4 ? SimplePolygon{{{kMin, kMin}, {kMax, kMin + 7}, at(6, 8)}}
+                                : SimplePolygon{{at(0, 0), at(kCells, 3), at(5, 7)}},
+                  1});
+  return soup;
+}
+
+TEST_P(BooleanDegenerateSoups, AllAngleFractureConservesArea) {
   PolygonSet sets[2];
   BooleanEngine eng;
-  for (int i = 0; i < 16; ++i) {
-    // Lattice triangles share vertices and overlap collinearly; collinear
-    // draws are zero-area contours and are kept.
-    const SimplePolygon tri{{lattice_point(), lattice_point(), lattice_point()}};
-    const int g = static_cast<int>(rng.uniform(0, 1));
-    sets[g].insert(tri);
-    eng.add(tri, g);
+  for (const GroupedTriangle& t : lattice_triangles(GetParam())) {
+    sets[t.group].insert(t.tri);
+    eng.add(t.tri, t.group);
   }
-  // One edge across the whole extent (the full grid on every fifth seed).
-  const SimplePolygon wide = GetParam() % 5 == 4
-                                 ? SimplePolygon{{{kMin, kMin}, {kMax, kMin + 7}, at(6, 8)}}
-                                 : SimplePolygon{{at(0, 0), at(kCells, 3), at(5, 7)}};
-  sets[1].insert(wide);
-  eng.add(wide, 1);
 
   for (int g = 0; g < 2; ++g) {
     for (FractureStrategy strategy : {FractureStrategy::merged_traps, FractureStrategy::bands}) {
@@ -662,6 +675,137 @@ TEST(Boolean, SeededSoupsMatchParentDigests) {
   add_triangle_soup(all_angle, 200, 6, 1);
   EXPECT_EQ(engine_digest(manhattan), 0x57bbe19e286f8122ull);
   EXPECT_EQ(engine_digest(all_angle), 0x9f9fa145cec76135ull);
+}
+
+// ---------------------------------------------------------------------------
+// Thread and slab counts: the sweep's y-slabs and the parallel pair tests
+// give the bits of one single-threaded sweep for any count.
+// ---------------------------------------------------------------------------
+
+bool same_bands(const std::vector<Band>& a, const std::vector<Band>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const std::vector<BandInterval>& ia = a[i].intervals;
+    const std::vector<BandInterval>& ib = b[i].intervals;
+    if (a[i].y0 != b[i].y0 || a[i].y1 != b[i].y1 || ia.size() != ib.size()) return false;
+    if (!ia.empty() && std::memcmp(ia.data(), ib.data(), ia.size() * sizeof(BandInterval)) != 0)
+      return false;
+  }
+  return true;
+}
+
+bool same_traps(const std::vector<Trapezoid>& a, const std::vector<Trapezoid>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(Trapezoid)) == 0);
+}
+
+bool same_stats(const BooleanStats& a, const BooleanStats& b) {
+  return a.input_edges == b.input_edges && a.split_edges == b.split_edges &&
+         a.split_rounds == b.split_rounds && a.bands == b.bands && a.intervals == b.intervals;
+}
+
+// Polygons, or the stitcher's message when it rejects the band geometry.
+struct Stitched {
+  std::vector<Polygon> polys;
+  std::string error;
+  bool operator==(const Stitched&) const = default;
+};
+
+template <class F>
+Stitched stitched(F&& polygons) {
+  Stitched out;
+  try {
+    out.polys = polygons();
+  } catch (const std::exception& e) {
+    out.error = e.what();
+  }
+  return out;
+}
+
+// Checks every output of @p eng for @p op at threads 1-4, through the public
+// calls and with the slab and part counts forced to 1, 2, 7 and one band per
+// slab, against the single-threaded bands() and the free functions over
+// them. Returns how many of the bands'
+// intervals a repair made: coalesced (no supporting right segment) or
+// inverted at the top by a residual crossing.
+std::size_t expect_same_bits_for_any_split(const BooleanEngine& eng, BoolOp op,
+                                           const std::string& what) {
+  const std::vector<Band> ref = detail::boolean_bands_forced(eng, op, 1, 1);  // one sweep
+  const BooleanStats ref_stats = eng.stats();
+  const std::vector<Trapezoid> ref_merged = merge_trapezoids_vertically(ref);
+  const std::vector<Trapezoid> ref_flat = band_trapezoids(ref);
+  const Stitched ref_polys = stitched([&] { return stitch_bands(ref); });
+  for (int threads = 1; threads <= 4; ++threads) {
+    const std::string at = what + " op " + std::to_string(int(op)) + " threads " +
+                           std::to_string(threads);
+    EXPECT_TRUE(same_bands(eng.bands(op, threads), ref)) << at;
+    EXPECT_TRUE(same_stats(eng.stats(), ref_stats)) << at;
+    EXPECT_TRUE(same_traps(eng.trapezoids(op, true, threads), ref_merged)) << at;
+    EXPECT_TRUE(same_stats(eng.stats(), ref_stats)) << at;
+    EXPECT_TRUE(same_traps(eng.trapezoids(op, false, threads), ref_flat)) << at;
+    EXPECT_TRUE(stitched([&] { return eng.polygons(op, threads); }) == ref_polys) << at;
+    EXPECT_TRUE(same_stats(eng.stats(), ref_stats)) << at;
+    for (const std::size_t pieces : {std::size_t{1}, std::size_t{2}, std::size_t{7},
+                                     std::numeric_limits<std::size_t>::max()}) {
+      const std::string forced = at + " pieces " + std::to_string(pieces);
+      const std::vector<Band> got = detail::boolean_bands_forced(eng, op, threads, pieces);
+      EXPECT_TRUE(same_bands(got, ref)) << forced;
+      EXPECT_TRUE(same_stats(eng.stats(), ref_stats)) << forced;
+      EXPECT_TRUE(same_traps(merge_trapezoids_vertically(got), ref_merged)) << forced;
+      EXPECT_TRUE(same_traps(band_trapezoids(got), ref_flat)) << forced;
+      EXPECT_TRUE(stitched([&] { return stitch_bands(got); }) == ref_polys) << forced;
+      // trapezoids() folds each wave of slabs into the figures as it ends.
+      EXPECT_TRUE(same_traps(detail::boolean_trapezoids_forced(eng, op, true, threads, pieces),
+                             ref_merged)) << forced;
+      EXPECT_TRUE(same_stats(eng.stats(), ref_stats)) << forced;
+      EXPECT_TRUE(same_traps(detail::boolean_trapezoids_forced(eng, op, false, threads, pieces),
+                             ref_flat)) << forced;
+    }
+  }
+  std::size_t repaired = 0;
+  for (const Band& b : ref)
+    for (const BandInterval& iv : b.intervals)
+      if (iv.right_seg < 0 || iv.xl1 > iv.xr1) ++repaired;
+  return repaired;
+}
+
+TEST(Boolean, ThreadAndSlabCountDoNotChangeABit) {
+  constexpr BoolOp kOps[] = {BoolOp::Or, BoolOp::And, BoolOp::Sub, BoolOp::Xor};
+  // The seeded soups of SeededSoupsMatchParentDigests: enough bands and
+  // crossings for several slabs and pair-test parts.
+  BooleanEngine manhattan;
+  add_manhattan_soup(manhattan, 400, 1, 0);
+  add_manhattan_soup(manhattan, 400, 2, 1);
+  BooleanEngine all_angle;
+  add_triangle_soup(all_angle, 200, 5, 0);
+  add_triangle_soup(all_angle, 200, 6, 1);
+  std::size_t repaired = 0;
+  for (BoolOp op : kOps) {
+    expect_same_bits_for_any_split(manhattan, op, "manhattan soup");
+    repaired += expect_same_bits_for_any_split(all_angle, op, "triangle soup");
+  }
+  // The soups of BooleanDegenerateSoups: shared vertices, collinear
+  // overlaps, zero-area contours and coordinates at the ends of the grid.
+  for (int seed = 0; seed < 20; ++seed) {
+    Rng rng(4242 + seed);
+    const ManhattanSoup boxes = lattice_boxes(rng, kOrigins[seed % 4], seed % 5 == 4);
+    BooleanEngine lattice;
+    for (int g = 0; g < 2; ++g)
+      for (const Box& b : boxes.boxes[g]) lattice.add(b, g);
+    BooleanEngine triangles;
+    for (const GroupedTriangle& t : lattice_triangles(seed)) triangles.add(t.tri, t.group);
+    for (BoolOp op : kOps) {
+      expect_same_bits_for_any_split(lattice, op, "lattice boxes " + std::to_string(seed));
+      repaired += expect_same_bits_for_any_split(triangles, op,
+                                                 "lattice triangles " + std::to_string(seed));
+    }
+  }
+  // With one band per slab every band is a slab's first, seeded by a full
+  // sort instead of the previous band's order. Some of those bands hold a
+  // coalesced or inverted interval, and several lattice triangle soups hold
+  // bands whose inherited order needs the insertion repair (a sweep without
+  // that repair fails here).
+  EXPECT_GT(repaired, 0u);
 }
 
 }  // namespace

@@ -523,6 +523,28 @@ TEST(PecNet, DaemonExitsZeroOnSigtermBehindASilentClient) {
   EXPECT_LT(clock_t_::now() - t0, std::chrono::seconds(2));
 }
 
+// A client that stalls inside a frame mid-session does not hold up a stop
+// for longer than the daemon's 10-s frame bound: the rest of a begun frame
+// is read against that bound, not forever with the stop signals blocked.
+TEST(PecNet, DaemonExitsZeroOnSigtermBehindAStalledFrame) {
+  if (!worker_available()) GTEST_SKIP() << "pec_worker binary not built";
+  ListeningChild daemon = spawn_daemon();
+  net::TcpSocket s = connect_and_ping(daemon.port);
+  const std::string next =
+      wire::encode_framed(wire::MsgType::kPing, wire::encode_token(2));
+  write_all(s.fd(), next.data(), 5);  // part of the next frame's header
+  // Give the daemon time to start reading that frame.
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const auto t0 = clock_t_::now();
+  ASSERT_EQ(::kill(daemon.proc.pid(), SIGTERM), 0);
+  std::optional<int> status;
+  while (!(status = daemon.proc.try_wait()) && clock_t_::now() - t0 < std::chrono::seconds(20))
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  ASSERT_TRUE(status.has_value()) << "daemon still running 20 s after SIGTERM";
+  EXPECT_EQ(*status, 0);
+  EXPECT_LT(clock_t_::now() - t0, std::chrono::seconds(12));
+}
+
 // True once @p pid has exited: gone, or a zombie nobody reaped yet (an
 // orphan's new parent may be slow to reap, or never reap, in a container).
 bool exited(pid_t pid) {

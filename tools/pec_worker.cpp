@@ -239,23 +239,28 @@ void serve_job(const wire::Frame& frame, int results_fd, DaemonState& st,
 void serve_session(net::TcpSocket& sock, DaemonState& st,
                    const FaultPlan& fault) {
   const int fd = sock.fd();
-  // The client speaks first; bound its first frame so a connect-and-stall
-  // client cannot wedge the daemon for everyone behind it. The wait for it
-  // is stop-aware like every idle wait, so a stop is not held up by a
-  // silent client. A client that connects and leaves without a word is a
-  // clean end, not worth a log line.
-  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  // The client speaks first; bound the wait for its first frame so a
+  // connect-and-stall client cannot wedge the daemon for everyone behind
+  // it. Later frames may be as far apart as the client likes. Every such
+  // wait is stop-aware, so a stop is not held up by a silent client. Once a
+  // frame has begun, the rest of it is read with the stop signals blocked,
+  // so it gets the same bound: a client that stalls inside a frame costs at
+  // most that long, a stop included. A client that connects and leaves
+  // without a word is a clean end, not worth a log line.
+  constexpr auto kFrameBound = std::chrono::seconds(10);
+  auto idle_deadline = std::chrono::steady_clock::now() + kFrameBound;
   wire::Frame frame;
   for (;;) {
-    if (!wait_readable_or_stop(fd, deadline)) return;  // stop requested
-    if (!wire::read_frame(fd, &frame, deadline)) return;  // client closed
+    if (!wait_readable_or_stop(fd, idle_deadline)) return;  // stop requested
+    if (!wire::read_frame(fd, &frame, std::chrono::steady_clock::now() + kFrameBound))
+      return;  // client closed
     if (frame.type == wire::MsgType::kPing)
       wire::write_frame(fd, wire::MsgType::kPong, frame.payload);
     else if (frame.type == wire::MsgType::kShardJob)
       serve_job(frame, fd, st, fault);
     else
       throw DataError("pec_worker: expected a shard job or a ping frame");
-    deadline = std::chrono::steady_clock::time_point::max();
+    idle_deadline = std::chrono::steady_clock::time_point::max();
   }
 }
 
