@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <string>
+#include <tuple>
 
 #include "util/contracts.h"
 
@@ -46,9 +47,14 @@ double shoelace(const std::vector<DPt>& poly) {
 }  // namespace
 
 Raster::Raster(const Box& frame, Coord pixel_size) : pix_(pixel_size) {
+  origin_ = frame.lo;
+  std::tie(nx_, ny_) = grid_size(frame, pixel_size);
+  data_.assign(static_cast<std::size_t>(nx_) * ny_, 0.0);
+}
+
+std::pair<int, int> Raster::grid_size(const Box& frame, Coord pixel_size) {
   expects(pixel_size > 0, "Raster: pixel size must be positive");
   expects(!frame.empty(), "Raster: frame must be non-empty");
-  origin_ = frame.lo;
   const auto pixels = [&](Coord64 extent) {
     const Coord64 n = std::max<Coord64>(1, (extent + pixel_size - 1) / pixel_size);
     if (n > std::numeric_limits<int>::max()) {
@@ -61,9 +67,7 @@ Raster::Raster(const Box& frame, Coord pixel_size) : pix_(pixel_size) {
     }
     return static_cast<int>(n);
   };
-  nx_ = pixels(frame.width());
-  ny_ = pixels(frame.height());
-  data_.assign(static_cast<std::size_t>(nx_) * ny_, 0.0);
+  return {pixels(frame.width()), pixels(frame.height())};
 }
 
 double& Raster::at(int ix, int iy) {

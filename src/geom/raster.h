@@ -21,6 +21,10 @@ class Raster {
   /// when it spans more than INT_MAX pixels on either axis.
   Raster(const Box& frame, Coord pixel_size);
 
+  /// The pixel counts (width, height) the constructor lays over @p frame,
+  /// without allocating the grid. Throws the constructor's DataError.
+  static std::pair<int, int> grid_size(const Box& frame, Coord pixel_size);
+
   int width() const { return nx_; }
   int height() const { return ny_; }
   Coord pixel_size() const { return pix_; }

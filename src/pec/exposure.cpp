@@ -433,33 +433,49 @@ void gaussian_blur(Raster& raster, double sigma_dbu, int threads) {
                  threads);
 }
 
-void box_average(const double* fine, int nx, int ny, int k, int cx0, int cy0,
-                 int cw, int ch, double* dst, int threads) {
-  expects(k >= 1, "box_average: factor must be positive");
+namespace {
+
+// Coarse rows [y0, y1) of box_average. Pinned to a 64-byte boundary like the
+// blur kernels, so unrelated code size changes do not move its loop.
+[[gnu::noinline, gnu::aligned(64)]] void box_average_rows(const double* fine, int nx,
+                                                          int ny, int k, int cx0,
+                                                          int cy0, int cw,
+                                                          std::size_t y0,
+                                                          std::size_t y1,
+                                                          double* dst) {
   const double inv = 1.0 / (static_cast<double>(k) * k);
   // Coarse pixels left of the fine raster have no fine pixels; starting the
   // column loop past them keeps a clamp out of its inner loop.
   const int x_first = std::max(0, -cx0);
+  for (std::size_t y = y0; y < y1; ++y) {
+    double* out = dst + y * static_cast<std::size_t>(cw);
+    std::fill_n(out, cw, 0.0);
+    const int fy0 = (cy0 + static_cast<int>(y)) * k;
+    const int fy1 = std::min(ny, fy0 + k);
+    for (int fy = std::max(0, fy0); fy < fy1; ++fy) {
+      const double* row = fine + static_cast<std::size_t>(fy) * nx;
+      for (int x = x_first; x < cw; ++x) {
+        const int fx0 = (cx0 + x) * k;
+        const int fx1 = std::min(nx, fx0 + k);
+        double acc = out[x];
+        for (int fx = fx0; fx < fx1; ++fx) acc += row[fx];
+        out[x] = acc;
+      }
+    }
+    for (int x = 0; x < cw; ++x) out[x] *= inv;
+  }
+}
+
+}  // namespace
+
+[[gnu::aligned(64)]] void box_average(const double* fine, int nx, int ny, int k,
+                                      int cx0, int cy0, int cw, int ch, double* dst,
+                                      int threads) {
+  expects(k >= 1, "box_average: factor must be positive");
   parallel_for(
       static_cast<std::size_t>(ch),
       [&](std::size_t y0, std::size_t y1) {
-        for (std::size_t y = y0; y < y1; ++y) {
-          double* out = dst + y * static_cast<std::size_t>(cw);
-          std::fill_n(out, cw, 0.0);
-          const int fy0 = (cy0 + static_cast<int>(y)) * k;
-          const int fy1 = std::min(ny, fy0 + k);
-          for (int fy = std::max(0, fy0); fy < fy1; ++fy) {
-            const double* row = fine + static_cast<std::size_t>(fy) * nx;
-            for (int x = x_first; x < cw; ++x) {
-              const int fx0 = (cx0 + x) * k;
-              const int fx1 = std::min(nx, fx0 + k);
-              double acc = out[x];
-              for (int fx = fx0; fx < fx1; ++fx) acc += row[fx];
-              out[x] = acc;
-            }
-          }
-          for (int x = 0; x < cw; ++x) out[x] *= inv;
-        }
+        box_average_rows(fine, nx, ny, k, cx0, cy0, cw, y0, y1, dst);
       },
       threads);
 }

@@ -6,14 +6,26 @@
 #include "util/contracts.h"
 
 namespace ebl {
+namespace {
+
+// inf passes a plain > 0 check, and an infinite sigma or weight has no
+// grid or normalization downstream.
+void expect_finite_positive(const PsfTerm& t) {
+  expects(std::isfinite(t.sigma) && t.sigma > 0,
+          "Psf: sigma must be finite and positive");
+  expects(std::isfinite(t.weight) && t.weight > 0,
+          "Psf: weight must be finite and positive");
+}
+
+}  // namespace
 
 Psf::Psf(std::vector<PsfTerm> terms) : terms_(std::move(terms)) {
   double sum = 0.0;
   for (const PsfTerm& t : terms_) {
-    expects(t.sigma > 0, "Psf: sigma must be positive");
-    expects(t.weight > 0, "Psf: weight must be positive");
+    expect_finite_positive(t);
     sum += t.weight;
   }
+  expects(std::isfinite(sum), "Psf: weights must sum to a finite value");
   // Normalize defensively; factory methods already pass normalized weights.
   for (PsfTerm& t : terms_) t.weight /= sum;
 }
@@ -40,10 +52,7 @@ Psf Psf::from_terms(std::vector<PsfTerm> terms) {
   // move each weight by an ulp when their sum is not exactly representable
   // as 1.0.
   Psf psf{{{1.0, 1.0}}};
-  for (const PsfTerm& t : terms) {
-    expects(t.sigma > 0, "Psf: sigma must be positive");
-    expects(t.weight > 0, "Psf: weight must be positive");
-  }
+  for (const PsfTerm& t : terms) expect_finite_positive(t);
   psf.terms_ = std::move(terms);
   return psf;
 }

@@ -45,8 +45,8 @@ class Psf {
   /// wire format (src/pec/wire.h), where re-dividing by a weight sum that is
   /// not exactly 1.0 would perturb the weights by an ulp and break the
   /// bitwise identity between a remote and an in-process shard solve.
-  /// Weights and sigmas must be positive; weights should sum to ~1 (as
-  /// terms() of any constructed Psf do).
+  /// Weights and sigmas must be finite and positive; weights should sum to
+  /// ~1 (as terms() of any constructed Psf do).
   static Psf from_terms(std::vector<PsfTerm> terms);
 
   std::span<const PsfTerm> terms() const { return terms_; }

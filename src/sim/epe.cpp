@@ -6,6 +6,7 @@
 #include <optional>
 
 #include "util/contracts.h"
+#include "util/parallel.h"
 
 namespace ebl {
 namespace {
@@ -32,7 +33,11 @@ double percentile(const std::vector<double>& sorted, double q) {
 /// intervals are visited in order of that bound, from the probe point
 /// outward, until it passes the best crossing found. Each sample is taken
 /// at most once.
-std::optional<double> probe_crossing(const Raster& exposure, double level,
+///
+/// Exposure is anything with Raster's pixel_size() and sample(x, y): a
+/// rendered raster or an ExposureField, which answer with the same bits.
+template <typename Exposure>
+std::optional<double> probe_crossing(const Exposure& exposure, double level,
                                      double px, double py, double nx, double ny,
                                      double window) {
   const double pix = static_cast<double>(exposure.pixel_size());
@@ -107,11 +112,66 @@ std::optional<double> probe_crossing(const Raster& exposure, double level,
   return best;
 }
 
+/// Scores edges [begin, end) into acc, probe by probe in edge order.
+template <typename Exposure>
+void score_edges(const Exposure& exposure, double print_level,
+                 const std::vector<EpeEdge>& edges, std::size_t begin, std::size_t end,
+                 const EpeOptions& options, EpeAccumulator& acc) {
+  expects(print_level > 0, "score_epe: print_level must be positive");
+  expects(options.search_window > 0, "score_epe: search_window must be positive");
+  const double pix = static_cast<double>(exposure.pixel_size());
+  const double step = options.sample_step > 0
+                          ? static_cast<double>(options.sample_step)
+                          : 2.0 * pix;
+  const double excl = options.corner_exclusion > 0
+                          ? static_cast<double>(options.corner_exclusion)
+                          : std::max(4.0 * pix, 100.0);
+  const double window = static_cast<double>(options.search_window);
+
+  std::vector<double> offsets;
+  for (std::size_t i = begin; i < end; ++i) {
+    const EpeEdge& e = edges[i];
+    const double ex = static_cast<double>(e.b.x) - e.a.x;
+    const double ey = static_cast<double>(e.b.y) - e.a.y;
+    const double len = std::hypot(ex, ey);
+    if (len <= 0.0) continue;
+    const double dx = ex / len, dy = ey / len;
+    // Outward normal: right of the travel direction (material is left).
+    const double nx = dy, ny = -dx;
+
+    offsets.clear();
+    if (len <= 2.0 * excl + step) {
+      offsets.push_back(0.5 * len);  // too short: single midpoint probe
+    } else {
+      for (double t = excl; t <= len - excl; t += step) offsets.push_back(t);
+    }
+    for (double t : offsets) {
+      const double px = e.a.x + dx * t;
+      const double py = e.a.y + dy * t;
+      const auto crossing =
+          probe_crossing(exposure, print_level, px, py, nx, ny, window);
+      if (crossing) {
+        acc.add(*crossing, false);
+      } else {
+        // No printed edge in the window: worst-case penalty with the sign of
+        // the failure (all-above = oversize, all-below = undersize).
+        const double at_edge = exposure.sample(px, py);
+        acc.add(at_edge >= print_level ? window : -window, true);
+      }
+    }
+  }
+}
+
 }  // namespace
 
 void EpeAccumulator::add(double signed_epe, bool missing) {
   values_.push_back(signed_epe);
   if (missing) ++missing_;
+}
+
+void EpeAccumulator::append(const EpeAccumulator& other) {
+  values_.insert(values_.end(), other.values_.begin(), other.values_.end());
+  missing_ += other.missing_;
 }
 
 EpeStats EpeAccumulator::finalize() const {
@@ -156,47 +216,7 @@ std::vector<EpeEdge> epe_edges(const PolygonSet& target) {
 void score_epe(const Raster& exposure, double print_level,
                const std::vector<EpeEdge>& edges, const EpeOptions& options,
                EpeAccumulator& acc) {
-  expects(print_level > 0, "score_epe: print_level must be positive");
-  expects(options.search_window > 0, "score_epe: search_window must be positive");
-  const double pix = static_cast<double>(exposure.pixel_size());
-  const double step = options.sample_step > 0
-                          ? static_cast<double>(options.sample_step)
-                          : 2.0 * pix;
-  const double excl = options.corner_exclusion > 0
-                          ? static_cast<double>(options.corner_exclusion)
-                          : std::max(4.0 * pix, 100.0);
-  const double window = static_cast<double>(options.search_window);
-
-  for (const EpeEdge& e : edges) {
-    const double ex = static_cast<double>(e.b.x) - e.a.x;
-    const double ey = static_cast<double>(e.b.y) - e.a.y;
-    const double len = std::hypot(ex, ey);
-    if (len <= 0.0) continue;
-    const double dx = ex / len, dy = ey / len;
-    // Outward normal: right of the travel direction (material is left).
-    const double nx = dy, ny = -dx;
-
-    std::vector<double> offsets;
-    if (len <= 2.0 * excl + step) {
-      offsets.push_back(0.5 * len);  // too short: single midpoint probe
-    } else {
-      for (double t = excl; t <= len - excl; t += step) offsets.push_back(t);
-    }
-    for (double t : offsets) {
-      const double px = e.a.x + dx * t;
-      const double py = e.a.y + dy * t;
-      const auto crossing =
-          probe_crossing(exposure, print_level, px, py, nx, ny, window);
-      if (crossing) {
-        acc.add(*crossing, false);
-      } else {
-        // No printed edge in the window: worst-case penalty with the sign of
-        // the failure (all-above = oversize, all-below = undersize).
-        const double at_edge = exposure.sample(px, py);
-        acc.add(at_edge >= print_level ? window : -window, true);
-      }
-    }
-  }
+  score_edges(exposure, print_level, edges, 0, edges.size(), options, acc);
 }
 
 EpeStats score_epe(const Raster& exposure, double print_level,
@@ -207,10 +227,51 @@ EpeStats score_epe(const Raster& exposure, double print_level,
   return acc.finalize();
 }
 
+void score_epe(const ExposureField& exposure, double print_level,
+               const std::vector<EpeEdge>& edges, const EpeOptions& options,
+               EpeAccumulator& acc) {
+  // Contiguous edge ranges of about equal length, a few per thread, each
+  // scored into its own accumulator and appended in edge order: acc sees
+  // the probes in the order one serial pass would add them.
+  const std::size_t parts = std::clamp<std::size_t>(
+      edges.size(), 1, 4 * static_cast<std::size_t>(resolve_threads(exposure.threads())));
+  std::vector<double> reach(edges.size() + 1, 0.0);  // cumulative edge length
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    const EpeEdge& e = edges[i];
+    reach[i + 1] = reach[i] + std::hypot(static_cast<double>(e.b.x) - e.a.x,
+                                         static_cast<double>(e.b.y) - e.a.y);
+  }
+  std::vector<std::size_t> cuts(parts + 1, edges.size());
+  cuts[0] = 0;
+  for (std::size_t p = 1; p < parts; ++p) {
+    const double at = reach.back() * static_cast<double>(p) / static_cast<double>(parts);
+    cuts[p] = static_cast<std::size_t>(
+        std::lower_bound(reach.begin(), reach.end(), at) - reach.begin());
+    cuts[p] = std::clamp(cuts[p], cuts[p - 1], edges.size());
+  }
+  std::vector<EpeAccumulator> part_acc(parts);
+  parallel_for(
+      parts,
+      [&](std::size_t p0, std::size_t p1) {
+        for (std::size_t p = p0; p < p1; ++p)
+          score_edges(exposure, print_level, edges, cuts[p], cuts[p + 1], options,
+                      part_acc[p]);
+      },
+      exposure.threads());
+  for (const EpeAccumulator& part : part_acc) acc.append(part);
+}
+
+EpeStats score_epe(const ExposureField& exposure, double print_level,
+                   const std::vector<EpeEdge>& edges, const EpeOptions& options) {
+  EpeAccumulator acc;
+  score_epe(exposure, print_level, edges, options, acc);
+  return acc.finalize();
+}
+
 EpeStats measure_epe(const ShotList& shots, const Psf& psf,
                      const PolygonSet& target, double print_level,
                      const EpeOptions& options) {
-  const Raster exposure = simulate_exposure(shots, psf, options.sim);
+  const ExposureField exposure(shots, psf, options.sim);
   return score_epe(exposure, print_level, epe_edges(target), options);
 }
 

@@ -2,12 +2,13 @@
 //
 // The quality metric a real tool cares about is not the dose vector but
 // where the printed edges land. The scorer simulates the dosed shot list
-// (sim/exposure_sim), develops it through a resist threshold, and probes
-// the exposure map along the outward normal of every target edge: the
-// signed distance from the design edge to the nearest print-threshold
-// crossing is that probe's EPE (positive = prints oversize, negative =
-// undersize). Per-pattern statistics (p50/p99/max of |EPE|) summarize the
-// scenario.
+// (sim/exposure_sim's ExposureField, which forms only the pixels the probes
+// read), and probes the exposure along the outward normal of every target
+// edge: the signed distance from the design edge to the nearest
+// print-threshold crossing is that probe's EPE (positive = prints
+// oversize, negative = undersize). Per-pattern statistics (p50/p99/max of
+// |EPE|) summarize the scenario. A rendered Raster and the field it renders
+// from score to the same bits.
 #pragma once
 
 #include <vector>
@@ -69,8 +70,12 @@ struct EpeStats {
 class EpeAccumulator {
  public:
   void add(double signed_epe, bool missing);
+  /// Adds every probe of @p other after this one's, in its order.
+  void append(const EpeAccumulator& other);
   EpeStats finalize() const;
   std::size_t samples() const { return values_.size(); }
+  /// The signed EPE of every probe, in the order they were added.
+  const std::vector<double>& values() const { return values_; }
 
  private:
   std::vector<double> values_;
@@ -82,7 +87,7 @@ class EpeAccumulator {
 std::vector<EpeEdge> epe_edges(const PolygonSet& target);
 
 /// Scores an already-simulated exposure map against explicit target edges
-/// at the given print level. Deterministic and single-threaded. A probe
+/// at the given print level, on one thread. A probe
 /// samples the exposure on the grid s_i = -window + ds * i (ds ~ pixel/2,
 /// 16..512 steps) and reports the first crossing in ascending s within ds
 /// of the probe point, else the nearest one (the lower s on a tie). It
@@ -99,9 +104,23 @@ void score_epe(const Raster& exposure, double print_level,
                const std::vector<EpeEdge>& edges, const EpeOptions& options,
                EpeAccumulator& acc);
 
-/// Convenience: simulate @p shots with @p psf, then score the exposure map
-/// against @p target at @p print_level (use ResistModel::print_threshold()
-/// or the overload below).
+/// The same scores read from a lazy exposure field: bit for bit those of
+/// its rendered raster, without the raster. Contiguous edge ranges are
+/// scored on the field's threads and appended in edge order, so the
+/// statistics are identical for any thread count.
+EpeStats score_epe(const ExposureField& exposure, double print_level,
+                   const std::vector<EpeEdge>& edges,
+                   const EpeOptions& options = {});
+
+/// score_epe of the field into an external accumulator.
+void score_epe(const ExposureField& exposure, double print_level,
+               const std::vector<EpeEdge>& edges, const EpeOptions& options,
+               EpeAccumulator& acc);
+
+/// Convenience: build the ExposureField of @p shots with @p psf (on
+/// options.sim), then score it against @p target at @p print_level (use
+/// ResistModel::print_threshold() or the overload below). Equal bit for bit
+/// to score_epe(simulate_exposure(shots, psf, options.sim), ...).
 EpeStats measure_epe(const ShotList& shots, const Psf& psf,
                      const PolygonSet& target, double print_level,
                      const EpeOptions& options = {});

@@ -4,7 +4,10 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <numeric>
 #include <optional>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "pec/exposure.h"  // blur primitives
@@ -13,158 +16,218 @@
 
 namespace ebl {
 
-namespace {
-
-// Bilinear read-back weights of one fine pixel centre on a coarse map: the
-// lower map index and the weights 1 - t and t of it and of the next one.
-struct Lerp {
-  int i;
-  double lo, hi;
-};
-
-// Fine pixel j's centre sits at (j + 0.5) / k coarse pixels from the frame
-// origin, one more from the map's. The map has origin 0 and pixel 1, so
-// these are the operations Raster::sample performs on that coordinate.
-std::vector<Lerp> readback_axis(int n, int k) {
-  std::vector<Lerp> axis(static_cast<std::size_t>(n));
-  for (int j = 0; j < n; ++j) {
-    const double f = ((j + 0.5) / k + 1.0) - 0.5;
-    const int i = static_cast<int>(std::floor(f));
-    const double t = f - i;
-    axis[static_cast<std::size_t>(j)] = {i, 1 - t, t};
-  }
-  return axis;
-}
-
-// A wide term's dose map, box-averaged k times coarser and blurred there.
-// The map reaches one coarse pixel past the frame on every side: the blur is
-// exact anywhere on the map, so the read-back at the frame's outer pixel
-// centres interpolates between blurred values instead of toward an off-map
-// zero. It is laid out in coarse-pixel units (pixel 1, coarse pixel -1 of
-// the fine frame at index 0), so it never leaves the coordinate range,
-// wherever the frame lies.
-struct CoarseTerm {
-  Raster map;
-  std::vector<Lerp> cols, rows;
-
-  CoarseTerm(const Raster& base, const PsfTerm& term, int k, int threads)
-      : map(Box{0, 0, (base.width() - 1) / k + 3, (base.height() - 1) / k + 3}, 1),
-        cols(readback_axis(base.width(), k)),
-        rows(readback_axis(base.height(), k)) {
-    // The indices rise along each table, so its ends bound them all: the pad
-    // keeps every corner sample would read on the map, and none reads the
-    // off-map zero.
-    expects(cols.front().i >= 0 && cols.back().i + 1 < map.width() &&
-                rows.front().i >= 0 && rows.back().i + 1 < map.height(),
-            "simulate_exposure: read-back leaves the coarse map");
-    box_average(base.data().data(), base.width(), base.height(), k, -1, -1,
-                map.width(), map.height(), map.data().data(), threads);
-    const double coarse_pixel = static_cast<double>(k) * base.pixel_size();
-    separable_blur(map, gaussian_kernel_taps(term.sigma / coarse_pixel), threads);
-  }
-
-  // out[x] += weight * map.sample(...) at fine row y's pixel centres: sample's
-  // four products in sample's order.
-  void add_row(int y, double weight, double* out) const {
-    const Lerp& ry = rows[static_cast<std::size_t>(y)];
-    const std::size_t w = static_cast<std::size_t>(map.width());
-    const double* m0 = map.data().data() + static_cast<std::size_t>(ry.i) * w;
-    const double* m1 = m0 + w;
-    for (std::size_t x = 0; x < cols.size(); ++x) {
-      const Lerp& cx = cols[x];
-      out[x] += weight * (cx.lo * ry.lo * m0[cx.i] + cx.hi * ry.lo * m0[cx.i + 1] +
-                          cx.lo * ry.hi * m1[cx.i] + cx.hi * ry.hi * m1[cx.i + 1]);
-    }
-  }
-};
-
-// Blurs r in place on the window where the blur can be non-zero: the pixels
-// [x0, x1] x [y0, y1] that hold dose, widened by the kernel radius. Outside
-// it the whole-raster blur would leave 0.0, and inside it the taps the
-// window skips would only add zeros, so the result is that blur bit for bit.
-void blur_dose_window(Raster& r, const std::vector<double>& taps, int x0, int y0,
-                      int x1, int y1, int threads) {
-  const Coord64 rad = static_cast<Coord64>(taps.size()) - 1;
-  const int wx0 = static_cast<int>(std::max<Coord64>(0, x0 - rad));
-  const int wy0 = static_cast<int>(std::max<Coord64>(0, y0 - rad));
-  const int wx1 = static_cast<int>(std::min<Coord64>(r.width() - 1, x1 + rad));
-  const int wy1 = static_cast<int>(std::min<Coord64>(r.height() - 1, y1 + rad));
-  const std::size_t stride = static_cast<std::size_t>(r.width());
-  double* window = r.data().data() + static_cast<std::size_t>(wy0) * stride + wx0;
-  separable_blur(window, window, wx1 - wx0 + 1, wy1 - wy0 + 1, stride, taps, threads);
-}
-
-}  // namespace
-
-Raster simulate_exposure(const ShotList& shots, const Psf& psf,
-                         const SimOptions& options) {
+ExposureField::ExposureField(const ShotList& shots, const Psf& psf,
+                             const SimOptions& options)
+    : threads_(options.threads) {
   expects(!shots.empty(), "simulate_exposure: empty shot list");
   Box frame;
   for (const Shot& s : shots) frame += s.shape.bbox();
 
+  // The automatic margin and pixel scale with the PSF's sigmas, which may be
+  // any finite value; each must fit a Coord before it is cast to one.
+  const auto to_coord = [](double v, const char* what) {
+    if (!(v < static_cast<double>(std::numeric_limits<Coord>::max()) + 1.0)) {
+      throw DataError(std::string("simulate_exposure: the automatic ") + what + " (" +
+                      std::to_string(v) + " dbu) does not fit a coordinate");
+    }
+    return static_cast<Coord>(v);
+  };
   const Coord margin = options.margin > 0
                            ? options.margin
-                           : static_cast<Coord>(std::ceil(4.0 * psf.max_sigma()));
-  const Coord pixel =
-      options.pixel > 0
-          ? options.pixel
-          : std::max<Coord>(1, static_cast<Coord>(psf.min_sigma() / 2.0));
+                           : to_coord(std::ceil(4.0 * psf.max_sigma()), "margin");
+  pix_ = options.pixel > 0 ? options.pixel
+                           : std::max<Coord>(1, to_coord(psf.min_sigma() / 2.0, "pixel"));
+  extent_ = frame.bloated(margin);
+  std::tie(nx_, ny_) = Raster::grid_size(extent_, pix_);
 
-  Raster base(frame.bloated(margin), pixel);
-  for (const Shot& s : shots) base.add_coverage(s.shape, s.dose);
-  const auto [x0, y0] = base.index_of(frame.lo);
-  const auto [x1, y1] = base.index_of(frame.hi);
-
-  // Every term convolves the same dose map, each at the evaluator's per-term
-  // map resolution (see the header comment). The wide terms read base before
-  // anything blurs it; the last narrow term then blurs base itself, and any
-  // other narrow term (all come before it) blurs a copy.
+  // Each term's map factor. The dose window reaches the widest narrow
+  // kernel's radius past the shots' pixels [x0, x1] x [y0, y1], and its low
+  // corner sits on a multiple of every wide term's k (once that multiple
+  // passes the frame, 0 is the only one left).
   const auto& terms = psf.terms();
-  std::vector<std::optional<CoarseTerm>> coarse(terms.size());
-  std::size_t in_place = terms.size();
+  std::vector<int> ks(terms.size());
+  std::vector<std::vector<double>> taps(terms.size());
+  Coord64 align = 1;
+  Coord64 reach = 0;
+  std::size_t last_narrow = terms.size();
   for (std::size_t t = 0; t < terms.size(); ++t) {
-    const int k = term_k(terms[t].sigma, pixel);
+    if (!(terms[t].sigma / kPixelsPerSigma / static_cast<double>(pix_) <
+          std::numeric_limits<int>::max())) {
+      throw DataError("simulate_exposure: a PSF term of sigma " +
+                      std::to_string(terms[t].sigma) + " dbu is too wide for pixel " +
+                      std::to_string(pix_));
+    }
+    const int k = ks[t] = term_k(terms[t].sigma, pix_);
+    taps[t] = gaussian_kernel_taps(terms[t].sigma / (static_cast<double>(k) * pix_));
     if (k > 1) {
-      coarse[t].emplace(base, terms[t], k, options.threads);
+      if (align < std::max(nx_, ny_)) align = std::lcm(align, Coord64{k});
     } else {
-      in_place = t;
+      reach = std::max<Coord64>(reach, static_cast<Coord64>(taps[t].size()) - 1);
+      last_narrow = t;
     }
   }
-  std::vector<Raster> copies;
-  copies.reserve(terms.size());  // fine[] points into them
-  std::vector<const double*> fine(terms.size(), nullptr);
+  const auto index = [&](Coord v, Coord origin, int n) {
+    return static_cast<int>(std::clamp<Coord64>((Coord64{v} - origin) / pix_, 0, n - 1));
+  };
+  const int x0 = index(frame.lo.x, extent_.lo.x, nx_);
+  const int y0 = index(frame.lo.y, extent_.lo.y, ny_);
+  const int x1 = index(frame.hi.x, extent_.lo.x, nx_);
+  const int y1 = index(frame.hi.y, extent_.lo.y, ny_);
+  const auto low = [&](int i) {
+    const Coord64 v = std::max<Coord64>(0, i - reach);
+    return static_cast<int>(v - v % align);
+  };
+  const auto high = [](int i, Coord64 rad, int n) {
+    return static_cast<int>(std::min<Coord64>(n - 1, i + rad));
+  };
+  wx0_ = low(x0);
+  wy0_ = low(y0);
+  const int wx1 = high(x1, reach, nx_);
+  const int wy1 = high(y1, reach, ny_);
+  // Pixel i's low edge in dbu; the window's far edge stops at the frame's,
+  // which the last pixel may overhang.
+  const auto edge = [&](Coord origin, int i) {
+    return Coord64{origin} + Coord64{i} * pix_;
+  };
+  const auto window_box = Box{
+      static_cast<Coord>(edge(extent_.lo.x, wx0_)),
+      static_cast<Coord>(edge(extent_.lo.y, wy0_)),
+      static_cast<Coord>(std::min<Coord64>(edge(extent_.lo.x, wx1 + 1), extent_.hi.x)),
+      static_cast<Coord>(std::min<Coord64>(edge(extent_.lo.y, wy1 + 1), extent_.hi.y))};
+  Raster dose(window_box, pix_);
+  ww_ = dose.width();
+  wh_ = dose.height();
+  ensures(ww_ == wx1 - wx0_ + 1 && wh_ == wy1 - wy0_ + 1,
+          "simulate_exposure: dose window off the frame's grid");
+  for (const Shot& s : shots) dose.add_coverage(s.shape, s.dose);
+
+  // Wide terms box-average the dose before any narrow term blurs it. A
+  // coarse map pixel c covers the frame's fine pixels [(c - 1) k, c k), so
+  // the window, which starts on a block boundary, fills map columns and rows
+  // from 1 + wx0_ / k and 1 + wy0_ / k; past the window the dose is 0.0, and
+  // a block's sum skips nothing but zeros. The map's pad keeps every corner
+  // the read-back takes on the map: the indices rise along each table, so
+  // its ends bound them all.
+  std::vector<std::optional<Raster>> maps(terms.size());
+  const auto readback_axis = [](int n, int k) {
+    // Fine pixel j's centre sits at (j + 0.5) / k coarse pixels from the
+    // frame origin, one more from the map's. The map has origin 0 and pixel
+    // 1, so these are the operations Raster::sample performs on that
+    // coordinate.
+    std::vector<Lerp> axis(static_cast<std::size_t>(n));
+    for (int j = 0; j < n; ++j) {
+      const double f = ((j + 0.5) / k + 1.0) - 0.5;
+      const int i = static_cast<int>(std::floor(f));
+      const double t = f - i;
+      axis[static_cast<std::size_t>(j)] = {i, 1 - t, t};
+    }
+    return axis;
+  };
   for (std::size_t t = 0; t < terms.size(); ++t) {
-    if (coarse[t]) continue;
-    Raster& target = t == in_place ? base : copies.emplace_back(base);
-    blur_dose_window(target,
-                     gaussian_kernel_taps(terms[t].sigma / static_cast<double>(pixel)),
-                     x0, y0, x1, y1, options.threads);
-    fine[t] = target.data().data();
+    const int k = ks[t];
+    if (k == 1) continue;
+    Raster& map = maps[t].emplace(Box{0, 0, (nx_ - 1) / k + 3, (ny_ - 1) / k + 3}, 1);
+    const std::size_t row0 = 1 + static_cast<std::size_t>(wy0_ / k);
+    box_average(dose.data().data(), ww_, wh_, k, -1 - wx0_ / k, 0, map.width(),
+                (wh_ + k - 1) / k, map.data().data() + row0 * map.width(), threads_);
+    separable_blur(map, taps[t], threads_);
   }
 
-  // One pass sums the terms into base: each pixel is 0.0 + w_t * v_t over
-  // the terms in PSF order, the order a zeroed accumulator would see them.
-  const std::size_t nx = static_cast<std::size_t>(base.width());
+  // The last narrow term blurs the dose window in place; any other (all come
+  // before it) blurs a copy. Each blurs only where it can be non-zero, the
+  // shots' pixels widened by its own radius, so every pixel is the
+  // whole-frame blur's bit for bit (the taps it skips would add zeros).
+  terms_.reserve(terms.size());
+  for (std::size_t t = 0; t < terms.size(); ++t) {
+    const int k = ks[t];
+    if (k > 1) {
+      Term term{terms[t].weight, true, std::move(*maps[t]), readback_axis(nx_, k),
+                readback_axis(ny_, k)};
+      const Raster& map = term.values;
+      expects(term.cols.front().i >= 0 && term.cols.back().i + 1 < map.width() &&
+                  term.rows.front().i >= 0 && term.rows.back().i + 1 < map.height(),
+              "simulate_exposure: read-back leaves the coarse map");
+      terms_.push_back(std::move(term));
+      continue;
+    }
+    Raster values = t == last_narrow ? std::move(dose) : Raster(dose);
+    const Coord64 rad = static_cast<Coord64>(taps[t].size()) - 1;
+    const int bx0 = static_cast<int>(std::max<Coord64>(0, x0 - rad)) - wx0_;
+    const int by0 = static_cast<int>(std::max<Coord64>(0, y0 - rad)) - wy0_;
+    const int bx1 = high(x1, rad, nx_) - wx0_;
+    const int by1 = high(y1, rad, ny_) - wy0_;
+    double* window = values.data().data() + static_cast<std::size_t>(by0) * ww_ + bx0;
+    separable_blur(window, window, bx1 - bx0 + 1, by1 - by0 + 1,
+                   static_cast<std::size_t>(ww_), taps[t], threads_);
+    terms_.push_back({terms[t].weight, false, std::move(values), {}, {}});
+  }
+}
+
+void ExposureField::row(int y, int x0, int x1, double* out) const {
+  std::fill(out, out + (x1 - x0), 0.0);
+  const bool in_window = y >= wy0_ && y < wy0_ + wh_;
+  const int lo = std::max(x0, wx0_);
+  const int hi = std::min(x1, wx0_ + ww_);
+  for (const Term& term : terms_) {
+    const double w = term.weight;
+    if (term.wide) {
+      // weight * map.sample(...) at the pixel centre: sample's four products
+      // in sample's order.
+      const Lerp& ry = term.rows[static_cast<std::size_t>(y)];
+      const std::size_t mw = static_cast<std::size_t>(term.values.width());
+      const double* m0 = term.values.data().data() + static_cast<std::size_t>(ry.i) * mw;
+      const double* m1 = m0 + mw;
+      for (int x = x0; x < x1; ++x) {
+        const Lerp& cx = term.cols[static_cast<std::size_t>(x)];
+        out[x - x0] += w * (cx.lo * ry.lo * m0[cx.i] + cx.hi * ry.lo * m0[cx.i + 1] +
+                            cx.lo * ry.hi * m1[cx.i] + cx.hi * ry.hi * m1[cx.i + 1]);
+      }
+    } else if (in_window) {
+      // Past the window a narrow term's blur is 0.0, and adding w * 0.0
+      // changes no bit of the sum.
+      const double* in =
+          term.values.data().data() + static_cast<std::size_t>(y - wy0_) * ww_;
+      for (int x = lo; x < hi; ++x) out[x - x0] += w * in[x - wx0_];
+    }
+  }
+}
+
+double ExposureField::sample(double x, double y) const {
+  // Raster::sample's arithmetic, with the four pixels formed on demand.
+  const double fx = (x - extent_.lo.x) / pix_ - 0.5;
+  const double fy = (y - extent_.lo.y) / pix_ - 0.5;
+  if (!(fx >= -1.0 && fx < nx_ && fy >= -1.0 && fy < ny_)) return 0.0;
+  const int ix = static_cast<int>(std::floor(fx));
+  const int iy = static_cast<int>(std::floor(fy));
+  const double tx = fx - ix;
+  const double ty = fy - iy;
+  // v[r][c] is pixel (ix + c, iy + r); pixels off the frame read 0.
+  double v[2][2] = {};
+  const int c0 = std::max(ix, 0);
+  const int c1 = std::min(ix + 2, nx_);
+  for (int r = 0; r < 2; ++r) {
+    if (iy + r >= 0 && iy + r < ny_) row(iy + r, c0, c1, &v[r][c0 - ix]);
+  }
+  return (1 - tx) * (1 - ty) * v[0][0] + tx * (1 - ty) * v[0][1] +
+         (1 - tx) * ty * v[1][0] + tx * ty * v[1][1];
+}
+
+Raster ExposureField::render() const {
+  Raster out(extent_, pix_);
+  const std::size_t nx = static_cast<std::size_t>(nx_);
   parallel_for(
-      static_cast<std::size_t>(base.height()),
+      static_cast<std::size_t>(ny_),
       [&](std::size_t r0, std::size_t r1) {
-        std::vector<double> acc(nx);
-        for (std::size_t y = r0; y < r1; ++y) {
-          std::fill(acc.begin(), acc.end(), 0.0);
-          for (std::size_t t = 0; t < terms.size(); ++t) {
-            const double w = terms[t].weight;
-            if (coarse[t]) {
-              coarse[t]->add_row(static_cast<int>(y), w, acc.data());
-              continue;
-            }
-            const double* in = fine[t] + y * nx;
-            for (std::size_t x = 0; x < nx; ++x) acc[x] += w * in[x];
-          }
-          std::copy(acc.begin(), acc.end(), base.data().data() + y * nx);
-        }
+        for (std::size_t y = r0; y < r1; ++y)
+          row(static_cast<int>(y), 0, nx_, out.data().data() + y * nx);
       },
-      options.threads);
-  return base;
+      threads_);
+  return out;
+}
+
+Raster simulate_exposure(const ShotList& shots, const Psf& psf,
+                         const SimOptions& options) {
+  return ExposureField(shots, psf, options).render();
 }
 
 Raster develop(const Raster& exposure, const ResistModel& resist) {

@@ -1,4 +1,5 @@
-// Full-field exposure simulation: shots -> energy map -> resist profile.
+// Exposure simulation: shots -> energy map (lazy or rendered) -> resist
+// profile.
 #pragma once
 
 #include <optional>
@@ -25,21 +26,82 @@ struct SimOptions {
   int threads = 0;
 };
 
-/// Energy deposition map of a dosed shot list: coverage rasterization of the
-/// dose followed by one separable Gaussian convolution per PSF term.
-/// Normalization: infinite unit-dose pattern -> exposure 1.0.
+/// The energy deposition of a dosed shot list on simulate_exposure's grid,
+/// with each pixel formed only when it is read. Normalization: an infinite
+/// unit-dose pattern gives exposure 1.0.
 ///
-/// Each term is blurred at the coarsening factor k = term_k(sigma, pixel) —
-/// the PEC evaluator's per-term map rule. A term with k == 1 (sigma under 8
-/// pixels) is blurred directly at the simulation pixel, on the window the
-/// shots cover plus the kernel radius (the rest of the frame stays 0). A
-/// wider term's dose map is box-averaged onto a map k times coarser (one
-/// coarse pixel wider than the frame on every side), blurred there, and read
-/// back bilinearly at every pixel centre through per-row and per-column
-/// tables, so a backscatter kernel costs a few dozen taps per pass instead of
-/// hundreds. The result is built in the dose raster itself: one pass sums
-/// the terms per pixel as 0.0 + w_0 v_0 + w_1 v_1 + ... in PSF term order.
-/// Throws DataError when the frame spans more than INT_MAX pixels on an axis.
+/// The grid is the shots' bbox widened by the margin, in pixels of the
+/// simulation pixel. Each PSF term is blurred at the coarsening factor
+/// k = term_k(sigma, pixel), the PEC evaluator's per-term map rule:
+///  - A narrow term (k == 1, sigma under 8 pixels) is blurred directly at the
+///    simulation pixel. Only the dose window is held: the shots' pixel bbox
+///    plus the widest narrow kernel radius, clipped to the frame, its low
+///    corner aligned down to a multiple of every wide term's k. Past it the
+///    blur of a narrow term is 0.0.
+///  - A wide term's dose map is box-averaged from that window onto a map
+///    k times coarser (one coarse pixel wider than the frame on every side)
+///    and blurred there. It is read back bilinearly at fine pixel centres
+///    through per-row and per-column tables, so a backscatter kernel costs a
+///    few dozen taps per pass instead of hundreds.
+/// A pixel is 0.0 + w_0 v_0 + w_1 v_1 + ... in PSF term order, a pure
+/// function of its indices, so a probe reads the same bits from the field as
+/// from the rendered raster. Building the field costs the coverage of the
+/// window and the blurs; the frame itself (mostly backscatter margin) is
+/// never stored.
+///
+/// Throws DataError when the frame spans more than INT_MAX pixels on an
+/// axis, when the automatic margin (ceil(4 max sigma)) or pixel (min sigma
+/// / 2) does not fit a Coord, or when a term's map factor does not fit an
+/// int.
+class ExposureField {
+ public:
+  ExposureField(const ShotList& shots, const Psf& psf, const SimOptions& options = {});
+
+  Point origin() const { return extent_.lo; }
+  Coord pixel_size() const { return pix_; }
+  int width() const { return nx_; }
+  int height() const { return ny_; }
+
+  /// The thread count the field was built with (SimOptions::threads).
+  int threads() const { return threads_; }
+
+  /// Raster::sample of render() at a dbu point, bit for bit, computing only
+  /// the four pixels it reads.
+  double sample(double x, double y) const;
+
+  /// Every pixel of the frame: simulate_exposure's raster. Rows run on the
+  /// field's threads; the result is identical for any thread count.
+  Raster render() const;
+
+ private:
+  // Bilinear read-back weights of one fine pixel centre on a coarse map: the
+  // lower map index and the weights 1 - t and t of it and of the next one.
+  struct Lerp {
+    int i;
+    double lo, hi;
+  };
+  struct Term {
+    double weight;
+    bool wide;
+    // A wide term's blurred coarse map, or a narrow term's blurred window.
+    Raster values;
+    std::vector<Lerp> cols, rows;  // a wide term's read-back tables
+  };
+
+  // Writes pixels [x0, x1) of row y (0 <= y < height(), 0 <= x0 <= x1 <=
+  // width()) to out: the one place the per-pixel sum is formed.
+  void row(int y, int x0, int x1, double* out) const;
+
+  Box extent_;  // the frame: the shots' bbox widened by the margin
+  Coord pix_;
+  int nx_, ny_;
+  int threads_;
+  int wx0_ = 0, wy0_ = 0, ww_ = 0, wh_ = 0;  // the dose window, in frame pixels
+  std::vector<Term> terms_;
+};
+
+/// Energy deposition map of a dosed shot list: ExposureField rendered at
+/// every pixel of its frame.
 Raster simulate_exposure(const ShotList& shots, const Psf& psf,
                          const SimOptions& options = {});
 

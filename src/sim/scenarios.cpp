@@ -196,7 +196,7 @@ ScenarioResult scenario_multipass_grayscale(const ScenarioOptions& options) {
     SimOptions sim;
     sim.pixel = 50;
     sim.threads = options.threads;
-    const Raster exposure = simulate_exposure(list, psf, sim);
+    const ExposureField exposure(list, psf, sim);
     EpeOptions epe;
     epe.sample_step = 250;
     epe.search_window = 2500;

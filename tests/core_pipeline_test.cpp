@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -143,6 +144,38 @@ TEST(Pipeline, EpeStageScoresThePrintedResult) {
   no_psf.epe = PrepEpeOptions{};
   const PrepResult r2 = run_data_prep(s, no_psf);
   EXPECT_FALSE(r2.epe.has_value());
+}
+
+TEST(Pipeline, EpeStageEqualsScoringTheRenderedRaster) {
+  // The epe stage scores a lazy exposure field on the job's threads; its
+  // statistics must equal scoring simulate_exposure's raster bit for bit.
+  PolygonSet s = line_space_array({0, 0}, 200, 400, 6000, 8);
+  s.insert(Box{5000, 0, 9000, 4000});
+  const Psf psf = Psf::triple_gaussian(50.0, 3000.0, 600.0, 0.7, 0.3);
+  for (const int threads : {1, 4}) {
+    PrepOptions opt;
+    opt.threads = threads;
+    opt.fracture.max_shot_size = 2000;
+    opt.pec_psf = psf;
+    opt.pec.max_iterations = 4;
+    opt.epe = PrepEpeOptions{};
+    opt.epe->score.sim.pixel = 25;
+    const PrepResult r = run_data_prep(s, opt);
+    ASSERT_TRUE(r.epe.has_value());
+
+    EpeOptions score = opt.epe->score;
+    score.sim.threads = threads;
+    const EpeStats want =
+        score_epe(simulate_exposure(r.shots, psf, score.sim), opt.epe->print_level,
+                  epe_edges(s), score);
+    const EpeStats& got = *r.epe;
+    EXPECT_GT(want.samples, 100u);
+    EXPECT_EQ(got.samples, want.samples) << threads;
+    EXPECT_EQ(got.missing, want.missing) << threads;
+    const double g[] = {got.p50, got.p99, got.max, got.mean_abs, got.mean_signed};
+    const double w[] = {want.p50, want.p99, want.max, want.mean_abs, want.mean_signed};
+    EXPECT_EQ(std::memcmp(g, w, sizeof g), 0) << threads;
+  }
 }
 
 TEST(Pipeline, FieldPartitioningSplitsAndPreservesArea) {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <numbers>
 
 #include "pec/psf.h"
@@ -49,6 +50,22 @@ TEST(Psf, ValueIntegratesToOne) {
 TEST(Psf, RejectsBadParameters) {
   EXPECT_THROW(Psf::single_gaussian(-1.0), ContractViolation);
   EXPECT_THROW(Psf::double_gaussian(10.0, 100.0, -0.1), ContractViolation);
+}
+
+TEST(Psf, RejectsNonFiniteTerms) {
+  // inf passes a plain > 0 check; neither constructor may accept it.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(Psf::single_gaussian(inf), ContractViolation);
+  EXPECT_THROW(Psf::double_gaussian(50.0, inf, 0.5), ContractViolation);
+  EXPECT_THROW(Psf::double_gaussian(50.0, 3000.0, inf), ContractViolation);
+  EXPECT_THROW(Psf::from_terms({{1.0, inf}}), ContractViolation);
+  EXPECT_THROW(Psf::from_terms({{inf, 50.0}}), ContractViolation);
+  EXPECT_THROW(Psf::from_terms({{nan, 50.0}}), ContractViolation);
+  EXPECT_THROW(Psf::from_terms({{0.5, 50.0}, {0.5, nan}}), ContractViolation);
+  // Finite but enormous is a valid PSF; the simulator decides whether its
+  // grid can hold it.
+  EXPECT_NO_THROW(Psf::double_gaussian(50.0, 1e10, 0.5));
 }
 
 TEST(TermExposure, HugeRectConvergesToWeight) {

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <optional>
 #include <random>
@@ -84,14 +85,18 @@ TEST(SimulateExposure, DoseScalesLinearly) {
 
 // Pad next to a five-line grating: dense, isolated and empty regions, so
 // both the backscatter plateau and its tails are probed.
-ShotList pad_and_grating(Point at = {0, 0}) {
+PolygonSet pad_and_grating_target(Point at = {0, 0}) {
   PolygonSet s;
   const auto box = [&](Coord x0, Coord x1) {
     s.insert(Box{at.x + x0, at.y, at.x + x1, at.y + 6000});
   };
   box(0, 6000);
   for (int i = 0; i < 5; ++i) box(8000 + 1000 * i, 8500 + 1000 * i);
-  return fracture(s, {.max_shot_size = 2000}).shots;
+  return s;
+}
+
+ShotList pad_and_grating(Point at = {0, 0}) {
+  return fracture(pad_and_grating_target(at), {.max_shot_size = 2000}).shots;
 }
 
 // Full-resolution reference: every term blurred by the separable passes at
@@ -759,6 +764,130 @@ TEST(Epe, AccumulatorReducesNearestRank) {
   EXPECT_DOUBLE_EQ(s.max, 40.0);
   EXPECT_DOUBLE_EQ(s.mean_abs, 25.0);
   EXPECT_DOUBLE_EQ(s.mean_signed, 5.0);
+}
+
+// memcmp, not ==: the comparison must tell 0.0 from -0.0.
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(ExposureField, MatchesTheRasterItRendersBitForBit) {
+  // The field forms each pixel on demand from the dose window and the coarse
+  // maps; every read must equal the three-raster reference's bit for bit:
+  // spot samples anywhere (margin and off the frame included), the EPE
+  // probes scored on threads, and the whole rendered frame.
+  const Point at_range_edge{std::numeric_limits<Coord>::max() - 13000,
+                            std::numeric_limits<Coord>::min() + 500};
+  const Psf tri = Psf::triple_gaussian(50.0, 3000.0, 600.0, 0.7, 0.3);
+  const Psf dbl = Psf::double_gaussian(50.0, 3000.0, 0.7);
+  const Psf narrow = Psf::single_gaussian(50.0);
+  const Psf two_narrow = Psf::from_terms({{0.3, 50.0}, {0.3, 120.0}, {0.4, 3000.0}});
+  const Psf wide_first = Psf::from_terms({{0.4, 3000.0}, {0.6, 50.0}});
+  // With margin 3331 at pixel 25 the shots start at pixel 133 and the
+  // narrow kernel (radius 8) at 125, a multiple of neither wide term's k
+  // (6 for gamma, 30 for beta): the window's corner must be aligned down.
+  static_assert((3331 / 25 - 8) % 6 != 0 && (3331 / 25 - 8) % 30 != 0);
+  struct Case {
+    const char* name;
+    Point at;
+    const Psf& psf;
+    SimOptions options;
+  };
+  const Case cases[] = {
+      {"triple@25", {0, 0}, tri, {.pixel = 25}},
+      {"double@50", {0, 0}, dbl, {.pixel = 50}},
+      {"single narrow", {0, 0}, narrow, {.pixel = 25}},
+      {"two narrow + wide", {0, 0}, two_narrow, {.pixel = 25}},
+      {"wide first", {0, 0}, wide_first, {.pixel = 25}},
+      {"one-pixel margin", {0, 0}, dbl, {.pixel = 50, .margin = 50}},
+      {"coordinate-range edge", at_range_edge, dbl, {.pixel = 50}},
+      {"window off every k", {37, -11}, tri, {.pixel = 25, .margin = 3331}},
+      {"threads 1", {0, 0}, tri, {.pixel = 25, .threads = 1}},
+      {"threads 4", {0, 0}, tri, {.pixel = 25, .threads = 4}},
+  };
+  std::mt19937_64 rng(20261019);
+  for (const Case& c : cases) {
+    const PolygonSet target = pad_and_grating_target(c.at);
+    const ShotList shots = fracture(target, {.max_shot_size = 2000}).shots;
+    const Raster want = three_raster_exposure(shots, c.psf, c.options);
+    const ExposureField field(shots, c.psf, c.options);
+    ASSERT_EQ(field.width(), want.width()) << c.name;
+    ASSERT_EQ(field.height(), want.height()) << c.name;
+    ASSERT_EQ(field.origin(), want.origin()) << c.name;
+    EXPECT_TRUE(same_bits(field.render().data(), want.data())) << c.name;
+    EXPECT_TRUE(same_bits(simulate_exposure(shots, c.psf, c.options).data(), want.data()))
+        << c.name;
+
+    // Seeded points over the frame and three pixels past it, pixel centres
+    // and corners among them, plus points far off the grid.
+    const double pix = static_cast<double>(want.pixel_size());
+    const double ox = want.origin().x, oy = want.origin().y;
+    std::uniform_real_distribution<double> ux(ox - 3 * pix, ox + (want.width() + 3) * pix);
+    std::uniform_real_distribution<double> uy(oy - 3 * pix, oy + (want.height() + 3) * pix);
+    std::uniform_int_distribution<int> ix(-3, want.width() + 2);
+    std::uniform_int_distribution<int> iy(-3, want.height() + 2);
+    std::vector<std::pair<double, double>> points = {
+        {ox, oy}, {ox - 1e12, oy}, {ox, oy + 1e12}, {-1e300, 1e300}};
+    for (int i = 0; i < 4000; ++i) points.emplace_back(ux(rng), uy(rng));
+    for (int i = 0; i < 1000; ++i) {
+      const double half = (i % 2) * 0.5;  // corners, then centres
+      points.emplace_back(ox + (ix(rng) + half) * pix, oy + (iy(rng) + half) * pix);
+    }
+    std::vector<double> got_samples, want_samples;
+    for (const auto& [x, y] : points) {
+      got_samples.push_back(field.sample(x, y));
+      want_samples.push_back(want.sample(x, y));
+    }
+    EXPECT_TRUE(same_bits(got_samples, want_samples)) << c.name;
+
+    // The target's own edges and short random ones anywhere on the frame
+    // (many in the margin, where probes miss), at two print levels. The
+    // frame may touch the coordinate range's end: clamp in 64 bits.
+    std::vector<EpeEdge> edges = epe_edges(target);
+    const std::size_t want_edges = edges.size() + 300;
+    const auto clamp = [](Coord64 v) {
+      return static_cast<Coord>(std::clamp<Coord64>(v, std::numeric_limits<Coord>::min(),
+                                                    std::numeric_limits<Coord>::max()));
+    };
+    const Coord64 p64 = want.pixel_size();
+    std::uniform_int_distribution<Coord64> ex(want.origin().x - 4 * p64,
+                                              want.origin().x + (want.width() + 4) * p64);
+    std::uniform_int_distribution<Coord64> ey(want.origin().y - 4 * p64,
+                                              want.origin().y + (want.height() + 4) * p64);
+    std::uniform_int_distribution<Coord64> ed(-8 * p64, 8 * p64);
+    while (edges.size() < want_edges) {
+      const Coord64 x = ex(rng), y = ey(rng);
+      const Point a{clamp(x), clamp(y)};
+      const Point b{clamp(x + ed(rng)), clamp(y + ed(rng))};
+      if (a.x != b.x || a.y != b.y) edges.push_back({a, b});
+    }
+    for (const double level : {0.3, 0.5}) {
+      EpeAccumulator got, ref;
+      score_epe(field, level, edges, {}, got);
+      score_epe(want, level, edges, {}, ref);
+      EXPECT_GT(ref.samples(), edges.size()) << c.name;
+      EXPECT_TRUE(same_bits(got.values(), ref.values())) << c.name << " level " << level;
+      EXPECT_EQ(got.finalize().missing, ref.finalize().missing) << c.name;
+    }
+  }
+}
+
+TEST(SimulateExposure, PsfsThatOverflowTheGridAreDataErrors) {
+  PolygonSet s;
+  s.insert(Box{0, 0, 1000, 1000});
+  const ShotList shots = fracture(s).shots;
+  // The automatic margin, ceil(4 sigma) = 4e10 dbu, does not fit a Coord.
+  EXPECT_THROW(simulate_exposure(shots, Psf::double_gaussian(50.0, 1e10, 0.5),
+                                 {.pixel = 25}),
+               DataError);
+  // Nor does the automatic pixel, min sigma / 2 = 5e9 dbu.
+  EXPECT_THROW(simulate_exposure(shots, Psf::single_gaussian(1e10), {.margin = 1000}),
+               DataError);
+  // With both given, a term whose map factor passes INT_MAX.
+  EXPECT_THROW(ExposureField(shots, Psf::double_gaussian(50.0, 1e12, 0.5),
+                             {.pixel = 1, .margin = 1000}),
+               DataError);
 }
 
 }  // namespace
