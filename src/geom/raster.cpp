@@ -139,22 +139,29 @@ void Raster::add_coverage(const Trapezoid& t, double weight) {
   });
 }
 
-double Raster::sample(double x, double y) const {
+bool Raster::stencil(double x, double y, int& ix, int& iy, double& tx, double& ty) const {
   const double fx = (x - origin_.x) / pix_ - 0.5;
   const double fy = (y - origin_.y) / pix_ - 0.5;
   // No pixel among the four neighbours: every corner reads 0. Checking in
   // double first keeps the int casts below defined however far (x, y) lies.
-  if (!(fx >= -1.0 && fx < nx_ && fy >= -1.0 && fy < ny_)) return 0.0;
-  const int ix = static_cast<int>(std::floor(fx));
-  const int iy = static_cast<int>(std::floor(fy));
-  const double tx = fx - ix;
-  const double ty = fy - iy;
+  if (!(fx >= -1.0 && fx < nx_ && fy >= -1.0 && fy < ny_)) return false;
+  ix = static_cast<int>(std::floor(fx));
+  iy = static_cast<int>(std::floor(fy));
+  tx = fx - ix;
+  ty = fy - iy;
+  return true;
+}
+
+double Raster::sample(double x, double y) const {
+  int ix, iy;
+  double tx, ty;
+  if (!stencil(x, y, ix, iy, tx, ty)) return 0.0;
   auto value = [&](int px, int py) -> double {
     if (px < 0 || py < 0 || px >= nx_ || py >= ny_) return 0.0;
     return data_[static_cast<std::size_t>(py) * nx_ + px];
   };
-  return (1 - tx) * (1 - ty) * value(ix, iy) + tx * (1 - ty) * value(ix + 1, iy) +
-         (1 - tx) * ty * value(ix, iy + 1) + tx * ty * value(ix + 1, iy + 1);
+  return blend(tx, ty, value(ix, iy), value(ix + 1, iy), value(ix, iy + 1),
+               value(ix + 1, iy + 1));
 }
 
 void Raster::add_coverage(const std::vector<Trapezoid>& traps, double weight) {

@@ -44,6 +44,19 @@ class Raster {
   /// sampling anywhere is safe.
   double sample(double x, double y) const;
 
+  /// sample's stencil at a dbu point: the pixel (ix, iy) at the low corner of
+  /// the four it blends, and their weights tx, ty. False when none of the
+  /// four lies on the grid, where sample reads 0.
+  bool stencil(double x, double y, int& ix, int& iy, double& tx, double& ty) const;
+
+  /// sample's blend of its stencil's pixel values: v00 at (ix, iy), v10 at
+  /// (ix + 1, iy), v01 at (ix, iy + 1), v11 at (ix + 1, iy + 1).
+  static double blend(double tx, double ty, double v00, double v10, double v01,
+                      double v11) {
+    return (1 - tx) * (1 - ty) * v00 + tx * (1 - ty) * v10 + (1 - tx) * ty * v01 +
+           tx * ty * v11;
+  }
+
   /// Accumulates weight * (covered area fraction) of the trapezoid into every
   /// pixel it overlaps. Coverage is exact (convex clip + shoelace).
   void add_coverage(const Trapezoid& t, double weight = 1.0);

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 
 #include "util/contracts.h"
 #include "util/parallel.h"
@@ -184,10 +185,11 @@ template <typename V, int B>
   for (int b = 0; b < B; ++b) store(out + b * L, acc[b]);
 }
 
-// out <- kernel * in, along one row of nx pixels.
+// out[0 .. x1 - x0) <- kernel * in at pixels [x0, x1) of a row of nx.
 template <typename V>
-[[gnu::always_inline]] inline void row_body(const double* in, double* out, int nx,
-                                            const double* taps, int radius) {
+[[gnu::always_inline]] inline void row_span(const double* in, double* out, int nx,
+                                            int x0, int x1, const double* taps,
+                                            int radius) {
   constexpr int L = kLanes<V>;
   // Pixel x of an edge misses the taps past the row's ends.
   const auto edge = [&](int x) {
@@ -196,17 +198,39 @@ template <typename V>
       if (x - k >= 0) acc += taps[k] * in[x - k];
       if (x + k < nx) acc += taps[k] * in[x + k];
     }
-    out[x] = acc;
+    out[x - x0] = acc;
   };
-  const int lo = std::min(radius, nx);       // [0, lo): left edge
-  const int hi = std::max(lo, nx - radius);  // [lo, hi): every tap in range
-  for (int x = 0; x < lo; ++x) edge(x);
+  const int lo = std::min(std::max(x0, radius), x1);       // [x0, lo): left edge
+  const int hi = std::max(lo, std::min(x1, nx - radius));  // [lo, hi): every tap in range
+  for (int x = x0; x < lo; ++x) edge(x);
   int x = lo;
   for (; x + L * kBlock <= hi; x += L * kBlock)
-    row_block<V, kBlock>(in + x, out + x, taps, radius);
-  for (; x + L <= hi; x += L) row_block<V, 1>(in + x, out + x, taps, radius);
-  for (; x < hi; ++x) row_block<double, 1>(in + x, out + x, taps, radius);
-  for (x = hi; x < nx; ++x) edge(x);
+    row_block<V, kBlock>(in + x, out + (x - x0), taps, radius);
+  for (; x + L <= hi; x += L) row_block<V, 1>(in + x, out + (x - x0), taps, radius);
+  for (; x < hi; ++x) row_block<double, 1>(in + x, out + (x - x0), taps, radius);
+  for (x = hi; x < x1; ++x) edge(x);
+}
+
+// out <- kernel * in, along one row of nx pixels.
+template <typename V>
+[[gnu::always_inline]] inline void row_body(const double* in, double* out, int nx,
+                                            const double* taps, int radius) {
+  row_span<V>(in, out, nx, 0, nx, taps, radius);
+}
+
+// out <- kernel * in at each run of a row of nx, the runs' outputs packed
+// one after another.
+template <typename V>
+[[gnu::always_inline]] inline void row_runs_body(const double* in, double* out, int nx,
+                                                 const detail::ColumnRun* runs,
+                                                 std::size_t nruns, const double* taps,
+                                                 int radius) {
+  for (std::size_t i = 0; i < nruns; ++i) {
+    const int x0 = static_cast<int>(runs[i].x);
+    const int n = static_cast<int>(runs[i].n);
+    row_span<V>(in, out, nx, x0, x0 + n, taps, radius);
+    out += n;
+  }
 }
 
 // Column kernel, B vectors of V at column x: win[0] is the row-blurred row
@@ -252,6 +276,76 @@ template <typename V>
   for (; x < n; ++x) column_block<double, 1>(win, x, out, taps, ku, kd);
 }
 
+// column_block for B vectors of V at columns xs[0 .. B), which need not be
+// adjacent, stored one after another from out on.
+template <typename V, int B>
+[[gnu::always_inline]] inline void column_gather(const double* const* win,
+                                                 const std::size_t* xs, double* out,
+                                                 const double* taps, int ku, int kd) {
+  constexpr int L = kLanes<V>;
+  V acc[B];
+  for (int b = 0; b < B; ++b) mul(acc[b], taps[0], win[0] + xs[b]);
+  const int both = std::min(ku, kd);
+  int k = 1;
+  for (; k <= both; ++k) {
+    const double w = taps[k];
+    const double* a = win[-k];
+    const double* c = win[k];
+    for (int b = 0; b < B; ++b) {
+      mul_add(acc[b], w, a + xs[b]);
+      mul_add(acc[b], w, c + xs[b]);
+    }
+  }
+  for (int j = k; j <= ku; ++j)
+    for (int b = 0; b < B; ++b) mul_add(acc[b], taps[j], win[-j] + xs[b]);
+  for (int j = k; j <= kd; ++j)
+    for (int b = 0; b < B; ++b) mul_add(acc[b], taps[j], win[j] + xs[b]);
+  for (int b = 0; b < B; ++b) store(out + b * L, acc[b]);
+}
+
+// The last n of the vectors at xs, in blocks of B, then of B / 2, ... 1.
+template <typename V, int B>
+[[gnu::always_inline]] inline void column_gather_rest(const double* const* win,
+                                                      const std::size_t* xs, int n,
+                                                      double* out, const double* taps,
+                                                      int ku, int kd) {
+  for (; n >= B; n -= B, xs += B, out += B * kLanes<V>)
+    column_gather<V, B>(win, xs, out, taps, ku, kd);
+  if constexpr (B > 1) column_gather_rest<V, B / 2>(win, xs, n, out, taps, ku, kd);
+}
+
+// out <- kernel * the column neighbourhood in win at each run, the runs'
+// outputs packed one after another. Runs are short, so a register block
+// takes its vectors from as many runs as it needs. Only a run that ends at
+// the raster's right edge, and so is the last, may end in a partial vector.
+template <typename V>
+[[gnu::always_inline]] inline void column_runs_body(const double* const* win,
+                                                    const detail::ColumnRun* runs,
+                                                    std::size_t nruns, double* out,
+                                                    const double* taps, int ku, int kd) {
+  constexpr std::size_t L = kLanes<V>;
+  std::size_t xs[kBlock];
+  int pending = 0;
+  for (std::size_t i = 0; i < nruns; ++i) {
+    std::size_t x = runs[i].x;
+    const std::size_t end = x + runs[i].n;
+    for (; x + L <= end; x += L) {
+      xs[pending++] = x;
+      if (pending == kBlock) {
+        column_gather<V, kBlock>(win, xs, out, taps, ku, kd);
+        out += kBlock * L;
+        pending = 0;
+      }
+    }
+    if (x == end) continue;
+    column_gather_rest<V, kBlock / 2>(win, xs, pending, out, taps, ku, kd);
+    out += pending * L;
+    pending = 0;
+    for (; x < end; ++x) column_gather<double, 1>(win, &x, out++, taps, ku, kd);
+  }
+  column_gather_rest<V, kBlock / 2>(win, xs, pending, out, taps, ku, kd);
+}
+
 [[gnu::noinline, gnu::aligned(64)]] void blur_row_baseline(const double* in, double* out,
                                                            int nx, const double* taps,
                                                            int radius) {
@@ -265,11 +359,28 @@ template <typename V>
   column_body<v2d>(win, out, nx, taps, ku, kd);
 }
 
+[[gnu::noinline, gnu::aligned(64)]] void blur_row_runs_baseline(
+    const double* in, double* out, int nx, const detail::ColumnRun* runs,
+    std::size_t nruns, const double* taps, int radius) {
+  row_runs_body<v2d>(in, out, nx, runs, nruns, taps, radius);
+}
+
+[[gnu::noinline, gnu::aligned(64)]] void blur_column_runs_baseline(
+    const double* const* win, const detail::ColumnRun* runs, std::size_t nruns,
+    double* out, const double* taps, int ku, int kd) {
+  column_runs_body<v2d>(win, runs, nruns, out, taps, ku, kd);
+}
+
 struct BlurKernels {
   void (*row)(const double*, double*, int, const double*, int);
   void (*column)(const double* const*, double*, int, const double*, int, int);
+  void (*row_runs)(const double*, double*, int, const detail::ColumnRun*, std::size_t,
+                   const double*, int);
+  void (*column_runs)(const double* const*, const detail::ColumnRun*, std::size_t,
+                      double*, const double*, int, int);
 };
-constexpr BlurKernels kBaselineKernels{blur_row_baseline, blur_column_baseline};
+constexpr BlurKernels kBaselineKernels{blur_row_baseline, blur_column_baseline,
+                                       blur_row_runs_baseline, blur_column_runs_baseline};
 
 #if defined(__x86_64__) && defined(__GNUC__)
 #define EBL_BLUR_AVX2 1
@@ -284,8 +395,28 @@ constexpr BlurKernels kBaselineKernels{blur_row_baseline, blur_column_baseline};
   column_body<v4d>(win, out, nx, taps, ku, kd);
 }
 
-constexpr BlurKernels kAvx2Kernels{blur_row_avx2, blur_column_avx2};
+[[gnu::noinline, gnu::aligned(64), gnu::target("avx2")]] void blur_row_runs_avx2(
+    const double* in, double* out, int nx, const detail::ColumnRun* runs,
+    std::size_t nruns, const double* taps, int radius) {
+  row_runs_body<v4d>(in, out, nx, runs, nruns, taps, radius);
+}
+
+[[gnu::noinline, gnu::aligned(64), gnu::target("avx2")]] void blur_column_runs_avx2(
+    const double* const* win, const detail::ColumnRun* runs, std::size_t nruns,
+    double* out, const double* taps, int ku, int kd) {
+  column_runs_body<v4d>(win, runs, nruns, out, taps, ku, kd);
+}
+
+constexpr BlurKernels kAvx2Kernels{blur_row_avx2, blur_column_avx2, blur_row_runs_avx2,
+                                   blur_column_runs_avx2};
 #endif
+
+const BlurKernels& cpu_kernels() {
+#ifdef EBL_BLUR_AVX2
+  if (has_avx2_fma()) return kAvx2Kernels;
+#endif
+  return kBaselineKernels;
+}
 
 // Per-thread state of the sweep, reused across calls so steady-state blurs
 // never allocate. The halo belongs to the calling thread: the rows within
@@ -303,18 +434,21 @@ struct BlurRing {
 };
 thread_local BlurRing t_ring;
 
-void fused_blur(const double* src, double* dst, int nx, int ny, std::size_t stride,
-                const std::vector<double>& taps, int threads, int bands,
-                const BlurKernels& kern) {
-  expects(!taps.empty(), "separable_blur: empty kernel");
-  if (nx <= 0 || ny <= 0) return;
-  const int radius = static_cast<int>(taps.size()) - 1;
-  const double* w = taps.data();
-  const std::size_t row = static_cast<std::size_t>(nx);
-  const int nb = std::clamp(bands, 1, ny);
+// The band sweep of both blurs over an ny-row raster in nb bands.
+// row_blur(y, out) row-blurs raster row y into a scratch row of width
+// doubles; column(win, y, ku, kd) writes output row y from win (win[0] is
+// row y's row-blur, see column_block). Only rows y with writes(y) are
+// written, and only rows with need[y] set (every row when need is null)
+// are row-blurred: each row within r of a written row must have it.
+template <typename RowBlur, typename Writes, typename Column>
+void band_sweep(int ny, int nb, int radius, std::size_t width, const std::uint8_t* need,
+                int threads, const RowBlur& row_blur, const Writes& writes,
+                const Column& column) {
+  nb = std::clamp(nb, 1, ny);
   const auto band_start = [&](int b) {
     return static_cast<int>(static_cast<std::int64_t>(ny) * b / nb);
   };
+  const auto needed = [&](int y) { return !need || need[y]; };
 
   // Bound through a local reference: the band lambda runs on pool threads,
   // where the name t_halo would resolve to their own instances.
@@ -325,18 +459,17 @@ void fused_blur(const double* src, double* dst, int nx, int ny, std::size_t stri
     const int edge = band_start(b);
     for (int y = std::max(0, edge - radius); y < std::min(ny, edge + radius); ++y) {
       int& s = halo.slot[static_cast<std::size_t>(y)];
-      if (s >= 0) continue;
+      if (s >= 0 || !needed(y)) continue;
       s = static_cast<int>(halo.rows.size());
       halo.rows.push_back(y);
     }
   }
-  halo.data.resize(halo.rows.size() * row);
+  halo.data.resize(halo.rows.size() * width);
   parallel_for(
       halo.rows.size(),
       [&](std::size_t i0, std::size_t i1) {
         for (std::size_t i = i0; i < i1; ++i)
-          kern.row(src + static_cast<std::size_t>(halo.rows[i]) * stride,
-                   halo.data.data() + i * row, nx, w, radius);
+          row_blur(halo.rows[i], halo.data.data() + i * width);
       },
       threads);
 
@@ -345,7 +478,7 @@ void fused_blur(const double* src, double* dst, int nx, int ny, std::size_t stri
       [&](std::size_t b0, std::size_t b1) {
         BlurRing& ring = t_ring;
         const int span = 2 * radius + 1;
-        ring.rows.resize(static_cast<std::size_t>(span) * row);
+        ring.rows.resize(static_cast<std::size_t>(span) * width);
         for (std::size_t b = b0; b < b1; ++b) {
           const int y0 = band_start(static_cast<int>(b));
           const int y1 = band_start(static_cast<int>(b) + 1);
@@ -355,27 +488,95 @@ void fused_blur(const double* src, double* dst, int nx, int ny, std::size_t stri
           ring.win.assign(static_cast<std::size_t>(y1 - y0 + 2 * radius), nullptr);
           int next = std::max(0, first);  // next row to row-blur or fetch
           for (int y = y0; y < y1; ++y) {
-            for (const int need = std::min(ny, y + radius + 1); next < need; ++next) {
+            if (!writes(y)) continue;
+            for (const int last = std::min(ny, y + radius + 1); next < last; ++next) {
+              if (!needed(next)) continue;
               const int s = halo.slot[static_cast<std::size_t>(next)];
               const double* p;
               if (s >= 0) {
-                p = halo.data.data() + static_cast<std::size_t>(s) * row;
+                p = halo.data.data() + static_cast<std::size_t>(s) * width;
               } else {
                 // Unstaged rows lie inside this band, and the band writes
                 // row y only after reading every row up to y + r.
-                double* r = ring.rows.data() + static_cast<std::size_t>(next % span) * row;
-                kern.row(src + static_cast<std::size_t>(next) * stride, r, nx, w, radius);
+                double* r = ring.rows.data() + static_cast<std::size_t>(next % span) * width;
+                row_blur(next, r);
                 p = r;
               }
               ring.win[static_cast<std::size_t>(next - first)] = p;
             }
-            kern.column(ring.win.data() + (y - first),
-                        dst + static_cast<std::size_t>(y) * stride, nx, w,
-                        std::min(radius, y), std::min(radius, ny - 1 - y));
+            column(ring.win.data() + (y - first), y, std::min(radius, y),
+                   std::min(radius, ny - 1 - y));
           }
         }
       },
       threads);
+}
+
+void fused_blur(const double* src, double* dst, int nx, int ny, std::size_t stride,
+                const std::vector<double>& taps, int threads, int bands,
+                const BlurKernels& kern) {
+  expects(!taps.empty(), "separable_blur: empty kernel");
+  if (nx <= 0 || ny <= 0) return;
+  const int radius = static_cast<int>(taps.size()) - 1;
+  const double* w = taps.data();
+  band_sweep(
+      ny, bands, radius, static_cast<std::size_t>(nx), nullptr, threads,
+      [&](int y, double* out) {
+        kern.row(src + static_cast<std::size_t>(y) * stride, out, nx, w, radius);
+      },
+      [](int) { return true; },
+      [&](const double* const* win, int y, int ku, int kd) {
+        kern.column(win, dst + static_cast<std::size_t>(y) * stride, nx, w, ku, kd);
+      });
+}
+
+// The fused sweep over a read set (see detail::ReadSet), from an nx x ny
+// raster src into values: it row-blurs only the needed rows, at the column
+// runs, into compact rows, and column-combines only the read pixels. The
+// rows, bands, halo and tap order are the fused sweep's, so every value
+// equals that pixel of separable_blur's output bit for bit.
+void read_set_blur(const double* src, int nx, int ny, const detail::ReadSet& rs,
+                   const std::vector<double>& taps, int threads, const BlurKernels& kern,
+                   double* values) {
+  if (rs.width == 0) return;
+  const int radius = static_cast<int>(taps.size()) - 1;
+  const double* w = taps.data();
+  const auto run = [&](int y) { return rs.run_start[static_cast<std::size_t>(y)]; };
+  band_sweep(
+      ny, resolve_threads(threads) * kBandsPerThread, radius, rs.width,
+      rs.need_row.data(), threads,
+      [&](int y, double* out) {
+        kern.row_runs(src + static_cast<std::size_t>(y) * static_cast<std::size_t>(nx), out,
+                      nx, rs.cols.data(), rs.cols.size(), w, radius);
+      },
+      [&](int y) { return run(y) != run(y + 1); },
+      [&](const double* const* win, int y, int ku, int kd) {
+        kern.column_runs(win, rs.runs.data() + run(y), run(y + 1) - run(y),
+                         values + rs.value_start[static_cast<std::size_t>(y)], w, ku, kd);
+      });
+}
+
+// Pixel (x, y) of separable_blur(g, taps), formed alone with the sweep's
+// tap order: each row's taps, then the column's.
+double blurred_pixel(const Raster& g, const std::vector<double>& taps, int x, int y) {
+  const int nx = g.width();
+  const int ny = g.height();
+  const int radius = static_cast<int>(taps.size()) - 1;
+  const auto row = [&](int yy) {
+    const double* in = g.data().data() + static_cast<std::size_t>(yy) * nx;
+    double acc = taps[0] * in[x];
+    for (int k = 1; k <= radius; ++k) {
+      if (x - k >= 0) acc += taps[k] * in[x - k];
+      if (x + k < nx) acc += taps[k] * in[x + k];
+    }
+    return acc;
+  };
+  double acc = taps[0] * row(y);
+  for (int k = 1; k <= radius; ++k) {
+    if (y - k >= 0) acc += taps[k] * row(y - k);
+    if (y + k < ny) acc += taps[k] * row(y + k);
+  }
+  return acc;
 }
 
 }  // namespace
@@ -500,13 +701,8 @@ ExposureEvaluator::ExposureEvaluator(ShotList shots, std::size_t active_count,
     (t.sigma >= kLongRangeThreshold ? long_terms_ : short_terms_).push_back(t);
   }
 
-  // All-long PSFs (pure raster evaluation) need no neighbor structure at
-  // all: skip grid construction entirely.
-  if (!short_terms_.empty()) build_grid();
-  build_long_range();
-
-  // Active-centroid cache: the sweep and the delta scatter both query these
-  // points every iteration.
+  // Active-centroid cache: the sweep, the delta scatter and the term maps'
+  // read sets all take these points.
   cx_.resize(active_);
   cy_.resize(active_);
   parallel_for(
@@ -519,6 +715,11 @@ ExposureEvaluator::ExposureEvaluator(ShotList shots, std::size_t active_count,
         }
       },
       opt_.threads);
+
+  // All-long PSFs (pure raster evaluation) need no neighbor structure at
+  // all: skip grid construction entirely.
+  if (!short_terms_.empty()) build_grid();
+  build_long_range();
 }
 
 void ExposureEvaluator::build_grid() {
@@ -608,6 +809,15 @@ void ExposureEvaluator::build_long_range() {
   }
   const Coord pixel =
       std::max<Coord>(1, static_cast<Coord>(sigma_min / kPixelsPerSigma));
+  // A term's k and the margin scale with its sigma, which may be any finite
+  // value; each must fit its integer type before it is cast to one.
+  for (const PsfTerm& t : long_terms_) {
+    if (!(t.sigma / kPixelsPerSigma / static_cast<double>(pixel) <
+          std::numeric_limits<int>::max())) {
+      throw DataError("ExposureEvaluator: a PSF term of sigma " + std::to_string(t.sigma) +
+                      " dbu is too wide for pixel " + std::to_string(pixel));
+    }
+  }
   int k_max = 1;
   for (const PsfTerm& t : long_terms_)
     k_max = std::max(k_max, term_k(t.sigma, pixel));
@@ -615,10 +825,13 @@ void ExposureEvaluator::build_long_range() {
   // map: edge centroids need one in-grid bilinear neighbor there, and the
   // blur needs no margin at all (zero padding is exact when every source
   // lies on the map).
-  const Coord margin = std::max<Coord>(
-      2 * k_max * pixel,
-      static_cast<Coord>(std::ceil(opt_.map_margin_sigmas * sigma_max)));
-  long_base_ = std::make_unique<Raster>(frame.bloated(margin), pixel);
+  const double margin = std::max(2.0 * k_max * static_cast<double>(pixel),
+                                 std::ceil(opt_.map_margin_sigmas * sigma_max));
+  if (!(margin < static_cast<double>(std::numeric_limits<Coord>::max()) + 1.0)) {
+    throw DataError("ExposureEvaluator: the long-range map margin (" +
+                    std::to_string(margin) + " dbu) does not fit a coordinate");
+  }
+  long_base_ = std::make_unique<Raster>(frame.bloated(static_cast<Coord>(margin)), pixel);
 
   const Point lo = long_base_->origin();
   for (const PsfTerm& term : long_terms_) {
@@ -634,8 +847,12 @@ void ExposureEvaluator::build_long_range() {
     };
     const Box extent{lo.x, lo.y, far(lo.x, long_base_->width()),
                      far(lo.y, long_base_->height())};
-    TermMap tm{term, k, gaussian_kernel_taps(term.sigma / static_cast<double>(tp)),
-               std::make_unique<Raster>(extent, tp)};
+    TermMap tm;
+    tm.term = term;
+    tm.k = k;
+    tm.taps = gaussian_kernel_taps(term.sigma / static_cast<double>(tp));
+    if (k > 1) tm.coarse = std::make_unique<Raster>(extent, tp);
+    build_read_set(tm);
     term_maps_.push_back(std::move(tm));
   }
 
@@ -700,7 +917,153 @@ void ExposureEvaluator::build_long_range() {
   accumulate_long_range();
 }
 
-void ExposureEvaluator::add_shot_coverage(std::size_t i, int row0, int row1, double weight) {
+void ExposureEvaluator::build_read_set(TermMap& tm) {
+  // Each active centroid's stencil on the term's grid, as Raster::sample
+  // takes it; corner[i] is its low corner pixel, or none.
+  const Raster& g = source(tm);
+  const int nx = g.width();
+  const int ny = g.height();
+  constexpr std::pair<int, int> kNone{-2, -2};
+  std::vector<std::pair<int, int>> corner(active_, kNone);
+  tm.stencils.assign(active_, Stencil{{0, 0, 0, 0}, 0.0, 0.0});
+  parallel_for(
+      active_,
+      [&](std::size_t i0, std::size_t i1) {
+        for (std::size_t i = i0; i < i1; ++i) {
+          Stencil& st = tm.stencils[i];
+          g.stencil(cx_[i], cy_[i], corner[i].first, corner[i].second, st.tx, st.ty);
+        }
+      },
+      opt_.threads);
+  // Visits stencil pixel j (row-major in the 2 x 2 block) of centroid i,
+  // for each one on the grid.
+  const auto each_pixel = [&](std::size_t i, auto&& fn) {
+    if (corner[i] == kNone) return;
+    for (int j = 0; j < 4; ++j) {
+      const int x = corner[i].first + (j & 1);
+      const int y = corner[i].second + (j >> 1);
+      if (x >= 0 && y >= 0 && x < nx && y < ny) fn(j, x, y);
+    }
+  };
+
+  // Read columns by row: count, exclusive scan, fill, then sort and drop
+  // the duplicates of each row.
+  const std::size_t rows = static_cast<std::size_t>(ny);
+  std::vector<std::uint32_t> start(rows + 1, 0);
+  for (std::size_t i = 0; i < active_; ++i)
+    each_pixel(i, [&](int, int, int y) { ++start[static_cast<std::size_t>(y) + 1]; });
+  for (std::size_t y = 1; y <= rows; ++y) start[y] += start[y - 1];
+  std::vector<std::uint32_t> col(start[rows]);
+  std::vector<std::uint32_t> cursor(start.begin(), start.end() - 1);
+  for (std::size_t i = 0; i < active_; ++i)
+    each_pixel(i, [&](int, int x, int y) {
+      col[cursor[static_cast<std::size_t>(y)]++] = static_cast<std::uint32_t>(x);
+    });
+  std::vector<std::uint32_t> count(rows);
+  parallel_for(
+      rows,
+      [&](std::size_t y0, std::size_t y1) {
+        for (std::size_t y = y0; y < y1; ++y) {
+          const auto b = col.begin() + start[y];
+          const auto e = col.begin() + start[y + 1];
+          std::sort(b, e);
+          count[y] = static_cast<std::uint32_t>(std::unique(b, e) - b);
+        }
+      },
+      opt_.threads);
+
+  // Each row's read columns rounded out to whole groups of one AVX2 vector
+  // and merged into runs, so both passes run on whole vectors; a group
+  // ending past the raster is clipped to it. runs holds raster columns
+  // until the compact columns are known.
+  constexpr std::uint32_t kGroup = 4;
+  detail::ReadSet& rs = tm.reads;
+  rs.run_start.assign(rows + 1, 0);
+  rs.runs.clear();
+  for (std::size_t y = 0; y < rows; ++y) {
+    for (std::uint32_t k = start[y]; k < start[y] + count[y]; ++k) {
+      const std::uint32_t x0 = col[k] / kGroup * kGroup;
+      const std::uint32_t x1 = std::min<std::uint32_t>(static_cast<std::uint32_t>(nx),
+                                                      x0 + kGroup);
+      if (rs.runs.size() > rs.run_start[y] && rs.runs.back().x + rs.runs.back().n >= x0) {
+        rs.runs.back().n = x1 - rs.runs.back().x;
+      } else {
+        rs.runs.push_back({x0, x1 - x0});
+      }
+    }
+    rs.run_start[y + 1] = static_cast<std::uint32_t>(rs.runs.size());
+  }
+
+  // Values: slot 0 is the zero pixel, then each row's runs in order.
+  std::vector<std::uint32_t> run_value(rs.runs.size() + 1, 1);
+  for (std::size_t k = 0; k < rs.runs.size(); ++k) run_value[k + 1] = run_value[k] + rs.runs[k].n;
+  rs.value_start.resize(rows + 1);
+  for (std::size_t y = 0; y <= rows; ++y) rs.value_start[y] = run_value[rs.run_start[y]];
+  tm.values.assign(run_value.back(), 0.0);
+  parallel_for(
+      active_,
+      [&](std::size_t i0, std::size_t i1) {
+        for (std::size_t i = i0; i < i1; ++i) {
+          each_pixel(i, [&](int j, int x, int y) {
+            // The last run of row y that starts at or before x holds it.
+            const auto b = rs.runs.begin() + rs.run_start[static_cast<std::size_t>(y)];
+            const auto e = rs.runs.begin() + rs.run_start[static_cast<std::size_t>(y) + 1];
+            const auto at = std::upper_bound(
+                                b, e, static_cast<std::uint32_t>(x),
+                                [](std::uint32_t v, const detail::ColumnRun& r) { return v < r.x; }) -
+                            1;
+            tm.stencils[i].slot[j] =
+                run_value[static_cast<std::size_t>(at - rs.runs.begin())] +
+                (static_cast<std::uint32_t>(x) - at->x);
+          });
+        }
+      },
+      opt_.threads);
+
+  // The row pass's columns: the union of the runs' groups, merged into
+  // runs, packed left to right into the compact row.
+  std::vector<std::uint8_t> used(static_cast<std::size_t>(nx) / kGroup + 1, 0);
+  for (const detail::ColumnRun& r : rs.runs)
+    std::fill_n(used.begin() + r.x / kGroup, (r.n + kGroup - 1) / kGroup, 1);
+  rs.cols.clear();
+  std::vector<std::uint32_t> compact(static_cast<std::size_t>(nx));
+  std::uint32_t width = 0;
+  for (std::size_t g = 0; g < used.size(); ++g) {
+    if (!used[g]) continue;
+    std::size_t ge = g;
+    while (ge < used.size() && used[ge]) ++ge;
+    const std::uint32_t x0 = static_cast<std::uint32_t>(g * kGroup);
+    const std::uint32_t x1 = static_cast<std::uint32_t>(
+        std::min<std::size_t>(static_cast<std::size_t>(nx), ge * kGroup));
+    rs.cols.push_back({x0, x1 - x0});
+    for (std::uint32_t x = x0; x < x1; ++x) compact[x] = width + (x - x0);
+    width += x1 - x0;
+    g = ge;
+  }
+  rs.width = width;
+  // A run lies inside one column run, so it stays contiguous there.
+  for (detail::ColumnRun& r : rs.runs) r.x = compact[r.x];
+
+  // Rows within the kernel radius of a read row.
+  const int radius = static_cast<int>(tm.taps.size()) - 1;
+  std::vector<int> edge(rows + 1, 0);
+  for (int y = 0; y < ny; ++y) {
+    if (count[static_cast<std::size_t>(y)] == 0) continue;
+    ++edge[static_cast<std::size_t>(std::max(0, y - radius))];
+    --edge[static_cast<std::size_t>(std::min(ny, y + radius + 1))];
+  }
+  rs.need_row.assign(rows, 0);
+  int open = 0;
+  for (std::size_t y = 0; y < rows; ++y) {
+    open += edge[y];
+    rs.need_row[y] = open > 0;
+  }
+}
+
+// Pinned to a 64-byte boundary like the blur kernels (see there): it holds
+// the gather's per-shot loop, for the full gather and the delta scatter.
+[[gnu::noinline, gnu::aligned(64)]] void ExposureEvaluator::add_shot_coverage(
+    std::size_t i, int row0, int row1, double weight) {
   // Each pixel's fraction is rounded to float first, in the full gather and
   // the delta scatter alike, so both add the same terms.
   Raster& base = *long_base_;
@@ -744,26 +1107,14 @@ void ExposureEvaluator::accumulate_long_range() {
   // adds each of its shots in ascending index, clipped to the band's rows.
   // Bands are disjoint outputs and every pixel sums the same terms in the
   // same order, so the map is identical for any thread count.
-  Raster& base = *long_base_;
-  const int ny = base.height();
-  const std::size_t nx = static_cast<std::size_t>(base.width());
-  double* data = base.data().data();
+  const int ny = long_base_->height();
   const double* bg = ghost_base_ ? ghost_base_->data().data() : nullptr;
   parallel_for(
       band_start_.size() - 1,
       [&](std::size_t b0, std::size_t b1) {
         for (std::size_t b = b0; b < b1; ++b) {
           const int row0 = static_cast<int>(b) * kBandRows;
-          const int row1 = std::min(ny, row0 + kBandRows);
-          const std::size_t p0 = static_cast<std::size_t>(row0) * nx;
-          const std::size_t p1 = static_cast<std::size_t>(row1) * nx;
-          if (bg) {
-            std::copy(bg + p0, bg + p1, data + p0);
-          } else {
-            std::fill(data + p0, data + p1, 0.0);
-          }
-          for (std::uint32_t k = band_start_[b]; k < band_start_[b + 1]; ++k)
-            add_shot_coverage(band_shot_[k], row0, row1, shots_[band_shot_[k]].dose);
+          gather_band(b, row0, std::min(ny, row0 + kBandRows), bg);
         }
       },
       opt_.threads);
@@ -772,22 +1123,38 @@ void ExposureEvaluator::accumulate_long_range() {
   ++perf_.refreshes;
 }
 
+// Pinned to a 64-byte boundary like the blur kernels (see there).
+[[gnu::noinline, gnu::aligned(64)]] void ExposureEvaluator::gather_band(std::size_t b,
+                                                                        int row0, int row1,
+                                                                        const double* bg) {
+  const std::size_t nx = static_cast<std::size_t>(long_base_->width());
+  double* data = long_base_->data().data();
+  const std::size_t p0 = static_cast<std::size_t>(row0) * nx;
+  const std::size_t p1 = static_cast<std::size_t>(row1) * nx;
+  if (bg) {
+    std::copy(bg + p0, bg + p1, data + p0);
+  } else {
+    std::fill(data + p0, data + p1, 0.0);
+  }
+  for (std::uint32_t k = band_start_[b]; k < band_start_[b + 1]; ++k)
+    add_shot_coverage(band_shot_[k], row0, row1, shots_[band_shot_[k]].dose);
+}
+
 void ExposureEvaluator::blur_long_range() {
   if (!long_base_) return;
   const auto t0 = std::chrono::steady_clock::now();
   const Raster& base = *long_base_;
   for (TermMap& tm : term_maps_) {
-    Raster& m = *tm.map;
-    if (tm.k == 1) {
-      // The map has the base's pixels: blur straight out of the base, which
-      // the delta path still needs unblurred.
-      separable_blur(base.data().data(), m.data().data(), m.width(), m.height(),
-                     static_cast<std::size_t>(m.width()), tm.taps, opt_.threads);
-      continue;
+    if (tm.coarse) {
+      Raster& m = *tm.coarse;
+      box_average(base.data().data(), base.width(), base.height(), tm.k, 0, 0, m.width(),
+                  m.height(), m.data().data(), opt_.threads);
     }
-    box_average(base.data().data(), base.width(), base.height(), tm.k, 0, 0, m.width(),
-                m.height(), m.data().data(), opt_.threads);
-    separable_blur(m, tm.taps, opt_.threads);
+    // A k = 1 term blurs straight out of the base, which the delta path
+    // still needs unblurred.
+    const Raster& src = source(tm);
+    read_set_blur(src.data().data(), src.width(), src.height(), tm.reads, tm.taps,
+                  opt_.threads, cpu_kernels(), tm.values.data());
   }
   perf_.blur_ms += ms_since(t0);
 }
@@ -933,10 +1300,23 @@ double ExposureEvaluator::exposure_at(double px, double py) const {
   }
 
   for (const TermMap& tm : term_maps_) {
-    // Raster value is mean dose-weighted coverage per pixel; after the
-    // normalized blur it is the long-range exposure directly (term weight
-    // folded here).
-    e += tm.term.weight * tm.map->sample(px, py);
+    // A blurred pixel is the mean dose-weighted coverage around it: the
+    // long-range exposure directly (term weight folded here). Raster::sample
+    // on the dense blurred map, its four pixels formed here.
+    const Raster& g = source(tm);
+    int ix, iy;
+    double tx, ty;
+    double v = 0.0;
+    if (g.stencil(px, py, ix, iy, tx, ty)) {
+      const auto pixel = [&](int x, int y) {
+        return x < 0 || y < 0 || x >= g.width() || y >= g.height()
+                   ? 0.0
+                   : blurred_pixel(g, tm.taps, x, y);
+      };
+      v = Raster::blend(tx, ty, pixel(ix, iy), pixel(ix + 1, iy), pixel(ix, iy + 1),
+                        pixel(ix + 1, iy + 1));
+    }
+    e += tm.term.weight * v;
   }
   return e;
 }
@@ -1046,21 +1426,28 @@ void ExposureEvaluator::refresh_short_cache() const {
   short_cache_valid_ = true;
 }
 
+// Pinned to a 64-byte boundary like the blur kernels (see there).
+[[gnu::noinline, gnu::aligned(64)]] void ExposureEvaluator::sweep_centroids(
+    std::size_t i0, std::size_t i1, double* out) const {
+  const bool shorts = !short_terms_.empty();
+  for (std::size_t i = i0; i < i1; ++i) {
+    double e = shorts ? short_cache_[i] : 0.0;
+    for (const TermMap& tm : term_maps_) {
+      // Raster::sample of the dense blurred map, replayed from the stencil.
+      const Stencil& st = tm.stencils[i];
+      const double* v = tm.values.data();
+      e += tm.term.weight * Raster::blend(st.tx, st.ty, v[st.slot[0]], v[st.slot[1]],
+                                          v[st.slot[2]], v[st.slot[3]]);
+    }
+    out[i] = e;
+  }
+}
+
 std::vector<double> ExposureEvaluator::exposures_at_centroids() const {
   std::vector<double> out(active_);
-  const bool shorts = !short_terms_.empty();
-  if (shorts && !short_cache_valid_) refresh_short_cache();
+  if (!short_terms_.empty() && !short_cache_valid_) refresh_short_cache();
   parallel_for(
-      active_,
-      [&](std::size_t i0, std::size_t i1) {
-        for (std::size_t i = i0; i < i1; ++i) {
-          double e = shorts ? short_cache_[i] : 0.0;
-          for (const TermMap& tm : term_maps_) {
-            e += tm.term.weight * tm.map->sample(cx_[i], cy_[i]);
-          }
-          out[i] = e;
-        }
-      },
+      active_, [&](std::size_t i0, std::size_t i1) { sweep_centroids(i0, i1, out.data()); },
       opt_.threads);
   return out;
 }

@@ -31,8 +31,18 @@
 //     so this step is exact) and blurs there; a term at the base pixel
 //     blurs straight out of the base. Every kernel is then about
 //     4 * kPixelsPerSigma pixels wide, so one blur suffices: separable_blur's
-//     fused, register-blocked row and column passes, over every term's
-//     whole map at every refresh.
+//     fused, register-blocked row and column passes.
+//   - The blur forms only the pixels the centroid sweep reads. Each term
+//     keeps a read set, built once from the geometry: the in-grid pixels of
+//     every active centroid's bilinear stencil, as column runs per row
+//     rounded out to whole vectors. A refresh row-blurs only the rows
+//     within the kernel radius of a read pixel, at the union of the read
+//     columns, and column-combines only the read pixels into a compact
+//     value array; each centroid holds its four slots in it. Every value
+//     keeps separable_blur's tap order, so it equals that pixel of the
+//     dense blurred map bit for bit, and a read set that covers the map
+//     does the dense blur's work. No blurred map is held: exposure_at
+//     forms its four pixels on demand.
 //   - Dose updates are incremental (see kDeltaThreshold): the evaluator
 //     tracks per-shot dose deltas, and when only a minority of doses moved
 //     it adds just those shots' coverage to the base map, weighted by their
@@ -86,8 +96,8 @@ inline constexpr double kPixelsPerSigma = 4.0;
 ///     coverage is added, weighted by its dose delta, to the fine base
 ///     map (O(moved x footprint) instead of the full O(pixels + footprints)
 ///     gather), and the cached per-centroid short-range sums are updated
-///     the same way. The long-range blur still reruns on every term's full
-///     map.
+///     the same way. The long-range blur still reruns over every term's
+///     read set.
 /// Every kDeltaReanchor-th delta refresh re-gathers in full to keep the
 /// ~1e-16-per-update rounding drift bounded (well under 1e-12 in practice).
 /// reset_doses is the exact entry point: it never defers and never scatters.
@@ -154,6 +164,30 @@ struct BlurPerf {
   }
 };
 
+namespace detail {
+/// Columns [x, x + n) of a map row.
+struct ColumnRun {
+  std::uint32_t x, n;
+};
+
+/// The pixels of a PEC term map the centroid sweep reads, by row, each
+/// row's rounded out to whole groups of 4 columns (one AVX2 vector): row
+/// y's are runs [run_start[y], run_start[y + 1]), with x a position in the
+/// compact row (below), and their blurred values are stored from
+/// value_start[y] on, in run order. The blur row-blurs only the rows with
+/// need_row set (those within the kernel radius of a read pixel), at the
+/// union of those groups merged into runs: cols, in raster columns, width
+/// columns in all, packed left to right into the compact row.
+struct ReadSet {
+  std::vector<std::uint32_t> run_start;
+  std::vector<ColumnRun> runs;
+  std::vector<std::uint32_t> value_start;
+  std::vector<std::uint8_t> need_row;
+  std::vector<ColumnRun> cols;
+  std::size_t width = 0;
+};
+}  // namespace detail
+
 /// Evaluates exposure for a fixed shot geometry; per-shot doses can be
 /// updated cheaply (the band binning, the slanted shots' footprints and the
 /// neighbor structure are reused; the base map is re-gathered and the
@@ -208,7 +242,11 @@ class ExposureEvaluator {
   void reset_doses(const std::vector<double>& doses);
 
   /// Exposure at a point (energy density relative to unit-dose infinite
-  /// pattern = 1).
+  /// pattern = 1). The evaluator blurs only the centroids' pixels, so each
+  /// long-range term forms the point's four pixels here, from its unblurred
+  /// source in the blur's tap order: about (2r + 1)^2 multiply-adds per
+  /// pixel at kernel radius r, bit-identical to a dense blurred map. Meant
+  /// for probes and tests; the correctors use exposures_at_centroids.
   double exposure_at(double px, double py) const;
   double exposure_at(Point p) const { return exposure_at(p.x, p.y); }
 
@@ -236,9 +274,11 @@ class ExposureEvaluator {
   // Adds weight * active shot i's float-rounded coverage to rows
   // [row0, row1) of the fine base map (see slant_start_).
   void add_shot_coverage(std::size_t i, int row0, int row1, double weight);
-  // Re-derives every term map from the fine base: box-average onto the
-  // term's raster, then the separable blur (a k = 1 term blurs the base
-  // straight into its map).
+  // Rows [row0, row1) of the full gather, written from the background and
+  // band b's shots.
+  void gather_band(std::size_t b, int row0, int row1, const double* bg);
+  // Re-derives every term's read values from the fine base: box-average
+  // onto the term's coarse source (k > 1), then the blur of the read set.
   void blur_long_range();
 
   // Delta-path internals (see kDeltaThreshold). update_doses takes the
@@ -257,6 +297,8 @@ class ExposureEvaluator {
   void visit_short_neighbors(double px, double py, Fn&& fn) const;
   double short_exposure_batched(double px, double py) const;
   double short_kernel_batched(const Trapezoid& shape, double px, double py) const;
+  // Active centroids [i0, i1) of the sweep into out.
+  void sweep_centroids(std::size_t i0, std::size_t i1, double* out) const;
   void eval_erf(const double* x, double* y, std::size_t n) const;
 
   ShotList shots_;
@@ -277,14 +319,34 @@ class ExposureEvaluator {
 
   // Long-range state: one fine accumulated (pre-blur) base map — pixel p
   // holds the background coverage plus, in ascending shot order, each active
-  // shot's float-rounded coverage fraction times its dose — and one blurred
-  // raster per long-range term, box-averaged from the base.
+  // shot's float-rounded coverage fraction times its dose — and, per
+  // long-range term, its unblurred source (the base at k = 1, else a
+  // box-averaged coarse raster) plus the blurred values of the pixels the
+  // centroid sweep reads (see the header comment).
+  //
+  // One active centroid's bilinear stencil on a term map: the value slots of
+  // pixels (ix, iy), (ix + 1, iy), (ix, iy + 1), (ix + 1, iy + 1) and the
+  // weights of Raster::sample. Slot 0 holds 0.0 and stands in for pixels off
+  // the map.
+  struct Stencil {
+    std::uint32_t slot[4];
+    double tx, ty;
+  };
   struct TermMap {
     PsfTerm term;
     int k = 1;                 ///< map pixel in base pixels (same origin)
     std::vector<double> taps;  ///< truncated normalized kernel at k * pixel
-    std::unique_ptr<Raster> map;
+    std::unique_ptr<Raster> coarse;  ///< the box-averaged source; null at k = 1
+    detail::ReadSet reads;
+    std::vector<double> values;     ///< slot 0, then the read pixels' blur
+    std::vector<Stencil> stencils;  ///< per active centroid
   };
+  // The unblurred source a term's blur reads: the base at k = 1.
+  const Raster& source(const TermMap& tm) const {
+    return tm.coarse ? *tm.coarse : *long_base_;
+  }
+  // Builds tm's read set and the active centroids' stencils on it.
+  void build_read_set(TermMap& tm);
   // Background (frozen-dose) shots are not gathered: their dose-weighted
   // coverage is rasterized once into ghost_base_, where every gather band
   // starts, so the per-iteration gather is O(active shots). Rebuilt only by
