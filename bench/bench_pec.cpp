@@ -68,7 +68,7 @@ struct ScalingRow {
   double baseline_ms = -1.0;  // median seed-path run; < 0: not run at this size
   double min_speedup = 0.0;   // extremes of the per-repeat speedups
   double max_speedup = 0.0;
-  BlurPerf blur;              // full-vs-delta refresh split of the median run
+  BlurPerf blur;              // refresh counts and times of the median run
 };
 
 double median(std::vector<double> v) {
@@ -334,11 +334,8 @@ ShardedRow run_sharded(const Psf& psf, bool quick) {
 
 void write_blur_perf(std::ofstream& out, const BlurPerf& p) {
   out << "{\"full_refreshes\": " << p.refreshes
-      << ", \"delta_refreshes\": " << p.delta_refreshes
       << ", \"skipped_refreshes\": " << p.skipped_refreshes
-      << ", \"shots_delta_updated\": " << p.shots_updated
       << ", \"accumulate_ms\": " << p.accumulate_ms
-      << ", \"delta_accumulate_ms\": " << p.delta_accumulate_ms
       << ", \"blur_ms\": " << p.blur_ms << "}";
 }
 

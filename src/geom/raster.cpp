@@ -46,10 +46,17 @@ double shoelace(const std::vector<DPt>& poly) {
 
 }  // namespace
 
-Raster::Raster(const Box& frame, Coord pixel_size) : pix_(pixel_size) {
+Raster::Raster(const Box& frame, Coord pixel_size, NoPixels) : pix_(pixel_size) {
   origin_ = frame.lo;
   std::tie(nx_, ny_) = grid_size(frame, pixel_size);
+}
+
+Raster::Raster(const Box& frame, Coord pixel_size) : Raster(frame, pixel_size, NoPixels{}) {
   data_.assign(static_cast<std::size_t>(nx_) * ny_, 0.0);
+}
+
+Raster Raster::grid(const Box& frame, Coord pixel_size) {
+  return Raster(frame, pixel_size, NoPixels{});
 }
 
 std::pair<int, int> Raster::grid_size(const Box& frame, Coord pixel_size) {

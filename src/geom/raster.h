@@ -25,6 +25,13 @@ class Raster {
   /// without allocating the grid. Throws the constructor's DataError.
   static std::pair<int, int> grid_size(const Box& frame, Coord pixel_size);
 
+  /// The grid of Raster(frame, pixel_size) without its pixels: the geometry
+  /// queries (index_of, center, stencil) and visit_coverage work, data() is
+  /// empty, and no pixel may be read or written. For a caller that keeps
+  /// the pixels elsewhere, such as the PEC evaluator, which holds a band of
+  /// rows at a time.
+  static Raster grid(const Box& frame, Coord pixel_size);
+
   int width() const { return nx_; }
   int height() const { return ny_; }
   Coord pixel_size() const { return pix_; }
@@ -86,6 +93,9 @@ class Raster {
   // Area (dbu^2) of the pixel [px0, px0 + pix) x [py0, py0 + pix) that a
   // trapezoid covers: convex clip + shoelace, the general visit path.
   static double clipped_area(const Trapezoid& t, double px0, double py0, Coord pix);
+
+  struct NoPixels {};
+  Raster(const Box& frame, Coord pixel_size, NoPixels);
 
   Point origin_;  // dbu coordinate of the lower-left corner of pixel (0,0)
   Coord pix_;

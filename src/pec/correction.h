@@ -160,8 +160,8 @@ struct PecResult {
   bool degraded_to_inprocess = false;
 
   /// Aggregated long-range refresh accounting across every evaluator the
-  /// solve used (all shard evaluators summed in slot order) — how much work
-  /// the delta path absorbed.
+  /// solve used (all shard evaluators summed in slot order): refresh and
+  /// skip counts and the band sweep and blur times.
   BlurPerf blur;
 };
 

@@ -1,10 +1,12 @@
 #include "pec/exposure.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <numeric>
 #include <string>
 
 #include "util/contracts.h"
@@ -15,15 +17,13 @@ namespace ebl {
 
 namespace {
 
-// Re-anchor cadence of the delta path: after this many consecutive delta
-// refreshes the next update re-gathers in full, bounding the accumulated
-// rounding drift (each delta scatter perturbs a pixel by ~1e-16 of its
-// value, so even 64 updates stay orders of magnitude below 1e-12).
-constexpr int kDeltaReanchor = 64;
+// Least rows of the fine base per gather band: the unit of the streamed
+// refresh and of the shot binning that feeds it. The band height is the
+// least multiple of every coarse term's k at or above this.
+constexpr int kMinBandRows = 16;
 
-// Rows of the fine base map per gather band: the unit of the parallel
-// long-range gather and of the shot binning that feeds it.
-constexpr int kBandRows = 16;
+// detail::force_refresh_strips' count; 0 = two strips per thread.
+std::atomic<int> g_refresh_strips{0};
 
 // Epoch-stamped visited marks for duplicate rejection in neighbor queries
 // (a shot's bbox spans several grid cells, so it appears in several bins).
@@ -556,14 +556,45 @@ void read_set_blur(const double* src, int nx, int ny, const detail::ReadSet& rs,
       });
 }
 
-// Pixel (x, y) of separable_blur(g, taps), formed alone with the sweep's
-// tap order: each row's taps, then the column's.
-double blurred_pixel(const Raster& g, const std::vector<double>& taps, int x, int y) {
-  const int nx = g.width();
-  const int ny = g.height();
+// The column half of read_set_blur over row blurs staged ahead: row y's,
+// at the read set's columns, is rows + row_slot[y] * rs.width for every
+// row with need_row set. The taps and their order are read_set_blur's, so
+// every value is too, bit for bit.
+void staged_column_blur(const double* rows, const std::uint32_t* row_slot, int ny,
+                        const detail::ReadSet& rs, const std::vector<double>& taps,
+                        int threads, const BlurKernels& kern, double* values) {
+  if (rs.width == 0) return;
+  const int radius = static_cast<int>(taps.size()) - 1;
+  const auto run = [&](int y) { return rs.run_start[static_cast<std::size_t>(y)]; };
+  parallel_for(
+      static_cast<std::size_t>(ny),
+      [&](std::size_t y0, std::size_t y1) {
+        std::vector<const double*>& win = t_ring.win;
+        win.assign(static_cast<std::size_t>(2 * radius + 1), nullptr);
+        for (int y = static_cast<int>(y0); y < static_cast<int>(y1); ++y) {
+          if (run(y) == run(y + 1)) continue;
+          const int ku = std::min(radius, y);
+          const int kd = std::min(radius, ny - 1 - y);
+          for (int j = -ku; j <= kd; ++j)
+            win[static_cast<std::size_t>(radius + j)] =
+                rows + row_slot[static_cast<std::size_t>(y + j)] * rs.width;
+          kern.column_runs(win.data() + radius, rs.runs.data() + run(y),
+                           run(y + 1) - run(y),
+                           values + rs.value_start[static_cast<std::size_t>(y)],
+                           taps.data(), ku, kd);
+        }
+      },
+      threads);
+}
+
+// Pixel (x, y) of separable_blur over an nx x ny raster, formed alone with
+// the sweep's tap order: each row's taps, then the column's. rows holds the
+// raster from row row0 on, which must cover rows y - r to y + r on it.
+double blurred_pixel(const double* rows, int row0, int nx, int ny,
+                     const std::vector<double>& taps, int x, int y) {
   const int radius = static_cast<int>(taps.size()) - 1;
   const auto row = [&](int yy) {
-    const double* in = g.data().data() + static_cast<std::size_t>(yy) * nx;
+    const double* in = rows + static_cast<std::size_t>(yy - row0) * nx;
     double acc = taps[0] * in[x];
     for (int k = 1; k <= radius; ++k) {
       if (x - k >= 0) acc += taps[k] * in[x - k];
@@ -582,6 +613,8 @@ double blurred_pixel(const Raster& g, const std::vector<double>& taps, int x, in
 }  // namespace
 
 namespace detail {
+
+void force_refresh_strips(int strips) { g_refresh_strips.store(strips); }
 
 void separable_blur_forced(const double* src, double* dst, int nx, int ny,
                            std::size_t stride, const std::vector<double>& taps,
@@ -701,8 +734,8 @@ ExposureEvaluator::ExposureEvaluator(ShotList shots, std::size_t active_count,
     (t.sigma >= kLongRangeThreshold ? long_terms_ : short_terms_).push_back(t);
   }
 
-  // Active-centroid cache: the sweep, the delta scatter and the term maps'
-  // read sets all take these points.
+  // Active-centroid cache: the sweep and the term maps' read sets take
+  // these points.
   cx_.resize(active_);
   cy_.resize(active_);
   parallel_for(
@@ -790,8 +823,7 @@ void ExposureEvaluator::build_grid() {
 
 void ExposureEvaluator::build_long_range() {
   term_maps_.clear();
-  long_base_.reset();
-  ghost_base_.reset();
+  base_grid_.reset();
   if (long_terms_.empty()) return;
 
   Box frame;
@@ -831,9 +863,11 @@ void ExposureEvaluator::build_long_range() {
     throw DataError("ExposureEvaluator: the long-range map margin (" +
                     std::to_string(margin) + " dbu) does not fit a coordinate");
   }
-  long_base_ = std::make_unique<Raster>(frame.bloated(static_cast<Coord>(margin)), pixel);
+  base_grid_ = std::make_unique<Raster>(
+      Raster::grid(frame.bloated(static_cast<Coord>(margin)), pixel));
+  const Raster& r = *base_grid_;
 
-  const Point lo = long_base_->origin();
+  const Point lo = r.origin();
   for (const PsfTerm& term : long_terms_) {
     // Same origin as the base, ceil(nx / k) x ceil(ny / k) pixels. Clamping
     // the far corner to the coordinate range keeps that count: the base
@@ -845,42 +879,62 @@ void ExposureEvaluator::build_long_range() {
           Coord64(origin) + Coord64((n + k - 1) / k) * tp,
           std::numeric_limits<Coord>::max()));
     };
-    const Box extent{lo.x, lo.y, far(lo.x, long_base_->width()),
-                     far(lo.y, long_base_->height())};
+    const Box extent{lo.x, lo.y, far(lo.x, r.width()), far(lo.y, r.height())};
     TermMap tm;
     tm.term = term;
     tm.k = k;
     tm.taps = gaussian_kernel_taps(term.sigma / static_cast<double>(tp));
     if (k > 1) tm.coarse = std::make_unique<Raster>(extent, tp);
     build_read_set(tm);
+    if (k == 1) {
+      // Stage slots for the band sweep's row blurs: one per needed row.
+      const std::vector<std::uint8_t>& need = tm.reads.need_row;
+      tm.row_slot.assign(need.size(), 0);
+      std::uint32_t n = 0;
+      for (std::size_t y = 0; y < need.size(); ++y)
+        if (need[y]) tm.row_slot[y] = n++;
+      tm.rows.assign(static_cast<std::size_t>(n) * tm.reads.width, 0.0);
+    }
     term_maps_.push_back(std::move(tm));
   }
 
-  // Bin the active shots by band of the base map: count, exclusive scan,
-  // fill (the build_grid idiom). Shots are visited in index order, so every
-  // band lists its shots ascending. Background shots are not binned: their
-  // doses are frozen, so their coverage is rasterized once into ghost_base_
-  // and the per-refresh gather stays O(active).
-  const Raster& r = *long_base_;
-  const std::size_t nbands = static_cast<std::size_t>(r.height() - 1) / kBandRows + 1;
+  // Band height: a multiple of every k > 1, so each k x k block lies in one
+  // band, and at least kMinBandRows; one band when that step reaches the
+  // map's height.
+  const int ny = r.height();
+  std::int64_t step = 1;
+  for (const TermMap& tm : term_maps_)
+    if (step < ny) step = std::lcm(step, static_cast<std::int64_t>(tm.k));
+  band_rows_ = step >= ny ? ny
+                          : static_cast<int>(std::min<std::int64_t>(
+                                ny, (kMinBandRows + step - 1) / step * step));
+
+  // Bin every shot by band of the base: count, exclusive scan, fill (the
+  // build_grid idiom). The ghosts are visited first, then the actives, each
+  // in index order: the order each band sums them in.
+  const std::size_t nbands = static_cast<std::size_t>(ny - 1) / band_rows_ + 1;
+  const auto each_shot = [&](auto&& fn) {
+    for (std::size_t i = active_; i < shots_.size(); ++i) fn(i);
+    for (std::size_t i = 0; i < active_; ++i) fn(i);
+  };
   const auto bands_of = [&](std::size_t i) {
     const Box bb = shots_[i].shape.bbox();
-    return std::pair{r.index_of(bb.lo).second / kBandRows,
-                     r.index_of(bb.hi).second / kBandRows};
+    return std::pair{r.index_of(bb.lo).second / band_rows_,
+                     r.index_of(bb.hi).second / band_rows_};
   };
   band_start_.assign(nbands + 1, 0);
-  for (std::size_t i = 0; i < active_; ++i) {
+  each_shot([&](std::size_t i) {
     const auto [b0, b1] = bands_of(i);
     for (int b = b0; b <= b1; ++b) ++band_start_[static_cast<std::size_t>(b) + 1];
-  }
+  });
   for (std::size_t b = 1; b <= nbands; ++b) band_start_[b] += band_start_[b - 1];
   band_shot_.resize(band_start_[nbands]);
   std::vector<std::uint32_t> cursor(band_start_.begin(), band_start_.end() - 1);
-  for (std::size_t i = 0; i < active_; ++i) {
+  each_shot([&](std::size_t i) {
     const auto [b0, b1] = bands_of(i);
     for (int b = b0; b <= b1; ++b)
       band_shot_[cursor[static_cast<std::size_t>(b)]++] = static_cast<std::uint32_t>(i);
-  }
+  });
 
   // Clip the slanted active shots once (see slant_start_). Fixed chunks of
   // shots clip in parallel into their own buffers, concatenated in shot
@@ -913,8 +967,7 @@ void ExposureEvaluator::build_long_range() {
     slant_.reserve(slant_start_[active_]);
     for (const std::vector<Splat>& p : parts) slant_.insert(slant_.end(), p.begin(), p.end());
   }
-  if (active_ < shots_.size()) rebuild_ghost_base();
-  accumulate_long_range();
+  refresh_long_range();
 }
 
 void ExposureEvaluator::build_read_set(TermMap& tm) {
@@ -1061,19 +1114,18 @@ void ExposureEvaluator::build_read_set(TermMap& tm) {
 }
 
 // Pinned to a 64-byte boundary like the blur kernels (see there): it holds
-// the gather's per-shot loop, for the full gather and the delta scatter.
+// the gather's per-shot loop.
 [[gnu::noinline, gnu::aligned(64)]] void ExposureEvaluator::add_shot_coverage(
-    std::size_t i, int row0, int row1, double weight) {
-  // Each pixel's fraction is rounded to float first, in the full gather and
-  // the delta scatter alike, so both add the same terms.
-  Raster& base = *long_base_;
-  double* data = base.data().data();
-  const std::size_t nx = static_cast<std::size_t>(base.width());
+    std::size_t i, int row0, int row1, double* out) const {
+  // Each pixel's fraction is rounded to float first.
+  const Raster& grid = *base_grid_;
+  const std::size_t nx = static_cast<std::size_t>(grid.width());
+  const double dose = shots_[i].dose;
   const Trapezoid& t = shots_[i].shape;
   if (t.is_rect()) {
-    base.visit_coverage(t, row0, row1, [&](int ix, int iy, double frac) {
-      data[static_cast<std::size_t>(iy) * nx + static_cast<std::size_t>(ix)] +=
-          static_cast<double>(static_cast<float>(frac)) * weight;
+    grid.visit_coverage(t, row0, row1, [&](int ix, int iy, double frac) {
+      out[static_cast<std::size_t>(iy - row0) * nx + static_cast<std::size_t>(ix)] +=
+          static_cast<double>(static_cast<float>(frac)) * dose;
     });
     return;
   }
@@ -1087,155 +1139,134 @@ void ExposureEvaluator::build_read_set(TermMap& tm) {
   const std::size_t hi = static_cast<std::size_t>(row1) * nx;
   if (b->px < lo) b = std::lower_bound(b, e, lo, before);
   if (e[-1].px >= hi) e = std::lower_bound(b, e, hi, before);
-  for (; b != e; ++b) data[b->px] += static_cast<double>(b->frac) * weight;
+  for (; b != e; ++b) out[b->px - lo] += static_cast<double>(b->frac) * dose;
 }
 
-void ExposureEvaluator::rebuild_ghost_base() {
-  // Same frame and pixel as the base map (copy, then overwrite the data).
-  if (!ghost_base_) ghost_base_ = std::make_unique<Raster>(*long_base_);
-  std::vector<double>& bg = ghost_base_->data();
-  std::fill(bg.begin(), bg.end(), 0.0);
-  for (std::size_t i = active_; i < shots_.size(); ++i)
-    ghost_base_->add_coverage(shots_[i].shape, shots_[i].dose);
+// Pinned to a 64-byte boundary like the blur kernels (see there).
+[[gnu::noinline, gnu::aligned(64)]] void ExposureEvaluator::gather_rows(
+    std::size_t b, int row0, int row1, double* out) const {
+  const Raster& grid = *base_grid_;
+  const std::size_t nx = static_cast<std::size_t>(grid.width());
+  std::fill_n(out, static_cast<std::size_t>(row1 - row0) * nx, 0.0);
+  for (std::uint32_t k = band_start_[b]; k < band_start_[b + 1]; ++k) {
+    const std::uint32_t i = band_shot_[k];
+    if (i < active_) {
+      add_shot_coverage(i, row0, row1, out);
+      continue;
+    }
+    // A ghost adds what Raster::add_coverage would, unrounded.
+    const double dose = shots_[i].dose;
+    grid.visit_coverage(shots_[i].shape, row0, row1, [&](int ix, int iy, double frac) {
+      out[static_cast<std::size_t>(iy - row0) * nx + static_cast<std::size_t>(ix)] +=
+          dose * frac;
+    });
+  }
 }
 
-void ExposureEvaluator::accumulate_long_range() {
-  if (!long_base_) return;
+void ExposureEvaluator::gather_base_rows(int row0, int row1, double* out) const {
+  const std::size_t nx = static_cast<std::size_t>(base_grid_->width());
+  for (int b = row0 / band_rows_; b * band_rows_ < row1; ++b) {
+    const int r0 = std::max(row0, b * band_rows_);
+    const int r1 = std::min(row1, (b + 1) * band_rows_);
+    gather_rows(static_cast<std::size_t>(b), r0, r1,
+                out + static_cast<std::size_t>(r0 - row0) * nx);
+  }
+}
+
+namespace {
+// The band a refresh strip gathers into, kept per thread across refreshes.
+thread_local std::vector<double> t_band;
+}  // namespace
+
+void ExposureEvaluator::refresh_long_range() {
+  if (!base_grid_) return;
   const auto t0 = std::chrono::steady_clock::now();
+  const BlurKernels& kern = cpu_kernels();
+  const int ny = base_grid_->height();
+  const std::size_t nx = static_cast<std::size_t>(base_grid_->width());
+  const std::size_t nbands = band_start_.size() - 1;
+  const int forced = g_refresh_strips.load();
+  const std::size_t strips = std::clamp<std::size_t>(
+      static_cast<std::size_t>(forced > 0 ? forced
+                                          : resolve_threads(opt_.threads) * kBandsPerThread),
+      1, nbands);
 
-  // Band-parallel: a band starts from the frozen background coverage and
-  // adds each of its shots in ascending index, clipped to the band's rows.
-  // Bands are disjoint outputs and every pixel sums the same terms in the
-  // same order, so the map is identical for any thread count.
-  const int ny = long_base_->height();
-  const double* bg = ghost_base_ ? ghost_base_->data().data() : nullptr;
+  // Each strip gathers its bands in turn and uses each at once: box-averaged
+  // into every coarse map (a band holds whole k x k blocks, so each coarse
+  // row is summed as box_average sums it) and row-blurred at every k = 1
+  // term's needed rows. Strips write disjoint rows, so the bits do not
+  // depend on the strip count.
   parallel_for(
-      band_start_.size() - 1,
-      [&](std::size_t b0, std::size_t b1) {
-        for (std::size_t b = b0; b < b1; ++b) {
-          const int row0 = static_cast<int>(b) * kBandRows;
-          gather_band(b, row0, std::min(ny, row0 + kBandRows), bg);
+      strips,
+      [&](std::size_t s0, std::size_t s1) {
+        std::vector<double>& buf = t_band;
+        buf.resize(static_cast<std::size_t>(band_rows_) * nx);
+        for (std::size_t b = nbands * s0 / strips; b < nbands * s1 / strips; ++b) {
+          const int row0 = static_cast<int>(b) * band_rows_;
+          const int row1 = std::min(ny, row0 + band_rows_);
+          gather_rows(b, row0, row1, buf.data());
+          for (TermMap& tm : term_maps_) {
+            if (tm.coarse) {
+              Raster& m = *tm.coarse;
+              const int k = tm.k;
+              box_average_rows(buf.data(), static_cast<int>(nx), row1 - row0, k, 0, 0,
+                               m.width(), 0, static_cast<std::size_t>(row1 - row0 + k - 1) / k,
+                               m.data().data() + static_cast<std::size_t>(row0 / k) *
+                                                     static_cast<std::size_t>(m.width()));
+              continue;
+            }
+            const detail::ReadSet& rs = tm.reads;
+            const int radius = static_cast<int>(tm.taps.size()) - 1;
+            for (int y = row0; y < row1; ++y) {
+              if (!rs.need_row[static_cast<std::size_t>(y)]) continue;
+              kern.row_runs(buf.data() + static_cast<std::size_t>(y - row0) * nx,
+                            tm.rows.data() + tm.row_slot[static_cast<std::size_t>(y)] * rs.width,
+                            static_cast<int>(nx), rs.cols.data(), rs.cols.size(),
+                            tm.taps.data(), radius);
+            }
+          }
         }
       },
       opt_.threads);
   perf_.accumulate_ms += ms_since(t0);
-  blur_long_range();
+
+  const auto t1 = std::chrono::steady_clock::now();
+  for (TermMap& tm : term_maps_) {
+    if (tm.coarse) {
+      const Raster& m = *tm.coarse;
+      read_set_blur(m.data().data(), m.width(), m.height(), tm.reads, tm.taps,
+                    opt_.threads, kern, tm.values.data());
+    } else {
+      staged_column_blur(tm.rows.data(), tm.row_slot.data(), ny, tm.reads, tm.taps,
+                         opt_.threads, kern, tm.values.data());
+    }
+  }
+  perf_.blur_ms += ms_since(t1);
   ++perf_.refreshes;
 }
 
-// Pinned to a 64-byte boundary like the blur kernels (see there).
-[[gnu::noinline, gnu::aligned(64)]] void ExposureEvaluator::gather_band(std::size_t b,
-                                                                        int row0, int row1,
-                                                                        const double* bg) {
-  const std::size_t nx = static_cast<std::size_t>(long_base_->width());
-  double* data = long_base_->data().data();
-  const std::size_t p0 = static_cast<std::size_t>(row0) * nx;
-  const std::size_t p1 = static_cast<std::size_t>(row1) * nx;
-  if (bg) {
-    std::copy(bg + p0, bg + p1, data + p0);
-  } else {
-    std::fill(data + p0, data + p1, 0.0);
-  }
-  for (std::uint32_t k = band_start_[b]; k < band_start_[b + 1]; ++k)
-    add_shot_coverage(band_shot_[k], row0, row1, shots_[band_shot_[k]].dose);
-}
-
-void ExposureEvaluator::blur_long_range() {
-  if (!long_base_) return;
-  const auto t0 = std::chrono::steady_clock::now();
-  const Raster& base = *long_base_;
-  for (TermMap& tm : term_maps_) {
-    if (tm.coarse) {
-      Raster& m = *tm.coarse;
-      box_average(base.data().data(), base.width(), base.height(), tm.k, 0, 0, m.width(),
-                  m.height(), m.data().data(), opt_.threads);
-    }
-    // A k = 1 term blurs straight out of the base, which the delta path
-    // still needs unblurred.
-    const Raster& src = source(tm);
-    read_set_blur(src.data().data(), src.width(), src.height(), tm.reads, tm.taps,
-                  opt_.threads, cpu_kernels(), tm.values.data());
-  }
-  perf_.blur_ms += ms_since(t0);
-}
-
-void ExposureEvaluator::apply_full(const double* doses, std::size_t end) {
-  // The exact path: apply every requested dose (deferred remainders
-  // included) and re-derive all cached state from scratch — bit-identical to
-  // a fresh evaluator at these doses, and to the pre-delta engine.
-  for (std::size_t i = 0; i < end; ++i) shots_[i].dose = doses[i];
-  if (ghost_base_ && end > active_) rebuild_ghost_base();
-  accumulate_long_range();
-  short_cache_valid_ = false;
-  delta_streak_ = 0;
-}
-
-void ExposureEvaluator::apply_delta(const double* doses) {
-  const auto t0 = std::chrono::steady_clock::now();
-  const bool shorts = short_cache_valid_ && !short_terms_.empty();
-  for (const std::uint32_t j : moved_scratch_) {
-    const double delta = doses[j] - shots_[j].dose;
-    shots_[j].dose = doses[j];
-    // The moved shot's coverage weighted by the dose delta, straight into
-    // the fine base map.
-    if (long_base_) add_shot_coverage(j, 0, long_base_->height(), delta);
-    if (shorts) scatter_short_delta(j, delta);
-  }
-  perf_.delta_accumulate_ms += ms_since(t0);
-  perf_.shots_updated += static_cast<long long>(moved_scratch_.size());
-  ++perf_.delta_refreshes;
-  ++delta_streak_;
-  blur_long_range();
-}
-
-void ExposureEvaluator::update_doses(const double* doses) {
-  // Moved set: shots whose requested dose drifted beyond the threshold from
-  // the applied one. Sub-threshold requests are deferred (the applied dose
-  // keeps its value), so a slowly creeping dose is applied once its
-  // accumulated drift crosses the threshold — the evaluator never deviates
-  // from the requests by more than kDeltaThreshold relative.
-  moved_scratch_.clear();
-  for (std::size_t i = 0; i < active_; ++i) {
-    const double d_new = doses[i];
-    const double d_old = shots_[i].dose;
-    if (d_new == d_old) continue;
-    if (std::abs(d_new - d_old) > kDeltaThreshold * std::max(std::abs(d_old), 1e-12))
-      moved_scratch_.push_back(static_cast<std::uint32_t>(i));
-  }
-  if (moved_scratch_.empty()) {
-    // Nothing moved beyond the threshold: maps and caches are already
-    // current to within the documented bound — not even the blur reruns.
-    ++perf_.skipped_refreshes;
-    return;
-  }
-  // The delta path wins while the movers are a minority; past half the range
-  // (or the re-anchor cadence) the full gather is both cheaper and exact.
-  if (moved_scratch_.size() * 2 <= active_ && delta_streak_ < kDeltaReanchor) {
-    apply_delta(doses);
-  } else {
-    apply_full(doses, active_);
-  }
-}
-
-void ExposureEvaluator::set_active_doses(const std::vector<double>& doses) {
-  expects(doses.size() == active_, "set_active_doses: size mismatch");
-  update_doses(doses.data());
-}
-
-void ExposureEvaluator::reset_doses(const std::vector<double>& doses) {
-  expects(doses.size() == shots_.size(), "reset_doses: size mismatch");
-  // Exact by design (see the header). Doses are compared by exact
-  // inequality, not kDeltaThreshold — deferring a changed dose would break
-  // the bitwise equivalence the sharded corrector builds on. The state is
-  // already fresh only when no dose changed and no delta scatter has run
-  // since the last full gather; anything else rebuilds in full.
-  if (delta_streak_ == 0 &&
-      std::equal(doses.begin(), doses.end(), shots_.begin(),
+void ExposureEvaluator::apply_doses(const double* doses, std::size_t end) {
+  // Exact: a refresh re-derives every cached value from the applied doses,
+  // so the state is a fresh evaluator's bit for bit, and with no dose
+  // changed there is nothing to re-derive.
+  if (std::equal(doses, doses + end, shots_.begin(),
                  [](double d, const Shot& s) { return d == s.dose; })) {
     ++perf_.skipped_refreshes;
     return;
   }
-  apply_full(doses.data(), shots_.size());
+  for (std::size_t i = 0; i < end; ++i) shots_[i].dose = doses[i];
+  refresh_long_range();
+  short_cache_valid_ = false;
+}
+
+void ExposureEvaluator::set_active_doses(const std::vector<double>& doses) {
+  expects(doses.size() == active_, "set_active_doses: size mismatch");
+  apply_doses(doses.data(), active_);
+}
+
+void ExposureEvaluator::reset_doses(const std::vector<double>& doses) {
+  expects(doses.size() == shots_.size(), "reset_doses: size mismatch");
+  apply_doses(doses.data(), shots_.size());
 }
 
 std::pair<double, double> ExposureEvaluator::centroid(std::size_t i) const {
@@ -1308,10 +1339,26 @@ double ExposureEvaluator::exposure_at(double px, double py) const {
     double tx, ty;
     double v = 0.0;
     if (g.stencil(px, py, ix, iy, tx, ty)) {
+      const int nx = g.width();
+      const int ny = g.height();
+      // The coarse map's rows, or the base rows the four pixels read.
+      const double* rows = nullptr;
+      int row0 = 0;
+      if (tm.coarse) {
+        rows = tm.coarse->data().data();
+      } else {
+        const int radius = static_cast<int>(tm.taps.size()) - 1;
+        row0 = std::max(0, iy - radius);
+        const int row1 = std::min(ny, iy + 2 + radius);
+        std::vector<double>& win = t_band;
+        win.resize(static_cast<std::size_t>(row1 - row0) * static_cast<std::size_t>(nx));
+        gather_base_rows(row0, row1, win.data());
+        rows = win.data();
+      }
       const auto pixel = [&](int x, int y) {
-        return x < 0 || y < 0 || x >= g.width() || y >= g.height()
+        return x < 0 || y < 0 || x >= nx || y >= ny
                    ? 0.0
-                   : blurred_pixel(g, tm.taps, x, y);
+                   : blurred_pixel(rows, row0, nx, ny, tm.taps, x, y);
       };
       v = Raster::blend(tx, ty, pixel(ix, iy), pixel(ix + 1, iy), pixel(ix, iy + 1),
                         pixel(ix + 1, iy + 1));
@@ -1353,65 +1400,6 @@ double ExposureEvaluator::short_exposure_batched(double px, double py) const {
          (sc.erfs[4 * r + 3] - sc.erfs[4 * r + 2]);
   }
   return e;
-}
-
-double ExposureEvaluator::short_kernel_batched(const Trapezoid& shape, double px,
-                                               double py) const {
-  // Unit-dose short-range kernel of one shape at one point — the delta
-  // increment the scatter multiplies by the dose change. Shares the batched
-  // rectangle pipeline with the sweep.
-  ShortScratch& sc = t_short;
-  sc.args.clear();
-  sc.wgt.clear();
-  for (const PsfTerm& term : short_terms_) {
-    emit_term_rects(term, shape, px, py, 1.0, sc.args, sc.wgt);
-  }
-  sc.erfs.resize(sc.args.size());
-  eval_erf(sc.args.data(), sc.erfs.data(), sc.args.size());
-  double e = 0.0;
-  for (std::size_t r = 0; r < sc.wgt.size(); ++r) {
-    e += sc.wgt[r] * (sc.erfs[4 * r + 1] - sc.erfs[4 * r]) *
-         (sc.erfs[4 * r + 3] - sc.erfs[4 * r + 2]);
-  }
-  return e;
-}
-
-void ExposureEvaluator::scatter_short_delta(std::uint32_t shot, double delta) {
-  // Update the cached short-range sums of every active centroid within the
-  // cutoff of the moved shot. The inclusion test (centroid-to-bbox distance
-  // against the cutoff) is exactly the sweep's, so the cache stays a
-  // faithful incremental image of the full recomputation.
-  const Box bb = shots_[shot].shape.bbox();
-  const std::uint32_t epoch = begin_visit_epoch(shots_.size());
-  VisitScratch& vs = t_visit;
-  const double cut2 = cutoff_ * cutoff_;
-  const int x0 = std::max(
-      0, static_cast<int>(std::floor((bb.lo.x - cutoff_ - grid_origin_.x) / cell_)));
-  const int x1 = std::min(
-      gx_ - 1,
-      static_cast<int>(std::floor((bb.hi.x + cutoff_ - grid_origin_.x) / cell_)));
-  const int y0 = std::max(
-      0, static_cast<int>(std::floor((bb.lo.y - cutoff_ - grid_origin_.y) / cell_)));
-  const int y1 = std::min(
-      gy_ - 1,
-      static_cast<int>(std::floor((bb.hi.y + cutoff_ - grid_origin_.y) / cell_)));
-  for (int y = y0; y <= y1; ++y) {
-    for (int x = x0; x <= x1; ++x) {
-      const std::size_t c = static_cast<std::size_t>(y) * gx_ + x;
-      for (std::uint32_t k = grid_start_[c]; k < grid_start_[c + 1]; ++k) {
-        const std::uint32_t idx = grid_items_[k];
-        if (vs.stamp[idx] == epoch) continue;
-        vs.stamp[idx] = epoch;
-        if (idx >= active_) continue;  // only active centroids are cached
-        const double px = cx_[idx];
-        const double py = cy_[idx];
-        const double dx = std::max({double(bb.lo.x) - px, px - double(bb.hi.x), 0.0});
-        const double dy = std::max({double(bb.lo.y) - py, py - double(bb.hi.y), 0.0});
-        if (dx * dx + dy * dy > cut2) continue;
-        short_cache_[idx] += delta * short_kernel_batched(shots_[shot].shape, px, py);
-      }
-    }
-  }
 }
 
 void ExposureEvaluator::refresh_short_cache() const {

@@ -21,17 +21,20 @@
 //   - Every long-range term gets its own map, all sharing one origin: the
 //     base pixel p resolves the finest long term (sigma_min /
 //     kPixelsPerSigma), and term t samples at k_t * p, the largest integer
-//     multiple of p within its own sigma_t / kPixelsPerSigma. The active
-//     shots are binned once, at construction, by 16-row band of the fine
-//     base, and each slanted active shot's footprint is clipped once; a
-//     dose refresh re-gathers the base band by band straight from the shots
-//     (a rectangle re-clipped to the band's rows, a slanted shot's cached
-//     footprint read back for those rows, each weighted by its dose), then
-//     box-averages it onto each coarser term's map (coverage is additive,
-//     so this step is exact) and blurs there; a term at the base pixel
-//     blurs straight out of the base. Every kernel is then about
-//     4 * kPixelsPerSigma pixels wide, so one blur suffices: separable_blur's
-//     fused, register-blocked row and column passes.
+//     multiple of p within its own sigma_t / kPixelsPerSigma. Every kernel
+//     is then about 4 * kPixelsPerSigma pixels wide, so one blur suffices:
+//     separable_blur's fused, register-blocked row and column passes.
+//   - No frame-sized raster is held. All shots, ghosts included, are binned
+//     once, at construction, by band of the fine base (at least 16 rows, a
+//     multiple of every k_t > 1, so no k_t x k_t block straddles two
+//     bands), and each slanted active shot's footprint is clipped once. A
+//     dose refresh streams the base: each thread gathers one band at a time
+//     into its own buffer straight from the shots (a rectangle re-clipped
+//     to the band's rows, a slanted active's cached footprint read back for
+//     those rows, each weighted by its dose) and uses it at once:
+//     box-averaged into each coarser term's map (coverage is additive, so
+//     this step is exact), and for each term at the base pixel row-blurred
+//     at its read columns (below), the rows kept for its column pass.
 //   - The blur forms only the pixels the centroid sweep reads. Each term
 //     keeps a read set, built once from the geometry: the in-grid pixels of
 //     every active centroid's bilinear stencil, as column runs per row
@@ -42,13 +45,12 @@
 //     keeps separable_blur's tap order, so it equals that pixel of the
 //     dense blurred map bit for bit, and a read set that covers the map
 //     does the dense blur's work. No blurred map is held: exposure_at
-//     forms its four pixels on demand.
-//   - Dose updates are incremental (see kDeltaThreshold): the evaluator
-//     tracks per-shot dose deltas, and when only a minority of doses moved
-//     it adds just those shots' coverage to the base map, weighted by their
-//     dose change, and patches the cached per-centroid short-range sums —
-//     O(moved) instead of O(everything) — with sub-threshold updates
-//     deferred entirely.
+//     forms its four pixels on demand, at the base pixel from base rows it
+//     gathers itself.
+//   - Every dose update is exact: a refresh re-gathers every band and
+//     recomputes the per-centroid short-range sums, so the evaluator always
+//     equals a fresh one at its doses; only an update that changes no dose
+//     is skipped.
 //   - The centroid sweep's erf evaluations are batched through the
 //     vectorized polynomial in util/vecmath.h (4-wide AVX2 + FMA, ~4x libm;
 //     see ExposureOptions::fast_erf).
@@ -56,7 +58,7 @@
 //     blur passes run on the util/parallel.h thread pool. Results are
 //     bit-identical for any thread count: work is only ever split over
 //     disjoint output elements, each of which is computed in a fixed
-//     sequential order, and delta scatters run serially in shot order.
+//     sequential order.
 #pragma once
 
 #include <cstdint>
@@ -78,30 +80,6 @@ inline constexpr double kLongRangeThreshold = 400.0;
 /// term's own sigma / this factor, so every kernel spans about 4x this many
 /// pixels (radius 16).
 inline constexpr double kPixelsPerSigma = 4.0;
-
-/// Incremental dose-delta updates. After a few Jacobi sweeps most doses move
-/// by far less than the correction tolerance; re-gathering every shot (and
-/// re-summing every analytic neighbor term) for updates that moved almost
-/// nothing is where the iterative corrector used to spend its tail.
-/// set_active_doses compares each requested dose with the one currently
-/// applied:
-///   - a shot whose relative change is at most kDeltaThreshold is
-///     *deferred*: its applied dose keeps its old value until the
-///     accumulated request drifts past the threshold (or the next full
-///     refresh applies everything), so the evaluator's state deviates from
-///     the requested doses by at most kDeltaThreshold relative — far below
-///     any correction tolerance in use;
-///   - when the moved shots are a minority (at most half of the active
-///     shots), only *their* contributions are re-applied: each moved shot's
-///     coverage is added, weighted by its dose delta, to the fine base
-///     map (O(moved x footprint) instead of the full O(pixels + footprints)
-///     gather), and the cached per-centroid short-range sums are updated
-///     the same way. The long-range blur still reruns over every term's
-///     read set.
-/// Every kDeltaReanchor-th delta refresh re-gathers in full to keep the
-/// ~1e-16-per-update rounding drift bounded (well under 1e-12 in practice).
-/// reset_doses is the exact entry point: it never defers and never scatters.
-inline constexpr double kDeltaThreshold = 1e-4;
 
 struct ExposureOptions {
   /// Analytic neighbor cutoff in sigmas. 4 keeps the truncation error below
@@ -136,18 +114,19 @@ struct ExposureOptions {
 /// Wall-clock accounting of the long-range refresh, for benchmarks and
 /// traces. Times accumulate across dose refreshes.
 struct BlurPerf {
-  double accumulate_ms = 0.0;  ///< full long-range gathers
-  double blur_ms = 0.0;        ///< per-term box averages and convolutions
-  int refreshes = 0;           ///< completed *full* long-range refreshes
+  /// Band sweeps: the gather, the box averages and the base-pixel row blurs.
+  double accumulate_ms = 0.0;
+  /// Column blurs at the base pixel and the coarser terms' blurs.
+  double blur_ms = 0.0;
+  int refreshes = 0;          ///< completed long-range refreshes
+  int skipped_refreshes = 0;  ///< dose updates that changed no dose
 
-  // Delta-path accounting (see kDeltaThreshold).
-  double delta_accumulate_ms = 0.0;  ///< delta scatters (base map + short sums)
-  int delta_refreshes = 0;           ///< refreshes served by the delta path
-  int skipped_refreshes = 0;  ///< set_* calls where no dose moved at all
-  long long shots_updated = 0;  ///< shots re-weighted across delta refreshes
-
-  // Always 0: the evaluator has no windowed blur. Kept only because the
-  // end-to-end benchmark still reads them; merge and the wire skip them.
+  // Always 0: the evaluator has no delta path and no windowed blur. Kept
+  // only because the end-to-end benchmark still reads them; merge and the
+  // wire skip them.
+  double delta_accumulate_ms = 0.0;
+  int delta_refreshes = 0;
+  long long shots_updated = 0;
   int windowed_blurs = 0;
   double windowed_blur_ms = 0.0;
 
@@ -157,10 +136,7 @@ struct BlurPerf {
     accumulate_ms += o.accumulate_ms;
     blur_ms += o.blur_ms;
     refreshes += o.refreshes;
-    delta_accumulate_ms += o.delta_accumulate_ms;
-    delta_refreshes += o.delta_refreshes;
     skipped_refreshes += o.skipped_refreshes;
-    shots_updated += o.shots_updated;
   }
 };
 
@@ -190,19 +166,18 @@ struct ReadSet {
 
 /// Evaluates exposure for a fixed shot geometry; per-shot doses can be
 /// updated cheaply (the band binning, the slanted shots' footprints and the
-/// neighbor structure are reused; the base map is re-gathered and the
+/// neighbor structure are reused; the base is re-gathered and the
 /// long-range blur recomputed). Query points may be anywhere. Queries are
-/// thread-safe and allocation-free after construction.
+/// thread-safe.
 ///
 /// Active/background split: the shot list may carry a trailing block of
 /// *background* shots (ghosts from neighboring PEC shards). Background shots
 /// contribute exposure like active ones — they live in the neighbor grid and
-/// their dose-weighted coverage lands on the long-range maps — but they take
-/// no dose updates and exposures_at_centroids skips them. Because their
-/// doses are frozen, they stay out of the band binning: a frozen background
-/// map holds their coverage (at double precision, where the gather rounds
-/// each active fraction to float, so agreement with an all-active evaluator
-/// is to float precision) and the per-iteration gather is O(active). This
+/// their dose-weighted coverage lands on the long-range maps — but only
+/// reset_doses moves their doses and exposures_at_centroids skips them.
+/// Each band gathers its ghosts first, in index order and at double
+/// precision, then its actives, whose fractions the gather rounds to float,
+/// so agreement with an all-active evaluator is to float precision. This
 /// is how the sharded corrector freezes halo doses without a second
 /// evaluator or copied geometry.
 class ExposureEvaluator {
@@ -223,41 +198,39 @@ class ExposureEvaluator {
   std::size_t active_count() const { return active_; }
 
   /// Replaces the active doses only (size must match active_count());
-  /// background doses stay frozen. Refreshes cached maps incrementally:
-  /// sub-threshold moves are deferred and a minority of movers takes the
-  /// delta path (see kDeltaThreshold).
+  /// background doses stay frozen. Exact like reset_doses: afterwards the
+  /// evaluator is bit-identical to one freshly constructed at these doses.
+  /// When no dose changes, the refresh is skipped.
   void set_active_doses(const std::vector<double>& doses);
 
-  /// Replaces every dose (active and background) exactly, regardless of
-  /// kDeltaThreshold: all requested doses are applied through the full
-  /// gather, so the evaluator afterwards is bit-identical to one freshly
-  /// constructed at these doses, while the geometry state (neighbor grid,
-  /// band binning, slanted-shot footprints, term maps and kernel taps) is
-  /// reused.
-  /// When every requested dose already equals the applied one and no delta
-  /// scatter has run since the last full gather, nothing can be stale and
-  /// the refresh is skipped. This is the re-entry of a resident shard evaluator, and the
-  /// equivalence is what lets the sharded corrector evict and rebuild pool
-  /// entries without changing a single bit of the result.
+  /// Replaces every dose (active and background) exactly: the evaluator
+  /// afterwards is bit-identical to one freshly constructed at these doses,
+  /// while the geometry state (neighbor grid, band binning, slanted-shot
+  /// footprints, read sets and kernel taps) is reused. When every requested
+  /// dose already equals the applied one, the refresh is skipped. This is
+  /// the re-entry of a resident shard evaluator, and the equivalence is what
+  /// lets the sharded corrector evict and rebuild pool entries without
+  /// changing a single bit of the result.
   void reset_doses(const std::vector<double>& doses);
 
   /// Exposure at a point (energy density relative to unit-dose infinite
   /// pattern = 1). The evaluator blurs only the centroids' pixels, so each
   /// long-range term forms the point's four pixels here, from its unblurred
   /// source in the blur's tap order: about (2r + 1)^2 multiply-adds per
-  /// pixel at kernel radius r, bit-identical to a dense blurred map. Meant
-  /// for probes and tests; the correctors use exposures_at_centroids.
+  /// pixel at kernel radius r, bit-identical to a dense blurred map. A term
+  /// at the base pixel first gathers the 2r + 2 base rows it reads, in a
+  /// thread-local buffer. Meant for probes and tests; the correctors use
+  /// exposures_at_centroids.
   double exposure_at(double px, double py) const;
   double exposure_at(Point p) const { return exposure_at(p.x, p.y); }
 
   /// Exposures at every *active* shot's representative point (centroid).
   /// Runs on the thread pool; output is identical for any thread count.
-  /// The short-range (analytic) part of the sweep is cached per centroid and
-  /// kept current by the delta path, so sweeps after a small dose update
-  /// cost the long-map samples plus the moved shots' neighborhoods only.
-  /// The cache refresh mutates internal state: concurrent sweep calls on one
-  /// evaluator are not supported (point queries via exposure_at remain
-  /// thread-safe).
+  /// The short-range (analytic) part of the sweep is cached per centroid
+  /// until the next dose update, so repeated sweeps cost the long-map
+  /// samples only. The cache refresh mutates internal state: concurrent
+  /// sweep calls on one evaluator are not supported (point queries via
+  /// exposure_at remain thread-safe).
   std::vector<double> exposures_at_centroids() const;
 
   /// Representative (centroid) point of shot i.
@@ -269,24 +242,23 @@ class ExposureEvaluator {
  private:
   void build_grid();
   void build_long_range();
-  void rebuild_ghost_base();
-  void accumulate_long_range();
-  // Adds weight * active shot i's float-rounded coverage to rows
-  // [row0, row1) of the fine base map (see slant_start_).
-  void add_shot_coverage(std::size_t i, int row0, int row1, double weight);
-  // Rows [row0, row1) of the full gather, written from the background and
-  // band b's shots.
-  void gather_band(std::size_t b, int row0, int row1, const double* bg);
-  // Re-derives every term's read values from the fine base: box-average
-  // onto the term's coarse source (k > 1), then the blur of the read set.
-  void blur_long_range();
+  // One full refresh: the band sweep (refresh_band per band), then every
+  // term's blur of its read set.
+  void refresh_long_range();
+  // Rows [row0, row1) of band b's gather into out (row row0 first): the
+  // band's ghosts at double precision, then its actives (see
+  // add_shot_coverage), each pixel summed in that order from 0.0. Any rows
+  // of the band give the values of a whole-band gather.
+  void gather_rows(std::size_t b, int row0, int row1, double* out) const;
+  // Rows [row0, row1) of the base, gathered band by band into out.
+  void gather_base_rows(int row0, int row1, double* out) const;
+  // Adds active shot i's float-rounded coverage times its dose to rows
+  // [row0, row1) of out (row row0 first; see slant_start_).
+  void add_shot_coverage(std::size_t i, int row0, int row1, double* out) const;
 
-  // Delta-path internals (see kDeltaThreshold). update_doses takes the
-  // active doses, apply_full the doses of shots_[0..end).
-  void update_doses(const double* doses);
-  void apply_full(const double* doses, std::size_t end);
-  void apply_delta(const double* doses);
-  void scatter_short_delta(std::uint32_t shot, double delta);
+  // apply_doses takes the doses of shots_[0..end) and refreshes unless
+  // none changed.
+  void apply_doses(const double* doses, std::size_t end);
   void refresh_short_cache() const;
   // Shared neighbor walk of the analytic path: epoch-deduped grid scan
   // around (px, py) with the cutoff bbox-distance reject, invoking
@@ -296,7 +268,6 @@ class ExposureEvaluator {
   template <typename Fn>
   void visit_short_neighbors(double px, double py, Fn&& fn) const;
   double short_exposure_batched(double px, double py) const;
-  double short_kernel_batched(const Trapezoid& shape, double px, double py) const;
   // Active centroids [i0, i1) of the sweep into out.
   void sweep_centroids(std::size_t i0, std::size_t i1, double* out) const;
   void eval_erf(const double* x, double* y, std::size_t n) const;
@@ -317,12 +288,12 @@ class ExposureEvaluator {
   std::vector<std::uint32_t> grid_items_;
   double cutoff_ = 0.0;
 
-  // Long-range state: one fine accumulated (pre-blur) base map — pixel p
-  // holds the background coverage plus, in ascending shot order, each active
-  // shot's float-rounded coverage fraction times its dose — and, per
-  // long-range term, its unblurred source (the base at k = 1, else a
-  // box-averaged coarse raster) plus the blurred values of the pixels the
-  // centroid sweep reads (see the header comment).
+  // Long-range state: the fine base grid (no pixels: a refresh gathers the
+  // base a band at a time, see the header comment) — pixel p sums the
+  // background coverage, then, in ascending shot order, each active shot's
+  // float-rounded coverage fraction times its dose — and, per long-range
+  // term, its read set and the blurred values of the pixels the centroid
+  // sweep reads.
   //
   // One active centroid's bilinear stencil on a term map: the value slots of
   // pixels (ix, iy), (ix + 1, iy), (ix, iy + 1), (ix + 1, iy + 1) and the
@@ -340,23 +311,24 @@ class ExposureEvaluator {
     detail::ReadSet reads;
     std::vector<double> values;     ///< slot 0, then the read pixels' blur
     std::vector<Stencil> stencils;  ///< per active centroid
+    // At k = 1 only: the band sweep's row blurs of the needed rows, at the
+    // read set's columns (reads.width doubles a row); row y's is row
+    // row_slot[y].
+    std::vector<std::uint32_t> row_slot;
+    std::vector<double> rows;
   };
-  // The unblurred source a term's blur reads: the base at k = 1.
+  // The grid a term's blur reads: its coarse map, or the base grid at k = 1.
   const Raster& source(const TermMap& tm) const {
-    return tm.coarse ? *tm.coarse : *long_base_;
+    return tm.coarse ? *tm.coarse : *base_grid_;
   }
   // Builds tm's read set and the active centroids' stencils on it.
   void build_read_set(TermMap& tm);
-  // Background (frozen-dose) shots are not gathered: their dose-weighted
-  // coverage is rasterized once into ghost_base_, where every gather band
-  // starts, so the per-iteration gather is O(active shots). Rebuilt only by
-  // reset_doses, the one dose setter that may move background doses; null
-  // when every shot is active. Both bases are at the fine pixel only.
-  std::unique_ptr<Raster> long_base_;
-  std::unique_ptr<Raster> ghost_base_;
-  // Active shots by 16-row band of the base map: band b gathers shots
-  // band_shot_[band_start_[b] .. band_start_[b + 1]), in ascending index. A
-  // shot taller than a band is listed in every band it touches.
+  std::unique_ptr<Raster> base_grid_;
+  // All shots by band of band_rows_ rows: band b gathers shots
+  // band_shot_[band_start_[b] .. band_start_[b + 1]), its ghosts first, then
+  // its actives, each part in ascending index. A shot taller than a band
+  // is listed in every band it touches.
+  int band_rows_ = 1;
   std::vector<std::uint32_t> band_start_;
   std::vector<std::uint32_t> band_shot_;
   // Footprints of the active non-rectangle shots, clipped once at
@@ -365,7 +337,7 @@ class ExposureEvaluator {
   // a rectangle. A rectangle re-clips in two subtractions and a multiply per
   // pixel, so every gather re-derives it; a slanted shot's convex clip plus
   // shoelace costs several times a read-back. Both empty when every active
-  // shot is a rectangle.
+  // shot is a rectangle. Slanted ghosts are re-clipped at every gather.
   struct Splat {
     std::uint32_t px;
     float frac;
@@ -376,14 +348,11 @@ class ExposureEvaluator {
   BlurPerf perf_;
 
   // Active-centroid cache (query points of the sweep) and the cached
-  // short-range analytic sums at them. The cache is rebuilt on the next
-  // sweep after any full refresh and kept current by delta scatters
-  // otherwise; mutable because the sweep (const) owns the lazy rebuild.
+  // short-range analytic sums at them, rebuilt on the next sweep after any
+  // refresh; mutable because the sweep (const) owns the lazy rebuild.
   std::vector<double> cx_, cy_;
   mutable std::vector<double> short_cache_;
   mutable bool short_cache_valid_ = false;
-  int delta_streak_ = 0;  ///< delta refreshes since the last full gather
-  std::vector<std::uint32_t> moved_scratch_;
 };
 
 /// Separable Gaussian blur of a raster (kernel truncated at 4 sigma), with
@@ -431,6 +400,12 @@ namespace detail {
 void separable_blur_forced(const double* src, double* dst, int nx, int ny,
                            std::size_t stride, const std::vector<double>& taps,
                            int threads, int bands, bool avx2);
+
+/// Test hook of the evaluator's refresh: every later refresh, in any
+/// evaluator, cuts its band sweep into @p strips parallel strips of
+/// consecutive bands (clamped to [1, bands]) instead of two per thread; 0
+/// restores the default. Every count gives the same bits.
+void force_refresh_strips(int strips);
 }  // namespace detail
 
 /// Box average onto a k-times-coarser grid sharing the fine raster's origin

@@ -163,10 +163,7 @@ BlurPerf perf_since(const BlurPerf& now, const BlurPerf& then) {
   d.accumulate_ms -= then.accumulate_ms;
   d.blur_ms -= then.blur_ms;
   d.refreshes -= then.refreshes;
-  d.delta_accumulate_ms -= then.delta_accumulate_ms;
-  d.delta_refreshes -= then.delta_refreshes;
   d.skipped_refreshes -= then.skipped_refreshes;
-  d.shots_updated -= then.shots_updated;
   return d;
 }
 
@@ -549,8 +546,8 @@ wire::ShardResult solve_shard_job(const wire::ShardJob& job,
   // Exact per-shot change flags: a clamped dose can survive an update step
   // unchanged, and only real changes should dirty the neighbors. Published
   // doses are the evaluator's applied ones (see the function comment) so a
-  // resident evaluator whose state is still fresh (no ghost moved, no delta
-  // scatter since its last full gather) skips its re-entry refresh.
+  // resident evaluator whose ghosts did not move skips its re-entry
+  // refresh.
   out.doses.resize(na);
   out.changed.assign(na, 0);
   for (std::size_t k = 0; k < na; ++k) {

@@ -188,10 +188,7 @@ void put_perf(Writer& w, const BlurPerf& p) {
   w.f64(p.accumulate_ms);
   w.f64(p.blur_ms);
   w.i32(p.refreshes);
-  w.f64(p.delta_accumulate_ms);
-  w.i32(p.delta_refreshes);
   w.i32(p.skipped_refreshes);
-  w.i64(p.shots_updated);
 }
 
 BlurPerf get_perf(Reader& r) {
@@ -199,10 +196,7 @@ BlurPerf get_perf(Reader& r) {
   p.accumulate_ms = r.f64();
   p.blur_ms = r.f64();
   p.refreshes = r.i32();
-  p.delta_accumulate_ms = r.f64();
-  p.delta_refreshes = r.i32();
   p.skipped_refreshes = r.i32();
-  p.shots_updated = r.i64();
   return p;
 }
 

@@ -74,7 +74,10 @@ inline constexpr std::uint32_t kMagic = 0x574C4245;  // "EBLW" little-endian
 /// (the frame header already pins the version, each job its session tag).
 /// A job is 8 bytes shorter and message types 3 and 4 are unknown.
 /// Exact-match skew rule.
-inline constexpr std::uint32_t kVersion = 10;
+/// v11: the evaluator lost its delta path, and BlurPerf's delta counters
+/// (delta_accumulate_ms, delta_refreshes, shots_updated) left the result,
+/// so a result is 20 bytes shorter. Exact-match skew rule.
+inline constexpr std::uint32_t kVersion = 11;
 /// Written as-is by every encoder; a reader that sees its bytes reversed is
 /// looking at a stream produced by a writer that did not follow the
 /// little-endian convention (or at garbage) and must reject it.
@@ -83,7 +86,7 @@ inline constexpr std::uint32_t kEndianTag = 0x01020304;
 enum class MsgType : std::uint32_t {
   kShardJob = 1,
   kShardResult = 2,
-  // 3 and 4 were the v4-v9 hello / ack handshake; a v10 reader rejects them.
+  // 3 and 4 were the v4-v9 hello / ack handshake; readers since v10 reject them.
   /// Liveness probe, and the opener of every session: the daemon echoes the
   /// ping's token back as a kPong. Strictly request/response on an
   /// otherwise quiet stream, so a pong can never interleave with a result

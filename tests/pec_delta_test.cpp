@@ -1,11 +1,14 @@
-// Tests for the incremental dose-delta path of the exposure evaluator
-// (set_active_doses, see kDeltaThreshold) and the exact dose-reset entry
-// point (reset_doses) the resident sharded pipeline is built on.
+// Tests for the exposure evaluator's dose setters (set_active_doses and
+// reset_doses, both exact: the resident sharded pipeline is built on
+// them), its streamed long-range refresh against a serial reference, bit
+// for bit, and its centroid sweep.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "core/patterns.h"
@@ -32,9 +35,8 @@ std::vector<Psf> map_layout_psfs() {
 }
 
 // Deterministic pseudo-random dose trajectories: step k moves a subset of
-// the doses by a few percent. frac_num/frac_den controls the moved subset
-// size so both the delta path (minority moved) and the full fallback
-// (majority moved) are exercised.
+// the doses by a few percent; frac_num/frac_den controls the moved subset
+// size.
 std::vector<double> perturb(const std::vector<double>& doses, int step,
                             std::uint64_t frac_num, std::uint64_t frac_den) {
   std::vector<double> out = doses;
@@ -50,61 +52,11 @@ std::vector<double> perturb(const std::vector<double>& doses, int step,
   return out;
 }
 
-// The exact oracle of an incremental evaluator: a second evaluator reset
-// (full gather, no deferral) to the doses the first one has applied. The
-// delta path promises to match it within 1e-12 whatever it deferred.
+// The doses an evaluator has applied.
 std::vector<double> applied_doses(const ExposureEvaluator& eval) {
   std::vector<double> out(eval.shots().size());
   for (std::size_t i = 0; i < out.size(); ++i) out[i] = eval.shots()[i].dose;
   return out;
-}
-
-TEST(DeltaPath, MatchesFullReaccumulationAcrossRandomTrajectories) {
-  const ShotList shots = pad_and_island();
-  const Psf psf = test_psf();
-  ExposureEvaluator delta_eval(shots, psf);
-  ExposureEvaluator full_eval(shots, psf);
-
-  std::vector<double> doses(shots.size(), 1.0);
-  for (int step = 0; step < 12; ++step) {
-    // Mostly minority updates (delta path), every fourth step a majority
-    // update (full fallback) — the paths must agree wherever they hand over.
-    doses = perturb(doses, step, step % 4 == 3 ? 9 : 2, 10);
-    delta_eval.set_active_doses(doses);
-    full_eval.reset_doses(applied_doses(delta_eval));
-    const std::vector<double> a = delta_eval.exposures_at_centroids();
-    const std::vector<double> b = full_eval.exposures_at_centroids();
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_NEAR(a[i], b[i], 1e-12) << "step " << step << " shot " << i;
-    }
-  }
-  EXPECT_GT(delta_eval.blur_perf().delta_refreshes, 0);
-  EXPECT_GT(delta_eval.blur_perf().shots_updated, 0);
-  EXPECT_EQ(full_eval.blur_perf().delta_refreshes, 0);
-}
-
-TEST(DeltaPath, ShortOnlyPsfDeltasThroughTheCentroidCache) {
-  // All-short PSF: no long-range maps at all, the delta path updates only
-  // the cached analytic sums.
-  const ShotList shots = pad_and_island();
-  const Psf psf = Psf::double_gaussian(40.0, 150.0, 0.5);
-  ExposureEvaluator delta_eval(shots, psf);
-  ExposureEvaluator full_eval(shots, psf);
-  std::vector<double> doses(shots.size(), 1.0);
-  // Prime the centroid cache, then run delta steps.
-  (void)delta_eval.exposures_at_centroids();
-  for (int step = 0; step < 6; ++step) {
-    doses = perturb(doses, step, 1, 10);
-    delta_eval.set_active_doses(doses);
-    full_eval.reset_doses(applied_doses(delta_eval));
-    const std::vector<double> a = delta_eval.exposures_at_centroids();
-    const std::vector<double> b = full_eval.exposures_at_centroids();
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_NEAR(a[i], b[i], 1e-12) << "step " << step << " shot " << i;
-    }
-  }
-  EXPECT_GT(delta_eval.blur_perf().delta_refreshes, 0);
 }
 
 TEST(DeltaPath, ResetChainIsBitwiseTheFreshEvaluator) {
@@ -125,155 +77,6 @@ TEST(DeltaPath, ResetChainIsBitwiseTheFreshEvaluator) {
   const std::vector<double> a = eval.exposures_at_centroids();
   const std::vector<double> b = fresh.exposures_at_centroids();
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]) << "shot " << i;
-}
-
-TEST(DeltaPath, BitIdenticalAcrossThreadCounts) {
-  const ShotList shots = pad_and_island();
-  const Psf psf = test_psf();
-  std::vector<std::vector<double>> sweeps;
-  for (const int threads : {1, 4}) {
-    ExposureOptions opt;
-    opt.threads = threads;
-    ExposureEvaluator eval(shots, psf, opt);
-    std::vector<double> doses(shots.size(), 1.0);
-    std::vector<double> last;
-    for (int step = 0; step < 6; ++step) {
-      doses = perturb(doses, step, 2, 10);
-      eval.set_active_doses(doses);
-      last = eval.exposures_at_centroids();
-    }
-    EXPECT_GT(eval.blur_perf().delta_refreshes, 0) << threads << " threads";
-    sweeps.push_back(std::move(last));
-  }
-  ASSERT_EQ(sweeps[0].size(), sweeps[1].size());
-  for (std::size_t i = 0; i < sweeps[0].size(); ++i) {
-    EXPECT_EQ(sweeps[0][i], sweeps[1][i]) << "shot " << i;
-  }
-}
-
-TEST(DeltaPath, SubThresholdUpdatesAreDeferredThenApplied) {
-  const ShotList shots = pad_and_island();
-  const Psf psf = test_psf();
-  ExposureEvaluator eval(shots, psf);
-  const std::vector<double> before = eval.exposures_at_centroids();
-  const int skipped0 = eval.blur_perf().skipped_refreshes;
-
-  // One sub-threshold nudge: nothing is applied, the refresh is skipped
-  // outright and the sweep is bitwise unchanged.
-  const double nudge = 0.2 * kDeltaThreshold;
-  std::vector<double> doses(shots.size(), 1.0 + nudge);
-  eval.set_active_doses(doses);
-  EXPECT_EQ(eval.blur_perf().skipped_refreshes, skipped0 + 1);
-  const std::vector<double> after_nudge = eval.exposures_at_centroids();
-  for (std::size_t i = 0; i < before.size(); ++i)
-    EXPECT_EQ(after_nudge[i], before[i]) << "shot " << i;
-
-  // Keep creeping: the accumulated request crosses the threshold and is
-  // applied in full — no drift is ever lost, and the evaluator never lags
-  // the requests by more than the threshold.
-  for (int step = 2; step <= 10; ++step) {
-    for (double& d : doses) d = 1.0 + nudge * step;
-    eval.set_active_doses(doses);
-  }
-  EXPECT_GT(eval.blur_perf().refreshes, 1);
-  ShotList exact_shots = shots;
-  for (Shot& s : exact_shots) s.dose = doses[0];
-  ExposureEvaluator exact(exact_shots, psf);
-  const std::vector<double> a = eval.exposures_at_centroids();
-  const std::vector<double> b = exact.exposures_at_centroids();
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    // Residual deferral is bounded by the threshold (relative, and exposure
-    // is 1-homogeneous in dose).
-    EXPECT_NEAR(a[i], b[i], 2.5 * kDeltaThreshold) << "shot " << i;
-  }
-}
-
-// Indices of the island shots (the small box far from the pad) — moving
-// only these keeps every delta refresh's touched region tiny against the
-// long-range maps.
-std::vector<std::size_t> island_indices(const ShotList& shots) {
-  std::vector<std::size_t> out;
-  for (std::size_t i = 0; i < shots.size(); ++i) {
-    if (shots[i].shape.bbox().lo.x >= 40000) out.push_back(i);
-  }
-  return out;
-}
-
-std::vector<double> perturb_subset(const std::vector<double>& doses,
-                                   const std::vector<std::size_t>& subset,
-                                   int step) {
-  std::vector<double> out = doses;
-  std::uint64_t h = 0x9e3779b97f4a7c15ull * static_cast<std::uint64_t>(step + 1);
-  for (const std::size_t i : subset) {
-    h ^= h >> 33;
-    h *= 0xff51afd7ed558ccdull;
-    h ^= i * 0xc4ceb9fe1a85ec53ull + 1;
-    out[i] *= 1.0 + 0.05 * (static_cast<double>(h % 1000) / 1000.0 - 0.5);
-  }
-  return out;
-}
-
-TEST(DeltaPath, LocalizedUpdatesMatchTheResetOracle) {
-  // Localized updates (island only) take the delta path on every step. The
-  // result must stay within the delta path's 1e-12 contract of the exact
-  // reset oracle across a random trajectory, at the centroids and off them.
-  const ShotList shots = pad_and_island();
-  const std::vector<std::size_t> island = island_indices(shots);
-  ASSERT_FALSE(island.empty());
-  for (const Psf& psf : map_layout_psfs()) {
-    SCOPED_TRACE(psf.terms().size() == 2 ? "double Gaussian" : "triple Gaussian");
-    ExposureEvaluator delta_eval(shots, psf);
-    ExposureEvaluator full_eval(shots, psf);
-
-    std::vector<double> doses(shots.size(), 1.0);
-    for (int step = 0; step < 8; ++step) {
-      doses = perturb_subset(doses, island, step);
-      delta_eval.set_active_doses(doses);
-      full_eval.reset_doses(applied_doses(delta_eval));
-      const std::vector<double> a = delta_eval.exposures_at_centroids();
-      const std::vector<double> b = full_eval.exposures_at_centroids();
-      ASSERT_EQ(a.size(), b.size());
-      for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_NEAR(a[i], b[i], 1e-12) << "step " << step << " shot " << i;
-      }
-      // Off-centroid probes around the island reach map pixels no shot
-      // samples: a stale map pixel within the kernels' reach shows here.
-      for (double y = -10000.0; y <= 30000.0; y += 1250.0) {
-        for (double x = 22000.0; x <= 60000.0; x += 500.0) {
-          EXPECT_NEAR(delta_eval.exposure_at(x, y), full_eval.exposure_at(x, y), 1e-12)
-              << "step " << step << " at " << x << "," << y;
-        }
-      }
-    }
-    EXPECT_GT(delta_eval.blur_perf().delta_refreshes, 0);
-  }
-}
-
-TEST(DeltaPath, LocalizedUpdatesBitIdenticalAcrossThreadCounts) {
-  const ShotList shots = pad_and_island();
-  const std::vector<std::size_t> island = island_indices(shots);
-  for (const Psf& psf : map_layout_psfs()) {
-    SCOPED_TRACE(psf.terms().size() == 2 ? "double Gaussian" : "triple Gaussian");
-    std::vector<std::vector<double>> sweeps;
-    for (const int threads : {1, 4}) {
-      ExposureOptions opt;
-      opt.threads = threads;
-      ExposureEvaluator eval(shots, psf, opt);
-      std::vector<double> doses(shots.size(), 1.0);
-      std::vector<double> last;
-      for (int step = 0; step < 6; ++step) {
-        doses = perturb_subset(doses, island, step);
-        eval.set_active_doses(doses);
-        last = eval.exposures_at_centroids();
-      }
-      EXPECT_GT(eval.blur_perf().delta_refreshes, 0) << threads << " threads";
-      sweeps.push_back(std::move(last));
-    }
-    ASSERT_EQ(sweeps[0].size(), sweeps[1].size());
-    for (std::size_t i = 0; i < sweeps[0].size(); ++i) {
-      EXPECT_EQ(sweeps[0][i], sweeps[1][i]) << "shot " << i;
-    }
-  }
 }
 
 // The doses a resident shard re-enters with: its own (active) doses as the
@@ -404,21 +207,25 @@ ShotList gather_shots(std::size_t* active_count) {
   return shots;
 }
 
-// The long-range exposure at every active centroid, computed serially from
-// the shots: ghosts rasterized at double precision, then every active
-// shot's float-rounded coverage fractions in ascending shot order on one
-// fine base map, then per term a box average onto its k-times-coarser map,
-// the separable blur and a bilinear sample. Pixel and margin follow the
+// The long-range exposure at each point, computed serially from the shots:
+// ghosts rasterized at double precision, then every active shot's
+// float-rounded coverage fractions in ascending shot order on one fine base
+// map, then per term a box average onto its k-times-coarser map, the
+// separable blur and a bilinear sample. Pixel and margin follow the
 // evaluator's rules for map_margin_sigmas 0 (pixel sigma_min / 4, margin
-// two pixels of the coarsest map).
-std::vector<double> serial_long_range(const ShotList& shots, std::size_t na,
-                                      const Psf& psf, const ExposureEvaluator& eval) {
+// two pixels of the coarsest map). base_height, when given, receives the
+// base map's row count.
+std::vector<double> serial_long_range_at(const ShotList& shots, std::size_t na,
+                                         const Psf& psf,
+                                         const std::vector<std::pair<double, double>>& points,
+                                         int* base_height = nullptr) {
   Box frame;
   for (const Shot& s : shots) frame += s.shape.bbox();
   const Coord pixel = static_cast<Coord>(psf.min_sigma() / kPixelsPerSigma);
   int k_max = 1;
   for (const PsfTerm& t : psf.terms()) k_max = std::max(k_max, term_k(t.sigma, pixel));
   Raster base(frame.bloated(2 * k_max * pixel), pixel);
+  if (base_height) *base_height = base.height();
 
   // The lowest and highest shots lie in the base map's first and last bands.
   EXPECT_EQ(base.index_of(frame.lo).second / 16, 0);
@@ -434,7 +241,7 @@ std::vector<double> serial_long_range(const ShotList& shots, std::size_t na,
     });
   }
 
-  std::vector<double> out(na, 0.0);
+  std::vector<double> out(points.size(), 0.0);
   for (const PsfTerm& t : psf.terms()) {
     const int k = term_k(t.sigma, pixel);
     const Coord tp = k * pixel;
@@ -445,12 +252,18 @@ std::vector<double> serial_long_range(const ShotList& shots, std::size_t na,
     box_average(data.data(), base.width(), base.height(), k, 0, 0, map.width(),
                 map.height(), map.data().data());
     separable_blur(map, gaussian_kernel_taps(t.sigma / static_cast<double>(tp)));
-    for (std::size_t i = 0; i < na; ++i) {
-      const auto [cx, cy] = eval.centroid(i);
-      out[i] += t.weight * map.sample(cx, cy);
-    }
+    for (std::size_t i = 0; i < points.size(); ++i)
+      out[i] += t.weight * map.sample(points[i].first, points[i].second);
   }
   return out;
+}
+
+// serial_long_range_at every active centroid of eval.
+std::vector<double> serial_long_range(const ShotList& shots, std::size_t na,
+                                      const Psf& psf, const ExposureEvaluator& eval) {
+  std::vector<std::pair<double, double>> centroids;
+  for (std::size_t i = 0; i < na; ++i) centroids.push_back(eval.centroid(i));
+  return serial_long_range_at(shots, na, psf, centroids);
 }
 
 TEST(ExposureEvaluator, LongRangeGatherMatchesASerialReferenceBitForBit) {
@@ -483,30 +296,120 @@ TEST(ExposureEvaluator, LongRangeGatherMatchesASerialReferenceBitForBit) {
   }
 }
 
-TEST(DeltaPath, SlantedAndRectangleScattersMatchTheSerialReference) {
-  // A delta refresh adds each moved shot's dose change on top of the old
-  // sums, so it agrees with the serial reference to rounding, not bit for
-  // bit. The movers are a pad, a small square and every slanted shot (whose
-  // footprints are the evaluator's cached ones).
+// memcmp of two value lists of the same length.
+void expect_same_bits(const std::vector<double>& got, const std::vector<double>& want,
+                      const char* what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i)
+    EXPECT_EQ(std::memcmp(&got[i], &want[i], sizeof(double)), 0)
+        << what << " " << i << ": got " << got[i] << " want " << want[i];
+}
+
+TEST(DosePaths, SetActiveDosesIsBitwiseTheFreshEvaluator) {
+  // set_active_doses applies every dose exactly, however little or much
+  // moved: one dose by one ulp, then a minority by 1.3x, then every dose.
+  // After each step the sweep equals a fresh evaluator's at the same doses,
+  // and the last one is the same at 1 and 4 threads.
+  const ShotList shots = pad_and_island();
+  for (const Psf& psf : map_layout_psfs())
+    for (const std::size_t na : {shots.size(), shots.size() / 2}) {
+      std::vector<std::vector<double>> last;
+      for (const int threads : {1, 4}) {
+        SCOPED_TRACE(testing::Message() << psf.terms().size() << " terms, " << na
+                                        << " active, " << threads << " threads");
+        ExposureOptions opt;
+        opt.threads = threads;
+        ExposureEvaluator eval(shots, na, psf, opt);
+        std::vector<double> doses(na);
+        for (std::size_t i = 0; i < na; ++i) doses[i] = shots[i].dose;
+        const auto expect_fresh = [&](const char* step) {
+          ShotList fresh_shots = shots;
+          for (std::size_t i = 0; i < na; ++i) fresh_shots[i].dose = doses[i];
+          const ExposureEvaluator fresh(fresh_shots, na, psf, opt);
+          expect_same_bits(eval.exposures_at_centroids(), fresh.exposures_at_centroids(),
+                           step);
+        };
+
+        doses[na / 3] = std::nextafter(doses[na / 3], 2.0);
+        eval.set_active_doses(doses);
+        expect_fresh("one ulp");
+        for (std::size_t i = 0; i < na; i += 7) doses[i] *= 1.3;
+        eval.set_active_doses(doses);
+        expect_fresh("minority");
+        for (std::size_t i = 0; i < na; ++i)
+          doses[i] *= 0.9 + 0.01 * static_cast<double>(i % 5);
+        eval.set_active_doses(doses);
+        expect_fresh("every dose");
+
+        // An unchanged vector only counts a skipped refresh.
+        const BlurPerf before = eval.blur_perf();
+        const std::vector<double> swept = eval.exposures_at_centroids();
+        eval.set_active_doses(doses);
+        const BlurPerf& after = eval.blur_perf();
+        EXPECT_EQ(after.skipped_refreshes, before.skipped_refreshes + 1);
+        EXPECT_EQ(after.refreshes, before.refreshes);
+        EXPECT_EQ(after.accumulate_ms, before.accumulate_ms);
+        EXPECT_EQ(after.blur_ms, before.blur_ms);
+        expect_same_bits(eval.exposures_at_centroids(), swept, "unchanged");
+        last.push_back(swept);
+      }
+      expect_same_bits(last[1], last[0], "4 threads against 1");
+    }
+}
+
+TEST(ExposureEvaluator, RefreshStripCountDoesNotChangeABit) {
+  // The refresh gathers the base in bands (20 rows here: the least multiple
+  // of beta's k = 5 from 16) and runs the bands in strips. A split
+  // evaluator with slanted actives and ghosts across band rows, whose base
+  // ends in a partial band and a partial 5-row block, must match the serial
+  // reference bit for bit at every strip count: 1, 2, 7 and one band per
+  // strip.
   std::size_t na = 0;
   ShotList shots = gather_shots(&na);
   const Psf psf = Psf::double_gaussian(600.0, 3000.0, 0.7);
-  ExposureOptions opt;
-  opt.map_margin_sigmas = 0.0;
-  ExposureEvaluator eval(shots, na, psf, opt);
-  std::vector<double> doses(na);
-  std::size_t slanted = 0;
-  for (std::size_t i = 0; i < na; ++i) {
-    const bool moves = i == 0 || i == 7 || !shots[i].shape.is_rect();
-    slanted += !shots[i].shape.is_rect();
-    doses[i] = shots[i].dose *= moves ? 1.3 : 1.0;
+  // A slanted active up to y = 30350 and a second slanted ghost.
+  shots.insert(shots.begin() + static_cast<std::ptrdiff_t>(na),
+               {Trapezoid(27310, 30350, 3000, 5000, 3500, 4200), 1.11});
+  ++na;
+  shots.push_back({Trapezoid(1000, 4700, 14000, 17000, 15000, 16100), 0.93});
+
+  std::vector<std::pair<double, double>> probes;
+  for (double y = -1400.0; y <= 31800.0; y += 1730.0)
+    for (double x = -1400.0; x <= 32400.0; x += 2210.0) probes.emplace_back(x, y);
+  int ny = 0;
+  const std::vector<double> ref_at = serial_long_range_at(shots, na, psf, probes, &ny);
+  ASSERT_NE(ny % 5, 0);
+  ASSERT_NE(ny % 20, 0);
+  ASSERT_GT((ny + 19) / 20, 7);  // 7 strips group the bands unevenly
+
+  // Restores the default strip count however the test leaves.
+  struct Restore {
+    ~Restore() { detail::force_refresh_strips(0); }
+  } restore;
+  for (const int strips : {1, 2, 7, std::numeric_limits<int>::max()}) {
+    detail::force_refresh_strips(strips);
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(testing::Message() << strips << " strips, " << threads << " threads");
+      ExposureOptions opt;
+      opt.map_margin_sigmas = 0.0;
+      opt.threads = threads;
+      ExposureEvaluator eval(shots, na, psf, opt);
+      expect_same_bits(eval.exposures_at_centroids(), serial_long_range(shots, na, psf, eval),
+                       "built");
+      std::vector<double> at;
+      for (const auto& [x, y] : probes) at.push_back(eval.exposure_at(x, y));
+      expect_same_bits(at, ref_at, "exposure_at");
+
+      // New doses for actives and ghosts: a refresh at the forced count.
+      ShotList moved = shots;
+      std::vector<double> doses(shots.size());
+      for (std::size_t i = 0; i < shots.size(); ++i)
+        doses[i] = moved[i].dose = 0.8 + 0.053 * static_cast<double>(i % 11);
+      eval.reset_doses(doses);
+      expect_same_bits(eval.exposures_at_centroids(), serial_long_range(moved, na, psf, eval),
+                       "reset");
+    }
   }
-  ASSERT_EQ(slanted, 3u);
-  eval.set_active_doses(doses);
-  EXPECT_EQ(eval.blur_perf().delta_refreshes, 1);
-  const std::vector<double> got = eval.exposures_at_centroids();
-  const std::vector<double> ref = serial_long_range(shots, na, psf, eval);
-  for (std::size_t i = 0; i < na; ++i) EXPECT_NEAR(got[i], ref[i], 1e-12 * ref[i]) << "shot " << i;
 }
 
 TEST(Sweep, ExactErfSweepMatchesPointQueries) {

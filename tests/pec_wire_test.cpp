@@ -186,10 +186,7 @@ wire::ShardResult sample_result() {
   r.perf.accumulate_ms = 1.5;
   r.perf.blur_ms = 2.5;
   r.perf.refreshes = 3;
-  r.perf.delta_accumulate_ms = 0.25;
-  r.perf.delta_refreshes = 4;
   r.perf.skipped_refreshes = 5;
-  r.perf.shots_updated = 1234567890123LL;
   r.doses = {0.1, 2.0 / 3.0, std::nextafter(1.0, 0.0)};
   r.changed = {1, 0, 1};
   r.pool_resident = 7;
@@ -208,8 +205,10 @@ TEST(Wire, ResultRoundTripIsBitExact) {
   EXPECT_EQ(back.iterations, r.iterations);
   EXPECT_EQ(back.updated, r.updated);
   EXPECT_EQ(back.optimistic, r.optimistic);
+  EXPECT_EQ(bits(back.perf.accumulate_ms), bits(r.perf.accumulate_ms));
+  EXPECT_EQ(bits(back.perf.blur_ms), bits(r.perf.blur_ms));
   EXPECT_EQ(back.perf.refreshes, r.perf.refreshes);
-  EXPECT_EQ(back.perf.shots_updated, r.perf.shots_updated);
+  EXPECT_EQ(back.perf.skipped_refreshes, r.perf.skipped_refreshes);
   ASSERT_EQ(back.doses.size(), r.doses.size());
   for (std::size_t i = 0; i < r.doses.size(); ++i)
     EXPECT_EQ(bits(back.doses[i]), bits(r.doses[i]));
@@ -292,6 +291,9 @@ TEST(Wire, FrameHeaderRoundTripAndRejections) {
   // it would misframe everything after the first payload.
   bad = h;
   bad[4] = static_cast<char>(wire::kVersion + 1);
+  EXPECT_THROW(wire::parse_frame_header(bad), DataError);
+  bad = h;
+  bad[4] = 10;  // v10: results with the delta-path counters
   EXPECT_THROW(wire::parse_frame_header(bad), DataError);
   bad = h;
   bad[4] = 9;  // v9: jobs with a sequence number, sessions opening with hello
