@@ -677,6 +677,39 @@ TEST(Boolean, SeededSoupsMatchParentDigests) {
   EXPECT_EQ(engine_digest(all_angle), 0x9f9fa145cec76135ull);
 }
 
+// The lattice soups of BooleanDegenerateSoups (shared vertices, collinear
+// overlaps, coalesced and inverted intervals, the ends of the grid), pinned
+// to the digests of the band-by-band sweep with a separate vertical merge.
+TEST(Boolean, LatticeSoupsMatchParentDigests) {
+  constexpr std::uint64_t kBoxes[20] = {
+      0xc99a29bf43c578a3ull, 0x266e89f7eea7ac73ull, 0x368f4594704728a0ull,
+      0x0ca469e02412cf39ull, 0x54b0a4e37340ae10ull, 0x5f0b4fe199f57225ull,
+      0xde113c3d331d343aull, 0xd7e4001e77dc79a5ull, 0x976e9e22a8022494ull,
+      0x8add965bd71c76ebull, 0x6cbed87415eff9b5ull, 0x164c7e557ba03ee4ull,
+      0x137f07ec5c3c77f9ull, 0x0c1eb63c69fa3a8dull, 0x4b44e8f0d6896e2aull,
+      0x1e1663be6fc18853ull, 0xa4e7a44f48e7623eull, 0x8f01ef123ba74ebbull,
+      0xb85b8db92bed34c1ull, 0x74063f1ad55ccf67ull};
+  constexpr std::uint64_t kTriangles[20] = {
+      0x9e24a472523540c1ull, 0x582ae86e0c212f9dull, 0xf4401acff50905bbull,
+      0x7a36f93822e2fb33ull, 0x342633711c6ff8f9ull, 0xedf5e3e653287c4bull,
+      0xe01a59d29df0ad89ull, 0xa864a2f5c6221ae9ull, 0xe1348367a9219630ull,
+      0x9c2a7a2cef1a17c3ull, 0xf2cec5df66fca5e4ull, 0xda16f7b93ad82b91ull,
+      0x6d797e698d105090ull, 0xdc5272feeebff4cdull, 0xf2321eb5eec23389ull,
+      0x607abda9321e5b8bull, 0x6cb7ec104f774048ull, 0xad84c63de68026f3ull,
+      0xfd06102d66faa23aull, 0x48db945b2bf2d92full};
+  for (int seed = 0; seed < 20; ++seed) {
+    Rng rng(4242 + seed);
+    const ManhattanSoup boxes = lattice_boxes(rng, kOrigins[seed % 4], seed % 5 == 4);
+    BooleanEngine lattice;
+    for (int g = 0; g < 2; ++g)
+      for (const Box& b : boxes.boxes[g]) lattice.add(b, g);
+    BooleanEngine triangles;
+    for (const GroupedTriangle& t : lattice_triangles(seed)) triangles.add(t.tri, t.group);
+    EXPECT_EQ(engine_digest(lattice), kBoxes[seed]) << "lattice boxes " << seed;
+    EXPECT_EQ(engine_digest(triangles), kTriangles[seed]) << "lattice triangles " << seed;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Thread and slab counts: the sweep's y-slabs and the parallel pair tests
 // give the bits of one single-threaded sweep for any count.
