@@ -158,6 +158,9 @@ class BooleanEngine {
     Point lo, hi;        // lo.y < hi.y
     std::int8_t weight;  // +1 original edge pointed up, -1 down
     std::int8_t group;   // 0 = A, 1 = B
+    // Splitting: an endpoint is a cut rounded off the line of the segment
+    // this piece was cut from, so the piece can gain a cut next round.
+    bool off_line = false;
   };
 
   friend std::vector<Band> detail::boolean_bands_forced(const BooleanEngine&, BoolOp, int,
@@ -171,26 +174,19 @@ class BooleanEngine {
   /// pair-test parts (0 = picked from the threads and the work).
   std::vector<Seg> split_segments(int threads, std::size_t parts, BooleanStats& stats) const;
 
-  /// Splits the segments and sweeps them on @p threads (0 = auto) in
-  /// @p slabs y-slabs, with as many pair-test parts (0 picks both from the
-  /// threads and the work). Hands the bands to @p take on the calling
-  /// thread, bottom to top, a slab's worth per call, and sets stats_.
-  void sweep(BoolOp op, int threads, std::size_t slabs,
-             const std::function<void(std::vector<Band>&)>& take) const;
-  std::vector<Band> sweep_bands(BoolOp op, int threads, std::size_t slabs) const;
+  /// Splits the segments on @p threads (0 = auto) in @p parts pair-test
+  /// parts (0 = picked from the threads and the work), sweeps them once and
+  /// sets stats_. Hands each non-empty band to @p band, bottom to top, and
+  /// appends the vertically merged figures to @p merged; either may be null.
+  void sweep(BoolOp op, int threads, std::size_t parts, const std::function<void(Band&)>* band,
+             std::vector<Trapezoid>* merged) const;
+  std::vector<Band> sweep_bands(BoolOp op, int threads, std::size_t parts) const;
   std::vector<Trapezoid> sweep_trapezoids(BoolOp op, bool merge_vertical, int threads,
-                                          std::size_t slabs) const;
+                                          std::size_t parts) const;
 
   std::vector<Seg> segs_;
   mutable BooleanStats stats_;
 };
-
-/// Merges vertically adjacent collinear trapezoids in a band list.
-/// Exposed for fracture-strategy experiments. Each band's intervals must be
-/// in nondecreasing xl0 order, as bands() produces them. A trapezoid does
-/// not grow into an interval that is inverted at its top (a residual
-/// crossing); that interval is dropped, as band_trapezoids() drops it.
-std::vector<Trapezoid> merge_trapezoids_vertically(const std::vector<Band>& bands);
 
 /// Flat list of per-band trapezoids without vertical merging.
 std::vector<Trapezoid> band_trapezoids(const std::vector<Band>& bands);

@@ -711,8 +711,8 @@ TEST(Boolean, LatticeSoupsMatchParentDigests) {
 }
 
 // ---------------------------------------------------------------------------
-// Thread and slab counts: the sweep's y-slabs and the parallel pair tests
-// give the bits of one single-threaded sweep for any count.
+// Thread and part counts: the parallel pair tests of the crossing split give
+// the bits of one single-threaded run for any count.
 // ---------------------------------------------------------------------------
 
 bool same_bands(const std::vector<Band>& a, const std::vector<Band>& b) {
@@ -756,16 +756,17 @@ Stitched stitched(F&& polygons) {
 }
 
 // Checks every output of @p eng for @p op at threads 1-4, through the public
-// calls and with the slab and part counts forced to 1, 2, 7 and one band per
-// slab, against the single-threaded bands() and the free functions over
-// them. Returns how many of the bands'
+// calls and with the pair-test part count forced to 1, 2, 7 and one grid row
+// per part, against the single-threaded bands(), trapezoids(op, true) and
+// the free functions over the bands. Returns how many of the bands'
 // intervals a repair made: coalesced (no supporting right segment) or
 // inverted at the top by a residual crossing.
 std::size_t expect_same_bits_for_any_split(const BooleanEngine& eng, BoolOp op,
                                            const std::string& what) {
-  const std::vector<Band> ref = detail::boolean_bands_forced(eng, op, 1, 1);  // one sweep
+  const std::vector<Band> ref = detail::boolean_bands_forced(eng, op, 1, 1);  // one part
   const BooleanStats ref_stats = eng.stats();
-  const std::vector<Trapezoid> ref_merged = merge_trapezoids_vertically(ref);
+  const std::vector<Trapezoid> ref_merged = eng.trapezoids(op, true, 1);
+  EXPECT_TRUE(same_stats(eng.stats(), ref_stats)) << what;
   const std::vector<Trapezoid> ref_flat = band_trapezoids(ref);
   const Stitched ref_polys = stitched([&] { return stitch_bands(ref); });
   for (int threads = 1; threads <= 4; ++threads) {
@@ -784,10 +785,8 @@ std::size_t expect_same_bits_for_any_split(const BooleanEngine& eng, BoolOp op,
       const std::vector<Band> got = detail::boolean_bands_forced(eng, op, threads, pieces);
       EXPECT_TRUE(same_bands(got, ref)) << forced;
       EXPECT_TRUE(same_stats(eng.stats(), ref_stats)) << forced;
-      EXPECT_TRUE(same_traps(merge_trapezoids_vertically(got), ref_merged)) << forced;
       EXPECT_TRUE(same_traps(band_trapezoids(got), ref_flat)) << forced;
       EXPECT_TRUE(stitched([&] { return stitch_bands(got); }) == ref_polys) << forced;
-      // trapezoids() folds each wave of slabs into the figures as it ends.
       EXPECT_TRUE(same_traps(detail::boolean_trapezoids_forced(eng, op, true, threads, pieces),
                              ref_merged)) << forced;
       EXPECT_TRUE(same_stats(eng.stats(), ref_stats)) << forced;
@@ -833,11 +832,8 @@ TEST(Boolean, ThreadAndSlabCountDoNotChangeABit) {
                                                  "lattice triangles " + std::to_string(seed));
     }
   }
-  // With one band per slab every band is a slab's first, seeded by a full
-  // sort instead of the previous band's order. Some of those bands hold a
-  // coalesced or inverted interval, and several lattice triangle soups hold
-  // bands whose inherited order needs the insertion repair (a sweep without
-  // that repair fails here).
+  // Some reference bands hold a coalesced or inverted interval, which the
+  // sweep re-evaluates at every band.
   EXPECT_GT(repaired, 0u);
 }
 
