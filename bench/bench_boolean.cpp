@@ -4,10 +4,12 @@
 // growing size, for OR / AND / XOR, plus the trapezoid and polygon output
 // paths. Edge splitting pairs segments on a uniform grid, so it stays near
 // linear in edges for sparse overlap and degrades toward O(n^2) only in
-// all-angle crossing storms. The band sweep keeps its active list ordered
-// between bands but still visits every active edge in every band, so on
-// layouts whose y edges never line up (BM_DisjointSquaresDistinctY) the
-// per-figure cost grows like the active count, about sqrt(n).
+// all-angle crossing storms. The sweep touches only what each event
+// changes: on layouts whose y edges never line up
+// (BM_DisjointSquaresDistinctY) the per-figure cost stays about flat from 1k
+// to 32k squares (CI fails above 2x, scripts/check_boolean_scaling.py);
+// when every band visited every active edge it grew like the active count,
+// about sqrt(n).
 //
 // Run with --benchmark_out=<file> --benchmark_out_format=json for a JSON
 // record of every case.

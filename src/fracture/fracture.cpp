@@ -1,6 +1,7 @@
 #include "fracture/fracture.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "util/contracts.h"
@@ -58,8 +59,10 @@ void split_y(const Trapezoid& t, Coord max_h, std::vector<Trapezoid>& out) {
 // Clips t to the vertical strip [x0, x1]; pieces remain trapezoids by
 // splitting at the heights where the slanted sides cross the strip edges.
 void clip_strip(const Trapezoid& t, Coord x0, Coord x1, std::vector<Trapezoid>& out) {
-  // Heights where a side crosses x0 or x1 (rounded to grid).
-  std::vector<Coord> ys{t.y0, t.y1};
+  // Heights where a side crosses x0 or x1 (rounded to grid): at most four
+  // besides the two ends.
+  std::array<Coord, 6> ys{t.y0, t.y1};
+  std::size_t nys = 2;
   const auto add_crossing = [&](Coord xa, Coord xb, Coord xc) {
     // side runs from (xa, y0) to (xb, y1); crossing with x = xc.
     if ((xa < xc && xb < xc) || (xa > xc && xb > xc) || xa == xb) return;
@@ -76,16 +79,17 @@ void clip_strip(const Trapezoid& t, Coord x0, Coord x1, std::vector<Trapezoid>& 
       y = nnum >= 0 ? static_cast<Coord64>((nnum + half) / nden)
                     : -static_cast<Coord64>(((-nnum) + half) / nden);
     }
-    if (y > t.y0 && y < t.y1) ys.push_back(static_cast<Coord>(y));
+    if (y > t.y0 && y < t.y1) ys[nys++] = static_cast<Coord>(y);
   };
   add_crossing(t.xl0, t.xl1, x0);
   add_crossing(t.xl0, t.xl1, x1);
   add_crossing(t.xr0, t.xr1, x0);
   add_crossing(t.xr0, t.xr1, x1);
-  std::sort(ys.begin(), ys.end());
-  ys.erase(std::unique(ys.begin(), ys.end()), ys.end());
+  for (std::size_t i = 1; i < nys; ++i)  // insertion sort of at most six
+    for (std::size_t j = i; j > 0 && ys[j] < ys[j - 1]; --j) std::swap(ys[j], ys[j - 1]);
+  nys = static_cast<std::size_t>(std::unique(ys.begin(), ys.begin() + nys) - ys.begin());
 
-  for (std::size_t i = 0; i + 1 < ys.size(); ++i) {
+  for (std::size_t i = 0; i + 1 < nys; ++i) {
     const Coord ya = ys[i];
     const Coord yb = ys[i + 1];
     const Coord xla = std::clamp(side_x_at(ya, t.y0, t.y1, t.xl0, t.xl1), x0, x1);
@@ -97,14 +101,11 @@ void clip_strip(const Trapezoid& t, Coord x0, Coord x1, std::vector<Trapezoid>& 
   }
 }
 
-}  // namespace
-
-std::vector<Trapezoid> split_to_max_size(const Trapezoid& t, Coord max_size) {
-  expects(max_size > 0, "split_to_max_size: max_size must be positive");
-  std::vector<Trapezoid> y_slices;
+// split_to_max_size, appending to @p out; @p y_slices is scratch.
+void split_into(const Trapezoid& t, Coord max_size, std::vector<Trapezoid>& y_slices,
+                std::vector<Trapezoid>& out) {
+  y_slices.clear();
   split_y(t, max_size, y_slices);
-
-  std::vector<Trapezoid> out;
   for (const Trapezoid& slice : y_slices) {
     const Box bb = slice.bbox();
     const Coord64 w = bb.width();
@@ -119,6 +120,14 @@ std::vector<Trapezoid> split_to_max_size(const Trapezoid& t, Coord max_size) {
       clip_strip(slice, xa, xb, out);
     }
   }
+}
+
+}  // namespace
+
+std::vector<Trapezoid> split_to_max_size(const Trapezoid& t, Coord max_size) {
+  expects(max_size > 0, "split_to_max_size: max_size must be positive");
+  std::vector<Trapezoid> y_slices, out;
+  split_into(t, max_size, y_slices, out);
   return out;
 }
 
@@ -142,10 +151,12 @@ FractureResult fracture(const std::vector<Trapezoid>& traps, const FractureOptio
   FractureResult result;
   result.stats.figures = traps.size();
 
+  // One pair of buffers serves every figure.
+  std::vector<Trapezoid> pieces, y_slices;
   for (const Trapezoid& t : traps) {
-    std::vector<Trapezoid> pieces;
+    pieces.clear();
     if (options.max_shot_size > 0) {
-      pieces = split_to_max_size(t, options.max_shot_size);
+      split_into(t, options.max_shot_size, y_slices, pieces);
     } else {
       pieces.push_back(t);
     }

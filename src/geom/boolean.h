@@ -10,37 +10,47 @@
 //      integer predicates; intersection points are rounded to the database
 //      grid and splitting is iterated to a fixpoint (grid snapping).
 //      Candidate pairs come from a uniform grid over the segment bboxes
-//      (cells about one mean segment wide, coarsened until the cover list is
-//      O(segments)); each touching pair is tested once, in the cell holding
-//      the min corner of the bboxes' intersection, as (i, j) with i < j in
-//      (lo.y, lo.x) order, because the rounded cut point depends on the
-//      argument order. The grid rows run in parallel parts of about equal
-//      pair work; each part collects (segment, point) cuts, which are
-//      gathered per segment by count -> scan -> fill and sorted and
-//      deduplicated there, so the cut set does not depend on the part count.
-//   3. A sweep over the y-event bands orders the (now crossing-free) segments
-//      exactly by rational x and accumulates per-group winding numbers.
-//      Maximal inside intervals become horizontal trapezoids. The active
-//      order is kept from band to band: ended segments retire, each
-//      continuing segment's x at the band top becomes its x at the next
-//      bottom, an insertion pass repairs the few inversions that residual
-//      sub-band crossings leave, and new segments are merged in. The key
-//      (x@y0, x@y1, segment id) is a strict total order, so it has exactly
-//      one sorted permutation: the kept order is the one a full sort of
-//      every band would give. That makes the sweep separable in y: the
-//      bands are cut into slabs of about equal active-entry work (count ->
-//      exclusive scan over segment starts and ends), each slab seeds its
-//      first band with a full sort of the segments crossing its bottom, and
-//      the slabs run in parallel, a wave of one slab per thread at a time.
-//      Each slab counts its own bands and intervals; the calling thread
-//      sums them into stats() and takes the waves' bands in order, moving
-//      them into bands() or folding them into trapezoids() as they come, so
-//      trapezoids() never holds the whole band list.
+//      (cells a power of two about one mean segment wide, coarsened until
+//      the cover list is O(segments)); each touching pair is tested once, in
+//      the cell holding the min corner of the bboxes' intersection, as
+//      (i, j) with i < j in (lo.y, lo.x) order, because the rounded cut
+//      point depends on the argument order. Round 0 tests every pair, its
+//      grid rows in parallel parts of about equal pair work. A later round
+//      tests only pairs with a piece that has an endpoint rounded off the
+//      line of the segment it was cut from (intersection_point is exact at
+//      lattice points, so two other pieces meet only where their segments
+//      already met), and ends at once when there is none; each piece looks
+//      up those pieces on their own grid, in parallel parts. Each part
+//      collects (segment, point) cuts, which are gathered per segment by
+//      count -> scan -> fill and sorted and deduplicated there, so the cut
+//      set does not depend on the part count.
+//   3. One sweep over the y events (every segment endpoint) orders the (now
+//      crossing-free) segments exactly by rational x and accumulates
+//      per-group winding numbers. The active segments stay in the strict
+//      (x@y0, x@y1, segment id) order of the band above the event; maximal
+//      inside intervals, coalesced where the grid cannot keep them apart,
+//      are the band's intervals, and each holds one open trapezoid: the
+//      figure a vertical merge of the bands would grow there. An event
+//      removes the segments that end, inserts the ones that start by binary
+//      search, and re-walks the winding only from each change until it
+//      meets the stored winding again; a change inside an interval that
+//      moves no side costs that walk alone. Only the intervals a change
+//      touched, widened to neighbours within one dbu (which rounding can
+//      coalesce), are rebuilt: their figures extend, close or open exactly
+//      as the merge would decide, and figures closed at one event come out
+//      in the order they opened. An untouched interval is revisited only
+//      from the first band where one of its sides comes within one dbu of
+//      another (or at every band, while it is coalesced, repaired or next
+//      to a sliver). Residual crossings, pieces that still cross after the
+//      snap, are found when two entries become adjacent; the bands around
+//      one are re-evaluated whole, with an insertion repair of the order.
+//      bands(), trapezoids() with and without the merge, polygons() and
+//      stats() all read this one sweep.
 //
-// Steps 2 and 3 run on the thread count each query is given (0 = auto, as
-// resolve_threads); below a small amount of work they run as one part on
-// the calling thread. Every output and stats() are the same bits for any
-// thread count.
+// Step 2 runs on the thread count each query is given (0 = auto, as
+// resolve_threads); below a small amount of work it runs as one part on the
+// calling thread. Step 3 runs on the calling thread. Every output and
+// stats() are the same bits for any thread count.
 //
 // The native output is a set of trapezoid bands — the primitive e-beam
 // machine formats want anyway. Polygon reconstruction (boundary stitching)
@@ -75,9 +85,9 @@ struct BandInterval {
   Coord xl0, xr0;  ///< left/right x at band bottom
   Coord xl1, xr1;  ///< left/right x at band top
   /// Supporting (split-)segment ids of the left/right boundary within one
-  /// engine run; -1 when unknown. Used by the vertical merge to reunite
-  /// trapezoids that a foreign event y split, which removes the grid
-  /// rounding of the intermediate boundary.
+  /// engine run; -1 when unknown. The merged trapezoids use them to reunite
+  /// figures that a foreign event y split, which removes the grid rounding
+  /// of the intermediate boundary.
   std::int32_t left_seg = -1;
   std::int32_t right_seg = -1;
 };
@@ -92,19 +102,19 @@ struct Band {
 struct BooleanStats {
   std::size_t input_edges = 0;      ///< non-horizontal segments collected
   std::size_t split_edges = 0;      ///< segments after crossing subdivision
-  std::size_t split_rounds = 0;     ///< fixpoint iterations needed
-  std::size_t bands = 0;            ///< scanline bands produced
-  std::size_t intervals = 0;        ///< inside intervals (= raw trapezoids)
+  std::size_t split_rounds = 0;     ///< splitting rounds that cut
+  std::size_t bands = 0;            ///< bands with an inside interval
+  std::size_t intervals = 0;        ///< inside intervals over all bands (= raw trapezoids)
 };
 
 class BooleanEngine;
 
 namespace detail {
 /// Test entry points of BooleanEngine::bands and ::trapezoids: the same
-/// engine with the sweep's slab count and the pair tests' part count both
-/// fixed at @p pieces (each clamped to [1, bands] or [1, grid rows])
-/// instead of picked from the thread count and the work. Every choice gives
-/// the same bits, and stats() reads as after the public call.
+/// engine with the crossing split's pair-test part count fixed at @p pieces
+/// (clamped to the grid rows, or to the pieces in a later round) instead of
+/// picked from the thread count and the work. Every choice gives the same
+/// bits, and stats() reads as after the public call.
 std::vector<Band> boolean_bands_forced(const BooleanEngine& eng, BoolOp op, int threads,
                                        std::size_t pieces);
 std::vector<Trapezoid> boolean_trapezoids_forced(const BooleanEngine& eng, BoolOp op,
@@ -141,7 +151,8 @@ class BooleanEngine {
 
   /// Result as trapezoids. With @p merge_vertical, collinear trapezoids in
   /// adjacent bands are fused (fewer figures — the fracture optimization
-  /// measured in bench_fracture).
+  /// measured in bench_fracture): the sweep's open trapezoids, without the
+  /// band list.
   std::vector<Trapezoid> trapezoids(BoolOp op, bool merge_vertical = true,
                                     int threads = 0) const;
 
