@@ -331,9 +331,10 @@ constexpr std::uint32_t kNoSeg = std::numeric_limits<std::uint32_t>::max();
 // whole order, as the band-by-band sweep did in every band.
 class OpenSweep {
  public:
-  OpenSweep(std::vector<Line> lines, std::vector<Coord> ys, std::vector<char> ends_here, BoolOp op)
+  OpenSweep(std::vector<Line> lines, std::vector<Coord> ys, std::vector<std::uint32_t> ends,
+            BoolOp op)
       : lines_(std::move(lines)), ys_(std::move(ys)), op_(op), full_(ys_.size(), 0),
-        cross_(ys_.size(), 0), ends_here_(std::move(ends_here)), wa_(lines_.size(), 0),
+        cross_(ys_.size(), 0), ends_(std::move(ends)), wa_(lines_.size(), 0),
         wb_(lines_.size(), 0),
         owner_(lines_.size(), -1), due_head_(ys_.size(), -1) {}
 
@@ -374,7 +375,7 @@ class OpenSweep {
     std::int32_t prev = -1, next = -1;
     std::uint32_t version = 0;
     std::size_t evaluated = 0;
-    std::size_t from = 0;  // while dirty: see mark()
+    std::size_t from = 0, at = kNever;  // while dirty: see mark()
     bool open = false, quiet = false, dirty = false, alive = false;
   };
   // An inside interval of a re-walked run, raw (one per winding entry and
@@ -443,6 +444,16 @@ class OpenSweep {
       }
     }
     return lo;
+  }
+
+  // The position right after active segment @p s in band e. @p hint, when
+  // set, is a position after s: a few steps back from it usually find s.
+  std::size_t start_after(std::uint32_t s, std::size_t hint, std::size_t e) const {
+    if (hint != kNever) {
+      for (std::size_t q = std::min(hint, order_.size()), steps = 0; q > 0 && steps < 16; --q, ++steps)
+        if (order_[q - 1] == s) return q;
+    }
+    return pos_of(s, e) + 1;
   }
 
   // Position of active segment @p s in the order of band e.
@@ -537,7 +548,8 @@ class OpenSweep {
   // Marks cluster @p id dirty (-1: the first cluster). @p from > 0 says the
   // changes in it all lie at or after that position, inside its one
   // interval; 0 says it must be walked whole.
-  void mark(std::int32_t id, std::size_t from = 0) {
+  // @p at is the position of the change, when one caused the mark.
+  void mark(std::int32_t id, std::size_t from = 0, std::size_t at = kNever) {
     if (id < 0) {
       id = head_;
       from = 0;
@@ -549,10 +561,12 @@ class OpenSweep {
     Cluster& c = cl_[id];
     if (c.dirty) {
       c.from = c.from == 0 || from == 0 ? 0 : std::min(c.from, from);
+      c.at = std::min(c.at, at);
       return;
     }
     c.dirty = true;
     c.from = from;
+    c.at = at;
     dirty_.push_back(id);
   }
 
@@ -607,13 +621,14 @@ class OpenSweep {
 
   void event(std::size_t e);
   void settle_touches();
-  void reevaluate(std::int32_t left, std::int32_t right, std::size_t e, std::size_t from);
+  void reevaluate(std::int32_t left, std::int32_t right, std::size_t e, std::size_t from,
+                  std::size_t hint);
 
   const std::vector<Line> lines_;
   const std::vector<Coord> ys_;
   const BoolOp op_;
   std::vector<char> full_, cross_;
-  const std::vector<char> ends_here_;  // per event: some segment ends at its y
+  const std::vector<std::uint32_t> ends_;  // per event: the segments ending at its y
   std::vector<std::uint32_t> order_;
   std::vector<Coord> order_hiy_;  // top y of each entry of order_
   std::vector<std::int32_t> wa_, wb_;  // prefix winding after each entry
@@ -640,7 +655,7 @@ class OpenSweep {
   std::vector<std::uint32_t> removed_;
   std::vector<std::size_t> gaps_, ins_;
   std::vector<Touch> touches_;
-  std::vector<std::int32_t> marks_;
+  std::vector<std::pair<std::int32_t, std::size_t>> marks_;  // (cluster, change position)
   std::vector<std::uint32_t> fresh_;
   std::vector<std::int32_t> dirty_, olds_, growing_;
   std::vector<Span> spans_, kept_;
@@ -655,34 +670,27 @@ class OpenSweep {
   // Remove the segments that end at y0: one pass over their top ys.
   removed_.clear();
   gaps_.clear();
-  if (ends_here_[e]) {
-    // Blocks of 8 tops are tested at once; the entries between removals
-    // move down in runs.
+  if (ends_[e] > 0) {
+    // Find the first top at y0, then compact the rest in one pass that
+    // stops once every ending segment is out.
     const std::size_t n = order_.size();
-    std::size_t kept = 0, from = 0;
-    const auto keep_run = [&](std::size_t to) {
-      std::copy(order_.begin() + static_cast<std::ptrdiff_t>(from),
-                order_.begin() + static_cast<std::ptrdiff_t>(to),
-                order_.begin() + static_cast<std::ptrdiff_t>(kept));
-      std::copy(order_hiy_.begin() + static_cast<std::ptrdiff_t>(from),
-                order_hiy_.begin() + static_cast<std::ptrdiff_t>(to),
-                order_hiy_.begin() + static_cast<std::ptrdiff_t>(kept));
-      kept += to - from;
-    };
-    for (std::size_t b = 0; b < n; b += 8) {
-      const std::size_t stop = std::min(n, b + 8);
-      bool any = false;
-      for (std::size_t i = b; i < stop; ++i) any |= order_hiy_[i] == y0;
-      if (!any) continue;
-      for (std::size_t i = b; i < stop; ++i) {
-        if (order_hiy_[i] != y0) continue;
-        keep_run(i);
-        from = i + 1;
+    std::size_t i = static_cast<std::size_t>(
+        std::find(order_hiy_.begin(), order_hiy_.end(), y0) - order_hiy_.begin());
+    std::size_t kept = i;
+    for (; i < n && removed_.size() < ends_[e]; ++i) {
+      if (order_hiy_[i] == y0) {
         removed_.push_back(order_[i]);
         gaps_.push_back(kept);
+        continue;
       }
+      order_[kept] = order_[i];
+      order_hiy_[kept++] = order_hiy_[i];
     }
-    keep_run(n);
+    std::copy(order_.begin() + static_cast<std::ptrdiff_t>(i), order_.end(),
+              order_.begin() + static_cast<std::ptrdiff_t>(kept));
+    std::copy(order_hiy_.begin() + static_cast<std::ptrdiff_t>(i), order_hiy_.end(),
+              order_hiy_.begin() + static_cast<std::ptrdiff_t>(kept));
+    kept += n - i;
     order_.resize(kept);
     order_hiy_.resize(kept);
     // Entries a removal made adjacent can meet the new band inverted.
@@ -776,7 +784,7 @@ class OpenSweep {
   closed_.clear();
   if (whole || dirty_all_) {
     for (const std::int32_t id : dirty_) cl_[id].dirty = false;
-    reevaluate(-1, -1, e, 0);
+    reevaluate(-1, -1, e, 0, kNever);
   } else if (!dirty_.empty()) {
     // Runs left to right: a run's winding change can only move right.
     const Coord yp = ys_[e - 1];
@@ -787,7 +795,7 @@ class OpenSweep {
       if (!cl_[id].alive || !cl_[id].dirty) continue;
       std::int32_t right = cl_[id].next;
       while (right >= 0 && cl_[right].dirty) right = cl_[right].next;
-      reevaluate(cl_[id].prev, right, e, cl_[id].quiet ? cl_[id].from : 0);
+      reevaluate(cl_[id].prev, right, e, cl_[id].quiet ? cl_[id].from : 0, cl_[id].at);
     }
   }
   dirty_.clear();
@@ -820,10 +828,10 @@ void OpenSweep::settle_touches() {
         const std::int32_t r = touches_[t].seg;
         if (r < 0) {
           inserted = true;
-          marks_.push_back(own);
+          marks_.push_back({own, q});
           continue;
         }
-        marks_.push_back(owner_[r] >> 1);
+        marks_.push_back({owner_[r] >> 1, q});
         const Line& l = lines_[r];
         const int ba = wa_[r] - (l.group == 0 ? l.weight : 0);
         const int bb = wb_[r] - (l.group == 0 ? 0 : l.weight);
@@ -848,7 +856,7 @@ void OpenSweep::settle_touches() {
                                         inside_for(op_, wa_[order_[p - 1]], wb_[order_[p - 1]])
                                     ? first_owner >> 1
                                     : -1;
-      for (const std::int32_t id : marks_) mark(id, id == trim ? p : 0);
+      for (const auto& [id, at] : marks_) mark(id, id == trim ? p : 0, at);
       continue;
     }
     // Inside one interval throughout: store the new windings.
@@ -872,7 +880,7 @@ void OpenSweep::settle_touches() {
 // that interval, and the new cluster that keeps its left side keeps its id
 // (and so the owners of the entries before @p from).
 void OpenSweep::reevaluate(std::int32_t left, std::int32_t right, std::size_t e,
-                           std::size_t from) {
+                           std::size_t from, std::size_t hint) {
   const Coord y0 = ys_[e];
   const Coord y1 = ys_[e + 1];
   std::size_t begin = 0, p = 0;
@@ -897,7 +905,7 @@ void OpenSweep::reevaluate(std::int32_t left, std::int32_t right, std::size_t e,
       return;
     }
     reuse_ = -1;
-    begin = p = left < 0 ? 0 : pos_of(cl_[left].rseg, e) + 1;
+    begin = p = left < 0 ? 0 : start_after(cl_[left].rseg, hint, e);
     wa = left < 0 ? 0 : wa_[cl_[left].rseg];
     wb = left < 0 ? 0 : wb_[cl_[left].rseg];
   };
@@ -1317,7 +1325,7 @@ void BooleanEngine::sweep(BoolOp op, int threads, std::size_t parts,
   BooleanStats stats;
   std::vector<Line> lines;
   std::vector<Coord> ys;
-  std::vector<char> ends_here;
+  std::vector<std::uint32_t> ends;
   {
     std::vector<Seg> segs = split_segments(threads, parts, stats);
     stats_ = stats;
@@ -1344,9 +1352,9 @@ void BooleanEngine::sweep(BoolOp op, int threads, std::size_t parts,
       const Coord y = lo ? segs[i++].lo.y : his[j++];
       if (ys.empty() || ys.back() != y) {
         ys.push_back(y);
-        ends_here.push_back(0);
+        ends.push_back(0);
       }
-      if (!lo) ends_here.back() = 1;
+      if (!lo) ++ends.back();
     }
     lines.reserve(segs.size());
     constexpr Coord64 kSmall = Coord64{1} << 30;
@@ -1359,7 +1367,7 @@ void BooleanEngine::sweep(BoolOp op, int threads, std::size_t parts,
                            small});
     }
   }
-  OpenSweep(std::move(lines), std::move(ys), std::move(ends_here), op).run(band, merged, stats);
+  OpenSweep(std::move(lines), std::move(ys), std::move(ends), op).run(band, merged, stats);
   stats_ = stats;
 }
 
