@@ -106,16 +106,24 @@ std::vector<std::vector<T>> for_each_touching_pair(const std::vector<Box>& boxes
                                                    std::size_t parts, int threads, F&& f) {
   const std::size_t n = boxes.size();
   if (n < 2) return {};
+  // The grid covers the binned boxes: all of them, or the tested ones.
+  const bool all = tested.empty();
+  const auto binned = [&](std::size_t i) { return all || tested[i] != 0; };
   Box frame;
   double sum_w = 0.0, sum_h = 0.0;
-  for (const Box& b : boxes) {
+  std::size_t nbinned = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!binned(i)) continue;
+    const Box& b = boxes[i];
     frame += b;
     sum_w += static_cast<double>(b.width());
     sum_h += static_cast<double>(b.height());
+    ++nbinned;
   }
-  const double mean_side = std::max(sum_w, sum_h) / static_cast<double>(n);
+  if (nbinned == 0) return {};
+  const double mean_side = std::max(sum_w, sum_h) / static_cast<double>(nbinned);
   const Coord64 extent = std::max(frame.width(), frame.height());
-  const double budget = 4.0 * static_cast<double>(n) + 64.0;
+  const double budget = 4.0 * static_cast<double>(nbinned) + 64.0;
 
   // Cell coordinates are 64-bit offsets from the frame corner, so extents
   // near +-2^31 cannot overflow. Cells are 2^shift wide; which pairs touch
@@ -131,23 +139,27 @@ std::vector<std::vector<T>> for_each_touching_pair(const std::vector<Box>& boxes
     if ((Coord64{1} << shift) > extent) break;
     if (static_cast<double>(gx) * static_cast<double>(gy) > budget) continue;
     double cover = 0.0;
-    for (const Box& b : boxes) {
+    for (std::size_t i = 0; i < n && cover <= budget; ++i) {
+      if (!binned(i)) continue;
+      const Box& b = boxes[i];
       cover += static_cast<double>(cx(b.hi.x) - cx(b.lo.x) + 1) *
                static_cast<double>(cy(b.hi.y) - cy(b.lo.y) + 1);
-      if (cover > budget) break;
     }
     if (cover <= budget) break;
   }
 
-  const bool all = tested.empty();
+  // Boxes outside the frame (only when not all are binned) get cell ranges
+  // clamped to it.
   std::vector<Binned> bin(n);
   const std::size_t ncells = static_cast<std::size_t>(gx * gy);
   std::vector<std::uint32_t> start(ncells + 1, 0);
   for (std::size_t i = 0; i < n; ++i) {
     const Box& b = boxes[i];
-    bin[i] = {b, static_cast<std::int32_t>(cx(b.lo.x)), static_cast<std::int32_t>(cy(b.lo.y)),
-              static_cast<std::int32_t>(cx(b.hi.x)), static_cast<std::int32_t>(cy(b.hi.y))};
-    if (!all && !tested[i]) continue;
+    bin[i] = {b, static_cast<std::int32_t>(std::max<Coord64>(0, cx(b.lo.x))),
+              static_cast<std::int32_t>(std::max<Coord64>(0, cy(b.lo.y))),
+              static_cast<std::int32_t>(std::min(gx - 1, cx(b.hi.x))),
+              static_cast<std::int32_t>(std::min(gy - 1, cy(b.hi.y)))};
+    if (!binned(i)) continue;
     for (std::int32_t y = bin[i].y0; y <= bin[i].y1; ++y)
       for (std::int32_t x = bin[i].x0; x <= bin[i].x1; ++x)
         ++start[static_cast<std::size_t>(y) * gx + x + 1];
@@ -156,7 +168,7 @@ std::vector<std::vector<T>> for_each_touching_pair(const std::vector<Box>& boxes
   std::vector<std::uint32_t> items(start[ncells]);
   std::vector<std::uint32_t> cursor(start.begin(), start.end() - 1);
   for (std::uint32_t i = 0; i < n; ++i) {
-    if (!all && !tested[i]) continue;
+    if (!binned(i)) continue;
     for (std::int32_t y = bin[i].y0; y <= bin[i].y1; ++y)
       for (std::int32_t x = bin[i].x0; x <= bin[i].x1; ++x)
         items[cursor[static_cast<std::size_t>(y) * gx + x]++] = i;
@@ -172,6 +184,7 @@ std::vector<std::vector<T>> for_each_touching_pair(const std::vector<Box>& boxes
       for (std::size_t part = p_begin; part < p_end; ++part) {
         for (std::size_t i = n * part / parts; i < n * (part + 1) / parts; ++i) {
           const Binned& bi = bin[i];
+          if (!bi.box.touches(frame)) continue;
           for (std::int32_t y = bi.y0; y <= bi.y1; ++y) {
             for (std::int32_t x = bi.x0; x <= bi.x1; ++x) {
               const std::size_t c = static_cast<std::size_t>(y) * gx + x;
@@ -181,6 +194,8 @@ std::vector<std::vector<T>> for_each_touching_pair(const std::vector<Box>& boxes
                 if (j == i || (tested[i] && j < i)) continue;
                 const Binned& bj = bin[j];
                 if (!bi.box.touches(bj.box)) continue;
+                // The intersection's min corner lies in cell (max x0, max y0);
+                // bj lies in the frame, so bi's clamp does not move it.
                 if (std::max(bi.x0, bj.x0) != x || std::max(bi.y0, bj.y0) != y) continue;
                 f(std::min<std::size_t>(i, j), std::max<std::size_t>(i, j), found[part]);
               }
