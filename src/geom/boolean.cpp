@@ -1204,6 +1204,28 @@ void BooleanEngine::add(const Trapezoid& trap, int group) {
   add(trap.to_polygon(), group);
 }
 
+// Sorts @p segs by (lo.y, lo.x). The sort runs on indices over packed keys:
+// std::sort's moves depend only on its comparisons, so the permutation is
+// the one a sort of the segments themselves gives, with 4-byte moves.
+void BooleanEngine::sort_by_lo(std::vector<Seg>& segs) {
+  const auto key = [](Point p) {
+    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(p.y) ^ 0x80000000u) << 32) |
+           (static_cast<std::uint32_t>(p.x) ^ 0x80000000u);
+  };
+  std::vector<std::uint64_t> keys(segs.size());
+  std::vector<std::uint32_t> order(segs.size());
+  for (std::size_t i = 0; i < segs.size(); ++i) {
+    keys[i] = key(segs[i].lo);
+    order[i] = static_cast<std::uint32_t>(i);
+  }
+  std::sort(order.begin(), order.end(),
+            [&](std::uint32_t a, std::uint32_t b) { return keys[a] < keys[b]; });
+  std::vector<Seg> sorted;
+  sorted.reserve(segs.size());
+  for (const std::uint32_t i : order) sorted.push_back(segs[i]);
+  segs = std::move(sorted);
+}
+
 std::vector<BooleanEngine::Seg> BooleanEngine::split_segments(int threads, std::size_t parts,
                                                              BooleanStats& stats) const {
   std::vector<Seg> segs = segs_;
@@ -1229,10 +1251,7 @@ std::vector<BooleanEngine::Seg> BooleanEngine::split_segments(int threads, std::
   constexpr int kMaxRounds = 32;
   for (int round = 0; round < kMaxRounds; ++round) {
     stats.split_rounds = static_cast<std::size_t>(round);
-    std::sort(segs.begin(), segs.end(), [](const Seg& a, const Seg& b) {
-      if (a.lo.y != b.lo.y) return a.lo.y < b.lo.y;
-      return a.lo.x < b.lo.x;
-    });
+    sort_by_lo(segs);
     if (round > 0) {
       tested.assign(segs.size(), 0);
       bool any = false;
@@ -1346,16 +1365,24 @@ void BooleanEngine::sweep(BoolOp op, int threads, std::size_t parts,
     stats_ = stats;
     if (segs.empty()) return;
 
-    // Segments sorted by lo.y for activation in order. The event ys (every
-    // segment endpoint) merge their lo.ys, now in order, with their hi.ys
-    // sorted on the side; the two sorts run side by side.
+    // Segments sorted by lo.y for activation in order; a segment's id in
+    // the sweep is its place in that order. The event ys (every segment
+    // endpoint) merge their lo.ys, now in order, with their hi.ys sorted on
+    // the side; the two sorts run side by side.
     std::vector<Coord> his(segs.size());
     for (std::size_t i = 0; i < segs.size(); ++i) his[i] = segs[i].hi.y;
+    // The segments' order is sorted as indices: std::sort's moves depend
+    // only on its comparisons, so this is the permutation a sort of the
+    // segments themselves gives, and it moves 4 bytes per element, not 20.
+    std::vector<Coord> los(segs.size());
+    for (std::size_t i = 0; i < segs.size(); ++i) los[i] = segs[i].lo.y;
+    std::vector<std::uint32_t> order(segs.size());
+    for (std::size_t i = 0; i < segs.size(); ++i) order[i] = static_cast<std::uint32_t>(i);
     parallel_for(2, [&](std::size_t begin, std::size_t end) {
       for (std::size_t task = begin; task < end; ++task) {
         if (task == 0) {
-          std::sort(segs.begin(), segs.end(),
-                    [](const Seg& a, const Seg& b) { return a.lo.y < b.lo.y; });
+          std::sort(order.begin(), order.end(),
+                    [&](std::uint32_t a, std::uint32_t b) { return los[a] < los[b]; });
         } else {
           std::sort(his.begin(), his.end());
         }
@@ -1363,8 +1390,8 @@ void BooleanEngine::sweep(BoolOp op, int threads, std::size_t parts,
     }, threads);
     ys.reserve(segs.size() * 2);
     for (std::size_t i = 0, j = 0; i < segs.size() || j < his.size();) {
-      const bool lo = j == his.size() || (i < segs.size() && segs[i].lo.y <= his[j]);
-      const Coord y = lo ? segs[i++].lo.y : his[j++];
+      const bool lo = j == his.size() || (i < segs.size() && los[order[i]] <= his[j]);
+      const Coord y = lo ? los[order[i++]] : his[j++];
       if (ys.empty() || ys.back() != y) {
         ys.push_back(y);
         ends.push_back(0);
@@ -1373,7 +1400,8 @@ void BooleanEngine::sweep(BoolOp op, int threads, std::size_t parts,
     }
     lines.reserve(segs.size());
     constexpr Coord64 kSmall = Coord64{1} << 30;
-    for (const Seg& s : segs) {
+    for (const std::uint32_t i : order) {
+      const Seg& s = segs[i];
       const Coord64 dx = Coord64(s.hi.x) - s.lo.x;
       const Coord64 dy = Coord64(s.hi.y) - s.lo.y;
       const bool small = std::abs(Coord64(s.lo.x)) < kSmall && std::abs(dx) < kSmall && dy < kSmall;

@@ -181,6 +181,8 @@ class BooleanEngine {
 
   void add_contour(const SimplePolygon& poly, int group, bool as_given);
 
+  static void sort_by_lo(std::vector<Seg>& segs);
+
   /// Splits segs_ at their crossings on @p threads (resolved) in @p parts
   /// pair-test parts (0 = picked from the threads and the work).
   std::vector<Seg> split_segments(int threads, std::size_t parts, BooleanStats& stats) const;
