@@ -287,6 +287,7 @@ Wide gap_num(const Line& u, const Line& v, Coord y) {
 // distinct grid x at both ends, so only near sides can coalesce, form a
 // sliver or leave a zero-width end that a figure could match twice.
 bool near(const Line& u, const Line& v, Coord y0, Coord y1) {
+  if (u.dx == 0 && v.dx == 0) return Coord64(v.lox) - u.lox < 1;  // two verticals
   const Wide one = Wide(u.den) * v.den;
   return gap_num(u, v, y0) < one || gap_num(u, v, y1) < one;
 }
