@@ -407,7 +407,7 @@ class OpenSweep {
     Trapezoid t;
     std::int32_t gl = -1, gr = -1, id = -1;
     std::uint64_t seq = 0;
-    std::size_t gap_due = kNever, gap_due_right = kNever;
+    std::size_t gap_due = kNever;  // of the gap on its left, once its left neighbour is quiet
   };
   // A cluster due for re-evaluation at an event, in that event's list.
   struct Due {
@@ -1139,10 +1139,10 @@ void OpenSweep::reevaluate(std::int32_t left, std::int32_t right, std::size_t e,
       const bool has_r = i + 1 < nkept || right >= 0;
       if (has_l) due = std::min(due, i > 0 ? kept_[i].gap_due : near_start(cl_[left].rseg, c.lseg, e));
       if (has_r) {
-        sp.gap_due_right = i + 1 < nkept ? near_start(c.rseg, kept_[i + 1].lseg, e)
-                                         : near_start(c.rseg, cl_[right].lseg, e);
-        if (i + 1 < nkept) kept_[i + 1].gap_due = sp.gap_due_right;
-        due = std::min(due, sp.gap_due_right);
+        const std::size_t gap_due = i + 1 < nkept ? near_start(c.rseg, kept_[i + 1].lseg, e)
+                                                  : near_start(c.rseg, cl_[right].lseg, e);
+        if (i + 1 < nkept) kept_[i + 1].gap_due = gap_due;
+        due = std::min(due, gap_due);
       }
     }
     if (due != kNever) schedule(due, sp.id);
