@@ -423,43 +423,10 @@ class OpenSweep {
   bool before(std::uint32_t a, std::uint32_t b, Coord y0, Coord y1) const {
     const Line& la = lines_[a];
     const Line& lb = lines_[b];
+    if (la.dx == 0 && lb.dx == 0) return la.lox != lb.lox ? la.lox < lb.lox : a < b;
     if (const int c = cmp_at(la, lb, y0); c != 0) return c < 0;
     if (const int c = cmp_at(la, lb, y1); c != 0) return c < 0;
     return a < b;  // coincident segments: deterministic tie-break
-  }
-
-  // The first position at or after @p lo whose entry is not before new
-  // segment @p s in band [y0, y1]; s's own xs are computed once.
-  std::size_t insert_pos(std::uint32_t s, std::size_t lo, Coord y0, Coord y1) const {
-    const Line& l = lines_[s];
-    const Wide n0 = l.num(y0);
-    const Wide n1 = l.num(y1);
-    const auto cmp = [&](const Line& a, Coord y, Wide n) {
-      if (a.small && l.small) {
-        const Coord64 an = a.num64(y);
-        const Coord64 bn = static_cast<Coord64>(n);
-        if (a.den == l.den) return (an > bn) - (an < bn);
-        const Wide lhs = Wide(an) * l.den;
-        const Wide rhs = Wide(bn) * a.den;
-        return (lhs > rhs) - (lhs < rhs);
-      }
-      return rat_cmp(a.num(y), a.den, n, l.den);
-    };
-    std::size_t len = order_.size() - lo;
-    while (len > 0) {
-      const std::size_t half = len / 2;
-      const std::uint32_t a = order_[lo + half];
-      const Line& la = lines_[a];
-      int c = cmp(la, y0, n0);
-      if (c == 0) c = cmp(la, y1, n1);
-      if (c < 0 || (c == 0 && a < s)) {
-        lo += half + 1;
-        len -= half + 1;
-      } else {
-        len = half;
-      }
-    }
-    return lo;
   }
 
   // The position right after active segment @p s in band e. @p hint, when
@@ -687,26 +654,31 @@ class OpenSweep {
   removed_.clear();
   gaps_.clear();
   if (ends_[e] > 0) {
-    // Find the first top at y0, then compact the rest in one pass that
-    // stops once every ending segment is out.
+    // Each ending entry is found by its top y; the runs between them move
+    // down, and the search stops once every ending segment is out.
     const std::size_t n = order_.size();
-    std::size_t i = static_cast<std::size_t>(
-        std::find(order_hiy_.begin(), order_hiy_.end(), y0) - order_hiy_.begin());
-    std::size_t kept = i;
-    for (; i < n && removed_.size() < ends_[e]; ++i) {
-      if (order_hiy_[i] == y0) {
-        removed_.push_back(order_[i]);
-        gaps_.push_back(kept);
-        continue;
-      }
-      order_[kept] = order_[i];
-      order_hiy_[kept++] = order_hiy_[i];
+    std::size_t kept = 0, from = 0;
+    while (removed_.size() < ends_[e]) {
+      const std::size_t at = static_cast<std::size_t>(
+          std::find(order_hiy_.begin() + static_cast<std::ptrdiff_t>(from), order_hiy_.end(), y0) -
+          order_hiy_.begin());
+      ensures(at < n, "sweep: ending segment not in order");
+      std::copy(order_.begin() + static_cast<std::ptrdiff_t>(from),
+                order_.begin() + static_cast<std::ptrdiff_t>(at),
+                order_.begin() + static_cast<std::ptrdiff_t>(kept));
+      std::copy(order_hiy_.begin() + static_cast<std::ptrdiff_t>(from),
+                order_hiy_.begin() + static_cast<std::ptrdiff_t>(at),
+                order_hiy_.begin() + static_cast<std::ptrdiff_t>(kept));
+      kept += at - from;
+      removed_.push_back(order_[at]);
+      gaps_.push_back(kept);
+      from = at + 1;
     }
-    std::copy(order_.begin() + static_cast<std::ptrdiff_t>(i), order_.end(),
+    std::copy(order_.begin() + static_cast<std::ptrdiff_t>(from), order_.end(),
               order_.begin() + static_cast<std::ptrdiff_t>(kept));
-    std::copy(order_hiy_.begin() + static_cast<std::ptrdiff_t>(i), order_hiy_.end(),
+    std::copy(order_hiy_.begin() + static_cast<std::ptrdiff_t>(from), order_hiy_.end(),
               order_hiy_.begin() + static_cast<std::ptrdiff_t>(kept));
-    kept += n - i;
+    kept += n - from;
     order_.resize(kept);
     order_hiy_.resize(kept);
     // Entries a removal made adjacent can meet the new band inverted.
@@ -737,10 +709,10 @@ class OpenSweep {
   if (!fresh_.empty()) {
     const auto by_band = [&](std::uint32_t a, std::uint32_t b) { return before(a, b, y0, y1); };
     std::sort(fresh_.begin(), fresh_.end(), by_band);
-    std::size_t from = 0;
+    auto from = order_.begin();
     for (const std::uint32_t s : fresh_) {
-      from = insert_pos(s, from, y0, y1);
-      ins_.push_back(from);
+      from = std::lower_bound(from, order_.end(), s, by_band);
+      ins_.push_back(static_cast<std::size_t>(from - order_.begin()));
     }
     std::size_t end = order_.size();
     order_.resize(end + fresh_.size());
