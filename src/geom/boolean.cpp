@@ -505,9 +505,9 @@ class OpenSweep {
     due_head_[event] = node;
   }
 
-  // Marks the band in which adjacent entries a < b of band e cross, if they
-  // do before either ends: a crossing inside band k re-evaluates bands k and
-  // k + 1, one at ys[k] the event k.
+  // Marks where adjacent entries a < b of band e cross, if they do before
+  // either ends: a crossing inside band k re-evaluates events k and k + 1,
+  // a crossing at ys[k] event k.
   void note_crossing(std::uint32_t a, std::uint32_t b, std::size_t e) {
     const Line& la = lines_[a];
     const Line& lb = lines_[b];
@@ -530,8 +530,8 @@ class OpenSweep {
 
   // Marks cluster @p id dirty (-1: the first cluster). @p from > 0 says the
   // changes in it all lie at or after that position, inside its one
-  // interval; 0 says it must be walked whole.
-  // @p at is the position of the change, when one caused the mark.
+  // interval; 0 says it must be walked whole. @p at is the position of the
+  // change, when one caused the mark.
   void mark(std::int32_t id, std::size_t from = 0, std::size_t at = kNever) {
     if (id < 0) {
       id = head_;
