@@ -181,6 +181,7 @@ class BooleanEngine {
 
   void add_contour(const SimplePolygon& poly, int group, bool as_given);
 
+  /// Sorts by (lo.y, lo.x), with the permutation std::sort gives.
   static void sort_by_lo(std::vector<Seg>& segs);
 
   /// Splits segs_ at their crossings on @p threads (resolved) in @p parts
