@@ -433,7 +433,8 @@ class OpenSweep {
   // set, is a position after s: a few steps back from it usually find s.
   std::size_t start_after(std::uint32_t s, std::size_t hint, std::size_t e) const {
     if (hint != kNever) {
-      for (std::size_t q = std::min(hint, order_.size()), steps = 0; q > 0 && steps < 16; --q, ++steps)
+      const std::size_t stop = std::min(hint, order_.size());
+      for (std::size_t q = stop; q > 0 && stop - q < 16; --q)
         if (order_[q - 1] == s) return q;
     }
     return pos_of(s, e) + 1;
@@ -935,7 +936,9 @@ void OpenSweep::reevaluate(std::int32_t left, std::int32_t right, std::size_t e,
       // Converged when the winding meets the stored one at the clean cluster.
       const std::uint32_t s = cl_[right].lseg;
       const Line& l = lines_[s];
-      if (wa != wa_[s] - (l.group == 0 ? l.weight : 0) || wb != wb_[s] - (l.group == 0 ? 0 : l.weight)) {
+      const int before_a = wa_[s] - (l.group == 0 ? l.weight : 0);
+      const int before_b = wb_[s] - (l.group == 0 ? 0 : l.weight);
+      if (wa != before_a || wb != before_b) {
         grow_right();
         continue;
       }
@@ -1109,7 +1112,8 @@ void OpenSweep::reevaluate(std::int32_t left, std::int32_t right, std::size_t e,
       due = near_start(c.lseg, c.rseg, e);
       const bool has_l = i > 0 || left >= 0;
       const bool has_r = i + 1 < nkept || right >= 0;
-      if (has_l) due = std::min(due, i > 0 ? kept_[i].gap_due : near_start(cl_[left].rseg, c.lseg, e));
+      if (has_l)
+        due = std::min(due, i > 0 ? kept_[i].gap_due : near_start(cl_[left].rseg, c.lseg, e));
       if (has_r) {
         const std::size_t gap_due = i + 1 < nkept ? near_start(c.rseg, kept_[i + 1].lseg, e)
                                                   : near_start(c.rseg, cl_[right].lseg, e);
