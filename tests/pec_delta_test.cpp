@@ -15,6 +15,7 @@
 #include "fracture/fracture.h"
 #include "pec/correction.h"
 #include "pec/exposure.h"
+#include "util/rng.h"
 
 namespace ebl {
 namespace {
@@ -408,6 +409,118 @@ TEST(ExposureEvaluator, RefreshStripCountDoesNotChangeABit) {
       eval.reset_doses(doses);
       expect_same_bits(eval.exposures_at_centroids(), serial_long_range(moved, na, psf, eval),
                        "reset");
+    }
+  }
+}
+
+// A seeded layout for the short-range pins: small rectangles and slanted
+// trapezoids with a few long bars that span several cells of the neighbor
+// grid, then ghosts of the same mix. *na receives the active count.
+ShotList seeded_short_range_layout(std::uint64_t seed, std::size_t* na) {
+  Rng rng(seed);
+  ShotList shots;
+  const auto add_shots = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      const Coord x = static_cast<Coord>(rng.uniform(0, 12000));
+      const Coord y = static_cast<Coord>(rng.uniform(0, 12000));
+      const Coord h = static_cast<Coord>(rng.uniform(60, 500));
+      Trapezoid t;
+      if (i % 23 == 0) {  // a bar several grid cells long
+        t = i % 2 ? Trapezoid::rect(Box{x, y, x + 4000, y + h})
+                  : Trapezoid::rect(Box{x, y, x + h, y + 4000});
+      } else if (i % 4 == 0) {  // slanted sides, a triangle now and then
+        const Coord w = static_cast<Coord>(rng.uniform(80, 600));
+        const Coord dl = static_cast<Coord>(rng.uniform(-200, 200));
+        const Coord top = i % 12 == 0 ? x + dl : x + dl + w / 2;
+        t = Trapezoid(y, y + h, x, x + w, x + dl, std::max(top, x + dl));
+      } else {
+        const Coord w = static_cast<Coord>(rng.uniform(60, 500));
+        t = Trapezoid::rect(Box{x, y, x + w, y + h});
+      }
+      shots.push_back({t, rng.uniform_real(0.8, 1.3)});
+    }
+  };
+  add_shots(240);
+  *na = shots.size();
+  add_shots(70);
+  return shots;
+}
+
+// FNV-1a over the bits of a list of doubles, continuing from h.
+std::uint64_t fnv_bits(std::uint64_t h, const std::vector<double>& v) {
+  for (const double x : v) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &x, sizeof(bits));
+    for (int i = 0; i < 8; ++i) {
+      h ^= (bits >> (8 * i)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+TEST(ExposureEvaluator, ShortRangeSumsMatchParentDigests) {
+  // Pins every bit of the centroid sweep, whose short-range part is the
+  // analytic sum over neighbor rectangles, through construction and a dose
+  // trajectory (a third of the actives, every active, actives and ghosts,
+  // then an unchanged vector), plus exposure_at on a probe lattice.
+  // Seeded layouts with slanted actives and ghosts and shots spanning
+  // several grid cells; a PSF with one short term and one with two (40 and
+  // 150 dbu); the vectorized and the libm erf; 1 and 4 threads, which must
+  // agree. The digests were recorded before the sums came from a cached
+  // operator.
+  struct Case {
+    std::uint64_t seed;
+    bool two_short;
+    bool fast_erf;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {1, false, true, 0xd65489a8390bba70ull},
+      {1, false, false, 0x8f09fc9f7cc7b912ull},
+      {1, true, true, 0xb0044e09c80b40a1ull},
+      {1, true, false, 0x7cbeab1a18e08e53ull},
+      {7, false, true, 0xda706892e53f3eb1ull},
+      {7, false, false, 0x0184ddf26d96f7a2ull},
+      {7, true, true, 0xb1c07d30e461c2a5ull},
+      {7, true, false, 0xab1ccf3ca24cef8cull},
+  };
+  for (const Case& c : cases) {
+    std::size_t na = 0;
+    const ShotList shots = seeded_short_range_layout(c.seed, &na);
+    const Psf psf = c.two_short ? Psf::triple_gaussian(40.0, 3000.0, 150.0, 0.6, 0.25)
+                                : Psf::double_gaussian(40.0, 3000.0, 0.6);
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(testing::Message() << "seed " << c.seed << ", "
+                                      << (c.two_short ? "two short terms" : "one short term")
+                                      << ", fast_erf " << c.fast_erf << ", "
+                                      << threads << " threads");
+      ExposureOptions opt;
+      opt.threads = threads;
+      opt.fast_erf = c.fast_erf;
+      ExposureEvaluator eval(shots, na, psf, opt);
+      std::uint64_t h = fnv_bits(14695981039346656037ull, eval.exposures_at_centroids());
+
+      std::vector<double> doses(na);
+      for (std::size_t i = 0; i < na; ++i) doses[i] = shots[i].dose;
+      for (std::size_t i = 0; i < na; i += 3) doses[i] *= 1.17;
+      eval.set_active_doses(doses);
+      h = fnv_bits(h, eval.exposures_at_centroids());
+      for (std::size_t i = 0; i < na; ++i)
+        doses[i] *= 0.9 + 0.01 * static_cast<double>(i % 13);
+      eval.set_active_doses(doses);
+      h = fnv_bits(h, eval.exposures_at_centroids());
+      std::vector<double> all = perturb(applied_doses(eval), 5, 2, 3);
+      eval.reset_doses(all);
+      h = fnv_bits(h, eval.exposures_at_centroids());
+      eval.reset_doses(all);
+      h = fnv_bits(h, eval.exposures_at_centroids());
+
+      std::vector<double> at;
+      for (double y = -700.0; y <= 16500.0; y += 1130.0)
+        for (double x = -700.0; x <= 16500.0; x += 1370.0) at.push_back(eval.exposure_at(x, y));
+      h = fnv_bits(h, at);
+      EXPECT_EQ(h, c.digest) << std::hex << "0x" << h;
     }
   }
 }
