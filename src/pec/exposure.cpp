@@ -51,40 +51,38 @@ std::uint32_t begin_visit_epoch(std::size_t n) {
   return vs.epoch;
 }
 
-// Scratch for the batched short-range path: erf arguments for one query are
-// packed contiguously (4 per rectangle integral), evaluated in one
-// erf_batch call, then combined in emission order. Thread-local so the
-// parallel sweep shares nothing; batch composition depends only on the
-// query, so results are bit-identical for any thread count.
+// Scratch for building the short-range operator: erf arguments for one
+// query are packed contiguously (4 per rectangle integral), evaluated in
+// one erf_batch call, then differenced in emission order. Thread-local so
+// the parallel build shares nothing; batch composition depends only on the
+// query, so the operator is bit-identical for any thread count.
 struct ShortScratch {
   std::vector<double> args;
   std::vector<double> erfs;
-  std::vector<double> wgt;
+  std::vector<std::uint32_t> src;
 };
 thread_local ShortScratch t_short;
 
 // Emits the rectangle integrals of one (term, shape) pair as packed erf
-// arguments plus a combined weight. Mirrors term_exposure_trapezoid exactly:
+// arguments and returns how many. Mirrors term_exposure_trapezoid exactly:
 // rectangles are exact, slanted sides are sliced into strips no taller than
 // sigma/2 with the same strip arithmetic, so the batched sum equals the
 // scalar path up to the erf implementation and summation grouping.
-void emit_term_rects(const PsfTerm& term, const Trapezoid& t, double px, double py,
-                     double scale, std::vector<double>& args,
-                     std::vector<double>& wgt) {
+std::size_t emit_term_rects(const PsfTerm& term, const Trapezoid& t, double px,
+                            double py, std::vector<double>& args) {
   const double inv_s = 1.0 / term.sigma;
-  const double w = scale * term.weight * 0.25;
   if (t.is_rect()) {
     args.push_back((t.xl0 - px) * inv_s);
     args.push_back((t.xr0 - px) * inv_s);
     args.push_back((t.y0 - py) * inv_s);
     args.push_back((t.y1 - py) * inv_s);
-    wgt.push_back(w);
-    return;
+    return 1;
   }
   const double height = static_cast<double>(t.y1) - t.y0;
   const double max_slice = std::max(term.sigma * 0.5, 1.0);
   const int slices = std::max(1, static_cast<int>(std::ceil(height / max_slice)));
   const double inv_h = 1.0 / height;
+  std::size_t n = 0;
   for (int i = 0; i < slices; ++i) {
     const double ya = t.y0 + height * i / slices;
     const double yb = t.y0 + height * (i + 1) / slices;
@@ -97,8 +95,9 @@ void emit_term_rects(const PsfTerm& term, const Trapezoid& t, double px, double 
     args.push_back((xr - px) * inv_s);
     args.push_back((ya - py) * inv_s);
     args.push_back((yb - py) * inv_s);
-    wgt.push_back(w);
+    ++n;
   }
+  return n;
 }
 
 double ms_since(std::chrono::steady_clock::time_point t0) {
@@ -751,7 +750,10 @@ ExposureEvaluator::ExposureEvaluator(ShotList shots, std::size_t active_count,
 
   // All-long PSFs (pure raster evaluation) need no neighbor structure at
   // all: skip grid construction entirely.
-  if (!short_terms_.empty()) build_grid();
+  if (!short_terms_.empty()) {
+    build_grid();
+    build_short_operator();
+  }
   build_long_range();
 }
 
@@ -1376,39 +1378,102 @@ void ExposureEvaluator::eval_erf(const double* x, double* y, std::size_t n) cons
   }
 }
 
-double ExposureEvaluator::short_exposure_batched(double px, double py) const {
-  // The exposure_at neighbor walk, but the erf evaluations of the whole
-  // query are packed into one batch. Shots are accepted in cell-scan order
-  // and combined in emission order, so the sum is a deterministic function
-  // of the query alone.
-  ShortScratch& sc = t_short;
-  sc.args.clear();
-  sc.wgt.clear();
+void ExposureEvaluator::build_short_operator() {
+  // Each centroid walks its neighbors as exposure_at does, but packs the erf
+  // arguments of the whole query into one batch. Shots are accepted in
+  // cell-scan order and their rectangles kept in emission order, so the
+  // operator is a deterministic function of the geometry alone. Consecutive
+  // centroids are cut into parts, collected part by part and joined in
+  // order, so the part count does not change a bit either.
+  const std::size_t nt = short_terms_.size();
+  expects(shots_.size() <= std::numeric_limits<std::uint32_t>::max() / nt,
+          "ExposureEvaluator: too many shots for the short-range operator");
+  struct Part {
+    std::vector<std::uint32_t> count;  ///< entries per centroid
+    std::vector<std::uint32_t> src;
+    std::vector<double> diff;
+  };
+  const std::size_t parts =
+      std::min<std::size_t>(active_, 4 * static_cast<std::size_t>(resolve_threads(opt_.threads)));
+  std::vector<Part> part(parts);
+  parallel_for(
+      parts,
+      [&](std::size_t p0, std::size_t p1) {
+        ShortScratch& sc = t_short;
+        for (std::size_t p = p0; p < p1; ++p) {
+          Part& pt = part[p];
+          for (std::size_t i = active_ * p / parts; i < active_ * (p + 1) / parts; ++i) {
+            const double px = cx_[i];
+            const double py = cy_[i];
+            sc.args.clear();
+            sc.src.clear();
+            visit_short_neighbors(px, py, [&](std::uint32_t idx) {
+              for (std::size_t t = 0; t < nt; ++t) {
+                const std::size_t n =
+                    emit_term_rects(short_terms_[t], shots_[idx].shape, px, py, sc.args);
+                sc.src.insert(sc.src.end(), n,
+                                 static_cast<std::uint32_t>(idx * nt + t));
+              }
+            });
+            sc.erfs.resize(sc.args.size());
+            eval_erf(sc.args.data(), sc.erfs.data(), sc.args.size());
+            for (std::size_t r = 0; r < sc.src.size(); ++r) {
+              pt.diff.push_back(sc.erfs[4 * r + 1] - sc.erfs[4 * r]);
+              pt.diff.push_back(sc.erfs[4 * r + 3] - sc.erfs[4 * r + 2]);
+            }
+            pt.src.insert(pt.src.end(), sc.src.begin(), sc.src.end());
+            pt.count.push_back(static_cast<std::uint32_t>(sc.src.size()));
+          }
+        }
+      },
+      opt_.threads);
 
-  visit_short_neighbors(px, py, [&](std::uint32_t idx) {
-    const Shot& s = shots_[idx];
-    for (const PsfTerm& term : short_terms_) {
-      emit_term_rects(term, s.shape, px, py, s.dose, sc.args, sc.wgt);
+  // Count -> exclusive scan -> fill.
+  short_start_.assign(active_ + 1, 0);
+  std::vector<std::size_t> part_at(parts + 1, 0);
+  std::size_t i = 0;
+  for (std::size_t p = 0; p < parts; ++p) {
+    for (const std::uint32_t c : part[p].count) {
+      short_start_[i + 1] = short_start_[i] + c;
+      ++i;
     }
-  });
-
-  sc.erfs.resize(sc.args.size());
-  eval_erf(sc.args.data(), sc.erfs.data(), sc.args.size());
-  double e = 0.0;
-  for (std::size_t r = 0; r < sc.wgt.size(); ++r) {
-    e += sc.wgt[r] * (sc.erfs[4 * r + 1] - sc.erfs[4 * r]) *
-         (sc.erfs[4 * r + 3] - sc.erfs[4 * r + 2]);
+    part_at[p + 1] = part_at[p] + part[p].src.size();
   }
-  return e;
+  short_src_.resize(short_start_[active_]);
+  short_diff_.resize(2 * short_src_.size());
+  parallel_for(
+      parts,
+      [&](std::size_t p0, std::size_t p1) {
+        for (std::size_t p = p0; p < p1; ++p) {
+          std::copy(part[p].src.begin(), part[p].src.end(),
+                    short_src_.begin() + static_cast<std::ptrdiff_t>(part_at[p]));
+          std::copy(part[p].diff.begin(), part[p].diff.end(),
+                    short_diff_.begin() + static_cast<std::ptrdiff_t>(2 * part_at[p]));
+          Part().src.swap(part[p].src);  // free as we go
+          Part().diff.swap(part[p].diff);
+        }
+      },
+      opt_.threads);
 }
 
 void ExposureEvaluator::refresh_short_cache() const {
+  // Every (shot, term) weight the way the sum has always formed it, then
+  // each centroid's sum over its entries in emission order from +0.0.
+  const std::size_t nt = short_terms_.size();
+  term_dose_.resize(shots_.size() * nt);
+  for (std::size_t s = 0; s < shots_.size(); ++s)
+    for (std::size_t t = 0; t < nt; ++t)
+      term_dose_[s * nt + t] = shots_[s].dose * short_terms_[t].weight * 0.25;
   short_cache_.resize(active_);
   parallel_for(
       active_,
       [&](std::size_t i0, std::size_t i1) {
-        for (std::size_t i = i0; i < i1; ++i)
-          short_cache_[i] = short_exposure_batched(cx_[i], cy_[i]);
+        for (std::size_t i = i0; i < i1; ++i) {
+          double e = 0.0;
+          for (std::size_t k = short_start_[i]; k < short_start_[i + 1]; ++k)
+            e += term_dose_[short_src_[k]] * short_diff_[2 * k] * short_diff_[2 * k + 1];
+          short_cache_[i] = e;
+        }
       },
       opt_.threads);
   short_cache_valid_ = true;

@@ -259,6 +259,10 @@ class ExposureEvaluator {
   // apply_doses takes the doses of shots_[0..end) and refreshes unless
   // none changed.
   void apply_doses(const double* doses, std::size_t end);
+  // The short-range operator (short_start_ and the arrays below), built
+  // once from the geometry.
+  void build_short_operator();
+  // Each active centroid's short-range sum at the applied doses.
   void refresh_short_cache() const;
   // Shared neighbor walk of the analytic path: epoch-deduped grid scan
   // around (px, py) with the cutoff bbox-distance reject, invoking
@@ -267,7 +271,6 @@ class ExposureEvaluator {
   // so their inclusion semantics cannot drift apart.
   template <typename Fn>
   void visit_short_neighbors(double px, double py, Fn&& fn) const;
-  double short_exposure_batched(double px, double py) const;
   // Active centroids [i0, i1) of the sweep into out.
   void sweep_centroids(std::size_t i0, std::size_t i1, double* out) const;
   void eval_erf(const double* x, double* y, std::size_t n) const;
@@ -347,10 +350,23 @@ class ExposureEvaluator {
   std::vector<TermMap> term_maps_;
   BlurPerf perf_;
 
-  // Active-centroid cache (query points of the sweep) and the cached
-  // short-range analytic sums at them, rebuilt on the next sweep after any
-  // refresh; mutable because the sweep (const) owns the lazy rebuild.
+  // Active-centroid cache (query points of the sweep).
   std::vector<double> cx_, cy_;
+  // The short-range operator: centroid i's accepted rectangles, in emission
+  // order (shots in cell-scan order, then terms, then a slanted shot's
+  // strips), are entries short_start_[i] .. short_start_[i + 1]. Entry k
+  // reads term_dose_[short_src_[k]] (shot s, term t at s * terms + t) and
+  // the erf differences d1 = short_diff_[2k], d2 = short_diff_[2k + 1] of
+  // its x and y sides, all dose-independent.
+  std::vector<std::size_t> short_start_;
+  std::vector<std::uint32_t> short_src_;
+  std::vector<double> short_diff_;
+  // The short-range sums at the applied doses, re-formed from the operator
+  // on the next sweep after any refresh: term_dose_ holds each shot's
+  // dose * weight * 0.25 per short term, and centroid i's sum adds
+  // term_dose * d1 * d2 over its entries from 0.0. Mutable because the
+  // sweep (const) owns the lazy rebuild.
+  mutable std::vector<double> term_dose_;
   mutable std::vector<double> short_cache_;
   mutable bool short_cache_valid_ = false;
 };
