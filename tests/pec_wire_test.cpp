@@ -9,6 +9,8 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include <unistd.h>
@@ -20,6 +22,7 @@
 #include "pec/transport.h"
 #include "pec/wire.h"
 #include "util/contracts.h"
+#include "util/rng.h"
 #include "util/subprocess.h"
 
 namespace ebl {
@@ -409,6 +412,32 @@ TEST(Wire, Crc32MatchesKnownVector) {
   // XOR against every other CRC-32 implementation in the world.
   EXPECT_EQ(wire::crc32("123456789"), 0xCBF43926u);
   EXPECT_EQ(wire::crc32(""), 0x00000000u);
+}
+
+// The reflected IEEE CRC-32 one byte at a time, straight from the
+// polynomial.
+std::uint32_t bytewise_crc32(std::string_view data) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (const char ch : data) {
+    crc ^= static_cast<unsigned char>(ch);
+    for (int k = 0; k < 8; ++k) crc = (crc & 1) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Wire, Crc32MatchesABytewiseReference) {
+  // Every length from 0 to 300 at every start offset 0..7 (the word loop's
+  // alignment and its byte tail), then one seeded 1-MiB buffer.
+  Rng rng(0xC3C32);
+  std::string buf(1 << 20, '\0');
+  for (char& c : buf) c = static_cast<char>(rng.next() & 0xFFu);
+  const std::string_view all(buf);
+  for (std::size_t offset = 0; offset < 8; ++offset)
+    for (std::size_t len = 0; len <= 300; ++len)
+      ASSERT_EQ(wire::crc32(all.substr(offset, len)),
+                bytewise_crc32(all.substr(offset, len)))
+          << "offset " << offset << ", length " << len;
+  EXPECT_EQ(wire::crc32(all), bytewise_crc32(all));
 }
 
 TEST(Wire, CorruptedPayloadByteRejectedByFrameChecksum) {
