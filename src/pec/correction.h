@@ -68,8 +68,9 @@ struct PecOptions {
 
   /// When > 0, shard jobs of every halo-exchange round are farmed over this
   /// many spawned loopback daemons (`worker_path --listen 127.0.0.1:0`,
-  /// reached over TCP like worker_hosts daemons, and stopped and reaped when
-  /// the solve ends) instead of the in-process thread pool. With shard_size
+  /// launched before the density warm start, reached over TCP like
+  /// worker_hosts daemons from the first sweep on, and stopped and reaped
+  /// when the solve ends) instead of the in-process thread pool. With shard_size
   /// still 0 the solve tiles at default_shard_size. Jobs and results cross
   /// in the versioned binary wire format (src/pec/wire.h, bit-exact doses),
   /// shards stick to workers so the workers' resident evaluator pools keep

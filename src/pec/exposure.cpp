@@ -1417,12 +1417,21 @@ void ExposureEvaluator::build_short_operator() {
             });
             sc.erfs.resize(sc.args.size());
             eval_erf(sc.args.data(), sc.erfs.data(), sc.args.size());
+            std::uint32_t kept = 0;
             for (std::size_t r = 0; r < sc.src.size(); ++r) {
-              pt.diff.push_back(sc.erfs[4 * r + 1] - sc.erfs[4 * r]);
-              pt.diff.push_back(sc.erfs[4 * r + 3] - sc.erfs[4 * r + 2]);
+              const double d1 = sc.erfs[4 * r + 1] - sc.erfs[4 * r];
+              const double d2 = sc.erfs[4 * r + 3] - sc.erfs[4 * r + 2];
+              // A zero difference (both erfs saturated, as for a narrow
+              // term far inside a wider term's cutoff) makes the term
+              // +-0.0 at any finite dose, and adding +-0.0 leaves the sum
+              // as it is: it starts at +0.0 and never becomes -0.0.
+              if (d1 == 0.0 || d2 == 0.0) continue;
+              pt.src.push_back(sc.src[r]);
+              pt.diff.push_back(d1);
+              pt.diff.push_back(d2);
+              ++kept;
             }
-            pt.src.insert(pt.src.end(), sc.src.begin(), sc.src.end());
-            pt.count.push_back(static_cast<std::uint32_t>(sc.src.size()));
+            pt.count.push_back(kept);
           }
         }
       },

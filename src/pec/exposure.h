@@ -47,11 +47,15 @@
 //     does the dense blur's work. No blurred map is held: exposure_at
 //     forms its four pixels on demand, at the base pixel from base rows it
 //     gathers itself.
+//   - The short-range sums come from an operator built once from the
+//     geometry: per active centroid, its accepted rectangles in emission
+//     order with their erf differences, so a dose update re-forms each sum
+//     from those coefficients without a grid walk or an erf.
 //   - Every dose update is exact: a refresh re-gathers every band and
-//     recomputes the per-centroid short-range sums, so the evaluator always
+//     re-forms the per-centroid short-range sums, so the evaluator always
 //     equals a fresh one at its doses; only an update that changes no dose
 //     is skipped.
-//   - The centroid sweep's erf evaluations are batched through the
+//   - The operator's erf evaluations are batched per centroid through the
 //     vectorized polynomial in util/vecmath.h (4-wide AVX2 + FMA, ~4x libm;
 //     see ExposureOptions::fast_erf).
 //   - exposures_at_centroids, the banded gather, the box averages and the
@@ -165,9 +169,10 @@ struct ReadSet {
 }  // namespace detail
 
 /// Evaluates exposure for a fixed shot geometry; per-shot doses can be
-/// updated cheaply (the band binning, the slanted shots' footprints and the
-/// neighbor structure are reused; the base is re-gathered and the
-/// long-range blur recomputed). Query points may be anywhere. Queries are
+/// updated cheaply (the band binning, the slanted shots' footprints, the
+/// neighbor structure and the short-range operator are reused; the base is
+/// re-gathered, the long-range blur recomputed and the short-range sums
+/// re-formed). Query points may be anywhere. Queries are
 /// thread-safe.
 ///
 /// Active/background split: the shot list may carry a trailing block of
@@ -226,9 +231,9 @@ class ExposureEvaluator {
 
   /// Exposures at every *active* shot's representative point (centroid).
   /// Runs on the thread pool; output is identical for any thread count.
-  /// The short-range (analytic) part of the sweep is cached per centroid
-  /// until the next dose update, so repeated sweeps cost the long-map
-  /// samples only. The cache refresh mutates internal state: concurrent
+  /// The short-range (analytic) part of the sweep is re-formed from the
+  /// cached operator after a dose update and then kept, so repeated sweeps
+  /// cost the long-map samples only. The cache refresh mutates internal state: concurrent
   /// sweep calls on one evaluator are not supported (point queries via
   /// exposure_at remain thread-safe).
   std::vector<double> exposures_at_centroids() const;
@@ -354,7 +359,8 @@ class ExposureEvaluator {
   std::vector<double> cx_, cy_;
   // The short-range operator: centroid i's accepted rectangles, in emission
   // order (shots in cell-scan order, then terms, then a slanted shot's
-  // strips), are entries short_start_[i] .. short_start_[i + 1]. Entry k
+  // strips), less those with a zero erf difference (they add exactly
+  // +-0.0), are entries short_start_[i] .. short_start_[i + 1]. Entry k
   // reads term_dose_[short_src_[k]] (shot s, term t at s * terms + t) and
   // the erf differences d1 = short_diff_[2k], d2 = short_diff_[2k + 1] of
   // its x and y sides, all dose-independent.

@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <memory>
 #include <thread>
+#include <utility>
 
 #include <unistd.h>
 
@@ -305,16 +306,18 @@ class ShardExecutor {
                 const ShardLayout& L)
       : shots_(shots), psf_(psf), options_(options), L_(L),
         job_threads_(options.exposure.threads) {
-    if (options.worker_count > 0 || !options.worker_hosts.empty()) start_workers();
+    if (options.worker_count > 0 || !options.worker_hosts.empty()) prepare_workers();
   }
 
   ~ShardExecutor() {
     // Error-path teardown; finish() already shut the workers down on success.
+    // Daemons launched but never opened die with factory_.
     if (supervisor_) supervisor_->terminate_all();
   }
 
   void sweep(const SweepCtx& ctx, const std::vector<std::size_t>& run) {
     if (run.empty()) return;
+    if (factory_) open_workers();
     if (!supervisor_) {
       solve_locally(ctx, run);
       return;
@@ -400,7 +403,10 @@ class ShardExecutor {
         options_.exposure.threads);
   }
 
-  void start_workers() {
+  // Settles the worker pool and forks the spawned daemons, without waiting
+  // for them: they exec and bind while the driver runs the warm start.
+  // Runs on the driver thread, which the daemons die with.
+  void prepare_workers() {
     // One supervisor slot per worker_hosts address (a daemon serves sessions
     // sequentially, so more slots than daemons would serialize, and
     // worker_count is ignored), else worker_count spawned daemons; clamped
@@ -442,8 +448,17 @@ class ShardExecutor {
     static std::atomic<std::uint64_t> counter{0};
     session_ = (static_cast<std::uint64_t>(::getpid()) << 32) | ++counter;
 
+    std::vector<Subprocess> launched;
+    if (hosts.empty()) launched = launch_workers(path, workers_n_);
+    factory_ = make_session_factory(std::move(hosts), std::move(path),
+                                    std::move(launched));
+  }
+
+  // Opens every slot's session (port announcement, connect, opening ping):
+  // at the first sweep, once the warm start is done.
+  void open_workers() {
     SupervisorConfig cfg;
-    cfg.factory = make_session_factory(std::move(hosts), std::move(path));
+    cfg.factory = std::exchange(factory_, nullptr);
     cfg.workers = workers_n_;
     cfg.timeout_ms = options_.worker_timeout_ms;
     cfg.max_restarts = options_.worker_max_restarts;
@@ -460,6 +475,7 @@ class ShardExecutor {
   ShardPool pool_;          ///< the driver's own resident evaluators
   std::uint64_t session_ = 0;
   int workers_n_ = 0;
+  SessionFactory factory_;  ///< set from launch to the first sweep
   std::unique_ptr<WorkerSupervisor> supervisor_;  ///< null: local only
   std::vector<std::uint32_t> worker_resident_;
   std::vector<std::uint32_t> worker_evictions_;
@@ -664,6 +680,12 @@ PecResult correct_proximity(const ShotList& shots, const Psf& psf,
   std::vector<double> doses(shots.size());
   for (std::size_t i = 0; i < shots.size(); ++i) doses[i] = shots[i].dose;
 
+  // Execution backend: the thread pool, or (worker_count > 0) a pool of
+  // pec_worker daemons speaking the wire format. Both run solve_shard_job
+  // on identical jobs, so the choice cannot change a bit of the result.
+  // Built before the warm start, so spawned daemons start up during it.
+  ShardExecutor exec(shots, psf, options, L);
+
   // Warm start (multi-shard only: a single shard has no frozen halos for the
   // warm start to stabilize, and its first sweep then measures the input
   // doses).
@@ -672,11 +694,6 @@ PecResult correct_proximity(const ShotList& shots, const Psf& psf,
 
   PecResult result;
   result.shards = static_cast<int>(ns);
-
-  // Execution backend: the thread pool, or (worker_count > 0) a pool of
-  // pec_worker daemons speaking the wire format. Both run solve_shard_job
-  // on identical jobs, so the choice cannot change a bit of the result.
-  ShardExecutor exec(shots, psf, options, L);
 
   // Correction rounds: every shard solves against the round-start snapshot
   // (Jacobi across shards, so the outcome is independent of execution

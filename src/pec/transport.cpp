@@ -2,7 +2,6 @@
 
 #include <cstdlib>
 #include <optional>
-#include <thread>
 
 #include <signal.h>
 
@@ -109,9 +108,7 @@ std::string WorkerSession::drain(clock_t_::time_point deadline) {
   }
   sock_.close();
   if (child_.pid() <= 0) return dirty;
-  std::optional<int> status;
-  while (!(status = child_.try_wait()) && clock_t_::now() < deadline)
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  const std::optional<int> status = child_.wait_until(deadline);
   std::string stop;
   if (!status) {
     child_.terminate();
@@ -134,19 +131,34 @@ std::string WorkerSession::describe() const {
   return d;
 }
 
+std::vector<Subprocess> launch_workers(const std::string& worker_path, int n) {
+  std::vector<Subprocess> launched;
+  for (int i = 0; i < n; ++i)
+    launched.push_back(Subprocess::spawn({worker_path, "--listen", "127.0.0.1:0"}));
+  return launched;
+}
+
 SessionFactory make_session_factory(std::vector<net::HostPort> hosts,
-                                    std::string worker_path) {
+                                    std::string worker_path,
+                                    std::vector<Subprocess> launched) {
   expects(!hosts.empty() || !worker_path.empty(),
           "session factory: no daemon addresses and no worker to spawn");
   const double connect_ms = resolve_connect_timeout_ms();
   const double heartbeat_ms = resolve_heartbeat_ms();
-  return [hosts = std::move(hosts), worker_path = std::move(worker_path),
+  // Shared so the factory stays copyable; the last copy's end kills and
+  // reaps every daemon no session took.
+  auto unopened = std::make_shared<std::vector<Subprocess>>(std::move(launched));
+  return [hosts = std::move(hosts), worker_path = std::move(worker_path), unopened,
           connect_ms, heartbeat_ms](std::size_t slot) {
     if (!hosts.empty())
       return std::make_unique<WorkerSession>(hosts[slot % hosts.size()],
                                              connect_ms, heartbeat_ms);
-    ListeningChild child = spawn_listening(
-        {worker_path, "--listen", "127.0.0.1:0"}, after_ms(connect_ms));
+    Subprocess proc;
+    if (slot < unopened->size()) proc = std::move((*unopened)[slot]);
+    if (proc.pid() <= 0)
+      proc = Subprocess::spawn({worker_path, "--listen", "127.0.0.1:0"});
+    ListeningChild child =
+        await_listening(std::move(proc), worker_path, after_ms(connect_ms));
     return std::make_unique<WorkerSession>(net::HostPort{"127.0.0.1", child.port},
                                            connect_ms, heartbeat_ms,
                                            std::move(child.proc));

@@ -3,9 +3,11 @@
 // results back. There is one transport and one worker loop, whoever started
 // the daemon:
 //
-//   - PecOptions::worker_count > 0: the factory spawns each slot's daemon
-//     as a child on 127.0.0.1 (ephemeral port, read back from the daemon's
-//     "listening on N" line) and the session owns that child;
+//   - PecOptions::worker_count > 0: the driver launches each slot's daemon
+//     as a child on 127.0.0.1 before its warm start (launch_workers), and
+//     the factory opens the slot's first session on it at the first sweep
+//     (ephemeral port, read back from the daemon's "listening on N" line);
+//     a restart spawns a fresh child. The session owns its child;
 //   - PecOptions::worker_hosts: the factory connects to daemons somebody
 //     else started — PEC as a service.
 //
@@ -133,14 +135,26 @@ class WorkerSession {
 using SessionFactory =
     std::function<std::unique_ptr<WorkerSession>(std::size_t slot)>;
 
+/// Forks @p n `worker_path --listen 127.0.0.1:0` daemons and returns at
+/// once, without waiting for any to start: they exec and bind while the
+/// caller works on, and make_session_factory opens their sessions later.
+/// Call it on the thread that runs the solve — a child dies with the
+/// thread that forked it (Subprocess::spawn). Throws DataError when a
+/// fork fails.
+std::vector<Subprocess> launch_workers(const std::string& worker_path, int n);
+
 /// With @p hosts non-empty, slot i connects to hosts[i % hosts.size()]
 /// (point each slot at a distinct daemon — a daemon serves sessions
 /// sequentially, so two slots on one address would serialize). With @p hosts
-/// empty, every call spawns a fresh `worker_path --listen 127.0.0.1:0` child
-/// and connects to the port it announces. Connect and opening-ping
-/// deadlines come from resolve_connect_timeout_ms / resolve_heartbeat_ms,
-/// read once here.
+/// empty, slot i's first call takes @p launched[i] (from launch_workers)
+/// when there is one, and every other call spawns a fresh
+/// `worker_path --listen 127.0.0.1:0` child; either way it reads the port
+/// the daemon announces and connects. Connect and opening-ping deadlines
+/// come from resolve_connect_timeout_ms / resolve_heartbeat_ms, read once
+/// here. The factory owns the launched daemons no call has taken: the end
+/// of its last copy kills and reaps them.
 SessionFactory make_session_factory(std::vector<net::HostPort> hosts,
-                                    std::string worker_path);
+                                    std::string worker_path,
+                                    std::vector<Subprocess> launched = {});
 
 }  // namespace ebl

@@ -7,10 +7,12 @@
 #include <cstring>
 #include <mutex>
 #include <string_view>
+#include <thread>
 
 #include <fcntl.h>
 #include <poll.h>
 #include <sys/prctl.h>
+#include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -222,6 +224,35 @@ std::optional<int> Subprocess::try_wait() {
   return -1;
 }
 
+std::optional<int> Subprocess::wait_until(
+    std::chrono::steady_clock::time_point deadline) {
+  using clock = std::chrono::steady_clock;
+  if (pid_ <= 0) return std::nullopt;
+  // Until reaped, the child (a zombie at worst) keeps its pid, so the pidfd
+  // names this child.
+#ifdef SYS_pidfd_open
+  const int fd = static_cast<int>(::syscall(SYS_pidfd_open, pid_, 0));
+#else
+  const int fd = -1;
+#endif
+  if (fd < 0) {
+    std::optional<int> status;
+    while (!(status = try_wait()) && clock::now() < deadline)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    return status;
+  }
+  bool exited = false;
+  try {
+    exited = poll_until(fd, POLLIN, deadline);
+  } catch (...) {
+    ::close(fd);
+    throw;
+  }
+  ::close(fd);
+  if (!exited) return std::nullopt;
+  return wait();
+}
+
 void Subprocess::terminate() {
   if (pid_ <= 0) {
     release();
@@ -231,20 +262,20 @@ void Subprocess::terminate() {
   wait();
 }
 
-ListeningChild spawn_listening(const std::vector<std::string>& argv,
+ListeningChild await_listening(Subprocess proc, const std::string& name,
                                std::chrono::steady_clock::time_point deadline) {
   ListeningChild c;
-  c.proc = Subprocess::spawn(argv);
+  c.proc = std::move(proc);
   // Byte by byte up to the newline, so nothing after the announcement is
   // consumed from the pipe.
   std::string line;
   for (;;) {
     char ch = 0;
     if (!read_exact(c.proc.stdout_fd(), &ch, 1, deadline))
-      throw DataError(argv[0] + " exited before announcing a port");
+      throw DataError(name + " exited before announcing a port");
     if (ch == '\n') break;
     line.push_back(ch);
-    if (line.size() > 256) throw DataError(argv[0] + " printed garbage: " + line);
+    if (line.size() > 256) throw DataError(name + " printed garbage: " + line);
   }
   static constexpr std::string_view kTag = ": listening on ";
   const std::size_t at = line.find(kTag);
@@ -252,9 +283,14 @@ ListeningChild spawn_listening(const std::vector<std::string>& argv,
   const char* digits = at == std::string::npos ? "" : line.c_str() + at + kTag.size();
   const unsigned long port = std::strtoul(digits, &end, 10);
   if (end == digits || *end != '\0' || port == 0 || port > 65535)
-    throw DataError(argv[0] + " announced no valid port: " + line);
+    throw DataError(name + " announced no valid port: " + line);
   c.port = static_cast<std::uint16_t>(port);
   return c;
+}
+
+ListeningChild spawn_listening(const std::vector<std::string>& argv,
+                               std::chrono::steady_clock::time_point deadline) {
+  return await_listening(Subprocess::spawn(argv), argv[0], deadline);
 }
 
 }  // namespace ebl

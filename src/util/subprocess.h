@@ -103,6 +103,14 @@ class Subprocess {
   /// while it is still running or after it was already reaped.
   std::optional<int> try_wait();
 
+  /// Blocks until the child exits or @p deadline passes, waiting on a pidfd
+  /// (poll_until) rather than polling waitpid. Reaps and returns the exit
+  /// status (wait() semantics) when the child exited in time; std::nullopt
+  /// at the deadline, the child still running and still owned, or after it
+  /// was already reaped. Without pidfd support (Linux before 5.3) it polls
+  /// try_wait every millisecond instead.
+  std::optional<int> wait_until(std::chrono::steady_clock::time_point deadline);
+
   /// SIGKILLs a running child and reaps it. No-op when already waited.
   void terminate();
 
@@ -119,11 +127,16 @@ struct ListeningChild {
   std::uint16_t port = 0;
 };
 
-/// Spawns @p argv — a server that binds a port and announces it as its
-/// first stdout line, "<name>: listening on N" (`pec_worker --listen`,
-/// `flaky_proxy`) — and parses N. Throws TimeoutError when no line arrives
-/// by @p deadline, DataError when the child exits first or prints anything
-/// else; the child is killed and reaped on every throw.
+/// Takes @p proc, a spawned server that binds a port and announces it as
+/// its first stdout line, "<name>: listening on N" (`pec_worker --listen`,
+/// `flaky_proxy`), and parses N (@p name labels errors). Throws
+/// TimeoutError when no line arrives by @p deadline, DataError when the
+/// child exits first or prints anything else; the child is killed and
+/// reaped on every throw.
+ListeningChild await_listening(Subprocess proc, const std::string& name,
+                               std::chrono::steady_clock::time_point deadline);
+
+/// Spawns @p argv and await_listening on it.
 ListeningChild spawn_listening(const std::vector<std::string>& argv,
                                std::chrono::steady_clock::time_point deadline);
 

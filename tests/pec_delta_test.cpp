@@ -467,8 +467,10 @@ TEST(ExposureEvaluator, ShortRangeSumsMatchParentDigests) {
   // Seeded layouts with slanted actives and ghosts and shots spanning
   // several grid cells; a PSF with one short term and one with two (40 and
   // 150 dbu); the vectorized and the libm erf; 1 and 4 threads, which must
-  // agree. The digests were recorded before the sums came from a cached
-  // operator.
+  // agree. With two short terms the 40-dbu term's rectangles out to the
+  // 150-dbu term's cutoff have saturated erfs, so many of them add exactly
+  // +-0.0 (the slanted shots' far strips do with one term too). The
+  // digests were recorded before the sums came from a cached operator.
   struct Case {
     std::uint64_t seed;
     bool two_short;

@@ -30,10 +30,12 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -591,6 +593,51 @@ TEST(PecNet, SpawnedDaemonDiesWithItsOwner) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   EXPECT_TRUE(exited(daemon)) << "daemon " << daemon << " outlived its owner";
   if (!exited(daemon)) ::kill(daemon, SIGKILL);
+}
+
+TEST(PecNet, SessionFactoryOpensLaunchedDaemonsFirst) {
+  if (!worker_available()) GTEST_SKIP() << "pec_worker binary not built";
+  EnvGuard no_faults("EBL_FAULT_PLAN", nullptr);
+  std::vector<Subprocess> launched = launch_workers(default_pec_worker_path(), 2);
+  ASSERT_EQ(launched.size(), 2u);
+  const pid_t first = launched[0].pid();
+  const pid_t second = launched[1].pid();
+  const SessionFactory factory =
+      make_session_factory({}, default_pec_worker_path(), std::move(launched));
+  // Slot 1's first session opens on its launched daemon; a second call on
+  // the slot, as after a fault, spawns a fresh one.
+  const std::string pid_tag = "(pid " + std::to_string(second) + ")";
+  std::unique_ptr<WorkerSession> session = factory(1);
+  EXPECT_NE(session->describe().find(pid_tag), std::string::npos) << session->describe();
+  std::unique_ptr<WorkerSession> again = factory(1);
+  EXPECT_EQ(again->describe().find(pid_tag), std::string::npos) << again->describe();
+  for (WorkerSession* s : {session.get(), again.get()}) {
+    s->end_session();
+    EXPECT_EQ(s->drain(after_ms(5000)), "");
+  }
+  // Slot 0's daemon, never opened, is still running.
+  EXPECT_EQ(::kill(first, 0), 0);
+}
+
+TEST(PecNet, LaunchedDaemonsWhoseSessionsNeverOpenedAreReaped) {
+  // The owner of launched daemons is destroyed before its first sweep, as
+  // on a warm-start error: the daemons are killed and reaped.
+  if (!worker_available()) GTEST_SKIP() << "pec_worker binary not built";
+  std::vector<pid_t> pids;
+  {
+    std::vector<Subprocess> launched = launch_workers(default_pec_worker_path(), 2);
+    for (const Subprocess& p : launched) pids.push_back(p.pid());
+    const SessionFactory factory =
+        make_session_factory({}, default_pec_worker_path(), std::move(launched));
+    const SessionFactory copy = factory;  // the last copy's end reaps them
+  }
+  ASSERT_EQ(pids.size(), 2u);
+  for (const pid_t pid : pids) {
+    ASSERT_GT(pid, 0);
+    errno = 0;
+    EXPECT_EQ(::kill(pid, 0), -1) << "daemon " << pid << " outlived its owner";
+    EXPECT_EQ(errno, ESRCH);
+  }
 }
 
 TEST(PecNet, ProxyExitsZeroOnSigterm) {

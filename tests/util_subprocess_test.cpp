@@ -3,8 +3,11 @@
 // the failure modes (exec failure, broken pipes, mid-record EOF).
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <chrono>
+#include <csignal>
 #include <cstring>
+#include <optional>
 #include <string>
 
 #include <unistd.h>
@@ -48,6 +51,39 @@ TEST(Subprocess, TerminateKillsARunningChild) {
 
 std::chrono::steady_clock::time_point in_5s() {
   return std::chrono::steady_clock::now() + std::chrono::seconds(5);
+}
+
+TEST(Subprocess, WaitUntilReapsAChildThatExitsOnSigterm) {
+  Subprocess sleeper = Subprocess::spawn({"/bin/sleep", "60"});
+  ASSERT_GT(sleeper.pid(), 0);
+  const auto t0 = std::chrono::steady_clock::now();
+  ASSERT_EQ(::kill(sleeper.pid(), SIGTERM), 0);
+  const std::optional<int> status = sleeper.wait_until(in_5s());
+  ASSERT_TRUE(status.has_value());
+  EXPECT_EQ(*status, -SIGTERM);
+  EXPECT_EQ(sleeper.pid(), -1);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(4));
+}
+
+TEST(Subprocess, WaitUntilGivesUpOnAChildThatIgnoresSigterm) {
+  // The shell sets SIGTERM ignored before it says so, and sleep inherits
+  // the disposition through exec.
+  Subprocess stubborn =
+      Subprocess::spawn({"/bin/sh", "-c", "trap '' TERM; echo ready; exec sleep 60"});
+  char ready[6] = {};
+  ASSERT_TRUE(read_exact(stubborn.stdout_fd(), ready, sizeof ready, in_5s()));
+  const pid_t pid = stubborn.pid();
+  ASSERT_EQ(::kill(pid, SIGTERM), 0);
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_FALSE(stubborn.wait_until(t0 + std::chrono::milliseconds(200)).has_value());
+  EXPECT_GE(std::chrono::steady_clock::now() - t0, std::chrono::milliseconds(200));
+  EXPECT_EQ(stubborn.pid(), pid);  // still running, still owned
+  stubborn.terminate();
+  EXPECT_EQ(stubborn.pid(), -1);
+  errno = 0;
+  EXPECT_EQ(::kill(pid, 0), -1);
+  EXPECT_EQ(errno, ESRCH);
+  EXPECT_FALSE(stubborn.wait_until(in_5s()).has_value());  // already reaped
 }
 
 TEST(Subprocess, SpawnListeningParsesTheAnnouncedPort) {
