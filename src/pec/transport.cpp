@@ -22,6 +22,10 @@ double env_ms(const char* name, double fallback) {
   return fallback;
 }
 
+Subprocess spawn_daemon(const std::string& worker_path) {
+  return Subprocess::spawn({worker_path, "--listen", "127.0.0.1:0"});
+}
+
 clock_t_::time_point after_ms(double ms) {
   return clock_t_::now() + std::chrono::duration_cast<clock_t_::duration>(
                                std::chrono::duration<double, std::milli>(ms));
@@ -134,7 +138,7 @@ std::string WorkerSession::describe() const {
 std::vector<Subprocess> launch_workers(const std::string& worker_path, int n) {
   std::vector<Subprocess> launched;
   for (int i = 0; i < n; ++i)
-    launched.push_back(Subprocess::spawn({worker_path, "--listen", "127.0.0.1:0"}));
+    launched.push_back(spawn_daemon(worker_path));
   return launched;
 }
 
@@ -155,8 +159,7 @@ SessionFactory make_session_factory(std::vector<net::HostPort> hosts,
                                              connect_ms, heartbeat_ms);
     Subprocess proc;
     if (slot < unopened->size()) proc = std::move((*unopened)[slot]);
-    if (proc.pid() <= 0)
-      proc = Subprocess::spawn({worker_path, "--listen", "127.0.0.1:0"});
+    if (proc.pid() <= 0) proc = spawn_daemon(worker_path);
     ListeningChild child =
         await_listening(std::move(proc), worker_path, after_ms(connect_ms));
     return std::make_unique<WorkerSession>(net::HostPort{"127.0.0.1", child.port},

@@ -235,7 +235,7 @@ std::optional<int> Subprocess::wait_until(
 #else
   const int fd = -1;
 #endif
-  if (fd < 0) {
+  if (fd < 0) {  // no pidfd: poll waitpid
     std::optional<int> status;
     while (!(status = try_wait()) && clock::now() < deadline)
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
