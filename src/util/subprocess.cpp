@@ -230,11 +230,7 @@ std::optional<int> Subprocess::wait_until(
   if (pid_ <= 0) return std::nullopt;
   // Until reaped, the child (a zombie at worst) keeps its pid, so the pidfd
   // names this child.
-#ifdef SYS_pidfd_open
   const int fd = static_cast<int>(::syscall(SYS_pidfd_open, pid_, 0));
-#else
-  const int fd = -1;
-#endif
   if (fd < 0) {  // no pidfd: poll waitpid
     std::optional<int> status;
     while (!(status = try_wait()) && clock::now() < deadline)
