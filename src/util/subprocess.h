@@ -107,8 +107,8 @@ class Subprocess {
   /// (poll_until) rather than polling waitpid. Reaps and returns the exit
   /// status (wait() semantics) when the child exited in time; std::nullopt
   /// at the deadline, the child still running and still owned, or after it
-  /// was already reaped. Without pidfd support (Linux before 5.3) it polls
-  /// try_wait every millisecond instead.
+  /// was already reaped. Where the kernel refuses a pidfd (Linux before
+  /// 5.3, or a seccomp filter) it polls try_wait every millisecond instead.
   std::optional<int> wait_until(std::chrono::steady_clock::time_point deadline);
 
   /// SIGKILLs a running child and reaps it. No-op when already waited.
