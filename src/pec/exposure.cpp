@@ -1411,8 +1411,7 @@ void ExposureEvaluator::build_short_operator() {
               for (std::size_t t = 0; t < nt; ++t) {
                 const std::size_t n =
                     emit_term_rects(short_terms_[t], shots_[idx].shape, px, py, sc.args);
-                sc.src.insert(sc.src.end(), n,
-                                 static_cast<std::uint32_t>(idx * nt + t));
+                sc.src.insert(sc.src.end(), n, static_cast<std::uint32_t>(idx * nt + t));
               }
             });
             sc.erfs.resize(sc.args.size());
@@ -1437,32 +1436,19 @@ void ExposureEvaluator::build_short_operator() {
       },
       opt_.threads);
 
-  // Count -> exclusive scan -> fill.
-  short_start_.assign(active_ + 1, 0);
-  std::vector<std::size_t> part_at(parts + 1, 0);
-  std::size_t i = 0;
-  for (std::size_t p = 0; p < parts; ++p) {
-    for (const std::uint32_t c : part[p].count) {
-      short_start_[i + 1] = short_start_[i] + c;
-      ++i;
-    }
-    part_at[p + 1] = part_at[p] + part[p].src.size();
+  // Join the parts in order, freeing each as it goes.
+  std::size_t entries = 0;
+  for (const Part& pt : part) entries += pt.src.size();
+  short_start_.assign(1, 0);
+  short_start_.reserve(active_ + 1);
+  short_src_.reserve(entries);
+  short_diff_.reserve(2 * entries);
+  for (Part& pt : part) {
+    for (const std::uint32_t c : pt.count) short_start_.push_back(short_start_.back() + c);
+    short_src_.insert(short_src_.end(), pt.src.begin(), pt.src.end());
+    short_diff_.insert(short_diff_.end(), pt.diff.begin(), pt.diff.end());
+    pt = Part();
   }
-  short_src_.resize(short_start_[active_]);
-  short_diff_.resize(2 * short_src_.size());
-  parallel_for(
-      parts,
-      [&](std::size_t p0, std::size_t p1) {
-        for (std::size_t p = p0; p < p1; ++p) {
-          std::copy(part[p].src.begin(), part[p].src.end(),
-                    short_src_.begin() + static_cast<std::ptrdiff_t>(part_at[p]));
-          std::copy(part[p].diff.begin(), part[p].diff.end(),
-                    short_diff_.begin() + static_cast<std::ptrdiff_t>(2 * part_at[p]));
-          Part().src.swap(part[p].src);  // free as we go
-          Part().diff.swap(part[p].diff);
-        }
-      },
-      opt_.threads);
 }
 
 void ExposureEvaluator::refresh_short_cache() const {
