@@ -172,8 +172,7 @@ struct ReadSet {
 /// updated cheaply (the band binning, the slanted shots' footprints, the
 /// neighbor structure and the short-range operator are reused; the base is
 /// re-gathered, the long-range blur recomputed and the short-range sums
-/// re-formed). Query points may be anywhere. Queries are
-/// thread-safe.
+/// re-formed). Query points may be anywhere. Queries are thread-safe.
 ///
 /// Active/background split: the shot list may carry a trailing block of
 /// *background* shots (ghosts from neighboring PEC shards). Background shots
@@ -233,9 +232,9 @@ class ExposureEvaluator {
   /// Runs on the thread pool; output is identical for any thread count.
   /// The short-range (analytic) part of the sweep is re-formed from the
   /// cached operator after a dose update and then kept, so repeated sweeps
-  /// cost the long-map samples only. The cache refresh mutates internal state: concurrent
-  /// sweep calls on one evaluator are not supported (point queries via
-  /// exposure_at remain thread-safe).
+  /// cost the long-map samples only. The cache refresh mutates internal
+  /// state: concurrent sweep calls on one evaluator are not supported
+  /// (point queries via exposure_at remain thread-safe).
   std::vector<double> exposures_at_centroids() const;
 
   /// Representative (centroid) point of shot i.
