@@ -119,7 +119,8 @@ FieldPartition partition_fields_counted(const ShotList& shots, Coord field_size,
 
   // Pass 3 (parallel fill): each field clips its incident shots in ascending
   // shot order — disjoint outputs, so the partition is thread-count
-  // independent.
+  // independent. A valid shot that straddles no boundary lies inside its
+  // field, where the clip would return it unchanged, so it is copied.
   out.fields.resize(nf);
   parallel_for(
       nf,
@@ -129,8 +130,13 @@ FieldPartition partition_fields_counted(const ShotList& shots, Coord field_size,
           const Coord64 fy = grid_key_y(slots.key(f));
           FieldJob& job = out.fields[f];
           job.field = field_frame(bb.lo, fx, fy, field_size);
+          job.shots.reserve(start[f + 1] - start[f]);
           for (std::uint32_t k = start[f]; k < start[f + 1]; ++k) {
             const Shot& s = shots[items[k]];
+            if (!ranges[items[k]].straddles() && s.shape.valid()) {
+              job.shots.push_back(s);
+              continue;
+            }
             for (const Trapezoid& piece : clip_trapezoid(s.shape, job.field))
               job.shots.push_back(Shot{piece, s.dose});
           }

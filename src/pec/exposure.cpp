@@ -25,6 +25,9 @@ constexpr int kMinBandRows = 16;
 // detail::force_refresh_strips' count; 0 = two strips per thread.
 std::atomic<int> g_refresh_strips{0};
 
+// detail::force_raster_terms' switch.
+std::atomic<bool> g_raster_terms{false};
+
 // Epoch-stamped visited marks for duplicate rejection in neighbor queries
 // (a shot's bbox spans several grid cells, so it appears in several bins).
 // Thread-local so concurrent queries share nothing; bumping the epoch
@@ -63,11 +66,18 @@ struct ShortScratch {
 };
 thread_local ShortScratch t_short;
 
+// Strips a slanted shape is sliced into for term: none taller than sigma/2.
+int term_slices(const PsfTerm& term, const Trapezoid& t) {
+  const double height = static_cast<double>(t.y1) - t.y0;
+  const double max_slice = std::max(term.sigma * 0.5, 1.0);
+  return std::max(1, static_cast<int>(std::ceil(height / max_slice)));
+}
+
 // Emits the rectangle integrals of one (term, shape) pair as packed erf
 // arguments and returns how many. Mirrors term_exposure_trapezoid exactly:
-// rectangles are exact, slanted sides are sliced into strips no taller than
-// sigma/2 with the same strip arithmetic, so the batched sum equals the
-// scalar path up to the erf implementation and summation grouping.
+// rectangles are exact, slanted sides are sliced into term_slices strips
+// with the same strip arithmetic, so the batched sum equals the scalar path
+// up to the erf implementation and summation grouping.
 std::size_t emit_term_rects(const PsfTerm& term, const Trapezoid& t, double px,
                             double py, std::vector<double>& args) {
   const double inv_s = 1.0 / term.sigma;
@@ -79,8 +89,7 @@ std::size_t emit_term_rects(const PsfTerm& term, const Trapezoid& t, double px,
     return 1;
   }
   const double height = static_cast<double>(t.y1) - t.y0;
-  const double max_slice = std::max(term.sigma * 0.5, 1.0);
-  const int slices = std::max(1, static_cast<int>(std::ceil(height / max_slice)));
+  const int slices = term_slices(term, t);
   const double inv_h = 1.0 / height;
   std::size_t n = 0;
   for (int i = 0; i < slices; ++i) {
@@ -613,6 +622,8 @@ double blurred_pixel(const double* rows, int row0, int nx, int ny,
 
 namespace detail {
 
+void force_raster_terms(bool on) { g_raster_terms.store(on); }
+
 void force_refresh_strips(int strips) { g_refresh_strips.store(strips); }
 
 void separable_blur_forced(const double* src, double* dst, int nx, int ny,
@@ -718,6 +729,35 @@ int term_k(double sigma, Coord pixel) {
                                       static_cast<double>(pixel)));
 }
 
+namespace {
+
+// The fine base grid of a set of long-range terms: pixel p resolves the
+// finest (sigma_min / kPixelsPerSigma), and term t's map takes pixel k_t * p,
+// the largest multiple of p within its own sigma_t / kPixelsPerSigma. The
+// margin is map_margin_sigmas widest sigmas, but never below 2 pixels of
+// the coarsest map: edge centroids need one in-grid bilinear neighbor
+// there, and the blur needs no margin at all (zero padding is exact when
+// every source lies on the map). All three are left in double: a term may
+// be too wide for them to fit their integer types.
+struct BaseGeometry {
+  double pixel;
+  double margin;
+};
+
+BaseGeometry base_geometry(const std::vector<PsfTerm>& terms, double margin_sigmas) {
+  double sigma_min = terms.front().sigma;
+  double sigma_max = sigma_min;
+  for (const PsfTerm& t : terms) {
+    sigma_min = std::min(sigma_min, t.sigma);
+    sigma_max = std::max(sigma_max, t.sigma);
+  }
+  const double pixel = std::max(1.0, std::floor(sigma_min / kPixelsPerSigma));
+  const double k_max = std::max(1.0, std::floor(sigma_max / kPixelsPerSigma / pixel));
+  return {pixel, std::max(2.0 * k_max * pixel, std::ceil(margin_sigmas * sigma_max))};
+}
+
+}  // namespace
+
 ExposureEvaluator::ExposureEvaluator(ShotList shots, const Psf& psf,
                                      ExposureOptions options)
     : ExposureEvaluator(std::move(shots), 0, psf, options) {}
@@ -729,9 +769,12 @@ ExposureEvaluator::ExposureEvaluator(ShotList shots, std::size_t active_count,
   expects(active_count <= shots_.size(),
           "ExposureEvaluator: active count exceeds shot count");
   active_ = active_count == 0 ? shots_.size() : active_count;
+  std::vector<PsfTerm> wide;
   for (const PsfTerm& t : psf.terms()) {
-    (t.sigma >= kLongRangeThreshold ? long_terms_ : short_terms_).push_back(t);
+    (t.sigma >= kLongRangeThreshold ? wide : short_terms_).push_back(t);
   }
+  Box frame;
+  for (const Shot& s : shots_) frame += s.shape.bbox();
 
   // Active-centroid cache: the sweep and the term maps' read sets take
   // these points.
@@ -748,25 +791,127 @@ ExposureEvaluator::ExposureEvaluator(ShotList shots, std::size_t active_count,
       },
       opt_.threads);
 
+  choose_term_split(wide, frame);
   // All-long PSFs (pure raster evaluation) need no neighbor structure at
   // all: skip grid construction entirely.
-  if (!short_terms_.empty()) {
-    build_grid();
+  if (short_terms_.empty()) {
+    grid_start_ = {};
+    grid_items_ = {};
+  } else {
+    double max_short = 0.0;
+    for (const PsfTerm& t : short_terms_) max_short = std::max(max_short, t.sigma);
+    const double cutoff = opt_.cutoff_sigmas * max_short;
+    if (grid_start_.empty() || cutoff != cutoff_) build_grid(cutoff, frame);
     build_short_operator();
   }
-  build_long_range();
+  build_long_range(frame);
 }
 
-void ExposureEvaluator::build_grid() {
-  double max_short = 0.0;
-  for (const PsfTerm& t : short_terms_) max_short = std::max(max_short, t.sigma);
-  cutoff_ = opt_.cutoff_sigmas * max_short;
+void ExposureEvaluator::choose_term_split(const std::vector<PsfTerm>& wide,
+                                          const Box& frame) {
+  // Candidates: every wide term but the widest, finest first. Each moves
+  // while its rectangles do not outnumber its raster's pixels; the first
+  // that stays keeps the wider ones on their rasters.
+  std::vector<std::size_t> order(wide.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return wide[a].sigma < wide[b].sigma;
+  });
+  std::vector<bool> analytic(wide.size(), false);
+  for (std::size_t c = 0; c + 1 < order.size() && !g_raster_terms.load(); ++c) {
+    // The raster the term would stay on: the base grid of it and every
+    // wider term.
+    std::vector<PsfTerm> rest;
+    for (std::size_t j = c; j < order.size(); ++j) rest.push_back(wide[order[j]]);
+    const BaseGeometry g = base_geometry(rest, opt_.map_margin_sigmas);
+    const auto side = [&](Coord64 extent) {
+      return std::max(1.0, std::ceil((static_cast<double>(extent) + 2.0 * g.margin) / g.pixel));
+    };
+    const double pixels = side(frame.width()) * side(frame.height());
+    const PsfTerm& term = wide[order[c]];
+    build_grid(opt_.cutoff_sigmas * term.sigma, frame);
+    if (count_term_rects(term, pixels) > pixels) break;
+    analytic[order[c]] = true;
+  }
+  for (std::size_t i = 0; i < wide.size(); ++i)
+    (analytic[i] ? short_terms_ : long_terms_).push_back(wide[i]);
+}
 
-  Box frame;
+double ExposureEvaluator::count_term_rects(const PsfTerm& term, double limit) const {
+  // The accepted shots of each centroid's neighbor walk, found without its
+  // reach margin and visit marks: only the cells that hold a point within
+  // the cutoff are scanned, and a shot listed in several of them is counted
+  // in the first (lowest row, then column) only. Chunks add each
+  // centroid's count to one total and all stop once it passes limit. The
+  // total only grows, so whether it ends above limit does not depend on the
+  // thread count.
+  // Each grid entry's shot: its bbox, the cell its low corner lies in and
+  // its rectangle count, in grid order.
+  struct Item {
+    double lx, ly, hx, hy;
+    int sx, sy;
+    std::uint32_t rects;
+  };
+  std::vector<Item> items(grid_items_.size());
+  parallel_for(
+      items.size(),
+      [&](std::size_t k0, std::size_t k1) {
+        for (std::size_t k = k0; k < k1; ++k) {
+          const Trapezoid& t = shots_[grid_items_[k]].shape;
+          const Box bb = t.bbox();
+          items[k] = {double(bb.lo.x),
+                      double(bb.lo.y),
+                      double(bb.hi.x),
+                      double(bb.hi.y),
+                      static_cast<int>((Coord64(bb.lo.x) - grid_origin_.x) / cell_),
+                      static_cast<int>((Coord64(bb.lo.y) - grid_origin_.y) / cell_),
+                      t.is_rect() ? 1 : static_cast<std::uint32_t>(term_slices(term, t))};
+        }
+      },
+      opt_.threads);
+  const double cut2 = cutoff_ * cutoff_;
+  const auto cell_of = [&](double v, Coord origin, int n) {
+    const double c = std::floor((v - origin) / static_cast<double>(cell_));
+    return static_cast<int>(std::fmin(std::fmax(c, 0.0), double(n - 1)));
+  };
+  std::atomic<std::uint64_t> total{0};
+  std::atomic<bool> over{false};
+  parallel_for(
+      active_,
+      [&](std::size_t i0, std::size_t i1) {
+        for (std::size_t i = i0; i < i1 && !over.load(std::memory_order_relaxed); ++i) {
+          const double px = cx_[i];
+          const double py = cy_[i];
+          const int x0 = cell_of(px - cutoff_, grid_origin_.x, gx_);
+          const int x1 = cell_of(px + cutoff_, grid_origin_.x, gx_);
+          const int y0 = cell_of(py - cutoff_, grid_origin_.y, gy_);
+          const int y1 = cell_of(py + cutoff_, grid_origin_.y, gy_);
+          std::uint64_t n = 0;
+          for (int y = y0; y <= y1; ++y) {
+            for (int x = x0; x <= x1; ++x) {
+              const std::size_t c = static_cast<std::size_t>(y) * gx_ + x;
+              for (std::uint32_t k = grid_start_[c]; k < grid_start_[c + 1]; ++k) {
+                const Item& it = items[k];
+                const double dx = std::max(std::max(it.lx - px, px - it.hx), 0.0);
+                const double dy = std::max(std::max(it.ly - py, py - it.hy), 0.0);
+                const bool take = (std::max(it.sx, x0) == x) & (std::max(it.sy, y0) == y) &
+                                  (dx * dx + dy * dy <= cut2);
+                n += take ? it.rects : 0;
+              }
+            }
+          }
+          if (static_cast<double>(total.fetch_add(n) + n) > limit) over.store(true);
+        }
+      },
+      opt_.threads);
+  return static_cast<double>(total.load());
+}
+
+void ExposureEvaluator::build_grid(double cutoff, const Box& frame) {
+  cutoff_ = cutoff;
   double avg_w = 0.0, avg_h = 0.0;
   for (const Shot& s : shots_) {
     const Box bb = s.shape.bbox();
-    frame += bb;
     avg_w += static_cast<double>(bb.width());
     avg_h += static_cast<double>(bb.height());
   }
@@ -823,28 +968,22 @@ void ExposureEvaluator::build_grid() {
   }
 }
 
-void ExposureEvaluator::build_long_range() {
+void ExposureEvaluator::build_long_range(const Box& frame) {
   term_maps_.clear();
   base_grid_.reset();
   if (long_terms_.empty()) return;
 
-  Box frame;
-  for (const Shot& s : shots_) frame += s.shape.bbox();
-
-  // The fine base raster: pixel p resolves the finest long-range term. Term
-  // t's map takes pixel k_t * p, the largest multiple of p within its own
-  // sigma_t / kPixelsPerSigma, so every kernel spans ~4 * kPixelsPerSigma
-  // of its own pixels.
-  double sigma_min = long_terms_.front().sigma;
-  double sigma_max = sigma_min;
-  for (const PsfTerm& t : long_terms_) {
-    sigma_min = std::min(sigma_min, t.sigma);
-    sigma_max = std::max(sigma_max, t.sigma);
+  // The fine base raster (see base_geometry): every kernel spans
+  // ~4 * kPixelsPerSigma of its own map's pixels.
+  const BaseGeometry geometry = base_geometry(long_terms_, opt_.map_margin_sigmas);
+  const double margin = geometry.margin;
+  // The pixel, a term's k and the margin scale with sigma, which may be any
+  // finite value; each must fit its integer type before it is cast to one.
+  if (!(geometry.pixel <= std::numeric_limits<Coord>::max())) {
+    throw DataError("ExposureEvaluator: the base pixel (" + std::to_string(geometry.pixel) +
+                    " dbu) does not fit a coordinate");
   }
-  const Coord pixel =
-      std::max<Coord>(1, static_cast<Coord>(sigma_min / kPixelsPerSigma));
-  // A term's k and the margin scale with its sigma, which may be any finite
-  // value; each must fit its integer type before it is cast to one.
+  const Coord pixel = static_cast<Coord>(geometry.pixel);
   for (const PsfTerm& t : long_terms_) {
     if (!(t.sigma / kPixelsPerSigma / static_cast<double>(pixel) <
           std::numeric_limits<int>::max())) {
@@ -852,15 +991,6 @@ void ExposureEvaluator::build_long_range() {
                       " dbu is too wide for pixel " + std::to_string(pixel));
     }
   }
-  int k_max = 1;
-  for (const PsfTerm& t : long_terms_)
-    k_max = std::max(k_max, term_k(t.sigma, pixel));
-  // Margin per map_margin_sigmas, but never below 2 pixels of the coarsest
-  // map: edge centroids need one in-grid bilinear neighbor there, and the
-  // blur needs no margin at all (zero padding is exact when every source
-  // lies on the map).
-  const double margin = std::max(2.0 * k_max * static_cast<double>(pixel),
-                                 std::ceil(opt_.map_margin_sigmas * sigma_max));
   if (!(margin < static_cast<double>(std::numeric_limits<Coord>::max()) + 1.0)) {
     throw DataError("ExposureEvaluator: the long-range map margin (" +
                     std::to_string(margin) + " dbu) does not fit a coordinate");
@@ -970,6 +1100,12 @@ void ExposureEvaluator::build_long_range() {
     for (const std::vector<Splat>& p : parts) slant_.insert(slant_.end(), p.begin(), p.end());
   }
   refresh_long_range();
+}
+
+std::size_t ExposureEvaluator::base_pixels() const {
+  return base_grid_ ? static_cast<std::size_t>(base_grid_->width()) *
+                          static_cast<std::size_t>(base_grid_->height())
+                    : 0;
 }
 
 void ExposureEvaluator::build_read_set(TermMap& tm) {

@@ -1,13 +1,24 @@
 // Exposure evaluation: deposited energy at arbitrary points for a dosed
 // shot list under a sum-of-Gaussians PSF.
 //
-// Two-scale strategy (the same split commercial PEC engines use):
-//   - short-range terms (forward scattering, sigma below
-//     kLongRangeThreshold) are summed analytically over neighbor shots
-//     within a cutoff, found through a flat CSR spatial grid;
+// Two-scale strategy (the split commercial PEC engines use; PROXECCO sums
+// the backscatter on a coarse grid and the near terms another way):
+//   - short-range terms are summed analytically over neighbor shots within
+//     a cutoff, found through a flat CSR spatial grid;
 //   - long-range terms (backscattering, sigma >> feature size) are evaluated
 //     on coarse rasters, one per term: dose-weighted coverage, Gaussian
 //     convolution, bilinear interpolation at the query point.
+// Which terms are short is chosen per evaluator, at construction, from the
+// geometry and the PSF alone: every term below kLongRangeThreshold is
+// analytic, the widest term is on a raster, and each term in between,
+// finest first, is analytic when the analytic sum would hold no more
+// rectangles than that term's raster (the base grid it would set) has
+// pixels. The count walks the neighbors at the term's cutoff and stops
+// once it passes the pixel count, so the check costs at most one raster
+// pass. The first term that stays on a raster keeps every wider one there.
+// A mid-range term next to large pads needs a few rectangles per centroid
+// but would set a fine base pixel over the whole frame; on a dense slanted
+// layout it is the other way round.
 // The split keeps evaluation O(neighbors) per point instead of O(shots),
 // with error bounded by the raster pixel (<= sigma / kPixelsPerSigma) and
 // the cutoff_sigmas truncation (< 1e-6 of the term weight at the default 4
@@ -75,8 +86,10 @@
 
 namespace ebl {
 
-/// PSF terms with sigma >= this many dbu go to the raster path; narrower
-/// ones are summed analytically over neighbors.
+/// PSF terms narrower than this many dbu are always summed analytically
+/// over neighbors. Wider ones go to the raster path, except that a term
+/// that is not the widest moves to the analytic sum when that is cheaper
+/// (see the header comment).
 inline constexpr double kLongRangeThreshold = 400.0;
 
 /// Long-range map resolution: each term's map pixel is the largest multiple
@@ -243,9 +256,25 @@ class ExposureEvaluator {
   /// Cumulative long-range refresh timings (see BlurPerf).
   const BlurPerf& blur_perf() const { return perf_; }
 
+  /// The PSF terms the short-range operator sums and those on rasters (see
+  /// the header comment for the split).
+  const std::vector<PsfTerm>& analytic_terms() const { return short_terms_; }
+  const std::vector<PsfTerm>& raster_terms() const { return long_terms_; }
+  /// Rectangles the short-range operator holds, and pixels of the fine base
+  /// grid (0 without raster terms).
+  std::size_t operator_rectangles() const { return short_src_.size(); }
+  std::size_t base_pixels() const;
+
  private:
-  void build_grid();
-  void build_long_range();
+  // Moves the terms of wide (all at or above kLongRangeThreshold) that the
+  // cost rule picks into short_terms_ and the rest into long_terms_.
+  void choose_term_split(const std::vector<PsfTerm>& wide, const Box& frame);
+  // How many rectangles term would add to the operator at the built grid's
+  // cutoff, counted up to the first total above limit.
+  double count_term_rects(const PsfTerm& term, double limit) const;
+  // The neighbor grid for a neighbor cutoff of cutoff dbu.
+  void build_grid(double cutoff, const Box& frame);
+  void build_long_range(const Box& frame);
   // One full refresh: the band sweep (refresh_band per band), then every
   // term's blur of its read set.
   void refresh_long_range();
@@ -421,6 +450,12 @@ namespace detail {
 void separable_blur_forced(const double* src, double* dst, int nx, int ny,
                            std::size_t stride, const std::vector<double>& taps,
                            int threads, int bands, bool avx2);
+
+/// Test hook of the evaluator's term split: while on, every later
+/// evaluator puts each term at or above kLongRangeThreshold on a raster,
+/// without the cost choice (see the header comment); off restores it. Lets
+/// tests of the raster path keep a mid-range term there.
+void force_raster_terms(bool on);
 
 /// Test hook of the evaluator's refresh: every later refresh, in any
 /// evaluator, cuts its band sweep into @p strips parallel strips of

@@ -141,5 +141,64 @@ TEST(FieldPartition, WrapperMatchesCombinedResult) {
   }
 }
 
+// Every field of the grid over the shots' bbox, each shot clipped into it
+// in index order, the empty fields dropped: the partition as it was before
+// shots inside one field skipped the clip.
+std::vector<FieldJob> clip_every_shot(const ShotList& shots, Coord field) {
+  const Box bb = shots_bbox(shots);
+  std::vector<FieldJob> out;
+  for (Coord64 y = bb.lo.y; y <= bb.hi.y; y += field) {
+    for (Coord64 x = bb.lo.x; x <= bb.hi.x; x += field) {
+      FieldJob job{Box{static_cast<Coord>(x), static_cast<Coord>(y),
+                       static_cast<Coord>(x + field), static_cast<Coord>(y + field)},
+                   {}};
+      for (const Shot& s : shots)
+        for (const Trapezoid& piece : clip_trapezoid(s.shape, job.field))
+          job.shots.push_back(Shot{piece, s.dose});
+      if (!job.shots.empty()) out.push_back(std::move(job));
+    }
+  }
+  return out;
+}
+
+TEST(FieldPartition, UnclippedShotsMatchClippingEveryShot) {
+  // Seeded slanted trapezoids and triangles, some inside one field and some
+  // across its lines, then rectangles and slanted shapes whose edges lie
+  // exactly on field lines (the grid is anchored at the first shot's
+  // corner, 0, 0).
+  constexpr Coord kField = 10000;
+  Rng rng(2027);
+  ShotList shots;
+  shots.push_back({Trapezoid::rect(Box{0, 0, 10000, 10000}), 1.0});
+  for (int i = 0; i < 400; ++i) {
+    const Coord y0 = static_cast<Coord>(rng.uniform(0, 45000));
+    const Coord y1 = y0 + static_cast<Coord>(rng.uniform(1, 6000));
+    const Coord xl0 = static_cast<Coord>(rng.uniform(0, 45000));
+    const Coord xr0 = xl0 + static_cast<Coord>(rng.uniform(i % 5 == 0 ? 0 : 1, 6000));
+    const Coord xl1 = xl0 + static_cast<Coord>(rng.uniform(-2000, 2000));
+    const Coord xr1 = std::max(xl1 + (xr0 == xl0 ? 1 : 0),
+                               xr0 + static_cast<Coord>(rng.uniform(-2000, 2000)));
+    const Trapezoid t(y0, y1, xl0, xr0, xl1, xr1);
+    if (t.valid()) shots.push_back({t, 0.5 + 0.01 * i});
+  }
+  for (const Coord line : {10000, 20000, 30000}) {
+    shots.push_back({Trapezoid::rect(Box{line, 2000, line + 3000, 5000}), 1.1});
+    shots.push_back({Trapezoid::rect(Box{line - 3000, 2000, line, 5000}), 1.2});
+    shots.push_back({Trapezoid::rect(Box{4000, line - 2000, 6000, line}), 1.3});
+    shots.push_back({Trapezoid::rect(Box{4000, line, 6000, line + 2000}), 1.4});
+    shots.push_back({Trapezoid(line - 1000, line, line - 2000, line, line - 1000, line), 0.9});
+    shots.push_back({Trapezoid(line, line + 1000, line, line + 2000, line, line + 1000), 0.8});
+  }
+  const std::vector<FieldJob> want = clip_every_shot(shots, kField);
+  for (const int threads : {1, 4}) {
+    const FieldPartition got = partition_fields_counted(shots, kField, threads);
+    ASSERT_EQ(got.fields.size(), want.size()) << threads << " threads";
+    for (std::size_t f = 0; f < want.size(); ++f) {
+      EXPECT_EQ(got.fields[f].field, want[f].field) << "field " << f;
+      EXPECT_EQ(got.fields[f].shots, want[f].shots) << "field " << f;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace ebl

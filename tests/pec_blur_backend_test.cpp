@@ -23,6 +23,16 @@
 namespace ebl {
 namespace {
 
+// Keeps every term at or above kLongRangeThreshold on its raster while in
+// scope (see detail::force_raster_terms), so a raster-path test keeps a
+// mid-range term there.
+struct RasterTerms {
+  RasterTerms() { detail::force_raster_terms(true); }
+  ~RasterTerms() { detail::force_raster_terms(false); }
+  RasterTerms(const RasterTerms&) = delete;
+  RasterTerms& operator=(const RasterTerms&) = delete;
+};
+
 // The two-pass blur as it stood before the fused sweep: every row into a
 // full-raster scratch, then every column out of it, each output read,
 // modified and stored once per tap.
@@ -237,6 +247,7 @@ TEST(ExposureEvaluator, CoarseTermMapMatchesASingleTermEvaluatorOnItsGrid) {
   // three grids share pixel boundaries, so the two parts must sum to the
   // triple evaluator up to the float precision of the gathered coverage
   // fractions.
+  const RasterTerms raster_terms;
   const ShotList shots = pad_and_island();
   const Psf psf = Psf::triple_gaussian(50.0, 3000.0, 600.0, 0.7, 0.3);
   const auto terms = psf.terms();
@@ -486,6 +497,7 @@ TEST(ExposureEvaluator, LazyTermMapsMatchTheDenseBlurBitForBit) {
   // exposure_at forms its pixels on demand. Both must equal Raster::sample
   // of the dense blurred maps bit for bit, for split and all-active
   // evaluators, both margins and 1, 2 and 4 threads.
+  const RasterTerms raster_terms;
   const std::vector<Psf> psfs{
       Psf::triple_gaussian(50.0, 3000.0, 600.0, 0.7, 0.3),  // k = 1 and 5, short alpha
       Psf::double_gaussian(50.0, 3000.0, 0.7),               // k = 1, short alpha

@@ -93,6 +93,92 @@ TEST(ExposureEvaluator, TripleGaussianMatchesBruteForceAnalytic) {
   }
 }
 
+// A 5 x 5 array of 8-um contact pads at a 12-um pitch.
+ShotList pad_array() {
+  PolygonSet s;
+  for (Coord y = 0; y < 5; ++y)
+    for (Coord x = 0; x < 5; ++x) s.insert(Box{x * 12000, y * 12000, x * 12000 + 8000, y * 12000 + 8000});
+  ShotList shots = fracture(s, {.max_shot_size = 2000}).shots;
+  for (std::size_t i = 0; i < shots.size(); ++i)
+    shots[i].dose = 1.0 + 0.05 * static_cast<double>(i % 5);
+  return shots;
+}
+
+Psf mid_range_psf() { return Psf::triple_gaussian(50.0, 3000.0, 600.0, 0.7, 0.3); }
+
+TEST(ExposureEvaluator, PadArrayPutsTheMidRangeTermOnTheOperator) {
+  // gamma = 600 needs a few rectangles per pad centroid but would set a
+  // 150-dbu base pixel over the whole array: it is summed analytically,
+  // and beta, the widest term, stays on its raster.
+  const ShotList shots = pad_array();
+  ExposureOptions opt;
+  opt.map_margin_sigmas = 0.0;
+  const ExposureEvaluator eval(shots, mid_range_psf(), opt);
+  ASSERT_EQ(eval.analytic_terms().size(), 2u);
+  EXPECT_EQ(eval.analytic_terms()[0].sigma, 50.0);
+  EXPECT_EQ(eval.analytic_terms()[1].sigma, 600.0);
+  ASSERT_EQ(eval.raster_terms().size(), 1u);
+  EXPECT_EQ(eval.raster_terms()[0].sigma, 3000.0);
+  // The raster gamma gave up: the forced split keeps it there.
+  detail::force_raster_terms(true);
+  const ExposureEvaluator raster(shots, mid_range_psf(), opt);
+  detail::force_raster_terms(false);
+  ASSERT_EQ(raster.raster_terms().size(), 2u);
+  EXPECT_LT(eval.operator_rectangles(), raster.base_pixels());
+  EXPECT_LT(eval.base_pixels(), raster.base_pixels());
+}
+
+TEST(ExposureEvaluator, DenseSlantedLayoutKeepsTheMidRangeTermOnItsRaster) {
+  // A zone plate fractured into 2-um shots, most of them slanted: gamma's
+  // operator would hold more rectangles than its raster has pixels, so it
+  // stays there, and the operator (alpha's) holds fewer than that raster's
+  // pixels.
+  const PolygonSet plate = zone_plate({0, 0}, 150000.0, 532.0, 24, 2.0);
+  const ShotList shots = fracture(plate, {.max_shot_size = 2000}).shots;
+  ExposureOptions opt;
+  opt.map_margin_sigmas = 0.0;
+  const ExposureEvaluator eval(shots, mid_range_psf(), opt);
+  ASSERT_EQ(eval.analytic_terms().size(), 1u);
+  EXPECT_EQ(eval.analytic_terms()[0].sigma, 50.0);
+  ASSERT_EQ(eval.raster_terms().size(), 2u);
+  EXPECT_LE(eval.operator_rectangles(), eval.base_pixels());
+}
+
+TEST(ExposureEvaluator, AnalyticMidRangeTermMatchesBruteForce) {
+  // With gamma on the operator, exposure_at and the centroid sweep equal
+  // the brute-force sum of alpha and gamma over every shot plus a
+  // beta-only evaluator's raster part, up to the 4-sigma cutoff (and the
+  // sweep's fast erf).
+  const ShotList shots = pad_array();
+  const Psf psf = mid_range_psf();
+  const ExposureEvaluator eval(shots, psf);
+  ASSERT_EQ(eval.raster_terms().size(), 1u);
+  const auto terms = psf.terms();
+  const ExposureEvaluator beta(shots, Psf::from_terms({terms[1]}));
+  const auto near = [&](double x, double y) {
+    double e = 0.0;
+    for (const Shot& s : shots)
+      e += s.dose * (term_exposure_trapezoid(terms[0], s.shape, x, y) +
+                     term_exposure_trapezoid(terms[2], s.shape, x, y));
+    return e;
+  };
+  for (const auto& [x, y] : {std::pair{4000.0, 4000.0},   // pad center
+                             {8000.0, 5000.0},             // pad edge
+                             {10000.0, 10000.0},           // between four pads
+                             {8300.0, 7900.0},             // just off a corner
+                             {24000.0, 24000.0},           // the array's center
+                             {-700.0, 30000.0}}) {         // outside the array
+    EXPECT_NEAR(eval.exposure_at(x, y), near(x, y) + beta.exposure_at(x, y), 1e-6)
+        << "at " << x << "," << y;
+  }
+  const std::vector<double> sweep = eval.exposures_at_centroids();
+  const std::vector<double> beta_sweep = beta.exposures_at_centroids();
+  for (std::size_t i = 0; i < shots.size(); i += 7) {
+    const auto [x, y] = eval.centroid(i);
+    EXPECT_NEAR(sweep[i], near(x, y) + beta_sweep[i], 1e-5) << "shot " << i;
+  }
+}
+
 TEST(ExposureEvaluator, SetActiveDosesScalesExposure) {
   PolygonSet s;
   s.insert(Box{0, 0, 2000, 2000});

@@ -20,6 +20,16 @@
 namespace ebl {
 namespace {
 
+// Keeps every term at or above kLongRangeThreshold on its raster while in
+// scope (see detail::force_raster_terms), so a raster-path test keeps a
+// mid-range term there.
+struct RasterTerms {
+  RasterTerms() { detail::force_raster_terms(true); }
+  ~RasterTerms() { detail::force_raster_terms(false); }
+  RasterTerms(const RasterTerms&) = delete;
+  RasterTerms& operator=(const RasterTerms&) = delete;
+};
+
 ShotList pad_and_island() {
   PolygonSet s;
   s.insert(Box{0, 0, 20000, 20000});
@@ -274,6 +284,7 @@ TEST(ExposureEvaluator, LongRangeGatherMatchesASerialReferenceBitForBit) {
   // coarser one.
   const Psf psf = Psf::double_gaussian(600.0, 3000.0, 0.7);
   ASSERT_GE(psf.min_sigma(), kLongRangeThreshold);
+  const RasterTerms raster_terms;
   for (const int threads : {1, 4}) {
     SCOPED_TRACE(threads);
     ExposureOptions opt;
@@ -368,6 +379,7 @@ TEST(ExposureEvaluator, RefreshStripCountDoesNotChangeABit) {
   std::size_t na = 0;
   ShotList shots = gather_shots(&na);
   const Psf psf = Psf::double_gaussian(600.0, 3000.0, 0.7);
+  const RasterTerms raster_terms;
   // A slanted active up to y = 30350 and a second slanted ghost.
   shots.insert(shots.begin() + static_cast<std::ptrdiff_t>(na),
                {Trapezoid(27310, 30350, 3000, 5000, 3500, 4200), 1.11});

@@ -35,6 +35,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <optional>
 #include <string>
@@ -43,6 +44,7 @@
 #include <vector>
 
 #include <signal.h>
+#include <sys/prctl.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -547,22 +549,19 @@ TEST(PecNet, DaemonExitsZeroOnSigtermBehindAStalledFrame) {
   EXPECT_LT(clock_t_::now() - t0, std::chrono::seconds(12));
 }
 
-// True once @p pid has exited: gone, or a zombie nobody reaped yet (an
-// orphan's new parent may be slow to reap, or never reap, in a container).
-bool exited(pid_t pid) {
-  std::FILE* f = std::fopen(("/proc/" + std::to_string(pid) + "/stat").c_str(), "r");
-  if (!f) return true;
-  char state = '?';
-  const int got = std::fscanf(f, "%*d (%*[^)]) %c", &state);
-  std::fclose(f);
-  return got == 1 && (state == 'Z' || state == 'X');
-}
-
 TEST(PecNet, SpawnedDaemonDiesWithItsOwner) {
   if (!worker_available()) GTEST_SKIP() << "pec_worker binary not built";
   // The owner is a forked copy of this test that spawns a daemon the way
   // the driver does, reports the daemon's pid, and waits to be SIGKILLed —
   // no destructor, no drain, nothing but the kernel to stop the daemon.
+  // While the test runs this process is a child subreaper, so the daemon,
+  // orphaned by its owner's death, becomes this process's child and is
+  // reaped here instead of being left to PID 1 as a zombie.
+  struct Subreaper {
+    int set = ::prctl(PR_SET_CHILD_SUBREAPER, 1);
+    ~Subreaper() { ::prctl(PR_SET_CHILD_SUBREAPER, 0); }
+  } subreaper;
+  ASSERT_EQ(subreaper.set, 0) << std::strerror(errno);
   const std::vector<std::string> argv = {default_pec_worker_path(), "--listen",
                                          "127.0.0.1:0", "--fault", ""};
   int fds[2];
@@ -588,11 +587,21 @@ TEST(PecNet, SpawnedDaemonDiesWithItsOwner) {
   ::waitpid(owner, nullptr, 0);
   ASSERT_TRUE(reported) << "owner failed to spawn a daemon";
 
+  // The owner's exit reparented the daemon before the owner could be
+  // reaped, so the daemon is this process's child by now.
   const auto deadline = after_ms(5000);
-  while (!exited(daemon) && clock_t_::now() < deadline)
+  int status = 0;
+  pid_t got = 0;
+  while ((got = ::waitpid(daemon, &status, WNOHANG)) == 0 && clock_t_::now() < deadline)
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  EXPECT_TRUE(exited(daemon)) << "daemon " << daemon << " outlived its owner";
-  if (!exited(daemon)) ::kill(daemon, SIGKILL);
+  if (got == 0) {
+    ::kill(daemon, SIGKILL);
+    ::waitpid(daemon, nullptr, 0);
+    FAIL() << "daemon " << daemon << " outlived its owner";
+  }
+  ASSERT_EQ(got, daemon) << std::strerror(errno);
+  EXPECT_TRUE(WIFSIGNALED(status)) << "daemon " << daemon << " exited with status "
+                                   << status << " instead of dying of a signal";
 }
 
 TEST(PecNet, SessionFactoryOpensLaunchedDaemonsFirst) {
