@@ -25,8 +25,8 @@ constexpr int kMinBandRows = 16;
 // detail::force_refresh_strips' count; 0 = two strips per thread.
 std::atomic<int> g_refresh_strips{0};
 
-// detail::force_raster_terms' switch.
-std::atomic<bool> g_raster_terms{false};
+// detail::force_term_split's choice.
+std::atomic<detail::TermSplit> g_term_split{detail::TermSplit::cost};
 
 // Epoch-stamped visited marks for duplicate rejection in neighbor queries
 // (a shot's bbox spans several grid cells, so it appears in several bins).
@@ -622,7 +622,7 @@ double blurred_pixel(const double* rows, int row0, int nx, int ny,
 
 namespace detail {
 
-void force_raster_terms(bool on) { g_raster_terms.store(on); }
+void force_term_split(TermSplit split) { g_term_split.store(split); }
 
 void force_refresh_strips(int strips) { g_refresh_strips.store(strips); }
 
@@ -731,6 +731,22 @@ int term_k(double sigma, Coord pixel) {
 
 namespace {
 
+// The term split's cost model (see choose_term_split): a construction plus
+// two full refreshes on two threads, fitted by least squares over 29
+// layouts (pec_global's and epe_verify's, a zone plate, squares at
+// 600-3000 dbu pitch and 25-90% fill, slanted triangle arrays) with the
+// triple Gaussian's gamma forced to each side (docs/architecture.md). The
+// operator costs about this many ns per rectangle it emits (the erf batch,
+// then a multiply-add per kept entry and refresh)...
+constexpr double kOperatorRectNs = 25.0;
+// ...and the raster this many per pixel of its base grid (allocation, box
+// averages and blurs), per pixel a rectangle covers (re-clipped at every
+// gather) and per pixel a slanted shape covers (clipped once, pixel by
+// pixel, at construction).
+constexpr double kRasterPixelNs = 2.9;
+constexpr double kRectCoverNs = 8.3;
+constexpr double kSlantCoverNs = 97.0;
+
 // The fine base grid of a set of long-range terms: pixel p resolves the
 // finest (sigma_min / kPixelsPerSigma), and term t's map takes pixel k_t * p,
 // the largest multiple of p within its own sigma_t / kPixelsPerSigma. The
@@ -791,7 +807,7 @@ ExposureEvaluator::ExposureEvaluator(ShotList shots, std::size_t active_count,
       },
       opt_.threads);
 
-  choose_term_split(wide, frame);
+  const bool built = choose_term_split(wide, frame);
   // All-long PSFs (pure raster evaluation) need no neighbor structure at
   // all: skip grid construction entirely.
   if (short_terms_.empty()) {
@@ -802,103 +818,91 @@ ExposureEvaluator::ExposureEvaluator(ShotList shots, std::size_t active_count,
     for (const PsfTerm& t : short_terms_) max_short = std::max(max_short, t.sigma);
     const double cutoff = opt_.cutoff_sigmas * max_short;
     if (grid_start_.empty() || cutoff != cutoff_) build_grid(cutoff, frame);
-    build_short_operator();
+    if (!built) build_short_operator();
   }
   build_long_range(frame);
 }
 
-void ExposureEvaluator::choose_term_split(const std::vector<PsfTerm>& wide,
+bool ExposureEvaluator::choose_term_split(const std::vector<PsfTerm>& wide,
                                           const Box& frame) {
-  // Candidates: every wide term but the widest, finest first. Each moves
-  // while its rectangles do not outnumber its raster's pixels; the first
-  // that stays keeps the wider ones on their rasters.
+  // Candidates: every wide term but the widest, finest first. Each joins
+  // the short-range operator while that operator (every term already
+  // analytic, and it) costs no more than the raster the candidate would
+  // otherwise set, both by the cost model above; the first that stays
+  // keeps the wider ones on their rasters. The operator is built with the
+  // candidate, giving up once it emits more rectangles than the raster's
+  // cost buys, so an accepted candidate's check is the build itself. A
+  // lower bound counted first ends most dense layouts before any build.
   std::vector<std::size_t> order(wide.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
     return wide[a].sigma < wide[b].sigma;
   });
-  std::vector<bool> analytic(wide.size(), false);
-  for (std::size_t c = 0; c + 1 < order.size() && !g_raster_terms.load(); ++c) {
+  const detail::TermSplit forced = g_term_split.load();
+  double rect_area = 0.0, slant_area = 0.0;
+  if (wide.size() > 1 && forced == detail::TermSplit::cost)
+    for (const Shot& s : shots_) (s.shape.is_rect() ? rect_area : slant_area) += s.shape.area();
+  std::size_t moved = 0;
+  bool built = false;
+  for (; moved + 1 < order.size() && forced != detail::TermSplit::raster; ++moved) {
+    const PsfTerm& term = wide[order[moved]];
+    short_terms_.push_back(term);
+    if (forced == detail::TermSplit::analytic) continue;
     // The raster the term would stay on: the base grid of it and every
     // wider term.
     std::vector<PsfTerm> rest;
-    for (std::size_t j = c; j < order.size(); ++j) rest.push_back(wide[order[j]]);
+    for (std::size_t j = moved; j < order.size(); ++j) rest.push_back(wide[order[j]]);
     const BaseGeometry g = base_geometry(rest, opt_.map_margin_sigmas);
     const auto side = [&](Coord64 extent) {
       return std::max(1.0, std::ceil((static_cast<double>(extent) + 2.0 * g.margin) / g.pixel));
     };
-    const double pixels = side(frame.width()) * side(frame.height());
-    const PsfTerm& term = wide[order[c]];
+    const double pixel2 = g.pixel * g.pixel;
+    const double raster_ns = kRasterPixelNs * side(frame.width()) * side(frame.height()) +
+                             kRectCoverNs * rect_area / pixel2 +
+                             kSlantCoverNs * slant_area / pixel2;
+    const double limit = raster_ns / kOperatorRectNs;
     build_grid(opt_.cutoff_sigmas * term.sigma, frame);
-    if (count_term_rects(term, pixels) > pixels) break;
-    analytic[order[c]] = true;
+    if (operator_rects_lower_bound(limit) > limit || !build_short_operator(limit)) {
+      short_terms_.pop_back();  // built still tells of the operator kept
+      break;
+    }
+    built = true;
   }
+  // The raster terms in PSF order: their maps' sums are added in it.
+  std::vector<bool> analytic(wide.size(), false);
+  for (std::size_t j = 0; j < moved; ++j) analytic[order[j]] = true;
   for (std::size_t i = 0; i < wide.size(); ++i)
-    (analytic[i] ? short_terms_ : long_terms_).push_back(wide[i]);
+    if (!analytic[i]) long_terms_.push_back(wide[i]);
+  return built;
 }
 
-double ExposureEvaluator::count_term_rects(const PsfTerm& term, double limit) const {
-  // The accepted shots of each centroid's neighbor walk, found without its
-  // reach margin and visit marks: only the cells that hold a point within
-  // the cutoff are scanned, and a shot listed in several of them is counted
-  // in the first (lowest row, then column) only. Chunks add each
-  // centroid's count to one total and all stop once it passes limit. The
-  // total only grows, so whether it ends above limit does not depend on the
-  // thread count.
-  // Each grid entry's shot: its bbox, the cell its low corner lies in and
-  // its rectangle count, in grid order.
-  struct Item {
-    double lx, ly, hx, hy;
-    int sx, sy;
-    std::uint32_t rects;
-  };
-  std::vector<Item> items(grid_items_.size());
-  parallel_for(
-      items.size(),
-      [&](std::size_t k0, std::size_t k1) {
-        for (std::size_t k = k0; k < k1; ++k) {
-          const Trapezoid& t = shots_[grid_items_[k]].shape;
-          const Box bb = t.bbox();
-          items[k] = {double(bb.lo.x),
-                      double(bb.lo.y),
-                      double(bb.hi.x),
-                      double(bb.hi.y),
-                      static_cast<int>((Coord64(bb.lo.x) - grid_origin_.x) / cell_),
-                      static_cast<int>((Coord64(bb.lo.y) - grid_origin_.y) / cell_),
-                      t.is_rect() ? 1 : static_cast<std::uint32_t>(term_slices(term, t))};
-        }
-      },
-      opt_.threads);
-  const double cut2 = cutoff_ * cutoff_;
-  const auto cell_of = [&](double v, Coord origin, int n) {
-    const double c = std::floor((v - origin) / static_cast<double>(cell_));
-    return static_cast<int>(std::fmin(std::fmax(c, 0.0), double(n - 1)));
-  };
+double ExposureEvaluator::operator_rects_lower_bound(double limit) const {
+  // The operator build's own walk over each centroid's own cell only,
+  // emitting nothing: every shot it accepts is one the build accepts, and
+  // adds the rectangles of each short term (a slanted shape's strips;
+  // emit_term_rects may skip an empty one), tallied per shot first. Chunks
+  // add the counts of each 64 centroids to one total and all stop once it
+  // passes limit. The total only grows, so whether it ends above limit
+  // does not depend on the thread count.
+  std::vector<std::uint32_t> rects(shots_.size(),
+                                   static_cast<std::uint32_t>(short_terms_.size()));
+  for (std::size_t s = 0; s < shots_.size(); ++s) {
+    const Trapezoid& t = shots_[s].shape;
+    if (t.is_rect()) continue;
+    rects[s] = 0;
+    for (const PsfTerm& term : short_terms_)
+      rects[s] += static_cast<std::uint32_t>(term_slices(term, t));
+  }
   std::atomic<std::uint64_t> total{0};
   std::atomic<bool> over{false};
   parallel_for(
       active_,
       [&](std::size_t i0, std::size_t i1) {
-        for (std::size_t i = i0; i < i1 && !over.load(std::memory_order_relaxed); ++i) {
-          const double px = cx_[i];
-          const double py = cy_[i];
-          const int x0 = cell_of(px - cutoff_, grid_origin_.x, gx_);
-          const int x1 = cell_of(px + cutoff_, grid_origin_.x, gx_);
-          const int y0 = cell_of(py - cutoff_, grid_origin_.y, gy_);
-          const int y1 = cell_of(py + cutoff_, grid_origin_.y, gy_);
+        for (std::size_t i = i0; i < i1 && !over.load(std::memory_order_relaxed);) {
           std::uint64_t n = 0;
-          for (int y = y0; y <= y1; ++y) {
-            for (int x = x0; x <= x1; ++x) {
-              const std::size_t c = static_cast<std::size_t>(y) * gx_ + x;
-              for (std::uint32_t k = grid_start_[c]; k < grid_start_[c + 1]; ++k) {
-                const Item& it = items[k];
-                const double dx = std::max(std::max(it.lx - px, px - it.hx), 0.0);
-                const double dy = std::max(std::max(it.ly - py, py - it.hy), 0.0);
-                const bool take = (std::max(it.sx, x0) == x) & (std::max(it.sy, y0) == y) &
-                                  (dx * dx + dy * dy <= cut2);
-                n += take ? it.rects : 0;
-              }
-            }
+          for (const std::size_t end = std::min(i1, i + 64); i < end; ++i) {
+            visit_short_neighbors(
+                cx_[i], cy_[i], [&](std::uint32_t idx) { n += rects[idx]; }, 0);
           }
           if (static_cast<double>(total.fetch_add(n) + n) > limit) over.store(true);
         }
@@ -1424,10 +1428,11 @@ std::pair<double, double> ExposureEvaluator::centroid(std::size_t i) const {
 }
 
 template <typename Fn>
-void ExposureEvaluator::visit_short_neighbors(double px, double py, Fn&& fn) const {
+void ExposureEvaluator::visit_short_neighbors(double px, double py, Fn&& fn,
+                                              int reach) const {
   const std::uint32_t epoch = begin_visit_epoch(shots_.size());
   VisitScratch& vs = t_visit;
-  const int reach = static_cast<int>(std::ceil(cutoff_ / cell_)) + 1;
+  if (reach < 0) reach = static_cast<int>(std::ceil(cutoff_ / cell_)) + 1;
   // The query's cell, clamped in double before the cast so a point however
   // far from the pattern (or NaN) stays defined: one cell past the reach
   // beyond either grid edge already visits no cell.
@@ -1514,13 +1519,17 @@ void ExposureEvaluator::eval_erf(const double* x, double* y, std::size_t n) cons
   }
 }
 
-void ExposureEvaluator::build_short_operator() {
+bool ExposureEvaluator::build_short_operator(double limit) {
   // Each centroid walks its neighbors as exposure_at does, but packs the erf
   // arguments of the whole query into one batch. Shots are accepted in
   // cell-scan order and their rectangles kept in emission order, so the
   // operator is a deterministic function of the geometry alone. Consecutive
   // centroids are cut into parts, collected part by part and joined in
-  // order, so the part count does not change a bit either.
+  // order, so the part count does not change a bit either. Under a finite
+  // limit a part adds what its centroids emitted to one total every 64
+  // centroids and at its end, and every part gives up once that passes
+  // limit: the total only grows, so whether it does depends on the
+  // geometry alone.
   const std::size_t nt = short_terms_.size();
   expects(shots_.size() <= std::numeric_limits<std::uint32_t>::max() / nt,
           "ExposureEvaluator: too many shots for the short-range operator");
@@ -1532,13 +1541,19 @@ void ExposureEvaluator::build_short_operator() {
   const std::size_t parts =
       std::min<std::size_t>(active_, 4 * static_cast<std::size_t>(resolve_threads(opt_.threads)));
   std::vector<Part> part(parts);
+  const bool capped = limit < std::numeric_limits<double>::infinity();
+  std::atomic<std::uint64_t> emitted{0};
+  std::atomic<bool> over{false};
   parallel_for(
       parts,
       [&](std::size_t p0, std::size_t p1) {
         ShortScratch& sc = t_short;
         for (std::size_t p = p0; p < p1; ++p) {
           Part& pt = part[p];
-          for (std::size_t i = active_ * p / parts; i < active_ * (p + 1) / parts; ++i) {
+          const std::size_t end = active_ * (p + 1) / parts;
+          std::uint64_t pending = 0;  // emitted since the part last added to the total
+          for (std::size_t i = active_ * p / parts; i < end; ++i) {
+            if (capped && over.load(std::memory_order_relaxed)) return;
             const double px = cx_[i];
             const double py = cy_[i];
             sc.args.clear();
@@ -1550,6 +1565,12 @@ void ExposureEvaluator::build_short_operator() {
                 sc.src.insert(sc.src.end(), n, static_cast<std::uint32_t>(idx * nt + t));
               }
             });
+            pending += sc.src.size();
+            if (capped && (i % 64 == 63 || i + 1 == end)) {
+              if (static_cast<double>(emitted.fetch_add(pending) + pending) > limit)
+                over.store(true);
+              pending = 0;
+            }
             sc.erfs.resize(sc.args.size());
             eval_erf(sc.args.data(), sc.erfs.data(), sc.args.size());
             std::uint32_t kept = 0;
@@ -1571,6 +1592,7 @@ void ExposureEvaluator::build_short_operator() {
         }
       },
       opt_.threads);
+  if (over.load()) return false;
 
   // Join the parts in order, freeing each as it goes.
   std::size_t entries = 0;
@@ -1585,6 +1607,7 @@ void ExposureEvaluator::build_short_operator() {
     short_diff_.insert(short_diff_.end(), pt.diff.begin(), pt.diff.end());
     pt = Part();
   }
+  return true;
 }
 
 void ExposureEvaluator::refresh_short_cache() const {

@@ -11,12 +11,20 @@
 // Which terms are short is chosen per evaluator, at construction, from the
 // geometry and the PSF alone: every term below kLongRangeThreshold is
 // analytic, the widest term is on a raster, and each term in between,
-// finest first, is analytic when the analytic sum would hold no more
-// rectangles than that term's raster (the base grid it would set) has
-// pixels. The count walks the neighbors at the term's cutoff and stops
-// once it passes the pixel count, so the check costs at most one raster
-// pass. The first term that stays on a raster keeps every wider one there.
-// A mid-range term next to large pads needs a few rectangles per centroid
+// finest first, is analytic when a measured cost model says the operator
+// with it is cheaper than the raster it would set: about 25 ns per
+// rectangle the operator emits (every analytic term's, at the term's
+// cutoff) against 2.9 ns per pixel of that raster's base grid plus 8.3 ns
+// per pixel a rectangle covers and 97 ns per pixel a slanted shape covers
+// (construction plus two refreshes on two threads; docs/architecture.md
+// has the fit). The model leaves out fixed costs, which lean towards the
+// raster, so near the break-even it keeps the raster. The operator is
+// built with the term and gives up once it has emitted more rectangles
+// than the raster is worth, after a cheap lower bound (each centroid's own
+// neighbor cell) has not already ruled the term out; so an accepted term
+// costs no extra pass, and a rejected one at most about its raster's cost.
+// The first term that stays on a raster keeps every wider one there. A
+// mid-range term next to large pads needs a few rectangles per centroid
 // but would set a fine base pixel over the whole frame; on a dense slanted
 // layout it is the other way round.
 // The split keeps evaluation O(neighbors) per point instead of O(shots),
@@ -77,6 +85,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -267,11 +276,13 @@ class ExposureEvaluator {
 
  private:
   // Moves the terms of wide (all at or above kLongRangeThreshold) that the
-  // cost rule picks into short_terms_ and the rest into long_terms_.
-  void choose_term_split(const std::vector<PsfTerm>& wide, const Box& frame);
-  // How many rectangles term would add to the operator at the built grid's
-  // cutoff, counted up to the first total above limit.
-  double count_term_rects(const PsfTerm& term, double limit) const;
+  // cost choice picks into short_terms_ and the rest into long_terms_.
+  // Returns whether the short-range operator of the chosen terms is built
+  // (on the grid at their cutoff).
+  bool choose_term_split(const std::vector<PsfTerm>& wide, const Box& frame);
+  // A lower bound on the rectangles the short-range operator would emit at
+  // the built grid's cutoff, counted up to the first total above limit.
+  double operator_rects_lower_bound(double limit) const;
   // The neighbor grid for a neighbor cutoff of cutoff dbu.
   void build_grid(double cutoff, const Box& frame);
   void build_long_range(const Box& frame);
@@ -293,17 +304,22 @@ class ExposureEvaluator {
   // none changed.
   void apply_doses(const double* doses, std::size_t end);
   // The short-range operator (short_start_ and the arrays below), built
-  // once from the geometry.
-  void build_short_operator();
+  // once from the geometry. Gives up, leaving the members as they were and
+  // returning false, once the build has emitted more than limit rectangles
+  // (before dropping the zero ones).
+  bool build_short_operator(double limit = std::numeric_limits<double>::infinity());
   // Each active centroid's short-range sum at the applied doses.
   void refresh_short_cache() const;
   // Shared neighbor walk of the analytic path: epoch-deduped grid scan
   // around (px, py) with the cutoff bbox-distance reject, invoking
   // fn(shot_index) for every accepted shot in deterministic cell-scan
-  // order. Both the scalar point query and the batched sweep go through it,
-  // so their inclusion semantics cannot drift apart.
+  // order. The point query, the operator build and the term split's count
+  // all go through it, so their inclusion semantics cannot drift apart.
+  // It scans the cells within reach of the point's cell; the default (-1)
+  // is ceil(cutoff / cell) + 1, which fixes the order the operator keeps.
+  // A reach of 0 visits a subset of the accepted shots.
   template <typename Fn>
-  void visit_short_neighbors(double px, double py, Fn&& fn) const;
+  void visit_short_neighbors(double px, double py, Fn&& fn, int reach = -1) const;
   // Active centroids [i0, i1) of the sweep into out.
   void sweep_centroids(std::size_t i0, std::size_t i1, double* out) const;
   void eval_erf(const double* x, double* y, std::size_t n) const;
@@ -451,11 +467,18 @@ void separable_blur_forced(const double* src, double* dst, int nx, int ny,
                            std::size_t stride, const std::vector<double>& taps,
                            int threads, int bands, bool avx2);
 
-/// Test hook of the evaluator's term split: while on, every later
-/// evaluator puts each term at or above kLongRangeThreshold on a raster,
-/// without the cost choice (see the header comment); off restores it. Lets
-/// tests of the raster path keep a mid-range term there.
-void force_raster_terms(bool on);
+/// How the evaluator splits the terms at or above kLongRangeThreshold.
+enum class TermSplit {
+  cost,      ///< the cost choice (see the header comment); the default
+  raster,    ///< every one on a raster
+  analytic,  ///< every one but the widest summed analytically
+};
+
+/// Test hook of the evaluator's term split: every later evaluator splits
+/// its terms as @p split says; TermSplit::cost restores the default. Lets
+/// tests of the raster path keep a mid-range term there, and a timing
+/// driver weigh both sides of the cost choice on one layout.
+void force_term_split(TermSplit split);
 
 /// Test hook of the evaluator's refresh: every later refresh, in any
 /// evaluator, cuts its band sweep into @p strips parallel strips of

@@ -24,11 +24,11 @@ namespace ebl {
 namespace {
 
 // Keeps every term at or above kLongRangeThreshold on its raster while in
-// scope (see detail::force_raster_terms), so a raster-path test keeps a
+// scope (see detail::force_term_split), so a raster-path test keeps a
 // mid-range term there.
 struct RasterTerms {
-  RasterTerms() { detail::force_raster_terms(true); }
-  ~RasterTerms() { detail::force_raster_terms(false); }
+  RasterTerms() { detail::force_term_split(detail::TermSplit::raster); }
+  ~RasterTerms() { detail::force_term_split(detail::TermSplit::cost); }
   RasterTerms(const RasterTerms&) = delete;
   RasterTerms& operator=(const RasterTerms&) = delete;
 };

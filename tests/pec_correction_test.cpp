@@ -24,6 +24,16 @@ ShotList pad_and_island() {
 
 Psf test_psf() { return Psf::double_gaussian(50.0, 3000.0, 0.7); }
 
+// Keeps every term at or above kLongRangeThreshold on its raster while in
+// scope (see detail::force_term_split), so a raster-path test keeps a
+// mid-range term there.
+struct RasterTerms {
+  RasterTerms() { detail::force_term_split(detail::TermSplit::raster); }
+  ~RasterTerms() { detail::force_term_split(detail::TermSplit::cost); }
+  RasterTerms(const RasterTerms&) = delete;
+  RasterTerms& operator=(const RasterTerms&) = delete;
+};
+
 TEST(ExposureEvaluator, UniformLargePadCenterIsOne) {
   PolygonSet s;
   s.insert(Box{0, 0, 40000, 40000});  // 40 µm >> 4 beta
@@ -70,10 +80,14 @@ TEST(ExposureEvaluator, TripleGaussianMatchesBruteForceAnalytic) {
   // so |E''| is at most half the L1 norm of the term's second derivative,
   // 0.968 w / sigma^2. Two axes at h = sigma/4 give
   // 2 * (1/24 + 1/8) * 0.968 / 16 ~= w / 50 per term (a 250-dbu probe grid
-  // over this pattern peaks at 3.4e-3 against the bound's 1e-2).
+  // over this pattern peaks at 3.4e-3 against the bound's 1e-2). The
+  // split is forced: the cost choice sums gamma analytically on this
+  // pattern.
+  const RasterTerms raster_terms;
   const ShotList shots = pad_and_island();
   const Psf psf = Psf::triple_gaussian(50.0, 3000.0, 600.0, 0.7, 0.3);
   const ExposureEvaluator eval(shots, psf);
+  ASSERT_EQ(eval.raster_terms().size(), 2u);
   double long_weight = 0.0;
   for (const PsfTerm& t : psf.terms())
     if (t.sigma >= kLongRangeThreshold) long_weight += t.weight;
@@ -120,19 +134,21 @@ TEST(ExposureEvaluator, PadArrayPutsTheMidRangeTermOnTheOperator) {
   ASSERT_EQ(eval.raster_terms().size(), 1u);
   EXPECT_EQ(eval.raster_terms()[0].sigma, 3000.0);
   // The raster gamma gave up: the forced split keeps it there.
-  detail::force_raster_terms(true);
-  const ExposureEvaluator raster(shots, mid_range_psf(), opt);
-  detail::force_raster_terms(false);
+  const auto raster = [&] {
+    const RasterTerms raster_terms;
+    return ExposureEvaluator(shots, mid_range_psf(), opt);
+  }();
   ASSERT_EQ(raster.raster_terms().size(), 2u);
   EXPECT_LT(eval.operator_rectangles(), raster.base_pixels());
   EXPECT_LT(eval.base_pixels(), raster.base_pixels());
 }
 
 TEST(ExposureEvaluator, DenseSlantedLayoutKeepsTheMidRangeTermOnItsRaster) {
-  // A zone plate fractured into 2-um shots, most of them slanted: gamma's
-  // operator would hold more rectangles than its raster has pixels, so it
-  // stays there, and the operator (alpha's) holds fewer than that raster's
-  // pixels.
+  // A zone plate fractured into 2-um shots, most of them slanted: the
+  // operator of alpha and gamma would emit over ten times the rectangles
+  // gamma's raster is worth (alpha's 25-dbu strips of every shot within
+  // gamma's 2.4-um cutoff), so gamma stays there, and the operator
+  // (alpha's) holds fewer rectangles than that raster has pixels.
   const PolygonSet plate = zone_plate({0, 0}, 150000.0, 532.0, 24, 2.0);
   const ShotList shots = fracture(plate, {.max_shot_size = 2000}).shots;
   ExposureOptions opt;
@@ -142,6 +158,67 @@ TEST(ExposureEvaluator, DenseSlantedLayoutKeepsTheMidRangeTermOnItsRaster) {
   EXPECT_EQ(eval.analytic_terms()[0].sigma, 50.0);
   ASSERT_EQ(eval.raster_terms().size(), 2u);
   EXPECT_LE(eval.operator_rectangles(), eval.base_pixels());
+}
+
+// side-dbu squares at a pitch-dbu pitch, n x n.
+ShotList square_array(int n, Coord side, Coord pitch) {
+  PolygonSet s;
+  for (Coord y = 0; y < n; ++y)
+    for (Coord x = 0; x < n; ++x)
+      s.insert(Box{x * pitch, y * pitch, x * pitch + side, y * pitch + side});
+  return fracture(s, {.max_shot_size = 2000}).shots;
+}
+
+TEST(ExposureEvaluator, AGivenUpOperatorBuildLeavesTheRasterSplit) {
+  // 300-dbu squares at a 1.2-um pitch: the operator with gamma would emit
+  // more rectangles than gamma's raster is worth (about 17.6 a centroid
+  // here), though the lower bound from each centroid's own cell (8 a
+  // centroid) stays below that, so the build with gamma gives up part way. The evaluator must then be the raster split's, bit for bit,
+  // before and after a dose update.
+  const ShotList shots = square_array(40, 300, 1200);
+  const Psf psf = mid_range_psf();
+  ExposureEvaluator a(shots, psf);
+  ASSERT_EQ(a.raster_terms().size(), 2u);
+  ExposureEvaluator b = [&] {
+    const RasterTerms raster_terms;
+    return ExposureEvaluator(shots, psf);
+  }();
+  EXPECT_EQ(a.operator_rectangles(), b.operator_rectangles());
+  std::vector<double> doses(shots.size());
+  for (int step = 0; step < 2; ++step) {
+    const std::vector<double> sa = a.exposures_at_centroids();
+    const std::vector<double> sb = b.exposures_at_centroids();
+    for (std::size_t i = 0; i < sa.size(); ++i) EXPECT_EQ(sa[i], sb[i]) << "shot " << i;
+    for (std::size_t i = 0; i < shots.size(); i += 37) {
+      const auto [x, y] = a.centroid(i);
+      EXPECT_EQ(a.exposure_at(x + 170.0, y - 90.0), b.exposure_at(x + 170.0, y - 90.0));
+    }
+    for (std::size_t i = 0; i < doses.size(); ++i)
+      doses[i] = 1.0 + 0.03 * static_cast<double>(i % 7);
+    a.set_active_doses(doses);
+    b.set_active_doses(doses);
+  }
+}
+
+TEST(ExposureEvaluator, AGivenUpSecondCandidateKeepsTheFirstOnTheOperator) {
+  // Two mid-range terms on sparse squares: 450 joins the operator, then
+  // the build with 1500 as well gives up. The operator kept must be the
+  // one of alpha and 450 on their own grid: with the exact erf the
+  // centroid sweep equals the point queries.
+  const ShotList shots = square_array(30, 300, 3500);
+  const Psf psf = Psf::from_terms({{0.5, 50.0}, {0.15, 450.0}, {0.15, 1500.0}, {0.2, 5000.0}});
+  ExposureOptions opt;
+  opt.fast_erf = false;
+  const ExposureEvaluator eval(shots, psf, opt);
+  ASSERT_EQ(eval.analytic_terms().size(), 2u);
+  EXPECT_EQ(eval.analytic_terms()[1].sigma, 450.0);
+  ASSERT_EQ(eval.raster_terms().size(), 2u);
+  EXPECT_EQ(eval.raster_terms()[0].sigma, 1500.0);
+  const std::vector<double> sweep = eval.exposures_at_centroids();
+  for (std::size_t i = 0; i < shots.size(); ++i) {
+    const auto [x, y] = eval.centroid(i);
+    EXPECT_NEAR(sweep[i], eval.exposure_at(x, y), 1e-9) << "shot " << i;
+  }
 }
 
 TEST(ExposureEvaluator, AnalyticMidRangeTermMatchesBruteForce) {

@@ -20,14 +20,19 @@
 namespace ebl {
 namespace {
 
+// Splits every evaluator's terms as split says while in scope (see
+// detail::force_term_split).
+struct ForcedSplit {
+  explicit ForcedSplit(detail::TermSplit split) { detail::force_term_split(split); }
+  ~ForcedSplit() { detail::force_term_split(detail::TermSplit::cost); }
+  ForcedSplit(const ForcedSplit&) = delete;
+  ForcedSplit& operator=(const ForcedSplit&) = delete;
+};
+
 // Keeps every term at or above kLongRangeThreshold on its raster while in
-// scope (see detail::force_raster_terms), so a raster-path test keeps a
-// mid-range term there.
-struct RasterTerms {
-  RasterTerms() { detail::force_raster_terms(true); }
-  ~RasterTerms() { detail::force_raster_terms(false); }
-  RasterTerms(const RasterTerms&) = delete;
-  RasterTerms& operator=(const RasterTerms&) = delete;
+// scope, so a raster-path test keeps a mid-range term there.
+struct RasterTerms : ForcedSplit {
+  RasterTerms() : ForcedSplit(detail::TermSplit::raster) {}
 };
 
 ShotList pad_and_island() {
@@ -39,10 +44,24 @@ ShotList pad_and_island() {
 
 Psf test_psf() { return Psf::double_gaussian(50.0, 3000.0, 0.7); }
 
+// A PSF, the term split its evaluators are built with and how many terms
+// that leaves on rasters.
+struct SplitCase {
+  const char* name;
+  Psf psf;
+  detail::TermSplit split;
+  std::size_t raster_terms;
+};
+
 // Both long-range map layouts: one long term on the base map (k = 1), and
-// gamma on the base map plus beta on its own 5x coarser map.
-std::vector<Psf> map_layout_psfs() {
-  return {test_psf(), Psf::triple_gaussian(50.0, 3000.0, 600.0, 0.7, 0.3)};
+// gamma on the base map plus beta on its own 5x coarser map (the split
+// forced, since on pad_and_island the cost choice sums gamma
+// analytically); then that choice, gamma on the short-range operator.
+std::vector<SplitCase> map_layout_cases() {
+  const Psf triple = Psf::triple_gaussian(50.0, 3000.0, 600.0, 0.7, 0.3);
+  return {{"double Gaussian", test_psf(), detail::TermSplit::cost, 1},
+          {"triple Gaussian, gamma on the base map", triple, detail::TermSplit::raster, 2},
+          {"triple Gaussian, gamma analytic", triple, detail::TermSplit::cost, 1}};
 }
 
 // Deterministic pseudo-random dose trajectories: step k moves a subset of
@@ -166,9 +185,12 @@ TEST(DosePaths, GhostResetRefreshesInFullAndSkipsWhenNothingMoved) {
 TEST(DosePaths, ResetDosesIsBitwiseTheFreshEvaluator) {
   const ShotList shots = pad_and_island();
   const std::size_t na = shots.size() / 2;
-  for (const Psf& psf : map_layout_psfs()) {
-    SCOPED_TRACE(psf.terms().size() == 2 ? "double Gaussian" : "triple Gaussian");
+  for (const SplitCase& c : map_layout_cases()) {
+    SCOPED_TRACE(c.name);
+    const ForcedSplit forced(c.split);
+    const Psf& psf = c.psf;
     ExposureEvaluator split(shots, na, psf);
+    ASSERT_EQ(split.raster_terms().size(), c.raster_terms);
 
     // Drive the evaluator through delta updates first: reset_doses must wipe
     // every trace of the incremental state.
@@ -323,15 +345,18 @@ TEST(DosePaths, SetActiveDosesIsBitwiseTheFreshEvaluator) {
   // After each step the sweep equals a fresh evaluator's at the same doses,
   // and the last one is the same at 1 and 4 threads.
   const ShotList shots = pad_and_island();
-  for (const Psf& psf : map_layout_psfs())
+  for (const SplitCase& c : map_layout_cases())
     for (const std::size_t na : {shots.size(), shots.size() / 2}) {
+      const ForcedSplit forced(c.split);
+      const Psf& psf = c.psf;
       std::vector<std::vector<double>> last;
       for (const int threads : {1, 4}) {
-        SCOPED_TRACE(testing::Message() << psf.terms().size() << " terms, " << na
-                                        << " active, " << threads << " threads");
+        SCOPED_TRACE(testing::Message() << c.name << ", " << na << " active, " << threads
+                                        << " threads");
         ExposureOptions opt;
         opt.threads = threads;
         ExposureEvaluator eval(shots, na, psf, opt);
+        ASSERT_EQ(eval.raster_terms().size(), c.raster_terms);
         std::vector<double> doses(na);
         for (std::size_t i = 0; i < na; ++i) doses[i] = shots[i].dose;
         const auto expect_fresh = [&](const char* step) {
