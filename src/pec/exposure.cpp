@@ -861,8 +861,8 @@ bool ExposureEvaluator::choose_term_split(const std::vector<PsfTerm>& wide,
                              kRectCoverNs * rect_area / pixel2 +
                              kSlantCoverNs * slant_area / pixel2;
     const double limit = raster_ns / kOperatorRectNs;
-    build_grid(opt_.cutoff_sigmas * term.sigma, frame);
-    if (operator_rects_lower_bound(limit) > limit || !build_short_operator(limit)) {
+    if (operator_rects_lower_bound(opt_.cutoff_sigmas * term.sigma, frame, limit) > limit ||
+        !build_short_operator(limit)) {
       short_terms_.pop_back();  // built still tells of the operator kept
       break;
     }
@@ -876,14 +876,12 @@ bool ExposureEvaluator::choose_term_split(const std::vector<PsfTerm>& wide,
   return built;
 }
 
-double ExposureEvaluator::operator_rects_lower_bound(double limit) const {
-  // The operator build's own walk over each centroid's own cell only,
-  // emitting nothing: every shot it accepts is one the build accepts, and
-  // adds the rectangles of each short term (a slanted shape's strips;
-  // emit_term_rects may skip an empty one), tallied per shot first. Chunks
-  // add the counts of each 64 centroids to one total and all stop once it
-  // passes limit. The total only grows, so whether it ends above limit
-  // does not depend on the thread count.
+double ExposureEvaluator::operator_rects_lower_bound(double cutoff, const Box& frame,
+                                                     double limit) {
+  // Each shot's rectangles under every short term (a slanted shape's
+  // strips; emit_term_rects skips only an empty one, which a shape with
+  // area has none of). Every centroid accepts its own shot, so their sum
+  // is a first bound, with no grid at all.
   std::vector<std::uint32_t> rects(shots_.size(),
                                    static_cast<std::uint32_t>(short_terms_.size()));
   for (std::size_t s = 0; s < shots_.size(); ++s) {
@@ -893,6 +891,15 @@ double ExposureEvaluator::operator_rects_lower_bound(double limit) const {
     for (const PsfTerm& term : short_terms_)
       rects[s] += static_cast<std::uint32_t>(term_slices(term, t));
   }
+  double own = 0.0;
+  for (std::size_t i = 0; i < active_; ++i) own += rects[i];
+  if (own > limit) return own;
+  // Then the operator build's own walk over each centroid's own cell only,
+  // emitting nothing: every shot it accepts is one the build accepts.
+  // Chunks add the counts of each 64 centroids to one total and all stop
+  // once it passes limit. The total only grows, so whether it ends above
+  // limit does not depend on the thread count.
+  build_grid(cutoff, frame);
   std::atomic<std::uint64_t> total{0};
   std::atomic<bool> over{false};
   parallel_for(

@@ -281,8 +281,10 @@ class ExposureEvaluator {
   // (on the grid at their cutoff).
   bool choose_term_split(const std::vector<PsfTerm>& wide, const Box& frame);
   // A lower bound on the rectangles the short-range operator would emit at
-  // the built grid's cutoff, counted up to the first total above limit.
-  double operator_rects_lower_bound(double limit) const;
+  // a cutoff of cutoff dbu, counted up to the first total above limit.
+  // Builds the neighbor grid for that cutoff unless a first bound that
+  // needs none already passes limit.
+  double operator_rects_lower_bound(double cutoff, const Box& frame, double limit);
   // The neighbor grid for a neighbor cutoff of cutoff dbu.
   void build_grid(double cutoff, const Box& frame);
   void build_long_range(const Box& frame);
