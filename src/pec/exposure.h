@@ -20,9 +20,10 @@
 // has the fit). The model leaves out fixed costs, which lean towards the
 // raster, so near the break-even it keeps the raster. The operator is
 // built with the term and gives up once it has emitted more rectangles
-// than the raster is worth, after a cheap lower bound (each centroid's own
-// neighbor cell) has not already ruled the term out; so an accepted term
-// costs no extra pass, and a rejected one at most about its raster's cost.
+// than the raster is worth, unless two cheap lower bounds (each centroid's
+// own shot, then its own neighbor cell) have already ruled the term out;
+// so an accepted term costs no extra pass, and a rejected one at most
+// about its raster's cost.
 // The first term that stays on a raster keeps every wider one there. A
 // mid-range term next to large pads needs a few rectangles per centroid
 // but would set a fine base pixel over the whole frame; on a dense slanted

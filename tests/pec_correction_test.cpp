@@ -24,14 +24,19 @@ ShotList pad_and_island() {
 
 Psf test_psf() { return Psf::double_gaussian(50.0, 3000.0, 0.7); }
 
+// Splits every evaluator's terms as split says while in scope (see
+// detail::force_term_split).
+struct ForcedSplit {
+  explicit ForcedSplit(detail::TermSplit split) { detail::force_term_split(split); }
+  ~ForcedSplit() { detail::force_term_split(detail::TermSplit::cost); }
+  ForcedSplit(const ForcedSplit&) = delete;
+  ForcedSplit& operator=(const ForcedSplit&) = delete;
+};
+
 // Keeps every term at or above kLongRangeThreshold on its raster while in
-// scope (see detail::force_term_split), so a raster-path test keeps a
-// mid-range term there.
-struct RasterTerms {
-  RasterTerms() { detail::force_term_split(detail::TermSplit::raster); }
-  ~RasterTerms() { detail::force_term_split(detail::TermSplit::cost); }
-  RasterTerms(const RasterTerms&) = delete;
-  RasterTerms& operator=(const RasterTerms&) = delete;
+// scope, so a raster-path test keeps a mid-range term there.
+struct RasterTerms : ForcedSplit {
+  RasterTerms() : ForcedSplit(detail::TermSplit::raster) {}
 };
 
 TEST(ExposureEvaluator, UniformLargePadCenterIsOne) {
@@ -221,38 +226,74 @@ TEST(ExposureEvaluator, AGivenUpSecondCandidateKeepsTheFirstOnTheOperator) {
   }
 }
 
+// Right triangles with 3-um legs at a 5-um pitch, n x n, fractured into
+// 2-um shots, most of them slanted.
+ShotList triangle_array(int n) {
+  PolygonSet s;
+  for (Coord y = 0; y < n; ++y)
+    for (Coord x = 0; x < n; ++x)
+      s.insert(SimplePolygon{{{x * 5000, y * 5000},
+                              {x * 5000 + 3000, y * 5000},
+                              {x * 5000, y * 5000 + 3000}}});
+  return fracture(s, {.max_shot_size = 2000}).shots;
+}
+
 TEST(ExposureEvaluator, AnalyticMidRangeTermMatchesBruteForce) {
   // With gamma on the operator, exposure_at and the centroid sweep equal
   // the brute-force sum of alpha and gamma over every shot plus a
   // beta-only evaluator's raster part, up to the 4-sigma cutoff (and the
-  // sweep's fast erf).
-  const ShotList shots = pad_array();
+  // sweep's fast erf): on the pad array, where the cost choice puts gamma
+  // there, and, with the split forced, on slanted triangles, where gamma
+  // is summed over each slanted shot's 300-dbu strips.
   const Psf psf = mid_range_psf();
-  const ExposureEvaluator eval(shots, psf);
-  ASSERT_EQ(eval.raster_terms().size(), 1u);
   const auto terms = psf.terms();
-  const ExposureEvaluator beta(shots, Psf::from_terms({terms[1]}));
-  const auto near = [&](double x, double y) {
-    double e = 0.0;
-    for (const Shot& s : shots)
-      e += s.dose * (term_exposure_trapezoid(terms[0], s.shape, x, y) +
-                     term_exposure_trapezoid(terms[2], s.shape, x, y));
-    return e;
+  struct Case {
+    const char* name;
+    ShotList shots;
+    detail::TermSplit split;
+    std::vector<std::pair<double, double>> probes;
   };
-  for (const auto& [x, y] : {std::pair{4000.0, 4000.0},   // pad center
-                             {8000.0, 5000.0},             // pad edge
-                             {10000.0, 10000.0},           // between four pads
-                             {8300.0, 7900.0},             // just off a corner
-                             {24000.0, 24000.0},           // the array's center
-                             {-700.0, 30000.0}}) {         // outside the array
-    EXPECT_NEAR(eval.exposure_at(x, y), near(x, y) + beta.exposure_at(x, y), 1e-6)
-        << "at " << x << "," << y;
-  }
-  const std::vector<double> sweep = eval.exposures_at_centroids();
-  const std::vector<double> beta_sweep = beta.exposures_at_centroids();
-  for (std::size_t i = 0; i < shots.size(); i += 7) {
-    const auto [x, y] = eval.centroid(i);
-    EXPECT_NEAR(sweep[i], near(x, y) + beta_sweep[i], 1e-5) << "shot " << i;
+  const std::vector<Case> cases{
+      {"pad array",
+       pad_array(),
+       detail::TermSplit::cost,
+       {{4000.0, 4000.0},     // pad center
+        {8000.0, 5000.0},     // pad edge
+        {10000.0, 10000.0},   // between four pads
+        {8300.0, 7900.0},     // just off a corner
+        {24000.0, 24000.0},   // the array's center
+        {-700.0, 30000.0}}},  // outside the array
+      {"slanted triangles",
+       triangle_array(6),
+       detail::TermSplit::analytic,
+       {{1000.0, 1000.0},      // inside a triangle
+        {1500.0, 1500.0},      // on a hypotenuse
+        {13200.0, 11900.0},    // between triangles
+        {-900.0, 26000.0}}}};  // outside the array
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const ShotList& shots = c.shots;
+    const ForcedSplit forced(c.split);
+    const ExposureEvaluator eval(shots, psf);
+    ASSERT_EQ(eval.raster_terms().size(), 1u);
+    const ExposureEvaluator beta(shots, Psf::from_terms({terms[1]}));
+    const auto near = [&](double x, double y) {
+      double e = 0.0;
+      for (const Shot& s : shots)
+        e += s.dose * (term_exposure_trapezoid(terms[0], s.shape, x, y) +
+                       term_exposure_trapezoid(terms[2], s.shape, x, y));
+      return e;
+    };
+    for (const auto& [x, y] : c.probes) {
+      EXPECT_NEAR(eval.exposure_at(x, y), near(x, y) + beta.exposure_at(x, y), 1e-6)
+          << "at " << x << "," << y;
+    }
+    const std::vector<double> sweep = eval.exposures_at_centroids();
+    const std::vector<double> beta_sweep = beta.exposures_at_centroids();
+    for (std::size_t i = 0; i < shots.size(); i += 7) {
+      const auto [x, y] = eval.centroid(i);
+      EXPECT_NEAR(sweep[i], near(x, y) + beta_sweep[i], 1e-5) << "shot " << i;
+    }
   }
 }
 
