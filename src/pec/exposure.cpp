@@ -831,8 +831,9 @@ bool ExposureEvaluator::choose_term_split(const std::vector<PsfTerm>& wide,
   // otherwise set, both by the cost model above; the first that stays
   // keeps the wider ones on their rasters. The operator is built with the
   // candidate, giving up once it emits more rectangles than the raster's
-  // cost buys, so an accepted candidate's check is the build itself. A
-  // lower bound counted first ends most dense layouts before any build.
+  // cost buys, so an accepted candidate's check is the build itself. Two
+  // lower bounds counted first (operator_rects_lower_bound) end most dense
+  // layouts before any build.
   std::vector<std::size_t> order(wide.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
